@@ -1,6 +1,10 @@
 # Tier-1 verification plus a perf-regression canary in one command.
 #
-#   make          - build + vet + test (tier-1)
+#   make          - build + vet + test (tier-1) + bench-check
+#   make bench-check - vet, test and smoke-run the nested bench/ module,
+#                      which root ./... patterns do not descend into: a
+#                      change that breaks the BENCHMARK.json build fails
+#                      here instead of staying tier-1 green
 #   make bench-smoke - one iteration of the crypto and protocol
 #                      benchmarks; catches gross perf regressions fast
 #   make bench-scale - the million-bin regime: the 2^18-bin spilled
@@ -15,9 +19,9 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench-smoke bench-scale bench-wan bench-json bench-trajectory bench
+.PHONY: all build test vet bench-check bench-smoke bench-scale bench-wan bench-json bench-trajectory bench
 
-all: build vet test
+all: build vet test bench-check
 
 build:
 	$(GO) build ./...
@@ -27,6 +31,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -smoke -seconds 1
 
 bench-smoke:
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkGroupOps' -benchtime=100x

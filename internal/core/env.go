@@ -52,6 +52,12 @@ type Env struct {
 	// wire.DefaultWindowCap).
 	AdaptiveWindow bool
 	WindowCap      int
+	// NoiseSeed, when nonzero, draws each PrivCount DC's Gaussian noise
+	// from a stream derived from (NoiseSeed, DC name, round) instead of
+	// crypto/rand, so a report repeats exactly: for tests that bound
+	// point estimates, never for a measurement. PSC noise enters under
+	// encryption at the CPs and stays cryptographic.
+	NoiseSeed uint64
 
 	alexaOnce sync.Once
 	alexaList *alexa.List

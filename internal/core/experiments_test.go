@@ -317,7 +317,20 @@ func TestSummaryShape(t *testing.T) {
 }
 
 func TestTable8Shape(t *testing.T) {
-	rep := runExperiment(t, "table8")
+	// The outcome shares are small counts under the round's calibrated
+	// noise: at test scale their 95% CIs are some sixteen points wide,
+	// so under crypto-random noise a point estimate leaves its band in
+	// a few percent of runs. Pin the noise (an Env of its own, so the
+	// round ids the noise streams are keyed by do not depend on which
+	// tests ran first) and keep the point bounds.
+	env := TestEnv()
+	env.NoiseSeed = 8
+	defer env.Close()
+	rep, err := Run("table8", env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("\n%s", rep)
 	total := rowValue(t, rep, "Total circuits")
 	if total < 100 || total > 1200 {
 		t.Fatalf("total rendezvous circuits %vM, paper: 366M", total)

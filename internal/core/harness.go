@@ -1,8 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync"
 
 	"repro/internal/dp"
@@ -69,6 +71,9 @@ type partyRuntime struct {
 	// connOpts configures every party pipe: WAN emulation and window
 	// tuning from the Env knobs.
 	connOpts []wire.Option
+	// noiseSeed is the Env's NoiseSeed; zero leaves DC noise to
+	// crypto/rand.
+	noiseSeed uint64
 
 	mu         sync.Mutex
 	numDCs     int
@@ -86,7 +91,7 @@ func (e *Env) runtime() (*partyRuntime, error) {
 	if e.SpillDir != "" {
 		spill.SetDir(e.SpillDir)
 	}
-	rt := &partyRuntime{eng: engine.New(), deliveries: make(map[uint64]chan dcDelivery)}
+	rt := &partyRuntime{eng: engine.New(), noiseSeed: e.NoiseSeed, deliveries: make(map[uint64]chan dcDelivery)}
 	if p, err := netem.ParseProfile(e.Netem); err != nil {
 		return nil, err
 	} else if p != nil {
@@ -170,7 +175,7 @@ func (rt *partyRuntime) serveDCRound(host int, name string, st *wire.Stream) err
 		}
 		d.psc = dc
 	case engine.LabelPrivCount:
-		dc := privcount.NewDC(name, st, nil)
+		dc := privcount.NewDC(name, st, rt.dcNoise(name, st.Round()))
 		if err := dc.Setup(); err != nil {
 			return err
 		}
@@ -187,6 +192,17 @@ func (rt *partyRuntime) serveDCRound(host int, name string, st *wire.Stream) err
 	case <-st.Failed():
 	}
 	return nil
+}
+
+// dcNoise returns the noise source for one DC's round: nil (crypto/rand)
+// unless the Env pins NoiseSeed, then a ChaCha8 stream keyed by the
+// seed, the DC and the round.
+func (rt *partyRuntime) dcNoise(name string, round uint64) *dp.NoiseSource {
+	if rt.noiseSeed == 0 {
+		return nil
+	}
+	key := sha256.Sum256(fmt.Appendf(nil, "noise/%d/%s/%d", rt.noiseSeed, name, round))
+	return dp.NewNoiseSource(rand.NewChaCha8(key))
 }
 
 // delivery returns (creating if needed) the round's DC hand-off

@@ -163,74 +163,86 @@ func newSeededSource(seed uint64) *NoiseSource {
 	return NewNoiseSource(seededReader{simtime.Rand(seed, "dp-test")})
 }
 
+// eachSource runs a statistical check against both entropy paths: the
+// seeded, unbuffered reader and the nil reader's buffered crypto/rand.
+// The bounds below sit at least 4σ out, so the second is not a flake.
+func eachSource(t *testing.T, seed uint64, check func(t *testing.T, src *NoiseSource)) {
+	t.Run("seeded", func(t *testing.T) { check(t, newSeededSource(seed)) })
+	t.Run("crypto-buffered", func(t *testing.T) { check(t, NewNoiseSource(nil)) })
+}
+
 func TestUniformInRange(t *testing.T) {
-	src := newSeededSource(1)
-	for i := 0; i < 10000; i++ {
-		u := src.Uniform()
-		if u <= 0 || u >= 1 {
-			t.Fatalf("uniform out of (0,1): %v", u)
+	eachSource(t, 1, func(t *testing.T, src *NoiseSource) {
+		for i := 0; i < 10000; i++ {
+			u := src.Uniform()
+			if u <= 0 || u >= 1 {
+				t.Fatalf("uniform out of (0,1): %v", u)
+			}
 		}
-	}
+	})
 }
 
 func TestNormalMoments(t *testing.T) {
-	src := newSeededSource(2)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := src.Normal()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Fatalf("normal mean: %v", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Fatalf("normal variance: %v", variance)
-	}
+	eachSource(t, 2, func(t *testing.T, src *NoiseSource) {
+		const n = 200000
+		var sum, sumSq float64
+		for i := 0; i < n; i++ {
+			x := src.Normal()
+			sum += x
+			sumSq += x * x
+		}
+		mean := sum / n
+		variance := sumSq/n - mean*mean
+		if math.Abs(mean) > 0.01 {
+			t.Fatalf("normal mean: %v", mean)
+		}
+		if math.Abs(variance-1) > 0.02 {
+			t.Fatalf("normal variance: %v", variance)
+		}
+	})
 }
 
 func TestGaussianScaling(t *testing.T) {
-	src := newSeededSource(3)
-	const sigma = 1000.0
-	const n = 100000
-	var sumSq float64
-	for i := 0; i < n; i++ {
-		x := src.Gaussian(sigma)
-		sumSq += x * x
-	}
-	sd := math.Sqrt(sumSq / n)
-	if math.Abs(sd-sigma) > sigma*0.02 {
-		t.Fatalf("gaussian sd: got %v want %v", sd, sigma)
-	}
-	if src.Gaussian(0) != 0 {
-		t.Fatal("zero sigma must be zero noise")
-	}
+	eachSource(t, 3, func(t *testing.T, src *NoiseSource) {
+		const sigma = 1000.0
+		const n = 100000
+		var sumSq float64
+		for i := 0; i < n; i++ {
+			x := src.Gaussian(sigma)
+			sumSq += x * x
+		}
+		sd := math.Sqrt(sumSq / n)
+		if math.Abs(sd-sigma) > sigma*0.02 {
+			t.Fatalf("gaussian sd: got %v want %v", sd, sigma)
+		}
+		if src.Gaussian(0) != 0 {
+			t.Fatal("zero sigma must be zero noise")
+		}
+	})
 }
 
 func TestBinomialMoments(t *testing.T) {
-	src := newSeededSource(4)
-	const trials = 1000
-	const n = 20000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := float64(src.Binomial(trials))
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-trials/2) > 2 {
-		t.Fatalf("binomial mean: %v want %v", mean, trials/2)
-	}
-	if math.Abs(variance-trials/4) > trials*0.05 {
-		t.Fatalf("binomial variance: %v want %v", variance, trials/4)
-	}
-	if src.Binomial(0) != 0 {
-		t.Fatal("zero trials must be zero")
-	}
+	eachSource(t, 4, func(t *testing.T, src *NoiseSource) {
+		const trials = 1000
+		const n = 20000
+		var sum, sumSq float64
+		for i := 0; i < n; i++ {
+			x := float64(src.Binomial(trials))
+			sum += x
+			sumSq += x * x
+		}
+		mean := sum / n
+		variance := sumSq/n - mean*mean
+		if math.Abs(mean-trials/2) > 2 {
+			t.Fatalf("binomial mean: %v want %v", mean, trials/2)
+		}
+		if math.Abs(variance-trials/4) > trials*0.05 {
+			t.Fatalf("binomial variance: %v want %v", variance, trials/4)
+		}
+		if src.Binomial(0) != 0 {
+			t.Fatal("zero trials must be zero")
+		}
+	})
 }
 
 func TestAllocateEqual(t *testing.T) {

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"bufio"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -12,7 +13,8 @@ import (
 // NoiseSource draws the random noise required by the privacy mechanisms.
 // It reads entropy from an io.Reader — crypto/rand in production, a
 // seeded stream in tests — and converts it to uniform, normal, and
-// binomial variates.
+// binomial variates. A NoiseSource is for one goroutine: the cached
+// Box–Muller variate and the entropy buffer are unsynchronized.
 type NoiseSource struct {
 	r io.Reader
 	// cached second Box–Muller variate
@@ -21,10 +23,13 @@ type NoiseSource struct {
 }
 
 // NewNoiseSource returns a source reading from r; a nil r selects
-// crypto/rand.
+// crypto/rand, read 4 KiB at a time so a Uniform costs a buffer copy
+// instead of a system read. A caller's reader is read unbuffered,
+// exactly the bytes each variate needs, so sources sharing one seeded
+// stream keep their byte order.
 func NewNoiseSource(r io.Reader) *NoiseSource {
 	if r == nil {
-		r = rand.Reader
+		r = bufio.NewReaderSize(rand.Reader, 4096)
 	}
 	return &NoiseSource{r: r}
 }

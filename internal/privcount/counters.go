@@ -1,8 +1,6 @@
 package privcount
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -44,13 +42,17 @@ func (s StatConfig) NumBins() int { return len(s.Bins) }
 // report vector on the wire.
 type Schema struct {
 	Stats []StatConfig
-	index map[string]int // stat name -> offset of its first bin
+	index map[string]statSpan
 	total int
 }
 
+// statSpan locates one statistic in the flat vector: the offset of its
+// first bin and its bin count.
+type statSpan struct{ base, bins int }
+
 // NewSchema validates and indexes the statistic list.
 func NewSchema(stats []StatConfig) (*Schema, error) {
-	s := &Schema{Stats: stats, index: make(map[string]int, len(stats))}
+	s := &Schema{Stats: stats, index: make(map[string]statSpan, len(stats))}
 	for _, st := range stats {
 		if st.Name == "" {
 			return nil, fmt.Errorf("privcount: statistic with empty name")
@@ -64,7 +66,7 @@ func NewSchema(stats []StatConfig) (*Schema, error) {
 		if _, dup := s.index[st.Name]; dup {
 			return nil, fmt.Errorf("privcount: duplicate statistic %q", st.Name)
 		}
-		s.index[st.Name] = s.total
+		s.index[st.Name] = statSpan{base: s.total, bins: len(st.Bins)}
 		s.total += len(st.Bins)
 	}
 	if s.total == 0 {
@@ -79,24 +81,14 @@ func (s *Schema) Size() int { return s.total }
 // Offset returns the flat index of (stat, bin), or an error for unknown
 // coordinates.
 func (s *Schema) Offset(stat string, bin int) (int, error) {
-	base, ok := s.index[stat]
+	span, ok := s.index[stat]
 	if !ok {
 		return 0, fmt.Errorf("privcount: unknown statistic %q", stat)
 	}
-	st := s.Stats[s.statIdx(stat)]
-	if bin < 0 || bin >= len(st.Bins) {
+	if bin < 0 || bin >= span.bins {
 		return 0, fmt.Errorf("privcount: statistic %q has no bin %d", stat, bin)
 	}
-	return base + bin, nil
-}
-
-func (s *Schema) statIdx(name string) int {
-	for i, st := range s.Stats {
-		if st.Name == name {
-			return i
-		}
-	}
-	return -1
+	return span.base + bin, nil
 }
 
 // Counters is a DC's counter vector over ℤ₂⁶⁴.
@@ -130,7 +122,8 @@ func (c *Counters) AddBlinding(shares []uint64) error {
 }
 
 // AddBlindingAt adds a share slice (mod 2⁶⁴) into the counter slots
-// starting at off — the chunked share-distribution path.
+// starting at off — the step a seed expansion takes, one chunk at a
+// time.
 func (c *Counters) AddBlindingAt(off int, shares []uint64) error {
 	if off < 0 || off+len(shares) > len(c.vals) {
 		return fmt.Errorf("privcount: share slice [%d,%d) outside %d slots", off, off+len(shares), len(c.vals))
@@ -164,20 +157,6 @@ func (c *Counters) AddNoise(gaussian func(sigma float64) float64, weight float64
 func (c *Counters) Snapshot() []uint64 {
 	out := make([]uint64, len(c.vals))
 	copy(out, c.vals)
-	return out
-}
-
-// RandomShares draws a uniformly random blinding vector of n slots from
-// the cryptographic randomness source.
-func RandomShares(n int) []uint64 {
-	buf := make([]byte, 8*n)
-	if _, err := rand.Read(buf); err != nil {
-		panic("privcount: crypto/rand failed: " + err.Error())
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(buf[8*i:])
-	}
 	return out
 }
 

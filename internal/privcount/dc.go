@@ -35,8 +35,9 @@ func NewDC(name string, m wire.Messenger, noise *dp.NoiseSource) *DC {
 }
 
 // Setup registers with the tally server, receives the round
-// configuration, generates and distributes blinding shares, and waits
-// for the begin signal. On return the DC is ready to count.
+// configuration, distributes sealed blinding seeds and blinds its
+// counters with their expansions, and waits for the begin signal. On
+// return the DC is ready to count.
 func (dc *DC) Setup() error {
 	if err := dc.m.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: dc.Name}); err != nil {
 		return fmt.Errorf("privcount dc %s: register: %w", dc.Name, err)
@@ -54,51 +55,7 @@ func (dc *DC) Setup() error {
 	dc.round = cfg.Round
 	dc.weight = cfg.NoiseWeight
 
-	// One uniformly random share slice per SK per slot chunk; the
-	// counters absorb all of them, and each SK will subtract its copies
-	// at aggregation time. Chunked sealing keeps every frame and every
-	// box O(chunk) however many counters the round collects; the per-SK
-	// boxes of one chunk are independent, so they seal as one batch.
-	pubs := make([][]byte, len(cfg.SKNames))
-	for i, sk := range cfg.SKNames {
-		pub, ok := cfg.SKKeys[sk]
-		if !ok {
-			return fmt.Errorf("privcount dc %s: no seal key for SK %s", dc.Name, sk)
-		}
-		pubs[i] = pub
-	}
-	size := schema.Size()
-	if err := dc.m.Send(kindShares, SharesMsg{From: dc.Name, N: size}); err != nil {
-		return fmt.Errorf("privcount dc %s: shares header: %w", dc.Name, err)
-	}
-	err = forEachChunk(size, func(off, end int) error {
-		plains := make([][]byte, len(cfg.SKNames))
-		for i := range cfg.SKNames {
-			shares := RandomShares(end - off)
-			if err := dc.counters.AddBlindingAt(off, shares); err != nil {
-				return err
-			}
-			plain, err := wire.EncodePayload(shares)
-			if err != nil {
-				return err
-			}
-			plains[i] = plain
-		}
-		sealed, err := SealBatch(pubs, plains)
-		if err != nil {
-			return fmt.Errorf("privcount dc %s: seal shares: %w", dc.Name, err)
-		}
-		boxes := make(map[string][]byte, len(cfg.SKNames))
-		for i, sk := range cfg.SKNames {
-			boxes[sk] = sealed[i]
-		}
-		err = dc.m.Send(kindShareChunk, ShareChunkMsg{Off: off, Count: end - off, Boxes: boxes})
-		if err != nil {
-			return fmt.Errorf("privcount dc %s: shares: %w", dc.Name, err)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := dc.blind(cfg); err != nil {
 		return err
 	}
 	var begin BeginMsg
@@ -106,6 +63,47 @@ func (dc *DC) Setup() error {
 		return fmt.Errorf("privcount dc %s: begin: %w", dc.Name, err)
 	}
 	dc.ready = true
+	return nil
+}
+
+// blind draws one fresh seed per SK, ships the sealed seeds to the TS
+// for relay in a single frame — its size depends on the SK count, not
+// the schema — and adds every seed's expansion into the counters. The
+// share vectors themselves never travel; each SK will subtract its own
+// expansion at aggregation time. The seeds are wiped on return.
+func (dc *DC) blind(cfg ConfigureMsg) error {
+	pubs := make([][]byte, len(cfg.SKNames))
+	seeds := make([][]byte, len(cfg.SKNames))
+	defer func() {
+		for _, seed := range seeds {
+			clear(seed)
+		}
+	}()
+	for i, sk := range cfg.SKNames {
+		pub, ok := cfg.SKKeys[sk]
+		if !ok {
+			return fmt.Errorf("privcount dc %s: no seal key for SK %s", dc.Name, sk)
+		}
+		pubs[i] = pub
+		seeds[i] = newSeed()
+	}
+	sealed, err := SealBatch(pubs, seeds)
+	if err != nil {
+		return fmt.Errorf("privcount dc %s: seal seeds: %w", dc.Name, err)
+	}
+	boxes := make(map[string][]byte, len(cfg.SKNames))
+	for i, sk := range cfg.SKNames {
+		boxes[sk] = sealed[i]
+	}
+	size := dc.schema.Size()
+	if err := dc.m.Send(kindShares, SharesMsg{From: dc.Name, N: size, Boxes: boxes}); err != nil {
+		return fmt.Errorf("privcount dc %s: shares: %w", dc.Name, err)
+	}
+	for _, seed := range seeds {
+		if err := expandSeed(seed, size, dc.counters.AddBlindingAt); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -2,7 +2,7 @@
 // protocol (Jansen & Johnson, CCS 2016) as deployed in the paper: a
 // tally server (TS), data collectors (DCs) attached to instrumented Tor
 // relays, and share keepers (SKs). DCs maintain counters blinded with
-// random shares, one per SK, so no single party ever sees a true count;
+// one share vector per SK, so no single party ever sees a true count;
 // DCs add calibrated Gaussian noise so the aggregate is differentially
 // private; the TS learns only the noisy totals.
 //
@@ -18,11 +18,10 @@
 //     including the MinDCs quorum floor and the engine's Recover
 //     callback; Tally.Absent annotates a degraded round.
 //   - DC: the per-relay collector — Setup distributes sealed blinding
-//     shares, Increment counts events, Finish reports noised blinded
-//     totals.
-//   - SK: the share keeper, accumulating each DC's negated shares
-//     per-DC so the collect request can include exactly the DCs that
-//     reported.
+//     seeds and blinds with their expansions, Increment counts events,
+//     Finish reports noised blinded totals.
+//   - SK: the share keeper, holding one seed per DC so the collect
+//     request can expand exactly the DCs that reported.
 //   - Schema / Counters: the statistic layout and fixed-point counter
 //     vector.
 //
@@ -34,11 +33,24 @@
 //     refuses a collect naming fewer DCs than the quorum floor the TS
 //     declared at configure time, so the TS cannot adaptively subset
 //     the aggregate toward a single DC's under-noised counters.
-//   - A share-chunk restarting at offset zero resets that DC's
-//     accumulation at the SK — the restart semantics behind a rejoined
-//     DC re-sending its shares.
-//   - The TS never holds a key that opens a sealed share box, and
-//     never more than one chunk of boxes per DC in flight.
+//   - Share vectors never travel. A DC draws one fresh 32-byte
+//     seed per (DC, SK, round), seals it to the SK, and both sides
+//     expand it locally: slot i is bytes [8i, 8i+8) of the AES-256-CTR
+//     keystream under the seed with a zero IV, little-endian. The
+//     blinding is therefore pseudorandom under AES — the assumption the
+//     sealed boxes (AES-256-GCM) already placed between the shares and
+//     the relaying TS.
+//   - An SK holds one seed per DC; a later box from the same DC
+//     replaces it — the restart semantics behind a rejoined DC
+//     re-running setup with fresh seeds. A box that does not open to
+//     exactly 32 bytes, or that announces a slot count other than
+//     the configured one, fails the SK's round.
+//   - Seeds are wiped once expanded: the DC's before Setup returns,
+//     the SK's as each is expanded at collect (so a name repeated in
+//     the collect list fails instead of counting twice) and the rest
+//     when its round ends.
+//   - The TS never holds a key that opens a sealed box; it checks that
+//     a DC addressed exactly one box to every SK and relays them.
 //   - A round may complete without a DC (its counts, blinds, and noise
 //     share are all excluded) but never without an SK.
 //   - The tolerant flow's TS residency is one schema-sized modular

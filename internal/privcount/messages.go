@@ -1,6 +1,7 @@
 package privcount
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/wire"
@@ -8,25 +9,33 @@ import (
 
 // Wire message kinds exchanged between the PrivCount parties. Every
 // message travels as a wire.Frame whose payload is the gob encoding of
-// one of these structs. Counter vectors and blinding shares travel as
-// bounded chunk frames after a header, never as one frame.
+// one of these structs. Counter vectors travel as bounded chunk frames
+// after a header, never as one frame; blinding shares never travel at
+// all, only the sealed seeds they expand from.
 const (
-	kindRegister   = "privcount/register"
-	kindConfigure  = "privcount/configure"
-	kindShares     = "privcount/shares"
-	kindShareChunk = "privcount/share-chunk"
-	kindRelay      = "privcount/relay-shares"
-	kindBegin      = "privcount/begin"
-	kindReport     = "privcount/report"
-	kindCollect    = "privcount/collect"
-	kindSums       = "privcount/sums"
-	kindChunk      = "privcount/chunk"
-	kindResults    = "privcount/results"
+	kindRegister  = "privcount/register"
+	kindConfigure = "privcount/configure"
+	kindShares    = "privcount/shares"
+	kindRelay     = "privcount/relay-shares"
+	kindBegin     = "privcount/begin"
+	kindReport    = "privcount/report"
+	kindCollect   = "privcount/collect"
+	kindSums      = "privcount/sums"
+	kindChunk     = "privcount/chunk"
+	kindResults   = "privcount/results"
 )
 
 // ChunkSlots is how many uint64 counter slots travel per chunk frame
-// (and per sealed box): 32 KiB of payload, far below any frame cap.
+// (and expand per step of a blinding seed): 32 KiB of payload, far
+// below any frame cap.
 const ChunkSlots = 4096
+
+// maxSlots bounds the slot count an SK accepts in its configuration.
+// The SK never sees the schema, only this number, so nothing else caps
+// the allocation a tally server can ask of it. 2²⁴ slots (128 MiB of
+// sums) is sixteen times what a schema frame can describe at the
+// default 1 MiB frame cap.
+const maxSlots = 1 << 24
 
 // forEachChunk invokes fn(off, end) over [0, n) in ChunkSlots-sized
 // ranges.
@@ -46,16 +55,23 @@ func forEachChunk(n int, fn func(off, end int) error) error {
 // sendValues streams a counter vector as bounded chunks after its
 // header has announced len(v) slots.
 func sendValues(m wire.Messenger, v []uint64) error {
+	raw := make([]byte, 8*min(len(v), ChunkSlots))
 	return forEachChunk(len(v), func(off, end int) error {
-		return m.Send(kindChunk, ValueChunkMsg{Off: off, Values: v[off:end]})
+		buf := raw[:8*(end-off)]
+		for i, x := range v[off:end] {
+			binary.LittleEndian.PutUint64(buf[8*i:], x)
+		}
+		return m.Send(kindChunk, ValueChunkMsg{Off: off, Raw: buf})
 	})
 }
 
 // recvValues collects a chunked vector of n slots.
 func recvValues(m wire.Messenger, n int) ([]uint64, error) {
-	out := make([]uint64, 0, n)
-	err := recvValuesFunc(m, n, func(_ int, vals []uint64) error {
-		out = append(out, vals...)
+	out := make([]uint64, n)
+	err := recvValuesFunc(m, n, func(off int, raw []byte) error {
+		for i := range len(raw) / 8 {
+			out[off+i] = binary.LittleEndian.Uint64(raw[8*i:])
+		}
 		return nil
 	})
 	if err != nil {
@@ -65,23 +81,24 @@ func recvValues(m wire.Messenger, n int) ([]uint64, error) {
 }
 
 // recvValuesFunc consumes chunk frames until n slots have arrived,
-// invoking fn for each chunk as it lands — for callers that fold or
-// spill the vector instead of buffering it whole. Chunks must tile
-// [0, n) in order.
-func recvValuesFunc(m wire.Messenger, n int, fn func(off int, vals []uint64) error) error {
+// invoking fn with each chunk's raw slots (eight little-endian bytes
+// apiece) as it lands — for callers that fold or spill the vector
+// instead of buffering it whole. Chunks must tile [0, n) in order.
+func recvValuesFunc(m wire.Messenger, n int, fn func(off int, raw []byte) error) error {
 	for off := 0; off < n; {
 		var c ValueChunkMsg
 		if err := m.Expect(kindChunk, &c); err != nil {
 			return err
 		}
-		if c.Off != off || len(c.Values) == 0 || c.Off+len(c.Values) > n {
-			return fmt.Errorf("privcount: chunk [%d,%d) does not continue vector at %d/%d",
-				c.Off, c.Off+len(c.Values), off, n)
+		count := len(c.Raw) / 8
+		if c.Off != off || count == 0 || len(c.Raw)%8 != 0 || count > n-off {
+			return fmt.Errorf("privcount: chunk of %d bytes at slot %d does not continue vector at %d/%d",
+				len(c.Raw), c.Off, off, n)
 		}
-		if err := fn(off, c.Values); err != nil {
+		if err := fn(off, c.Raw); err != nil {
 			return err
 		}
-		off += len(c.Values)
+		off += count
 	}
 	return nil
 }
@@ -101,15 +118,17 @@ type RegisterMsg struct {
 }
 
 // ConfigureMsg carries the round configuration from the TS to every
-// party. DCs learn the statistics schema, their noise weight, and the
-// SK public keys to seal blinding shares to; SKs learn the schema size,
-// how many DC share vectors to expect, and the round's declared DC
+// party. DCs learn the statistics schema (Stats), their noise weight,
+// and the SK public keys to seal blinding seeds to; SKs learn only the
+// schema's slot count (Slots — they never need the statistic names or
+// bin labels), how many DCs to expect, and the round's declared DC
 // quorum floor (MinDCs): an SK refuses a collect request naming fewer
 // DCs, so a TS cannot adaptively subset the aggregate below the policy
 // it declared before collection began.
 type ConfigureMsg struct {
 	Round       uint64
-	Stats       []StatConfig
+	Stats       []StatConfig // DCs only
+	Slots       int          // SKs only
 	NumDCs      int
 	MinDCs      int
 	SKNames     []string
@@ -117,30 +136,22 @@ type ConfigureMsg struct {
 	NoiseWeight float64
 }
 
-// SharesMsg opens a DC's blinding-share distribution: the share vector
-// follows as ShareChunkMsg frames, each sealing one slot range to every
-// SK. The TS relays each box to its SK without being able to open it.
+// SharesMsg is a DC's whole blinding-share distribution: one sealed
+// 32-byte seed per SK, keyed by SK name. The TS relays each box
+// to its SK without being able to open it. The frame's size depends on
+// the SK count alone, not on the schema.
 type SharesMsg struct {
 	From string
-	// N is the schema slot count the chunks must tile.
-	N int
+	// N is the schema slot count every seed expands to.
+	N     int
+	Boxes map[string][]byte
 }
 
-// ShareChunkMsg carries one slot range of a DC's blinding shares, one
-// independently sealed box per SK. Chunked sealing bounds every frame
-// (and every SK's working set) by the chunk size, not the schema size.
-type ShareChunkMsg struct {
-	Off, Count int
-	Boxes      map[string][]byte
-}
-
-// RelayMsg delivers one chunk of one DC's sealed shares to a share
-// keeper.
+// RelayMsg delivers one DC's sealed seed to a share keeper.
 type RelayMsg struct {
-	From       string
-	Off, Count int
-	N          int // total slots in the DC's vector
-	Box        []byte
+	From string
+	N    int // slots the seed expands to
+	Box  []byte
 }
 
 // BeginMsg tells DCs the collection phase has started.
@@ -175,10 +186,13 @@ type SumsMsg struct {
 	N     int
 }
 
-// ValueChunkMsg carries one slot range of a counter vector.
+// ValueChunkMsg carries one slot range of a counter vector: Raw holds
+// the slots starting at Off, eight little-endian bytes apiece. Blinded
+// values are uniform in ℤ₂⁶⁴, so fixed width is also the shortest
+// encoding.
 type ValueChunkMsg struct {
-	Off    int
-	Values []uint64
+	Off int
+	Raw []byte
 }
 
 // ResultsMsg is the TS's final output broadcast, used by the CLI

@@ -106,12 +106,10 @@ func TestTallyRejectsWrongRoundReport(t *testing.T) {
 			schema, _ := NewSchema(cfg.Stats)
 			boxes := map[string][]byte{}
 			for _, skName := range cfg.SKNames {
-				plain, _ := wire.EncodePayload(RandomShares(schema.Size()))
-				box, _ := Seal(cfg.SKKeys[skName], plain)
+				box, _ := Seal(cfg.SKKeys[skName], newSeed())
 				boxes[skName] = box
 			}
-			c.Send(kindShares, SharesMsg{From: "dc", N: schema.Size()})
-			c.Send(kindShareChunk, ShareChunkMsg{Off: 0, Count: schema.Size(), Boxes: boxes})
+			c.Send(kindShares, SharesMsg{From: "dc", N: schema.Size(), Boxes: boxes})
 			var begin BeginMsg
 			c.Expect(kindBegin, &begin)
 			c.Send(kindReport, ReportMsg{From: "dc", Round: 99, N: schema.Size()})
@@ -134,8 +132,7 @@ func TestTallyRejectsMissingBox(t *testing.T) {
 			}
 			// Claim shares but include no boxes.
 			schema, _ := NewSchema(cfg.Stats)
-			c.Send(kindShares, SharesMsg{From: "dc", N: schema.Size()})
-			c.Send(kindShareChunk, ShareChunkMsg{Off: 0, Count: schema.Size(), Boxes: map[string][]byte{}})
+			c.Send(kindShares, SharesMsg{From: "dc", N: schema.Size(), Boxes: map[string][]byte{}})
 		})
 	if err == nil || !strings.Contains(err.Error(), "boxes") {
 		t.Fatalf("want missing-boxes error, got %v", err)
@@ -147,34 +144,22 @@ func TestTallyRejectsMissingBox(t *testing.T) {
 // must be refused — otherwise it could isolate one DC's counters with
 // only that DC's fraction of the calibrated noise.
 func TestSKRefusesCollectBelowQuorumFloor(t *testing.T) {
-	tsSide, skSide := wire.Pipe()
-	sk, err := NewSK("sk", skSide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- sk.Serve() }()
-
-	var reg RegisterMsg
-	if err := tsSide.Expect(kindRegister, &reg); err != nil {
-		t.Fatal(err)
-	}
-	tsSide.Send(kindConfigure, ConfigureMsg{Round: 1, Stats: oneStat, NumDCs: 2, MinDCs: 2})
+	tsSide, pub, done := skHarness(t, ConfigureMsg{Round: 1, Slots: 1, NumDCs: 2, MinDCs: 2})
 	for _, dc := range []string{"dc-0", "dc-1"} {
-		plain, _ := wire.EncodePayload([]uint64{7})
-		box, _ := Seal(reg.SealPub, plain)
-		tsSide.Send(kindRelay, RelayMsg{From: dc, Off: 0, Count: 1, N: 1, Box: box})
+		box, _ := Seal(pub, newSeed())
+		tsSide.Send(kindRelay, RelayMsg{From: dc, N: 1, Box: box})
 	}
 	tsSide.Send(kindCollect, CollectMsg{Round: 1, DCs: []string{"dc-0"}})
-	err = <-errCh
+	err := <-done
 	if err == nil || !strings.Contains(err.Error(), "quorum floor") {
 		t.Fatalf("want quorum-floor refusal, got %v", err)
 	}
 }
 
-// TestSKRejectsShortShareVector: a DC sending a wrong-length share
-// vector must be caught by the SK.
-func TestSKRejectsShortShareVector(t *testing.T) {
+// skHarness starts an SK on a pipe, takes its registration, and
+// configures it; the test then plays the tally server by hand.
+func skHarness(t *testing.T, cfg ConfigureMsg) (ts *wire.Conn, sealPub []byte, done <-chan error) {
+	t.Helper()
 	tsSide, skSide := wire.Pipe()
 	sk, err := NewSK("sk", skSide)
 	if err != nil {
@@ -182,19 +167,98 @@ func TestSKRejectsShortShareVector(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- sk.Serve() }()
-
 	var reg RegisterMsg
 	if err := tsSide.Expect(kindRegister, &reg); err != nil {
 		t.Fatal(err)
 	}
-	tsSide.Send(kindConfigure, ConfigureMsg{Round: 1, Stats: oneStat, NumDCs: 1})
-	// Box with too few shares (chunk claims 1 slot; box holds 3).
-	plain, _ := wire.EncodePayload([]uint64{1, 2, 3})
-	box, _ := Seal(reg.SealPub, plain)
-	tsSide.Send(kindRelay, RelayMsg{From: "dc", Off: 0, Count: 1, N: 1, Box: box})
-	err = <-errCh
+	tsSide.Send(kindConfigure, cfg)
+	return tsSide, reg.SealPub, errCh
+}
+
+// TestSKRejectsShortShareVector: a relayed seed announcing a
+// wrong-length share vector must be caught by the SK.
+func TestSKRejectsShortShareVector(t *testing.T) {
+	tsSide, pub, done := skHarness(t, ConfigureMsg{Round: 1, Slots: 3, NumDCs: 1})
+	// The round has 3 slots; the DC's seed claims to expand to 1.
+	box, _ := Seal(pub, newSeed())
+	tsSide.Send(kindRelay, RelayMsg{From: "dc", N: 1, Box: box})
+	err := <-done
 	if err == nil || !strings.Contains(err.Error(), "slots") {
 		t.Fatalf("want share-length error, got %v", err)
+	}
+}
+
+// TestSKRejectsBadSeedLength: a box that opens to anything but a
+// seedSize-byte seed must be refused, not truncated or padded into a
+// key.
+func TestSKRejectsBadSeedLength(t *testing.T) {
+	for _, n := range []int{0, 16, seedSize - 1, seedSize + 1, 64} {
+		tsSide, pub, done := skHarness(t, ConfigureMsg{Round: 1, Slots: 1, NumDCs: 1})
+		box, _ := Seal(pub, make([]byte, n))
+		tsSide.Send(kindRelay, RelayMsg{From: "dc", N: 1, Box: box})
+		err := <-done
+		if err == nil || !strings.Contains(err.Error(), "seed") {
+			t.Fatalf("%d-byte seed: want seed-length error, got %v", n, err)
+		}
+	}
+}
+
+// TestSKRejectsBadSlotCount: the SK allocates what its configuration
+// names, so a non-positive or absurd slot count is refused up front.
+func TestSKRejectsBadSlotCount(t *testing.T) {
+	for _, n := range []int{0, -1, maxSlots + 1} {
+		_, _, done := skHarness(t, ConfigureMsg{Round: 1, Slots: n, NumDCs: 1})
+		err := <-done
+		if err == nil || !strings.Contains(err.Error(), "slots") {
+			t.Fatalf("%d slots: want slot-count error, got %v", n, err)
+		}
+	}
+}
+
+// TestSKRefusesRepeatedCollectName: a collect list cannot reach the
+// quorum floor by naming one DC twice — which would also hand the TS
+// twice that DC's blinding, i.e. the blinding itself.
+func TestSKRefusesRepeatedCollectName(t *testing.T) {
+	tsSide, pub, done := skHarness(t, ConfigureMsg{Round: 1, Slots: 1, NumDCs: 2, MinDCs: 2})
+	for _, dc := range []string{"dc-0", "dc-1"} {
+		box, _ := Seal(pub, newSeed())
+		tsSide.Send(kindRelay, RelayMsg{From: dc, N: 1, Box: box})
+	}
+	tsSide.Send(kindCollect, CollectMsg{Round: 1, DCs: []string{"dc-0", "dc-0"}})
+	err := <-done
+	if err == nil || !strings.Contains(err.Error(), "shared no seed") {
+		t.Fatalf("want refusal of the repeated name, got %v", err)
+	}
+}
+
+// TestSKSeedReplacedOnDCRestart: a second box from one DC replaces the
+// first — the restarted DC blinded with the second seed only — and the
+// SK's answer cancels exactly that blinding.
+func TestSKSeedReplacedOnDCRestart(t *testing.T) {
+	const slots = ChunkSlots + 5
+	tsSide, pub, done := skHarness(t, ConfigureMsg{Round: 1, Slots: slots, NumDCs: 1})
+	stale, fresh := newSeed(), newSeed()
+	want := expandAll(t, fresh, slots)
+	for _, seed := range [][]byte{stale, fresh} {
+		box, _ := Seal(pub, seed)
+		tsSide.Send(kindRelay, RelayMsg{From: "dc", N: slots, Box: box})
+	}
+	tsSide.Send(kindCollect, CollectMsg{Round: 1, DCs: []string{"dc"}})
+	var sums SumsMsg
+	if err := tsSide.Expect(kindSums, &sums); err != nil {
+		t.Fatal(err)
+	}
+	got, err := recvValues(tsSide, sums.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i]+want[i] != 0 {
+			t.Fatalf("slot %d: SK sum %#x does not cancel the restarted DC's share %#x", i, got[i], want[i])
+		}
 	}
 }
 

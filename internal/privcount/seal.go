@@ -12,7 +12,7 @@ import (
 	"repro/internal/parallel"
 )
 
-// Sealed boxes carry a DC's blinding shares to each share keeper via
+// Sealed boxes carry a DC's blinding seeds to each share keeper via
 // the tally server. The TS relays them but must not read them — if it
 // could, it could unblind individual DC counts. Each box is an
 // ephemeral-static X25519 agreement with an AES-256-GCM payload.
@@ -111,7 +111,7 @@ func newAEAD(shared, ephPub, recipPub []byte) (cipher.AEAD, error) {
 
 // SealBatch seals plaintexts[i] to recipients[i] across the worker
 // pool; each box costs an X25519 key generation and agreement, so a DC
-// distributing shares to many share keepers parallelizes cleanly. On
+// sealing to many share keepers parallelizes cleanly. On
 // any failure the first error (by index) is returned.
 func SealBatch(recipients, plaintexts [][]byte) ([][]byte, error) {
 	if len(recipients) != len(plaintexts) {

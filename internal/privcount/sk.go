@@ -6,9 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// SK is a share keeper. It accumulates the negation of every blinding
-// share the DCs generate, so that when the tally server sums DC reports
-// and SK sums, the blinding telescopes away. PrivCount's privacy
+// SK is a share keeper. It holds the seed of every blinding share
+// vector the DCs generate and answers the collect request with the
+// negated sum of their expansions, so that when the tally server sums
+// DC reports and SK sums, the blinding telescopes away. PrivCount's privacy
 // guarantee holds as long as at least one SK is honest (§2.3): no
 // smaller coalition can unblind a DC's counters.
 //
@@ -35,9 +36,10 @@ func NewSK(name string, m wire.Messenger) (*SK, error) {
 func (sk *SK) Serve() error { return sk.ServeRound(sk.m) }
 
 // ServeRound runs the share keeper's side of one round over m:
-// register, receive the configuration and every DC's sealed share
-// chunks, then answer the collect request with negated sums. All round
-// state is local, so one SK serves many rounds concurrently.
+// register, receive the configuration and every DC's sealed seed, then
+// answer the collect request with the negated sum of the named DCs'
+// expansions. All round state is local, so one SK serves many rounds
+// concurrently.
 func (sk *SK) ServeRound(m wire.Messenger) error {
 	if err := m.Send(kindRegister, RegisterMsg{
 		Role: RoleSK, Name: sk.Name, SealPub: sk.key.Public(),
@@ -48,24 +50,22 @@ func (sk *SK) ServeRound(m wire.Messenger) error {
 	if err := m.Expect(kindConfigure, &cfg); err != nil {
 		return fmt.Errorf("privcount sk %s: configure: %w", sk.Name, err)
 	}
-	schema, err := NewSchema(cfg.Stats)
-	if err != nil {
-		return err
+	size := cfg.Slots
+	if size <= 0 || size > maxSlots {
+		return fmt.Errorf("privcount sk %s: configured for %d slots, want 1..%d", sk.Name, size, maxSlots)
 	}
-	size := schema.Size()
 
-	// Each DC's vector arrives as sealed chunks and accumulates
-	// per-DC (negated) until the collect request names the DCs whose
-	// reports the tally holds; only those sum into the answer. A chunk
-	// restarting at offset zero resets that DC's accumulation — the
-	// restart semantics of a DC that rejoined mid-distribution and
-	// re-sent its shares from scratch. Only one chunk is ever open at a
-	// time.
-	type dcAccum struct {
-		vec []uint64
-		got int
-	}
-	accums := make(map[string]*dcAccum)
+	// One seed per DC is all the SK holds until the collect request
+	// names the DCs whose reports the tally has; only those expand into
+	// the answer. A later box from the same DC replaces its seed — the
+	// restart semantics of a DC that rejoined during setup and drew
+	// fresh seeds. Every seed is wiped when the round ends.
+	seeds := make(map[string][]byte)
+	defer func() {
+		for _, seed := range seeds {
+			clear(seed)
+		}
+	}()
 	var collect CollectMsg
 	for {
 		f, err := m.Recv()
@@ -89,40 +89,23 @@ func (sk *SK) ServeRound(m wire.Messenger) error {
 			return fmt.Errorf("privcount sk %s: DC %s vector has %d slots, want %d",
 				sk.Name, relay.From, relay.N, size)
 		}
-		acc := accums[relay.From]
-		if acc == nil || relay.Off == 0 {
-			acc = &dcAccum{vec: make([]uint64, size)}
-			accums[relay.From] = acc
-		}
-		if relay.Off != acc.got || relay.Count <= 0 || relay.Off+relay.Count > size {
-			return fmt.Errorf("privcount sk %s: DC %s chunk [%d,%d) does not continue at %d",
-				sk.Name, relay.From, relay.Off, relay.Off+relay.Count, acc.got)
-		}
-		plain, err := sk.key.Open(relay.Box)
+		seed, err := sk.key.Open(relay.Box)
 		if err != nil {
 			return fmt.Errorf("privcount sk %s: open box from %s: %w", sk.Name, relay.From, err)
 		}
-		var shares []uint64
-		if err := wire.DecodePayload(plain, &shares); err != nil {
-			return fmt.Errorf("privcount sk %s: decode shares from %s: %w", sk.Name, relay.From, err)
+		if len(seed) != seedSize {
+			return fmt.Errorf("privcount sk %s: seed from %s is %d bytes, want %d",
+				sk.Name, relay.From, len(seed), seedSize)
 		}
-		if len(shares) != relay.Count {
-			return fmt.Errorf("privcount sk %s: share chunk from %s has %d slots, want %d",
-				sk.Name, relay.From, len(shares), relay.Count)
-		}
-		for j, s := range shares {
-			acc.vec[relay.Off+j] -= s // negate: SK sums cancel DC blinding at the TS
-		}
-		acc.got += relay.Count
+		clear(seeds[relay.From])
+		seeds[relay.From] = seed
 	}
 
 	include := collect.DCs
 	if include == nil {
-		// Pre-churn collect: every completed vector participates.
-		for name, acc := range accums {
-			if acc.got == size {
-				include = append(include, name)
-			}
+		// Pre-churn collect: every DC that shared participates.
+		for name := range seeds {
+			include = append(include, name)
 		}
 	} else {
 		// The TS may exclude DCs that never reported, but never below
@@ -140,13 +123,23 @@ func (sk *SK) ServeRound(m wire.Messenger) error {
 	}
 	sums := make([]uint64, size)
 	for _, name := range include {
-		acc := accums[name]
-		if acc == nil || acc.got != size {
-			return fmt.Errorf("privcount sk %s: collect names DC %s whose share vector is incomplete", sk.Name, name)
+		seed, ok := seeds[name]
+		if !ok {
+			return fmt.Errorf("privcount sk %s: collect names DC %s, which shared no seed", sk.Name, name)
 		}
-		for j, s := range acc.vec {
-			sums[j] += s
+		err := expandSeed(seed, size, func(off int, shares []uint64) error {
+			for j, s := range shares {
+				sums[off+j] -= s // negate: SK sums cancel DC blinding at the TS
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
+		// A seed expands once: a collect list padded with a repeated
+		// name fails above instead of reaching the quorum floor.
+		clear(seed)
+		delete(seeds, name)
 	}
 	if err := m.Send(kindSums, SumsMsg{From: sk.Name, Round: cfg.Round, N: len(sums)}); err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/spill"
 	"repro/internal/wire"
 )
 
@@ -31,11 +32,11 @@ type TallyConfig struct {
 	// the engine orders them). canRetry reports that the DC's
 	// contribution barrier has not been passed — the begin signal has
 	// not gone out — so a replacement messenger can restart its
-	// register/configure/shares exchange (the SKs reset that DC's share
-	// accumulation when the re-sent chunks restart at offset zero). A
-	// nil replacement with absentOK=true declares the DC absent — its
-	// blinding shares are excluded from every SK's sum via the collect
-	// DC list; absentOK=false fails the round with the original error.
+	// register/configure/shares exchange (the SKs replace that DC's
+	// seed with the re-sent one). A nil replacement with absentOK=true
+	// declares the DC absent — its blinding shares are excluded from
+	// every SK's sum via the collect DC list; absentOK=false fails the
+	// round with the original error.
 	Recover func(i int, name string, canRetry bool) (replacement wire.Messenger, absentOK bool)
 }
 
@@ -98,7 +99,7 @@ func (t *Tally) Schema() *Schema { return t.schema }
 //
 // The protocol phases are strictly sequenced, matching the PrivCount
 // deployment: registration, configuration, share distribution (sealed
-// chunks relayed through the TS), collection, and aggregation. Without
+// seeds relayed through the TS), collection, and aggregation. Without
 // cfg.Recover the messenger order is free and any party failure fails
 // the round; with it, the slice must be SKs first (see
 // TallyConfig.Recover) and DC failures degrade the round down to the
@@ -165,15 +166,14 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 		}
 	}
 	for _, name := range skNames {
-		cfg := ConfigureMsg{Round: t.cfg.Round, Stats: t.cfg.Stats, NumDCs: t.cfg.NumDCs, MinDCs: t.cfg.MinDCs}
+		cfg := ConfigureMsg{Round: t.cfg.Round, Slots: t.schema.Size(), NumDCs: t.cfg.NumDCs, MinDCs: t.cfg.MinDCs}
 		if err := skConns[name].Send(kindConfigure, cfg); err != nil {
 			return nil, fmt.Errorf("privcount ts: configure SK %s: %w", name, err)
 		}
 	}
 
-	// Phase 3: share distribution. The TS relays sealed chunks as they
-	// arrive; it never holds a key that opens them, and never more than
-	// one chunk of boxes per DC.
+	// Phase 3: share distribution. The TS relays each DC's sealed seeds;
+	// it never holds a key that opens them.
 	for _, name := range dcNames {
 		if err := t.relayShares(name, dcConns[name], skNames, skConns); err != nil {
 			return nil, err
@@ -243,7 +243,7 @@ func (t *Tally) runTolerant(conns []wire.Messenger) (map[string][]float64, error
 		skKeys[reg.Name] = reg.SealPub
 	}
 	for _, name := range skNames {
-		cfg := ConfigureMsg{Round: t.cfg.Round, Stats: t.cfg.Stats, NumDCs: t.cfg.NumDCs, MinDCs: t.cfg.MinDCs}
+		cfg := ConfigureMsg{Round: t.cfg.Round, Slots: t.schema.Size(), NumDCs: t.cfg.NumDCs, MinDCs: t.cfg.MinDCs}
 		if err := skConns[name].Send(kindConfigure, cfg); err != nil {
 			return nil, fmt.Errorf("privcount ts: configure SK %s: %w", name, err)
 		}
@@ -252,8 +252,8 @@ func (t *Tally) runTolerant(conns []wire.Messenger) (map[string][]float64, error
 	// DC setup: register, configure, relay shares — sequentially, so
 	// each SK stream has a single sender. A failed DC may be restarted
 	// once on a replacement messenger while its contribution barrier
-	// (the begin signal) has not been passed; the SKs reset its share
-	// accumulation when the restarted upload begins at offset zero.
+	// (the begin signal) has not been passed; the SKs replace its seed
+	// with the one the restarted exchange delivers.
 	type dcSlot struct {
 		idx  int
 		name string
@@ -386,7 +386,7 @@ func (t *Tally) setupDC(idx int, c wire.Messenger, skNames []string, skKeys map[
 	return reg.Name, t.relayShares(reg.Name, c, skNames, skConns)
 }
 
-// relayShares forwards one DC's sealed share chunks to every SK.
+// relayShares forwards one DC's sealed seeds, one box to each SK.
 func (t *Tally) relayShares(name string, c wire.Messenger, skNames []string, skConns map[string]wire.Messenger) error {
 	var shares SharesMsg
 	if err := c.Expect(kindShares, &shares); err != nil {
@@ -395,29 +395,17 @@ func (t *Tally) relayShares(name string, c wire.Messenger, skNames []string, skC
 	if shares.N != t.schema.Size() {
 		return fmt.Errorf("privcount ts: DC %s sharing %d slots, want %d", name, shares.N, t.schema.Size())
 	}
-	for got := 0; got < shares.N; {
-		var chunk ShareChunkMsg
-		if err := c.Expect(kindShareChunk, &chunk); err != nil {
-			return fmt.Errorf("privcount ts: share chunk from DC %s: %w", name, err)
+	if len(shares.Boxes) != len(skNames) {
+		return fmt.Errorf("privcount ts: DC %s sent %d boxes, want %d", name, len(shares.Boxes), len(skNames))
+	}
+	for _, sk := range skNames {
+		box, ok := shares.Boxes[sk]
+		if !ok {
+			return fmt.Errorf("privcount ts: DC %s missing box for SK %s", name, sk)
 		}
-		if chunk.Off != got || chunk.Count <= 0 || chunk.Off+chunk.Count > shares.N {
-			return fmt.Errorf("privcount ts: DC %s share chunk [%d,%d) does not continue at %d",
-				name, chunk.Off, chunk.Off+chunk.Count, got)
+		if err := skConns[sk].Send(kindRelay, RelayMsg{From: name, N: shares.N, Box: box}); err != nil {
+			return fmt.Errorf("privcount ts: relay to SK %s: %w", sk, err)
 		}
-		if len(chunk.Boxes) != len(skNames) {
-			return fmt.Errorf("privcount ts: DC %s sent %d boxes, want %d", name, len(chunk.Boxes), len(skNames))
-		}
-		for _, sk := range skNames {
-			box, ok := chunk.Boxes[sk]
-			if !ok {
-				return fmt.Errorf("privcount ts: DC %s missing box for SK %s", name, sk)
-			}
-			relay := RelayMsg{From: name, Off: chunk.Off, Count: chunk.Count, N: shares.N, Box: box}
-			if err := skConns[sk].Send(kindRelay, relay); err != nil {
-				return fmt.Errorf("privcount ts: relay to SK %s: %w", sk, err)
-			}
-		}
-		got += chunk.Count
 	}
 	return nil
 }
@@ -454,23 +442,20 @@ func (t *Tally) collectReportInto(name string, c wire.Messenger, acc *sumAccum) 
 	if rep.N != t.schema.Size() {
 		return fmt.Errorf("privcount ts: DC %s report has %d slots, want %d", name, rep.N, t.schema.Size())
 	}
-	buf, err := newU64Spill(rep.N)
+	buf, err := spill.New(rep.N, 8)
 	if err != nil {
 		return fmt.Errorf("privcount ts: report spill for DC %s: %w", name, err)
 	}
 	defer buf.Close()
-	err = recvValuesFunc(c, rep.N, func(off int, vals []uint64) error {
-		return buf.write(off, vals)
-	})
-	if err != nil {
+	if err := recvValuesFunc(c, rep.N, buf.WriteAt); err != nil {
 		return fmt.Errorf("privcount ts: report from DC %s: %w", name, err)
 	}
 	return forEachChunk(rep.N, func(off, end int) error {
-		vals, err := buf.readRange(off, end-off)
+		raw, err := buf.ReadRange(off, end-off)
 		if err != nil {
 			return fmt.Errorf("privcount ts: report fold for DC %s: %w", name, err)
 		}
-		acc.fold(off, vals)
+		acc.fold(off, raw)
 		return nil
 	})
 }
@@ -493,8 +478,8 @@ func (t *Tally) collectSumsInto(skNames []string, skConns map[string]wire.Messen
 		if sums.N != t.schema.Size() {
 			return fmt.Errorf("privcount ts: SK %s sums have %d slots, want %d", name, sums.N, t.schema.Size())
 		}
-		err := recvValuesFunc(skConns[name], sums.N, func(off int, vals []uint64) error {
-			acc.fold(off, vals)
+		err := recvValuesFunc(skConns[name], sums.N, func(off int, raw []byte) error {
+			acc.fold(off, raw)
 			return nil
 		})
 		if err != nil {

@@ -25,12 +25,12 @@ type CP struct {
 }
 
 // NewCP creates a computation party with a fresh ElGamal key share. A
-// nil noise source selects cryptographic randomness. The messenger may
-// be nil when the CP serves rounds on explicit streams via ServeRound.
+// nil noise source selects cryptographic randomness, drawn through a
+// source of its own per round (a NoiseSource is for one goroutine, and
+// the CP serves rounds concurrently); a caller's source is used as
+// given. The messenger may be nil when the CP serves rounds on explicit
+// streams via ServeRound.
 func NewCP(name string, m wire.Messenger, noise *dp.NoiseSource) *CP {
-	if noise == nil {
-		noise = dp.NewNoiseSource(nil)
-	}
 	return &CP{Name: name, m: m, key: elgamal.GenerateKey(), noise: noise}
 }
 
@@ -86,9 +86,13 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 	// (and prove) it while input chunks are still arriving.
 	noiseCh := make(chan roundNoise, 1)
 	go func() {
+		noise := cp.noise
+		if noise == nil {
+			noise = dp.NewNoiseSource(nil)
+		}
 		bits := make([]bool, cfg.NoisePerCP)
 		for i := range bits {
-			bits[i] = cp.noise.Binomial(1) == 1
+			bits[i] = noise.Binomial(1) == 1
 		}
 		cts, rands := elgamal.BatchEncryptBits(joint, bits)
 		var proofs []elgamal.BitProof
