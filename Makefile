@@ -7,6 +7,9 @@
 #                      here instead of staying tier-1 green
 #   make bench-smoke - one iteration of the crypto and protocol
 #                      benchmarks; catches gross perf regressions fast
+#                      (BenchmarkPSCRound also prints wire-B/elem, the
+#                      round's wire bytes per mixed element, so a
+#                      proof-byte regression shows even when time holds)
 #   make bench-scale - the million-bin regime: the 2^18-bin spilled
 #                      round plus the GOMAXPROCS core-scaling sweep
 #   make bench-wan   - the WAN-emulated transport arms (wan-tor static

@@ -214,8 +214,9 @@ func BenchmarkAblationPSCTableSize(b *testing.B) {
 }
 
 // BenchmarkAblationShuffleRounds sweeps the cut-and-choose soundness
-// parameter: proof cost grows linearly while cheating probability
-// halves per round (DESIGN.md §4.4).
+// parameter over one block spanning the vector: proof cost grows
+// linearly while cheating probability halves per round (DESIGN.md
+// §4.4).
 func BenchmarkAblationShuffleRounds(b *testing.B) {
 	key := elgamal.GenerateKey()
 	in := make([]elgamal.Ciphertext, 32)
@@ -226,8 +227,13 @@ func BenchmarkAblationShuffleRounds(b *testing.B) {
 	for _, rounds := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("rounds-%d", rounds), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				proof := elgamal.ProveShuffle(key.PK, in, out, w, rounds)
-				if err := elgamal.VerifyShuffle(key.PK, in, out, proof); err != nil {
+				prover := elgamal.NewShuffleTranscript(key.PK, len(in), len(in), 1, rounds)
+				proof, err := elgamal.ProveShuffleBlock(prover, 1, 0, key.PK, in, out, w, rounds)
+				if err != nil {
+					b.Fatal(err)
+				}
+				verifier := elgamal.NewShuffleTranscript(key.PK, len(in), len(in), 1, rounds)
+				if err := elgamal.VerifyShuffleBlock(verifier, 1, 0, key.PK, in, out, proof); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,15 +18,34 @@ import (
 // block commitment seen so far, so a prover cannot grind a block's
 // challenge without changing a commitment that is itself hashed.
 //
-// Soundness: a cheating prover survives one block's argument with
-// probability 2^-rounds; by a union bound over the blocks·passes block
-// arguments of a stage, the stage soundness error is at most
-// blocks·passes·2^-rounds. Size rounds to the table, not just to
-// 2^-rounds: a 2¹⁶-element stage at the default geometry runs ~2⁷
-// block arguments, so the deployment default of 8 rounds bounds the
-// stage error only at ~2⁻¹ — large tables want 16+ rounds (2⁷·2⁻¹⁶ ≈
-// 2⁻⁹), which stays O(block·rounds) resident because the cost is per
-// block.
+// Shadows are committed, never sent. A round's opening is only the
+// permutation and randomizers of the challenged side, and both sides
+// determine the shadow from public data: challenge 0 opens in→shadow
+// (shadow = rerandomize(permute(in))), challenge 1 opens shadow→out
+// (out[i] = rerandomize(shadow[perm[i]]), so shadow[perm[i]] is out[i]
+// with the randomizer subtracted). The verifier recomputes the shadow
+// from the opening and accepts the round only if its hash equals the
+// commitment it already holds.
+//
+// Soundness: per block, a cheating prover survives with probability
+// 2^-rounds. Each commitment is fixed before its challenge bit exists.
+// A prover able to answer both bit values for one commitment holds two
+// openings whose recomputed shadows hash to it:
+// either the two shadows differ — a SHA-256 collision — or they are
+// one shadow that is at once a shuffle of in and an un-shuffle
+// of out, which makes out a shuffle of in. So for a false statement
+// every commitment can be opened for at most one bit value and each
+// round catches the prover with probability 1/2. By a union bound over
+// the blocks·passes block arguments of a stage, the stage soundness
+// error is at most blocks·passes·2^-rounds. Size rounds to the table,
+// not just to 2^-rounds: a 2¹⁶-element stage at the default geometry
+// runs ~2⁷ block arguments, so the deployment default of 8 rounds
+// bounds the stage error only at ~2⁻¹ — large tables want 16+ rounds
+// (2⁷·2⁻¹⁶ ≈ 2⁻⁹). Proof bytes are one opening (an index and a scalar
+// per element) per round; ciphertext residency is O(block) on both
+// sides — the prover hashes each shadow as it is made and drops it,
+// keeping only the openings, and the verifier rebuilds one shadow at a
+// time.
 
 // HashBlock commits to a ciphertext block: SHA-256 over the element
 // count and each ciphertext's encoding. It is the commitment scheme of
@@ -144,12 +163,22 @@ func (t *ShuffleTranscript) BlockChallenges(pass, block int, inHash, outHash [32
 	return bits, nil
 }
 
+// BlockOpening opens one cut-and-choose round: the permutation and
+// randomizers mapping input→shadow (challenge 0) or shadow→output
+// (challenge 1). The verifier recomputes the challenge bit, and the
+// shadow itself, from what it already holds.
+type BlockOpening struct {
+	Perm []int
+	Rand []*big.Int
+}
+
 // BlockShuffleProof is the cut-and-choose argument for one block: the
 // shadow commitments (hashed before the challenge exists) and one
-// opened round per challenge bit.
+// opening per challenge bit. The shadows themselves are not part of
+// the proof.
 type BlockShuffleProof struct {
-	Commits [][32]byte
-	Rounds  []ShuffleRound
+	Commits  [][32]byte
+	Openings []BlockOpening
 }
 
 // ProveShuffleBlock builds the block's argument: out must be a shuffle
@@ -157,45 +186,34 @@ type BlockShuffleProof struct {
 // one block record; the caller must prove blocks in block order.
 func ProveShuffleBlock(t *ShuffleTranscript, pass, block int, pk Point, in, out []Ciphertext, w ShuffleWitness, rounds int) (BlockShuffleProof, error) {
 	n := len(in)
-	shadows := make([][]Ciphertext, rounds)
-	perms := make([][]int, rounds)
-	rands := make([][]*big.Int, rounds)
-	commits := make([][32]byte, rounds)
-	for r := 0; r < rounds; r++ {
-		perms[r] = randomPerm(n)
-		rands[r] = RandomScalars(n)
-		shadows[r] = BatchRerandomizeWith(pk, permute(in, perms[r]), rands[r])
-		commits[r] = HashBlock(shadows[r])
+	proof := BlockShuffleProof{Commits: make([][32]byte, rounds), Openings: make([]BlockOpening, rounds)}
+	for r := range proof.Openings {
+		// Each shadow lives only long enough to be hashed.
+		o := BlockOpening{Perm: randomPerm(n), Rand: RandomScalars(n)}
+		proof.Commits[r] = HashBlock(BatchRerandomizeWith(pk, permute(in, o.Perm), o.Rand))
+		proof.Openings[r] = o
 	}
-	bits, err := t.BlockChallenges(pass, block, HashBlock(in), HashBlock(out), commits, rounds)
+	bits, err := t.BlockChallenges(pass, block, HashBlock(in), HashBlock(out), proof.Commits, rounds)
 	if err != nil {
 		return BlockShuffleProof{}, err
 	}
-	proof := BlockShuffleProof{Commits: commits, Rounds: make([]ShuffleRound, rounds)}
-	for r := 0; r < rounds; r++ {
-		round := ShuffleRound{Shadow: shadows[r]}
+	for r, o := range proof.Openings {
 		if bits[r] == 0 {
-			// Open input -> shadow directly.
-			round.OpenPerm = perms[r]
-			round.OpenRand = rands[r]
-		} else {
-			// Open shadow -> output: output i came from input w.Perm[i]
-			// with randomizer w.Rand[i], which feeds shadow index
-			// invShadow[w.Perm[i]]; the residual randomizer is the
-			// difference.
-			invShadow := invertPerm(perms[r])
-			openPerm := make([]int, n)
-			openRand := make([]*big.Int, n)
-			for i := 0; i < n; i++ {
-				idx := invShadow[w.Perm[i]]
-				openPerm[i] = idx
-				d := new(big.Int).Sub(w.Rand[i], rands[r][idx])
-				openRand[i] = d.Mod(d, order)
-			}
-			round.OpenPerm = openPerm
-			round.OpenRand = openRand
+			continue // input -> shadow opens as drawn
 		}
-		proof.Rounds[r] = round
+		// Open shadow -> output: output i came from input w.Perm[i]
+		// with randomizer w.Rand[i], which feeds shadow index
+		// invShadow[w.Perm[i]]; the residual randomizer is the
+		// difference.
+		invShadow := invertPerm(o.Perm)
+		open := BlockOpening{Perm: make([]int, n), Rand: make([]*big.Int, n)}
+		for i := 0; i < n; i++ {
+			idx := invShadow[w.Perm[i]]
+			open.Perm[i] = idx
+			d := new(big.Int).Sub(w.Rand[i], o.Rand[idx])
+			open.Rand[i] = d.Mod(d, order)
+		}
+		proof.Openings[r] = open
 	}
 	return proof, nil
 }
@@ -205,50 +223,51 @@ func ProveShuffleBlock(t *ShuffleTranscript, pass, block int, pk Point, in, out 
 var ErrBadBlockShuffle = errors.New("elgamal: block shuffle proof verification failed")
 
 // VerifyShuffleBlock checks one block's argument against the verifier's
-// own copy of the input block and the prover's claimed output block.
-// The transcript advances by one block record; the caller must verify
-// blocks in block order.
+// own copy of the input block and the prover's claimed output block:
+// every round's shadow, recomputed from its opening on the side the
+// challenge selects, must hash to the commitment that fed the challenge
+// derivation. The transcript advances by one block record; the caller
+// must verify blocks in block order.
 func VerifyShuffleBlock(t *ShuffleTranscript, pass, block int, pk Point, in, out []Ciphertext, proof BlockShuffleProof) error {
 	n := len(in)
-	if len(out) != n || len(proof.Rounds) == 0 || len(proof.Commits) != len(proof.Rounds) {
+	if len(out) != n || len(proof.Openings) == 0 || len(proof.Commits) != len(proof.Openings) {
 		return ErrBadBlockShuffle
 	}
-	// Commitment binding first: every shadow must match the commitment
-	// that fed the challenge derivation.
-	for r, round := range proof.Rounds {
-		if len(round.Shadow) != n || len(round.OpenPerm) != n || len(round.OpenRand) != n {
+	for _, o := range proof.Openings {
+		if len(o.Perm) != n || len(o.Rand) != n {
 			return ErrBadBlockShuffle
 		}
-		if HashBlock(round.Shadow) != proof.Commits[r] {
-			return fmt.Errorf("%w: shadow %d does not match its commitment", ErrBadBlockShuffle, r)
-		}
 	}
-	bits, err := t.BlockChallenges(pass, block, HashBlock(in), HashBlock(out), proof.Commits, len(proof.Rounds))
+	bits, err := t.BlockChallenges(pass, block, HashBlock(in), HashBlock(out), proof.Commits, len(proof.Openings))
 	if err != nil {
 		return err
 	}
-	for r, round := range proof.Rounds {
-		if !isPerm(round.OpenPerm) {
+	for r, o := range proof.Openings {
+		if !isPerm(o.Perm) {
 			return ErrBadBlockShuffle
 		}
-		for _, rr := range round.OpenRand {
+		for _, rr := range o.Rand {
 			if rr == nil || rr.Sign() < 0 || rr.Cmp(order) >= 0 {
 				return ErrBadBlockShuffle
 			}
 		}
-		var src, dst []Ciphertext
+		// Rebuild the shadow in one batch (shared tables, one
+		// normalization) from the side the challenge opened.
+		var shadow []Ciphertext
 		if bits[r] == 0 {
-			src, dst = in, round.Shadow
+			shadow = BatchRerandomizeWith(pk, permute(in, o.Perm), o.Rand)
 		} else {
-			src, dst = round.Shadow, out
-		}
-		// Re-derive the opened side in one batch (shared tables, one
-		// normalization) and compare.
-		want := BatchRerandomizeWith(pk, permute(src, round.OpenPerm), round.OpenRand)
-		for i := 0; i < n; i++ {
-			if !want[i].Equal(dst[i]) {
-				return ErrBadBlockShuffle
+			neg := make([]*big.Int, n)
+			for i, rr := range o.Rand {
+				neg[i] = new(big.Int).Sub(order, rr) // reduced by the batch call when rr is 0
 			}
+			shadow = make([]Ciphertext, n)
+			for i, c := range BatchRerandomizeWith(pk, out, neg) {
+				shadow[o.Perm[i]] = c
+			}
+		}
+		if HashBlock(shadow) != proof.Commits[r] {
+			return fmt.Errorf("%w: round %d opening does not reproduce its committed shadow", ErrBadBlockShuffle, r)
 		}
 	}
 	return nil

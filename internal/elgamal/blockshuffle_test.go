@@ -1,6 +1,8 @@
 package elgamal
 
 import (
+	"errors"
+	"math/big"
 	"testing"
 )
 
@@ -57,24 +59,180 @@ func TestBlockShuffleTranscriptBindsPosition(t *testing.T) {
 	}
 }
 
+// cloneBlockProof deep-copies a proof so a test can tamper with one
+// field and leave the original intact.
+func cloneBlockProof(p BlockShuffleProof) BlockShuffleProof {
+	c := BlockShuffleProof{Commits: append([][32]byte(nil), p.Commits...), Openings: make([]BlockOpening, len(p.Openings))}
+	for r, o := range p.Openings {
+		c.Openings[r].Perm = append([]int(nil), o.Perm...)
+		c.Openings[r].Rand = make([]*big.Int, len(o.Rand))
+		for i, s := range o.Rand {
+			c.Openings[r].Rand[i] = new(big.Int).Set(s)
+		}
+	}
+	return c
+}
+
+// TestBlockShuffleCommitmentBinding checks the binding between a
+// round's opening and the commitment the verifier already holds, now
+// that no shadow travels to be compared: on a round of each challenge
+// value, flipping one commitment byte, changing one opening scalar, or
+// swapping two permutation entries makes the recomputed shadow miss its
+// commitment, and the block is rejected.
 func TestBlockShuffleCommitmentBinding(t *testing.T) {
 	key := GenerateKey()
-	in := encryptBlock(key.PK, 8)
+	const n, rounds = 8, 8
+	in := encryptBlock(key.PK, n)
 	out, w := Shuffle(key.PK, in)
-	prover := NewShuffleTranscript(key.PK, 8, 8, 1, 3)
-	proof, err := ProveShuffleBlock(prover, 1, 0, key.PK, in, out, w, 3)
+
+	// Prove until the challenge holds both bit values (all-equal bits
+	// have probability 2^-7 per attempt), replaying the derivation on a
+	// transcript copy to learn which round opened which side.
+	var proof BlockShuffleProof
+	roundOf := [2]int{-1, -1}
+	for roundOf[0] < 0 || roundOf[1] < 0 {
+		var err error
+		if proof, err = ProveShuffleBlock(NewShuffleTranscript(key.PK, n, n, 1, rounds), 1, 0, key.PK, in, out, w, rounds); err != nil {
+			t.Fatal(err)
+		}
+		bits, err := NewShuffleTranscript(key.PK, n, n, 1, rounds).BlockChallenges(1, 0, HashBlock(in), HashBlock(out), proof.Commits, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roundOf = [2]int{-1, -1}
+		for r, b := range bits {
+			roundOf[b] = r
+		}
+	}
+	verify := func(p BlockShuffleProof) error {
+		return VerifyShuffleBlock(NewShuffleTranscript(key.PK, n, n, 1, rounds), 1, 0, key.PK, in, out, p)
+	}
+	if err := verify(proof); err != nil {
+		t.Fatalf("honest proof rejected: %v", err)
+	}
+
+	tampers := []struct {
+		name string
+		do   func(p *BlockShuffleProof, r int)
+	}{
+		{"commitment byte", func(p *BlockShuffleProof, r int) { p.Commits[r][5] ^= 1 }},
+		{"opening scalar", func(p *BlockShuffleProof, r int) {
+			s := p.Openings[r].Rand[3]
+			s.Add(s, big.NewInt(1)).Mod(s, Order())
+		}},
+		{"permutation entries", func(p *BlockShuffleProof, r int) {
+			perm := p.Openings[r].Perm
+			perm[1], perm[6] = perm[6], perm[1]
+		}},
+	}
+	for bit, r := range roundOf {
+		for _, tc := range tampers {
+			bad := cloneBlockProof(proof)
+			tc.do(&bad, r)
+			if err := verify(bad); !errors.Is(err, ErrBadBlockShuffle) {
+				t.Errorf("challenge-%d round %d with tampered %s: got %v, want ErrBadBlockShuffle", bit, r, tc.name, err)
+			}
+		}
+	}
+	if err := verify(proof); err != nil {
+		t.Fatalf("tampering leaked into the original proof: %v", err)
+	}
+}
+
+// TestShuffleProofHonest runs an honest prover and verifier in lockstep
+// over consecutive blocks of one stage transcript, each block spanning
+// a mixed-plaintext batch.
+func TestShuffleProofHonest(t *testing.T) {
+	k := GenerateKey()
+	const rounds = 8
+	prover := NewShuffleTranscript(k.PK, 10, 5, 1, rounds)
+	verifier := NewShuffleTranscript(k.PK, 10, 5, 1, rounds)
+	for b := 0; b < 2; b++ {
+		in := makeBatch(k.PK, []bool{true, false, true, false, false})
+		out, w := Shuffle(k.PK, in)
+		proof, err := ProveShuffleBlock(prover, 1, b, k.PK, in, out, w, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyShuffleBlock(verifier, 1, b, k.PK, in, out, proof); err != nil {
+			t.Fatalf("block %d: honest shuffle proof rejected: %v", b, err)
+		}
+	}
+}
+
+func TestShuffleProofCatchesTampering(t *testing.T) {
+	k := GenerateKey()
+	const rounds = 16
+	in := makeBatch(k.PK, []bool{true, false, true, false})
+	out, w := Shuffle(k.PK, in)
+	proof, err := ProveShuffleBlock(NewShuffleTranscript(k.PK, 4, 4, 1, rounds), 1, 0, k.PK, in, out, w, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swapping a shadow after commitment must be caught outright.
-	bad := proof
-	bad.Rounds = append([]ShuffleRound(nil), proof.Rounds...)
-	tampered := append([]Ciphertext(nil), proof.Rounds[0].Shadow...)
-	tampered[0] = Encrypt(key.PK, Generator())
-	bad.Rounds[0] = ShuffleRound{Shadow: tampered, OpenPerm: proof.Rounds[0].OpenPerm, OpenRand: proof.Rounds[0].OpenRand}
-	verifier := NewShuffleTranscript(key.PK, 8, 8, 1, 3)
-	if VerifyShuffleBlock(verifier, 1, 0, key.PK, in, out, bad) == nil {
-		t.Fatal("shadow not matching its commitment verified")
+	verify := func(out []Ciphertext, p BlockShuffleProof) error {
+		return VerifyShuffleBlock(NewShuffleTranscript(k.PK, 4, 4, 1, rounds), 1, 0, k.PK, in, out, p)
+	}
+
+	// A cheating mixer replaces one output with an encryption of its
+	// own after proving: the output hash feeds the challenge, and every
+	// shadow→output opening now rebuilds a different shadow.
+	cheat := append([]Ciphertext(nil), out...)
+	cheat[2] = EncryptBit(k.PK, true)
+	if err := verify(cheat, proof); err == nil {
+		t.Fatal("tampered output batch must fail verification")
+	}
+
+	// Length mismatch and empty proof must fail fast.
+	if err := verify(out[:3], proof); !errors.Is(err, ErrBadBlockShuffle) {
+		t.Fatalf("length mismatch: got %v, want ErrBadBlockShuffle", err)
+	}
+	if err := verify(out, BlockShuffleProof{}); !errors.Is(err, ErrBadBlockShuffle) {
+		t.Fatalf("empty proof: got %v, want ErrBadBlockShuffle", err)
+	}
+}
+
+// TestShuffleProofRejectsNonPermutation feeds the verifier openings
+// that are not well formed — a repeated or out-of-range index, a
+// scalar outside [0, order), a missing scalar, wrong lengths, a
+// commitment count that disagrees with the openings. Each must come
+// back as ErrBadBlockShuffle, on either challenge value, without a
+// panic.
+func TestShuffleProofRejectsNonPermutation(t *testing.T) {
+	k := GenerateKey()
+	const n, rounds = 4, 4
+	in := makeBatch(k.PK, []bool{true, false, false, true})
+	out, w := Shuffle(k.PK, in)
+	proof, err := ProveShuffleBlock(NewShuffleTranscript(k.PK, n, n, 1, rounds), 1, 0, k.PK, in, out, w, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		do   func(p *BlockShuffleProof, r int)
+	}{
+		{"duplicate index", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm = []int{0, 0, 1, 2} }},
+		{"index past the block", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm[0] = n }},
+		{"negative index", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm[0] = -1 }},
+		{"scalar equal to the order", func(p *BlockShuffleProof, r int) { p.Openings[r].Rand[1] = Order() }},
+		{"negative scalar", func(p *BlockShuffleProof, r int) { p.Openings[r].Rand[1] = big.NewInt(-1) }},
+		{"nil scalar", func(p *BlockShuffleProof, r int) { p.Openings[r].Rand[1] = nil }},
+		{"short permutation", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm = p.Openings[r].Perm[:n-1] }},
+		{"long randomizers", func(p *BlockShuffleProof, r int) {
+			p.Openings[r].Rand = append(p.Openings[r].Rand, big.NewInt(1))
+		}},
+		{"missing commitment", func(p *BlockShuffleProof, _ int) { p.Commits = p.Commits[:rounds-1] }},
+		{"missing opening", func(p *BlockShuffleProof, _ int) { p.Openings = p.Openings[:rounds-1] }},
+	}
+	for _, tc := range cases {
+		// Every round in turn, so both challenge values meet each shape.
+		for r := 0; r < rounds; r++ {
+			bad := cloneBlockProof(proof)
+			tc.do(&bad, r)
+			err := VerifyShuffleBlock(NewShuffleTranscript(k.PK, n, n, 1, rounds), 1, 0, k.PK, in, out, bad)
+			if !errors.Is(err, ErrBadBlockShuffle) {
+				t.Errorf("%s in round %d: got %v, want ErrBadBlockShuffle", tc.name, r, err)
+			}
+		}
 	}
 }
 

@@ -250,50 +250,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestShuffleProofHonest(t *testing.T) {
-	k := GenerateKey()
-	in := makeBatch(k.PK, []bool{true, false, true, false, false})
-	out, w := Shuffle(k.PK, in)
-	proof := ProveShuffle(k.PK, in, out, w, 8)
-	if err := VerifyShuffle(k.PK, in, out, proof); err != nil {
-		t.Fatalf("honest shuffle proof rejected: %v", err)
-	}
-}
-
-func TestShuffleProofCatchesTampering(t *testing.T) {
-	k := GenerateKey()
-	in := makeBatch(k.PK, []bool{true, false, true, false})
-	out, w := Shuffle(k.PK, in)
-	proof := ProveShuffle(k.PK, in, out, w, 16)
-
-	// A cheating mixer replaces one output with an encryption of its own.
-	cheat := make([]Ciphertext, len(out))
-	copy(cheat, out)
-	cheat[2] = EncryptBit(k.PK, true)
-	if err := VerifyShuffle(k.PK, in, cheat, proof); err == nil {
-		t.Fatal("tampered output batch must fail verification")
-	}
-
-	// Length mismatch and empty proof must fail fast.
-	if err := VerifyShuffle(k.PK, in, out[:3], proof); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-	if err := VerifyShuffle(k.PK, in, out, ShuffleProof{}); err == nil {
-		t.Fatal("empty proof must fail")
-	}
-}
-
-func TestShuffleProofRejectsNonPermutation(t *testing.T) {
-	k := GenerateKey()
-	in := makeBatch(k.PK, []bool{true, false})
-	out, w := Shuffle(k.PK, in)
-	proof := ProveShuffle(k.PK, in, out, w, 4)
-	proof.Rounds[0].OpenPerm = []int{0, 0} // duplicate index
-	if err := VerifyShuffle(k.PK, in, out, proof); err == nil {
-		t.Fatal("non-permutation opening must fail")
-	}
-}
-
 func TestRandomScalarInRange(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		s := RandomScalar()

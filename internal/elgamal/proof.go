@@ -4,24 +4,21 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"io"
 	"math/big"
 
 	"repro/internal/parallel"
 )
 
-// This file implements the two zero-knowledge arguments PSC needs from
-// its computation parties:
-//
-//  1. a Chaum–Pedersen proof that a decryption share was computed with
-//     the same secret as the party's published public key, and
-//  2. a cut-and-choose argument that an output ciphertext batch is a
-//     permuted re-randomization of an input batch (a verifiable
-//     shuffle with soundness error 2^-k for k rounds).
-//
-// Both are made non-interactive with the Fiat–Shamir transform over
-// SHA-256 transcripts.
+// This file implements the zero-knowledge arguments PSC needs from its
+// computation parties that are per-element sigma protocols —
+// Chaum–Pedersen proofs that a decryption share (or an exponent
+// blinding) used the claimed secret, and the OR-proof that a noise
+// ciphertext encrypts a bit — made non-interactive with the
+// Fiat–Shamir transform over SHA-256 transcripts, plus the shuffle
+// primitive itself (Shuffle and its witness). The argument that an
+// output block is a permuted re-randomization of an input block lives
+// in blockshuffle.go.
 
 // hashToScalar derives a challenge scalar from a domain tag and a
 // transcript of encoded group elements.
@@ -261,128 +258,6 @@ func randomPerm(n int) []int {
 		}
 	}
 	return p
-}
-
-// ShuffleProof is a k-round cut-and-choose argument over one whole
-// vector. For each round the prover commits to a "shadow" shuffle of
-// the input; the Fiat–Shamir challenge bit selects whether the prover
-// opens the input→shadow mapping or the shadow→output mapping. A
-// cheating prover survives each round with probability 1/2. The PSC
-// protocol itself now runs the streaming block-wise variant
-// (blockshuffle.go), which applies this same argument per block under
-// a stage transcript; the whole-vector form remains as the reference
-// primitive.
-type ShuffleProof struct {
-	Rounds []ShuffleRound
-}
-
-// ShuffleRound is one round of the argument.
-type ShuffleRound struct {
-	Shadow []Ciphertext
-	// Open reveals either input→shadow (challenge 0) or shadow→output
-	// (challenge 1); the verifier recomputes the challenge bit.
-	OpenPerm []int
-	OpenRand []*big.Int
-}
-
-// ErrBadShuffle is returned when a shuffle proof fails to verify.
-var ErrBadShuffle = errors.New("elgamal: shuffle proof verification failed")
-
-// ProveShuffle builds a proof that out is a shuffle of in, given the
-// shuffle witness. rounds controls soundness (error 2^-rounds).
-func ProveShuffle(pk Point, in, out []Ciphertext, w ShuffleWitness, rounds int) ShuffleProof {
-	n := len(in)
-	proof := ShuffleProof{Rounds: make([]ShuffleRound, rounds)}
-	for r := 0; r < rounds; r++ {
-		shadowPerm := randomPerm(n)
-		shadowRand := RandomScalars(n)
-		shadow := BatchRerandomizeWith(pk, permute(in, shadowPerm), shadowRand)
-		bit := challengeBit(pk, in, out, shadow, r)
-		round := ShuffleRound{Shadow: shadow}
-		if bit == 0 {
-			// Open input -> shadow directly.
-			round.OpenPerm = shadowPerm
-			round.OpenRand = shadowRand
-		} else {
-			// Open shadow -> output. Output i came from input w.Perm[i]
-			// with randomizer w.Rand[i]; input w.Perm[i] feeds shadow
-			// index invShadow[w.Perm[i]] with randomizer
-			// shadowRand[that index]. So shadow->output permutation maps
-			// output i to shadow index invShadow[w.Perm[i]], and the
-			// residual randomizer is w.Rand[i] - shadowRand[idx].
-			invShadow := invertPerm(shadowPerm)
-			openPerm := make([]int, n)
-			openRand := make([]*big.Int, n)
-			for i := 0; i < n; i++ {
-				idx := invShadow[w.Perm[i]]
-				openPerm[i] = idx
-				d := new(big.Int).Sub(w.Rand[i], shadowRand[idx])
-				openRand[i] = d.Mod(d, order)
-			}
-			round.OpenPerm = openPerm
-			round.OpenRand = openRand
-		}
-		proof.Rounds[r] = round
-	}
-	return proof
-}
-
-// VerifyShuffle checks the proof that out is a shuffle of in.
-func VerifyShuffle(pk Point, in, out []Ciphertext, proof ShuffleProof) error {
-	n := len(in)
-	if len(out) != n {
-		return ErrBadShuffle
-	}
-	if len(proof.Rounds) == 0 {
-		return ErrBadShuffle
-	}
-	for r, round := range proof.Rounds {
-		if len(round.Shadow) != n || len(round.OpenPerm) != n || len(round.OpenRand) != n {
-			return ErrBadShuffle
-		}
-		if !isPerm(round.OpenPerm) {
-			return ErrBadShuffle
-		}
-		bit := challengeBit(pk, in, out, round.Shadow, r)
-		var src, dst []Ciphertext
-		if bit == 0 {
-			src, dst = in, round.Shadow
-		} else {
-			src, dst = round.Shadow, out
-		}
-		for _, rr := range round.OpenRand {
-			if rr == nil || rr.Sign() < 0 || rr.Cmp(order) >= 0 {
-				return ErrBadShuffle
-			}
-		}
-		// Re-derive the opened side in one batch (shared tables, one
-		// normalization) and compare.
-		want := BatchRerandomizeWith(pk, permute(src, round.OpenPerm), round.OpenRand)
-		for i := 0; i < n; i++ {
-			if !want[i].Equal(dst[i]) {
-				return ErrBadShuffle
-			}
-		}
-	}
-	return nil
-}
-
-// challengeBit derives the round challenge from the whole transcript.
-func challengeBit(pk Point, in, out, shadow []Ciphertext, round int) int {
-	h := sha256.New()
-	h.Write([]byte("psc/shuffle"))
-	h.Write([]byte{byte(round), byte(round >> 8)})
-	h.Write(pk.Bytes())
-	for _, c := range in {
-		h.Write(c.Bytes())
-	}
-	for _, c := range out {
-		h.Write(c.Bytes())
-	}
-	for _, c := range shadow {
-		h.Write(c.Bytes())
-	}
-	return int(h.Sum(nil)[0] & 1)
 }
 
 func invertPerm(p []int) []int {

@@ -62,6 +62,63 @@ func tcpPairOpts(b *testing.B, opts ...wire.Option) (connPair, func()) {
 	}, func() { ln.Close() }
 }
 
+// recordingConn wraps a tally-side messenger and reports every frame
+// crossing it, in either direction, to record. The round is a star
+// around the TS, so recording every tally-side messenger sees every
+// byte the round moves.
+type recordingConn struct {
+	wire.Messenger
+	record func(kind string, payload []byte)
+}
+
+func (rc *recordingConn) Send(kind string, v any) error {
+	payload, err := wire.EncodePayload(v)
+	if err != nil {
+		return err
+	}
+	return rc.SendFrame(wire.Frame{Kind: kind, Payload: payload})
+}
+
+func (rc *recordingConn) SendFrame(f wire.Frame) error {
+	rc.record(f.Kind, f.Payload)
+	return rc.Messenger.SendFrame(f)
+}
+
+func (rc *recordingConn) Recv() (wire.Frame, error) {
+	f, err := rc.Messenger.Recv()
+	if err == nil {
+		rc.record(f.Kind, f.Payload)
+	}
+	return f, err
+}
+
+func (rc *recordingConn) Expect(kind string, out any) error { return expectOn(rc.Recv, kind, out) }
+
+// expectOn is wire.Conn.Expect over a wrapping messenger's own Recv, so
+// the frames the wrapper saw (or altered) are the ones decoded.
+func expectOn(recv func() (wire.Frame, error), kind string, out any) error {
+	f, err := recv()
+	if err != nil {
+		return err
+	}
+	if f.Kind != kind {
+		return fmt.Errorf("expected %q frame, got %q", kind, f.Kind)
+	}
+	if out == nil {
+		return nil
+	}
+	return wire.DecodePayload(f.Payload, out)
+}
+
+// recordingPair wraps the tally side of every pair mk hands out.
+// record is called from the round's goroutines concurrently.
+func recordingPair(mk connPair, record func(kind string, payload []byte)) connPair {
+	return func() (wire.Messenger, wire.Messenger) {
+		ts, party := mk()
+		return &recordingConn{Messenger: ts, record: record}, party
+	}
+}
+
 // samplePeakHeap polls the live heap until stop closes and reports the
 // peak as a benchmark metric — the residency measurement the streaming
 // shuffle exists for (total B/op says how much was allocated; this says
@@ -91,7 +148,7 @@ func samplePeakHeap(b *testing.B) (stop func()) {
 	}
 }
 
-func runBenchRound(b *testing.B, cfg Config, items int, mk connPair) {
+func runBenchRound(b testing.TB, cfg Config, items int, mk connPair) {
 	tally, err := NewTally(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -224,12 +281,18 @@ func benchRound(b *testing.B, bins, noisePerCP, proofRounds, items int,
 func benchRoundCfg(b *testing.B, cfg Config, items int, transport func(*testing.B) (connPair, func())) {
 	mk, cleanup := transport(b)
 	defer cleanup()
+	// Wire bytes per element of the mixed vector: the canary for
+	// proof-byte regressions, which time alone does not show.
+	var wireBytes atomic.Int64
+	mk = recordingPair(mk, func(_ string, payload []byte) { wireBytes.Add(int64(len(payload))) })
 	stop := samplePeakHeap(b)
 	defer stop()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runBenchRound(b, cfg, items, mk)
 	}
+	elems := cfg.Bins + cfg.NumCPs*cfg.NoisePerCP
+	b.ReportMetric(float64(wireBytes.Load())/float64(b.N)/float64(elems), "wire-B/elem")
 }
 
 func BenchmarkPSCRound(b *testing.B) {

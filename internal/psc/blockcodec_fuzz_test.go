@@ -8,7 +8,7 @@ import (
 )
 
 // Fuzzing for the block-proof codec: whatever bytes a malicious or
-// confused CP ships as shuffled blocks, shadow openings, or re-streamed
+// confused CP ships as shuffled blocks, round openings, or re-streamed
 // feeds, the tally must get a clean error — never a panic or a bogus
 // acceptance of malformed structure.
 
@@ -52,7 +52,8 @@ func FuzzBlockOutCodec(f *testing.F) {
 }
 
 // FuzzBlockShadowCodec mutates a well-formed BlockShadowMsg payload —
-// the frame carrying commitment openings (permutation and randomizers).
+// the frame carrying one round's opening (fixed-width permutation
+// indices and randomizers; no ciphertexts).
 func FuzzBlockShadowCodec(f *testing.F) {
 	pk := pkForTest()
 	in := encryptBits(pk, 3)
@@ -62,12 +63,8 @@ func FuzzBlockShadowCodec(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	good := BlockShadowMsg{
-		Pass: 1, Block: 0, Round: 0, Count: 3,
-		Data:     encodeVector(proof.Rounds[0].Shadow),
-		OpenPerm: proof.Rounds[0].OpenPerm,
-		OpenRand: [][]byte{proof.Rounds[0].OpenRand[0].Bytes(), proof.Rounds[0].OpenRand[1].Bytes(), proof.Rounds[0].OpenRand[2].Bytes()},
-	}
+	good := BlockShadowMsg{Pass: 1, Block: 0, Round: 0, Count: 3}
+	good.OpenPerm, good.OpenRand = packOpening(proof.Openings[0])
 	seed, err := wire.EncodePayload(good)
 	if err != nil {
 		f.Fatal(err)
@@ -83,17 +80,18 @@ func FuzzBlockShadowCodec(f *testing.F) {
 		if err := wire.DecodePayload(payload, &msg); err != nil {
 			return
 		}
-		if len(msg.Data) > 1<<16 || len(msg.OpenPerm) > 1<<10 || len(msg.OpenRand) > 1<<10 {
-			return
-		}
-		round, err := parseBlockShadow(msg, msg.Pass, msg.Block, msg.Round, count)
+		o, err := parseBlockShadow(msg, msg.Pass, msg.Block, msg.Round, count)
 		if err != nil {
 			return
 		}
-		if len(round.Shadow) != count || len(round.OpenPerm) != count || len(round.OpenRand) != count {
+		// Structural acceptance must mean exact fixed-width framing.
+		if len(msg.OpenPerm) != openIndexLen*count || len(msg.OpenRand) != openScalarLen*count {
+			t.Fatalf("parseBlockShadow accepted %d index and %d scalar bytes for %d elements", len(msg.OpenPerm), len(msg.OpenRand), count)
+		}
+		if len(o.Perm) != count || len(o.Rand) != count {
 			t.Fatal("parseBlockShadow accepted mismatched sizes")
 		}
-		for _, r := range round.OpenRand {
+		for _, r := range o.Rand {
 			if r == nil || r.Sign() < 0 {
 				t.Fatal("parseBlockShadow accepted a bad randomizer")
 			}
@@ -154,12 +152,21 @@ func TestBlockCodecRejectsMalformed(t *testing.T) {
 		}
 	}
 
+	perm, rand := make([]byte, openIndexLen*3), make([]byte, openScalarLen*3)
+	if _, err := parseBlockShadow(BlockShadowMsg{Pass: 1, Block: 0, Round: 0, Count: 3, OpenPerm: perm, OpenRand: rand}, 1, 0, 0, 3); err != nil {
+		t.Errorf("well-formed BlockShadowMsg rejected: %v", err)
+	}
 	shadowCases := []BlockShadowMsg{
-		{Pass: 1, Block: 0, Round: 1, Count: 3, Data: data, OpenPerm: []int{0, 1, 2}, OpenRand: [][]byte{{1}, {2}, {3}}},              // wrong round
-		{Pass: 1, Block: 0, Round: 0, Count: 3, Data: data, OpenPerm: []int{0, 1}, OpenRand: [][]byte{{1}, {2}, {3}}},                 // short perm
-		{Pass: 1, Block: 0, Round: 0, Count: 3, Data: data, OpenPerm: []int{0, 1, 2}, OpenRand: [][]byte{{1}, {2}}},                   // short rands
-		{Pass: 1, Block: 0, Round: 0, Count: 3, Data: data, OpenPerm: []int{0, 1, 2}, OpenRand: [][]byte{{1}, {2}, make([]byte, 40)}}, // oversized rand
-		{Pass: 1, Block: 0, Round: 0, Count: 3, Data: []byte{4, 4, 4}, OpenPerm: []int{0, 1, 2}, OpenRand: [][]byte{{1}, {2}, {3}}},   // garbage points
+		{Pass: 1, Block: 0, Round: 1, Count: 3, OpenPerm: perm, OpenRand: rand},                                      // wrong round
+		{Pass: 1, Block: 1, Round: 0, Count: 3, OpenPerm: perm, OpenRand: rand},                                      // wrong block
+		{Pass: 1, Block: 0, Round: 0, Count: 2, OpenPerm: perm[:4], OpenRand: rand[:64]},                             // Count disagrees with the block
+		{Pass: 1, Block: 0, Round: 0, Count: 3, OpenPerm: perm[:4], OpenRand: rand},                                  // short perm
+		{Pass: 1, Block: 0, Round: 0, Count: 3, OpenPerm: perm[:5], OpenRand: rand},                                  // odd-length perm
+		{Pass: 1, Block: 0, Round: 0, Count: 3, OpenPerm: append(perm[:6:6], 0), OpenRand: rand},                     // trailing perm byte
+		{Pass: 1, Block: 0, Round: 0, Count: 3, OpenPerm: perm, OpenRand: rand[:64]},                                 // short rands
+		{Pass: 1, Block: 0, Round: 0, Count: 3, OpenPerm: perm, OpenRand: rand[:95]},                                 // truncated scalar
+		{Pass: 1, Block: 0, Round: 0, Count: 3, OpenPerm: perm, OpenRand: append(rand[:96:96], make([]byte, 32)...)}, // trailing scalar
+		{Pass: 1, Block: 0, Round: 0, Count: 3},                                                                      // empty opening
 	}
 	for i, msg := range shadowCases {
 		if _, err := parseBlockShadow(msg, 1, 0, 0, 3); err == nil {

@@ -1,6 +1,7 @@
 package psc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 
@@ -187,10 +188,36 @@ func unpackBitProof(w wireBitProof) (elgamal.BitProof, error) {
 	return p, nil
 }
 
+// Fixed-width opening encoding: a permutation index is a little-endian
+// uint16 and a randomizer a 32-byte big-endian scalar, so an opening
+// frame's size depends only on the block's element count.
+const (
+	openIndexLen  = 2
+	openScalarLen = 32
+)
+
+// Block lengths never exceed maxBlockElems (Config.Validate), so every
+// permutation index fits the uint16 the opening frame gives it.
+const _ = uint16(maxBlockElems - 1)
+
+// packOpening encodes one opening's permutation and randomizers as the
+// two fixed-width byte fields of a BlockShadowMsg.
+func packOpening(o elgamal.BlockOpening) (perm, rand []byte) {
+	perm = make([]byte, openIndexLen*len(o.Perm))
+	for i, v := range o.Perm {
+		binary.LittleEndian.PutUint16(perm[openIndexLen*i:], uint16(v))
+	}
+	rand = make([]byte, openScalarLen*len(o.Rand))
+	for i, s := range o.Rand {
+		s.FillBytes(rand[openScalarLen*i : openScalarLen*(i+1)])
+	}
+	return perm, rand
+}
+
 // sendBlockProof streams one block's cut-and-choose argument: the
-// shuffled block with its shadow commitments, then one opened shadow
-// round per challenge. Nothing larger than a block ever rides in one
-// frame.
+// shuffled block with its shadow commitments, then one opening per
+// challenge. The shadows themselves never travel — the TS recomputes
+// each from its opening — so the largest frame is the block itself.
 func sendBlockProof(m wire.Messenger, pass, block int, out []elgamal.Ciphertext, proof elgamal.BlockShuffleProof) error {
 	msg := BlockOutMsg{Pass: pass, Block: block, Count: len(out), Data: encodeVector(out)}
 	msg.Commits = make([][]byte, len(proof.Commits))
@@ -200,16 +227,9 @@ func sendBlockProof(m wire.Messenger, pass, block int, out []elgamal.Ciphertext,
 	if err := m.Send(kindShufBlock, msg); err != nil {
 		return err
 	}
-	for r, round := range proof.Rounds {
-		sh := BlockShadowMsg{
-			Pass: pass, Block: block, Round: r, Count: len(round.Shadow),
-			Data:     encodeVector(round.Shadow),
-			OpenPerm: round.OpenPerm,
-			OpenRand: make([][]byte, len(round.OpenRand)),
-		}
-		for j, s := range round.OpenRand {
-			sh.OpenRand[j] = s.Bytes()
-		}
+	for r, o := range proof.Openings {
+		sh := BlockShadowMsg{Pass: pass, Block: block, Round: r, Count: len(o.Perm)}
+		sh.OpenPerm, sh.OpenRand = packOpening(o)
 		if err := m.Send(kindShufShadow, sh); err != nil {
 			return err
 		}
@@ -245,30 +265,27 @@ func parseBlockOut(msg BlockOutMsg, pass, block, count, rounds int) ([]elgamal.C
 	return cts, commits, nil
 }
 
-// parseBlockShadow validates one opened shadow round against the
-// expected position and count and decodes it into an
-// elgamal.ShuffleRound. Malformed frames error; they never panic.
-func parseBlockShadow(msg BlockShadowMsg, pass, block, round, count int) (elgamal.ShuffleRound, error) {
+// parseBlockShadow validates one round's opening against the expected
+// position and count — exact byte lengths first, before anything is
+// allocated — and decodes it into an elgamal.BlockOpening. Whether the
+// indices form a permutation and the scalars are below the group order
+// is for VerifyShuffleBlock to decide. Malformed frames error; they
+// never panic.
+func parseBlockShadow(msg BlockShadowMsg, pass, block, round, count int) (elgamal.BlockOpening, error) {
 	if msg.Pass != pass || msg.Block != block || msg.Round != round {
-		return elgamal.ShuffleRound{}, fmt.Errorf("psc: shadow %d/%d/%d out of order (want %d/%d/%d)",
+		return elgamal.BlockOpening{}, fmt.Errorf("psc: opening %d/%d/%d out of order (want %d/%d/%d)",
 			msg.Pass, msg.Block, msg.Round, pass, block, round)
 	}
-	if msg.Count != count || len(msg.OpenPerm) != count || len(msg.OpenRand) != count {
-		return elgamal.ShuffleRound{}, fmt.Errorf("psc: shadow %d/%d/%d sizes %d/%d/%d, want %d",
+	if msg.Count != count || len(msg.OpenPerm) != openIndexLen*count || len(msg.OpenRand) != openScalarLen*count {
+		return elgamal.BlockOpening{}, fmt.Errorf("psc: opening %d/%d/%d announces %d elements in %d index and %d scalar bytes, want %d",
 			pass, block, round, msg.Count, len(msg.OpenPerm), len(msg.OpenRand), count)
 	}
-	shadow, err := decodeVector(msg.Data, count)
-	if err != nil {
-		return elgamal.ShuffleRound{}, fmt.Errorf("psc: shadow %d/%d/%d: %w", pass, block, round, err)
+	o := elgamal.BlockOpening{Perm: make([]int, count), Rand: make([]*big.Int, count)}
+	for i := range o.Perm {
+		o.Perm[i] = int(binary.LittleEndian.Uint16(msg.OpenPerm[openIndexLen*i:]))
+		o.Rand[i] = new(big.Int).SetBytes(msg.OpenRand[openScalarLen*i : openScalarLen*(i+1)])
 	}
-	out := elgamal.ShuffleRound{Shadow: shadow, OpenPerm: msg.OpenPerm, OpenRand: make([]*big.Int, count)}
-	for j, b := range msg.OpenRand {
-		if len(b) > 32 {
-			return elgamal.ShuffleRound{}, fmt.Errorf("psc: shadow %d/%d/%d randomizer %d is %d bytes", pass, block, round, j, len(b))
-		}
-		out.OpenRand[j] = new(big.Int).SetBytes(b)
-	}
-	return out, nil
+	return o, nil
 }
 
 // parseBlockFeed validates a re-streamed input block against the

@@ -21,7 +21,11 @@
 //     cut-and-choose argument whose shadows are hash-committed before
 //     the challenge exists and whose challenge bits come from a
 //     Fiat–Shamir transcript over all block commitments of the stage
-//     (elgamal.ShuffleTranscript). Later passes re-stream the spilled
+//     (elgamal.ShuffleTranscript). Shadows never travel: a round's
+//     frame carries only its opening (a uint16 index and a 32-byte
+//     scalar per element), and the TS recomputes the shadow from the
+//     opening and checks it against the commitment it already holds.
+//     Later passes re-stream the spilled
 //     intermediate in the new block order; the TS checks the re-stream
 //     against the previous pass's per-block hashes (pass-continuity),
 //     so the claimed input can never diverge from the verified
@@ -29,7 +33,7 @@
 //     (Chaum–Pedersen proofs, verified per block) and forwarded while
 //     later blocks are still in flight, so only empty-vs-non-empty
 //     survives, nobody can link bins, and no party ever holds more
-//     than O(block·rounds) ciphertexts.
+//     than O(block) ciphertexts.
 //  3. The CPs jointly decrypt, streamed: the TS re-streams the spilled
 //     final vector per chunk to every CP, verifies each share chunk's
 //     proofs on arrival, and recovers and counts plaintexts chunk by

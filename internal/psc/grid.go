@@ -27,8 +27,10 @@ const DefaultShuffleBlock = 1024
 const DefaultShufflePasses = 2
 
 // maxBlockElems bounds the block size and the column length
-// (ceil(n/block)) so any block — and its shadow and blind frames —
-// fits the wire frame budget.
+// (ceil(n/block)) so any block — the largest frames of the shuffle
+// stage are the block itself and its blind frame; there is no shadow
+// frame to size for — fits the wire frame budget, and any index into
+// a block fits the uint16 an opening frame gives it (codec.go).
 const maxBlockElems = 2048
 
 // blockOf normalizes a configured shuffle block size.

@@ -15,7 +15,7 @@ const (
 	kindMixed      = "psc/mixed"          // CP->TS output header
 	kindNoise      = "psc/noise"          // CP noise chunk with bit proofs
 	kindShufBlock  = "psc/shuffle-block"  // one shuffled block with shadow commitments
-	kindShufShadow = "psc/shuffle-shadow" // one opened shadow round of a block
+	kindShufShadow = "psc/shuffle-shadow" // one shadow round's opening (no ciphertexts)
 	kindShufFeed   = "psc/shuffle-feed"   // pass>=2 claimed input block (re-streamed)
 	kindBlind      = "psc/blind"          // blinded chunk with DLEQ proofs
 	kindDecrypt    = "psc/decrypt"        // TS->CP final batch header, then chunks
@@ -78,8 +78,9 @@ type NoiseChunkMsg struct {
 // BlockOutMsg carries one shuffled block of the streaming verifiable
 // shuffle: the block's permuted, re-randomized ciphertexts plus the
 // hash commitments to every shadow of its cut-and-choose argument. The
-// commitments arrive before any shadow is revealed — they feed the
-// Fiat–Shamir transcript that fixes the block's challenge bits.
+// commitments arrive before any round is opened — they feed the
+// Fiat–Shamir transcript that fixes the block's challenge bits, and
+// they are all the TS ever sees of a shadow.
 type BlockOutMsg struct {
 	Pass, Block, Count int
 	Data               []byte   // Count packed ciphertexts
@@ -87,13 +88,13 @@ type BlockOutMsg struct {
 }
 
 // BlockShadowMsg opens one cut-and-choose round of a block's argument:
-// the shadow ciphertexts (which must match their commitment) and the
-// permutation/randomizer opening for the challenged side.
+// the permutation and randomizers of the challenged side, fixed width.
+// The shadow itself is not in the frame — the TS recomputes it from the
+// opening and checks it against the commitment BlockOutMsg delivered.
 type BlockShadowMsg struct {
 	Pass, Block, Round, Count int
-	Data                      []byte // Count packed shadow ciphertexts
-	OpenPerm                  []int
-	OpenRand                  [][]byte
+	OpenPerm                  []byte // Count little-endian uint16 indices
+	OpenRand                  []byte // Count 32-byte big-endian scalars
 }
 
 // BlockFeedMsg re-streams one input block of a pass ≥ 2: the prover

@@ -30,7 +30,7 @@ type Config struct {
 	// ShuffleBlockElems is the streaming shuffle's block size: the
 	// mixed vector is arranged as rows of this many elements and each
 	// pass permutes one block at a time, so CP and TS shuffle-phase
-	// residency is O(block·rounds) instead of O(bins·rounds). Zero
+	// residency is O(block) ciphertexts instead of O(bins·rounds). Zero
 	// selects DefaultShuffleBlock.
 	ShuffleBlockElems int
 	// ShufflePasses is how many alternating row/column passes each CP

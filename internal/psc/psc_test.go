@@ -2,6 +2,7 @@ package psc
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -294,19 +295,7 @@ func (tc *tamperConn) Recv() (wire.Frame, error) {
 	return f, nil
 }
 
-func (tc *tamperConn) Expect(kind string, out any) error {
-	f, err := tc.Recv()
-	if err != nil {
-		return err
-	}
-	if f.Kind != kind {
-		return fmt.Errorf("expected %q frame, got %q", kind, f.Kind)
-	}
-	if out == nil {
-		return nil
-	}
-	return wire.DecodePayload(f.Payload, out)
-}
+func (tc *tamperConn) Expect(kind string, out any) error { return expectOn(tc.Recv, kind, out) }
 
 // TestMaliciousCPRejected substitutes a single valid ciphertext into
 // one shuffled block of an otherwise honest CP and requires the TS to
@@ -373,6 +362,75 @@ func TestMaliciousCPRejected(t *testing.T) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// TestShuffleFramesCarryNoShadow is the tier-1 guard on the shuffle
+// argument's wire cost: on a proved two-pass round no frame carries
+// shadow ciphertexts. An opening frame holds an index and a scalar per
+// element (34 B, against 130 B for a ciphertext), and everything the
+// shuffle phase moves beyond the blocks themselves — commitments,
+// openings, frame headers — stays within 40 B per element per proof
+// round (166 B when every round shipped its shadow).
+func TestShuffleFramesCarryNoShadow(t *testing.T) {
+	cfg := Config{Round: 3, Bins: 240, NoisePerCP: 8, ShuffleProofRounds: 4,
+		ShuffleBlockElems: 64, ShufflePasses: 2, NumDCs: 1, NumCPs: 2}
+	const maxPerElem = 40
+
+	var mu sync.Mutex
+	var proofBytes, opened int
+	record := func(kind string, payload []byte) {
+		if !strings.HasPrefix(kind, "psc/shuffle-") {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		proofBytes += len(payload)
+		switch kind {
+		case kindShufBlock:
+			var m BlockOutMsg
+			if err := wire.DecodePayload(payload, &m); err != nil {
+				t.Error(err)
+			}
+			proofBytes -= len(m.Data) // the shuffled block is the output, not the proof
+		case kindShufFeed:
+			var m BlockFeedMsg
+			if err := wire.DecodePayload(payload, &m); err != nil {
+				t.Error(err)
+			}
+			proofBytes -= len(m.Data)
+		case kindShufShadow:
+			var m BlockShadowMsg
+			if err := wire.DecodePayload(payload, &m); err != nil {
+				t.Error(err)
+			}
+			opened += m.Count
+			if len(payload) > maxPerElem*m.Count {
+				t.Errorf("opening %d/%d/%d is %d bytes for %d elements, over %d B per element",
+					m.Pass, m.Block, m.Round, len(payload), m.Count, maxPerElem)
+			}
+		default:
+			t.Errorf("unaccounted shuffle-phase frame kind %q", kind)
+		}
+	}
+	runBenchRound(t, cfg, 20, recordingPair(func() (wire.Messenger, wire.Messenger) {
+		ts, party := wire.Pipe()
+		return ts, party
+	}, record))
+
+	// CP i mixes the table plus the noise of CPs 1..i, every pass opens
+	// every element once per proof round.
+	want := 0
+	for i := 1; i <= cfg.NumCPs; i++ {
+		want += (cfg.Bins + i*cfg.NoisePerCP) * cfg.ShufflePasses * cfg.ShuffleProofRounds
+	}
+	if opened != want {
+		t.Fatalf("openings covered %d elements, want %d: the proved shuffle path did not run as configured", opened, want)
+	}
+	per := float64(proofBytes) / float64(opened)
+	t.Logf("shuffle argument: %.1f B per element per proof round", per)
+	if per > maxPerElem {
+		t.Fatalf("shuffle argument costs %.1f B per element per proof round, want <= %d", per, maxPerElem)
 	}
 }
 

@@ -927,8 +927,8 @@ func (c *continuity) finish() error {
 }
 
 // recvBlock receives and verifies one shuffled block (announcement plus
-// opened shadow rounds) against the verifier's own input block. It
-// returns nil after latching the round failure.
+// one opening per shadow round) against the verifier's own input block.
+// It returns nil after latching the round failure.
 func (t *Tally) recvBlock(name string, m wire.Messenger, tr *elgamal.ShuffleTranscript, joint elgamal.Point, p, b int, inB []elgamal.Ciphertext, f *failer) []elgamal.Ciphertext {
 	var bo BlockOutMsg
 	if err := m.Expect(kindShufBlock, &bo); err != nil {
@@ -947,19 +947,17 @@ func (t *Tally) recvBlock(name string, m wire.Messenger, tr *elgamal.ShuffleTran
 	if tr == nil {
 		return outB
 	}
-	proof := elgamal.BlockShuffleProof{Commits: commits, Rounds: make([]elgamal.ShuffleRound, rounds)}
+	proof := elgamal.BlockShuffleProof{Commits: commits, Openings: make([]elgamal.BlockOpening, rounds)}
 	for r := 0; r < rounds; r++ {
 		var sm BlockShadowMsg
 		if err := m.Expect(kindShufShadow, &sm); err != nil {
-			f.fail(fmt.Errorf("psc ts: shadow from CP %s: %w", name, err))
+			f.fail(fmt.Errorf("psc ts: opening from CP %s: %w", name, err))
 			return nil
 		}
-		round, err := parseBlockShadow(sm, p, b, r, len(inB))
-		if err != nil {
+		if proof.Openings[r], err = parseBlockShadow(sm, p, b, r, len(inB)); err != nil {
 			f.fail(fmt.Errorf("psc ts: CP %s: %w", name, err))
 			return nil
 		}
-		proof.Rounds[r] = round
 	}
 	if err := elgamal.VerifyShuffleBlock(tr, p, b, joint, inB, outB, proof); err != nil {
 		verifyFailure("shuffle")

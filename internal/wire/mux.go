@@ -586,15 +586,26 @@ func (st *Stream) Stats() StreamStats {
 // assumed a symmetric window at open, so the send budget is adjusted
 // by the difference, and the adaptive controller starts now that the
 // peer is known to speak revision 1.
+//
+// The ack rides the peer's control queue, and a credit refund written
+// straight from the peer's Recv can overtake it. The difference is
+// therefore taken against the window assumed at open — never against
+// sendWindow, which an overtaking update may already have raised:
+// rebasing on the raised value would silently discard up to a window
+// of credit and leave opener and acceptor blocked on each other. For
+// the same reason a sendWindow already raised past the ack's figure
+// (the update is the newer announcement) is left alone.
 func (st *Stream) onOpenAck(ack openAck) {
 	st.mu.Lock()
 	if !st.acked {
 		st.acked = true
 		st.peerRev = ack.Rev
 		st.peerMaxWindow = ack.MaxWindow
-		delta := ack.Window - st.sendWindow
-		st.sendWindow = ack.Window
-		st.sendCredit += delta
+		assumed := st.sess.conn.window
+		st.sendCredit += ack.Window - assumed
+		if st.sendWindow == assumed || ack.Window > st.sendWindow {
+			st.sendWindow = ack.Window
+		}
 		if st.sess.conn.adaptive && st.ctrl == nil {
 			st.ctrl = newWinController(st.recvWindow, st.sess.conn.windowCap)
 		}

@@ -648,3 +648,84 @@ func TestMuxOldPeerWindowFallback(t *testing.T) {
 		})
 	}
 }
+
+// TestMuxOpenAckAfterWindowUpdateKeepsCredit pins the opener's credit
+// arithmetic when a window2 update overtakes the open-ack (the ack
+// rides the acceptor's control queue; refunds are written straight
+// from its Recv). The ack must adjust the budget by the difference to
+// the window the opener assumed at open — rebasing on a sendWindow the
+// update already raised discarded a full window of credit and wedged
+// both ends. The two frames are delivered to one stream by hand, in
+// both orders, so nothing here depends on scheduling.
+func TestMuxOpenAckAfterWindowUpdateKeepsCredit(t *testing.T) {
+	const assumed, grant, raised = 1 << 20, 300 << 10, 2 << 20
+	for _, ackWin := range []int64{assumed, assumed / 2, 4 * assumed} {
+		for _, updateFirst := range []bool{true, false} {
+			a, b := Pipe(WithWindow(assumed))
+			sess := NewSession(a, true)
+			st := newStream(sess, 1, 1, "opener")
+			update := func() { st.onWinUpdate(winUpdate{Credit: grant, Window: raised}) } // Seq 0: no echo
+			ack := func() { st.onOpenAck(openAck{Window: ackWin, MaxWindow: DefaultWindowCap, Rev: muxRev}) }
+			if updateFirst {
+				update()
+				ack()
+			} else {
+				ack()
+				update()
+			}
+			st.mu.Lock()
+			credit, window := st.sendCredit, st.sendWindow
+			st.mu.Unlock()
+			if want := assumed + (ackWin - assumed) + grant; credit != want {
+				t.Errorf("ack window %d, update first %v: send credit %d, want assumed + delta + grant = %d",
+					ackWin, updateFirst, credit, want)
+			}
+			if want := max(ackWin, raised); window != want {
+				t.Errorf("ack window %d, update first %v: send window %d, want %d", ackWin, updateFirst, window, want)
+			}
+			sess.Close()
+			b.Close()
+		}
+	}
+}
+
+// TestMuxOpenerStreamsFromFirstFrame streams opener → acceptor from the
+// first frame on sixteen adaptive-window sessions at once — the
+// direction TS → CP mix input and TS → DC configure frames take, and
+// the shape that used to lose a window of credit to a late open-ack.
+// The deadline turns a wedge into a failure instead of a hung run.
+func TestMuxOpenerStreamsFromFirstFrame(t *testing.T) {
+	const sessions, frames = 16, 192 // 6 MiB per stream: several windows
+	payload := make([]byte, 32<<10)
+	errCh := make(chan error, 2*sessions)
+	for i := 0; i < sessions; i++ {
+		client, server := pipeSessions(WithAdaptiveWindow(0))
+		defer client.Close()
+		defer server.Close()
+		go func() {
+			st, err := client.Open(uint64(i)+1, "first-frame")
+			for n := 0; err == nil && n < frames; n++ {
+				err = st.SendFrame(Frame{Kind: "bulk", Payload: payload})
+			}
+			errCh <- err
+		}()
+		go func() {
+			st, err := server.Accept()
+			for n := 0; err == nil && n < frames; n++ {
+				_, err = st.Recv()
+			}
+			errCh <- err
+		}()
+	}
+	deadline := time.After(30 * time.Second)
+	for i := 0; i < 2*sessions; i++ {
+		select {
+		case err := <-errCh:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatalf("opener → acceptor streams wedged: %d of %d ends finished in 30 s", i, 2*sessions)
+		}
+	}
+}
