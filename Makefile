@@ -9,7 +9,13 @@
 #                      benchmarks; catches gross perf regressions fast
 #                      (BenchmarkPSCRound also prints wire-B/elem, the
 #                      round's wire bytes per mixed element, so a
-#                      proof-byte regression shows even when time holds)
+#                      proof-byte regression shows even when time holds;
+#                      BenchmarkConnChunkRoundTrip prints MB/s and B/op
+#                      for the frame path alone)
+#   make fuzz-smoke  - every codec fuzz target (frame envelope, PSC
+#                      block messages, PrivCount share/chunk frames) for
+#                      5 s each: the seed corpus always runs under
+#                      `make test`; this also mutates
 #   make bench-scale - the million-bin regime: the 2^18-bin spilled
 #                      round plus the GOMAXPROCS core-scaling sweep
 #   make bench-wan   - the WAN-emulated transport arms (wan-tor static
@@ -22,7 +28,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench-check bench-smoke bench-scale bench-wan bench-json bench-trajectory bench
+.PHONY: all build test vet bench-check fuzz-smoke bench-smoke bench-scale bench-wan bench-json bench-trajectory bench
 
 all: build vet test bench-check
 
@@ -39,8 +45,18 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke -seconds 1
 
+# go test takes one fuzz target per invocation.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzConnRecv$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockOutCodec$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockShadowCodec$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockFeedCodec$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/privcount/ -run '^$$' -fuzz '^FuzzSharesRelayCodec$$' -fuzztime=$(FUZZTIME)
+
 bench-smoke:
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkGroupOps' -benchtime=100x
+	$(GO) test ./internal/wire/ -run '^$$' -bench 'BenchmarkConnChunkRoundTrip' -benchtime=2000x
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/(verified|tcp)/bins-512' -benchtime=1x
 	# The 2^16-bin streaming-shuffle round (previously infeasible with
 	# the whole-vector shuffle). The bench itself is -short-aware: run

@@ -20,6 +20,9 @@ type NoiseSource struct {
 	// cached second Box–Muller variate
 	spare    float64
 	hasSpare bool
+	// u64 is Uniform's read buffer: a local array would escape through
+	// the reader's interface and cost a heap allocation per draw.
+	u64 [8]byte
 }
 
 // NewNoiseSource returns a source reading from r; a nil r selects
@@ -36,12 +39,11 @@ func NewNoiseSource(r io.Reader) *NoiseSource {
 
 // Uniform returns a uniform float64 in (0,1).
 func (n *NoiseSource) Uniform() float64 {
-	var b [8]byte
-	if _, err := io.ReadFull(n.r, b[:]); err != nil {
+	if _, err := io.ReadFull(n.r, n.u64[:]); err != nil {
 		panic("dp: noise entropy source failed: " + err.Error())
 	}
 	// 53 random mantissa bits, then shift into (0,1) avoiding exactly 0.
-	u := binary.LittleEndian.Uint64(b[:]) >> 11
+	u := binary.LittleEndian.Uint64(n.u64[:]) >> 11
 	return (float64(u) + 0.5) / (1 << 53)
 }
 

@@ -37,28 +37,62 @@ type StatConfig struct {
 // NumBins returns the bin count.
 func (s StatConfig) NumBins() int { return len(s.Bins) }
 
+// StatShape is what a DC is told about a statistic: its name, how many
+// bins it has, and its noise sigma. A DC counts into bins by index and
+// never reads a label, so the configure frame carries no labels — its
+// size depends on the number of statistics, not the number of bins.
+type StatShape struct {
+	Name  string
+	Bins  int
+	Sigma float64
+}
+
+// shapesOf strips the bin labels from a statistic list.
+func shapesOf(stats []StatConfig) []StatShape {
+	out := make([]StatShape, len(stats))
+	for i, st := range stats {
+		out[i] = StatShape{Name: st.Name, Bins: len(st.Bins), Sigma: st.Sigma}
+	}
+	return out
+}
+
 // Schema is the ordered set of statistics in a round. The flat order
 // (statistic-major, then bin) defines the layout of every share and
 // report vector on the wire.
 type Schema struct {
-	Stats []StatConfig
-	index map[string]statSpan
+	stats []statSpan
+	index map[string]int // statistic name -> position in stats
 	total int
 }
 
 // statSpan locates one statistic in the flat vector: the offset of its
 // first bin and its bin count.
-type statSpan struct{ base, bins int }
+type statSpan struct {
+	name       string
+	base, bins int
+	sigma      float64
+}
 
 // NewSchema validates and indexes the statistic list.
 func NewSchema(stats []StatConfig) (*Schema, error) {
-	s := &Schema{Stats: stats, index: make(map[string]statSpan, len(stats))}
-	for _, st := range stats {
+	return newSchema(shapesOf(stats))
+}
+
+// newSchema validates and indexes a label-free statistic list — the
+// form a DC receives. Every bin count is checked, and the running total
+// held to maxSlots, before anything is sized from them, so a hostile
+// configuration costs its own frame and nothing more.
+func newSchema(shapes []StatShape) (*Schema, error) {
+	s := &Schema{stats: make([]statSpan, 0, len(shapes)), index: make(map[string]int, len(shapes))}
+	for _, st := range shapes {
 		if st.Name == "" {
 			return nil, fmt.Errorf("privcount: statistic with empty name")
 		}
-		if len(st.Bins) == 0 {
+		if st.Bins <= 0 {
 			return nil, fmt.Errorf("privcount: statistic %q has no bins", st.Name)
+		}
+		if st.Bins > maxSlots-s.total {
+			return nil, fmt.Errorf("privcount: schema exceeds %d counter slots at statistic %q", maxSlots, st.Name)
 		}
 		if st.Sigma < 0 {
 			return nil, fmt.Errorf("privcount: statistic %q has negative sigma", st.Name)
@@ -66,8 +100,9 @@ func NewSchema(stats []StatConfig) (*Schema, error) {
 		if _, dup := s.index[st.Name]; dup {
 			return nil, fmt.Errorf("privcount: duplicate statistic %q", st.Name)
 		}
-		s.index[st.Name] = statSpan{base: s.total, bins: len(st.Bins)}
-		s.total += len(st.Bins)
+		s.index[st.Name] = len(s.stats)
+		s.stats = append(s.stats, statSpan{name: st.Name, base: s.total, bins: st.Bins, sigma: st.Sigma})
+		s.total += st.Bins
 	}
 	if s.total == 0 {
 		return nil, fmt.Errorf("privcount: empty schema")
@@ -81,10 +116,11 @@ func (s *Schema) Size() int { return s.total }
 // Offset returns the flat index of (stat, bin), or an error for unknown
 // coordinates.
 func (s *Schema) Offset(stat string, bin int) (int, error) {
-	span, ok := s.index[stat]
+	i, ok := s.index[stat]
 	if !ok {
 		return 0, fmt.Errorf("privcount: unknown statistic %q", stat)
 	}
+	span := s.stats[i]
 	if bin < 0 || bin >= span.bins {
 		return 0, fmt.Errorf("privcount: statistic %q has no bin %d", stat, bin)
 	}
@@ -142,22 +178,15 @@ func (c *Counters) AddNoise(gaussian func(sigma float64) float64, weight float64
 		return
 	}
 	scale := math.Sqrt(weight)
-	i := 0
-	for _, st := range c.schema.Stats {
-		for b := 0; b < len(st.Bins); b++ {
-			if st.Sigma > 0 {
-				c.vals[i] += toFixed(gaussian(st.Sigma * scale))
-			}
-			i++
+	for _, st := range c.schema.stats {
+		if st.sigma <= 0 {
+			continue
+		}
+		vals := c.vals[st.base : st.base+st.bins]
+		for b := range vals {
+			vals[b] += toFixed(gaussian(st.sigma * scale))
 		}
 	}
-}
-
-// Snapshot returns a copy of the raw vector for transmission.
-func (c *Counters) Snapshot() []uint64 {
-	out := make([]uint64, len(c.vals))
-	copy(out, c.vals)
-	return out
 }
 
 // Aggregate sums report vectors mod 2⁶⁴ and decodes fixed point. Inputs
@@ -184,15 +213,13 @@ func AggregateSum(schema *Schema, sum []uint64) (map[string][]float64, error) {
 	if len(sum) != schema.Size() {
 		return nil, fmt.Errorf("privcount: aggregate sum length %d, want %d", len(sum), schema.Size())
 	}
-	out := make(map[string][]float64, len(schema.Stats))
-	i := 0
-	for _, st := range schema.Stats {
-		vals := make([]float64, len(st.Bins))
-		for b := range vals {
-			vals[b] = fromFixed(sum[i])
-			i++
+	out := make(map[string][]float64, len(schema.stats))
+	for _, st := range schema.stats {
+		vals := make([]float64, st.bins)
+		for b, x := range sum[st.base : st.base+st.bins] {
+			vals[b] = fromFixed(x)
 		}
-		out[st.Name] = vals
+		out[st.name] = vals
 	}
 	return out, nil
 }

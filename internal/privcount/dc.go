@@ -46,7 +46,7 @@ func (dc *DC) Setup() error {
 	if err := dc.m.Expect(kindConfigure, &cfg); err != nil {
 		return fmt.Errorf("privcount dc %s: configure: %w", dc.Name, err)
 	}
-	schema, err := NewSchema(cfg.Stats)
+	schema, err := newSchema(cfg.Shapes)
 	if err != nil {
 		return err
 	}
@@ -130,7 +130,9 @@ func (dc *DC) Finish() error {
 	}
 	dc.ready = false
 	dc.counters.AddNoise(dc.noise.Gaussian, dc.weight)
-	vals := dc.counters.Snapshot()
+	// The counters stream straight from where they were counted: the DC
+	// serves one round, so nothing writes them again.
+	vals := dc.counters.vals
 	if err := dc.m.Send(kindReport, ReportMsg{From: dc.Name, Round: dc.round, N: len(vals)}); err != nil {
 		return err
 	}

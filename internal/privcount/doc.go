@@ -24,9 +24,25 @@
 //     request can expand exactly the DCs that reported.
 //   - Schema / Counters: the statistic layout and fixed-point counter
 //     vector.
+//   - StatConfig / StatShape: a statistic as the operator configures it
+//     (with bin labels) and as a DC is told about it (name, bin count,
+//     sigma).
 //
 // # Invariants
 //
+//   - A DC learns shapes, never labels. It counts into bins by index,
+//     so its configure frame carries (name, bin count, sigma) per
+//     statistic and its size follows the number of statistics, not of
+//     bins; labels stay with the TS and whoever reads its output. The
+//     one ceiling on a schema is maxSlots: the DC checks every bin
+//     count and the running total against it before allocating a
+//     counter, the SK checks the slot count it is given, and NewSchema
+//     applies the same bound on the TS.
+//   - Counter vectors travel as ValueChunkMsg frames in a fixed binary
+//     layout (slot offset, then the slots, eight little-endian bytes
+//     apiece), not gob; a received chunk aliases its frame. The chunk
+//     reader, not the codec, decides whether a chunk continues the
+//     vector.
 //   - The aggregate telescopes only when DC reports and SK sums cover
 //     the same DC set: the collect message's DC list keeps both sides
 //     aligned when churn drops a DC after share distribution. An SK

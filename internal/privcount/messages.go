@@ -8,10 +8,12 @@ import (
 )
 
 // Wire message kinds exchanged between the PrivCount parties. Every
-// message travels as a wire.Frame whose payload is the gob encoding of
-// one of these structs. Counter vectors travel as bounded chunk frames
-// after a header, never as one frame; blinding shares never travel at
-// all, only the sealed seeds they expand from.
+// message travels as a wire.Frame whose payload encodes one of these
+// structs: gob for the control messages, a fixed binary layout for
+// ValueChunkMsg, which carries all of a round's vector bytes. Counter
+// vectors travel as bounded chunk frames after a header, never as one
+// frame; blinding shares never travel at all, only the sealed seeds
+// they expand from.
 const (
 	kindRegister  = "privcount/register"
 	kindConfigure = "privcount/configure"
@@ -30,11 +32,12 @@ const (
 // below any frame cap.
 const ChunkSlots = 4096
 
-// maxSlots bounds the slot count an SK accepts in its configuration.
-// The SK never sees the schema, only this number, so nothing else caps
-// the allocation a tally server can ask of it. 2²⁴ slots (128 MiB of
-// sums) is sixteen times what a schema frame can describe at the
-// default 1 MiB frame cap.
+// maxSlots bounds the slot count of a round: the total a schema may
+// describe, and so the counters a DC allocates from its configure
+// frame, and the number an SK accepts in its own. The SK never sees the
+// schema and the DC sees only bin counts, so nothing else caps the
+// allocation a tally server can ask of either. 2²⁴ slots is 128 MiB of
+// counters or sums.
 const maxSlots = 1 << 24
 
 // forEachChunk invokes fn(off, end) over [0, n) in ChunkSlots-sized
@@ -118,17 +121,19 @@ type RegisterMsg struct {
 }
 
 // ConfigureMsg carries the round configuration from the TS to every
-// party. DCs learn the statistics schema (Stats), their noise weight,
-// and the SK public keys to seal blinding seeds to; SKs learn only the
-// schema's slot count (Slots — they never need the statistic names or
-// bin labels), how many DCs to expect, and the round's declared DC
-// quorum floor (MinDCs): an SK refuses a collect request naming fewer
-// DCs, so a TS cannot adaptively subset the aggregate below the policy
-// it declared before collection began.
+// party. DCs learn the schema's shape (Shapes: each statistic's name,
+// bin count and sigma — never a bin label, which only the operator
+// reading the tally's output needs), their noise weight, and the SK
+// public keys to seal blinding seeds to; SKs learn only the schema's
+// slot count (Slots — they never need the statistic names either), how
+// many DCs to expect, and the round's declared DC quorum floor
+// (MinDCs): an SK refuses a collect request naming fewer DCs, so a TS
+// cannot adaptively subset the aggregate below the policy it declared
+// before collection began.
 type ConfigureMsg struct {
 	Round       uint64
-	Stats       []StatConfig // DCs only
-	Slots       int          // SKs only
+	Shapes      []StatShape // DCs only
+	Slots       int         // SKs only
 	NumDCs      int
 	MinDCs      int
 	SKNames     []string
@@ -189,10 +194,26 @@ type SumsMsg struct {
 // ValueChunkMsg carries one slot range of a counter vector: Raw holds
 // the slots starting at Off, eight little-endian bytes apiece. Blinded
 // values are uniform in ℤ₂⁶⁴, so fixed width is also the shortest
-// encoding.
+// encoding. It travels in its own binary form (wire.WireAppender), not
+// gob: [Off int][Raw bytes]. A received Raw aliases the frame it
+// arrived in.
 type ValueChunkMsg struct {
 	Off int
 	Raw []byte
+}
+
+// AppendWire implements wire.WireAppender.
+func (c ValueChunkMsg) AppendWire(b []byte) []byte {
+	b = wire.Grow(b, wire.IntSize+wire.BytesSize(len(c.Raw)))
+	b = wire.AppendInt(b, c.Off)
+	return wire.AppendBytes(b, c.Raw)
+}
+
+// ParseWire implements wire.WireParser.
+func (c *ValueChunkMsg) ParseWire(b []byte) error {
+	p := wire.NewParser(b)
+	c.Off, c.Raw = p.Int(), p.Bytes()
+	return p.Done()
 }
 
 // ResultsMsg is the TS's final output broadcast, used by the CLI

@@ -113,6 +113,14 @@ func TestSealRejectsTamperingAndWrongKey(t *testing.T) {
 func runRound(t *testing.T, stats []StatConfig, numDCs, numSKs int,
 	feed func(dcs []*DC)) map[string][]float64 {
 	t.Helper()
+	return runRoundOver(t, stats, numDCs, numSKs, func(m wire.Messenger) wire.Messenger { return m }, feed)
+}
+
+// runRoundOver is runRound with the TS's end of every DC connection
+// passed through wrap first, for tests that watch what a DC is sent.
+func runRoundOver(t *testing.T, stats []StatConfig, numDCs, numSKs int,
+	wrap func(wire.Messenger) wire.Messenger, feed func(dcs []*DC)) map[string][]float64 {
+	t.Helper()
 
 	tally, err := NewTally(TallyConfig{Round: 1, Stats: stats, NumDCs: numDCs, NumSKs: numSKs})
 	if err != nil {
@@ -140,7 +148,7 @@ func runRound(t *testing.T, stats []StatConfig, numDCs, numSKs int,
 	}
 	for i := 0; i < numDCs; i++ {
 		tsSide, dcSide := wire.Pipe()
-		tsConns = append(tsConns, tsSide)
+		tsConns = append(tsConns, wrap(tsSide))
 		noise := dp.NewNoiseSource(seededReader{simtime.Rand(uint64(i), "pc-test")})
 		dc := NewDC(dcName(i), dcSide, noise)
 		dcs = append(dcs, dc)
@@ -290,7 +298,7 @@ func TestDCReportIsBlinded(t *testing.T) {
 		var reg RegisterMsg
 		tsSide.Expect(kindRegister, &reg)
 		tsSide.Send(kindConfigure, ConfigureMsg{
-			Round: 1, Stats: stats, NumDCs: 1,
+			Round: 1, Shapes: shapesOf(stats), NumDCs: 1,
 			SKNames: []string{"sk-0"},
 			SKKeys:  map[string][]byte{"sk-0": skKey.Public()},
 		})
@@ -339,7 +347,7 @@ func TestMissingSKSumsBreaksUnblinding(t *testing.T) {
 	c.AddBlinding(sharesB)
 
 	// With both SK sums, exact recovery.
-	full, err := Aggregate(schema, c.Snapshot(), negate(sharesA), negate(sharesB))
+	full, err := Aggregate(schema, c.vals, negate(sharesA), negate(sharesB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +355,7 @@ func TestMissingSKSumsBreaksUnblinding(t *testing.T) {
 		t.Fatalf("full unblinding failed: %v", full["s"][0])
 	}
 	// Missing one SK leaves a uniformly random residue.
-	partial, err := Aggregate(schema, c.Snapshot(), negate(sharesA))
+	partial, err := Aggregate(schema, c.vals, negate(sharesA))
 	if err != nil {
 		t.Fatal(err)
 	}

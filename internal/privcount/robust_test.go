@@ -103,7 +103,7 @@ func TestTallyRejectsWrongRoundReport(t *testing.T) {
 				return
 			}
 			// Send minimal valid shares.
-			schema, _ := NewSchema(cfg.Stats)
+			schema, _ := newSchema(cfg.Shapes)
 			boxes := map[string][]byte{}
 			for _, skName := range cfg.SKNames {
 				box, _ := Seal(cfg.SKKeys[skName], newSeed())
@@ -131,7 +131,7 @@ func TestTallyRejectsMissingBox(t *testing.T) {
 				return
 			}
 			// Claim shares but include no boxes.
-			schema, _ := NewSchema(cfg.Stats)
+			schema, _ := newSchema(cfg.Shapes)
 			c.Send(kindShares, SharesMsg{From: "dc", N: schema.Size(), Boxes: map[string][]byte{}})
 		})
 	if err == nil || !strings.Contains(err.Error(), "boxes") {

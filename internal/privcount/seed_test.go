@@ -129,7 +129,7 @@ func TestSharesFrameIsConstantSize(t *testing.T) {
 			if _, ok := recv(); !ok { // register
 				return
 			}
-			tsSide.Send(kindConfigure, ConfigureMsg{Round: 1, Stats: stats, NumDCs: 1, SKNames: skNames, SKKeys: skKeys})
+			tsSide.Send(kindConfigure, ConfigureMsg{Round: 1, Shapes: shapesOf(stats), NumDCs: 1, SKNames: skNames, SKKeys: skKeys})
 			if _, ok := recv(); !ok { // shares
 				return
 			}
@@ -252,6 +252,27 @@ func FuzzSharesRelayCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x41})
+	// The chunk frame is binary: seeds its ParseWire must refuse
+	// (truncated, trailing byte), and well-framed ones that only the
+	// chunk reader's tiling check can (wrong offset, ragged slot, one
+	// slot too many).
+	chunk, err := wire.EncodePayload(ValueChunkMsg{Off: 0, Raw: make([]byte, 8*slots)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(chunk[:len(chunk)-1])
+	f.Add(append(bytes.Clone(chunk), 0))
+	for _, bad := range []ValueChunkMsg{
+		{Off: 1, Raw: make([]byte, 8)},
+		{Off: 0, Raw: make([]byte, 8*slots-3)},
+		{Off: 0, Raw: make([]byte, 8*(slots+1))},
+	} {
+		payload, err := wire.EncodePayload(bad)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
 
 	bins := make([]string, slots)
 	tally, err := NewTally(TallyConfig{Round: 1, Stats: []StatConfig{{Name: "s", Bins: bins}}, NumDCs: 1, NumSKs: 1})
@@ -285,11 +306,15 @@ func FuzzSharesRelayCodec(f *testing.F) {
 			}
 		}
 
-		// Chunk reader: an accepted chunk lies inside the vector.
+		// Chunk reader: an accepted chunk lies inside the vector, and
+		// its payload is the one encoding of what was parsed from it.
 		chunk := &scriptConn{in: []wire.Frame{{Kind: kindChunk, Payload: payload}}}
 		recvValuesFunc(chunk, slots, func(off int, raw []byte) error {
 			if off != 0 || len(raw) == 0 || len(raw)%8 != 0 || len(raw)/8 > slots {
 				t.Fatalf("chunk reader accepted %d bytes at slot %d of %d", len(raw), off, slots)
+			}
+			if again := (ValueChunkMsg{Off: off, Raw: raw}).AppendWire(nil); !bytes.Equal(again, payload) {
+				t.Fatalf("accepted chunk payload %x re-encodes to %x", payload, again)
 			}
 			return nil
 		})

@@ -66,6 +66,7 @@ func (c TallyConfig) Validate() error {
 type Tally struct {
 	cfg    TallyConfig
 	schema *Schema
+	shapes []StatShape // what each DC's configure frame carries
 	absent []string
 }
 
@@ -81,11 +82,12 @@ func NewTally(cfg TallyConfig) (*Tally, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	schema, err := NewSchema(cfg.Stats)
+	shapes := shapesOf(cfg.Stats)
+	schema, err := newSchema(shapes)
 	if err != nil {
 		return nil, err
 	}
-	return &Tally{cfg: cfg, schema: schema}, nil
+	return &Tally{cfg: cfg, schema: schema, shapes: shapes}, nil
 }
 
 // Schema returns the round schema.
@@ -155,7 +157,7 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 	for _, name := range dcNames {
 		cfg := ConfigureMsg{
 			Round:       t.cfg.Round,
-			Stats:       t.cfg.Stats,
+			Shapes:      t.shapes,
 			NumDCs:      t.cfg.NumDCs,
 			SKNames:     skNames,
 			SKKeys:      skKeys,
@@ -374,7 +376,7 @@ func (t *Tally) setupDC(idx int, c wire.Messenger, skNames []string, skKeys map[
 	owner[reg.Name] = idx
 	cfg := ConfigureMsg{
 		Round:       t.cfg.Round,
-		Stats:       t.cfg.Stats,
+		Shapes:      t.shapes,
 		NumDCs:      t.cfg.NumDCs,
 		SKNames:     skNames,
 		SKKeys:      skKeys,

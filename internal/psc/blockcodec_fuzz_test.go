@@ -1,6 +1,7 @@
 package psc
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/elgamal"
@@ -10,20 +11,49 @@ import (
 // Fuzzing for the block-proof codec: whatever bytes a malicious or
 // confused CP ships as shuffled blocks, round openings, or re-streamed
 // feeds, the tally must get a clean error — never a panic or a bogus
-// acceptance of malformed structure.
+// acceptance of malformed structure. A payload passes two gates, as it
+// does in a round: the message's own ParseWire (framing: lengths that
+// the bytes back, nothing trailing), reached through
+// wire.DecodePayload, then the parse* function (meaning: position,
+// counts, widths, curve points). The seeds include well-framed payloads
+// that only the second gate can refuse, so both are reached from the
+// corpus and not just by mutation.
+
+// mustEncode is wire.EncodePayload for seed construction.
+func mustEncode(f *testing.F, v any) []byte {
+	f.Helper()
+	b, err := wire.EncodePayload(v)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return b
+}
+
+// checkCanonical requires that a payload ParseWire accepted is the one
+// encoding of what it parsed to.
+func checkCanonical(t *testing.T, payload []byte, msg wire.WireAppender) {
+	t.Helper()
+	if again := msg.AppendWire(nil); !bytes.Equal(again, payload) {
+		t.Fatalf("accepted payload %x re-encodes to %x", payload, again)
+	}
+}
 
 // FuzzBlockOutCodec mutates a well-formed BlockOutMsg payload.
 func FuzzBlockOutCodec(f *testing.F) {
 	pk := pkForTest()
 	cts := encryptBits(pk, 3)
 	good := BlockOutMsg{Pass: 1, Block: 0, Count: 3, Data: encodeVector(cts), Commits: [][]byte{make([]byte, 32), make([]byte, 32)}}
-	seed, err := wire.EncodePayload(good)
-	if err != nil {
-		f.Fatal(err)
-	}
+	seed := mustEncode(f, good)
 	f.Add(seed, 3, 2)
 	f.Add([]byte{}, 0, 0)
 	f.Add([]byte{0xff, 0x00, 0x41}, 1, 1)
+	f.Add(seed[:len(seed)-1], 3, 2)           // truncated: ParseWire's to refuse
+	f.Add(append(bytes.Clone(seed), 0), 3, 2) // trailing byte: likewise
+	f.Add(seed, 2, 2)                         // well framed, wrong count: parseBlockOut's
+	f.Add(seed, 3, 1)                         // well framed, wrong round count
+	short := good
+	short.Commits = [][]byte{make([]byte, 31), make([]byte, 32)}
+	f.Add(mustEncode(f, short), 3, 2) // well framed, 31-byte commitment
 	f.Fuzz(func(t *testing.T, payload []byte, count, rounds int) {
 		if count < 0 || count > 64 || rounds < 0 || rounds > 16 {
 			return
@@ -32,6 +62,7 @@ func FuzzBlockOutCodec(f *testing.F) {
 		if err := wire.DecodePayload(payload, &msg); err != nil {
 			return
 		}
+		checkCanonical(t, payload, msg)
 		if len(msg.Data) > 1<<16 {
 			return
 		}
@@ -65,13 +96,16 @@ func FuzzBlockShadowCodec(f *testing.F) {
 	}
 	good := BlockShadowMsg{Pass: 1, Block: 0, Round: 0, Count: 3}
 	good.OpenPerm, good.OpenRand = packOpening(proof.Openings[0])
-	seed, err := wire.EncodePayload(good)
-	if err != nil {
-		f.Fatal(err)
-	}
+	seed := mustEncode(f, good)
 	f.Add(seed, 3)
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04}, 2)
+	f.Add(seed[:len(seed)-1], 3)           // truncated: ParseWire's to refuse
+	f.Add(append(bytes.Clone(seed), 0), 3) // trailing byte: likewise
+	f.Add(seed, 2)                         // well framed, wrong count: parseBlockShadow's
+	ragged := good
+	ragged.OpenPerm = good.OpenPerm[:5]
+	f.Add(mustEncode(f, ragged), 3) // well framed, odd-length index field
 	f.Fuzz(func(t *testing.T, payload []byte, count int) {
 		if count < 0 || count > 64 {
 			return
@@ -80,6 +114,7 @@ func FuzzBlockShadowCodec(f *testing.F) {
 		if err := wire.DecodePayload(payload, &msg); err != nil {
 			return
 		}
+		checkCanonical(t, payload, msg)
 		o, err := parseBlockShadow(msg, msg.Pass, msg.Block, msg.Round, count)
 		if err != nil {
 			return
@@ -104,12 +139,15 @@ func FuzzBlockFeedCodec(f *testing.F) {
 	pk := pkForTest()
 	cts := encryptBits(pk, 2)
 	good := BlockFeedMsg{Pass: 2, Block: 1, Count: 2, Data: encodeVector(cts)}
-	seed, err := wire.EncodePayload(good)
-	if err != nil {
-		f.Fatal(err)
-	}
+	seed := mustEncode(f, good)
 	f.Add(seed, 2)
 	f.Add([]byte(nil), 0)
+	f.Add(seed[:len(seed)-1], 2)           // truncated: ParseWire's to refuse
+	f.Add(append(bytes.Clone(seed), 0), 2) // trailing byte: likewise
+	f.Add(seed, 1)                         // well framed, wrong count: parseBlockFeed's
+	cut := good
+	cut.Data = good.Data[:len(good.Data)-3]
+	f.Add(mustEncode(f, cut), 2) // well framed, second ciphertext cut short
 	f.Fuzz(func(t *testing.T, payload []byte, count int) {
 		if count < 0 || count > 64 {
 			return
@@ -118,6 +156,7 @@ func FuzzBlockFeedCodec(f *testing.F) {
 		if err := wire.DecodePayload(payload, &msg); err != nil {
 			return
 		}
+		checkCanonical(t, payload, msg)
 		if len(msg.Data) > 1<<16 {
 			return
 		}
@@ -147,13 +186,13 @@ func TestBlockCodecRejectsMalformed(t *testing.T) {
 		{Pass: 1, Block: 0, Count: 3, Data: data, Commits: [][]byte{make([]byte, 32)}},         // missing commitments
 	}
 	for i, msg := range cases {
-		if _, _, err := parseBlockOut(msg, 1, 0, 3, 3); err == nil {
+		if _, _, err := parseBlockOut(overWire(t, msg), 1, 0, 3, 3); err == nil {
 			t.Errorf("malformed BlockOutMsg %d accepted", i)
 		}
 	}
 
 	perm, rand := make([]byte, openIndexLen*3), make([]byte, openScalarLen*3)
-	if _, err := parseBlockShadow(BlockShadowMsg{Pass: 1, Block: 0, Round: 0, Count: 3, OpenPerm: perm, OpenRand: rand}, 1, 0, 0, 3); err != nil {
+	if _, err := parseBlockShadow(overWire(t, BlockShadowMsg{Pass: 1, Block: 0, Round: 0, Count: 3, OpenPerm: perm, OpenRand: rand}), 1, 0, 0, 3); err != nil {
 		t.Errorf("well-formed BlockShadowMsg rejected: %v", err)
 	}
 	shadowCases := []BlockShadowMsg{
@@ -169,12 +208,31 @@ func TestBlockCodecRejectsMalformed(t *testing.T) {
 		{Pass: 1, Block: 0, Round: 0, Count: 3},                                                                      // empty opening
 	}
 	for i, msg := range shadowCases {
-		if _, err := parseBlockShadow(msg, 1, 0, 0, 3); err == nil {
+		if _, err := parseBlockShadow(overWire(t, msg), 1, 0, 0, 3); err == nil {
 			t.Errorf("malformed BlockShadowMsg %d accepted", i)
 		}
 	}
 
-	if _, err := parseBlockFeed(BlockFeedMsg{Pass: 2, Block: 0, Count: 3, Data: data[:7]}, 2, 0, 3); err == nil {
+	if _, err := parseBlockFeed(overWire(t, BlockFeedMsg{Pass: 2, Block: 0, Count: 3, Data: data[:7]}), 2, 0, 3); err == nil {
 		t.Error("truncated BlockFeedMsg accepted")
 	}
+}
+
+// overWire returns msg as the tally would hold it: encoded by the
+// sender and parsed back out of the payload, so the shapes above reach
+// the parse* checks through the codec and not around it.
+func overWire[M any, P interface {
+	*M
+	wire.WireParser
+}](t *testing.T, msg M) M {
+	t.Helper()
+	payload, err := wire.EncodePayload(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back M
+	if err := wire.DecodePayload(payload, P(&back)); err != nil {
+		t.Fatalf("well-framed %T refused by its codec: %v", msg, err)
+	}
+	return back
 }

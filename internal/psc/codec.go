@@ -76,7 +76,8 @@ func recvVectorFunc(m wire.Messenger, n int, fn func(off int, cts []elgamal.Ciph
 // recvVectorRawFunc is recvVectorFunc without the decode: fn receives
 // each chunk's raw bytes, for callers that hand the (expensive) point
 // parsing to a worker shard instead of the receive loop. Each call's
-// data is freshly allocated by the frame decoder, so fn may retain it.
+// data aliases its own frame's body, which nothing else refers to, so
+// fn may retain it.
 func recvVectorRawFunc(m wire.Messenger, n int, fn func(off, count int, data []byte) error) error {
 	for off := 0; off < n; {
 		var c ChunkMsg
@@ -221,8 +222,8 @@ func packOpening(o elgamal.BlockOpening) (perm, rand []byte) {
 func sendBlockProof(m wire.Messenger, pass, block int, out []elgamal.Ciphertext, proof elgamal.BlockShuffleProof) error {
 	msg := BlockOutMsg{Pass: pass, Block: block, Count: len(out), Data: encodeVector(out)}
 	msg.Commits = make([][]byte, len(proof.Commits))
-	for i, c := range proof.Commits {
-		msg.Commits[i] = append([]byte(nil), c[:]...)
+	for i := range proof.Commits {
+		msg.Commits[i] = proof.Commits[i][:] // encoding copies it
 	}
 	if err := m.Send(kindShufBlock, msg); err != nil {
 		return err

@@ -1,5 +1,7 @@
 package psc
 
+import "repro/internal/wire"
+
 // Wire message kinds for the PSC round protocol. Ciphertext vectors
 // never travel as one frame: every vector-valued phase is a header
 // frame followed by bounded chunk frames, so a round's peak frame size
@@ -60,11 +62,36 @@ type VectorHeader struct {
 	N int
 }
 
+// The four messages below that hold nothing but integers and packed
+// bytes — ChunkMsg, BlockOutMsg, BlockShadowMsg, BlockFeedMsg — carry
+// most of a round's traffic and encode themselves (wire.WireAppender /
+// wire.WireParser): the struct's fields in declaration order, integers
+// as eight little-endian bytes, byte strings behind a uint32 length. A
+// received message's byte fields alias the frame it arrived in. The
+// codec checks framing only; what the fields must say is still decided
+// by recvVectorRawFunc and the parseBlock* functions. The proof-bearing
+// chunk messages hold slices of structs and stay gob.
+
 // ChunkMsg carries Count packed ciphertexts at element offset Off of
 // the vector announced by the preceding header.
 type ChunkMsg struct {
 	Off, Count int
 	Data       []byte
+}
+
+// AppendWire implements wire.WireAppender.
+func (c ChunkMsg) AppendWire(b []byte) []byte {
+	b = wire.Grow(b, 2*wire.IntSize+wire.BytesSize(len(c.Data)))
+	b = wire.AppendInt(b, c.Off)
+	b = wire.AppendInt(b, c.Count)
+	return wire.AppendBytes(b, c.Data)
+}
+
+// ParseWire implements wire.WireParser.
+func (c *ChunkMsg) ParseWire(b []byte) error {
+	p := wire.NewParser(b)
+	c.Off, c.Count, c.Data = p.Int(), p.Int(), p.Bytes()
+	return p.Done()
 }
 
 // NoiseChunkMsg carries a CP's appended noise ciphertexts (offsets are
@@ -87,6 +114,39 @@ type BlockOutMsg struct {
 	Commits            [][]byte // one 32-byte shadow commitment per proof round
 }
 
+// AppendWire implements wire.WireAppender. Each commitment keeps its
+// own length, so a short one reaches parseBlockOut to be refused there.
+func (m BlockOutMsg) AppendWire(b []byte) []byte {
+	size := 3*wire.IntSize + wire.BytesSize(len(m.Data)) + wire.LenSize
+	for _, c := range m.Commits {
+		size += wire.BytesSize(len(c))
+	}
+	b = wire.Grow(b, size)
+	b = wire.AppendInt(b, m.Pass)
+	b = wire.AppendInt(b, m.Block)
+	b = wire.AppendInt(b, m.Count)
+	b = wire.AppendBytes(b, m.Data)
+	b = wire.AppendLen(b, len(m.Commits))
+	for _, c := range m.Commits {
+		b = wire.AppendBytes(b, c)
+	}
+	return b
+}
+
+// ParseWire implements wire.WireParser.
+func (m *BlockOutMsg) ParseWire(b []byte) error {
+	p := wire.NewParser(b)
+	m.Pass, m.Block, m.Count, m.Data = p.Int(), p.Int(), p.Int(), p.Bytes()
+	m.Commits = nil
+	if n := p.Len(wire.BytesSize(0)); n > 0 {
+		m.Commits = make([][]byte, n)
+		for i := range m.Commits {
+			m.Commits[i] = p.Bytes()
+		}
+	}
+	return p.Done()
+}
+
 // BlockShadowMsg opens one cut-and-choose round of a block's argument:
 // the permutation and randomizers of the challenged side, fixed width.
 // The shadow itself is not in the frame — the TS recomputes it from the
@@ -97,6 +157,25 @@ type BlockShadowMsg struct {
 	OpenRand                  []byte // Count 32-byte big-endian scalars
 }
 
+// AppendWire implements wire.WireAppender.
+func (m BlockShadowMsg) AppendWire(b []byte) []byte {
+	b = wire.Grow(b, 4*wire.IntSize+wire.BytesSize(len(m.OpenPerm))+wire.BytesSize(len(m.OpenRand)))
+	b = wire.AppendInt(b, m.Pass)
+	b = wire.AppendInt(b, m.Block)
+	b = wire.AppendInt(b, m.Round)
+	b = wire.AppendInt(b, m.Count)
+	b = wire.AppendBytes(b, m.OpenPerm)
+	return wire.AppendBytes(b, m.OpenRand)
+}
+
+// ParseWire implements wire.WireParser.
+func (m *BlockShadowMsg) ParseWire(b []byte) error {
+	p := wire.NewParser(b)
+	m.Pass, m.Block, m.Round, m.Count = p.Int(), p.Int(), p.Int(), p.Int()
+	m.OpenPerm, m.OpenRand = p.Bytes(), p.Bytes()
+	return p.Done()
+}
+
 // BlockFeedMsg re-streams one input block of a pass ≥ 2: the prover
 // reads the previous pass's output back in the new pass's block order
 // (a transpose for column passes) and the verifier checks the stream
@@ -105,6 +184,22 @@ type BlockShadowMsg struct {
 type BlockFeedMsg struct {
 	Pass, Block, Count int
 	Data               []byte
+}
+
+// AppendWire implements wire.WireAppender.
+func (m BlockFeedMsg) AppendWire(b []byte) []byte {
+	b = wire.Grow(b, 3*wire.IntSize+wire.BytesSize(len(m.Data)))
+	b = wire.AppendInt(b, m.Pass)
+	b = wire.AppendInt(b, m.Block)
+	b = wire.AppendInt(b, m.Count)
+	return wire.AppendBytes(b, m.Data)
+}
+
+// ParseWire implements wire.WireParser.
+func (m *BlockFeedMsg) ParseWire(b []byte) error {
+	p := wire.NewParser(b)
+	m.Pass, m.Block, m.Count, m.Data = p.Int(), p.Int(), p.Int(), p.Bytes()
+	return p.Done()
 }
 
 // BlindChunkMsg carries exponent-blinded ciphertexts with their DLEQ

@@ -17,11 +17,13 @@ import (
 // receiver for an allocation it has no business requesting.
 const DefaultMaxFrame = 1 << 20
 
-// Frame is the unit of exchange: a message kind tag and a gob-encoded
-// payload. Kind routing keeps the protocols self-describing on the wire
-// without a shared registration of every payload type. SID routes the
-// frame to a logical stream when the connection carries a multiplexed
-// Session; it is zero on plain single-stream connections.
+// Frame is the unit of exchange: a message kind tag and an encoded
+// payload (see EncodePayload). Kind routing keeps the protocols
+// self-describing on the wire without a shared registration of every
+// payload type. SID routes the frame to a logical stream when the
+// connection carries a multiplexed Session; it is zero on plain
+// single-stream connections. A received frame's Payload aliases the
+// frame's own buffer, which nothing else refers to.
 type Frame struct {
 	Kind    string
 	Payload []byte
@@ -125,7 +127,10 @@ type Conn struct {
 	wrap      func(net.Conn) net.Conn
 	readMu    sync.Mutex
 	writeMu   sync.Mutex
-	lenBuf    [4]byte
+	lenBuf    [lenPrefix]byte
+	// wbuf is the frame assembly buffer, reused under writeMu; it grows
+	// to the largest frame sent, which maxFrame bounds.
+	wbuf []byte
 }
 
 // NewConn wraps a stream connection.
@@ -165,27 +170,51 @@ func (c *Conn) Send(kind string, v any) error {
 	return c.SendFrame(Frame{Kind: kind, Payload: payload})
 }
 
-// SendFrame writes a raw frame.
+// The envelope, in network byte order like the length prefix it grew
+// from:
+//
+//	[u32 body length] [u16 kind length] [kind] [u64 SID] [payload]
+//
+// The body is everything after the length prefix; the payload is
+// whatever follows the SID, so its length needs no field of its own.
+const (
+	lenPrefix     = 4
+	frameHeader   = 2 + 8 // kind length + SID: the smallest body
+	maxKindLength = 1<<16 - 1
+)
+
+// ErrBadFrame reports a frame whose header contradicts its own length.
+var ErrBadFrame = errors.New("wire: malformed frame header")
+
+// SendFrame writes a raw frame: the envelope and a copy of the payload
+// are assembled in the connection's write buffer and handed to the
+// transport in one Write, so concurrent senders never interleave and a
+// TLS or netem transport sees one record's worth of bytes at a time.
 func (c *Conn) SendFrame(f Frame) error {
-	body, err := EncodePayload(f)
-	if err != nil {
-		return err
+	if len(f.Kind) > maxKindLength {
+		return fmt.Errorf("wire: frame kind of %d bytes exceeds %d", len(f.Kind), maxKindLength)
 	}
-	if len(body) > c.maxFrame {
+	body := frameHeader + len(f.Kind) + len(f.Payload)
+	if body > c.maxFrame {
 		return ErrFrameTooLarge
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(body)))
-	if _, err := c.c.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err = c.c.Write(body)
+	b := c.wbuf[:0]
+	b = binary.BigEndian.AppendUint32(b, uint32(body))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(f.Kind)))
+	b = append(b, f.Kind...)
+	b = binary.BigEndian.AppendUint64(b, f.SID)
+	b = append(b, f.Payload...)
+	c.wbuf = b
+	_, err := c.c.Write(b)
 	return err
 }
 
-// Recv reads the next frame.
+// Recv reads the next frame. The body is the frame's one allocation:
+// Kind is copied out of it and Payload is a sub-slice of it, capped at
+// its own length, so the frame — and whatever message is parsed from
+// its payload — owns the body and nothing else refers to it.
 func (c *Conn) Recv() (Frame, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
@@ -199,15 +228,29 @@ func (c *Conn) Recv() (Frame, error) {
 	if n > uint32(c.maxFrame) {
 		return Frame{}, ErrFrameTooLarge
 	}
+	if n < frameHeader {
+		return Frame{}, fmt.Errorf("%w: body of %d bytes is shorter than its header", ErrBadFrame, n)
+	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(c.c, body); err != nil {
 		return Frame{}, err
 	}
-	var f Frame
-	if err := DecodePayload(body, &f); err != nil {
-		return Frame{}, err
+	return parseFrame(body)
+}
+
+// parseFrame splits a frame body into its fields, aliasing the payload.
+func parseFrame(body []byte) (Frame, error) {
+	kindLen := int(binary.BigEndian.Uint16(body))
+	if kindLen > len(body)-frameHeader {
+		return Frame{}, fmt.Errorf("%w: kind of %d bytes overruns a body of %d", ErrBadFrame, kindLen, len(body))
 	}
-	return f, nil
+	kind := body[2 : 2+kindLen]
+	rest := body[2+kindLen:]
+	return Frame{
+		Kind:    string(kind),
+		SID:     binary.BigEndian.Uint64(rest),
+		Payload: rest[8:len(rest):len(rest)],
+	}, nil
 }
 
 // Expect receives the next frame, requires its kind to match, and
@@ -229,9 +272,15 @@ func (c *Conn) Expect(kind string, out any) error {
 	return nil
 }
 
-// EncodePayload gob-encodes a value. The value's concrete type must be
-// known to the receiving DecodePayload call site.
+// EncodePayload encodes a message as a frame payload. A type with an
+// AppendWire method (see WireAppender) writes its own binary form;
+// every other value is gob-encoded, and its concrete type must be known
+// to the receiving DecodePayload call site. The message's type picks
+// the codec, never a setting.
 func EncodePayload(v any) ([]byte, error) {
+	if a, ok := v.(WireAppender); ok {
+		return a.AppendWire(nil), nil
+	}
 	var buf writerBuf
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
@@ -239,8 +288,14 @@ func EncodePayload(v any) ([]byte, error) {
 	return buf.b, nil
 }
 
-// DecodePayload decodes a gob payload into out (a pointer).
+// DecodePayload decodes a payload into out (a pointer): through out's
+// ParseWire method when it has one (see WireParser) — the parsed
+// message then aliases b, which the caller must not reuse — and through
+// gob otherwise.
 func DecodePayload(b []byte, out any) error {
+	if p, ok := out.(WireParser); ok {
+		return p.ParseWire(b)
+	}
 	return gob.NewDecoder(readerBuf{b: b, pos: new(int)}).Decode(out)
 }
 
