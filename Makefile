@@ -11,11 +11,14 @@
 #                      round's wire bytes per mixed element, so a
 #                      proof-byte regression shows even when time holds;
 #                      BenchmarkConnChunkRoundTrip prints MB/s and B/op
-#                      for the frame path alone)
+#                      for the frame path alone; BenchmarkRerandomizeBlock
+#                      prints µs/elem and B/op for one 1024-element
+#                      shuffle block on one core)
 #   make fuzz-smoke  - every codec fuzz target (frame envelope, PSC
-#                      block messages, PrivCount share/chunk frames) for
-#                      5 s each: the seed corpus always runs under
-#                      `make test`; this also mutates
+#                      block messages, PrivCount share/chunk frames) and
+#                      the affine batch plane against the single-element
+#                      group law, 5 s each: the seed corpus always runs
+#                      under `make test`; this also mutates
 #   make bench-scale - the million-bin regime: the 2^18-bin spilled
 #                      round plus the GOMAXPROCS core-scaling sweep
 #   make bench-wan   - the WAN-emulated transport arms (wan-tor static
@@ -53,9 +56,11 @@ fuzz-smoke:
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockShadowCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockFeedCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/privcount/ -run '^$$' -fuzz '^FuzzSharesRelayCodec$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzRerandomizeEquivalence$$' -fuzztime=$(FUZZTIME)
 
 bench-smoke:
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkGroupOps' -benchtime=100x
+	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkRerandomizeBlock' -benchtime=20x -cpu 1
 	$(GO) test ./internal/wire/ -run '^$$' -bench 'BenchmarkConnChunkRoundTrip' -benchtime=2000x
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/(verified|tcp)/bins-512' -benchtime=1x
 	# The 2^16-bin streaming-shuffle round (previously infeasible with

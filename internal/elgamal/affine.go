@@ -1,69 +1,115 @@
 package elgamal
 
-// Reference implementation of the group operations in the affine
-// math/big style this package used before the Jacobian core: textbook
-// chord-and-tangent formulas paying one modular inversion per point
-// addition, and plain double-and-add scalar multiplication. It is the
-// ground truth the equivalence property tests compare the fast paths
-// against, and the "old per-element affine path" baseline arm of
-// BenchmarkGroupOps. Never call it from protocol code.
+// The affine batch plane: many independent point additions under one
+// field inversion.
+//
+// An affine addition needs λ = (y₂ − y₁)/(x₂ − x₁), and the division is
+// why single additions run in Jacobian coordinates instead. A batch does
+// not have to pay it per element: the n denominators of n independent
+// additions are inverted together with Montgomery's trick (prefix
+// products, one feInv, peel the inverses off backwards), which leaves
+// 5 multiplications and a squaring per addition against addMixed's 8
+// and 3 — and the sums are already affine, so there is no normalization
+// pass after them. The inversion (≈ 3.5 µs through math/big) is the
+// fixed cost of a step, which is why callers hand add chunks of at
+// least batchMinChunk additions.
+//
+// The verifier runs this on a prover's ciphertexts with a prover's
+// scalars, so add is total. An operand at infinity needs no arithmetic
+// and is settled on the spot. Equal x — a doubling or a cancellation,
+// which a cheating prover can arrange at will — would put a zero into
+// the shared product and poison every other element's inverse, so that
+// element stays out of the product and takes that one step through the
+// Jacobian group law (addMixed, then its own normalization). Along one
+// chain of fixed-base window steps an element can meet equal x only a
+// few times — after a doubling the accumulator is a multiple no later
+// window holds, after a cancellation the chain restarts from infinity —
+// so a hostile element costs less than the Jacobian multiplication it
+// used to get.
 
-import "math/big"
-
-// refAffineAdd returns p + q using affine formulas (one field inversion
-// per call).
-func refAffineAdd(p, q Point) Point {
-	if p.IsIdentity() {
-		return Point{X: new(big.Int).Set(q.X), Y: new(big.Int).Set(q.Y)}
-	}
-	if q.IsIdentity() {
-		return Point{X: new(big.Int).Set(p.X), Y: new(big.Int).Set(p.Y)}
-	}
-	pp := curve.Params().P
-	var lambda *big.Int
-	if p.X.Cmp(q.X) == 0 {
-		if p.Y.Cmp(q.Y) != 0 || p.Y.Sign() == 0 {
-			return Identity() // p == −q
-		}
-		// Tangent: λ = (3x² − 3) / 2y
-		num := new(big.Int).Mul(p.X, p.X)
-		num.Mul(num, big.NewInt(3))
-		num.Sub(num, big.NewInt(3))
-		den := new(big.Int).Lsh(p.Y, 1)
-		den.ModInverse(den, pp)
-		lambda = num.Mul(num, den)
-	} else {
-		// Chord: λ = (y2 − y1) / (x2 − x1)
-		num := new(big.Int).Sub(q.Y, p.Y)
-		den := new(big.Int).Sub(q.X, p.X)
-		den.Mod(den, pp)
-		den.ModInverse(den, pp)
-		lambda = num.Mul(num, den)
-	}
-	lambda.Mod(lambda, pp)
-	x := new(big.Int).Mul(lambda, lambda)
-	x.Sub(x, p.X)
-	x.Sub(x, q.X)
-	x.Mod(x, pp)
-	y := new(big.Int).Sub(p.X, x)
-	y.Mul(y, lambda)
-	y.Sub(y, p.Y)
-	y.Mod(y, pp)
-	return Point{X: x, Y: y}
+// affineScratch is the working memory of one batch of affine additions.
+// Each parallel.For chunk makes its own; it must not be shared between
+// workers.
+type affineScratch struct {
+	addend []*affinePoint // what add adds to each element; nil for nothing
+	den    []fe           // x₂ − x₁ of each addition in the shared product
+	prod   []fe           // prod[k] = den[0]·…·den[k]
+	elem   []int32        // the element den[k] belongs to
 }
 
-// refAffineMul returns k·p by double-and-add over refAffineAdd.
-func refAffineMul(p Point, k *big.Int) Point {
-	kk := new(big.Int).Mod(k, order)
-	acc := Identity()
-	for i := kk.BitLen() - 1; i >= 0; i-- {
-		acc = refAffineAdd(acc, acc)
-		if kk.Bit(i) == 1 {
-			acc = refAffineAdd(acc, p)
-		}
+func newAffineScratch(n int) *affineScratch {
+	fes := make([]fe, 2*n)
+	return &affineScratch{
+		addend: make([]*affinePoint, n),
+		den:    fes[:n],
+		prod:   fes[n:],
+		elem:   make([]int32, n),
 	}
-	return acc
 }
 
-// refAffineBaseMul returns k·G on the reference path.
-func refAffineBaseMul(k *big.Int) Point { return refAffineMul(Generator(), k) }
+// add sets acc[i] += *addend[i] for every i below len(acc).
+func (s *affineScratch) add(acc []affinePoint) {
+	n := 0
+	run := feOneVal
+	for i := range acc {
+		p, q := &acc[i], s.addend[i]
+		if q == nil || q.infinity {
+			continue
+		}
+		if p.infinity {
+			*p = *q
+			continue
+		}
+		feSub(&s.den[n], &q.x, &p.x)
+		if s.den[n].isZero() {
+			addEqualX(p, q)
+			continue
+		}
+		feMul(&run, &run, &s.den[n])
+		s.prod[n] = run
+		s.elem[n] = int32(i)
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	var inv fe // the inverse of den[0]·…·den[k] as k counts down
+	feInv(&inv, &run)
+	for k := n - 1; k >= 0; k-- {
+		var denInv fe
+		if k == 0 {
+			denInv = inv
+		} else {
+			feMul(&denInv, &inv, &s.prod[k-1])
+			feMul(&inv, &inv, &s.den[k])
+		}
+		i := s.elem[k]
+		p, q := &acc[i], s.addend[i]
+		var lambda, x3, t fe
+		feSub(&t, &q.y, &p.y)
+		feMul(&lambda, &t, &denInv)
+		feSqr(&x3, &lambda)
+		feSub(&x3, &x3, &p.x)
+		feSub(&x3, &x3, &q.x)
+		feSub(&t, &p.x, &x3)
+		feMul(&t, &t, &lambda)
+		feSub(&p.y, &t, &p.y)
+		p.x = x3
+	}
+}
+
+// addEqualX sets p += q for finite points with the same x (q = ±p),
+// outside the shared inversion.
+func addEqualX(p, q *affinePoint) {
+	jp := jacPoint{x: p.x, y: p.y, z: feOneVal}
+	jp.addMixed(&jp, q)
+	*p = batchToAffine([]jacPoint{jp})[0]
+}
+
+// addVec sets acc[i] += add[i].
+func (s *affineScratch) addVec(acc, add []affinePoint) {
+	for i := range add {
+		s.addend[i] = &add[i]
+	}
+	s.add(acc)
+}

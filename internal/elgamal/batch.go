@@ -1,10 +1,14 @@
 package elgamal
 
 // Vectorized group and ciphertext operations. These are the entry
-// points the PSC hot loops call: they keep intermediate points in
-// Jacobian coordinates, normalize whole vectors with one shared field
-// inversion, reuse precomputed fixed-base tables, and fan out across
-// the worker pool in internal/parallel.
+// points the PSC hot loops call. Everything with a shared base or an
+// element-wise sum runs on the affine batch plane (affine.go): a
+// parallel.For chunk keeps its points affine, walks the fixed-base
+// tables one window step at a time across the whole chunk
+// (fixedTable.accumulate) and pays one field inversion per step, not a
+// Jacobian addition per element and a normalization pass at the end.
+// Per-element variable-base work (blinding, decryption shares) goes to
+// the stdlib assembly, spread over the same worker pool.
 
 import (
 	"math/big"
@@ -12,9 +16,13 @@ import (
 	"repro/internal/parallel"
 )
 
-// parallelMinChunk is the smallest slice of vector work handed to a
-// worker; below this the coordination overhead outweighs the crypto.
-const parallelMinChunk = 16
+// batchMinChunk is the smallest slice of vector work handed to a
+// worker. A step of the affine plane costs one inversion (≈ 3.5 µs)
+// plus ≈ 0.2 µs per element, so at 64 elements the inversion is about
+// a fifth of the step and by a PSC block's 512 per worker it is under
+// 5 %; below 64 the split would cost more in inversions than the second
+// core returns.
+const batchMinChunk = 64
 
 // reduceScalars returns the scalars reduced mod the group order,
 // reusing the input slice entries that are already reduced.
@@ -30,18 +38,25 @@ func reduceScalars(ks []*big.Int) []*big.Int {
 	return out
 }
 
-// BatchBaseMul computes kᵢ·G for every scalar, amortizing affine
-// normalization across the batch.
+// BatchBaseMul computes kᵢ·G for every scalar.
 func BatchBaseMul(ks []*big.Int) []Point {
-	ks = reduceScalars(ks)
-	t := baseTable()
-	jac := make([]jacPoint, len(ks))
-	parallel.For(len(ks), parallelMinChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.mul(&jac[i], ks[i])
+	return batchTableMul(baseTable(), reduceScalars(ks))
+}
+
+// batchTableMul computes kᵢ·B for reduced scalars through B's table.
+func batchTableMul(t *fixedTable, ks []*big.Int) []Point {
+	out := make([]Point, len(ks))
+	parallel.For(len(ks), batchMinChunk, func(lo, hi int) {
+		acc := make([]affinePoint, hi-lo)
+		for i := range acc {
+			acc[i].infinity = true
+		}
+		t.accumulate(acc, scalarLimbsOf(ks[lo:hi]), newAffineScratch(hi-lo))
+		for i := range acc {
+			out[lo+i] = acc[i].toPoint()
 		}
 	})
-	return pointsFromJacobian(jac)
+	return out
 }
 
 // batchMulTableThreshold is the batch size from which building a
@@ -53,7 +68,7 @@ const batchMulTableThreshold = 64
 // base, the common PSC shape (the round's joint key), so for large
 // batches the base gets a windowed table — either cached from
 // Precompute or built on the spot — and every element becomes a few
-// dozen mixed additions instead of a full scalar multiplication.
+// dozen table additions instead of a full scalar multiplication.
 func BatchMul(base Point, ks []*big.Int) []Point {
 	if base.IsIdentity() {
 		out := make([]Point, len(ks))
@@ -76,47 +91,30 @@ func BatchMul(base Point, ks []*big.Int) []Point {
 		})
 		return out
 	}
-	jac := make([]jacPoint, len(ks))
-	parallel.For(len(ks), parallelMinChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if ks[i].Sign() != 0 {
-				t.mul(&jac[i], ks[i])
-			}
-		}
-	})
-	return pointsFromJacobian(jac)
+	return batchTableMul(t, ks)
 }
 
-// BatchAdd computes pᵢ + qᵢ elementwise with one shared normalization
-// instead of one field inversion per addition.
+// BatchAdd computes pᵢ + qᵢ elementwise, one field inversion per chunk
+// instead of one per addition.
 func BatchAdd(ps, qs []Point) []Point {
 	if len(ps) != len(qs) {
 		panic("elgamal: BatchAdd length mismatch")
 	}
-	jac := make([]jacPoint, len(ps))
-	parallel.For(len(ps), parallelMinChunk*4, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var aq affinePoint
-			jac[i].fromPoint(ps[i])
-			aq.fromPoint(qs[i])
-			jac[i].addMixed(&jac[i], &aq)
+	out := make([]Point, len(ps))
+	parallel.For(len(ps), batchMinChunk, func(lo, hi int) {
+		n := hi - lo
+		pts := make([]affinePoint, 2*n)
+		acc, add := pts[:n], pts[n:]
+		for i := range acc {
+			acc[i].fromPoint(ps[lo+i])
+			add[i].fromPoint(qs[lo+i])
+		}
+		newAffineScratch(n).addVec(acc, add)
+		for i := range acc {
+			out[lo+i] = acc[i].toPoint()
 		}
 	})
-	return pointsFromJacobian(jac)
-}
-
-// mulWithTable multiplies through a table when available, falling back
-// to the stdlib path (loading the affine result back into dst).
-func mulWithTable(dst *jacPoint, t *fixedTable, base Point, k *big.Int) {
-	if k.Sign() == 0 {
-		dst.setInfinity()
-		return
-	}
-	if t != nil {
-		t.mul(dst, k)
-		return
-	}
-	dst.fromPoint(base.Mul(k))
+	return out
 }
 
 // sharedBaseTable resolves the table to use for a batch against one
@@ -139,27 +137,15 @@ func sharedBaseTable(base Point, n int) *fixedTable {
 
 // BatchEncrypt encrypts every message under pk with fresh randomizers,
 // returning the ciphertexts and the randomizers (shuffle provers need
-// them; discard otherwise).
+// them; discard otherwise). An encryption of M is the re-randomization
+// of the trivial ciphertext (identity, M).
 func BatchEncrypt(pk Point, msgs []Point) ([]Ciphertext, []*big.Int) {
-	rs := RandomScalars(len(msgs))
-	gt := baseTable()
-	pt := sharedBaseTable(pk, len(msgs))
-	jac := make([]jacPoint, 2*len(msgs))
-	parallel.For(len(msgs), parallelMinChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			gt.mul(&jac[2*i], rs[i])
-			mulWithTable(&jac[2*i+1], pt, pk, rs[i])
-			var am affinePoint
-			am.fromPoint(msgs[i])
-			jac[2*i+1].addMixed(&jac[2*i+1], &am)
-		}
-	})
-	pts := pointsFromJacobian(jac)
-	out := make([]Ciphertext, len(msgs))
-	for i := range out {
-		out[i] = Ciphertext{C1: pts[2*i], C2: pts[2*i+1]}
+	trivial := make([]Ciphertext, len(msgs))
+	id := Identity()
+	for i, m := range msgs {
+		trivial[i] = Ciphertext{C1: id, C2: m}
 	}
-	return out, rs
+	return BatchRerandomize(pk, trivial)
 }
 
 // BatchEncryptBits encrypts the PSC bin encoding of each bit (identity
@@ -180,31 +166,42 @@ func BatchEncryptBits(pk Point, bits []bool) ([]Ciphertext, []*big.Int) {
 }
 
 // BatchRerandomizeWith refreshes every ciphertext with the given
-// randomizers: out[i] = (C1ᵢ + rᵢ·G, C2ᵢ + rᵢ·pk).
+// randomizers: out[i] = (C1ᵢ + rᵢ·G, C2ᵢ + rᵢ·pk). A chunk seeds its
+// affine accumulators with the ciphertext halves and walks the
+// generator table over the first and pk's table over the second, both
+// from one set of scalar limbs and one scratch.
 func BatchRerandomizeWith(pk Point, cs []Ciphertext, rs []*big.Int) []Ciphertext {
 	if len(cs) != len(rs) {
 		panic("elgamal: BatchRerandomizeWith length mismatch")
 	}
 	rs = reduceScalars(rs)
-	gt := baseTable()
+	out := make([]Ciphertext, len(cs))
 	pt := sharedBaseTable(pk, len(cs))
-	jac := make([]jacPoint, 2*len(cs))
-	parallel.For(len(cs), parallelMinChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var a affinePoint
-			gt.mul(&jac[2*i], rs[i])
-			a.fromPoint(cs[i].C1)
-			jac[2*i].addMixed(&jac[2*i], &a)
-			mulWithTable(&jac[2*i+1], pt, pk, rs[i])
-			a.fromPoint(cs[i].C2)
-			jac[2*i+1].addMixed(&jac[2*i+1], &a)
+	if pt == nil {
+		parallel.For(len(cs), 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = cs[i].RerandomizeWith(pk, rs[i])
+			}
+		})
+		return out
+	}
+	gt := baseTable()
+	parallel.For(len(cs), batchMinChunk, func(lo, hi int) {
+		n := hi - lo
+		acc := make([]affinePoint, 2*n)
+		c1, c2 := acc[:n], acc[n:]
+		for i, c := range cs[lo:hi] {
+			c1[i].fromPoint(c.C1)
+			c2[i].fromPoint(c.C2)
+		}
+		limbs := scalarLimbsOf(rs[lo:hi])
+		s := newAffineScratch(n)
+		gt.accumulate(c1, limbs, s)
+		pt.accumulate(c2, limbs, s)
+		for i := range c1 {
+			out[lo+i] = Ciphertext{C1: c1[i].toPoint(), C2: c2[i].toPoint()}
 		}
 	})
-	pts := pointsFromJacobian(jac)
-	out := make([]Ciphertext, len(cs))
-	for i := range out {
-		out[i] = Ciphertext{C1: pts[2*i], C2: pts[2*i+1]}
-	}
 	return out
 }
 
@@ -216,29 +213,28 @@ func BatchRerandomize(pk Point, cs []Ciphertext) ([]Ciphertext, []*big.Int) {
 }
 
 // BatchAddCiphertexts computes the homomorphic sum aᵢ + bᵢ elementwise
-// — the tally server's table-combining step — with one shared
-// normalization for the whole vector.
+// — the tally server's table-combining step — with one field inversion
+// per chunk for both halves of all its ciphertexts.
 func BatchAddCiphertexts(as, bs []Ciphertext) []Ciphertext {
 	if len(as) != len(bs) {
 		panic("elgamal: BatchAddCiphertexts length mismatch")
 	}
-	jac := make([]jacPoint, 2*len(as))
-	parallel.For(len(as), parallelMinChunk*4, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var a affinePoint
-			jac[2*i].fromPoint(as[i].C1)
-			a.fromPoint(bs[i].C1)
-			jac[2*i].addMixed(&jac[2*i], &a)
-			jac[2*i+1].fromPoint(as[i].C2)
-			a.fromPoint(bs[i].C2)
-			jac[2*i+1].addMixed(&jac[2*i+1], &a)
+	out := make([]Ciphertext, len(as))
+	parallel.For(len(as), batchMinChunk, func(lo, hi int) {
+		n := hi - lo
+		pts := make([]affinePoint, 4*n)
+		acc, add := pts[:2*n], pts[2*n:]
+		for i := 0; i < n; i++ {
+			acc[i].fromPoint(as[lo+i].C1)
+			acc[n+i].fromPoint(as[lo+i].C2)
+			add[i].fromPoint(bs[lo+i].C1)
+			add[n+i].fromPoint(bs[lo+i].C2)
+		}
+		newAffineScratch(2*n).addVec(acc, add)
+		for i := 0; i < n; i++ {
+			out[lo+i] = Ciphertext{C1: acc[i].toPoint(), C2: acc[n+i].toPoint()}
 		}
 	})
-	pts := pointsFromJacobian(jac)
-	out := make([]Ciphertext, len(as))
-	for i := range out {
-		out[i] = Ciphertext{C1: pts[2*i], C2: pts[2*i+1]}
-	}
 	return out
 }
 
@@ -271,23 +267,33 @@ func (k *PrivateKey) BatchPartialDecrypt(cs []Ciphertext) []DecryptionShare {
 
 // RecoverBatch recovers every plaintext point from a batch and its
 // parties' share vectors (shares[j][i] is party j's share for
-// ciphertext i): Mᵢ = C2ᵢ − Σⱼ sharesⱼᵢ, with one shared normalization.
+// ciphertext i): Mᵢ = C2ᵢ − Σⱼ sharesⱼᵢ, one field inversion per party
+// and chunk.
 func RecoverBatch(cs []Ciphertext, shares [][]DecryptionShare) []Point {
 	for _, sv := range shares {
 		if len(sv) != len(cs) {
 			panic("elgamal: RecoverBatch length mismatch")
 		}
 	}
-	jac := make([]jacPoint, len(cs))
-	parallel.For(len(cs), parallelMinChunk*4, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var a affinePoint
-			jac[i].fromPoint(cs[i].C2)
-			for j := range shares {
-				a.fromPoint(shares[j][i].Share)
-				jac[i].subMixed(&jac[i], &a)
+	out := make([]Point, len(cs))
+	parallel.For(len(cs), batchMinChunk, func(lo, hi int) {
+		n := hi - lo
+		pts := make([]affinePoint, 2*n)
+		acc, sub := pts[:n], pts[n:]
+		for i := range acc {
+			acc[i].fromPoint(cs[lo+i].C2)
+		}
+		s := newAffineScratch(n)
+		for _, sv := range shares {
+			for i := range sub {
+				sub[i].fromPoint(sv[lo+i].Share)
+				sub[i].negate()
 			}
+			s.addVec(acc, sub)
+		}
+		for i := range acc {
+			out[lo+i] = acc[i].toPoint()
 		}
 	})
-	return pointsFromJacobian(jac)
+	return out
 }

@@ -196,3 +196,25 @@ func BenchmarkRandomScalar(b *testing.B) {
 		perBatch(b, func(n int) { RandomScalars(n) })
 	})
 }
+
+// BenchmarkRerandomizeBlock re-randomizes one 1024-element shuffle
+// block against a cached joint-key table — the call the cut-and-choose
+// argument makes 17 times per block and CP pass — and reports µs per
+// element. Run it with -cpu 1 for the per-core cost.
+func BenchmarkRerandomizeBlock(b *testing.B) {
+	const block = 1024
+	key := GenerateKey()
+	Precompute(key.PK)
+	bits := make([]bool, block)
+	for i := range bits {
+		bits[i] = i%2 == 0
+	}
+	cts, _ := BatchEncryptBits(key.PK, bits)
+	rs := RandomScalars(block)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BatchRerandomizeWith(key.PK, cts, rs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*block), "µs/elem")
+}

@@ -251,8 +251,8 @@ func VerifyShuffleBlock(t *ShuffleTranscript, pass, block int, pk Point, in, out
 				return ErrBadBlockShuffle
 			}
 		}
-		// Rebuild the shadow in one batch (shared tables, one
-		// normalization) from the side the challenge opened.
+		// Rebuild the shadow in one batch (shared tables, one inversion
+		// per window step) from the side the challenge opened.
 		var shadow []Ciphertext
 		if bits[r] == 0 {
 			shadow = BatchRerandomizeWith(pk, permute(in, o.Perm), o.Rand)

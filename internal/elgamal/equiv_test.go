@@ -2,7 +2,7 @@ package elgamal
 
 // Equivalence property tests: the Jacobian/table/batch fast paths must
 // agree bit-for-bit with both the stdlib crypto/elliptic results and
-// the affine math/big reference implementation (affine.go) on random
+// the affine math/big reference implementation (affine_ref_test.go) on random
 // scalars, boundary scalars, and the identity point.
 
 import (
@@ -103,6 +103,71 @@ func TestFieldArithmeticMatchesBig(t *testing.T) {
 			t.Fatalf("round-trip mismatch for boundary value %v", v)
 		}
 	}
+
+	// Every pair of boundary operands, taken as raw limbs (the field
+	// functions are maps on residues, so the Montgomery factor only
+	// shows in feMul's R⁻¹): these are the sums that just reach p, the
+	// differences that just borrow and the products whose last
+	// subtraction is decided in the top limb — what the reduction masks
+	// select on.
+	vals := fieldBoundaryValues()
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 256), p)
+	for _, a := range vals {
+		for _, b := range vals {
+			fa, fb := feFromSaturated(a), feFromSaturated(b)
+			var sum, diff, prod fe
+			feAdd(&sum, &fa, &fb)
+			feSub(&diff, &fa, &fb)
+			feMul(&prod, &fa, &fb)
+			wantSum := new(big.Int).Add(a, b)
+			wantDiff := new(big.Int).Sub(a, b)
+			wantProd := new(big.Int).Mul(a, b)
+			wantProd.Mul(wantProd, rInv)
+			for _, c := range []struct {
+				op   string
+				got  fe
+				want *big.Int
+			}{{"+", sum, wantSum}, {"-", diff, wantDiff}, {"*", prod, wantProd}} {
+				if want := feFromSaturated(c.want.Mod(c.want, p)); c.got != want {
+					t.Fatalf("raw %x %s %x: got %x, want %x", a, c.op, b, c.got, want)
+				}
+			}
+			// In-place forms, as the point formulas call them.
+			z := fa
+			feSub(&z, &z, &fb)
+			if z != diff {
+				t.Fatalf("aliased feSub differs for %x - %x", a, b)
+			}
+			z = fa
+			feAdd(&z, &z, &fb)
+			if z != sum {
+				t.Fatalf("aliased feAdd differs for %x + %x", a, b)
+			}
+		}
+	}
+}
+
+// fieldBoundaryValues returns the operands the reduction masks exist
+// for: 0, 1, 2, p − 1, p − 2, (p ± 1)/2, 2⁶⁴ − 1 in each limb alone, all
+// limbs but the top one full, and a random x with x + 1.
+func fieldBoundaryValues() []*big.Int {
+	p := curve.Params().P
+	one := big.NewInt(1)
+	half := new(big.Int).Rsh(p, 1)
+	x := new(big.Int).Mod(RandomScalar(), p)
+	vals := []*big.Int{
+		big.NewInt(0), one, big.NewInt(2),
+		new(big.Int).Sub(p, one), new(big.Int).Sub(p, big.NewInt(2)),
+		half, new(big.Int).Add(half, one),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 192), one),
+		x, new(big.Int).Mod(new(big.Int).Add(x, one), p),
+	}
+	limb := new(big.Int).Sub(new(big.Int).Lsh(one, 64), one)
+	for i := uint(0); i < 4; i++ {
+		v := new(big.Int).Lsh(limb, 64*i)
+		vals = append(vals, v.Mod(v, p))
+	}
+	return vals
 }
 
 func TestBaseMulEquivalence(t *testing.T) {
@@ -556,6 +621,21 @@ func TestFeSqrMatchesMul(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		vals = append(vals, new(big.Int).Mod(RandomScalar(), p))
+	}
+	// The same values once more as raw limbs: feFromBig turns p − 1 into
+	// some mid-range Montgomery residue, and the final subtraction is
+	// decided by the limbs the function sees.
+	raw := make([]fe, 0, len(vals))
+	for _, v := range append(fieldBoundaryValues(), vals...) {
+		raw = append(raw, feFromSaturated(v))
+	}
+	for _, f := range raw {
+		var viaMul, viaSqr fe
+		feMul(&viaMul, &f, &f)
+		feSqr(&viaSqr, &f)
+		if viaMul != viaSqr {
+			t.Fatalf("feSqr mismatch for raw limbs %x", f)
+		}
 	}
 	for _, v := range vals {
 		f := feFromBig(v)

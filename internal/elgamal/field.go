@@ -81,11 +81,24 @@ func feFromBig(v *big.Int) fe {
 	return out
 }
 
-// feToBig converts out of Montgomery form into a fresh big.Int.
+// toBig converts out of Montgomery form into a fresh big.Int. On 64-bit
+// platforms the limbs are the big.Int's words as they stand, so the
+// value and its words come from one allocation with no byte round trip:
+// a re-randomized block makes four of these per element.
 func (x *fe) toBig() *big.Int {
 	var one = fe{1}
 	var raw fe
 	feMul(&raw, x, &one) // divides by R, leaving the true value
+	if bits.UintSize == 64 {
+		v := new(struct {
+			n     big.Int
+			words [4]big.Word
+		})
+		for i, limb := range raw {
+			v.words[i] = big.Word(limb)
+		}
+		return v.n.SetBits(v.words[:]) // SetBits strips leading zero words
+	}
 	buf := make([]byte, 32)
 	for i := 0; i < 4; i++ {
 		limb := raw[3-i]
@@ -108,45 +121,48 @@ func feEqual(x, y *fe) bool {
 	return x[0] == y[0] && x[1] == y[1] && x[2] == y[2] && x[3] == y[3]
 }
 
+// The reductions in feAdd, feSub, feMul and feSqr are branch-free:
+// whether a sum reaches p or a difference borrows is a coin flip on
+// random operands, so a branch on it mispredicts about every second
+// call. Each result is selected with a mask (all ones or zero, from the
+// final borrow) instead.
+
 // feAdd computes z = x + y mod p.
 func feAdd(z, x, y *fe) {
 	var c uint64
-	var t fe
-	t[0], c = bits.Add64(x[0], y[0], 0)
-	t[1], c = bits.Add64(x[1], y[1], c)
-	t[2], c = bits.Add64(x[2], y[2], c)
-	t[3], c = bits.Add64(x[3], y[3], c)
-	// Reduce: subtract p if the sum overflowed or is ≥ p.
-	var b uint64
-	var r fe
-	r[0], b = bits.Sub64(t[0], p256P[0], 0)
-	r[1], b = bits.Sub64(t[1], p256P[1], b)
-	r[2], b = bits.Sub64(t[2], p256P[2], b)
-	r[3], b = bits.Sub64(t[3], p256P[3], b)
+	var t0, t1, t2, t3 uint64
+	t0, c = bits.Add64(x[0], y[0], 0)
+	t1, c = bits.Add64(x[1], y[1], c)
+	t2, c = bits.Add64(x[2], y[2], c)
+	t3, c = bits.Add64(x[3], y[3], c)
+	// Reduce: t − p if the sum overflowed or is ≥ p, else t.
+	var u0, u1, u2, u3, b uint64
+	u0, b = bits.Sub64(t0, p256P[0], 0)
+	u1, b = bits.Sub64(t1, p256P[1], b)
+	u2, b = bits.Sub64(t2, p256P[2], b)
+	u3, b = bits.Sub64(t3, p256P[3], b)
 	_, b = bits.Sub64(c, 0, b)
-	if b == 0 {
-		*z = r
-	} else {
-		*z = t
-	}
+	keep := -b // all ones when t < p
+	z[0] = u0 ^ (keep & (u0 ^ t0))
+	z[1] = u1 ^ (keep & (u1 ^ t1))
+	z[2] = u2 ^ (keep & (u2 ^ t2))
+	z[3] = u3 ^ (keep & (u3 ^ t3))
 }
 
-// feSub computes z = x − y mod p.
+// feSub computes z = x − y mod p: the difference, plus p when it
+// borrowed.
 func feSub(z, x, y *fe) {
-	var b uint64
-	var t fe
-	t[0], b = bits.Sub64(x[0], y[0], 0)
-	t[1], b = bits.Sub64(x[1], y[1], b)
-	t[2], b = bits.Sub64(x[2], y[2], b)
-	t[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		t[0], c = bits.Add64(t[0], p256P[0], 0)
-		t[1], c = bits.Add64(t[1], p256P[1], c)
-		t[2], c = bits.Add64(t[2], p256P[2], c)
-		t[3], _ = bits.Add64(t[3], p256P[3], c)
-	}
-	*z = t
+	var b, c uint64
+	var t0, t1, t2, t3 uint64
+	t0, b = bits.Sub64(x[0], y[0], 0)
+	t1, b = bits.Sub64(x[1], y[1], b)
+	t2, b = bits.Sub64(x[2], y[2], b)
+	t3, b = bits.Sub64(x[3], y[3], b)
+	mask := -b
+	z[0], c = bits.Add64(t0, p256P[0]&mask, 0)
+	z[1], c = bits.Add64(t1, p256P[1]&mask, c)
+	z[2], c = bits.Add64(t2, p256P[2]&mask, c)
+	z[3], _ = bits.Add64(t3, p256P[3]&mask, c)
 }
 
 // feNeg computes z = −x mod p.
@@ -230,18 +246,18 @@ func feMul(z, x, y *fe) {
 		t5 -= b // cannot underflow: t + m·p ≥ 0 and fits 321 bits
 		t0, t1, t2, t3, t4 = t1, t2, t3, t4, t5
 	}
-	var b uint64
-	var r fe
-	r[0], b = bits.Sub64(t0, p256P[0], 0)
-	r[1], b = bits.Sub64(t1, p256P[1], b)
-	r[2], b = bits.Sub64(t2, p256P[2], b)
-	r[3], b = bits.Sub64(t3, p256P[3], b)
-	_, b = bits.Sub64(t4, 0, b)
-	if b == 0 {
-		*z = r
-	} else {
-		z[0], z[1], z[2], z[3] = t0, t1, t2, t3
-	}
+	// Branch-free final reduction: t − p if that does not borrow, else t.
+	var u0, u1, u2, u3, bb uint64
+	u0, bb = bits.Sub64(t0, p256P[0], 0)
+	u1, bb = bits.Sub64(t1, p256P[1], bb)
+	u2, bb = bits.Sub64(t2, p256P[2], bb)
+	u3, bb = bits.Sub64(t3, p256P[3], bb)
+	_, bb = bits.Sub64(t4, 0, bb)
+	keep := -bb // all ones when t < p
+	z[0] = u0 ^ (keep & (u0 ^ t0))
+	z[1] = u1 ^ (keep & (u1 ^ t1))
+	z[2] = u2 ^ (keep & (u2 ^ t2))
+	z[3] = u3 ^ (keep & (u3 ^ t3))
 }
 
 // feSqr computes z = x²·R⁻¹ mod p. Separate-operand-scanning squaring:
@@ -320,23 +336,25 @@ func feSqr(z, x *fe) {
 		t4 = t5 + cc
 	}
 
-	var b uint64
-	var r fe
-	r[0], b = bits.Sub64(t0, p256P[0], 0)
-	r[1], b = bits.Sub64(t1, p256P[1], b)
-	r[2], b = bits.Sub64(t2, p256P[2], b)
-	r[3], b = bits.Sub64(t3, p256P[3], b)
-	_, b = bits.Sub64(t4, 0, b)
-	if b == 0 {
-		*z = r
-	} else {
-		z[0], z[1], z[2], z[3] = t0, t1, t2, t3
-	}
+	// Branch-free final reduction: t − p if that does not borrow, else t.
+	var u0, u1, u2, u3, bb uint64
+	u0, bb = bits.Sub64(t0, p256P[0], 0)
+	u1, bb = bits.Sub64(t1, p256P[1], bb)
+	u2, bb = bits.Sub64(t2, p256P[2], bb)
+	u3, bb = bits.Sub64(t3, p256P[3], bb)
+	_, bb = bits.Sub64(t4, 0, bb)
+	keep := -bb // all ones when t < p
+	z[0] = u0 ^ (keep & (u0 ^ t0))
+	z[1] = u1 ^ (keep & (u1 ^ t1))
+	z[2] = u2 ^ (keep & (u2 ^ t2))
+	z[3] = u3 ^ (keep & (u3 ^ t3))
 }
 
-// feInv computes z = x⁻¹ mod p, delegating to big.Int's binary extended
-// GCD. Inversions are rare by design — one per *batch* of point
-// normalizations (see batchToAffine) — so the conversion cost is noise.
+// feInv computes z = x⁻¹ mod p, delegating to big.Int's extended GCD
+// (≈ 3.5 µs, a few hundred bytes of temporaries). Inversions are rare
+// by design — one per *batch* of point normalizations (batchToAffine)
+// or of affine additions (affineScratch.add) — so the conversion cost
+// is noise.
 func feInv(z, x *fe) {
 	v := x.toBig()
 	v.ModInverse(v, curve.Params().P)

@@ -98,3 +98,60 @@ func FuzzAddEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRerandomizeEquivalence drives the affine batch plane against the
+// single-element Jacobian path. Each 34-byte record is one element: two
+// signed bytes pick the ciphertext halves as small multiples of G and
+// of the key (0 is the identity), the rest is the randomizer. Small
+// multiples are first-window table entries, so a scalar whose low
+// window matches one meets a doubling or a cancellation; the seeds
+// start the mutator there.
+func FuzzRerandomizeEquivalence(f *testing.F) {
+	key := &PrivateKey{X: big.NewInt(0x5eed)}
+	key.PK = stdlibBaseMul(key.X)
+	Precompute(key.PK)
+
+	record := func(c1, c2 int8, r *big.Int) []byte {
+		return append([]byte{byte(c1), byte(c2)}, new(big.Int).Mod(r, order).FillBytes(make([]byte, 32))...)
+	}
+	join := func(recs ...[]byte) []byte {
+		var out []byte
+		for _, r := range recs {
+			out = append(out, r...)
+		}
+		return out
+	}
+	ordinary := record(3, 1, stdlibBaseMul(big.NewInt(31)).X) // any full-width scalar
+	f.Add(record(5, 5, big.NewInt(5)))                        // doubling at the only step
+	f.Add(record(-5, -5, big.NewInt(5+1<<20)))                // cancels at step 0, restarts from infinity
+	f.Add(record(9, 9, big.NewInt(-9)))                       // ends at the identity pair
+	f.Add(record(0, 0, big.NewInt(0)))
+	f.Add(record(0, 1, big.NewInt(1)))
+	f.Add(record(1, 0, big.NewInt(-1)))
+	f.Add(record(7, 0, big.NewInt(1<<36))) // low windows empty
+	f.Add(join(record(5, 5, big.NewInt(5+1<<30)), ordinary, ordinary, record(-9, 9, big.NewInt(9+1<<30)), ordinary))
+	f.Add([]byte{})
+
+	// stdlibMul reduces mod the order, so a negative m gives −|m|·base.
+	small := func(base Point, m int8) Point { return stdlibMul(base, big.NewInt(int64(m))) }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const rec = 34
+		n := len(data) / rec
+		if n > 64 {
+			n = 64
+		}
+		cs := make([]Ciphertext, n)
+		rs := make([]*big.Int, n)
+		for i := range cs {
+			d := data[i*rec : (i+1)*rec]
+			cs[i] = Ciphertext{C1: small(Generator(), int8(d[0])), C2: small(key.PK, int8(d[1]))}
+			rs[i] = new(big.Int).SetBytes(d[2:])
+		}
+		got := BatchRerandomizeWith(key.PK, cs, rs)
+		for i := range cs {
+			if want := cs[i].RerandomizeWith(key.PK, rs[i]); !got[i].Equal(want) {
+				t.Fatalf("element %d of %d (C1 = %d·G, C2 = %d·pk, r = %v): batch and single paths disagree", i, n, int8(data[i*rec]), int8(data[i*rec+1]), rs[i])
+			}
+		}
+	})
+}

@@ -17,16 +17,32 @@
 // thousands of ciphertexts per round, so the group core is built for
 // batch throughput:
 //
-//   - point arithmetic runs in Jacobian coordinates over a dedicated
-//     4×64-limb Montgomery field (field.go, jacobian.go), with batch
-//     affine normalization so a vector of operations costs one field
-//     inversion instead of one per element;
+//   - the field is a dedicated 4×64-limb Montgomery implementation
+//     (field.go) whose reductions are branch-free — the final borrow of
+//     a random operand pair is a coin flip, and a mispredicted branch
+//     there used to cost feSub more than its arithmetic;
+//   - single operations — Add, BaseMul, Mul on a cached base, table
+//     building, the multi-scalar multiplications — run in Jacobian
+//     coordinates (jacobian.go) and normalize once at the end;
 //   - fixed-base multiplication uses precomputed windowed tables
 //     (table.go) for the generator and for hot shared bases such as a
 //     round's joint public key (see Precompute);
-//   - vectorized entry points (Batch* in batch.go, elgamal.go) fan out
-//     over a runtime.NumCPU()-sized worker pool and keep intermediate
-//     results projective;
+//   - vectorized entry points (Batch* in batch.go) fan out over a
+//     GOMAXPROCS-sized worker pool in chunks of at least 64 elements,
+//     and a chunk never leaves affine coordinates: it walks the tables
+//     one window step at a time across all its elements, and the
+//     step's additions share one field inversion (affine.go). An
+//     addition costs 5 multiplications and a squaring instead of a
+//     mixed Jacobian addition's 8 and 3, and nothing is left to
+//     normalize. The inversion (≈ 3.5 µs through math/big) is a step's
+//     fixed cost, which is why chunks are no smaller than 64;
+//   - that plane is total, because the shuffle verifier runs it on a
+//     prover's ciphertexts with the prover's opened scalars: operands
+//     at infinity are settled without arithmetic, and an addition of
+//     two points with the same x — a doubling or a cancellation, which
+//     a cheating prover can arrange — is kept out of the shared product
+//     (one zero there would poison the whole chunk's inverse) and takes
+//     that step through the Jacobian group law on its own;
 //   - proof batches are verified with random-linear-combination checks
 //     over a shared-doubling multi-scalar multiplication (verify.go).
 //

@@ -144,12 +144,17 @@ func (p *jacPoint) addMixed(q *jacPoint, r *affinePoint) {
 	p.z = z3
 }
 
+// negate sets p = −p.
+func (p *affinePoint) negate() {
+	if !p.infinity {
+		feNeg(&p.y, &p.y)
+	}
+}
+
 // subMixed sets p = q − r for affine r.
 func (p *jacPoint) subMixed(q *jacPoint, r *affinePoint) {
 	neg := *r
-	if !neg.infinity {
-		feNeg(&neg.y, &r.y)
-	}
+	neg.negate()
 	p.addMixed(q, &neg)
 }
 
@@ -251,17 +256,6 @@ func batchToAffine(ps []jacPoint) []affinePoint {
 	return out
 }
 
-// pointsFromJacobian converts a Jacobian vector to public Points with
-// one shared inversion.
-func pointsFromJacobian(ps []jacPoint) []Point {
-	aff := batchToAffine(ps)
-	out := make([]Point, len(aff))
-	for i := range aff {
-		out[i] = aff[i].toPoint()
-	}
-	return out
-}
-
 func (a *affinePoint) toPoint() Point {
 	if a.infinity {
 		return Identity()
@@ -290,6 +284,16 @@ func (a *affinePoint) onCurve() bool {
 func scalarLimbs(k *big.Int) [4]uint64 {
 	var out [4]uint64
 	limbsFromBig(out[:], k)
+	return out
+}
+
+// scalarLimbsOf loads a vector of scalars already reduced mod the group
+// order.
+func scalarLimbsOf(ks []*big.Int) [][4]uint64 {
+	out := make([][4]uint64, len(ks))
+	for i, k := range ks {
+		out[i] = scalarLimbs(k)
+	}
 	return out
 }
 

@@ -215,7 +215,7 @@ type ShuffleWitness struct {
 
 // Shuffle produces out[i] = Rerandomize(in[perm[i]]). The permutation is
 // drawn from crypto/rand; the re-randomizations run through the batch
-// fixed-base path (shared tables, one normalization).
+// fixed-base path (shared tables, one inversion per window step).
 func Shuffle(pk Point, in []Ciphertext) ([]Ciphertext, ShuffleWitness) {
 	perm := randomPerm(len(in))
 	rands := RandomScalars(len(in))

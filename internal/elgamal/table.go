@@ -4,9 +4,12 @@ package elgamal
 // (Yao's method). A scalar is cut into d = ceil(256/w) windows of w
 // bits; table window j holds every odd-and-even multiple m·2^(wj)·B for
 // m = 1..2^w−1 in affine form, so one multiplication is d table lookups
-// and at most d−1 mixed additions — no doublings at all — and the
-// result stays in Jacobian coordinates for the caller to normalize
-// (ideally in a batch).
+// and at most d additions — no doublings at all. A single
+// multiplication (mul) makes them mixed Jacobian additions and leaves
+// the result projective for the caller to normalize; a vector of them
+// (accumulate, behind every Batch* entry point) makes them affine
+// additions, one window step across the whole chunk at a time under
+// one shared inversion, and its results need no normalization.
 //
 // Two kinds of table exist:
 //
@@ -62,24 +65,47 @@ func buildTable(base Point, w uint) *fixedTable {
 	return t
 }
 
+// digit returns window j of a scalar in limb form.
+func (t *fixedTable) digit(limbs *[4]uint64, j int) uint64 {
+	bit := j * int(t.w)
+	limb := bit >> 6
+	off := uint(bit & 63)
+	d := limbs[limb] >> off
+	if off+t.w > 64 && limb+1 < 4 {
+		d |= limbs[limb+1] << (64 - off)
+	}
+	return d & (uint64(1)<<t.w - 1)
+}
+
 // mul computes k·B into dst. k must be reduced mod the group order.
+// This is the single-element primitive; vectors go through accumulate.
 func (t *fixedTable) mul(dst *jacPoint, k *big.Int) {
 	limbs := scalarLimbs(k)
 	dst.setInfinity()
-	w := int(t.w)
-	mask := uint64(1)<<t.w - 1
-	for j := range t.windows {
-		bit := j * w
-		limb := bit >> 6
-		off := uint(bit & 63)
-		digit := limbs[limb] >> off
-		if off+t.w > 64 && limb+1 < 4 {
-			digit |= limbs[limb+1] << (64 - off)
+	for j, win := range t.windows {
+		if d := t.digit(&limbs, j); d != 0 {
+			dst.addMixed(dst, &win[d-1])
 		}
-		digit &= mask
-		if digit != 0 {
-			dst.addMixed(dst, &t.windows[j][digit-1])
+	}
+}
+
+// accumulate adds kᵢ·B to acc[i] for a whole chunk at once, the scalars
+// given as limbs of values reduced mod the group order. It walks the
+// table window by window across the chunk: step j adds each element's
+// window-j entry to its accumulator in affine coordinates, all of the
+// step's additions sharing one field inversion (see affine.go), so the
+// sums come out normalized. Seed acc with the points the products are
+// to be added to, or with infinity for the bare products.
+func (t *fixedTable) accumulate(acc []affinePoint, limbs [][4]uint64, s *affineScratch) {
+	for j, win := range t.windows {
+		for i := range acc {
+			if d := t.digit(&limbs[i], j); d != 0 {
+				s.addend[i] = &win[d-1]
+			} else {
+				s.addend[i] = nil
+			}
 		}
+		s.add(acc)
 	}
 }
 
