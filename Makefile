@@ -5,6 +5,10 @@
 #                      which root ./... patterns do not descend into: a
 #                      change that breaks the BENCHMARK.json build fails
 #                      here instead of staying tier-1 green
+#   make loc      - non-test Go line counts, the way ROADMAP's "fewer
+#                   lines" targets are measured: internal/psc,
+#                   internal/wire, internal/privcount, cmd, and
+#                   internal + cmd + tools together
 #   make bench-smoke - one iteration of the crypto and protocol
 #                      benchmarks; catches gross perf regressions fast
 #                      (BenchmarkPSCRound also prints wire-B/elem, the
@@ -31,7 +35,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench-check fuzz-smoke bench-smoke bench-scale bench-wan bench-json bench-trajectory bench
+.PHONY: all build test vet loc bench-check fuzz-smoke bench-smoke bench-scale bench-wan bench-json bench-trajectory bench
 
 all: build vet test bench-check
 
@@ -43,6 +47,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+loc:
+	@printf '%s: ' 'internal/psc'; find internal/psc -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf '%s: ' 'internal/wire'; find internal/wire -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf '%s: ' 'internal/privcount'; find internal/privcount -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf '%s: ' 'cmd'; find cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf '%s: ' 'internal cmd tools'; find internal cmd tools -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

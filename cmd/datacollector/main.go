@@ -42,42 +42,30 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/engine"
 	"repro/internal/event"
-	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/privcount"
 	"repro/internal/psc"
-	"repro/internal/spill"
 	"repro/internal/torctl"
 	"repro/internal/wire"
 )
 
 func main() {
-	tallyAddr := flag.String("tally", "127.0.0.1:7001", "tally server address")
+	p := daemon.PartyFlags(daemon.Spec{
+		Prog: "datacollector", Role: engine.RoleDC,
+		DefaultName: "dc-0", NameHelp: "data collector name",
+		ReconnectHelp: "max consecutive tally reconnect attempts before giving up",
+		SpillHelp:     "directory for bounded-residency scratch files (empty: system temp)",
+	})
 	torsim := flag.String("torsim", "127.0.0.1:7000", "torsim event feed address")
 	torControl := flag.String("tor-control", "", "Tor control-port address; replaces -torsim as the event source")
 	torCookie := flag.String("tor-cookie", "", "control-auth cookie file (empty: path advertised by the relay)")
 	torPassword := flag.String("tor-password", "", "control-port password")
 	relay := flag.Int("relay", 0, "relay id to subscribe to (-1 = all; also the observer id for control-port events)")
-	name := flag.String("name", "dc-0", "data collector name")
-	id := flag.String("id", "", "pinned party identity (empty: the name)")
-	token := flag.String("token", "", "registration token binding the identity across reconnects (required to rejoin)")
-	pin := flag.String("pin", "", "tally SPKI fingerprint (hex) for TLS pinning; empty for plain TCP")
 	rounds := flag.Int("rounds", 1, "number of rounds to serve before exiting")
-	timeout := flag.Duration("timeout", 10*time.Second, "dial timeout")
-	reconnect := flag.Int("reconnect", 8, "max consecutive tally reconnect attempts before giving up")
-	metricsAddr := flag.String("metrics-addr", "", "serve the ops metrics registry over HTTP at this address (empty: disabled)")
-	spillDir := flag.String("spill-dir", "", "directory for bounded-residency scratch files (empty: system temp)")
-	streamWindow := flag.Int("stream-window", 0, "initial per-stream flow-control window in bytes (0: wire default, 1 MiB); negotiated per direction with revision-aware peers")
-	netemSpec := flag.String("netem", "", "WAN emulation profile shaping the tally connection (lan, wan-good, wan-tor, or key=value spec; empty: none)")
-	adaptiveWindow := flag.Bool("adaptive-window", true, "autotune stream windows toward the measured bandwidth-delay product (AIMD; active only with negotiation-aware peers)")
-	windowCap := flag.Int("window-cap", 0, "adaptive stream-window growth bound in bytes (0: wire default, 16 MiB)")
 	flag.Parse()
-
-	if *spillDir != "" {
-		spill.SetDir(*spillDir)
-	}
+	name, timeout := p.Name(), p.Timeout()
 
 	// Event source: live control port, or the simulator socket feed.
 	var feed net.Conn
@@ -88,48 +76,29 @@ func main() {
 			Addr:        *torControl,
 			CookiePath:  *torCookie,
 			Password:    *torPassword,
-			DialTimeout: *timeout,
+			DialTimeout: timeout,
 			Logf:        log.Printf,
 		}, torctl.LineParser{DefaultRelay: event.RelayID(*relay)})
 		if err != nil {
-			log.Fatalf("datacollector %s: tor control: %v", *name, err)
+			log.Fatalf("datacollector %s: tor control: %v", name, err)
 		}
 		defer src.Close()
-		fmt.Printf("datacollector %s: control connection to %s established\n", *name, *torControl)
+		fmt.Printf("datacollector %s: control connection to %s established\n", name, *torControl)
 	} else {
-		feed, err = dialFeed(*torsim, *relay, *timeout)
+		feed, err = dialFeed(*torsim, *relay, timeout)
 		if err != nil {
-			log.Fatalf("datacollector %s: torsim: %v", *name, err)
+			log.Fatalf("datacollector %s: torsim: %v", name, err)
 		}
 		defer feed.Close()
 	}
 
-	tlsCfg, err := wire.ClientTLSPin(*pin)
+	dial, err := p.Start()
 	if err != nil {
-		log.Fatalf("datacollector %s: %v", *name, err)
-	}
-	if *metricsAddr != "" {
-		addr, _, err := metrics.Serve(*metricsAddr, metrics.Default())
-		if err != nil {
-			log.Fatalf("datacollector %s: %v", *name, err)
-		}
-		fmt.Printf("datacollector %s: metrics on http://%s/metrics\n", *name, addr)
-	}
-	var connOpts []wire.Option
-	if *streamWindow > 0 {
-		connOpts = append(connOpts, wire.WithWindow(*streamWindow))
-	}
-	if *adaptiveWindow {
-		connOpts = append(connOpts, wire.WithAdaptiveWindow(*windowCap))
-	}
-	if p, err := netem.ParseProfile(*netemSpec); err != nil {
-		log.Fatalf("datacollector %s: %v", *name, err)
-	} else if p != nil {
-		connOpts = append(connOpts, netem.WireOption(*p))
+		log.Fatalf("datacollector %s: %v", name, err)
 	}
 
 	c := &collector{
-		name:       *name,
+		name:       name,
 		feedDone:   make(chan struct{}),
 		pscActive:  make(map[*psc.DC]bool),
 		privActive: make(map[*privcount.DC]bool),
@@ -146,13 +115,13 @@ func main() {
 			n, err = c.pump(feed)
 		}
 		if err != nil {
-			log.Printf("datacollector %s: feed: %v", *name, err)
+			log.Printf("datacollector %s: feed: %v", name, err)
 		}
-		fmt.Printf("datacollector %s: %d events consumed\n", *name, n)
+		fmt.Printf("datacollector %s: %d events consumed\n", name, n)
 		if src != nil {
 			parsed, skipped := src.Stats()
 			fmt.Printf("datacollector %s: torctl reconnects=%d parsed=%d skipped=%d\n",
-				*name, src.Reconnects(), parsed, skipped)
+				name, src.Reconnects(), parsed, skipped)
 		}
 	}()
 
@@ -165,20 +134,12 @@ func main() {
 		err   error
 	}
 	completed := make(chan outcome, *rounds)
-	hello := engine.Hello{Role: engine.RoleDC, Name: *name, ID: *id, Token: *token}
-	dial := func() (*wire.Session, error) {
-		conn, err := wire.Dial(*tallyAddr, tlsCfg, *timeout, connOpts...)
-		if err != nil {
-			return nil, err
-		}
-		return wire.NewSession(conn, true), nil
-	}
+	hello := p.Hello()
 	go func() {
-		err := engine.ReconnectLoop(dial, func(sess *wire.Session) error {
+		err := p.Loop(dial, func(sess *wire.Session) error {
 			if _, err := engine.SendHelloPinned(sess, hello); err != nil {
 				return err
 			}
-			fmt.Printf("datacollector %s: connected to %s\n", *name, *tallyAddr)
 			return engine.ServeRounds(sess, func(st *wire.Stream) error {
 				err := c.serveRound(st)
 				if err == nil {
@@ -198,11 +159,9 @@ func main() {
 				completed <- outcome{round: st.Round(), err: err}
 				return err
 			})
-		}, *reconnect, func(format string, args ...any) {
-			log.Printf("datacollector "+*name+": "+format, args...)
 		})
 		if err != nil {
-			log.Fatalf("datacollector %s: tally: %v", *name, err)
+			log.Fatalf("datacollector %s: tally: %v", name, err)
 		}
 	}()
 
@@ -257,7 +216,7 @@ func main() {
 		case out := <-completed:
 			mu.Lock()
 			if out.err != nil {
-				fmt.Printf("datacollector %s: round %d failed: %v\n", *name, out.round, out.err)
+				fmt.Printf("datacollector %s: round %d failed: %v\n", name, out.round, out.err)
 				if state[out.round] == 0 {
 					state[out.round] = pendingFail
 					r := out.round
@@ -271,7 +230,7 @@ func main() {
 					})
 				}
 			} else {
-				fmt.Printf("datacollector %s: round %d complete\n", *name, out.round)
+				fmt.Printf("datacollector %s: round %d complete\n", name, out.round)
 				state[out.round] = doneOK
 			}
 			mu.Unlock()
@@ -283,9 +242,9 @@ func main() {
 	mu.Unlock()
 	if failed > 0 {
 		fmt.Printf("datacollector %s: %d rounds served (%d completed, %d failed)\n",
-			*name, finalized, finalized-failed, failed)
+			name, finalized, finalized-failed, failed)
 	} else {
-		fmt.Printf("datacollector %s: %d rounds served\n", *name, finalized)
+		fmt.Printf("datacollector %s: %d rounds served\n", name, finalized)
 	}
 }
 

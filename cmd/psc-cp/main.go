@@ -19,75 +19,21 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"log"
-	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/engine"
-	"repro/internal/metrics"
-	"repro/internal/netem"
-	"repro/internal/spill"
 	"repro/internal/wire"
 )
 
 func main() {
-	tally := flag.String("tally", "127.0.0.1:7001", "tally server address")
-	name := flag.String("name", "cp-0", "computation party name")
-	id := flag.String("id", "", "pinned party identity (empty: the name)")
-	token := flag.String("token", "", "registration token binding the identity across reconnects (required to rejoin)")
-	pin := flag.String("pin", "", "tally SPKI fingerprint (hex) for TLS pinning; empty for plain TCP")
-	timeout := flag.Duration("timeout", 10*time.Second, "dial timeout")
-	reconnect := flag.Int("reconnect", 8, "max consecutive reconnect attempts before giving up")
-	metricsAddr := flag.String("metrics-addr", "", "serve the ops metrics registry over HTTP at this address (empty: disabled)")
-	spillDir := flag.String("spill-dir", "", "directory for the shuffle's bounded-residency scratch files (empty: system temp)")
-	streamWindow := flag.Int("stream-window", 0, "initial per-stream flow-control window in bytes (0: wire default, 1 MiB); negotiated per direction with revision-aware peers")
-	netemSpec := flag.String("netem", "", "WAN emulation profile shaping the tally connection (lan, wan-good, wan-tor, or key=value spec; empty: none)")
-	adaptiveWindow := flag.Bool("adaptive-window", true, "autotune stream windows toward the measured bandwidth-delay product (AIMD; active only with negotiation-aware peers)")
-	windowCap := flag.Int("window-cap", 0, "adaptive stream-window growth bound in bytes (0: wire default, 16 MiB)")
-	flag.Parse()
-
-	if *spillDir != "" {
-		spill.SetDir(*spillDir)
-	}
-	tlsCfg, err := wire.ClientTLSPin(*pin)
-	if err != nil {
-		log.Fatalf("psc-cp %s: %v", *name, err)
-	}
-	if *metricsAddr != "" {
-		addr, _, err := metrics.Serve(*metricsAddr, metrics.Default())
-		if err != nil {
-			log.Fatalf("psc-cp %s: %v", *name, err)
-		}
-		fmt.Printf("psc-cp %s: metrics on http://%s/metrics\n", *name, addr)
-	}
-	var connOpts []wire.Option
-	if *streamWindow > 0 {
-		connOpts = append(connOpts, wire.WithWindow(*streamWindow))
-	}
-	if *adaptiveWindow {
-		connOpts = append(connOpts, wire.WithAdaptiveWindow(*windowCap))
-	}
-	if p, err := netem.ParseProfile(*netemSpec); err != nil {
-		log.Fatalf("psc-cp %s: %v", *name, err)
-	} else if p != nil {
-		connOpts = append(connOpts, netem.WireOption(*p))
-	}
-	hello := engine.Hello{Role: engine.RoleCP, Name: *name, ID: *id, Token: *token}
-	dial := func() (*wire.Session, error) {
-		conn, err := wire.Dial(*tally, tlsCfg, *timeout, connOpts...)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("psc-cp %s: connected to %s\n", *name, *tally)
-		return wire.NewSession(conn, true), nil
-	}
-	err = engine.ReconnectLoop(dial, func(sess *wire.Session) error {
-		return engine.ServeCPAs(sess, hello, nil)
-	}, *reconnect, func(format string, args ...any) {
-		log.Printf("psc-cp "+*name+": "+format, args...)
+	p := daemon.PartyFlags(daemon.Spec{
+		Prog: "psc-cp", Role: engine.RoleCP,
+		DefaultName: "cp-0", NameHelp: "computation party name",
+		ReconnectHelp: "max consecutive reconnect attempts before giving up",
+		SpillHelp:     "directory for the shuffle's bounded-residency scratch files (empty: system temp)",
 	})
-	if err != nil {
-		log.Fatalf("psc-cp %s: %v", *name, err)
-	}
-	fmt.Printf("psc-cp %s: session closed by tally\n", *name)
+	flag.Parse()
+	p.Main(func(sess *wire.Session, hello engine.Hello) error {
+		return engine.ServeCPAs(sess, hello, nil)
+	})
 }

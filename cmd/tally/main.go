@@ -55,13 +55,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/dp"
 	"repro/internal/engine"
-	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/privcount"
 	"repro/internal/psc"
-	"repro/internal/spill"
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
@@ -93,34 +91,17 @@ func main() {
 	roundDeadline := flag.Duration("round-deadline", 0, "abort any round not finished within this duration (0: none)")
 	budget := flag.Int("budget", 0, "refuse rounds beyond N times the per-round study (ε,δ) budget (0: unlimited)")
 	budgetFile := flag.String("budget-file", "", "JSON ledger persisting spent budget across restarts (written on every spend)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the ops metrics registry over HTTP at this address (empty: disabled)")
-	spillDir := flag.String("spill-dir", "", "directory for bounded-residency tally scratch files (empty: system temp)")
-	streamWindow := flag.Int("stream-window", 0, "initial per-stream flow-control window in bytes (0: wire default, 1 MiB); negotiated per direction with revision-aware peers")
-	netemSpec := flag.String("netem", "", "WAN emulation profile shaping every connection (lan, wan-good, wan-tor, or key=value spec; empty: none)")
-	adaptiveWindow := flag.Bool("adaptive-window", true, "autotune stream windows toward the measured bandwidth-delay product (AIMD; active only with negotiation-aware peers)")
-	windowCap := flag.Int("window-cap", 0, "adaptive stream-window growth bound in bytes (0: wire default, 16 MiB)")
+	common := daemon.CommonFlags("every connection", "directory for bounded-residency tally scratch files (empty: system temp)")
 	rejoinGrace := flag.Duration("rejoin-grace", 0, "how long a round waits for a dropped party to rejoin before degrading (0: degrade immediately)")
 	quorumSpec := flag.String("quorum", "", "DC quorum, e.g. dcs=2: rounds complete degraded with at least this many DCs (empty: all DCs required)")
 	flag.Parse()
 
-	if *spillDir != "" {
-		spill.SetDir(*spillDir)
-	}
-	var connOpts []wire.Option
-	if *streamWindow > 0 {
-		connOpts = append(connOpts, wire.WithWindow(*streamWindow))
-	}
-	if *adaptiveWindow {
-		connOpts = append(connOpts, wire.WithAdaptiveWindow(*windowCap))
-	}
-	if p, err := netem.ParseProfile(*netemSpec); err != nil {
+	connOpts, err := common.Start("tally")
+	if err != nil {
 		log.Fatalf("tally: %v", err)
-	} else if p != nil {
-		connOpts = append(connOpts, netem.WireOption(*p))
 	}
 	var tlsCfg *wire.Identity
 	var ln wire.Listener
-	var err error
 	if *useTLS {
 		tlsCfg, err = wire.GenerateIdentity("tally", 24*time.Hour)
 		if err != nil {
@@ -188,13 +169,6 @@ func main() {
 			}
 		}
 		eng.SetAccountant(acct)
-	}
-	if *metricsAddr != "" {
-		addr, _, err := metrics.Serve(*metricsAddr, metrics.Default())
-		if err != nil {
-			log.Fatal(err)
-		}
-		printf("tally: metrics on http://%s/metrics\n", addr)
 	}
 	// The accept loop runs for the daemon's whole life: after the fleet
 	// assembles, further sessions are rejoining daemons re-registering

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/tls"
 	"fmt"
 	"sync"
 	"testing"
@@ -18,6 +19,31 @@ import (
 // real TCP sockets (loopback), optionally under TLS with pinned keys —
 // the same code path as the cmd/ binaries, without process spawning.
 
+// listenRole opens a loopback listener for one party role and accepts n
+// connections on it in the background. Tally.Run takes its messengers
+// positionally (share keepers or computation parties first, then data
+// collectors), so each role dials its own listener and the caller
+// drains the returned channels in role order.
+func listenRole(t *testing.T, tlsCfg *tls.Config, n int) (addr string, accepted <-chan *wire.Conn) {
+	t.Helper()
+	ln, err := wire.Listen("127.0.0.1:0", tlsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ch := make(chan *wire.Conn, n)
+	go func() {
+		for i := 0; i < n; i++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			ch <- c
+		}
+	}()
+	return ln.Addr().String(), ch
+}
+
 // TestPrivCountOverTCPWithTLS runs a complete PrivCount round where
 // every party dials the tally server over TLS and authenticates it by
 // pinned SPKI.
@@ -26,13 +52,10 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := wire.Listen("127.0.0.1:0", id.ServerTLS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-	clientTLS := func() *wire.Conn {
+	const numDCs, numSKs = 4, 2
+	skAddr, skAccepted := listenRole(t, id.ServerTLS(), numSKs)
+	dcAddr, dcAccepted := listenRole(t, id.ServerTLS(), numDCs)
+	clientTLS := func(addr string) *wire.Conn {
 		c, err := wire.Dial(addr, wire.ClientTLS(id.SPKI()), 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -40,7 +63,6 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 		return c
 	}
 
-	const numDCs, numSKs = 4, 2
 	statsCfg := []privcount.StatConfig{
 		{Name: "events", Bins: []string{"a", "b"}, Sigma: 0},
 	}
@@ -50,18 +72,6 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Accept server-side connections.
-	acceptedCh := make(chan *wire.Conn, numDCs+numSKs)
-	go func() {
-		for i := 0; i < numDCs+numSKs; i++ {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			acceptedCh <- c
-		}
-	}()
 
 	// TLS handshakes complete lazily on the server side (the tally
 	// reads only once it runs), so every party must dial in its own
@@ -74,7 +84,7 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 		skWG.Add(1)
 		go func() {
 			defer skWG.Done()
-			sk, err := privcount.NewSK(fmt.Sprintf("sk-%d", i), clientTLS())
+			sk, err := privcount.NewSK(fmt.Sprintf("sk-%d", i), clientTLS(skAddr))
 			if err != nil {
 				t.Errorf("sk new: %v", err)
 				return
@@ -89,7 +99,7 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 		setupWG.Add(1)
 		go func() {
 			defer setupWG.Done()
-			dc := privcount.NewDC(fmt.Sprintf("dc-%d", i), clientTLS(), nil)
+			dc := privcount.NewDC(fmt.Sprintf("dc-%d", i), clientTLS(dcAddr), nil)
 			if err := dc.Setup(); err != nil {
 				t.Errorf("dc: %v", err)
 				return
@@ -101,8 +111,11 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 	tsConns := make([]wire.Messenger, 0, numDCs+numSKs)
 	resCh := make(chan map[string][]float64, 1)
 	go func() {
-		for i := 0; i < numDCs+numSKs; i++ {
-			tsConns = append(tsConns, <-acceptedCh)
+		for i := 0; i < numSKs; i++ {
+			tsConns = append(tsConns, <-skAccepted)
+		}
+		for i := 0; i < numDCs; i++ {
+			tsConns = append(tsConns, <-dcAccepted)
 		}
 		res, err := tally.Run(tsConns)
 		if err != nil {
@@ -160,14 +173,9 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 // TestPSCOverTCP runs a complete PSC round over plain TCP loopback with
 // proofs enabled and verifies the estimator output.
 func TestPSCOverTCP(t *testing.T) {
-	ln, err := wire.Listen("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-
 	const numDCs, numCPs = 3, 2
+	cpAddr, cpAccepted := listenRole(t, nil, numCPs)
+	dcAddr, dcAccepted := listenRole(t, nil, numDCs)
 	cfg := psc.Config{
 		Round: 9, Bins: 1024, NoisePerCP: 16,
 		ShuffleProofRounds: 2, NumDCs: numDCs, NumCPs: numCPs,
@@ -176,17 +184,7 @@ func TestPSCOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acceptedCh := make(chan *wire.Conn, numDCs+numCPs)
-	go func() {
-		for i := 0; i < numDCs+numCPs; i++ {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			acceptedCh <- c
-		}
-	}()
-	dial := func() *wire.Conn {
+	dial := func(addr string) *wire.Conn {
 		c, err := wire.Dial(addr, nil, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +194,7 @@ func TestPSCOverTCP(t *testing.T) {
 
 	var cpWG, setupWG sync.WaitGroup
 	for i := 0; i < numCPs; i++ {
-		cp := psc.NewCP(fmt.Sprintf("cp-%d", i), dial(), nil)
+		cp := psc.NewCP(fmt.Sprintf("cp-%d", i), dial(cpAddr), nil)
 		cpWG.Add(1)
 		go func() {
 			defer cpWG.Done()
@@ -207,7 +205,7 @@ func TestPSCOverTCP(t *testing.T) {
 	}
 	dcs := make([]*psc.DC, numDCs)
 	for i := range dcs {
-		dcs[i] = psc.NewDC(fmt.Sprintf("dc-%d", i), dial())
+		dcs[i] = psc.NewDC(fmt.Sprintf("dc-%d", i), dial(dcAddr))
 		setupWG.Add(1)
 		go func(dc *psc.DC) {
 			defer setupWG.Done()
@@ -217,8 +215,11 @@ func TestPSCOverTCP(t *testing.T) {
 		}(dcs[i])
 	}
 	tsConns := make([]wire.Messenger, 0, numDCs+numCPs)
-	for i := 0; i < numDCs+numCPs; i++ {
-		tsConns = append(tsConns, <-acceptedCh)
+	for i := 0; i < numCPs; i++ {
+		tsConns = append(tsConns, <-cpAccepted)
+	}
+	for i := 0; i < numDCs; i++ {
+		tsConns = append(tsConns, <-dcAccepted)
 	}
 	resCh := make(chan psc.Result, 1)
 	go func() {

@@ -265,7 +265,7 @@ func (e *Engine) reopenFor(r *Round, m *member) *wire.Stream {
 type QuorumPolicy struct {
 	// MinDCs is the minimum number of selected data collectors that
 	// must contribute for a round to complete. Zero means all selected
-	// DCs are required (the strict pre-churn behavior).
+	// DCs are required.
 	MinDCs int
 }
 
@@ -286,8 +286,8 @@ func (e *Engine) SetQuorum(q QuorumPolicy) {
 }
 
 // ParseQuorum parses an operator quorum spec: "dcs=K" (or the bare
-// integer K) sets MinDCs=K; the empty string is the strict
-// all-required policy.
+// integer K) sets MinDCs=K; the empty string is the all-required
+// policy.
 func ParseQuorum(spec string) (QuorumPolicy, error) {
 	var q QuorumPolicy
 	if spec == "" {

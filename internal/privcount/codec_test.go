@@ -102,7 +102,7 @@ func TestChunkStreamCopiesOnce(t *testing.T) {
 	// Warm both directions, so the connection's own buffers are not in
 	// the measurement.
 	go sendValues(a, vals[:ChunkSlots])
-	if _, err := recvValues(b, ChunkSlots); err != nil {
+	if _, err := recvAll(b, ChunkSlots); err != nil {
 		t.Fatal(err)
 	}
 

@@ -189,26 +189,10 @@ func (c *Counters) AddNoise(gaussian func(sigma float64) float64, weight float64
 	}
 }
 
-// Aggregate sums report vectors mod 2⁶⁴ and decodes fixed point. Inputs
-// are the DC reports (blinded counts plus noise) and the SK sums
-// (negated blinding totals); their modular sum telescopes to counts
-// plus noise.
-func Aggregate(schema *Schema, vectors ...[]uint64) (map[string][]float64, error) {
-	sum := make([]uint64, schema.Size())
-	for _, v := range vectors {
-		if len(v) != len(sum) {
-			return nil, fmt.Errorf("privcount: aggregate vector length %d, want %d", len(v), len(sum))
-		}
-		for i, x := range v {
-			sum[i] += x
-		}
-	}
-	return AggregateSum(schema, sum)
-}
-
-// AggregateSum decodes an already-telescoped modular accumulator — the
-// streaming tolerant flow folds every report and blinding vector into
-// one sum chunk-wise instead of buffering them, then decodes it here.
+// AggregateSum decodes a telescoped modular accumulator from fixed
+// point. The tally folds every DC report (blinded counts plus noise)
+// and every SK sum (negated blinding totals) into one sum mod 2⁶⁴
+// chunk-wise; the blinding cancels, leaving counts plus noise.
 func AggregateSum(schema *Schema, sum []uint64) (map[string][]float64, error) {
 	if len(sum) != schema.Size() {
 		return nil, fmt.Errorf("privcount: aggregate sum length %d, want %d", len(sum), schema.Size())

@@ -16,7 +16,9 @@
 //
 //   - TallyConfig / Tally: one round from the TS's perspective,
 //     including the MinDCs quorum floor and the engine's Recover
-//     callback; Tally.Absent annotates a degraded round.
+//     callback; Tally.Absent annotates a degraded round. Run has one
+//     flow: it takes its messengers positionally (SKs first, then
+//     DCs) and puts every DC failure to Recover.
 //   - DC: the per-relay collector — Setup distributes sealed blinding
 //     seeds and blinds with their expansions, Increment counts events,
 //     Finish reports noised blinded totals.
@@ -69,8 +71,8 @@
 //     a DC addressed exactly one box to every SK and relays them.
 //   - A round may complete without a DC (its counts, blinds, and noise
 //     share are all excluded) but never without an SK.
-//   - The tolerant flow's TS residency is one schema-sized modular
-//     accumulator plus O(chunk) per in-flight stream: DC reports are
+//   - The TS's residency is one schema-sized modular accumulator
+//     plus O(chunk) per in-flight stream: DC reports are
 //     collected concurrently, each buffered whole on spill storage
 //     (internal/spill) and folded into the striped accumulator only
 //     once complete — a DC that dies mid-report contributes nothing,

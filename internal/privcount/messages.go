@@ -68,25 +68,10 @@ func sendValues(m wire.Messenger, v []uint64) error {
 	})
 }
 
-// recvValues collects a chunked vector of n slots.
-func recvValues(m wire.Messenger, n int) ([]uint64, error) {
-	out := make([]uint64, n)
-	err := recvValuesFunc(m, n, func(off int, raw []byte) error {
-		for i := range len(raw) / 8 {
-			out[off+i] = binary.LittleEndian.Uint64(raw[8*i:])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // recvValuesFunc consumes chunk frames until n slots have arrived,
 // invoking fn with each chunk's raw slots (eight little-endian bytes
-// apiece) as it lands — for callers that fold or spill the vector
-// instead of buffering it whole. Chunks must tile [0, n) in order.
+// apiece) as it lands, so callers fold or spill the vector instead of
+// buffering it whole. Chunks must tile [0, n) in order.
 func recvValuesFunc(m wire.Messenger, n int, fn func(off int, raw []byte) error) error {
 	for off := 0; off < n; {
 		var c ValueChunkMsg
@@ -176,8 +161,9 @@ type ReportMsg struct {
 // data collectors whose reports the tally actually holds: the SK sums
 // exactly those DCs' blinding shares, so a DC that distributed shares
 // but never reported (churn, crash) is excluded on both sides of the
-// telescoping sum instead of corrupting the aggregate. An empty list
-// means all DCs whose vectors completed (the pre-churn wire format).
+// telescoping sum instead of corrupting the aggregate. The list is
+// never implicit: an SK refuses a collect naming fewer DCs than the
+// round's quorum floor, an empty list included.
 type CollectMsg struct {
 	Round uint64
 	DCs   []string

@@ -1,6 +1,7 @@
 package privcount
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -318,7 +319,7 @@ func TestDCReportIsBlinded(t *testing.T) {
 	go func() {
 		var rep ReportMsg
 		tsSide.Expect(kindReport, &rep)
-		vals, _ := recvValues(tsSide, rep.N)
+		vals, _ := recvAll(tsSide, rep.N)
 		done <- vals
 	}()
 	if err := dc.Finish(); err != nil {
@@ -347,7 +348,7 @@ func TestMissingSKSumsBreaksUnblinding(t *testing.T) {
 	c.AddBlinding(sharesB)
 
 	// With both SK sums, exact recovery.
-	full, err := Aggregate(schema, c.vals, negate(sharesA), negate(sharesB))
+	full, err := AggregateSum(schema, sumMod(c.vals, negate(sharesA), negate(sharesB)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,13 +356,37 @@ func TestMissingSKSumsBreaksUnblinding(t *testing.T) {
 		t.Fatalf("full unblinding failed: %v", full["s"][0])
 	}
 	// Missing one SK leaves a uniformly random residue.
-	partial, err := Aggregate(schema, c.vals, negate(sharesA))
+	partial, err := AggregateSum(schema, sumMod(c.vals, negate(sharesA)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(partial["s"][0]-1000) < 1e6 {
 		t.Fatalf("partial unblinding recovered the count: %v", partial["s"][0])
 	}
+}
+
+// sumMod adds equal-length vectors slot-wise mod 2⁶⁴ — the telescoping
+// sum the tally's accumulator computes chunk by chunk.
+func sumMod(vectors ...[]uint64) []uint64 {
+	sum := make([]uint64, len(vectors[0]))
+	for _, v := range vectors {
+		for i, x := range v {
+			sum[i] += x
+		}
+	}
+	return sum
+}
+
+// recvAll collects a whole chunked vector of n slots.
+func recvAll(m wire.Messenger, n int) ([]uint64, error) {
+	out := make([]uint64, n)
+	err := recvValuesFunc(m, n, func(off int, raw []byte) error {
+		for i := range len(raw) / 8 {
+			out[off+i] = binary.LittleEndian.Uint64(raw[8*i:])
+		}
+		return nil
+	})
+	return out, err
 }
 
 func negate(v []uint64) []uint64 {
@@ -407,30 +432,9 @@ func TestIncrementBeforeSetupFails(t *testing.T) {
 	}
 }
 
-func TestNoiseWeightsNormalized(t *testing.T) {
-	stats := []StatConfig{{Name: "s", Bins: []string{""}}}
-	tally, _ := NewTally(TallyConfig{
-		Round: 1, Stats: stats, NumDCs: 3, NumSKs: 1,
-		NoiseWeights: map[string]float64{"a": 2, "b": 2, "c": 0},
-	})
-	w := tally.normalizedWeights([]string{"a", "b", "c"})
-	if math.Abs(w["a"]-0.5) > 1e-12 || math.Abs(w["c"]) > 1e-12 {
-		t.Fatalf("weights: %+v", w)
-	}
-	// Degenerate all-zero weights fall back to equal.
-	tally2, _ := NewTally(TallyConfig{
-		Round: 1, Stats: stats, NumDCs: 2, NumSKs: 1,
-		NoiseWeights: map[string]float64{"a": 0, "b": 0},
-	})
-	w2 := tally2.normalizedWeights([]string{"a", "b"})
-	if math.Abs(w2["a"]-0.5) > 1e-12 {
-		t.Fatalf("fallback weights: %+v", w2)
-	}
-}
-
 func TestAggregateLengthMismatch(t *testing.T) {
 	schema, _ := NewSchema([]StatConfig{{Name: "s", Bins: []string{""}}})
-	if _, err := Aggregate(schema, []uint64{1, 2}); err == nil {
+	if _, err := AggregateSum(schema, []uint64{1, 2}); err == nil {
 		t.Fatal("length mismatch must fail")
 	}
 }

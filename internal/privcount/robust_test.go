@@ -12,6 +12,10 @@ import (
 // misbehaving parties with a clear error instead of producing a bogus
 // aggregate.
 
+// tallyWith runs a tally over pipes and hands the party ends to
+// parties, in Run's positional order: SKs first, then DCs. It returns
+// Run's error after closing every connection, so party goroutines the
+// test left running unwind.
 func tallyWith(t *testing.T, cfg TallyConfig, parties func(conns []*wire.Conn)) error {
 	t.Helper()
 	tally, err := NewTally(cfg)
@@ -29,7 +33,38 @@ func tallyWith(t *testing.T, cfg TallyConfig, parties func(conns []*wire.Conn)) 
 		done <- err
 	}()
 	parties(partyConns)
-	return <-done
+	err = <-done
+	for _, c := range tsConns {
+		c.Close()
+	}
+	return err
+}
+
+// serveSK runs a real share keeper on c; it errors out when the round
+// aborts, which the rejection tests ignore.
+func serveSK(c *wire.Conn) {
+	sk, _ := NewSK("sk", c)
+	go sk.Serve()
+}
+
+// shareAs plays a DC's setup by hand: register under name, take the
+// configuration, and send one valid sealed seed per SK. It returns the
+// slot count the round was configured for, or false if the tally hung
+// up first.
+func shareAs(c *wire.Conn, name string) (slots int, ok bool) {
+	c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: name})
+	var cfg ConfigureMsg
+	if c.Expect(kindConfigure, &cfg) != nil {
+		return 0, false
+	}
+	schema, _ := newSchema(cfg.Shapes)
+	boxes := map[string][]byte{}
+	for _, skName := range cfg.SKNames {
+		box, _ := Seal(cfg.SKKeys[skName], newSeed())
+		boxes[skName] = box
+	}
+	c.Send(kindShares, SharesMsg{From: name, N: schema.Size(), Boxes: boxes})
+	return schema.Size(), true
 }
 
 var oneStat = []StatConfig{{Name: "s", Bins: []string{""}, Sigma: 0}}
@@ -39,16 +74,21 @@ func TestTallyRejectsUnknownRole(t *testing.T) {
 		func(conns []*wire.Conn) {
 			conns[0].Send(kindRegister, RegisterMsg{Role: "mallory", Name: "m"})
 		})
-	if err == nil || !strings.Contains(err.Error(), "unknown role") {
-		t.Fatalf("want unknown-role error, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), `registered as "mallory"`) {
+		t.Fatalf("want unknown-role rejection, got %v", err)
 	}
 }
 
 func TestTallyRejectsDuplicateDCNames(t *testing.T) {
 	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 2, NumSKs: 1},
 		func(conns []*wire.Conn) {
-			conns[0].Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "same"})
-			conns[1].Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "same"})
+			serveSK(conns[0])
+			// DCs set up one at a time: the first completes its share
+			// distribution before the second's registration is read.
+			if _, ok := shareAs(conns[1], "same"); !ok {
+				return
+			}
+			conns[2].Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "same"})
 		})
 	if err == nil || !strings.Contains(err.Error(), "duplicate DC") {
 		t.Fatalf("want duplicate-DC error, got %v", err)
@@ -66,53 +106,46 @@ func TestTallyRejectsSKWithoutKey(t *testing.T) {
 }
 
 func TestTallyRejectsWrongRoleCounts(t *testing.T) {
-	// Two SKs registered where one DC + one SK expected.
+	// Two SKs registered where one SK + one DC expected: the second
+	// sits in the DC position.
 	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 1, NumSKs: 1},
 		func(conns []*wire.Conn) {
-			var wg sync.WaitGroup
-			for i, c := range conns {
-				wg.Add(1)
-				go func(i int, c *wire.Conn) {
-					defer wg.Done()
-					key, _ := NewSealKey()
-					c.Send(kindRegister, RegisterMsg{
-						Role: RoleSK, Name: skNameFor(i), SealPub: key.Public(),
-					})
-				}(i, c)
-			}
-			wg.Wait()
+			serveSK(conns[0])
+			key, _ := NewSealKey()
+			conns[1].Send(kindRegister, RegisterMsg{Role: RoleSK, Name: "sk-2", SealPub: key.Public()})
 		})
-	if err == nil || !strings.Contains(err.Error(), "registered") {
-		t.Fatalf("want count-mismatch error, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), `party 1 registered as "sk", want "dc"`) {
+		t.Fatalf("want wrong-role rejection of party 1, got %v", err)
 	}
 }
 
-func skNameFor(i int) string { return string(rune('a'+i)) + "-sk" }
+// TestTallyRejectsMisorderedParties: Run's slice is positional, so a DC
+// where an SK belongs is rejected at registration instead of being
+// sorted out by role.
+func TestTallyRejectsMisorderedParties(t *testing.T) {
+	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 1, NumSKs: 1},
+		func(conns []*wire.Conn) {
+			serveSK(conns[1])
+			conns[0].Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "dc"})
+		})
+	if err == nil || !strings.Contains(err.Error(), `party 0 registered as "dc", want "sk"`) {
+		t.Fatalf("want wrong-role rejection of party 0, got %v", err)
+	}
+}
 
 func TestTallyRejectsWrongRoundReport(t *testing.T) {
 	err := tallyWith(t, TallyConfig{Round: 5, Stats: oneStat, NumDCs: 1, NumSKs: 1},
 		func(conns []*wire.Conn) {
-			// Run a real SK.
-			sk, _ := NewSK("sk", conns[1])
-			go sk.Serve()
+			serveSK(conns[0])
 			// A DC that reports the wrong round.
-			c := conns[0]
-			c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "dc"})
-			var cfg ConfigureMsg
-			if c.Expect(kindConfigure, &cfg) != nil {
+			c := conns[1]
+			slots, ok := shareAs(c, "dc")
+			if !ok {
 				return
 			}
-			// Send minimal valid shares.
-			schema, _ := newSchema(cfg.Shapes)
-			boxes := map[string][]byte{}
-			for _, skName := range cfg.SKNames {
-				box, _ := Seal(cfg.SKKeys[skName], newSeed())
-				boxes[skName] = box
-			}
-			c.Send(kindShares, SharesMsg{From: "dc", N: schema.Size(), Boxes: boxes})
 			var begin BeginMsg
 			c.Expect(kindBegin, &begin)
-			c.Send(kindReport, ReportMsg{From: "dc", Round: 99, N: schema.Size()})
+			c.Send(kindReport, ReportMsg{From: "dc", Round: 99, N: slots})
 		})
 	if err == nil || !strings.Contains(err.Error(), "round") {
 		t.Fatalf("want round-mismatch error, got %v", err)
@@ -122,9 +155,8 @@ func TestTallyRejectsWrongRoundReport(t *testing.T) {
 func TestTallyRejectsMissingBox(t *testing.T) {
 	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 1, NumSKs: 1},
 		func(conns []*wire.Conn) {
-			sk, _ := NewSK("sk", conns[1])
-			go sk.Serve() // will fail when the round aborts; ignore
-			c := conns[0]
+			serveSK(conns[0])
+			c := conns[1]
 			c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "dc"})
 			var cfg ConfigureMsg
 			if c.Expect(kindConfigure, &cfg) != nil {
@@ -136,6 +168,97 @@ func TestTallyRejectsMissingBox(t *testing.T) {
 		})
 	if err == nil || !strings.Contains(err.Error(), "boxes") {
 		t.Fatalf("want missing-boxes error, got %v", err)
+	}
+}
+
+// TestNilRecoverFailsRoundOnDCLoss: with no Recover callback there is
+// no replacement and no absence, so a DC that drops its connection
+// mid-report fails the round with an error naming it — even though the
+// other DC reports in full — and no result is returned.
+func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
+	stats := []StatConfig{{Name: "s", Bins: make([]string, ChunkSlots+8), Sigma: 0}}
+	tally, err := NewTally(TallyConfig{Round: 3, Stats: stats, NumDCs: 2, NumSKs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsConns := make([]wire.Messenger, 3)
+	conns := make([]*wire.Conn, 3)
+	for i := range tsConns {
+		tsConns[i], conns[i] = wire.Pipe()
+	}
+	sk, _ := NewSK("sk", conns[0])
+	good := NewDC("dc-good", conns[1], nil)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		sk.Serve() // errors when the round aborts; ignored
+	}()
+	go func() {
+		defer wg.Done()
+		if good.Setup() != nil {
+			return
+		}
+		good.Increment("s", 0, 1)
+		good.Finish()
+	}()
+	go func() {
+		// The dying DC announces a two-chunk report, sends the first
+		// chunk, and hangs up.
+		defer wg.Done()
+		c := conns[2]
+		defer c.Close()
+		slots, ok := shareAs(c, "dc-dying")
+		if !ok {
+			return
+		}
+		var begin BeginMsg
+		if c.Expect(kindBegin, &begin) != nil {
+			return
+		}
+		c.Send(kindReport, ReportMsg{From: "dc-dying", Round: 3, N: slots})
+		c.Send(kindChunk, ValueChunkMsg{Off: 0, Raw: make([]byte, 8*ChunkSlots)})
+	}()
+
+	res, err := tally.Run(tsConns)
+	if err == nil || !strings.Contains(err.Error(), "dc-dying") {
+		t.Fatalf("want an error naming the lost DC, got %v", err)
+	}
+	if res != nil || tally.Absent() != nil {
+		t.Fatalf("failed round returned a result: %v (absent %v)", res, tally.Absent())
+	}
+	for _, c := range tsConns {
+		c.Close()
+	}
+	wg.Wait()
+}
+
+// TestSKRefusesCollectWithoutDCList: the collect DC list is never
+// implicit. A TS that relays a single DC's seed and then collects with
+// no list (nil and empty are the same frame) must be refused like any
+// other list below the quorum floor, and no sums frame may follow —
+// otherwise it receives that one DC's negated blinding and can unblind
+// its report alone.
+func TestSKRefusesCollectWithoutDCList(t *testing.T) {
+	for _, dcs := range [][]string{nil, {}} {
+		tsSide, pub, done := skHarness(t, ConfigureMsg{Round: 1, Slots: 1, NumDCs: 2})
+		box, _ := Seal(pub, newSeed())
+		tsSide.Send(kindRelay, RelayMsg{From: "dc-0", N: 1, Box: box})
+		tsSide.Send(kindCollect, CollectMsg{Round: 1, DCs: dcs})
+		answered := make(chan error, 1)
+		go func() {
+			var sums SumsMsg
+			answered <- tsSide.Expect(kindSums, &sums)
+		}()
+		select {
+		case err := <-answered:
+			t.Fatalf("collect with DC list %#v was answered (sums frame error: %v)", dcs, err)
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "quorum floor") {
+				t.Fatalf("collect with DC list %#v: want quorum-floor refusal, got %v", dcs, err)
+			}
+		}
+		tsSide.Close()
 	}
 }
 
@@ -248,7 +371,7 @@ func TestSKSeedReplacedOnDCRestart(t *testing.T) {
 	if err := tsSide.Expect(kindSums, &sums); err != nil {
 		t.Fatal(err)
 	}
-	got, err := recvValues(tsSide, sums.N)
+	got, err := recvAll(tsSide, sums.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +385,8 @@ func TestSKSeedReplacedOnDCRestart(t *testing.T) {
 	}
 }
 
-// TestTolerantNoiseWeightProvisionsQuorumFloor: the churn-aware flow
-// must hand every DC 1/MinDCs of the noise responsibility, not
+// TestTolerantNoiseWeightProvisionsQuorumFloor: the tally must hand
+// every DC 1/MinDCs of the noise responsibility, not
 // 1/NumDCs — an absent DC's noise share travels in its never-sent
 // report, so quorum-floor weights are what keep a round degraded to
 // MinDCs reporting DCs at (or above) the calibrated Gaussian sigma.
@@ -285,7 +408,7 @@ func TestTolerantNoiseWeightProvisionsQuorumFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := tally.weightFor("any"); got != tc.want {
+		if got := tally.weightFor(); got != tc.want {
 			t.Errorf("weightFor with %d DCs, quorum floor %d = %v, want %v",
 				tc.numDCs, tc.minDCs, got, tc.want)
 		}

@@ -293,11 +293,15 @@ func FuzzSharesRelayCodec(f *testing.F) {
 			}
 		}
 
-		// SK: an answered collect is a full-length sums vector.
+		// SK: an answered collect is a full-length sums vector. The
+		// collect names whichever DC the payload claims to come from
+		// (an undecodable payload fails at the relay frame anyway).
+		var from RelayMsg
+		wire.DecodePayload(payload, &from)
 		conn := &scriptConn{}
 		conn.push(kindConfigure, ConfigureMsg{Round: 1, Slots: slots, NumDCs: 1})
 		conn.in = append(conn.in, wire.Frame{Kind: kindRelay, Payload: payload})
-		conn.push(kindCollect, CollectMsg{Round: 1})
+		conn.push(kindCollect, CollectMsg{Round: 1, DCs: []string{from.From}})
 		if err := sk.ServeRound(conn); err == nil {
 			var sums SumsMsg
 			if len(conn.sent) != 3 || conn.sent[1].Kind != kindSums ||

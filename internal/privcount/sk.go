@@ -101,28 +101,20 @@ func (sk *SK) ServeRound(m wire.Messenger) error {
 		seeds[relay.From] = seed
 	}
 
-	include := collect.DCs
-	if include == nil {
-		// Pre-churn collect: every DC that shared participates.
-		for name := range seeds {
-			include = append(include, name)
-		}
-	} else {
-		// The TS may exclude DCs that never reported, but never below
-		// the quorum floor it declared at configure time: a smaller list
-		// would let it isolate individual DCs' counters with only their
-		// fraction of the calibrated noise.
-		floor := cfg.MinDCs
-		if floor <= 0 {
-			floor = cfg.NumDCs
-		}
-		if len(include) < floor {
-			return fmt.Errorf("privcount sk %s: collect names %d DCs, below the declared quorum floor %d",
-				sk.Name, len(include), floor)
-		}
+	// The TS may exclude DCs that never reported, but never below the
+	// quorum floor it declared at configure time: a smaller list — an
+	// absent or empty one included — would let it isolate individual
+	// DCs' counters with only their fraction of the calibrated noise.
+	floor := cfg.MinDCs
+	if floor <= 0 {
+		floor = cfg.NumDCs
+	}
+	if len(collect.DCs) < floor {
+		return fmt.Errorf("privcount sk %s: collect names %d DCs, below the declared quorum floor %d",
+			sk.Name, len(collect.DCs), floor)
 	}
 	sums := make([]uint64, size)
-	for _, name := range include {
+	for _, name := range collect.DCs {
 		seed, ok := seeds[name]
 		if !ok {
 			return fmt.Errorf("privcount sk %s: collect names DC %s, which shared no seed", sk.Name, name)

@@ -16,27 +16,23 @@ type TallyConfig struct {
 	// NumDCs and NumSKs are how many of each party must participate.
 	// The paper deploys 16 DCs and 3 SKs (§3.1).
 	NumDCs, NumSKs int
-	// NoiseWeights optionally assigns each DC (by name) its share of
-	// the noise responsibility; weights are normalized. Nil means equal
-	// shares.
-	NoiseWeights map[string]float64
-	// MinDCs is the quorum floor for data collectors: when Recover is
-	// set, the round completes (with reduced coverage and noise,
-	// annotated via Absent) as long as at least MinDCs reports arrive.
-	// Zero means every DC is required. SKs have no quorum knob: each
-	// holds blinding state the aggregate cannot telescope without.
+	// MinDCs is the quorum floor for data collectors: the round
+	// completes (with reduced coverage, annotated via Absent) as long
+	// as at least MinDCs reports arrive and Recover declares the rest
+	// absent. Zero means every DC is required. SKs have no quorum knob:
+	// each holds blinding state the aggregate cannot telescope without.
 	MinDCs int
-	// Recover, when set, is consulted whenever the exchange with the
-	// party at index i of the Run slice fails (the first NumSKs
-	// messengers must then be the SKs, the rest the DCs, which is how
-	// the engine orders them). canRetry reports that the DC's
-	// contribution barrier has not been passed — the begin signal has
-	// not gone out — so a replacement messenger can restart its
-	// register/configure/shares exchange (the SKs replace that DC's
-	// seed with the re-sent one). A nil replacement with absentOK=true
-	// declares the DC absent — its blinding shares are excluded from
-	// every SK's sum via the collect DC list; absentOK=false fails the
-	// round with the original error.
+	// Recover is consulted whenever the exchange with the DC at index
+	// i of the Run slice (SKs first, then DCs) fails. canRetry reports
+	// that the DC's contribution barrier has not been passed — the
+	// begin signal has not gone out — so a replacement messenger can
+	// restart its register/configure/shares exchange (the SKs replace
+	// that DC's seed with the re-sent one). A nil replacement with
+	// absentOK=true declares the DC absent — its blinding shares are
+	// excluded from every SK's sum via the collect DC list;
+	// absentOK=false fails the round with the original error. Nil
+	// Recover means no replacement and no absence: the first DC error
+	// fails the round.
 	Recover func(i int, name string, canRetry bool) (replacement wire.Messenger, absentOK bool)
 }
 
@@ -50,13 +46,6 @@ func (c TallyConfig) Validate() error {
 	}
 	if c.MinDCs < 0 || c.MinDCs > c.NumDCs {
 		return fmt.Errorf("privcount: DC quorum %d out of range for %d DCs", c.MinDCs, c.NumDCs)
-	}
-	if c.Recover != nil && len(c.NoiseWeights) > 0 {
-		// The tolerant flow configures DCs one at a time as they
-		// register, so per-name weights cannot be normalized over the
-		// round's actual DC set the way the strict flow does; silently
-		// under-noising the round would erode (ε,δ).
-		return fmt.Errorf("privcount: NoiseWeights are not supported with churn recovery; use equal weights")
 	}
 	_, err := NewSchema(c.Stats)
 	return err
@@ -87,6 +76,10 @@ func NewTally(cfg TallyConfig) (*Tally, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Recover == nil {
+		// No replacement, no absence: the first DC error fails the round.
+		cfg.Recover = func(int, string, bool) (wire.Messenger, bool) { return nil, false }
+	}
 	return &Tally{cfg: cfg, schema: schema, shapes: shapes}, nil
 }
 
@@ -99,129 +92,27 @@ func (t *Tally) Schema() *Schema { return t.schema }
 // reported and every SK has answered, then returns the aggregated
 // noisy statistics.
 //
+// Precondition: the slice is positional — the NumSKs SKs first, then
+// the NumDCs DCs (the engine orders them); a party registering with
+// the wrong role for its position fails the round.
+//
 // The protocol phases are strictly sequenced, matching the PrivCount
 // deployment: registration, configuration, share distribution (sealed
-// seeds relayed through the TS), collection, and aggregation. Without
-// cfg.Recover the messenger order is free and any party failure fails
-// the round; with it, the slice must be SKs first (see
-// TallyConfig.Recover) and DC failures degrade the round down to the
-// MinDCs quorum floor, with absent DCs excluded from both the report
-// sum and — via the collect DC list — every SK's blinding sum.
+// seeds relayed through the TS), collection, and aggregation. SKs are
+// all required — each holds irreplaceable blinding state. A DC failure
+// is put to cfg.Recover, which decides between a restart on a rejoined
+// session, a declared absence, and failing the round (a nil Recover
+// always fails it). Absent DCs are excluded from the aggregate on both
+// sides of the telescoping sum — the report sum and, via the collect
+// DC list, every SK's blinding sum; their noise shares are covered by
+// provisioning every DC's weight at the quorum floor (see weightFor),
+// so a degraded round never carries less than the calibrated sigma.
 func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 	if len(conns) != t.cfg.NumDCs+t.cfg.NumSKs {
 		return nil, fmt.Errorf("privcount ts: have %d connections, want %d DCs + %d SKs",
 			len(conns), t.cfg.NumDCs, t.cfg.NumSKs)
 	}
-	if t.cfg.Recover != nil {
-		return t.runTolerant(conns)
-	}
 
-	// Phase 1: registration.
-	dcConns := make(map[string]wire.Messenger)
-	skConns := make(map[string]wire.Messenger)
-	skKeys := make(map[string][]byte)
-	var dcNames, skNames []string
-	for _, c := range conns {
-		var reg RegisterMsg
-		if err := c.Expect(kindRegister, &reg); err != nil {
-			return nil, fmt.Errorf("privcount ts: registration: %w", err)
-		}
-		switch reg.Role {
-		case RoleDC:
-			if _, dup := dcConns[reg.Name]; dup {
-				return nil, fmt.Errorf("privcount ts: duplicate DC %q", reg.Name)
-			}
-			dcConns[reg.Name] = c
-			dcNames = append(dcNames, reg.Name)
-		case RoleSK:
-			if _, dup := skConns[reg.Name]; dup {
-				return nil, fmt.Errorf("privcount ts: duplicate SK %q", reg.Name)
-			}
-			if len(reg.SealPub) == 0 {
-				return nil, fmt.Errorf("privcount ts: SK %q registered without a seal key", reg.Name)
-			}
-			skConns[reg.Name] = c
-			skNames = append(skNames, reg.Name)
-			skKeys[reg.Name] = reg.SealPub
-		default:
-			return nil, fmt.Errorf("privcount ts: unknown role %q", reg.Role)
-		}
-	}
-	if len(dcConns) != t.cfg.NumDCs || len(skConns) != t.cfg.NumSKs {
-		return nil, fmt.Errorf("privcount ts: registered %d DCs and %d SKs, want %d and %d",
-			len(dcConns), len(skConns), t.cfg.NumDCs, t.cfg.NumSKs)
-	}
-
-	// Phase 2: configuration. Noise weights normalize to 1 across DCs.
-	weights := t.normalizedWeights(dcNames)
-	for _, name := range dcNames {
-		cfg := ConfigureMsg{
-			Round:       t.cfg.Round,
-			Shapes:      t.shapes,
-			NumDCs:      t.cfg.NumDCs,
-			SKNames:     skNames,
-			SKKeys:      skKeys,
-			NoiseWeight: weights[name],
-		}
-		if err := dcConns[name].Send(kindConfigure, cfg); err != nil {
-			return nil, fmt.Errorf("privcount ts: configure DC %s: %w", name, err)
-		}
-	}
-	for _, name := range skNames {
-		cfg := ConfigureMsg{Round: t.cfg.Round, Slots: t.schema.Size(), NumDCs: t.cfg.NumDCs, MinDCs: t.cfg.MinDCs}
-		if err := skConns[name].Send(kindConfigure, cfg); err != nil {
-			return nil, fmt.Errorf("privcount ts: configure SK %s: %w", name, err)
-		}
-	}
-
-	// Phase 3: share distribution. The TS relays each DC's sealed seeds;
-	// it never holds a key that opens them.
-	for _, name := range dcNames {
-		if err := t.relayShares(name, dcConns[name], skNames, skConns); err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 4: begin collection.
-	for _, name := range dcNames {
-		if err := dcConns[name].Send(kindBegin, BeginMsg{Round: t.cfg.Round}); err != nil {
-			return nil, fmt.Errorf("privcount ts: begin DC %s: %w", name, err)
-		}
-	}
-
-	// Phase 5: gather DC reports (sent whenever each DC finishes),
-	// chunked.
-	vectors := make([][]uint64, 0, len(conns))
-	for _, name := range dcNames {
-		vals, err := t.collectReport(name, dcConns[name])
-		if err != nil {
-			return nil, err
-		}
-		vectors = append(vectors, vals)
-	}
-
-	// Phase 6: collect SK sums, chunked.
-	sums, err := t.collectSums(skNames, skConns, nil)
-	if err != nil {
-		return nil, err
-	}
-	vectors = append(vectors, sums...)
-
-	// Phase 7: aggregate. Blinding telescopes; what remains is the true
-	// totals plus the DCs' combined Gaussian noise.
-	return Aggregate(t.schema, vectors...)
-}
-
-// runTolerant is the churn-aware flow installed by the engine: SKs
-// register positionally (all required — each holds irreplaceable
-// blinding state), then each DC's setup runs with the engine's
-// recovery callback deciding between a restart on a rejoined session,
-// a declared absence, and failing the round. Absent DCs are excluded
-// from the aggregate on both sides of the telescoping sum; their noise
-// shares are covered by provisioning every DC's weight at the quorum
-// floor (see weightFor), so a degraded round never carries less than
-// the calibrated sigma.
-func (t *Tally) runTolerant(conns []wire.Messenger) (map[string][]float64, error) {
 	// SKs: positional and protocol-critical.
 	skConns := make(map[string]wire.Messenger)
 	skKeys := make(map[string][]byte)
@@ -320,7 +211,7 @@ func (t *Tally) runTolerant(conns []wire.Messenger) (map[string][]float64, error
 	repOutcomes := make(chan reportOutcome, len(begun))
 	for _, d := range begun {
 		go func(d dcSlot) {
-			repOutcomes <- reportOutcome{d: d, err: t.collectReportInto(d.name, d.conn, acc)}
+			repOutcomes <- reportOutcome{d: d, err: t.collectReport(d.name, d.conn, acc)}
 		}(d)
 	}
 	var reported []string
@@ -352,7 +243,7 @@ func (t *Tally) runTolerant(conns []wire.Messenger) (map[string][]float64, error
 	// exclude an absent DC's blinding on both sides. Every SK is
 	// required, so its chunks fold straight into the accumulator — a
 	// failure aborts the round, partial folds and all.
-	if err := t.collectSumsInto(skNames, skConns, reported, acc); err != nil {
+	if err := t.collectSums(skNames, skConns, reported, acc); err != nil {
 		return nil, err
 	}
 	sort.Strings(absent)
@@ -380,7 +271,7 @@ func (t *Tally) setupDC(idx int, c wire.Messenger, skNames []string, skKeys map[
 		NumDCs:      t.cfg.NumDCs,
 		SKNames:     skNames,
 		SKKeys:      skKeys,
-		NoiseWeight: t.weightFor(reg.Name),
+		NoiseWeight: t.weightFor(),
 	}
 	if err := c.Send(kindConfigure, cfg); err != nil {
 		return reg.Name, fmt.Errorf("privcount ts: configure DC %s: %w", reg.Name, err)
@@ -412,28 +303,12 @@ func (t *Tally) relayShares(name string, c wire.Messenger, skNames []string, skC
 	return nil
 }
 
-// collectReport gathers one DC's chunked, blinded, noised report.
-func (t *Tally) collectReport(name string, c wire.Messenger) ([]uint64, error) {
-	var rep ReportMsg
-	if err := c.Expect(kindReport, &rep); err != nil {
-		return nil, fmt.Errorf("privcount ts: report from DC %s: %w", name, err)
-	}
-	if rep.Round != t.cfg.Round {
-		return nil, fmt.Errorf("privcount ts: DC %s reported round %d, want %d", name, rep.Round, t.cfg.Round)
-	}
-	vals, err := recvValues(c, rep.N)
-	if err != nil {
-		return nil, fmt.Errorf("privcount ts: report from DC %s: %w", name, err)
-	}
-	return vals, nil
-}
-
-// collectReportInto streams one DC's report into a spilled buffer and,
+// collectReport streams one DC's report into a spilled buffer and,
 // only once every chunk has arrived, folds it into the round
 // accumulator. The two phases matter: a DC that dies mid-report must
 // contribute nothing, because its blinding will be excluded from the
 // SK sums — so partial folds would corrupt the telescoping sum.
-func (t *Tally) collectReportInto(name string, c wire.Messenger, acc *sumAccum) error {
+func (t *Tally) collectReport(name string, c wire.Messenger, acc *sumAccum) error {
 	var rep ReportMsg
 	if err := c.Expect(kindReport, &rep); err != nil {
 		return fmt.Errorf("privcount ts: report from DC %s: %w", name, err)
@@ -462,11 +337,11 @@ func (t *Tally) collectReportInto(name string, c wire.Messenger, acc *sumAccum) 
 	})
 }
 
-// collectSumsInto streams every SK's blinding sums straight into the
-// round accumulator. Unlike DC reports, no buffer-then-fold staging is
+// collectSums asks every SK for its blinding sums over the reported DCs
+// and streams them straight into the round accumulator. Unlike DC reports, no buffer-then-fold staging is
 // needed: every SK is required, so any SK failure aborts the whole
 // round and a partially folded sum is never observed.
-func (t *Tally) collectSumsInto(skNames []string, skConns map[string]wire.Messenger, dcs []string, acc *sumAccum) error {
+func (t *Tally) collectSums(skNames []string, skConns map[string]wire.Messenger, dcs []string, acc *sumAccum) error {
 	for _, name := range skNames {
 		if err := skConns[name].Send(kindCollect, CollectMsg{Round: t.cfg.Round, DCs: dcs}); err != nil {
 			return fmt.Errorf("privcount ts: collect SK %s: %w", name, err)
@@ -491,33 +366,9 @@ func (t *Tally) collectSumsInto(skNames []string, skConns map[string]wire.Messen
 	return nil
 }
 
-// collectSums asks every SK for its blinding sums over the given DC
-// list (nil: all completed vectors, the pre-churn behavior).
-func (t *Tally) collectSums(skNames []string, skConns map[string]wire.Messenger, dcs []string) ([][]uint64, error) {
-	for _, name := range skNames {
-		if err := skConns[name].Send(kindCollect, CollectMsg{Round: t.cfg.Round, DCs: dcs}); err != nil {
-			return nil, fmt.Errorf("privcount ts: collect SK %s: %w", name, err)
-		}
-	}
-	out := make([][]uint64, 0, len(skNames))
-	for _, name := range skNames {
-		var sums SumsMsg
-		if err := skConns[name].Expect(kindSums, &sums); err != nil {
-			return nil, fmt.Errorf("privcount ts: sums from SK %s: %w", name, err)
-		}
-		vals, err := recvValues(skConns[name], sums.N)
-		if err != nil {
-			return nil, fmt.Errorf("privcount ts: sums from SK %s: %w", name, err)
-		}
-		out = append(out, vals)
-	}
-	return out, nil
-}
-
-// weightFor resolves one DC's noise weight in the tolerant flow, where
-// DC names are learned incrementally (Validate rejects NoiseWeights
-// together with Recover, because per-name weights cannot be normalized
-// over a DC set that is still registering). Weights are provisioned at
+// weightFor is every DC's share of the noise responsibility. DC names
+// are learned as they register, so there is no DC set to normalize
+// per-name weights over; all carry the same share, provisioned at
 // the quorum floor, not the DC count: an absent DC's noise share
 // travels in its never-sent report, so 1/NumDCs shares would leave a
 // round degraded to k of n DCs with only k/n of the calibrated
@@ -527,36 +378,10 @@ func (t *Tally) collectSums(skNames []string, skConns map[string]wire.Messenger,
 // variance, the price of not knowing at configure time which DCs will
 // survive to report, and the accountant's nominal per-round charge
 // stays an upper bound on the realized epsilon.
-func (t *Tally) weightFor(string) float64 {
+func (t *Tally) weightFor() float64 {
 	min := t.cfg.MinDCs
 	if min <= 0 || min > t.cfg.NumDCs {
 		min = t.cfg.NumDCs
 	}
 	return 1 / float64(min)
-}
-
-func (t *Tally) normalizedWeights(dcNames []string) map[string]float64 {
-	out := make(map[string]float64, len(dcNames))
-	if len(t.cfg.NoiseWeights) == 0 {
-		for _, n := range dcNames {
-			out[n] = 1 / float64(len(dcNames))
-		}
-		return out
-	}
-	total := 0.0
-	for _, n := range dcNames {
-		w := t.cfg.NoiseWeights[n]
-		if w < 0 {
-			w = 0
-		}
-		total += w
-	}
-	for _, n := range dcNames {
-		if total > 0 {
-			out[n] = t.cfg.NoiseWeights[n] / total
-		} else {
-			out[n] = 1 / float64(len(dcNames))
-		}
-	}
-	return out
 }

@@ -64,21 +64,6 @@ func sendVector(m wire.Messenger, v []elgamal.Ciphertext, chunk int) error {
 // tile [0, n) in order — the sender is sequential, so out-of-order
 // offsets mean a confused or malicious peer.
 func recvVectorFunc(m wire.Messenger, n int, fn func(off int, cts []elgamal.Ciphertext) error) error {
-	return recvVectorRawFunc(m, n, func(off, count int, data []byte) error {
-		cts, err := decodeVector(data, count)
-		if err != nil {
-			return err
-		}
-		return fn(off, cts)
-	})
-}
-
-// recvVectorRawFunc is recvVectorFunc without the decode: fn receives
-// each chunk's raw bytes, for callers that hand the (expensive) point
-// parsing to a worker shard instead of the receive loop. Each call's
-// data aliases its own frame's body, which nothing else refers to, so
-// fn may retain it.
-func recvVectorRawFunc(m wire.Messenger, n int, fn func(off, count int, data []byte) error) error {
 	for off := 0; off < n; {
 		var c ChunkMsg
 		if err := m.Expect(kindChunk, &c); err != nil {
@@ -87,25 +72,16 @@ func recvVectorRawFunc(m wire.Messenger, n int, fn func(off, count int, data []b
 		if c.Off != off || c.Count <= 0 || off+c.Count > n {
 			return fmt.Errorf("psc: chunk [%d,%d) does not continue vector at %d/%d", c.Off, c.Off+c.Count, off, n)
 		}
-		if err := fn(off, c.Count, c.Data); err != nil {
+		cts, err := decodeVector(c.Data, c.Count)
+		if err != nil {
+			return err
+		}
+		if err := fn(off, cts); err != nil {
 			return err
 		}
 		off += c.Count
 	}
 	return nil
-}
-
-// recvVector collects a whole chunked vector of n elements.
-func recvVector(m wire.Messenger, n int) ([]elgamal.Ciphertext, error) {
-	out := make([]elgamal.Ciphertext, 0, n)
-	err := recvVectorFunc(m, n, func(_ int, cts []elgamal.Ciphertext) error {
-		out = append(out, cts...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // decodeVector parses exactly n ciphertexts and validates every point.

@@ -51,7 +51,8 @@
 //     floor and the engine's Recover callback for churn tolerance.
 //   - Tally: the TS role — chunk-pipelined relay and verifier; it
 //     holds no decryption capability and never sees an unencrypted
-//     bin.
+//     bin. Run has one flow: it takes its messengers positionally
+//     (CPs first, then DCs) and puts every DC failure to Recover.
 //   - DC / CP: the party roles, each speaking over one wire.Messenger.
 //   - Result: the round outcome, with AbsentDCs annotating degraded
 //     coverage.
@@ -61,11 +62,11 @@
 //   - Every vector phase travels as a header plus bounded chunks or
 //     blocks; no phase of the CP chain holds a whole vector of parsed
 //     ciphertexts. Inter-pass shuffle vectors, the pre-decrypt final
-//     vector, the TS's combined gather table, and the tolerant flow's
-//     per-DC table buffers all live as encoded bytes in unlinked
-//     temp-file spills (internal/spill, -spill-dir), so TS residency
-//     is O(chunk) end to end — a spill read failure mid-re-stream
-//     latches the round failer and aborts cleanly.
+//     vector, the TS's combined gather table, and its per-DC table
+//     buffers all live as encoded bytes in unlinked temp-file spills
+//     (internal/spill, -spill-dir), so TS residency is O(chunk) end
+//     to end — a spill read failure mid-re-stream latches the round
+//     failer and aborts cleanly.
 //   - The tally's per-chunk verification and combination (noise bit
 //     proofs, blind DLEQs, share RLCs, homomorphic merges, recovery)
 //     runs on bounded ordered worker pools (internal/parallel) sized
@@ -85,8 +86,8 @@
 //   - A round may complete without a DC (reduced coverage, annotated)
 //     but never without a CP: the joint key is an n-of-n threshold.
 //   - A DC's upload can be restarted on a rejoined session until its
-//     table completes: the tolerant flow buffers each table privately
-//     and merges it into the shared combination only as a whole, so a
+//     table completes: the tally buffers each table privately and
+//     merges it into the shared combination only as a whole, so a
 //     DC declared absent contributed nothing — Result.AbsentDCs is an
 //     exact coverage boundary, never "partially included".
 package psc

@@ -131,5 +131,14 @@ func (g *gatherStore) readRange(off, count int) ([]elgamal.Ciphertext, error) {
 	return g.sp.readRange(off, count)
 }
 
-// Close releases the backing storage. Safe to call more than once.
-func (g *gatherStore) Close() error { return g.sp.Close() }
+// Close releases the backing storage. Safe to call more than once. A
+// failed gather closes the store while other DCs may still be merging,
+// so Close takes every stripe (ascending, like merge): an in-flight
+// merge finishes first and a later one gets the spill's closed error.
+func (g *gatherStore) Close() error {
+	for s := range g.strps {
+		g.strps[s].mu.Lock()
+		defer g.strps[s].mu.Unlock()
+	}
+	return g.sp.Close()
+}

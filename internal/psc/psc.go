@@ -43,26 +43,24 @@ type Config struct {
 	// selects DefaultChunk. Smaller chunks tighten the per-party memory
 	// bound of the element-wise phases at the cost of more frames.
 	ChunkElems int
-	// MinDCs is the quorum floor for data collectors: when Recover is
-	// set, the round completes (with degraded coverage, annotated in
+	// MinDCs is the quorum floor for data collectors: the round
+	// completes (with degraded coverage, annotated in
 	// Result.AbsentDCs) as long as at least MinDCs tables arrive in
-	// full. Zero means every DC is required. CPs have no quorum knob:
-	// the joint key is an n-of-n threshold, so losing any CP loses the
-	// round.
+	// full and Recover declares the rest absent. Zero means every DC
+	// is required. CPs have no quorum knob: the joint key is an n-of-n
+	// threshold, so losing any CP loses the round.
 	MinDCs int
-	// Recover, when set, is consulted whenever the exchange with the
-	// party at index i of the Run slice fails (the first NumCPs
-	// messengers must then be the CPs, the rest the DCs, which is how
-	// the engine orders them). canRetry reports that a replacement
-	// messenger (a rejoined daemon's fresh round stream) may restart
-	// the party's exchange from registration; the tolerant flow
-	// buffers each DC's table and merges it into the shared sum only
-	// once complete, so a failed upload leaves no partial state and
-	// every failure before the table's completion is retryable. A nil
-	// replacement with absentOK=true declares the party absent — none
+	// Recover is consulted whenever the exchange with the DC at index
+	// i of the Run slice (CPs first, then DCs) fails. canRetry reports
+	// that a replacement messenger (a rejoined daemon's fresh round
+	// stream) may restart the DC's exchange from registration; the
+	// tally buffers each DC's table and merges it into the shared sum
+	// only once complete, so a failed upload leaves no partial state
+	// and every failure before the table's completion is retryable. A
+	// nil replacement with absentOK=true declares the DC absent — none
 	// of its table is included in the aggregate; absentOK=false fails
-	// the round with the original error. Nil Recover preserves the
-	// strict behavior: any party failure fails the round.
+	// the round with the original error. Nil Recover means no
+	// replacement and no absence: the first DC error fails the round.
 	Recover func(i int, name string, canRetry bool) (replacement wire.Messenger, absentOK bool)
 }
 

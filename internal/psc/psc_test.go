@@ -475,12 +475,35 @@ func BenchmarkRound256Bins(b *testing.B) {
 	}
 }
 
-// TestTolerantAbsentDCContributesNothing: a DC that dies after
-// uploading part of its table must be declared absent with none of its
-// chunks in the aggregate. The tolerant flow buffers each table and
-// merges it only once complete, so Result.AbsentDCs is an exact
-// coverage statement — here the dying DC marks 16 bins in its aborted
-// upload and the result must still count only the survivor's one item.
+// dyingDC plays a DC that registers under name, announces a full table,
+// uploads one chunk with every bin set, and then drops its connection
+// mid-upload.
+func dyingDC(conn wire.Messenger, name string) {
+	defer conn.Close()
+	conn.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: name})
+	var cc ConfigureMsg
+	if conn.Expect(kindConfig, &cc) != nil {
+		return
+	}
+	joint, _, err := elgamal.ParsePoint(cc.JointKey)
+	if err != nil {
+		return
+	}
+	bits := make([]bool, cc.ChunkElems)
+	for i := range bits {
+		bits[i] = true
+	}
+	cts, _ := elgamal.BatchEncryptBits(joint, bits)
+	conn.Send(kindTable, VectorHeader{From: name, Round: cc.Round, N: cc.Bins})
+	conn.Send(kindChunk, ChunkMsg{Off: 0, Count: len(cts), Data: encodeVector(cts)})
+}
+
+// TestTolerantAbsentDCContributesNothing: a DC that dies after uploading part
+// of its table must be declared absent with none of its chunks in the
+// aggregate. Each table is buffered and merged only once complete, so
+// Result.AbsentDCs is an exact coverage statement — here the dying DC
+// marks 16 bins in its aborted upload and the result must still count
+// only the survivor's one item.
 func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 	cfg := Config{
 		Round: 7, Bins: 64, NoisePerCP: 0, ShuffleProofRounds: 2,
@@ -494,7 +517,7 @@ func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 
 	var tsConns []wire.Messenger
 
-	// CP first: the tolerant flow registers CPs positionally.
+	// CP first: parties register positionally.
 	tsSide0, cpSide := wire.Pipe()
 	tsConns = append(tsConns, tsSide0)
 	cp := NewCP("cp-0", cpSide, nil)
@@ -505,31 +528,12 @@ func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 	tsConns = append(tsConns, tsSide1)
 	good := NewDC("dc-good", goodSide)
 
-	// Dying DC: registers, announces a full table, uploads one chunk
-	// with every bin set — then its connection dies mid-upload.
 	tsSide2, dyingSide := wire.Pipe()
 	tsConns = append(tsConns, tsSide2)
 	dying := make(chan struct{})
 	go func() {
 		defer close(dying)
-		conn := dyingSide
-		conn.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "dc-dying"})
-		var cc ConfigureMsg
-		if conn.Expect(kindConfig, &cc) != nil {
-			return
-		}
-		joint, _, err := elgamal.ParsePoint(cc.JointKey)
-		if err != nil {
-			return
-		}
-		bits := make([]bool, cc.ChunkElems)
-		for i := range bits {
-			bits[i] = true
-		}
-		cts, _ := elgamal.BatchEncryptBits(joint, bits)
-		conn.Send(kindTable, VectorHeader{From: "dc-dying", Round: cc.Round, N: cc.Bins})
-		conn.Send(kindChunk, ChunkMsg{Off: 0, Count: len(cts), Data: encodeVector(cts)})
-		conn.Close()
+		dyingDC(dyingSide, "dc-dying")
 	}()
 
 	resCh := make(chan Result, 1)
@@ -562,4 +566,88 @@ func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 	case err := <-errCh:
 		t.Fatalf("tally: %v", err)
 	}
+}
+
+// TestNilRecoverFailsRoundOnDCLoss: with no Recover callback there is
+// no replacement and no absence, so a DC that drops its connection
+// mid-table fails the round with an error naming it — even though the
+// other DC uploads a whole table — and every party unwinds once the
+// caller closes the round's connections.
+func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
+	cfg := Config{Round: 8, Bins: 64, ShuffleProofRounds: 2, NumDCs: 2, NumCPs: 1, ChunkElems: 16}
+	tally, err := NewTally(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tsConns []wire.Messenger
+	var wg sync.WaitGroup
+
+	tsSide0, cpSide := wire.Pipe()
+	tsConns = append(tsConns, tsSide0)
+	cp := NewCP("cp-0", cpSide, nil)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cp.Serve() // errors when the round aborts; ignored
+	}()
+
+	tsSide1, goodSide := wire.Pipe()
+	tsConns = append(tsConns, tsSide1)
+	good := NewDC("dc-good", goodSide)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if good.Setup() != nil {
+			return
+		}
+		good.Observe("only-item")
+		good.Finish()
+	}()
+
+	tsSide2, dyingSide := wire.Pipe()
+	tsConns = append(tsConns, tsSide2)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		dyingDC(dyingSide, "dc-dying")
+	}()
+
+	res, err := tally.Run(tsConns)
+	if err == nil {
+		t.Fatalf("round completed without dc-dying's table: %+v", res)
+	}
+	if !strings.Contains(err.Error(), "dc-dying") {
+		t.Fatalf("error %q does not name the lost DC", err)
+	}
+	if res.Reported != 0 || res.Bins != 0 || res.AbsentDCs != nil {
+		t.Fatalf("failed round returned a result: %+v", res)
+	}
+	for _, m := range tsConns {
+		m.Close()
+	}
+	wg.Wait()
+}
+
+// TestTallyRejectsMisorderedParties: Run's slice is positional, so a DC
+// where a CP belongs (and so a CP where a DC belongs) is rejected at
+// registration instead of being sorted out by role.
+func TestTallyRejectsMisorderedParties(t *testing.T) {
+	tally, err := NewTally(Config{Round: 9, Bins: 16, ShuffleProofRounds: 2, NumDCs: 1, NumCPs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsDC, dcSide := wire.Pipe()
+	tsCP, cpSide := wire.Pipe()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); NewDC("dc-0", dcSide).Setup() }()
+	go func() { defer wg.Done(); NewCP("cp-0", cpSide, nil).Serve() }()
+
+	_, err = tally.Run([]wire.Messenger{tsDC, tsCP})
+	if err == nil || !strings.Contains(err.Error(), `registered as "dc", want "cp"`) {
+		t.Fatalf("misordered slice: got %v, want a wrong-role rejection at position 0", err)
+	}
+	tsDC.Close()
+	tsCP.Close()
+	wg.Wait()
 }

@@ -60,15 +60,7 @@ func (s *ctSpill) readRange(off, count int) ([]elgamal.Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]elgamal.Ciphertext, 0, count)
-	for i := 0; i < count; i++ {
-		c, err := decodeSlot(raw[i*spillSlot:])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
+	return decodeSlots(raw, count)
 }
 
 // readRangeScratch is readRange reading through the caller's scratch
@@ -80,15 +72,8 @@ func (s *ctSpill) readRangeScratch(off, count int, scratch []byte) ([]elgamal.Ci
 	if err != nil {
 		return nil, scratch, err
 	}
-	out := make([]elgamal.Ciphertext, 0, count)
-	for i := 0; i < count; i++ {
-		c, err := decodeSlot(raw[i*spillSlot:])
-		if err != nil {
-			return nil, scratch, err
-		}
-		out = append(out, c)
-	}
-	return out, scratch, nil
+	out, err := decodeSlots(raw, count)
+	return out, scratch, err
 }
 
 // readIndices gathers the elements at the given offsets — the strided
@@ -101,6 +86,19 @@ func (s *ctSpill) readIndices(idx []int) ([]elgamal.Ciphertext, error) {
 			return nil, err
 		}
 		c, err := decodeSlot(slot[:])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
+// decodeSlots parses the count fixed-size records at the front of raw.
+func decodeSlots(raw []byte, count int) ([]elgamal.Ciphertext, error) {
+	out := make([]elgamal.Ciphertext, 0, count)
+	for i := 0; i < count; i++ {
+		c, err := decodeSlot(raw[i*spillSlot:])
 		if err != nil {
 			return nil, err
 		}

@@ -23,9 +23,9 @@ var gatherFeedTestHook func(*gatherStore)
 // CPs"). It relays and verifies; it holds no decryption capability and
 // never sees an unencrypted bin.
 //
-// Every vector phase is chunked and pipelined: DC tables are combined
-// as their chunks arrive (strict flow) or buffered per DC and merged
-// whole (tolerant flow, so an absent DC contributes nothing), each
+// Every vector phase is chunked and pipelined: each DC's table is
+// buffered on spill storage and merged into the shared combination only
+// once whole (so a DC that fails mid-upload contributes nothing), each
 // CP's verified blinded blocks are forwarded to the next CP while the
 // upstream CP is still mixing, and decryption shares are verified and
 // recovered per chunk from all CPs concurrently. The shuffle itself
@@ -42,6 +42,10 @@ type Tally struct {
 func NewTally(cfg Config) (*Tally, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Recover == nil {
+		// No replacement, no absence: the first DC error fails the round.
+		cfg.Recover = func(int, string, bool) (wire.Messenger, bool) { return nil, false }
 	}
 	return &Tally{cfg: cfg}, nil
 }
@@ -91,10 +95,13 @@ type roundParties struct {
 
 // Run executes one round over established messengers (one per party —
 // dedicated connections or per-round streams of multiplexed sessions).
-// Without cfg.Recover any party failure fails the round and the
-// messenger order is free; with it, the slice must be CPs first (see
-// Config.Recover) and DC failures degrade the round down to the MinDCs
-// quorum floor.
+// Precondition: the slice is positional — the NumCPs CPs first, then
+// the NumDCs DCs (the engine orders them); a party registering with the
+// wrong role for its position fails the round. Any CP failure fails the
+// round. A DC failure is put to cfg.Recover, which may restart the DC
+// on a replacement messenger or declare it absent, degrading the round
+// down to the MinDCs quorum floor; with a nil Recover there is no
+// replacement and no absence, so the first DC error fails the round.
 func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	if len(parties) != t.cfg.NumDCs+t.cfg.NumCPs {
 		return Result{}, fmt.Errorf("psc ts: have %d connections, want %d DCs + %d CPs",
@@ -105,24 +112,17 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	// them homomorphically on the spilled gather store: per-bin
 	// ciphertext sums turn into OR in the exponent, and the running
 	// combination lives as encoded bytes on spill storage, not parsed
-	// group elements on the heap. The strict flow merges chunks as they
-	// land; the tolerant flow buffers each DC's table (also spilled)
-	// and merges it once complete (see collectTableBuffered).
+	// group elements on the heap. Each DC's table is buffered (also
+	// spilled) and merged once complete (see collectTable).
 	gs, err := newGatherStore(t.cfg.Bins, t.cfg.ChunkElems)
 	if err != nil {
 		return Result{}, fmt.Errorf("psc ts: gather spill: %w", err)
 	}
-	var rp roundParties
-	if t.cfg.Recover == nil {
-		rp, err = t.gatherStrict(parties, gs)
-	} else {
-		rp, err = t.gatherTolerant(parties, gs)
-	}
+	rp, err := t.gather(parties, gs)
 	if err != nil {
 		gs.Close()
 		return Result{}, err
 	}
-	cpNames, cpM, cpKeys, joint := rp.cpNames, rp.cpM, rp.cpKeys, rp.joint
 
 	f := newFailer()
 	chunk := chunkOf(t.cfg.ChunkElems)
@@ -158,14 +158,14 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	}()
 	in := feed
 	var mixWG sync.WaitGroup
-	for i, n := range cpNames {
+	for i, n := range rp.cpNames {
 		out := make(chan vchunk, 2)
 		nIn := t.cfg.Bins + i*t.cfg.NoisePerCP
 		mixWG.Add(1)
 		go func(name string, m wire.Messenger, nIn int, in <-chan vchunk, out chan<- vchunk) {
 			defer mixWG.Done()
-			t.mixCP(name, m, joint, nIn, in, out, f, chunk)
-		}(n, cpM[n], nIn, in, out)
+			t.mixCP(name, m, rp.joint, nIn, in, out, f)
+		}(n, rp.cpM[n], nIn, in, out)
 		in = out
 	}
 	// Collect the final blinded vector into a spill, not the heap: the
@@ -214,10 +214,10 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	// arrival, and each chunk's plaintexts are recovered and counted the
 	// moment all CPs have answered it — the TS never holds more than a
 	// chunk of shares per CP.
-	shareChans := make([]chan decShareChunk, len(cpNames))
-	for i, n := range cpNames {
+	shareChans := make([]chan decShareChunk, len(rp.cpNames))
+	for i, n := range rp.cpNames {
 		shareChans[i] = make(chan decShareChunk, 2)
-		go t.decryptCP(n, cpM[n], cpKeys[n], src, finalN, chunk, f, shareChans[i])
+		go t.decryptCP(n, rp.cpM[n], rp.cpKeys[n], src, finalN, chunk, f, shareChans[i])
 	}
 	// Each chunk's plaintext recovery is independent once every CP's
 	// verified shares for it are in hand, so the combine runs on its own
@@ -240,7 +240,7 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 		if err != nil {
 			return fmt.Errorf("psc ts: decrypt spill: %w", err)
 		}
-		shares := make([][]elgamal.DecryptionShare, len(cpNames))
+		shares := make([][]elgamal.DecryptionShare, len(rp.cpNames))
 		for i := range shareChans {
 			select {
 			case sc, ok := <-shareChans[i]:
@@ -248,10 +248,10 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 					if err := f.latched(); err != nil {
 						return err
 					}
-					return fmt.Errorf("psc ts: CP %s share stream ended early", cpNames[i])
+					return fmt.Errorf("psc ts: CP %s share stream ended early", rp.cpNames[i])
 				}
 				if sc.off != off {
-					return fmt.Errorf("psc ts: CP %s shares for offset %d, want %d", cpNames[i], sc.off, off)
+					return fmt.Errorf("psc ts: CP %s shares for offset %d, want %d", rp.cpNames[i], sc.off, off)
 				}
 				shares[i] = sc.shares
 			case <-f.ch:
@@ -288,78 +288,14 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	}, nil
 }
 
-// gatherStrict is the pre-churn phase driver: order-agnostic
-// registration, configuration, and table collection, with any party
-// failure failing the round.
-func (t *Tally) gatherStrict(parties []wire.Messenger, gs *gatherStore) (roundParties, error) {
-	rp := roundParties{cpM: make(map[string]wire.Messenger), cpKeys: make(map[string]elgamal.Point)}
-	dcM := make(map[string]wire.Messenger)
-	var dcNames []string
-	for _, m := range parties {
-		var reg RegisterMsg
-		if err := m.Expect(kindRegister, &reg); err != nil {
-			return rp, fmt.Errorf("psc ts: registration: %w", err)
-		}
-		switch reg.Role {
-		case RoleDC:
-			if _, dup := dcM[reg.Name]; dup {
-				return rp, fmt.Errorf("psc ts: duplicate DC %q", reg.Name)
-			}
-			dcM[reg.Name] = m
-			dcNames = append(dcNames, reg.Name)
-		case RoleCP:
-			if err := rp.addCP(reg, m); err != nil {
-				return rp, err
-			}
-		default:
-			return rp, fmt.Errorf("psc ts: unknown role %q", reg.Role)
-		}
-	}
-	if len(dcNames) != t.cfg.NumDCs || len(rp.cpNames) != t.cfg.NumCPs {
-		return rp, fmt.Errorf("psc ts: registered %d DCs and %d CPs, want %d and %d",
-			len(dcNames), len(rp.cpNames), t.cfg.NumDCs, t.cfg.NumCPs)
-	}
-	sort.Strings(dcNames)
-	cpCfg, dcCfg, err := t.buildConfigs(&rp)
-	if err != nil {
-		return rp, err
-	}
-	for _, n := range rp.cpNames {
-		if err := rp.cpM[n].Send(kindConfig, cpCfg); err != nil {
-			return rp, fmt.Errorf("psc ts: configure CP %s: %w", n, err)
-		}
-	}
-	for _, n := range dcNames {
-		if err := dcM[n].Send(kindConfig, dcCfg); err != nil {
-			return rp, fmt.Errorf("psc ts: configure DC %s: %w", n, err)
-		}
-	}
-	tableErrs := make(chan error, len(dcNames))
-	for _, n := range dcNames {
-		go func(name string, m wire.Messenger) {
-			tableErrs <- t.collectTable(name, m, gs)
-		}(n, dcM[n])
-	}
-	// Fail fast on the first error: the caller aborts the round, which
-	// resets every stream and unwinds the remaining collectors (their
-	// sends land in the buffered channel). Waiting for all of them here
-	// would wedge the round on a stalled DC with no deadline armed.
-	for range dcNames {
-		if err := <-tableErrs; err != nil {
-			return rp, err
-		}
-	}
-	return rp, nil
-}
-
-// gatherTolerant is the churn-aware phase driver installed by the
-// engine: CPs register positionally (all required), then each DC's
-// register/configure/table exchange runs in its own goroutine with the
-// engine's recovery callback deciding — per failed DC — between a
-// restart on a rejoined session, a declared absence, and failing the
-// round. The round proceeds only if the surviving tables meet the
-// quorum floor and still cover every bin.
-func (t *Tally) gatherTolerant(parties []wire.Messenger, gs *gatherStore) (roundParties, error) {
+// gather is the registration/configuration/table phase: CPs register
+// positionally (all required), then each DC's register/configure/table
+// exchange runs in its own goroutine with the recovery callback
+// deciding — per failed DC — between a restart on a rejoined session,
+// a declared absence, and failing the round. The round proceeds only
+// if the surviving tables meet the quorum floor and still cover every
+// bin.
+func (t *Tally) gather(parties []wire.Messenger, gs *gatherStore) (roundParties, error) {
 	rp := roundParties{cpM: make(map[string]wire.Messenger), cpKeys: make(map[string]elgamal.Point)}
 	for i := 0; i < t.cfg.NumCPs; i++ {
 		var reg RegisterMsg
@@ -459,7 +395,7 @@ func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, gs *gatherS
 		if err := m.Send(kindConfig, dcCfg); err != nil {
 			return reg.Name, fmt.Errorf("psc ts: configure DC %s: %w", reg.Name, err)
 		}
-		return reg.Name, t.collectTableBuffered(reg.Name, m, gs)
+		return reg.Name, t.collectTable(reg.Name, m, gs)
 	}
 
 	name, err = attempt(m)
@@ -541,65 +477,15 @@ func (t *Tally) buildConfigs(rp *roundParties) (cpCfg, dcCfg ConfigureMsg, err e
 	return cpCfg, dcCfg, nil
 }
 
-// collectTable streams one DC's table into the shared combination as
-// chunks arrive — the strict flow's memory-lean path, holding only the
-// in-flight chunks. That is safe only because any DC failure fails
-// the whole strict round: a partially merged table can never outlive
-// its round as a completed result. The receive loop stays on the
-// network; each chunk's point parsing and homomorphic merge runs on the
-// gather shard, bounded by the pool depth, so concurrent DC streams
-// decode and merge on every schedulable core.
+// collectTable streams one DC's table into a private buffer and merges
+// it into the shared combination only once it is complete. Ciphertext
+// sums cannot be unpicked, so a DC the quorum policy later declares
+// absent must never have touched the shared sum: buffering makes
+// Result.AbsentDCs an exact coverage statement ("none of this DC's
+// table is included"). The buffer is itself spilled, so up to NumDCs
+// in-flight tables cost encoded bytes on scratch storage, not parsed
+// ciphertexts on the heap.
 func (t *Tally) collectTable(name string, m wire.Messenger, gs *gatherStore) error {
-	var hdr VectorHeader
-	if err := m.Expect(kindTable, &hdr); err != nil {
-		return fmt.Errorf("psc ts: table from DC %s: %w", name, err)
-	}
-	if hdr.N != t.cfg.Bins {
-		return fmt.Errorf("psc ts: DC %s sent %d bins, want %d", name, hdr.N, t.cfg.Bins)
-	}
-	merge := parallel.NewOrdered[struct{}](parallel.PoolSize(), 2*parallel.PoolSize(), "psc-gather")
-	var mergeErr error
-	mergeDone := make(chan struct{})
-	go func() {
-		// Drains concurrently with the receive loop so the shard's
-		// depth bound throttles the loop instead of wedging it.
-		defer close(mergeDone)
-		for r := range merge.Out() {
-			if r.Err != nil && mergeErr == nil {
-				mergeErr = r.Err
-			}
-		}
-	}()
-	err := recvVectorRawFunc(m, t.cfg.Bins, func(off, count int, data []byte) error {
-		merge.Submit(func() (struct{}, error) {
-			cts, err := decodeVector(data, count)
-			if err != nil {
-				return struct{}{}, err
-			}
-			return struct{}{}, gs.merge(off, cts)
-		})
-		return nil
-	})
-	merge.Close()
-	<-mergeDone
-	if err == nil {
-		err = mergeErr
-	}
-	if err != nil {
-		return fmt.Errorf("psc ts: table from DC %s: %w", name, err)
-	}
-	return nil
-}
-
-// collectTableBuffered streams one DC's table into a private buffer and
-// merges it into the shared combination only once it is complete — the
-// tolerant flow's path. Ciphertext sums cannot be unpicked, so a DC the
-// quorum policy later declares absent must never have touched the
-// shared sum: buffering makes Result.AbsentDCs an exact coverage
-// statement ("none of this DC's table is included"). The buffer is
-// itself spilled, so up to NumDCs in-flight tables cost encoded bytes
-// on scratch storage, not parsed ciphertexts on the heap.
-func (t *Tally) collectTableBuffered(name string, m wire.Messenger, gs *gatherStore) error {
 	var hdr VectorHeader
 	if err := m.Expect(kindTable, &hdr); err != nil {
 		return fmt.Errorf("psc ts: table from DC %s: %w", name, err)
@@ -635,28 +521,20 @@ func (t *Tally) collectTableBuffered(name string, m wire.Messenger, gs *gatherSt
 	return nil
 }
 
-// mixCP drives one CP's mixing stage through the streaming block
-// shuffle: a feeder goroutine forwards upstream chunks to the CP while
-// the stream goroutine verifies, block by block, the CP's noise, every
-// block's shuffle argument, the pass-continuity hashes of re-streamed
-// intermediates, and the final pass's blinding — forwarding each
-// verified blinded block downstream before the next arrives. Neither
-// direction ever holds more than O(block) ciphertexts. The block
-// shuffle arguments are transcript-sequential and stay on the stream
-// goroutine; the independent batch checks (noise bit proofs, blind
-// DLEQ RLCs) run on the verify shard. On any failure the round error
-// is latched; out always closes so downstream stages unwind.
-func (t *Tally) mixCP(name string, m wire.Messenger, joint elgamal.Point, nIn int, in <-chan vchunk, out chan<- vchunk, f *failer, chunk int) {
-	// The forwarder owns out: it delivers each verified blinded block
-	// downstream in block order and closes out once the shard drains.
-	// mixCP returns only after that, so the caller's mix WaitGroup
-	// still means "every CP's verification has finished".
-	blind := parallel.NewOrdered[vchunk](parallel.PoolSize(), 2*parallel.PoolSize(), "psc-verify")
-	fwdDone := make(chan struct{})
+// forwardOrdered runs one CP stage's protocol loop with a verify shard
+// to submit its per-chunk checks to, and forwards the shard's results
+// to out in submission order. The forwarder owns out: the first job
+// error latches the round failure, nothing is forwarded once the round
+// has failed, and out closes when the shard has drained — which is
+// also when forwardOrdered returns. stage returns after its last
+// submission, or early with the round failure latched.
+func forwardOrdered[T any](f *failer, out chan<- T, stage func(shard *parallel.Ordered[T])) {
+	shard := parallel.NewOrdered[T](parallel.PoolSize(), 2*parallel.PoolSize(), "psc-verify")
+	done := make(chan struct{})
 	go func() {
-		defer close(fwdDone)
+		defer close(done)
 		defer close(out)
-		for r := range blind.Out() {
+		for r := range shard.Out() {
 			if r.Err != nil {
 				f.fail(r.Err)
 				continue
@@ -670,174 +548,187 @@ func (t *Tally) mixCP(name string, m wire.Messenger, joint elgamal.Point, nIn in
 			}
 		}
 	}()
-	t.mixCPStream(name, m, joint, nIn, in, blind, f, chunk)
-	blind.Close()
-	<-fwdDone
+	stage(shard)
+	shard.Close()
+	<-done
 }
 
-// mixCPStream is mixCP's protocol loop; it returns after the last
-// block's blind check has been submitted to the shard, or early with
-// the round failure latched.
-func (t *Tally) mixCPStream(name string, m wire.Messenger, joint elgamal.Point, nIn int, in <-chan vchunk, blind *parallel.Ordered[vchunk], f *failer, chunk int) {
-	prove := t.cfg.ShuffleProofRounds > 0
-	total := nIn + t.cfg.NoisePerCP
-	g := newGrid(total, blockOf(t.cfg.ShuffleBlockElems))
-	passes := g.passes(passesOf(t.cfg.ShufflePasses))
+// mixCP drives one CP's mixing stage through the streaming block
+// shuffle: a feeder goroutine forwards upstream chunks to the CP while
+// the stream goroutine verifies, block by block, the CP's noise, every
+// block's shuffle argument, the pass-continuity hashes of re-streamed
+// intermediates, and the final pass's blinding — forwarding each
+// verified blinded block downstream before the next arrives. Neither
+// direction ever holds more than O(block) ciphertexts. The block
+// shuffle arguments are transcript-sequential and stay on the stream
+// goroutine; the independent batch checks (noise bit proofs, blind
+// DLEQ RLCs) run on the verify shard. On any failure the round error
+// is latched; out always closes so downstream stages unwind. mixCP
+// returns only once every blind check has drained (see forwardOrdered),
+// so the caller's mix WaitGroup means "every CP's verification has
+// finished".
+func (t *Tally) mixCP(name string, m wire.Messenger, joint elgamal.Point, nIn int, in <-chan vchunk, out chan<- vchunk, f *failer) {
+	forwardOrdered(f, out, func(blind *parallel.Ordered[vchunk]) {
+		prove := t.cfg.ShuffleProofRounds > 0
+		total := nIn + t.cfg.NoisePerCP
+		g := newGrid(total, blockOf(t.cfg.ShuffleBlockElems))
+		passes := g.passes(passesOf(t.cfg.ShufflePasses))
 
-	if err := m.Send(kindMix, VectorHeader{Round: t.cfg.Round, N: nIn}); err != nil {
-		f.fail(fmt.Errorf("psc ts: mix to CP %s: %w", name, err))
-		return
-	}
-	// Feeder: forward upstream chunks to the CP, retaining each chunk
-	// on a bounded channel for pass-1 verification. The CP emits block
-	// b only after receiving block b's elements and the verifier drains
-	// the copies before expecting block b, so the channel never backs
-	// up beyond its slack.
-	feedCopy := make(chan []elgamal.Ciphertext, 4)
-	go func() {
-		defer close(feedCopy)
-		for c := range in {
-			if err := m.Send(kindChunk, ChunkMsg{Off: c.off, Count: len(c.cts), Data: encodeVector(c.cts)}); err != nil {
-				f.fail(fmt.Errorf("psc ts: mix chunk to CP %s: %w", name, err))
+		if err := m.Send(kindMix, VectorHeader{Round: t.cfg.Round, N: nIn}); err != nil {
+			f.fail(fmt.Errorf("psc ts: mix to CP %s: %w", name, err))
+			return
+		}
+		// Feeder: forward upstream chunks to the CP, retaining each chunk
+		// on a bounded channel for pass-1 verification. The CP emits block
+		// b only after receiving block b's elements and the verifier drains
+		// the copies before expecting block b, so the channel never backs
+		// up beyond its slack.
+		feedCopy := make(chan []elgamal.Ciphertext, 4)
+		go func() {
+			defer close(feedCopy)
+			for c := range in {
+				if err := m.Send(kindChunk, ChunkMsg{Off: c.off, Count: len(c.cts), Data: encodeVector(c.cts)}); err != nil {
+					f.fail(fmt.Errorf("psc ts: mix chunk to CP %s: %w", name, err))
+					return
+				}
+				select {
+				case feedCopy <- c.cts:
+				case <-f.ch:
+					return
+				}
+			}
+		}()
+
+		var hdr VectorHeader
+		if err := m.Expect(kindMixed, &hdr); err != nil {
+			f.fail(fmt.Errorf("psc ts: mixed from CP %s: %w", name, err))
+			return
+		}
+		if hdr.N != total {
+			f.fail(fmt.Errorf("psc ts: CP %s produced %d elements, want %d", name, hdr.N, total))
+			return
+		}
+
+		// Noise: the CP sends only its appended elements, bit-verified per
+		// chunk; the input prefix is ours by construction, so a CP cannot
+		// tamper with it. The noise ciphertexts form the tail of the
+		// shuffle input, so chunk order matters — the shard preserves it
+		// while the per-chunk decodes and bit-proof batches verify
+		// concurrently.
+		noise := parallel.NewOrdered[[]elgamal.Ciphertext](parallel.PoolSize(), 2*parallel.PoolSize(), "psc-verify")
+		noiseCts := make([]elgamal.Ciphertext, 0, t.cfg.NoisePerCP)
+		noiseDone := make(chan struct{})
+		go func() {
+			// Reassembly drains concurrently with the receive loop so the
+			// shard's depth bound throttles the loop instead of wedging it.
+			defer close(noiseDone)
+			for r := range noise.Out() {
+				if r.Err != nil {
+					f.fail(r.Err)
+					continue
+				}
+				noiseCts = append(noiseCts, r.V...)
+			}
+		}()
+		noiseFail := func(err error) {
+			noise.Close()
+			<-noiseDone
+			f.fail(err)
+		}
+		for off := 0; off < t.cfg.NoisePerCP; {
+			var nc NoiseChunkMsg
+			if err := m.Expect(kindNoise, &nc); err != nil {
+				noiseFail(fmt.Errorf("psc ts: noise from CP %s: %w", name, err))
 				return
 			}
-			select {
-			case feedCopy <- c.cts:
-			case <-f.ch:
+			if nc.Off != off || nc.Count <= 0 || nc.Off+nc.Count > t.cfg.NoisePerCP {
+				noiseFail(fmt.Errorf("psc ts: CP %s noise chunk [%d,%d) out of order", name, nc.Off, nc.Off+nc.Count))
 				return
 			}
+			noise.Submit(func() ([]elgamal.Ciphertext, error) {
+				return t.verifyNoiseChunk(name, joint, nc, prove)
+			})
+			off += nc.Count
 		}
-	}()
-
-	var hdr VectorHeader
-	if err := m.Expect(kindMixed, &hdr); err != nil {
-		f.fail(fmt.Errorf("psc ts: mixed from CP %s: %w", name, err))
-		return
-	}
-	if hdr.N != total {
-		f.fail(fmt.Errorf("psc ts: CP %s produced %d elements, want %d", name, hdr.N, total))
-		return
-	}
-
-	// Noise: the CP sends only its appended elements, bit-verified per
-	// chunk; the input prefix is ours by construction, so a CP cannot
-	// tamper with it. The noise ciphertexts form the tail of the
-	// shuffle input, so chunk order matters — the shard preserves it
-	// while the per-chunk decodes and bit-proof batches verify
-	// concurrently.
-	noise := parallel.NewOrdered[[]elgamal.Ciphertext](parallel.PoolSize(), 2*parallel.PoolSize(), "psc-verify")
-	noiseCts := make([]elgamal.Ciphertext, 0, t.cfg.NoisePerCP)
-	noiseDone := make(chan struct{})
-	go func() {
-		// Reassembly drains concurrently with the receive loop so the
-		// shard's depth bound throttles the loop instead of wedging it.
-		defer close(noiseDone)
-		for r := range noise.Out() {
-			if r.Err != nil {
-				f.fail(r.Err)
-				continue
-			}
-			noiseCts = append(noiseCts, r.V...)
-		}
-	}()
-	noiseFail := func(err error) {
 		noise.Close()
 		<-noiseDone
-		f.fail(err)
-	}
-	for off := 0; off < t.cfg.NoisePerCP; {
-		var nc NoiseChunkMsg
-		if err := m.Expect(kindNoise, &nc); err != nil {
-			noiseFail(fmt.Errorf("psc ts: noise from CP %s: %w", name, err))
+		if f.latched() != nil {
 			return
 		}
-		if nc.Off != off || nc.Count <= 0 || nc.Off+nc.Count > t.cfg.NoisePerCP {
-			noiseFail(fmt.Errorf("psc ts: CP %s noise chunk [%d,%d) out of order", name, nc.Off, nc.Off+nc.Count))
-			return
-		}
-		noise.Submit(func() ([]elgamal.Ciphertext, error) {
-			return t.verifyNoiseChunk(name, joint, nc, prove)
-		})
-		off += nc.Count
-	}
-	noise.Close()
-	<-noiseDone
-	if f.latched() != nil {
-		return
-	}
 
-	var tr *elgamal.ShuffleTranscript
-	if prove {
-		tr = elgamal.NewShuffleTranscript(joint, total, g.block, passes, t.cfg.ShuffleProofRounds)
-	}
+		var tr *elgamal.ShuffleTranscript
+		if prove {
+			tr = elgamal.NewShuffleTranscript(joint, total, g.block, passes, t.cfg.ShuffleProofRounds)
+		}
 
-	// Pass 1: assemble the CP's input blocks from the fed copies plus
-	// the verified noise tail, checking each block's argument as its
-	// output lands.
-	src := &blockSource{feed: feedCopy, tail: noiseCts}
-	var prevHashes [][32]byte
-	if passes > 1 {
-		prevHashes = make([][32]byte, g.blocks(1))
-	}
-	for b := 0; b < g.blocks(1); b++ {
-		inB, ok := src.next(g.blockLen(1, b), f)
-		if !ok {
-			return // upstream failed and already latched the error
-		}
-		outB := t.recvBlock(name, m, tr, joint, 1, b, inB, f)
-		if outB == nil {
-			return
-		}
+		// Pass 1: assemble the CP's input blocks from the fed copies plus
+		// the verified noise tail, checking each block's argument as its
+		// output lands.
+		src := &blockSource{feed: feedCopy, tail: noiseCts}
+		var prevHashes [][32]byte
 		if passes > 1 {
-			prevHashes[b] = elgamal.HashBlock(outB)
-		} else if !t.recvBlindSubmit(name, m, g.outStart(1, b), outB, blind, f) {
-			return
+			prevHashes = make([][32]byte, g.blocks(1))
 		}
-	}
+		for b := 0; b < g.blocks(1); b++ {
+			inB, ok := src.next(g.blockLen(1, b), f)
+			if !ok {
+				return // upstream failed and already latched the error
+			}
+			outB := t.recvBlock(name, m, tr, joint, 1, b, inB, f)
+			if outB == nil {
+				return
+			}
+			if passes > 1 {
+				prevHashes[b] = elgamal.HashBlock(outB)
+			} else if !t.recvBlindSubmit(name, m, g.outStart(1, b), outB, blind, f) {
+				return
+			}
+		}
 
-	// Later passes: the CP re-streams the previous pass's output in the
-	// new pass's block order; the continuity check proves the claimed
-	// input is exactly the verified intermediate (per-block incremental
-	// hashes), so no whole-vector copy is ever needed here.
-	for p := 2; p <= passes; p++ {
-		cont := newContinuity(g, p, prevHashes)
-		var nextHashes [][32]byte
-		if p < passes {
-			nextHashes = make([][32]byte, g.blocks(p))
-		}
-		for b := 0; b < g.blocks(p); b++ {
-			var fm BlockFeedMsg
-			if err := m.Expect(kindShufFeed, &fm); err != nil {
-				f.fail(fmt.Errorf("psc ts: feed from CP %s: %w", name, err))
-				return
+		// Later passes: the CP re-streams the previous pass's output in the
+		// new pass's block order; the continuity check proves the claimed
+		// input is exactly the verified intermediate (per-block incremental
+		// hashes), so no whole-vector copy is ever needed here.
+		for p := 2; p <= passes; p++ {
+			cont := newContinuity(g, p, prevHashes)
+			var nextHashes [][32]byte
+			if p < passes {
+				nextHashes = make([][32]byte, g.blocks(p))
 			}
-			inB, err := parseBlockFeed(fm, p, b, g.blockLen(p, b))
-			if err != nil {
-				f.fail(fmt.Errorf("psc ts: CP %s: %w", name, err))
-				return
+			for b := 0; b < g.blocks(p); b++ {
+				var fm BlockFeedMsg
+				if err := m.Expect(kindShufFeed, &fm); err != nil {
+					f.fail(fmt.Errorf("psc ts: feed from CP %s: %w", name, err))
+					return
+				}
+				inB, err := parseBlockFeed(fm, p, b, g.blockLen(p, b))
+				if err != nil {
+					f.fail(fmt.Errorf("psc ts: CP %s: %w", name, err))
+					return
+				}
+				if err := cont.absorb(b, inB); err != nil {
+					verifyFailure("pass-continuity")
+					f.fail(fmt.Errorf("psc ts: CP %s pass %d: %w", name, p, err))
+					return
+				}
+				outB := t.recvBlock(name, m, tr, joint, p, b, inB, f)
+				if outB == nil {
+					return
+				}
+				if p < passes {
+					nextHashes[b] = elgamal.HashBlock(outB)
+				} else if !t.recvBlindSubmit(name, m, g.outStart(p, b), outB, blind, f) {
+					return
+				}
 			}
-			if err := cont.absorb(b, inB); err != nil {
+			if err := cont.finish(); err != nil {
 				verifyFailure("pass-continuity")
 				f.fail(fmt.Errorf("psc ts: CP %s pass %d: %w", name, p, err))
 				return
 			}
-			outB := t.recvBlock(name, m, tr, joint, p, b, inB, f)
-			if outB == nil {
-				return
-			}
-			if p < passes {
-				nextHashes[b] = elgamal.HashBlock(outB)
-			} else if !t.recvBlindSubmit(name, m, g.outStart(p, b), outB, blind, f) {
-				return
-			}
+			prevHashes = nextHashes
 		}
-		if err := cont.finish(); err != nil {
-			verifyFailure("pass-continuity")
-			f.fail(fmt.Errorf("psc ts: CP %s pass %d: %w", name, p, err))
-			return
-		}
-		prevHashes = nextHashes
-	}
+	})
 }
 
 // blockSource assembles pass-1 input blocks for the verifier: elements
@@ -1065,113 +956,87 @@ type decShareChunk struct {
 // error; out always closes.
 func (t *Tally) decryptCP(name string, m wire.Messenger, cpKey elgamal.Point, src *lockedSpill, n, chunk int, f *failer, out chan<- decShareChunk) {
 	// Share parsing and the per-chunk RLC run on the verify shard; the
-	// forwarder owns out and delivers verified chunks in stream order,
-	// so the combiner still sees them on the boundaries it expects.
-	verify := parallel.NewOrdered[decShareChunk](parallel.PoolSize(), 2*parallel.PoolSize(), "psc-verify")
-	fwdDone := make(chan struct{})
-	go func() {
-		defer close(fwdDone)
-		defer close(out)
-		for r := range verify.Out() {
-			if r.Err != nil {
-				f.fail(r.Err)
-				continue
+	// forwarder delivers verified chunks in stream order, so the
+	// combiner still sees them on the boundaries it expects.
+	forwardOrdered(f, out, func(verify *parallel.Ordered[decShareChunk]) {
+		prove := t.cfg.ShuffleProofRounds > 0
+		sent := make(chan []elgamal.Ciphertext, 2)
+		go func() {
+			defer close(sent)
+			if err := m.Send(kindDecrypt, VectorHeader{Round: t.cfg.Round, N: n}); err != nil {
+				f.fail(fmt.Errorf("psc ts: decrypt to CP %s: %w", name, err))
+				return
 			}
-			if f.latched() != nil {
-				continue
-			}
-			select {
-			case out <- r.V:
-			case <-f.ch:
-			}
-		}
-	}()
-	t.decryptCPStream(name, m, cpKey, src, n, chunk, f, verify)
-	verify.Close()
-	<-fwdDone
-}
-
-// decryptCPStream is decryptCP's protocol loop; it returns after the
-// last share chunk has been submitted to the shard, or early with the
-// round failure latched.
-func (t *Tally) decryptCPStream(name string, m wire.Messenger, cpKey elgamal.Point, src *lockedSpill, n, chunk int, f *failer, verify *parallel.Ordered[decShareChunk]) {
-	prove := t.cfg.ShuffleProofRounds > 0
-	sent := make(chan []elgamal.Ciphertext, 2)
-	go func() {
-		defer close(sent)
-		if err := m.Send(kindDecrypt, VectorHeader{Round: t.cfg.Round, N: n}); err != nil {
-			f.fail(fmt.Errorf("psc ts: decrypt to CP %s: %w", name, err))
-			return
-		}
-		err := forEachChunk(n, chunk, func(off, end int) error {
-			cts, err := src.readRange(off, end-off)
+			err := forEachChunk(n, chunk, func(off, end int) error {
+				cts, err := src.readRange(off, end-off)
+				if err != nil {
+					return err
+				}
+				if err := m.Send(kindChunk, ChunkMsg{Off: off, Count: end - off, Data: encodeVector(cts)}); err != nil {
+					return err
+				}
+				if !prove {
+					return nil // verifier doesn't need the plaintext chunks
+				}
+				select {
+				case sent <- cts:
+					return nil
+				case <-f.ch:
+					return f.err
+				}
+			})
 			if err != nil {
-				return err
+				f.fail(fmt.Errorf("psc ts: decrypt chunk to CP %s: %w", name, err))
 			}
-			if err := m.Send(kindChunk, ChunkMsg{Off: off, Count: end - off, Data: encodeVector(cts)}); err != nil {
-				return err
-			}
-			if !prove {
-				return nil // verifier doesn't need the plaintext chunks
-			}
-			select {
-			case sent <- cts:
-				return nil
-			case <-f.ch:
-				return f.err
-			}
-		})
-		if err != nil {
-			f.fail(fmt.Errorf("psc ts: decrypt chunk to CP %s: %w", name, err))
-		}
-	}()
+		}()
 
-	var hdr VectorHeader
-	if err := m.Expect(kindShares, &hdr); err != nil {
-		f.fail(fmt.Errorf("psc ts: shares from CP %s: %w", name, err))
-		return
-	}
-	if hdr.N != n {
-		f.fail(fmt.Errorf("psc ts: CP %s answering %d elements, want %d", name, hdr.N, n))
-		return
-	}
-	for off := 0; off < n; {
-		// Share chunks must mirror the chunks we sent: the combiner
-		// recovers plaintexts on the same boundaries, and RecoverBatch
-		// requires share and ciphertext vectors of equal length.
-		end := off + chunk
-		if end > n {
-			end = n
-		}
-		var sc ShareChunkMsg
-		if err := m.Expect(kindShare, &sc); err != nil {
+		var hdr VectorHeader
+		if err := m.Expect(kindShares, &hdr); err != nil {
 			f.fail(fmt.Errorf("psc ts: shares from CP %s: %w", name, err))
 			return
 		}
-		if sc.Off != off || sc.Count != end-off {
-			f.fail(fmt.Errorf("psc ts: CP %s share chunk [%d,%d), want [%d,%d)", name, sc.Off, sc.Off+sc.Count, off, end))
+		if hdr.N != n {
+			f.fail(fmt.Errorf("psc ts: CP %s answering %d elements, want %d", name, hdr.N, n))
 			return
 		}
-		// The matching plaintext chunk must be taken off the sender's
-		// channel here, in stream order; the verification itself is
-		// shard work.
-		var cts []elgamal.Ciphertext
-		if prove {
-			select {
-			case c, ok := <-sent:
-				if !ok {
-					return // sender failed and latched the error
-				}
-				cts = c
-			case <-f.ch:
+		for off := 0; off < n; {
+			// Share chunks must mirror the chunks we sent: the combiner
+			// recovers plaintexts on the same boundaries, and RecoverBatch
+			// requires share and ciphertext vectors of equal length.
+			end := off + chunk
+			if end > n {
+				end = n
+			}
+			var sc ShareChunkMsg
+			if err := m.Expect(kindShare, &sc); err != nil {
+				f.fail(fmt.Errorf("psc ts: shares from CP %s: %w", name, err))
 				return
 			}
+			if sc.Off != off || sc.Count != end-off {
+				f.fail(fmt.Errorf("psc ts: CP %s share chunk [%d,%d), want [%d,%d)", name, sc.Off, sc.Off+sc.Count, off, end))
+				return
+			}
+			// The matching plaintext chunk must be taken off the sender's
+			// channel here, in stream order; the verification itself is
+			// shard work.
+			var cts []elgamal.Ciphertext
+			if prove {
+				select {
+				case c, ok := <-sent:
+					if !ok {
+						return // sender failed and latched the error
+					}
+					cts = c
+				case <-f.ch:
+					return
+				}
+			}
+			verify.Submit(func() (decShareChunk, error) {
+				return t.verifyShareChunk(name, cpKey, sc, cts, prove)
+			})
+			off += sc.Count
 		}
-		verify.Submit(func() (decShareChunk, error) {
-			return t.verifyShareChunk(name, cpKey, sc, cts, prove)
-		})
-		off += sc.Count
-	}
+	})
 }
 
 // verifyShareChunk parses one CP's share chunk and verifies its DLEQ

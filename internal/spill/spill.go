@@ -2,8 +2,8 @@
 // vectors written sequentially by one phase of a protocol and read back
 // — contiguously or strided — by the next, holding O(1) records in
 // memory. The PSC shuffle's inter-pass vectors, the tally's gather
-// table and pre-decrypt buffer, and the PrivCount tolerant flow's
-// per-DC report buffers all live here, which is what takes a tally
+// table and pre-decrypt buffer, and the PrivCount tally's per-DC
+// report buffers all live here, which is what takes a tally
 // server's residency from O(bins) to O(chunk) end to end.
 //
 // Records live in an unlinked temp file (the kernel reclaims the
