@@ -23,19 +23,11 @@
 #                      the affine batch plane against the single-element
 #                      group law, 5 s each: the seed corpus always runs
 #                      under `make test`; this also mutates
-#   make bench-scale - the million-bin regime: the 2^18-bin spilled
-#                      round plus the GOMAXPROCS core-scaling sweep
-#   make bench-wan   - the WAN-emulated transport arms (wan-tor static
-#                      vs adaptive window, wan-good), to BENCH_WAN.json
-#   make bench-json  - bench-scale + bench-wan arms to BENCH_PR8.json,
-#                      then all committed BENCH_PR*.json folded into
-#                      BENCH_TRAJECTORY.json
-#   make bench-trajectory - re-fold the committed per-PR documents only
 #   make bench    - the full paper-table benchmark harness (slow)
 
 GO ?= go
 
-.PHONY: all build test vet loc bench-check fuzz-smoke bench-smoke bench-scale bench-wan bench-json bench-trajectory bench
+.PHONY: all build test vet loc bench-check fuzz-smoke bench-smoke bench
 
 all: build vet test bench-check
 
@@ -78,23 +70,6 @@ bench-smoke:
 	# the whole-vector shuffle). The bench itself is -short-aware: run
 	# `go test -short -bench ...` to skip it in quick local loops.
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/stream/bins-65536' -benchtime=1x -timeout=30m
-
-bench-scale:
-	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/verified/stream/bins-262144' -benchtime=1x -timeout=60m
-	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRoundCores' -benchtime=1x -timeout=90m
-
-bench-wan:
-	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/wan-' \
-		-benchtime=1x -timeout=30m | $(GO) run ./tools/benchjson -o BENCH_WAN.json
-
-bench-json:
-	$(GO) test ./internal/psc/ -run '^$$' \
-		-bench 'BenchmarkPSCRound/verified/stream/bins-262144|BenchmarkPSCRound/wan-|BenchmarkPSCRoundCores' \
-		-benchtime=1x -timeout=150m | $(GO) run ./tools/benchjson -o BENCH_PR8.json
-	$(MAKE) bench-trajectory
-
-bench-trajectory:
-	$(GO) run ./tools/benchjson -merge -o BENCH_TRAJECTORY.json BENCH_PR*.json
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

@@ -34,6 +34,6 @@ func main() {
 	})
 	flag.Parse()
 	p.Main(func(sess *wire.Session, hello engine.Hello) error {
-		return engine.ServeCPAs(sess, hello, nil)
+		return engine.ServeCP(sess, hello, nil)
 	})
 }

@@ -39,6 +39,6 @@ func main() {
 		log.Fatalf("%s: %v", p.Prefix(), err)
 	}
 	p.Main(func(sess *wire.Session, hello engine.Hello) error {
-		return engine.ServeSKAs(sess, hello, sk)
+		return engine.ServeSK(sess, hello, sk)
 	})
 }

@@ -101,46 +101,34 @@ func (e *Env) runtime() (*partyRuntime, error) {
 		rt.connOpts = append(rt.connOpts, wire.WithAdaptiveWindow(e.WindowCap))
 	}
 	for i := 0; i < harnessCPs; i++ {
-		sess, err := rt.attach(engine.RoleCP, fmt.Sprintf("cp-%d", i))
-		if err != nil {
+		h := engine.Hello{Name: fmt.Sprintf("cp-%d", i)}
+		if err := rt.attach(func(sess *wire.Session) error { return engine.ServeCP(sess, h, nil) }); err != nil {
 			return nil, err
 		}
-		go engine.ServeCP(sess, fmt.Sprintf("cp-%d", i), nil)
 	}
 	for i := 0; i < harnessSKs; i++ {
-		sess, err := rt.attach(engine.RoleSK, fmt.Sprintf("sk-%d", i))
-		if err != nil {
+		h := engine.Hello{Name: fmt.Sprintf("sk-%d", i)}
+		if err := rt.attach(func(sess *wire.Session) error { return engine.ServeSK(sess, h, nil) }); err != nil {
 			return nil, err
 		}
-		go engine.ServeSK(sess, fmt.Sprintf("sk-%d", i))
 	}
 	e.rt = rt
 	return rt, nil
 }
 
-// attach wires one party to the engine over an in-memory pipe and
-// returns the party-side session. The engine side is registered under
-// the given role directly (the hello handshake is exercised by the
-// daemon deployment; in process it would only add latency).
-func (rt *partyRuntime) attach(role, name string) (*wire.Session, error) {
+// attach wires one party to the engine over an in-memory pipe: serve
+// runs the party side (hello, then its round loop) in the background
+// while the engine side completes the same handshake the daemons use.
+// The identities carry no token, so a duplicate name is refused.
+func (rt *partyRuntime) attach(serve func(*wire.Session) error) error {
 	tsConn, partyConn := wire.Pipe(rt.connOpts...)
 	tsSess := wire.NewSession(tsConn, false)
-	partySess := wire.NewSession(partyConn, true)
-	var err error
-	switch role {
-	case engine.RoleCP:
-		err = rt.eng.AddCP(name, tsSess)
-	case engine.RoleSK:
-		err = rt.eng.AddSK(name, tsSess)
-	case engine.RoleDC:
-		err = rt.eng.AddDC(name, tsSess)
-	default:
-		err = fmt.Errorf("core: unknown role %q", role)
+	go serve(wire.NewSession(partyConn, true))
+	if _, err := rt.eng.AcceptSession(tsSess); err != nil {
+		tsSess.Close()
+		return err
 	}
-	if err != nil {
-		return nil, err
-	}
-	return partySess, nil
+	return nil
 }
 
 // ensureDCs grows the DC host pool to at least n sessions.
@@ -150,13 +138,17 @@ func (rt *partyRuntime) ensureDCs(n int) error {
 	for rt.numDCs < n {
 		host := rt.numDCs
 		name := fmt.Sprintf("dc-%d", host)
-		sess, err := rt.attach(engine.RoleDC, name)
+		err := rt.attach(func(sess *wire.Session) error {
+			if _, err := engine.SendHelloPinned(sess, engine.Hello{Role: engine.RoleDC, Name: name}); err != nil {
+				return err
+			}
+			return engine.ServeRounds(sess, func(st *wire.Stream) error {
+				return rt.serveDCRound(host, name, st)
+			})
+		})
 		if err != nil {
 			return err
 		}
-		go engine.ServeRounds(sess, func(st *wire.Stream) error {
-			return rt.serveDCRound(host, name, st)
-		})
 		rt.numDCs++
 	}
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/tls"
 	"fmt"
 	"sync"
@@ -223,7 +224,7 @@ func TestPSCOverTCP(t *testing.T) {
 	}
 	resCh := make(chan psc.Result, 1)
 	go func() {
-		res, err := tally.Run(tsConns)
+		res, err := tally.Run(context.Background(), tsConns)
 		if err != nil {
 			t.Errorf("tally: %v", err)
 			close(resCh)

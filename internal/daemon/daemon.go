@@ -36,9 +36,9 @@ type Flags struct {
 func CommonFlags(netemScope, spillHelp string) *Flags {
 	f := &Flags{
 		metricsAddr:    flag.String("metrics-addr", "", "serve the ops metrics registry over HTTP at this address (empty: disabled)"),
-		streamWindow:   flag.Int("stream-window", 0, "initial per-stream flow-control window in bytes (0: wire default, 1 MiB); negotiated per direction with revision-aware peers"),
+		streamWindow:   flag.Int("stream-window", 0, "initial per-stream flow-control window in bytes (0: wire default, 1 MiB); announced per direction at stream open"),
 		netemSpec:      flag.String("netem", "", "WAN emulation profile shaping "+netemScope+" (lan, wan-good, wan-tor, or key=value spec; empty: none)"),
-		adaptiveWindow: flag.Bool("adaptive-window", true, "autotune stream windows toward the measured bandwidth-delay product (AIMD; active only with negotiation-aware peers)"),
+		adaptiveWindow: flag.Bool("adaptive-window", true, "autotune stream windows toward the measured bandwidth-delay product (AIMD)"),
 		windowCap:      flag.Int("window-cap", 0, "adaptive stream-window growth bound in bytes (0: wire default, 16 MiB)"),
 	}
 	if spillHelp != "" {

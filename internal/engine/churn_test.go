@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -81,7 +82,7 @@ func churnFleet(t *testing.T, numCPs, numDCs int) (*Engine, []*churnDC, chan dcR
 		tsConn, partyConn := wire.Pipe()
 		ts := wire.NewSession(tsConn, false)
 		party := wire.NewSession(partyConn, true)
-		go ServeCP(party, fmt.Sprintf("cp-%d", i), nil)
+		go ServeCP(party, Hello{Name: fmt.Sprintf("cp-%d", i)}, nil)
 		if _, err := e.AcceptSession(ts); err != nil {
 			t.Fatalf("accept cp: %v", err)
 		}
@@ -312,7 +313,7 @@ func TestRejoinResumesRoundBeforeBarrier(t *testing.T) {
 // TestGraceExpiryDegradesExactlyOnce drills the double-abort race: a
 // dead DC plus a round deadline must resolve to exactly one outcome —
 // degraded completion when the grace window expires first, or a single
-// deadline failure when the watchdog wins — never both.
+// deadline failure when the deadline wins — never both.
 func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 	// Grace far shorter than the deadline: degradation wins.
 	e, dcs, rounds := churnFleet(t, 2, 2)
@@ -349,7 +350,7 @@ func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 		t.Errorf("rounds-completed+failed = %g, want exactly 1 outcome", got)
 	}
 
-	// Deadline far shorter than the grace window: the watchdog wins and
+	// Deadline far shorter than the grace window: the deadline wins and
 	// the round fails exactly once, with no degradation recorded.
 	e2, dcs2, rounds2 := churnFleet(t, 2, 2)
 	reg2 := metrics.NewRegistry()
@@ -455,5 +456,65 @@ func TestRejoinEmptyPresentedTokenRejected(t *testing.T) {
 	}
 	if _, _, got := e.Counts(); got != 1 {
 		t.Fatalf("registry has %d DCs after rejected rejoin, want 1", got)
+	}
+}
+
+// TestSetMetricsDuringRejoin swaps the engine's registry while a party
+// drops and rejoins mid-round. register, watch and the round's recovery
+// callback all count into a registry on that path; each must use one it
+// read under the engine lock (or the round's own snapshot), which the
+// race detector checks here.
+func TestSetMetricsDuringRejoin(t *testing.T) {
+	e, dcs, rounds := churnFleet(t, 2, 2)
+	reg := metrics.NewRegistry()
+	e.SetMetrics(reg)
+	e.SetQuorum(QuorumPolicy{MinDCs: 1})
+	e.SetRejoinGrace(time.Minute)
+
+	r, err := e.StartPSC(smallPSC, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roles := collect(t, rounds, 2, r)
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.SetMetrics(reg)
+				runtime.Gosched()
+			}
+		}
+	}()
+	dcs[1].kill()
+	dcs[1].start()
+	// The reopened stream's DC role arrives only after the registry
+	// rebound the identity and the recovery callback reattached the
+	// round — both counters are in by then. (The watcher counts the drop
+	// only if it runs before the rejoin, so that one is not asserted.)
+	select {
+	case d := <-rounds:
+		roles = append(roles, d)
+	case <-time.After(2 * time.Minute):
+		t.Fatal("rejoined DC never received a reopened round stream")
+	}
+	close(stop)
+	<-stopped
+
+	r.Abort("test over")
+	if _, err := r.WaitPSC(); err == nil {
+		t.Fatal("aborted round reported success")
+	}
+	for _, d := range roles {
+		close(d.done)
+	}
+	for _, name := range []string{"engine/parties-rejoined", "engine/" + LabelPSC + "/parties-reattached"} {
+		if got := reg.Get(name); got != 1 {
+			t.Errorf("%s = %g, want 1", name, got)
+		}
 	}
 }

@@ -9,15 +9,15 @@
 // # Key types
 //
 //   - Engine: the tally-side scheduler. Sessions attach via
-//     AcceptSession (the acked hello handshake) or the Add* methods
-//     (in-process, no handshake); StartPSC and StartPrivCount schedule
-//     rounds over the registered fleet.
+//     AcceptSession (the acked hello handshake; the in-process harness
+//     runs the same one over pipes); StartPSC and StartPrivCount
+//     schedule rounds over the registered fleet.
 //   - Hello / HelloAck: the session-registration exchange. A Hello
 //     carries the party's role, name, pinned identity (ID, defaulting
 //     to the name), and registration token.
-//   - Round: one scheduled measurement round. Wait* blocks for the
-//     outcome, Abort cancels it in isolation, Absent lists parties the
-//     round completed without.
+//   - Round: one scheduled measurement round, and one
+//     context.Context. Wait* blocks for the outcome, Abort cancels it
+//     in isolation, Absent lists parties the round completed without.
 //   - QuorumPolicy: the per-protocol degradation rule (MinDCs); see
 //     below.
 //   - ReconnectLoop: the party-daemon dial/serve/backoff loop.
@@ -48,10 +48,18 @@
 //     threshold) and PrivCount rounds require every SK (each holds
 //     blinding state nobody else can reproduce): QuorumPolicy tunes
 //     only data-collector coverage.
-//   - A round claims exactly one outcome: completed (possibly
-//     degraded), failed, or deadline-exceeded — the watchdog and the
-//     round goroutine arbitrate through the finishing/deadlineFired
-//     claim, and degradation is counted only for completed rounds.
+//   - A round is stopped by one mechanism: cancelling its context,
+//     with the reason as the cause. Abort, the SetRoundDeadline timeout
+//     and a failed tally all do exactly that; the cancellation resets
+//     the round's streams (one context.AfterFunc), wakes the PSC
+//     pipeline (the tally runs under the round's context) and ends any
+//     rejoin wait.
+//   - A round claims exactly one outcome. finish detaches the stream
+//     reset from the context, and whether that detach came first is the
+//     claim: if it did the tally's result stands (completed, possibly
+//     degraded, or failed); otherwise the cancellation cause is the
+//     round's error, whatever the tally returned. Degradation is
+//     counted only for completed rounds.
 //   - Aborting or failing a round never tears down sessions; only
 //     Engine.Close does.
 package engine

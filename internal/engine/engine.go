@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -64,20 +65,6 @@ type HelloAck struct {
 	Reason   string
 }
 
-// SendHello announces this party on a fresh session (party side)
-// without waiting for the engine's answer — the fire-and-forget path
-// used by the in-process harness, where the engine side registers
-// directly. Daemons use SendHelloPinned to learn whether their
-// registration (or rejoin) was accepted.
-func SendHello(sess *wire.Session, role, name string) error {
-	st, err := sess.Open(0, LabelHello)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	return st.Send(LabelHello, Hello{Role: role, Name: name})
-}
-
 // ErrRejected reports that the engine refused a registration — the
 // pinned identity exists with a different token, or the hello was
 // malformed. Daemons treat it as fatal: retrying with the same
@@ -125,8 +112,7 @@ type Engine struct {
 	reg      *metrics.Registry
 }
 
-// New returns an empty engine; parties attach via the Add methods or
-// AcceptSession.
+// New returns an empty engine; parties attach via AcceptSession.
 func New() *Engine {
 	return &Engine{
 		reg:        metrics.Default(),
@@ -146,9 +132,10 @@ func (e *Engine) SetAccountant(a *dp.Accountant) {
 	e.acct = a
 }
 
-// SetRoundDeadline bounds every subsequently scheduled round: a round
-// that has not completed within d is aborted automatically, so a
-// stalled party costs its round, not an operator page. Zero disables.
+// SetRoundDeadline bounds every subsequently scheduled round: its
+// context carries d as a timeout, so a round that has not completed
+// within d is cancelled exactly as an operator Abort would cancel it —
+// a stalled party costs its round, not an operator page. Zero disables.
 func (e *Engine) SetRoundDeadline(d time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -197,26 +184,6 @@ func (e *Engine) unauthorize(label string) {
 	}
 }
 
-// AddCP registers a computation-party session directly (no hello
-// handshake), for in-process deployments. Unlike the hello path, a
-// duplicate name is an error, not a rejoin.
-func (e *Engine) AddCP(name string, sess *wire.Session) error {
-	_, err := e.register(Hello{Role: RoleCP, Name: name}, sess, false)
-	return err
-}
-
-// AddSK registers a share-keeper session directly.
-func (e *Engine) AddSK(name string, sess *wire.Session) error {
-	_, err := e.register(Hello{Role: RoleSK, Name: name}, sess, false)
-	return err
-}
-
-// AddDC registers a data-collector session directly.
-func (e *Engine) AddDC(name string, sess *wire.Session) error {
-	_, err := e.register(Hello{Role: RoleDC, Name: name}, sess, false)
-	return err
-}
-
 // AcceptSession performs the tally side of the hello handshake: it
 // reads the party announcement, registers or rebinds the pinned
 // identity, and acks the verdict on the hello stream. A re-registration
@@ -243,7 +210,7 @@ func (e *Engine) AcceptSession(sess *wire.Session) (Hello, error) {
 	var rejoined bool
 	switch h.Role {
 	case RoleCP, RoleSK, RoleDC:
-		rejoined, err = e.register(h, sess, true)
+		rejoined, err = e.register(h, sess)
 	default:
 		err = fmt.Errorf("engine: unknown role %q", h.Role)
 	}
@@ -289,39 +256,24 @@ func (e *Engine) reserveRound() uint64 {
 	return e.nextRound
 }
 
-// newRound builds a round shell with the engine's observability wired.
-func (e *Engine) newRound(label string) *Round {
+// newRound builds a round over parties with the engine's observability
+// and deadline wired: the round's context exists from here on, and its
+// cancellation — by Abort, the deadline, or finish reporting a failed
+// tally — is what resets the round's streams.
+func (e *Engine) newRound(label string, parties []*member) *Round {
 	e.mu.Lock()
-	reg := e.reg
+	reg, d := e.reg, e.deadline
 	e.mu.Unlock()
-	return &Round{
+	r := &Round{
 		ID: e.reserveRound(), Label: label, done: make(chan struct{}),
-		aborted: make(chan struct{}), started: time.Now(), reg: reg,
+		parties: parties, started: time.Now(), reg: reg,
 	}
-}
-
-// armDeadline starts the round's watchdog once its streams are open.
-func (e *Engine) armDeadline(r *Round) {
-	e.mu.Lock()
-	d := e.deadline
-	e.mu.Unlock()
-	if d <= 0 {
-		return
+	r.ctx, r.cancel = context.WithCancelCause(context.Background())
+	if d > 0 {
+		r.ctx, r.disarm = context.WithTimeoutCause(r.ctx, d, fmt.Errorf("round deadline %v exceeded", d))
 	}
-	r.deadline = d
-	r.timer = time.AfterFunc(d, func() {
-		r.mu.Lock()
-		if r.finishing {
-			r.mu.Unlock()
-			return // finish() claimed the outcome; don't abort or count
-		}
-		r.deadlineFired = true // claim: finish() will report the deadline
-		r.mu.Unlock()
-		if r.reg != nil {
-			r.reg.Inc("engine/" + r.Label + "/rounds-deadline-exceeded")
-		}
-		r.Abort(fmt.Sprintf("round deadline %v exceeded", d))
-	})
+	r.stop = context.AfterFunc(r.ctx, r.resetStreams)
+	return r
 }
 
 // pick selects parties for a round: explicit indices, or the first n.
@@ -346,42 +298,40 @@ func pick(pool []*member, sel []int, n int, role string) ([]*member, error) {
 }
 
 // Round is one scheduled measurement round. Wait blocks for the
-// outcome; Abort resets the round's streams without touching the
-// sessions, so every other round keeps running.
+// outcome. The round is its context: Abort, the engine's round deadline
+// and a failed tally all cancel ctx with the reason as the cause, and
+// that cancellation — nothing else — resets the round's streams, wakes
+// the tally's pipeline and ends any rejoin wait pending on the round's
+// behalf. The sessions are never touched, so every other round keeps
+// running.
 type Round struct {
 	ID    uint64
 	Label string
 	done  chan struct{}
-	// aborted closes when the round is aborted (operator, deadline, or
-	// failure); it unblocks any rejoin wait still pending on the round's
-	// behalf.
-	aborted chan struct{}
+
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	// disarm releases the deadline timer; nil when no deadline is set.
+	disarm context.CancelFunc
+	// stop detaches resetStreams from ctx. Its result is the one claim on
+	// the round's outcome: true, and the tally's own result stands; false,
+	// and a cancellation got there first (see finish).
+	stop func() bool
+
 	// parties is the membership snapshot the round was scheduled over,
 	// in the order its streams were opened.
 	parties []*member
 
-	started  time.Time
-	reg      *metrics.Registry
-	timer    *time.Timer   // deadline watchdog, nil when no deadline
-	deadline time.Duration // the armed deadline, for error text
+	started time.Time
+	reg     *metrics.Registry
 
 	mu      sync.Mutex
 	streams []*wire.Stream
-	// finishing and deadlineFired are the two sides of an atomic claim
-	// on the round's outcome: whichever of finish() and the watchdog
-	// takes r.mu first decides, so a timer firing as a round completes
-	// can never reset the streams of a round reported as successful.
-	// abortFlagged is set under mu before Abort snapshots the stream
-	// set, so addStream can never slip a stream past the reset.
-	finishing     bool
-	abortFlagged  bool
-	deadlineFired bool
-	err           error
-	stats         RoundStats
-	absent        []string
-	pscRes        psc.Result
-	privRes       map[string][]float64
-	abortOnce     sync.Once
+	err     error
+	stats   RoundStats
+	absent  []string
+	pscRes  psc.Result
+	privRes map[string][]float64
 }
 
 // RoundStats describes one completed round for the operator: how long
@@ -409,31 +359,35 @@ func (r *Round) Err() error {
 	return r.err
 }
 
-// Abort resets every stream of the round; parties and the tally see the
-// reason as a stream error and unwind. The round completes with an
-// error; the sessions stay healthy.
-func (r *Round) Abort(reason string) {
-	r.abortOnce.Do(func() {
-		close(r.aborted)
-		r.mu.Lock()
-		r.abortFlagged = true
-		streams := append([]*wire.Stream(nil), r.streams...)
-		r.mu.Unlock()
-		for _, st := range streams {
-			st.Reset(reason)
-		}
-	})
+// Abort cancels the round with reason as the cause: its streams are
+// reset, so parties and the tally see the reason as a stream error and
+// unwind, and the round completes with the reason as its error — unless
+// the tally's result was claimed first, in which case that result
+// stands. The sessions stay healthy.
+func (r *Round) Abort(reason string) { r.cancel(errors.New(reason)) }
+
+// resetStreams is the one bridge from the round's context to the wire:
+// it runs once, when ctx is cancelled (or from finish, which detaches it
+// first), and resets every stream with the cause's text.
+func (r *Round) resetStreams() {
+	reason := context.Cause(r.ctx).Error()
+	r.mu.Lock()
+	streams := append([]*wire.Stream(nil), r.streams...)
+	r.mu.Unlock()
+	for _, st := range streams {
+		st.Reset(reason)
+	}
 }
 
-// addStream attaches a replacement stream (opened for a rejoined party)
-// to the round's stream set, so aborts and stats cover it. It refuses
-// once the round has claimed an outcome or an abort has snapshotted the
-// stream set — the same mutex orders the two, so a stream is either in
-// the abort's reset set or refused here and reset by the caller.
+// addStream attaches a stream to the round's stream set, so cancellation
+// and stats cover it. It refuses once the round is cancelled: ctx is
+// cancelled before resetStreams snapshots the set under the same mutex,
+// so a stream is either in the reset set or refused here and reset by
+// the caller.
 func (r *Round) addStream(st *wire.Stream) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.finishing || r.abortFlagged {
+	if r.ctx.Err() != nil {
 		return false
 	}
 	r.streams = append(r.streams, st)
@@ -457,31 +411,36 @@ func (r *Round) Degraded() bool {
 	return len(r.absent) > 0
 }
 
-// finish records the outcome, stops the deadline watchdog, records
-// metrics, and releases the streams: closed on success so peers drain
-// cleanly, reset on failure so every blocked party unwinds immediately.
+// finish records the outcome and the metrics and releases the streams:
+// closed on success so peers drain cleanly, reset on failure so every
+// blocked party unwinds immediately. err is the tally's own result.
 func (r *Round) finish(err error) {
-	// Claim the outcome before anything else. If the watchdog claimed
-	// first, it has already reset the streams: the round's outcome IS
-	// the deadline failure, whatever the tally goroutine computed.
+	// Claim the outcome before anything else. If a cancellation got
+	// there first, resetStreams is already running and the cause IS the
+	// round's error, whatever the unwinding tally returned — a deadline or
+	// an Abort that fires as the tally completes can never reset the
+	// streams of a round reported as successful, nor the reverse.
+	claimed := r.stop()
+	if !claimed {
+		cause := context.Cause(r.ctx)
+		if errors.Is(r.ctx.Err(), context.DeadlineExceeded) && r.reg != nil {
+			r.reg.Inc("engine/" + r.Label + "/rounds-deadline-exceeded")
+		}
+		if err != nil && !errors.Is(err, cause) {
+			err = fmt.Errorf("%v (unwound with: %v)", cause, err)
+		} else {
+			err = cause
+		}
+	}
+	// On success this only releases the context; a failed tally's error
+	// becomes the cause its streams are reset with.
+	r.cancel(err)
+	if r.disarm != nil {
+		r.disarm()
+	}
 	r.mu.Lock()
-	r.finishing = true
-	fired := r.deadlineFired
 	streams := append([]*wire.Stream(nil), r.streams...)
 	r.mu.Unlock()
-	if fired {
-		// The watchdog claimed the outcome: the round failed on its
-		// deadline, whatever error the unwinding tally goroutine hit on
-		// its reset streams.
-		derr := fmt.Errorf("round deadline %v exceeded", r.deadline)
-		if err != nil {
-			derr = fmt.Errorf("%v (unwound with: %v)", derr, err)
-		}
-		err = derr
-	}
-	if r.timer != nil {
-		r.timer.Stop()
-	}
 	stats := RoundStats{Seconds: time.Since(r.started).Seconds()}
 	var maxWindow int64
 	var maxRTT time.Duration
@@ -499,6 +458,7 @@ func (r *Round) finish(err error) {
 	r.mu.Lock()
 	r.err = err
 	r.stats = stats
+	nAbsent := len(r.absent)
 	r.mu.Unlock()
 	if r.reg != nil {
 		outcome := "completed"
@@ -509,9 +469,6 @@ func (r *Round) finish(err error) {
 		r.reg.Add("engine/"+r.Label+"/round-seconds", stats.Seconds)
 		r.reg.Add("engine/"+r.Label+"/stream-bytes-sent", float64(stats.BytesSent))
 		r.reg.Add("engine/"+r.Label+"/stream-bytes-recv", float64(stats.BytesRecv))
-		r.mu.Lock()
-		nAbsent := len(r.absent)
-		r.mu.Unlock()
 		// Per-round gauges: the most recent round's footprint as levels, so
 		// a scraper graphs the latest round directly instead of
 		// differentiating the cumulative counters.
@@ -538,26 +495,27 @@ func (r *Round) finish(err error) {
 			r.reg.Add("engine/"+r.Label+"/parties-absent", float64(nAbsent))
 		}
 	}
-	if err != nil {
-		r.Abort(err.Error())
-	} else {
+	switch {
+	case err == nil:
 		for _, st := range streams {
 			st.Close()
 		}
+	case claimed:
+		r.resetStreams()
 	}
 	close(r.done)
 }
 
-// openRound opens one labeled stream per selected party of the
+// openRound opens one labeled stream per party of the round's
 // membership snapshot. Parties before dcStart are protocol-critical
 // (CPs, SKs): an open failure aborts the round. From dcStart on the
 // parties are data collectors, where the quorum policy may tolerate
 // absence: a failed open substitutes a messenger that reports the
 // failure on first use, routing a dead-at-start DC through the tally's
 // per-party recovery path instead of wedging scheduling.
-func (e *Engine) openRound(r *Round, parties []*member, dcStart int) ([]wire.Messenger, error) {
-	ms := make([]wire.Messenger, 0, len(parties))
-	for i, m := range parties {
+func (e *Engine) openRound(r *Round, dcStart int) ([]wire.Messenger, error) {
+	ms := make([]wire.Messenger, 0, len(r.parties))
+	for i, m := range r.parties {
 		e.mu.Lock()
 		sess := m.sess
 		e.mu.Unlock()
@@ -568,7 +526,6 @@ func (e *Engine) openRound(r *Round, parties []*member, dcStart int) ([]wire.Mes
 				ms = append(ms, failedMessenger{err: err})
 				continue
 			}
-			r.Abort("round setup failed")
 			return nil, err
 		}
 		if !r.addStream(st) {
@@ -587,7 +544,7 @@ func (e *Engine) openRound(r *Round, parties []*member, dcStart int) ([]wire.Mes
 // immediately, and otherwise the call blocks up to the rejoin grace
 // window for the party to re-register. When no resumption is possible
 // the party is recorded absent and the tally decides — by its quorum
-// floor — whether the round degrades or fails. An aborted round never
+// floor — whether the round degrades or fails. A cancelled round never
 // converts its failures into degradation.
 func (e *Engine) recoverFn(r *Round) func(i int, name string, canRetry bool) (wire.Messenger, bool) {
 	return func(i int, name string, canRetry bool) (wire.Messenger, bool) {
@@ -597,15 +554,13 @@ func (e *Engine) recoverFn(r *Round) func(i int, name string, canRetry bool) (wi
 		m := r.parties[i]
 		if canRetry {
 			if st := e.reopenFor(r, m); st != nil {
-				e.reg.Inc("engine/" + r.Label + "/parties-reattached")
+				r.reg.Inc("engine/" + r.Label + "/parties-reattached")
 				return st, true
 			}
 		}
-		select {
-		case <-r.aborted:
+		if r.ctx.Err() != nil {
 			// The round is being torn down; surface the original error.
 			return nil, false
-		default:
 		}
 		r.mu.Lock()
 		r.absent = append(r.absent, m.name)
@@ -636,96 +591,77 @@ func (r *Round) WaitPrivCount() (map[string][]float64, error) {
 // NumDCs). cfg.Round is assigned by the engine. The round runs in the
 // background; collect the outcome with WaitPSC.
 func (e *Engine) StartPSC(cfg psc.Config, dcSel []int) (*Round, error) {
-	e.mu.Lock()
-	var parties []*member
-	cps, err := pick(e.members[RoleCP], nil, cfg.NumCPs, "CP")
-	if err == nil {
-		var dcs []*member
-		dcs, err = pick(e.members[RoleDC], dcSel, cfg.NumDCs, "DC")
-		parties = append(append(parties, cps...), dcs...)
-	}
-	quorum := e.quorum
-	e.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	r := e.newRound(LabelPSC)
-	r.parties = parties
-	cfg.Round = r.ID
 	// PSC correctness requires every CP (n-of-n joint key); the quorum
 	// policy governs DC coverage only.
-	cfg.MinDCs = quorum.minDCsFor(cfg.NumDCs)
-	cfg.Recover = e.recoverFn(r)
-	tally, err := psc.NewTally(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.authorize(LabelPSC); err != nil {
-		return nil, err
-	}
-	ms, err := e.openRound(r, parties, cfg.NumCPs)
-	if err != nil {
-		e.unauthorize(LabelPSC)
-		return nil, err
-	}
-	e.armDeadline(r)
-	go func() {
-		res, err := tally.Run(ms)
-		if err == nil {
-			r.mu.Lock()
-			r.pscRes = res
-			r.mu.Unlock()
+	return e.start(LabelPSC, RoleCP, cfg.NumCPs, dcSel, cfg.NumDCs, func(r *Round, minDCs int) (runFunc, error) {
+		cfg.Round, cfg.MinDCs, cfg.Recover = r.ID, minDCs, e.recoverFn(r)
+		tally, err := psc.NewTally(cfg)
+		if err != nil {
+			return nil, err
 		}
-		r.finish(err)
-	}()
-	return r, nil
+		return func(ms []wire.Messenger) (err error) {
+			r.pscRes, err = tally.Run(r.ctx, ms)
+			return err
+		}, nil
+	})
 }
 
 // StartPrivCount schedules a PrivCount round over cfg.NumSKs share
 // keepers and cfg.NumDCs collector sessions (dcSel indices, or the
 // first NumDCs). cfg.Round is assigned by the engine.
 func (e *Engine) StartPrivCount(cfg privcount.TallyConfig, dcSel []int) (*Round, error) {
+	// PrivCount requires every SK (each holds blinding state nobody can
+	// reproduce); the quorum policy governs DC coverage only.
+	return e.start(LabelPrivCount, RoleSK, cfg.NumSKs, dcSel, cfg.NumDCs, func(r *Round, minDCs int) (runFunc, error) {
+		cfg.Round, cfg.MinDCs, cfg.Recover = r.ID, minDCs, e.recoverFn(r)
+		tally, err := privcount.NewTally(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return func(ms []wire.Messenger) (err error) {
+			r.privRes, err = tally.Run(ms)
+			return err
+		}, nil
+	})
+}
+
+// runFunc runs a built tally over the round's messengers and stores its
+// typed result on the round; the result is read only after Done.
+type runFunc func(ms []wire.Messenger) error
+
+// start is the one scheduling path: pick the critical parties (the
+// first n registered under role — an open failure to one of them fails
+// scheduling) and the DCs, build the round and its tally, spend the
+// budget, open the streams, and run the tally in the background. Any
+// failure before the tally runs cancels the round — resetting whatever
+// streams were opened — and a failed open refunds the budget.
+func (e *Engine) start(label, role string, n int, dcSel []int, numDCs int, build func(r *Round, minDCs int) (runFunc, error)) (*Round, error) {
 	e.mu.Lock()
-	var parties []*member
-	sks, err := pick(e.members[RoleSK], nil, cfg.NumSKs, "SK")
+	critical, err := pick(e.members[role], nil, n, role)
+	var dcs []*member
 	if err == nil {
-		var dcs []*member
-		dcs, err = pick(e.members[RoleDC], dcSel, cfg.NumDCs, "DC")
-		parties = append(append(parties, sks...), dcs...)
+		dcs, err = pick(e.members[RoleDC], dcSel, numDCs, RoleDC)
 	}
-	quorum := e.quorum
+	minDCs := e.quorum.minDCsFor(numDCs)
 	e.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	r := e.newRound(LabelPrivCount)
-	r.parties = parties
-	cfg.Round = r.ID
-	// PrivCount requires every SK (each holds blinding state nobody can
-	// reproduce); the quorum policy governs DC coverage only.
-	cfg.MinDCs = quorum.minDCsFor(cfg.NumDCs)
-	cfg.Recover = e.recoverFn(r)
-	tally, err := privcount.NewTally(cfg)
-	if err != nil {
-		return nil, err
+	r := e.newRound(label, append(append([]*member(nil), critical...), dcs...))
+	run, err := build(r, minDCs)
+	if err == nil {
+		err = e.authorize(label)
 	}
-	if err := e.authorize(LabelPrivCount); err != nil {
-		return nil, err
-	}
-	ms, err := e.openRound(r, parties, cfg.NumSKs)
-	if err != nil {
-		e.unauthorize(LabelPrivCount)
-		return nil, err
-	}
-	e.armDeadline(r)
-	go func() {
-		res, err := tally.Run(ms)
-		if err == nil {
-			r.mu.Lock()
-			r.privRes = res
-			r.mu.Unlock()
+	var ms []wire.Messenger
+	if err == nil {
+		if ms, err = e.openRound(r, n); err != nil {
+			e.unauthorize(label)
 		}
-		r.finish(err)
-	}()
+	}
+	if err != nil {
+		r.cancel(err)
+		return nil, err
+	}
+	go func() { r.finish(run(ms)) }()
 	return r, nil
 }

@@ -45,12 +45,12 @@ func testFleet(t *testing.T, numCPs, numSKs, numDCs int) (*Engine, chan dcRound)
 
 	for i := 0; i < numCPs; i++ {
 		ts, party := attach()
-		go ServeCP(party, fmt.Sprintf("cp-%d", i), nil)
+		go ServeCP(party, Hello{Name: fmt.Sprintf("cp-%d", i)}, nil)
 		accept(ts)
 	}
 	for i := 0; i < numSKs; i++ {
 		ts, party := attach()
-		go ServeSK(party, fmt.Sprintf("sk-%d", i))
+		go ServeSK(party, Hello{Name: fmt.Sprintf("sk-%d", i)}, nil)
 		accept(ts)
 	}
 	for i := 0; i < numDCs; i++ {
@@ -58,7 +58,7 @@ func testFleet(t *testing.T, numCPs, numSKs, numDCs int) (*Engine, chan dcRound)
 		i := i
 		name := fmt.Sprintf("dc-%d", i)
 		go func() {
-			if err := SendHello(party, RoleDC, name); err != nil {
+			if _, err := SendHelloPinned(party, Hello{Role: RoleDC, Name: name}); err != nil {
 				return
 			}
 			ServeRounds(party, func(st *wire.Stream) error {
@@ -251,7 +251,7 @@ func TestAccountantRefusesOverBudgetRounds(t *testing.T) {
 }
 
 // TestRoundDeadlineAbortsStalledRound starts a round whose DCs never
-// finish; the engine's deadline watchdog must abort it automatically,
+// finish; the round deadline must cancel it automatically,
 // leaving the sessions healthy for the next round.
 func TestRoundDeadlineAbortsStalledRound(t *testing.T) {
 	e, rounds := testFleet(t, 2, 1, 2)
@@ -385,17 +385,18 @@ func TestBudgetRefundedWhenOpenFails(t *testing.T) {
 	}
 	e.SetAccountant(acct)
 
-	tsConn, partyConn := wire.Pipe()
-	ts := wire.NewSession(tsConn, false)
-	e.AddCP("cp-dead", ts)
-	tsConn2, partyConn2 := wire.Pipe()
-	ts2 := wire.NewSession(tsConn2, false)
-	e.AddDC("dc-dead", ts2)
-	// Kill both sessions before scheduling: stream-open must fail.
-	partyConn.Close()
-	partyConn2.Close()
-	ts.Close()
-	ts2.Close()
+	// Register both parties through the handshake, then kill their
+	// sessions before scheduling: stream-open must fail.
+	for _, h := range []Hello{{Role: RoleCP, Name: "cp-dead"}, {Role: RoleDC, Name: "dc-dead"}} {
+		tsConn, partyConn := wire.Pipe()
+		ts, party := wire.NewSession(tsConn, false), wire.NewSession(partyConn, true)
+		go SendHelloPinned(party, h)
+		if _, err := e.AcceptSession(ts); err != nil {
+			t.Fatalf("accept %s: %v", h.Name, err)
+		}
+		party.Close()
+		ts.Close()
+	}
 
 	small := psc.Config{Bins: 64, NoisePerCP: 2, ShuffleProofRounds: 1, NumDCs: 1, NumCPs: 1}
 	if _, err := e.StartPSC(small, nil); err == nil {
@@ -406,4 +407,87 @@ func TestBudgetRefundedWhenOpenFails(t *testing.T) {
 	if got := acct.Rounds(); got != 0 {
 		t.Fatalf("failed round consumed budget: %d rounds recorded", got)
 	}
+}
+
+// TestRoundOutcomeClaimedOnce drives the claim in finish from both
+// sides on rounds built by newRound over real streams. A cancellation
+// that precedes finish owns the outcome even though the tally reported
+// success: the round's error is the cause and its streams are reset. A
+// finish that precedes the cancellation owns it the other way: the
+// round succeeded, its streams are closed and a late Abort resets
+// nothing. Either way exactly one outcome is counted.
+func TestRoundOutcomeClaimedOnce(t *testing.T) {
+	build := func(t *testing.T) (r *Round, reg *metrics.Registry, ts, party *wire.Session, pst *wire.Stream) {
+		e := New()
+		reg = metrics.NewRegistry()
+		e.SetMetrics(reg)
+		tsConn, partyConn := wire.Pipe()
+		ts, party = wire.NewSession(tsConn, false), wire.NewSession(partyConn, true)
+		t.Cleanup(func() { ts.Close(); party.Close() })
+		r = e.newRound(LabelPSC, nil)
+		st, err := ts.Open(r.ID, r.Label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.addStream(st) {
+			t.Fatal("a live round refused its stream")
+		}
+		if pst, err = party.Accept(); err != nil {
+			t.Fatal(err)
+		}
+		return r, reg, ts, party, pst
+	}
+	outcomes := func(reg *metrics.Registry) (completed, failed float64) {
+		return reg.Get("engine/" + LabelPSC + "/rounds-completed"), reg.Get("engine/" + LabelPSC + "/rounds-failed")
+	}
+
+	t.Run("cancel-then-finish", func(t *testing.T) {
+		r, reg, _, _, pst := build(t)
+		r.Abort("operator cancelled")
+		r.finish(nil)
+		<-r.Done()
+		if err := r.Err(); err == nil || err.Error() != "operator cancelled" {
+			t.Fatalf("round error = %v, want the cancellation cause", err)
+		}
+		select {
+		case <-pst.Failed():
+		case <-time.After(30 * time.Second):
+			t.Fatal("the cancelled round's stream was never reset")
+		}
+		if _, err := pst.Recv(); err == nil || !strings.Contains(err.Error(), "operator cancelled") {
+			t.Fatalf("party stream error = %v, want the reset to carry the cause", err)
+		}
+		if c, f := outcomes(reg); c != 0 || f != 1 {
+			t.Fatalf("rounds-completed %g, rounds-failed %g; want 0, 1", c, f)
+		}
+	})
+
+	t.Run("finish-then-abort", func(t *testing.T) {
+		r, reg, ts, party, pst := build(t)
+		r.finish(nil)
+		r.Abort("too late")
+		<-r.Done()
+		if err := r.Err(); err != nil {
+			t.Fatalf("round error = %v after a claimed success", err)
+		}
+		if _, err := pst.Recv(); !errors.Is(err, wire.ErrClosed) {
+			t.Fatalf("party stream error = %v, want a clean close", err)
+		}
+		// Frames are ordered on the session: once a stream opened after
+		// the Abort has arrived, a reset sent because of it would have too.
+		if _, err := ts.Open(r.ID+1, "marker"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := party.Accept(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-pst.Failed():
+			t.Fatal("Abort after a claimed success reset the round's stream")
+		default:
+		}
+		if c, f := outcomes(reg); c != 1 || f != 0 {
+			t.Fatalf("rounds-completed %g, rounds-failed %g; want 1, 0", c, f)
+		}
+	})
 }

@@ -16,31 +16,17 @@ import (
 // spans every round of the session, the way the deployed daemons hold
 // one key across a whole measurement study.
 
-// ServeCP announces a computation party on sess and serves PSC rounds
-// until the session closes. It returns the session's terminal error.
-// The hello is fire-and-forget; daemons that need the engine's
-// registration verdict (rejoin, token rejection) use ServeCPAs.
-func ServeCP(sess *wire.Session, name string, noise *dp.NoiseSource) error {
-	if err := SendHello(sess, RoleCP, name); err != nil {
-		return err
-	}
-	return serveCP(sess, name, noise)
-}
-
-// ServeCPAs is ServeCP with a pinned identity: it registers via the
-// acked hello exchange, so a token mismatch surfaces as an immediate
-// error instead of a dead session.
-func ServeCPAs(sess *wire.Session, h Hello, noise *dp.NoiseSource) error {
+// ServeCP registers a computation party under its pinned identity via
+// the acked hello exchange — a token mismatch surfaces as an immediate
+// error instead of a dead session — and serves PSC rounds until the
+// session closes. It returns the session's terminal error.
+func ServeCP(sess *wire.Session, h Hello, noise *dp.NoiseSource) error {
 	h.Role = RoleCP
 	if _, err := SendHelloPinned(sess, h); err != nil {
 		return err
 	}
-	return serveCP(sess, h.Name, noise)
-}
-
-func serveCP(sess *wire.Session, name string, noise *dp.NoiseSource) error {
-	cp := psc.NewCP(name, nil, noise)
-	return serveRounds(sess, func(st *wire.Stream) error {
+	cp := psc.NewCP(h.Name, nil, noise)
+	return ServeRounds(sess, func(st *wire.Stream) error {
 		if st.Label() != LabelPSC {
 			st.Reset("psc-cp: unexpected stream " + st.Label())
 			return nil
@@ -49,23 +35,11 @@ func serveCP(sess *wire.Session, name string, noise *dp.NoiseSource) error {
 	})
 }
 
-// ServeSK announces a share keeper on sess and serves PrivCount rounds
-// until the session closes.
-func ServeSK(sess *wire.Session, name string) error {
-	if err := SendHello(sess, RoleSK, name); err != nil {
-		return err
-	}
-	sk, err := privcount.NewSK(name, nil)
-	if err != nil {
-		return err
-	}
-	return serveSK(sess, sk)
-}
-
-// ServeSKAs is ServeSK with a pinned identity and acked registration.
-// The SK value may be reused across reconnects so the seal keypair
-// survives session churn (nil creates a fresh one).
-func ServeSKAs(sess *wire.Session, h Hello, sk *privcount.SK) error {
+// ServeSK registers a share keeper under its pinned identity and serves
+// PrivCount rounds until the session closes. The SK value may be reused
+// across reconnects so the seal keypair survives session churn (nil
+// creates a fresh one).
+func ServeSK(sess *wire.Session, h Hello, sk *privcount.SK) error {
 	h.Role = RoleSK
 	if _, err := SendHelloPinned(sess, h); err != nil {
 		return err
@@ -76,25 +50,13 @@ func ServeSKAs(sess *wire.Session, h Hello, sk *privcount.SK) error {
 			return err
 		}
 	}
-	return serveSK(sess, sk)
-}
-
-func serveSK(sess *wire.Session, sk *privcount.SK) error {
-	return serveRounds(sess, func(st *wire.Stream) error {
+	return ServeRounds(sess, func(st *wire.Stream) error {
 		if st.Label() != LabelPrivCount {
 			st.Reset("sharekeeper: unexpected stream " + st.Label())
 			return nil
 		}
 		return sk.ServeRound(st)
 	})
-}
-
-// ServeRounds accepts round streams and dispatches each to handle in
-// its own goroutine; a handler error resets only that round's stream.
-// It returns when the session dies. Data-collector hosts use this
-// directly with handlers that create per-round DCs.
-func ServeRounds(sess *wire.Session, handle func(st *wire.Stream) error) error {
-	return serveRounds(sess, handle)
 }
 
 // ReconnectLoop is the party-daemon churn loop, mirroring torctl's
@@ -142,7 +104,11 @@ func ReconnectLoop(dial func() (*wire.Session, error), serve func(*wire.Session)
 	}
 }
 
-func serveRounds(sess *wire.Session, handle func(st *wire.Stream) error) error {
+// ServeRounds accepts round streams and dispatches each to handle in
+// its own goroutine; a handler error resets only that round's stream.
+// It returns when the session dies. Data-collector hosts use this
+// directly with handlers that create per-round DCs.
+func ServeRounds(sess *wire.Session, handle func(st *wire.Stream) error) error {
 	for {
 		st, err := sess.Accept()
 		if err != nil {

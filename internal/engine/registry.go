@@ -53,7 +53,6 @@ type member struct {
 	gen   uint64
 	state PartyState
 
-	disconnectedAt time.Time
 	// rejoinCh closes when the member reconnects; waiters grab the
 	// current channel under the engine lock and re-check state after it
 	// fires. It is replaced with a fresh channel on every rejoin.
@@ -64,38 +63,30 @@ type member struct {
 // data collector cannot rejoin as a computation party.
 func regKey(role, id string) string { return role + "/" + id }
 
-// register adds a new party or — when allowRejoin is set — rebinds an
-// existing identity to a fresh session (a rejoin). Two live sessions
-// claiming the same identity resolve latest-wins: the newer session
-// becomes the member's session and the older one is closed. Rejoining
-// requires a token: an identity pinned without one stays bound to its
-// first session and every rejoin attempt is refused, because with an
-// empty token any peer that knows a party's name could hijack its
-// session. Token comparison is constant-time. A registration whose
-// token does not match the pinned token is rejected, as is a duplicate
-// identity when rejoining is not allowed (the direct Add* path, where
-// a duplicate is a caller bug rather than a reconnecting daemon).
-func (e *Engine) register(h Hello, sess *wire.Session, allowRejoin bool) (rejoined bool, err error) {
+// register adds a new party or rebinds an existing identity to a fresh
+// session (a rejoin). Two live sessions claiming the same identity
+// resolve latest-wins: the newer session becomes the member's session
+// and the older one is closed. Rejoining requires a token: an identity
+// pinned without one stays bound to its first session and every rejoin
+// attempt is refused, because with an empty token any peer that knows a
+// party's name could hijack its session. Token comparison is
+// constant-time. A registration whose token does not match the pinned
+// token is rejected.
+func (e *Engine) register(h Hello, sess *wire.Session) (rejoined bool, err error) {
 	id := h.id()
 	var stale *wire.Session
 	e.mu.Lock()
-	if e.registry == nil {
-		e.registry = make(map[string]*member)
-	}
+	reg := e.reg
 	m, ok := e.registry[regKey(h.Role, id)]
 	if ok {
-		if !allowRejoin {
-			e.mu.Unlock()
-			return false, fmt.Errorf("engine: %s %q already registered", h.Role, id)
-		}
 		if m.token == "" {
 			e.mu.Unlock()
-			e.reg.Inc("engine/parties-rejected")
+			reg.Inc("engine/parties-rejected")
 			return false, fmt.Errorf("engine: %s %q registered without a token and cannot rejoin; set -token to make the identity rejoin-capable", h.Role, id)
 		}
 		if subtle.ConstantTimeCompare([]byte(m.token), []byte(h.Token)) != 1 {
 			e.mu.Unlock()
-			e.reg.Inc("engine/parties-rejected")
+			reg.Inc("engine/parties-rejected")
 			return false, fmt.Errorf("engine: %s %q: registration token does not match pinned identity", h.Role, id)
 		}
 		if m.sess != sess {
@@ -122,7 +113,7 @@ func (e *Engine) register(h Hello, sess *wire.Session, allowRejoin bool) (rejoin
 	e.mu.Unlock()
 
 	if rejoined {
-		e.reg.Inc("engine/parties-rejoined")
+		reg.Inc("engine/parties-rejoined")
 	}
 	if stale != nil && stale != sess {
 		stale.Close()
@@ -139,9 +130,9 @@ func (e *Engine) watch(m *member, sess *wire.Session, gen uint64) {
 	e.mu.Lock()
 	if m.gen == gen && m.state == StateConnected {
 		m.state = StateDisconnected
-		m.disconnectedAt = time.Now()
+		reg := e.reg
 		e.mu.Unlock()
-		e.reg.Inc("engine/parties-disconnected")
+		reg.Inc("engine/parties-disconnected")
 		return
 	}
 	e.mu.Unlock()
@@ -213,8 +204,8 @@ func (e *Engine) Parties() []PartyInfo {
 // failed: if the member has a live session (it already rejoined, or only
 // the stream — not the session — died), a fresh round stream is opened
 // on it; otherwise it waits up to the rejoin grace window for the party
-// to re-register. It returns nil when the window closes or the round
-// aborts first — the caller then declares the party absent.
+// to re-register. It returns nil when the window closes or the round is
+// cancelled first — the caller then declares the party absent.
 func (e *Engine) reopenFor(r *Round, m *member) *wire.Stream {
 	e.mu.Lock()
 	grace := e.grace
@@ -247,7 +238,7 @@ func (e *Engine) reopenFor(r *Round, m *member) *wire.Stream {
 		case <-ch:
 		case <-deadline:
 			return nil
-		case <-r.aborted:
+		case <-r.ctx.Done():
 			return nil
 		}
 	}

@@ -9,6 +9,7 @@ package psc
 // control) show up in `make bench-smoke` too.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -33,13 +34,7 @@ func pipePair(b *testing.B) (connPair, func()) {
 
 // tcpPair builds loopback TCP pairs through one listener.
 func tcpPair(b *testing.B) (connPair, func()) {
-	return tcpPairOpts(b)
-}
-
-// tcpPairOpts builds loopback TCP pairs with connection options applied
-// to both ends — the harness for the flow-control window sweep.
-func tcpPairOpts(b *testing.B, opts ...wire.Option) (connPair, func()) {
-	ln, err := wire.Listen("127.0.0.1:0", nil, opts...)
+	ln, err := wire.Listen("127.0.0.1:0", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,7 +49,7 @@ func tcpPairOpts(b *testing.B, opts ...wire.Option) (connPair, func()) {
 		}
 	}()
 	return func() (wire.Messenger, wire.Messenger) {
-		party, err := wire.Dial(ln.Addr().String(), nil, 5*time.Second, opts...)
+		party, err := wire.Dial(ln.Addr().String(), nil, 5*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +180,7 @@ func runBenchRound(b testing.TB, cfg Config, items int, mk connPair) {
 	done := make(chan error, 1)
 	var res Result
 	go func() {
-		r, err := tally.Run(tsConns)
+		r, err := tally.Run(context.Background(), tsConns)
 		res = r
 		done <- err
 	}()
@@ -275,10 +270,6 @@ func benchRound(b *testing.B, bins, noisePerCP, proofRounds, items int,
 		NumDCs:             2,
 		NumCPs:             2,
 	}
-	benchRoundCfg(b, cfg, items, transport)
-}
-
-func benchRoundCfg(b *testing.B, cfg Config, items int, transport func(*testing.B) (connPair, func())) {
 	mk, cleanup := transport(b)
 	defer cleanup()
 	// Wire bytes per element of the mixed vector: the canary for
@@ -326,8 +317,8 @@ func BenchmarkPSCRound(b *testing.B) {
 	// tor-relay-grade path). The static 1 MiB window is RTT-bound at
 	// ~1.7 MB/s on this path; the adaptive window must grow to the
 	// bandwidth-delay product and at least double that goodput. Gated
-	// on -short (tens of seconds of emulated wall clock each); `make
-	// bench-wan` runs them.
+	// on -short (tens of seconds of emulated wall clock each);
+	// EXPERIMENTS.md §8 has the command.
 	wanTor, _ := netem.Lookup("wan-tor")
 	b.Run("wan-tor/static-win-1m", func(b *testing.B) {
 		if testing.Short() {
@@ -362,40 +353,4 @@ func BenchmarkPSCRound(b *testing.B) {
 		}
 		benchRound(b, 262144, 128, 1, 8000, pipePair)
 	})
-}
-
-// BenchmarkPSCRoundCores sweeps GOMAXPROCS over the 2¹⁶-bin verified
-// round: the sharded verify/combine plane sizes its pools from
-// GOMAXPROCS at round start, so this measures how the tally scales
-// with cores (the shuffle-transcript verification stays sequential by
-// design — Fiat-Shamir order — so scaling saturates below linear).
-// On a single-vCPU host every arm runs the same one-core schedule;
-// the sweep still pins pool sizing to the knob, it just cannot show
-// speedup there.
-func BenchmarkPSCRoundCores(b *testing.B) {
-	if testing.Short() {
-		b.Skip("skipping core sweep in -short mode")
-	}
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("gomaxprocs-%d/bins-65536", n), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(n)
-			defer runtime.GOMAXPROCS(prev)
-			benchRound(b, 65536, 128, 1, 4000, pipePair)
-		})
-	}
-}
-
-// BenchmarkPSCRoundWindow sweeps the per-stream flow-control window of
-// a TCP round — the ROADMAP's WAN-tuning harness. Over loopback the
-// differences are small; over real latency the window bounds throughput
-// directly (one window in flight per stream).
-func BenchmarkPSCRoundWindow(b *testing.B) {
-	for _, win := range []int{256 << 10, 512 << 10, 1 << 20, 4 << 20} {
-		b.Run(fmt.Sprintf("win-%dk", win>>10), func(b *testing.B) {
-			cfg := Config{Round: 1, Bins: 2048, NoisePerCP: 128, ShuffleProofRounds: 1, NumDCs: 2, NumCPs: 2}
-			benchRoundCfg(b, cfg, 800, func(b *testing.B) (connPair, func()) {
-				return tcpPairOpts(b, wire.WithWindow(win))
-			})
-		})
-	}
 }

@@ -65,8 +65,13 @@
 //     vector, the TS's combined gather table, and its per-DC table
 //     buffers all live as encoded bytes in unlinked temp-file spills
 //     (internal/spill, -spill-dir), so TS residency is O(chunk) end
-//     to end — a spill read failure mid-re-stream latches the round
-//     failer and aborts cleanly.
+//     to end — a spill read failure mid-re-stream cancels the round's
+//     context with the read error and aborts cleanly.
+//   - Run has one cancellation mechanism: a context derived from the
+//     caller's. Every stage fails the round by cancelling it with its
+//     error (first cause wins), every channel wait selects on its
+//     Done, and Run returns the cause — the caller's, when the caller
+//     cancelled.
 //   - The tally's per-chunk verification and combination (noise bit
 //     proofs, blind DLEQs, share RLCs, homomorphic merges, recovery)
 //     runs on bounded ordered worker pools (internal/parallel) sized

@@ -1,10 +1,14 @@
 package psc
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dp"
 	"repro/internal/elgamal"
@@ -65,7 +69,7 @@ func runRound(t *testing.T, cfg Config, feed func(dcs []*DC)) Result {
 	resCh := make(chan Result, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		res, err := tally.Run(tsConns)
+		res, err := tally.Run(context.Background(), tsConns)
 		if err != nil {
 			errCh <- err
 			return
@@ -242,7 +246,7 @@ func TestTallyRejectsWrongConnCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tally.Run(nil); err == nil {
+	if _, err := tally.Run(context.Background(), nil); err == nil {
 		t.Fatal("no connections must fail")
 	}
 }
@@ -353,7 +357,7 @@ func TestMaliciousCPRejected(t *testing.T) {
 				dc.Finish()
 			}()
 
-			_, err = tally.Run(tsConns)
+			_, err = tally.Run(context.Background(), tsConns)
 			if err == nil {
 				t.Fatal("tally must reject the tampered shuffle")
 			}
@@ -458,7 +462,7 @@ func BenchmarkRound256Bins(b *testing.B) {
 		}
 		done := make(chan struct{})
 		go func() {
-			if _, err := tally.Run(tsConns); err != nil {
+			if _, err := tally.Run(context.Background(), tsConns); err != nil {
 				b.Error(err)
 			}
 			close(done)
@@ -539,7 +543,7 @@ func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 	resCh := make(chan Result, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		res, err := tally.Run(tsConns)
+		res, err := tally.Run(context.Background(), tsConns)
 		if err != nil {
 			errCh <- err
 			return
@@ -612,7 +616,7 @@ func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
 		dyingDC(dyingSide, "dc-dying")
 	}()
 
-	res, err := tally.Run(tsConns)
+	res, err := tally.Run(context.Background(), tsConns)
 	if err == nil {
 		t.Fatalf("round completed without dc-dying's table: %+v", res)
 	}
@@ -643,11 +647,74 @@ func TestTallyRejectsMisorderedParties(t *testing.T) {
 	go func() { defer wg.Done(); NewDC("dc-0", dcSide).Setup() }()
 	go func() { defer wg.Done(); NewCP("cp-0", cpSide, nil).Serve() }()
 
-	_, err = tally.Run([]wire.Messenger{tsDC, tsCP})
+	_, err = tally.Run(context.Background(), []wire.Messenger{tsDC, tsCP})
 	if err == nil || !strings.Contains(err.Error(), `registered as "dc", want "cp"`) {
 		t.Fatalf("misordered slice: got %v, want a wrong-role rejection at position 0", err)
 	}
 	tsDC.Close()
 	tsCP.Close()
 	wg.Wait()
+}
+
+// TestRunCancelledContextFailsRound runs a round over bare pipes whose
+// DCs configure and then never upload: Run sits in the gather, every
+// party goroutine blocked on a pipe nobody will close. Cancelling the
+// caller's context must by itself make Run return that cancellation's
+// cause — no connection is closed first — and once the test does close
+// the pipes, every goroutine the round started must be gone.
+func TestRunCancelledContextFailsRound(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	cfg := Config{Round: 31, Bins: 32, NoisePerCP: 2, ShuffleProofRounds: 2, NumDCs: 2, NumCPs: 2}
+	tally, err := NewTally(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tsConns []wire.Messenger
+	var setupWG sync.WaitGroup
+	for i := 0; i < cfg.NumCPs; i++ {
+		tsSide, cpSide := wire.Pipe()
+		tsConns = append(tsConns, tsSide)
+		go NewCP(fmt.Sprintf("cp-%d", i), cpSide, nil).Serve() // errors when its pipe closes; ignored
+	}
+	for i := 0; i < cfg.NumDCs; i++ {
+		tsSide, dcSide := wire.Pipe()
+		tsConns = append(tsConns, tsSide)
+		dc := NewDC(fmt.Sprintf("dc-%d", i), dcSide)
+		setupWG.Add(1)
+		go func() {
+			defer setupWG.Done()
+			if err := dc.Setup(); err != nil {
+				t.Errorf("dc setup: %v", err)
+			}
+		}()
+	}
+
+	ctx, cancel := context.WithCancelCause(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := tally.Run(ctx, tsConns)
+		errCh <- err
+	}()
+	setupWG.Wait() // every DC is configured; Run now waits for tables that never come
+
+	cause := errors.New("operator gave up on the round")
+	cancel(cause)
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, cause) {
+			t.Fatalf("Run returned %v, want the cancellation cause %q", err, cause)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run still blocked 30 s after its context was cancelled")
+	}
+
+	for _, m := range tsConns {
+		m.Close()
+	}
+	for deadline := time.Now().Add(30 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the round:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+	}
 }

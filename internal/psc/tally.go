@@ -1,6 +1,7 @@
 package psc
 
 import (
+	"context"
 	"crypto/rand"
 	"fmt"
 	"sort"
@@ -57,32 +58,6 @@ type vchunk struct {
 	cts []elgamal.Ciphertext
 }
 
-// failer latches the first error of a round and wakes every phase.
-type failer struct {
-	once sync.Once
-	err  error
-	ch   chan struct{}
-}
-
-func newFailer() *failer { return &failer{ch: make(chan struct{})} }
-
-func (f *failer) fail(err error) {
-	f.once.Do(func() {
-		f.err = err
-		close(f.ch)
-	})
-}
-
-// latched returns the failure if one has been recorded.
-func (f *failer) latched() error {
-	select {
-	case <-f.ch:
-		return f.err
-	default:
-		return nil
-	}
-}
-
 // roundParties is the outcome of the registration/configuration/table
 // phase, everything the shared mixing and decryption tail needs.
 type roundParties struct {
@@ -102,11 +77,24 @@ type roundParties struct {
 // on a replacement messenger or declare it absent, degrading the round
 // down to the MinDCs quorum floor; with a nil Recover there is no
 // replacement and no absence, so the first DC error fails the round.
-func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
+//
+// ctx is the round: cancelling it stops Run, which then returns the
+// cancellation cause. Run derives its own cancellable context from it
+// and every pipeline stage fails the round by cancelling that context
+// with its error — the first cause wins and wakes every other stage.
+// Cancellation does not unblock a stage waiting on a messenger; the
+// caller resets or closes the messengers once Run has returned (the
+// engine resets the round's streams).
+func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, err error) {
 	if len(parties) != t.cfg.NumDCs+t.cfg.NumCPs {
 		return Result{}, fmt.Errorf("psc ts: have %d connections, want %d DCs + %d CPs",
 			len(parties), t.cfg.NumDCs, t.cfg.NumCPs)
 	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	// Whatever Run returns is the round's outcome: a failure return wakes
+	// the stages still running (a no-op when one of them already latched
+	// the cause), a success return only releases the context.
+	defer func() { cancel(err) }()
 
 	// Collect encrypted tables from all DCs concurrently, combining
 	// them homomorphically on the spilled gather store: per-bin
@@ -118,13 +106,12 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("psc ts: gather spill: %w", err)
 	}
-	rp, err := t.gather(parties, gs)
+	rp, err := t.gather(ctx, parties, gs)
 	if err != nil {
 		gs.Close()
 		return Result{}, err
 	}
 
-	f := newFailer()
 	chunk := chunkOf(t.cfg.ChunkElems)
 
 	if h := gatherFeedTestHook; h != nil {
@@ -135,7 +122,7 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	// combined table from the gather spill a chunk at a time, so from
 	// the first byte of the gather to the last decryption share the TS
 	// holds O(chunk) parsed ciphertexts per CP stage. A spill read
-	// failure latches the round error instead of wedging the pipeline.
+	// failure cancels the round instead of wedging the pipeline.
 	feed := make(chan vchunk, 2)
 	go func() {
 		defer close(feed)
@@ -148,12 +135,12 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 			select {
 			case feed <- vchunk{off: off, cts: cts}:
 				return nil
-			case <-f.ch:
-				return f.err
+			case <-ctx.Done():
+				return context.Cause(ctx)
 			}
 		})
 		if err != nil {
-			f.fail(err)
+			cancel(err)
 		}
 	}()
 	in := feed
@@ -164,7 +151,7 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 		mixWG.Add(1)
 		go func(name string, m wire.Messenger, nIn int, in <-chan vchunk, out chan<- vchunk) {
 			defer mixWG.Done()
-			t.mixCP(name, m, rp.joint, nIn, in, out, f)
+			t.mixCP(ctx, cancel, name, m, rp.joint, nIn, in, out)
 		}(n, rp.cpM[n], nIn, in, out)
 		in = out
 	}
@@ -183,7 +170,7 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	written := 0
 	for c := range in {
 		if err := dec.write(c.off, c.cts); err != nil {
-			f.fail(fmt.Errorf("psc ts: decrypt spill: %w", err))
+			cancel(fmt.Errorf("psc ts: decrypt spill: %w", err))
 			break
 		}
 		written += len(c.cts)
@@ -196,14 +183,13 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	mixDone := make(chan struct{})
 	go func() { mixWG.Wait(); close(mixDone) }()
 	select {
-	case <-f.ch:
-		return Result{}, f.err
+	case <-ctx.Done():
 	case <-mixDone:
 	}
-	if err := f.latched(); err != nil {
-		// Both mixDone and f.ch may be ready at once; never let a
-		// latched failure lose the select race.
-		return Result{}, err
+	if ctx.Err() != nil {
+		// Checked after the select, not in it: both may be ready at
+		// once, and a latched failure must never lose that race.
+		return Result{}, context.Cause(ctx)
 	}
 	if written != finalN {
 		return Result{}, fmt.Errorf("psc ts: mix pipeline produced %d elements, want %d", written, finalN)
@@ -217,7 +203,7 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	shareChans := make([]chan decShareChunk, len(rp.cpNames))
 	for i, n := range rp.cpNames {
 		shareChans[i] = make(chan decShareChunk, 2)
-		go t.decryptCP(n, rp.cpM[n], rp.cpKeys[n], src, finalN, chunk, f, shareChans[i])
+		go t.decryptCP(ctx, cancel, n, rp.cpM[n], rp.cpKeys[n], src, finalN, chunk, shareChans[i])
 	}
 	// Each chunk's plaintext recovery is independent once every CP's
 	// verified shares for it are in hand, so the combine runs on its own
@@ -245,8 +231,8 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 			select {
 			case sc, ok := <-shareChans[i]:
 				if !ok {
-					if err := f.latched(); err != nil {
-						return err
+					if ctx.Err() != nil {
+						return context.Cause(ctx)
 					}
 					return fmt.Errorf("psc ts: CP %s share stream ended early", rp.cpNames[i])
 				}
@@ -254,8 +240,8 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 					return fmt.Errorf("psc ts: CP %s shares for offset %d, want %d", rp.cpNames[i], sc.off, off)
 				}
 				shares[i] = sc.shares
-			case <-f.ch:
-				return f.err
+			case <-ctx.Done():
+				return context.Cause(ctx)
 			}
 		}
 		rec.Submit(func() (int, error) {
@@ -272,11 +258,10 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	rec.Close()
 	<-recDone
 	if err != nil {
-		f.fail(err)
 		return Result{}, err
 	}
-	if err := f.latched(); err != nil {
-		return Result{}, err
+	if ctx.Err() != nil {
+		return Result{}, context.Cause(ctx)
 	}
 
 	return Result{
@@ -295,7 +280,7 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 // a declared absence, and failing the round. The round proceeds only
 // if the surviving tables meet the quorum floor and still cover every
 // bin.
-func (t *Tally) gather(parties []wire.Messenger, gs *gatherStore) (roundParties, error) {
+func (t *Tally) gather(ctx context.Context, parties []wire.Messenger, gs *gatherStore) (roundParties, error) {
 	rp := roundParties{cpM: make(map[string]wire.Messenger), cpKeys: make(map[string]elgamal.Point)}
 	for i := 0; i < t.cfg.NumCPs; i++ {
 		var reg RegisterMsg
@@ -336,7 +321,12 @@ func (t *Tally) gather(parties []wire.Messenger, gs *gatherStore) (roundParties,
 	}
 	completed := 0
 	for i := 0; i < t.cfg.NumDCs; i++ {
-		o := <-outcomes
+		var o outcome
+		select {
+		case o = <-outcomes:
+		case <-ctx.Done():
+			return rp, context.Cause(ctx)
+		}
 		switch {
 		case o.err != nil:
 			// Fail fast: the round is aborting (or a DC misbehaved past
@@ -524,11 +514,11 @@ func (t *Tally) collectTable(name string, m wire.Messenger, gs *gatherStore) err
 // forwardOrdered runs one CP stage's protocol loop with a verify shard
 // to submit its per-chunk checks to, and forwards the shard's results
 // to out in submission order. The forwarder owns out: the first job
-// error latches the round failure, nothing is forwarded once the round
-// has failed, and out closes when the shard has drained — which is
-// also when forwardOrdered returns. stage returns after its last
-// submission, or early with the round failure latched.
-func forwardOrdered[T any](f *failer, out chan<- T, stage func(shard *parallel.Ordered[T])) {
+// error cancels the round with that error, nothing is forwarded once
+// the round is cancelled, and out closes when the shard has drained —
+// which is also when forwardOrdered returns. stage returns after its
+// last submission, or early with the error that fails the round.
+func forwardOrdered[T any](ctx context.Context, cancel context.CancelCauseFunc, out chan<- T, stage func(shard *parallel.Ordered[T]) error) {
 	shard := parallel.NewOrdered[T](parallel.PoolSize(), 2*parallel.PoolSize(), "psc-verify")
 	done := make(chan struct{})
 	go func() {
@@ -536,19 +526,21 @@ func forwardOrdered[T any](f *failer, out chan<- T, stage func(shard *parallel.O
 		defer close(out)
 		for r := range shard.Out() {
 			if r.Err != nil {
-				f.fail(r.Err)
+				cancel(r.Err)
 				continue
 			}
-			if f.latched() != nil {
+			if ctx.Err() != nil {
 				continue
 			}
 			select {
 			case out <- r.V:
-			case <-f.ch:
+			case <-ctx.Done():
 			}
 		}
 	}()
-	stage(shard)
+	if err := stage(shard); err != nil {
+		cancel(err)
+	}
 	shard.Close()
 	<-done
 }
@@ -562,21 +554,20 @@ func forwardOrdered[T any](f *failer, out chan<- T, stage func(shard *parallel.O
 // direction ever holds more than O(block) ciphertexts. The block
 // shuffle arguments are transcript-sequential and stay on the stream
 // goroutine; the independent batch checks (noise bit proofs, blind
-// DLEQ RLCs) run on the verify shard. On any failure the round error
-// is latched; out always closes so downstream stages unwind. mixCP
+// DLEQ RLCs) run on the verify shard. Any failure cancels the round
+// with its error; out always closes so downstream stages unwind. mixCP
 // returns only once every blind check has drained (see forwardOrdered),
 // so the caller's mix WaitGroup means "every CP's verification has
 // finished".
-func (t *Tally) mixCP(name string, m wire.Messenger, joint elgamal.Point, nIn int, in <-chan vchunk, out chan<- vchunk, f *failer) {
-	forwardOrdered(f, out, func(blind *parallel.Ordered[vchunk]) {
+func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name string, m wire.Messenger, joint elgamal.Point, nIn int, in <-chan vchunk, out chan<- vchunk) {
+	forwardOrdered(ctx, cancel, out, func(blind *parallel.Ordered[vchunk]) error {
 		prove := t.cfg.ShuffleProofRounds > 0
 		total := nIn + t.cfg.NoisePerCP
 		g := newGrid(total, blockOf(t.cfg.ShuffleBlockElems))
 		passes := g.passes(passesOf(t.cfg.ShufflePasses))
 
 		if err := m.Send(kindMix, VectorHeader{Round: t.cfg.Round, N: nIn}); err != nil {
-			f.fail(fmt.Errorf("psc ts: mix to CP %s: %w", name, err))
-			return
+			return fmt.Errorf("psc ts: mix to CP %s: %w", name, err)
 		}
 		// Feeder: forward upstream chunks to the CP, retaining each chunk
 		// on a bounded channel for pass-1 verification. The CP emits block
@@ -588,12 +579,12 @@ func (t *Tally) mixCP(name string, m wire.Messenger, joint elgamal.Point, nIn in
 			defer close(feedCopy)
 			for c := range in {
 				if err := m.Send(kindChunk, ChunkMsg{Off: c.off, Count: len(c.cts), Data: encodeVector(c.cts)}); err != nil {
-					f.fail(fmt.Errorf("psc ts: mix chunk to CP %s: %w", name, err))
+					cancel(fmt.Errorf("psc ts: mix chunk to CP %s: %w", name, err))
 					return
 				}
 				select {
 				case feedCopy <- c.cts:
-				case <-f.ch:
+				case <-ctx.Done():
 					return
 				}
 			}
@@ -601,12 +592,10 @@ func (t *Tally) mixCP(name string, m wire.Messenger, joint elgamal.Point, nIn in
 
 		var hdr VectorHeader
 		if err := m.Expect(kindMixed, &hdr); err != nil {
-			f.fail(fmt.Errorf("psc ts: mixed from CP %s: %w", name, err))
-			return
+			return fmt.Errorf("psc ts: mixed from CP %s: %w", name, err)
 		}
 		if hdr.N != total {
-			f.fail(fmt.Errorf("psc ts: CP %s produced %d elements, want %d", name, hdr.N, total))
-			return
+			return fmt.Errorf("psc ts: CP %s produced %d elements, want %d", name, hdr.N, total)
 		}
 
 		// Noise: the CP sends only its appended elements, bit-verified per
@@ -624,36 +613,34 @@ func (t *Tally) mixCP(name string, m wire.Messenger, joint elgamal.Point, nIn in
 			defer close(noiseDone)
 			for r := range noise.Out() {
 				if r.Err != nil {
-					f.fail(r.Err)
+					cancel(r.Err)
 					continue
 				}
 				noiseCts = append(noiseCts, r.V...)
 			}
 		}()
-		noiseFail := func(err error) {
+		drainNoise := func() {
 			noise.Close()
 			<-noiseDone
-			f.fail(err)
 		}
 		for off := 0; off < t.cfg.NoisePerCP; {
 			var nc NoiseChunkMsg
 			if err := m.Expect(kindNoise, &nc); err != nil {
-				noiseFail(fmt.Errorf("psc ts: noise from CP %s: %w", name, err))
-				return
+				drainNoise()
+				return fmt.Errorf("psc ts: noise from CP %s: %w", name, err)
 			}
 			if nc.Off != off || nc.Count <= 0 || nc.Off+nc.Count > t.cfg.NoisePerCP {
-				noiseFail(fmt.Errorf("psc ts: CP %s noise chunk [%d,%d) out of order", name, nc.Off, nc.Off+nc.Count))
-				return
+				drainNoise()
+				return fmt.Errorf("psc ts: CP %s noise chunk [%d,%d) out of order", name, nc.Off, nc.Off+nc.Count)
 			}
 			noise.Submit(func() ([]elgamal.Ciphertext, error) {
 				return t.verifyNoiseChunk(name, joint, nc, prove)
 			})
 			off += nc.Count
 		}
-		noise.Close()
-		<-noiseDone
-		if f.latched() != nil {
-			return
+		drainNoise()
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
 		}
 
 		var tr *elgamal.ShuffleTranscript
@@ -670,18 +657,18 @@ func (t *Tally) mixCP(name string, m wire.Messenger, joint elgamal.Point, nIn in
 			prevHashes = make([][32]byte, g.blocks(1))
 		}
 		for b := 0; b < g.blocks(1); b++ {
-			inB, ok := src.next(g.blockLen(1, b), f)
-			if !ok {
-				return // upstream failed and already latched the error
+			inB, err := src.next(ctx, g.blockLen(1, b))
+			if err != nil {
+				return err
 			}
-			outB := t.recvBlock(name, m, tr, joint, 1, b, inB, f)
-			if outB == nil {
-				return
+			outB, err := t.recvBlock(name, m, tr, joint, 1, b, inB)
+			if err != nil {
+				return err
 			}
 			if passes > 1 {
 				prevHashes[b] = elgamal.HashBlock(outB)
-			} else if !t.recvBlindSubmit(name, m, g.outStart(1, b), outB, blind, f) {
-				return
+			} else if err := t.recvBlindSubmit(name, m, g.outStart(1, b), outB, blind); err != nil {
+				return err
 			}
 		}
 
@@ -698,36 +685,33 @@ func (t *Tally) mixCP(name string, m wire.Messenger, joint elgamal.Point, nIn in
 			for b := 0; b < g.blocks(p); b++ {
 				var fm BlockFeedMsg
 				if err := m.Expect(kindShufFeed, &fm); err != nil {
-					f.fail(fmt.Errorf("psc ts: feed from CP %s: %w", name, err))
-					return
+					return fmt.Errorf("psc ts: feed from CP %s: %w", name, err)
 				}
 				inB, err := parseBlockFeed(fm, p, b, g.blockLen(p, b))
 				if err != nil {
-					f.fail(fmt.Errorf("psc ts: CP %s: %w", name, err))
-					return
+					return fmt.Errorf("psc ts: CP %s: %w", name, err)
 				}
 				if err := cont.absorb(b, inB); err != nil {
 					verifyFailure("pass-continuity")
-					f.fail(fmt.Errorf("psc ts: CP %s pass %d: %w", name, p, err))
-					return
+					return fmt.Errorf("psc ts: CP %s pass %d: %w", name, p, err)
 				}
-				outB := t.recvBlock(name, m, tr, joint, p, b, inB, f)
-				if outB == nil {
-					return
+				outB, err := t.recvBlock(name, m, tr, joint, p, b, inB)
+				if err != nil {
+					return err
 				}
 				if p < passes {
 					nextHashes[b] = elgamal.HashBlock(outB)
-				} else if !t.recvBlindSubmit(name, m, g.outStart(p, b), outB, blind, f) {
-					return
+				} else if err := t.recvBlindSubmit(name, m, g.outStart(p, b), outB, blind); err != nil {
+					return err
 				}
 			}
 			if err := cont.finish(); err != nil {
 				verifyFailure("pass-continuity")
-				f.fail(fmt.Errorf("psc ts: CP %s pass %d: %w", name, p, err))
-				return
+				return fmt.Errorf("psc ts: CP %s pass %d: %w", name, p, err)
 			}
 			prevHashes = nextHashes
 		}
+		return nil
 	})
 }
 
@@ -741,13 +725,13 @@ type blockSource struct {
 	drained bool
 }
 
-// next returns the next n input elements, or false when the upstream
-// pipeline ended early (its failure is already latched) or the round
-// failed.
-func (s *blockSource) next(n int, f *failer) ([]elgamal.Ciphertext, bool) {
+// next returns the next n input elements. It fails with the round's
+// cancellation cause, or — when the upstream pipeline ended early, whose
+// own failure then already cancelled the round — with the shortfall.
+func (s *blockSource) next(ctx context.Context, n int) ([]elgamal.Ciphertext, error) {
 	for len(s.pending) < n {
 		if s.drained {
-			return nil, false
+			return nil, fmt.Errorf("psc ts: mix input ended %d elements short of a block", n-len(s.pending))
 		}
 		select {
 		case cts, ok := <-s.feed:
@@ -758,13 +742,13 @@ func (s *blockSource) next(n int, f *failer) ([]elgamal.Ciphertext, bool) {
 				continue
 			}
 			s.pending = append(s.pending, cts...)
-		case <-f.ch:
-			return nil, false
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
 		}
 	}
 	blk := s.pending[:n:n]
 	s.pending = s.pending[n:]
-	return blk, true
+	return blk, nil
 }
 
 // continuity verifies that a pass's re-streamed input equals the
@@ -819,12 +803,10 @@ func (c *continuity) finish() error {
 
 // recvBlock receives and verifies one shuffled block (announcement plus
 // one opening per shadow round) against the verifier's own input block.
-// It returns nil after latching the round failure.
-func (t *Tally) recvBlock(name string, m wire.Messenger, tr *elgamal.ShuffleTranscript, joint elgamal.Point, p, b int, inB []elgamal.Ciphertext, f *failer) []elgamal.Ciphertext {
+func (t *Tally) recvBlock(name string, m wire.Messenger, tr *elgamal.ShuffleTranscript, joint elgamal.Point, p, b int, inB []elgamal.Ciphertext) ([]elgamal.Ciphertext, error) {
 	var bo BlockOutMsg
 	if err := m.Expect(kindShufBlock, &bo); err != nil {
-		f.fail(fmt.Errorf("psc ts: block from CP %s: %w", name, err))
-		return nil
+		return nil, fmt.Errorf("psc ts: block from CP %s: %w", name, err)
 	}
 	rounds := 0
 	if tr != nil {
@@ -832,30 +814,26 @@ func (t *Tally) recvBlock(name string, m wire.Messenger, tr *elgamal.ShuffleTran
 	}
 	outB, commits, err := parseBlockOut(bo, p, b, len(inB), rounds)
 	if err != nil {
-		f.fail(fmt.Errorf("psc ts: CP %s: %w", name, err))
-		return nil
+		return nil, fmt.Errorf("psc ts: CP %s: %w", name, err)
 	}
 	if tr == nil {
-		return outB
+		return outB, nil
 	}
 	proof := elgamal.BlockShuffleProof{Commits: commits, Openings: make([]elgamal.BlockOpening, rounds)}
 	for r := 0; r < rounds; r++ {
 		var sm BlockShadowMsg
 		if err := m.Expect(kindShufShadow, &sm); err != nil {
-			f.fail(fmt.Errorf("psc ts: opening from CP %s: %w", name, err))
-			return nil
+			return nil, fmt.Errorf("psc ts: opening from CP %s: %w", name, err)
 		}
 		if proof.Openings[r], err = parseBlockShadow(sm, p, b, r, len(inB)); err != nil {
-			f.fail(fmt.Errorf("psc ts: CP %s: %w", name, err))
-			return nil
+			return nil, fmt.Errorf("psc ts: CP %s: %w", name, err)
 		}
 	}
 	if err := elgamal.VerifyShuffleBlock(tr, p, b, joint, inB, outB, proof); err != nil {
 		verifyFailure("shuffle")
-		f.fail(fmt.Errorf("psc ts: CP %s block %d/%d: %w", name, p, b, err))
-		return nil
+		return nil, fmt.Errorf("psc ts: CP %s block %d/%d: %w", name, p, b, err)
 	}
-	return outB
+	return outB, nil
 }
 
 // verifyNoiseChunk decodes one noise chunk and verifies its bit proofs
@@ -892,16 +870,14 @@ func (t *Tally) verifyNoiseChunk(name string, joint elgamal.Point, nc NoiseChunk
 // RLC) to the verify shard, whose forwarder delivers verified chunks
 // downstream in block order. Only frame validation happens here: the
 // stream goroutine goes straight back to the next transcript-sequential
-// block argument. It reports false after latching the round failure.
-func (t *Tally) recvBlindSubmit(name string, m wire.Messenger, off int, outB []elgamal.Ciphertext, blind *parallel.Ordered[vchunk], f *failer) bool {
+// block argument.
+func (t *Tally) recvBlindSubmit(name string, m wire.Messenger, off int, outB []elgamal.Ciphertext, blind *parallel.Ordered[vchunk]) error {
 	var bc BlindChunkMsg
 	if err := m.Expect(kindBlind, &bc); err != nil {
-		f.fail(fmt.Errorf("psc ts: blinded from CP %s: %w", name, err))
-		return false
+		return fmt.Errorf("psc ts: blinded from CP %s: %w", name, err)
 	}
 	if bc.Off != off || bc.Count != len(outB) {
-		f.fail(fmt.Errorf("psc ts: CP %s blind chunk [%d,%d), want [%d,%d)", name, bc.Off, bc.Off+bc.Count, off, off+len(outB)))
-		return false
+		return fmt.Errorf("psc ts: CP %s blind chunk [%d,%d), want [%d,%d)", name, bc.Off, bc.Off+bc.Count, off, off+len(outB))
 	}
 	blind.Submit(func() (vchunk, error) {
 		cts, err := decodeVector(bc.Data, bc.Count)
@@ -927,7 +903,7 @@ func (t *Tally) recvBlindSubmit(name string, m wire.Messenger, off int, outB []e
 		}
 		return vchunk{off: off, cts: cts}, nil
 	})
-	return true
+	return nil
 }
 
 // verifyFailure counts a failed cryptographic verification in the
@@ -952,19 +928,19 @@ type decShareChunk struct {
 // each verified chunk to the combiner. Sending and receiving overlap:
 // the CP answers chunk k while chunk k+1 is in flight; the sender hands
 // each parsed chunk to the verifier over a bounded channel so the spill
-// is decoded once per CP, not twice. On failure it latches the round
-// error; out always closes.
-func (t *Tally) decryptCP(name string, m wire.Messenger, cpKey elgamal.Point, src *lockedSpill, n, chunk int, f *failer, out chan<- decShareChunk) {
+// is decoded once per CP, not twice. A failure cancels the round with
+// its error; out always closes.
+func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, name string, m wire.Messenger, cpKey elgamal.Point, src *lockedSpill, n, chunk int, out chan<- decShareChunk) {
 	// Share parsing and the per-chunk RLC run on the verify shard; the
 	// forwarder delivers verified chunks in stream order, so the
 	// combiner still sees them on the boundaries it expects.
-	forwardOrdered(f, out, func(verify *parallel.Ordered[decShareChunk]) {
+	forwardOrdered(ctx, cancel, out, func(verify *parallel.Ordered[decShareChunk]) error {
 		prove := t.cfg.ShuffleProofRounds > 0
 		sent := make(chan []elgamal.Ciphertext, 2)
 		go func() {
 			defer close(sent)
 			if err := m.Send(kindDecrypt, VectorHeader{Round: t.cfg.Round, N: n}); err != nil {
-				f.fail(fmt.Errorf("psc ts: decrypt to CP %s: %w", name, err))
+				cancel(fmt.Errorf("psc ts: decrypt to CP %s: %w", name, err))
 				return
 			}
 			err := forEachChunk(n, chunk, func(off, end int) error {
@@ -981,23 +957,21 @@ func (t *Tally) decryptCP(name string, m wire.Messenger, cpKey elgamal.Point, sr
 				select {
 				case sent <- cts:
 					return nil
-				case <-f.ch:
-					return f.err
+				case <-ctx.Done():
+					return context.Cause(ctx)
 				}
 			})
 			if err != nil {
-				f.fail(fmt.Errorf("psc ts: decrypt chunk to CP %s: %w", name, err))
+				cancel(fmt.Errorf("psc ts: decrypt chunk to CP %s: %w", name, err))
 			}
 		}()
 
 		var hdr VectorHeader
 		if err := m.Expect(kindShares, &hdr); err != nil {
-			f.fail(fmt.Errorf("psc ts: shares from CP %s: %w", name, err))
-			return
+			return fmt.Errorf("psc ts: shares from CP %s: %w", name, err)
 		}
 		if hdr.N != n {
-			f.fail(fmt.Errorf("psc ts: CP %s answering %d elements, want %d", name, hdr.N, n))
-			return
+			return fmt.Errorf("psc ts: CP %s answering %d elements, want %d", name, hdr.N, n)
 		}
 		for off := 0; off < n; {
 			// Share chunks must mirror the chunks we sent: the combiner
@@ -1009,12 +983,10 @@ func (t *Tally) decryptCP(name string, m wire.Messenger, cpKey elgamal.Point, sr
 			}
 			var sc ShareChunkMsg
 			if err := m.Expect(kindShare, &sc); err != nil {
-				f.fail(fmt.Errorf("psc ts: shares from CP %s: %w", name, err))
-				return
+				return fmt.Errorf("psc ts: shares from CP %s: %w", name, err)
 			}
 			if sc.Off != off || sc.Count != end-off {
-				f.fail(fmt.Errorf("psc ts: CP %s share chunk [%d,%d), want [%d,%d)", name, sc.Off, sc.Off+sc.Count, off, end))
-				return
+				return fmt.Errorf("psc ts: CP %s share chunk [%d,%d), want [%d,%d)", name, sc.Off, sc.Off+sc.Count, off, end)
 			}
 			// The matching plaintext chunk must be taken off the sender's
 			// channel here, in stream order; the verification itself is
@@ -1024,11 +996,11 @@ func (t *Tally) decryptCP(name string, m wire.Messenger, cpKey elgamal.Point, sr
 				select {
 				case c, ok := <-sent:
 					if !ok {
-						return // sender failed and latched the error
+						return nil // the sender failed and cancelled the round
 					}
 					cts = c
-				case <-f.ch:
-					return
+				case <-ctx.Done():
+					return context.Cause(ctx)
 				}
 			}
 			verify.Submit(func() (decShareChunk, error) {
@@ -1036,6 +1008,7 @@ func (t *Tally) decryptCP(name string, m wire.Messenger, cpKey elgamal.Point, sr
 			})
 			off += sc.Count
 		}
+		return nil
 	})
 }
 

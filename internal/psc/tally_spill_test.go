@@ -1,6 +1,7 @@
 package psc
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -14,7 +15,7 @@ import (
 // TestGatherSpillReadErrorAbortsRound injures the completed gather
 // store just before the mix feeder starts re-streaming it, so the
 // feeder's first read fails. The round must abort with the spill error
-// — latched through the failer so every CP stream unwinds — rather
+// — the cause the round context is cancelled with, so every stage unwinds — rather
 // than wedge the pipeline on a silently closed feed.
 func TestGatherSpillReadErrorAbortsRound(t *testing.T) {
 	gatherFeedTestHook = func(gs *gatherStore) {
@@ -51,7 +52,7 @@ func TestGatherSpillReadErrorAbortsRound(t *testing.T) {
 		dc.Finish()
 	}()
 
-	_, err = tally.Run(tsConns)
+	_, err = tally.Run(context.Background(), tsConns)
 	if err == nil {
 		t.Fatal("round must fail when the gather spill dies mid-re-stream")
 	}

@@ -50,8 +50,10 @@
 //     the bounds-checked cursor its implementations read through.
 //   - Session / Stream: HTTP/2-in-miniature multiplexing — one
 //     persistent connection carries one logical Stream per (round,
-//     role), each with credit-based flow control. Session.Done is the
-//     churn signal the engine's party registry watches.
+//     role), each with credit-based flow control: every open is
+//     acked with the acceptor's window, and every credit grant is one
+//     frame kind (mux/window). Session.Done is the churn signal the
+//     engine's party registry watches.
 //   - Messenger: the interface every protocol role speaks, satisfied by
 //     both Conn and Stream, so a role runs unchanged over a dedicated
 //     connection or one stream of a shared session.
@@ -75,6 +77,10 @@
 //   - A stream sender may have at most one flow-control window
 //     (DefaultWindow) in flight; the session read loop never writes,
 //     so two sessions cannot deadlock exchanging window updates.
+//   - Stream IDs are split by parity — the initiator opens odd IDs,
+//     the acceptor even ones — and an open that arrives with zero or the
+//     receiver's own parity fails the session: it could otherwise be
+//     replaced by the receiver's next Open.
 //   - The "mux/" frame-kind prefix is reserved for session control;
 //     protocol kinds are namespaced ("psc/...", "privcount/...",
 //     "engine/...").

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"log"
 	"sync"
 	"time"
 )
@@ -22,20 +21,16 @@ import (
 // from the application's Recv calls; stream IDs carry an initiator bit
 // so both ends can open streams without coordination.
 //
-// Window negotiation (protocol revision 1): the opener's mux/open
-// announces its receive window, its window cap, and its revision; a
-// revision-aware acceptor replies with mux/open-ack carrying its own.
-// The two directions then run asymmetric windows. Revision-0 peers
-// send no revision and get no ack: against them a mismatched window
-// falls back to the smaller of the two announcements (with a logged
-// warning) instead of failing the session, and windows stay fixed.
-// With WithAdaptiveWindow enabled and a revision-aware peer, the
-// receiver tags occasional mux/window2 credit grants with a probe
-// sequence; the sender echoes mux/winack, the measured credit-grant
-// round trip drives the AIMD controller in flowctl.go, and window
-// growth is granted as extra credit in further mux/window2 frames.
-// Shrink cannot claw back granted credit, so it is applied as debt
-// withheld from future refunds.
+// Window negotiation: the opener's mux/open announces its receive
+// window and its window cap; the acceptor always replies with
+// mux/open-ack carrying its own, and the two directions then run
+// asymmetric windows. Every credit grant is a mux/window frame. With
+// WithAdaptiveWindow enabled, the receiver tags occasional grants with
+// a probe sequence; the sender echoes mux/winack, the measured
+// credit-grant round trip drives the AIMD controller in flowctl.go, and
+// window growth is granted as extra credit in further mux/window
+// frames. Shrink cannot claw back granted credit, so it is applied as
+// debt withheld from future refunds.
 
 // Mux control frame kinds. Application kinds must not collide with
 // these; all protocol kinds in this repository are namespaced
@@ -44,19 +39,10 @@ const (
 	kindMuxOpen    = "mux/open"
 	kindMuxOpenAck = "mux/open-ack"
 	kindMuxWindow  = "mux/window"
-	kindMuxWindow2 = "mux/window2"
 	kindMuxWinAck  = "mux/winack"
 	kindMuxClose   = "mux/close"
 	kindMuxReset   = "mux/reset"
 )
-
-// muxRev is the protocol revision this implementation speaks. Revision
-// 1 adds open acknowledgement, asymmetric windows, and the
-// window2/winack credit-probe loop. Revision-0 peers are detected by
-// the zero Rev in their open (gob omits zero fields) and are never
-// sent revision-1 frames, which they would misdeliver as application
-// data.
-const muxRev = 1
 
 // DefaultWindow is the initial per-stream flow-control window: the
 // maximum bytes (payload plus per-frame overhead) a sender may have
@@ -69,8 +55,7 @@ const DefaultWindow = 1 << 20
 const frameOverhead = 64
 
 // probeStale bounds how long the receiver waits for a winack before
-// considering the probe lost (its sender may be a revision-1 peer that
-// nevertheless failed to echo) and issuing a new one.
+// considering the probe lost and issuing a new one.
 const probeStale = 5 * time.Second
 
 func frameCost(f Frame) int64 { return int64(len(f.Payload)) + frameOverhead }
@@ -78,26 +63,22 @@ func frameCost(f Frame) int64 { return int64(len(f.Payload)) + frameOverhead }
 // openMsg announces a new stream. Window is the opener's receive
 // window for this stream (and, symmetrically, the credit it assumes
 // until an ack adjusts it); MaxWindow is the opener's adaptive cap (0:
-// fixed); Rev is the opener's protocol revision. A revision-0 peer
-// omits Rev/MaxWindow entirely — gob drops zero fields — which is
-// exactly how its frames already look, so detection is free.
+// fixed).
 type openMsg struct {
 	Round     uint64
 	Label     string
 	Window    int64
 	MaxWindow int64
-	Rev       int
 }
 
-// openAck is the acceptor's reply to a revision-aware open, announcing
-// the acceptor's own receive window and cap for the stream.
+// openAck is the acceptor's reply to an open, announcing the acceptor's
+// own receive window and cap for the stream.
 type openAck struct {
 	Window    int64
 	MaxWindow int64
-	Rev       int
 }
 
-// winUpdate is the revision-1 credit grant: Credit extends the
+// winUpdate is the credit grant: Credit extends the
 // sender's budget (refunds and window growth alike), Window reports
 // the receiver's current window (monotonic high-water on the sender's
 // side), and a nonzero Seq asks the sender to echo a winack so the
@@ -170,7 +151,7 @@ func (s *Session) Open(round uint64, label string) (*Stream, error) {
 
 	payload, err := EncodePayload(openMsg{
 		Round: round, Label: label,
-		Window: s.conn.window, MaxWindow: s.conn.windowCap, Rev: muxRev,
+		Window: s.conn.window, MaxWindow: s.conn.windowCap,
 	})
 	if err != nil {
 		return nil, err
@@ -284,48 +265,35 @@ func (s *Session) lookup(id uint64) *Stream {
 	return s.streams[id]
 }
 
-// handleOpen installs a peer-initiated stream. The peer's revision
-// decides the window regime: revision-aware peers get an ack and run
-// asymmetric (possibly adaptive) windows; revision-0 peers keep the
-// fixed-window protocol, with a mismatched announcement degraded to
-// the effective minimum instead of a session failure.
+// handleOpen installs a peer-initiated stream and acks it with this
+// end's own window, so the two directions run asymmetric (possibly
+// adaptive) windows. The SID must come from the peer's half of the ID
+// space: an open carrying the local parity (or zero) could be silently
+// replaced by this end's next Open, after which that round's frames
+// would reach the wrong stream.
 func (s *Session) handleOpen(f Frame, om openMsg) error {
+	if f.SID == 0 || (f.SID%2 == 1) == s.initiator {
+		return fmt.Errorf("wire: peer opened stream id %d inside the local id space", f.SID)
+	}
 	st := newStream(s, f.SID, om.Round, om.Label)
 	st.sendCredit = om.Window
 	st.sendWindow = om.Window
 	st.peerMaxWindow = om.MaxWindow
-	// Until its ack lands, a revision-1 opener sends against its own
-	// announced window, so enforcement must honor the larger of the two
-	// announcements; the same bound covers a revision-0 opener, which
-	// sends against its own window forever.
+	// Until its ack lands the opener sends against its own announced
+	// window, so enforcement must honor the larger of the two
+	// announcements.
 	if om.Window > st.maxAdvertised {
 		st.maxAdvertised = om.Window
 	}
-	if om.Rev >= 1 {
-		st.peerRev = om.Rev
-		st.acked = true
-		if s.conn.adaptive {
-			st.ctrl = newWinController(st.recvWindow, s.conn.windowCap)
-		}
-		payload, err := EncodePayload(openAck{Window: st.recvWindow, MaxWindow: s.conn.windowCap, Rev: muxRev})
-		if err != nil {
-			return err
-		}
-		s.sendCtrl(Frame{Kind: kindMuxOpenAck, SID: f.SID, Payload: payload})
-	} else if om.Window != s.conn.window {
-		// Fixed-window peer with a different -stream-window: run at the
-		// smaller of the two instead of killing the session. If the
-		// peer's is larger, the surplus it believes it holds is retired
-		// as debt withheld from refunds; if smaller, it self-limits and
-		// we just batch refunds against its window.
-		log.Printf("wire: peer stream window %d differs from local %d and peer predates negotiation; falling back to %d",
-			om.Window, s.conn.window, min64(om.Window, s.conn.window))
-		if om.Window > s.conn.window {
-			st.debt = om.Window - s.conn.window
-		} else {
-			st.recvWindow = om.Window
-		}
+	st.acked = true
+	if s.conn.adaptive {
+		st.ctrl = newWinController(st.recvWindow, s.conn.windowCap)
 	}
+	payload, err := EncodePayload(openAck{Window: st.recvWindow, MaxWindow: s.conn.windowCap})
+	if err != nil {
+		return err
+	}
+	s.sendCtrl(Frame{Kind: kindMuxOpenAck, SID: f.SID, Payload: payload})
 	s.mu.Lock()
 	if s.err != nil {
 		s.mu.Unlock()
@@ -377,18 +345,9 @@ func (s *Session) readLoop() {
 				st.onOpenAck(ack)
 			}
 		case kindMuxWindow:
-			var credit int64
-			if err := DecodePayload(f.Payload, &credit); err != nil {
-				s.fail(fmt.Errorf("wire: bad window update: %w", err))
-				return
-			}
-			if st := s.lookup(f.SID); st != nil {
-				st.addCredit(credit)
-			}
-		case kindMuxWindow2:
 			var wu winUpdate
 			if err := DecodePayload(f.Payload, &wu); err != nil {
-				s.fail(fmt.Errorf("wire: bad window2 update: %w", err))
+				s.fail(fmt.Errorf("wire: bad window update: %w", err))
 				return
 			}
 			if st := s.lookup(f.SID); st != nil {
@@ -482,11 +441,9 @@ type Stream struct {
 	debt int64
 	// ctrl is the AIMD controller; nil on fixed-window streams.
 	ctrl          *winController
-	peerRev       int
 	peerMaxWindow int64
-	// acked reports that the peer has confirmed revision awareness
-	// (its open carried a revision, or its open-ack arrived) — the
-	// gate on sending any revision-1 frame.
+	// acked makes onOpenAck apply the peer's ack exactly once (set at
+	// once on an accepted stream, which is never acked).
 	acked bool
 	// probeSeq numbers credit probes; probeSent is the departure time
 	// of the outstanding probe (zero: none) and probeBytes the recv
@@ -584,8 +541,7 @@ func (st *Stream) Stats() StreamStats {
 
 // onOpenAck applies the acceptor's window announcement: the opener
 // assumed a symmetric window at open, so the send budget is adjusted
-// by the difference, and the adaptive controller starts now that the
-// peer is known to speak revision 1.
+// by the difference, and the adaptive controller starts.
 //
 // The ack rides the peer's control queue, and a credit refund written
 // straight from the peer's Recv can overtake it. The difference is
@@ -599,7 +555,6 @@ func (st *Stream) onOpenAck(ack openAck) {
 	st.mu.Lock()
 	if !st.acked {
 		st.acked = true
-		st.peerRev = ack.Rev
 		st.peerMaxWindow = ack.MaxWindow
 		assumed := st.sess.conn.window
 		st.sendCredit += ack.Window - assumed
@@ -614,8 +569,8 @@ func (st *Stream) onOpenAck(ack openAck) {
 	st.cond.Broadcast()
 }
 
-// onWinUpdate applies a revision-1 credit grant and echoes the probe,
-// if any, through the session's control writer.
+// onWinUpdate applies a credit grant and echoes the probe, if any,
+// through the session's control writer.
 func (st *Stream) onWinUpdate(wu winUpdate) {
 	st.mu.Lock()
 	st.sendCredit += wu.Credit
@@ -625,7 +580,6 @@ func (st *Stream) onWinUpdate(wu winUpdate) {
 	st.mu.Unlock()
 	st.cond.Broadcast()
 	if wu.Seq != 0 {
-		// The peer sent a revision-1 frame, so it understands the echo.
 		if payload, err := EncodePayload(wu.Seq); err == nil {
 			st.sess.sendCtrl(Frame{Kind: kindMuxWinAck, SID: st.id, Payload: payload})
 		}
@@ -663,7 +617,7 @@ func (st *Stream) onWinAck(seq uint64) {
 	st.mu.Unlock()
 	if extra > 0 && !dead {
 		if payload, err := EncodePayload(winUpdate{Credit: extra, Window: win}); err == nil {
-			st.sess.sendCtrl(Frame{Kind: kindMuxWindow2, SID: st.id, Payload: payload})
+			st.sess.sendCtrl(Frame{Kind: kindMuxWindow, SID: st.id, Payload: payload})
 		}
 	}
 }
@@ -719,31 +673,20 @@ func (st *Stream) Recv() (Frame, error) {
 		// Piggyback an RTT probe on the grant when the adaptive loop is
 		// running and no probe is in flight (or the last one went
 		// unanswered long enough to be presumed lost).
-		if st.ctrl != nil && st.acked &&
-			(st.probeSent.IsZero() || time.Since(st.probeSent) > probeStale) {
+		if st.ctrl != nil && (st.probeSent.IsZero() || time.Since(st.probeSent) > probeStale) {
 			st.probeSeq++
 			probe = st.probeSeq
 			st.probeSent = time.Now()
 			st.probeBytes = st.bytesRecv
 		}
 	}
-	rev1 := st.acked
 	win := st.recvWindow
 	st.mu.Unlock()
 	if refund > 0 || probe != 0 {
-		var payload []byte
-		var err error
-		kind := kindMuxWindow
-		if rev1 {
-			kind = kindMuxWindow2
-			payload, err = EncodePayload(winUpdate{Credit: refund, Window: win, Seq: probe})
-		} else {
-			payload, err = EncodePayload(refund)
-		}
-		if err == nil {
+		if payload, err := EncodePayload(winUpdate{Credit: refund, Window: win, Seq: probe}); err == nil {
 			// A failed window update surfaces on the next Send/Recv via
 			// the session error; ignore it here.
-			_ = st.sess.conn.SendFrame(Frame{Kind: kind, SID: st.id, Payload: payload})
+			_ = st.sess.conn.SendFrame(Frame{Kind: kindMuxWindow, SID: st.id, Payload: payload})
 		}
 	}
 	return f, nil
@@ -823,13 +766,6 @@ func (st *Stream) enqueue(f Frame) bool {
 	return true
 }
 
-func (st *Stream) addCredit(n int64) {
-	st.mu.Lock()
-	st.sendCredit += n
-	st.mu.Unlock()
-	st.cond.Broadcast()
-}
-
 func (st *Stream) remoteClose() {
 	st.mu.Lock()
 	st.remoteClosed = true
@@ -857,11 +793,4 @@ func (st *Stream) abort(err error) {
 	}
 	st.mu.Unlock()
 	st.cond.Broadcast()
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

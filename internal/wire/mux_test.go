@@ -481,7 +481,7 @@ func TestMuxIdleStreamRefundsResidualCredit(t *testing.T) {
 	}
 }
 
-// TestMuxNegotiatesAsymmetricWindows pins the revision-1 handshake:
+// TestMuxNegotiatesAsymmetricWindows pins the open/open-ack handshake:
 // two ends configured with different windows run them asymmetrically —
 // each direction governed by its receiver's announcement — instead of
 // the pre-negotiation hard rejection. Bulk data in both directions
@@ -551,106 +551,66 @@ func TestMuxNegotiatesAsymmetricWindows(t *testing.T) {
 	}
 }
 
-// TestMuxOldPeerWindowFallback speaks the revision-0 protocol by hand
-// (an open with no Rev field, like any pre-negotiation build) with a
-// mismatched window: the session must fall back to the effective
-// minimum with a warning instead of failing, must keep moving data,
-// and must never send the old peer a revision-1 frame it would
-// misread as application data.
-func TestMuxOldPeerWindowFallback(t *testing.T) {
+// TestMuxRejectsOpenInLocalIDSpace hand-writes mux/open frames whose
+// stream ID belongs to the receiving side's own half of the ID space
+// (or is zero). Accepting one would let the local side's next Open
+// silently replace it in the stream table, delivering that round's
+// frames to the wrong stream; the session must fail instead. An open
+// with the peer's parity is the control.
+func TestMuxRejectsOpenInLocalIDSpace(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		peerWindow int64
+		name      string
+		initiator bool // role of the session under test
+		sid       uint64
+		ok        bool
 	}{
-		{"peer-smaller", 32 << 10},
-		{"peer-larger", 4 << 20},
+		{"acceptor-gets-even", false, 2, false},
+		{"initiator-gets-odd", true, 1, false},
+		{"acceptor-gets-zero", false, 0, false},
+		{"initiator-gets-zero", true, 0, false},
+		{"acceptor-gets-odd", false, 1, true},
+		{"initiator-gets-even", true, 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			old, b := Pipe()
-			server := NewSession(b, false)
-			defer server.Close()
-			defer old.Close()
-
-			payload, err := EncodePayload(openMsg{Round: 9, Label: "legacy", Window: tc.peerWindow})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := old.SendFrame(Frame{Kind: kindMuxOpen, SID: 1, Payload: payload}); err != nil {
-				t.Fatal(err)
-			}
-			st, err := server.Accept()
-			if err != nil {
-				t.Fatalf("old-peer window mismatch must fall back, not fail: %v", err)
-			}
-
-			// A real revision-0 peer always has a read loop; emulate it, so
-			// the server's synchronous refunds over the unbuffered pipe have
-			// a reader.
-			oldFrames := make(chan Frame, 64)
-			go func() {
-				defer close(oldFrames)
+			peer, local := Pipe()
+			sess := NewSession(local, tc.initiator)
+			defer sess.Close()
+			defer peer.Close()
+			go func() { // drain the ack (or nothing) so the pipe never blocks the session
 				for {
-					f, err := old.Recv()
-					if err != nil {
+					if _, err := peer.Recv(); err != nil {
 						return
 					}
-					oldFrames <- f
 				}
 			}()
-
-			// Old peer sends within the effective window; the server must
-			// receive and refund with the legacy frame kind only.
-			data := make([]byte, 8<<10)
-			for i := 0; i < 4; i++ {
-				if err := old.SendFrame(Frame{Kind: "d", Payload: data, SID: 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 4; i++ {
-				if f, err := st.Recv(); err != nil || f.Kind != "d" {
-					t.Fatalf("frame %d: %v %q", i, err, f.Kind)
-				}
-			}
-			if err := st.Send("reply", testMsg{Round: 9}); err != nil {
+			payload, err := EncodePayload(openMsg{Round: 7, Label: "hostile", Window: DefaultWindow})
+			if err != nil {
 				t.Fatal(err)
 			}
-			// Everything the old peer sees must be revision-0: data,
-			// legacy window refunds, close — never open-ack/window2/winack.
-			sawReply := false
-			for !sawReply {
-				f, ok := <-oldFrames
-				if !ok {
-					t.Fatal("old peer connection died before the reply")
-				}
-				switch f.Kind {
-				case kindMuxWindow, "reply":
-					sawReply = f.Kind == "reply"
-				default:
-					t.Fatalf("old peer received revision-1 or unexpected frame %q", f.Kind)
-				}
+			if err := peer.SendFrame(Frame{Kind: kindMuxOpen, SID: tc.sid, Payload: payload}); err != nil {
+				t.Fatal(err)
 			}
-
-			st.mu.Lock()
-			effective, debt := st.recvWindow, st.debt
-			st.mu.Unlock()
-			if tc.peerWindow < DefaultWindow {
-				if effective != tc.peerWindow {
-					t.Fatalf("effective window %d, want fallback to peer's %d", effective, tc.peerWindow)
+			st, err := sess.Accept()
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("open with the peer's parity refused: %v", err)
 				}
-			} else {
-				// The initial surplus, minus what the four drained frames
-				// already withheld instead of refunding.
-				want := tc.peerWindow - DefaultWindow - 4*(8<<10+frameOverhead)
-				if debt != want {
-					t.Fatalf("debt %d, want %d still withheld to shrink the larger peer to local", debt, want)
-				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("open with stream id %d inside the local id space was accepted (label %q)", tc.sid, st.Label())
+			}
+			select {
+			case <-sess.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatal("session survived an open inside its own id space")
 			}
 		})
 	}
 }
 
 // TestMuxOpenAckAfterWindowUpdateKeepsCredit pins the opener's credit
-// arithmetic when a window2 update overtakes the open-ack (the ack
+// arithmetic when a window update overtakes the open-ack (the ack
 // rides the acceptor's control queue; refunds are written straight
 // from its Recv). The ack must adjust the budget by the difference to
 // the window the opener assumed at open — rebasing on a sendWindow the
@@ -665,7 +625,7 @@ func TestMuxOpenAckAfterWindowUpdateKeepsCredit(t *testing.T) {
 			sess := NewSession(a, true)
 			st := newStream(sess, 1, 1, "opener")
 			update := func() { st.onWinUpdate(winUpdate{Credit: grant, Window: raised}) } // Seq 0: no echo
-			ack := func() { st.onOpenAck(openAck{Window: ackWin, MaxWindow: DefaultWindowCap, Rev: muxRev}) }
+			ack := func() { st.onOpenAck(openAck{Window: ackWin, MaxWindow: DefaultWindowCap}) }
 			if updateFirst {
 				update()
 				ack()

@@ -65,10 +65,9 @@ func WithMaxFrame(n int) Option {
 
 // WithWindow overrides the initial per-stream flow-control window for
 // sessions multiplexed over this connection (default DefaultWindow).
-// Each direction's window is announced on stream open; peers that
-// support window negotiation run with asymmetric windows, and against
-// older fixed-window peers the session falls back to the smaller of
-// the two announcements. A frame costing more than the window can
+// Each direction's window is announced on stream open (open and
+// open-ack), so two ends configured differently run asymmetric windows.
+// A frame costing more than the window can
 // never be covered and is rejected with ErrFrameTooLarge, so the
 // window must exceed the largest frame the protocol ships — for PSC at
 // the default chunk/block sizes that is a ~256 KiB share chunk, making
@@ -90,10 +89,9 @@ func WithWindow(n int) Option {
 // measured bandwidth-delay product (slow-start doubling, then additive
 // increase), and halves it when RTT inflation signals congestion —
 // AIMD, never exceeding cap bytes (cap <= 0 selects
-// DefaultWindowCap). The growth is negotiated over the versioned
-// window-update frame, so it activates only when both peers support
-// it; against a fixed-window peer the stream simply keeps its initial
-// window.
+// DefaultWindowCap). Growth is granted as extra credit in the same
+// window-update frame that carries refunds; a peer that left the option
+// off still honours the grants, and its own receive windows stay fixed.
 func WithAdaptiveWindow(cap int) Option {
 	return func(c *Conn) {
 		c.adaptive = true
