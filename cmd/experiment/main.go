@@ -28,7 +28,7 @@ func main() {
 	scale := flag.Float64("scale", 400, "population scale divisor (100 = 1% of Tor)")
 	seed := flag.Uint64("seed", 2018, "simulation seed")
 	alexaN := flag.Int("alexa", 200000, "synthetic Alexa list size")
-	proofRounds := flag.Int("proof-rounds", 2, "PSC shuffle-proof rounds (0 = honest-but-curious)")
+	proofRounds := flag.Int("proof-rounds", 2, "PSC per-block shuffle-proof rounds (1 to 128)")
 	netemSpec := flag.String("netem", "", "WAN emulation profile shaping every party connection (lan, wan-good, wan-tor, or key=value spec; empty: unshaped pipes)")
 	adaptiveWindow := flag.Bool("adaptive-window", true, "autotune stream windows toward the measured bandwidth-delay product")
 	windowCap := flag.Int("window-cap", 0, "adaptive stream-window growth bound in bytes (0: wire default, 16 MiB)")

@@ -82,7 +82,7 @@ func main() {
 	statsSpec := flag.String("stats", "count::0", "privcount statistics: name:bin1,bin2:sigma;...")
 	bins := flag.Int("bins", 4096, "psc hash-table size")
 	noise := flag.Int("noise", 64, "psc noise coins per CP")
-	proofRounds := flag.Int("proof-rounds", 8, "psc per-block shuffle-proof rounds")
+	proofRounds := flag.Int("proof-rounds", 8, "psc per-block shuffle-proof rounds (1 to 128)")
 	shuffleBlock := flag.Int("shuffle-block", 0, "psc streaming-shuffle block size in elements (0: default 1024)")
 	shufflePasses := flag.Int("shuffle-passes", 0, "psc shuffle passes per CP, alternating rows/columns (0: default 2)")
 	rounds := flag.Int("rounds", 1, "number of rounds (or round pairs with -protocol both)")
@@ -96,6 +96,17 @@ func main() {
 	quorumSpec := flag.String("quorum", "", "DC quorum, e.g. dcs=2: rounds complete degraded with at least this many DCs (empty: all DCs required)")
 	flag.Parse()
 
+	pscCfg := psc.Config{
+		Bins: *bins, NoisePerCP: *noise, ShuffleProofRounds: *proofRounds,
+		ShuffleBlockElems: *shuffleBlock, ShufflePasses: *shufflePasses,
+		NumDCs: *dcs, NumCPs: *cps,
+	}
+	if *protocol != "privcount" {
+		// A bad PSC flag fails here, not after the whole fleet has dialled in.
+		if err := pscCfg.Validate(); err != nil {
+			log.Fatalf("tally: %v", err)
+		}
+	}
 	connOpts, err := common.Start("tally")
 	if err != nil {
 		log.Fatalf("tally: %v", err)
@@ -214,11 +225,7 @@ func main() {
 		log.Fatal(err)
 	}
 	startPSC := func() (*engine.Round, error) {
-		return eng.StartPSC(psc.Config{
-			Bins: *bins, NoisePerCP: *noise, ShuffleProofRounds: *proofRounds,
-			ShuffleBlockElems: *shuffleBlock, ShufflePasses: *shufflePasses,
-			NumDCs: *dcs, NumCPs: *cps,
-		}, nil)
+		return eng.StartPSC(pscCfg, nil)
 	}
 	startPriv := func() (*engine.Round, error) {
 		return eng.StartPrivCount(privcount.TallyConfig{

@@ -28,9 +28,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig is the paper-scale configuration.
-func DefaultConfig() Config { return Config{N: 1_000_000, Seed: 2018} }
-
 // Planted constants from the paper (§4.3): the top-10 sites of the
 // 2017-12-21 Alexa snapshot, duckduckgo (default Tor Browser search
 // engine) at rank 342, and torproject.org at rank 10,244.
@@ -311,16 +308,4 @@ func Categories() []string {
 	out := make([]string, len(categoryNames))
 	copy(out, categoryNames)
 	return out
-}
-
-// UniqueSLDs returns the number of distinct registered domains on the
-// list (Table 2 compares unique observed SLDs against this population).
-func (l *List) UniqueSLDs() int {
-	seen := make(map[string]bool, len(l.sites))
-	for _, s := range l.sites {
-		if d, ok := l.psl.RegisteredDomain(s.Domain); ok {
-			seen[d] = true
-		}
-	}
-	return len(seen)
 }

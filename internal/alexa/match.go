@@ -29,9 +29,6 @@ func (m *Matcher) Labels() []string {
 	return out
 }
 
-// NumBins returns the number of bins including "other".
-func (m *Matcher) NumBins() int { return len(m.labels) }
-
 // Match returns the bin index for a registered domain.
 func (m *Matcher) Match(domain string) int {
 	domain = normalizeHost(domain)

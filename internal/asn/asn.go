@@ -14,11 +14,6 @@ import (
 	"repro/internal/simtime"
 )
 
-// TotalASes is the number of allocated AS numbers in the synthetic
-// internet, matching the paper's upper bound for the network-wide
-// unique-AS range (§5.2: [11,708; 59,597]).
-const TotalASes = 59597
-
 // Prefix is one pfx2as entry: an IPv4 prefix and its origin AS.
 type Prefix struct {
 	Start uint32
@@ -76,8 +71,6 @@ func Build(g *geo.DB, seed uint64) *DB {
 		}
 		countryAS[c] = pool
 	}
-	// Spread the remaining AS numbers (stub ASes with no prefixes here)
-	// up to TotalASes; they exist in the rank universe only.
 	for _, c := range geo.Countries() {
 		blocks := g.Blocks(c)
 		pool := countryAS[c]
@@ -172,13 +165,3 @@ func (db *DB) TopASes(n int) []ASInfo {
 	copy(out, db.rank[:n])
 	return out
 }
-
-// Prefixes returns the prefixes announced by an AS.
-func (db *DB) Prefixes(asn uint32) []Prefix { return db.byASN[asn] }
-
-// NumPrefixes returns the table size.
-func (db *DB) NumPrefixes() int { return len(db.prefixes) }
-
-// NumOriginASes returns how many distinct ASes announce at least one
-// prefix.
-func (db *DB) NumOriginASes() int { return len(db.byASN) }

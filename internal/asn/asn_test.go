@@ -116,26 +116,30 @@ func TestTopASes(t *testing.T) {
 	}
 }
 
+// totalASes is the paper's upper bound for the network-wide unique-AS
+// range (§5.2: [11,708; 59,597]): the allocated AS numbers.
+const totalASes = 59597
+
 func TestOriginASesPlausible(t *testing.T) {
-	n := testDB.NumOriginASes()
+	n := len(testDB.byASN)
 	if n < 1000 {
 		t.Fatalf("too few origin ASes: %d", n)
 	}
-	if n >= TotalASes {
-		t.Fatalf("origin ASes %d must be below the AS universe %d", n, TotalASes)
+	if n >= totalASes {
+		t.Fatalf("origin ASes %d must be below the AS universe %d", n, totalASes)
 	}
 }
 
 func TestPrefixesByASN(t *testing.T) {
 	top := testDB.TopASes(10)
 	for _, info := range top {
-		for _, p := range testDB.Prefixes(info.ASN) {
+		for _, p := range testDB.byASN[info.ASN] {
 			if p.ASN != info.ASN {
 				t.Fatal("Prefixes returned a foreign prefix")
 			}
 		}
 	}
-	if testDB.Prefixes(0xFFFFFFFF) != nil {
+	if testDB.byASN[0xFFFFFFFF] != nil {
 		t.Fatal("unknown ASN must have no prefixes")
 	}
 }
@@ -143,10 +147,10 @@ func TestPrefixesByASN(t *testing.T) {
 func TestBuildDeterministic(t *testing.T) {
 	a := Build(testGeo, 5)
 	b := Build(testGeo, 5)
-	if a.NumPrefixes() != b.NumPrefixes() {
+	if len(a.prefixes) != len(b.prefixes) {
 		t.Fatal("prefix counts differ across identical seeds")
 	}
-	for i := 0; i < a.NumPrefixes(); i += 97 {
+	for i := 0; i < len(a.prefixes); i += 97 {
 		if a.prefixes[i] != b.prefixes[i] {
 			t.Fatalf("prefix %d differs", i)
 		}

@@ -7,13 +7,7 @@ const (
 	// TorMetricsDailyUsers is the Tor Metrics Portal estimate of daily
 	// users at the time of the study (April 2018).
 	TorMetricsDailyUsers = 2.15e6
-	// TorMetricsBridges is the bridge count reported by Tor Metrics.
-	TorMetricsBridges = 1640
 	// TorMetricsV2Onions is the Metrics estimate of unique v2 onion
 	// services during the Table 6 measurement window.
 	TorMetricsV2Onions = 79e3
-	// McCoyCountries and ChaabaneCountries are the country counts from
-	// the 2008 and 2010 studies the paper contrasts with (§5.2).
-	McCoyCountries    = 125
-	ChaabaneCountries = 125
 )

@@ -31,18 +31,8 @@ type Env struct {
 	// AlexaN is the synthetic top-sites list size (1M at paper scale).
 	AlexaN int
 	// ProofRounds is the PSC per-block cut-and-choose soundness
-	// parameter; 0 runs the honest-but-curious fast path.
+	// parameter; it must be ≥ 1 (every PSC round is verified).
 	ProofRounds int
-	// ShuffleBlock is the PSC streaming-shuffle block size in elements;
-	// 0 selects the psc package default.
-	ShuffleBlock int
-	// ShufflePasses is how many alternating row/column shuffle passes
-	// each CP runs; 0 selects the psc package default (2).
-	ShufflePasses int
-	// SpillDir is where the tally layers place their bounded-residency
-	// scratch files; empty selects the system temp directory. Applied
-	// process-wide when the Env's fleet first starts.
-	SpillDir string
 	// Netem is a WAN emulation profile spec (netem.ParseProfile syntax:
 	// "lan", "wan-tor", "wan-tor,seed=42", ...) applied to every party
 	// connection of the Env's fleet; empty runs over unshaped pipes.
@@ -70,16 +60,6 @@ type Env struct {
 	// multiplexed sessions.
 	rtMu sync.Mutex
 	rt   *partyRuntime
-}
-
-// DefaultEnv is the benchmark configuration: 1% of Tor, full list.
-func DefaultEnv() *Env {
-	return &Env{Scale: 100, Seed: 2018, AlexaN: 1_000_000, ProofRounds: 2}
-}
-
-// TestEnv is a fast configuration for unit tests.
-func TestEnv() *Env {
-	return &Env{Scale: 2000, Seed: 7, AlexaN: 50_000, ProofRounds: 1}
 }
 
 // Alexa returns the environment's site list, built once.

@@ -323,7 +323,7 @@ func TestTable8Shape(t *testing.T) {
 	// a few percent of runs. Pin the noise (an Env of its own, so the
 	// round ids the noise streams are keyed by do not depend on which
 	// tests ran first) and keep the point bounds.
-	env := TestEnv()
+	env := testEnv()
 	env.NoiseSeed = 8
 	defer env.Close()
 	rep, err := Run("table8", env)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/privcount"
 	"repro/internal/psc"
-	"repro/internal/spill"
 	"repro/internal/stats"
 	"repro/internal/tornet"
 	"repro/internal/wire"
@@ -87,9 +86,6 @@ func (e *Env) runtime() (*partyRuntime, error) {
 	defer e.rtMu.Unlock()
 	if e.rt != nil {
 		return e.rt, nil
-	}
-	if e.SpillDir != "" {
-		spill.SetDir(e.SpillDir)
 	}
 	rt := &partyRuntime{eng: engine.New(), noiseSeed: e.NoiseSeed, deliveries: make(map[uint64]chan dcDelivery)}
 	if p, err := netem.ParseProfile(e.Netem); err != nil {
@@ -470,8 +466,6 @@ func (e *Env) RunPSCWithSim(run PSCRun, onSim func(*Sim)) (*PSCResult, error) {
 		Bins:               bins,
 		NoisePerCP:         perCP,
 		ShuffleProofRounds: e.ProofRounds,
-		ShuffleBlockElems:  e.ShuffleBlock,
-		ShufflePasses:      e.ShufflePasses,
 		NumDCs:             len(relays),
 		NumCPs:             harnessCPs,
 	}, nil)

@@ -94,7 +94,7 @@ func TestRunPSCErrors(t *testing.T) {
 // parts (the simulated event totals feeding a zero-noise counter).
 func TestDeterministicReports(t *testing.T) {
 	run := func() float64 {
-		env := &Env{Scale: 4000, Seed: 99, AlexaN: 20000, ProofRounds: 0}
+		env := &Env{Scale: 4000, Seed: 99, AlexaN: 20000, ProofRounds: 1}
 		res, err := env.RunPrivCount(PrivCountRun{
 			Fractions: tornet.StudyFractions(),
 			Counters:  []CounterSpec{{Name: "streams", Bins: []string{""}, Sensitivity: 0}},
@@ -123,7 +123,7 @@ func TestDeterministicReports(t *testing.T) {
 // traffic flows through shaped pipes and negotiated windows.
 func TestEnvNetemFleet(t *testing.T) {
 	env := &Env{
-		Scale: 4000, Seed: 99, AlexaN: 20000, ProofRounds: 0,
+		Scale: 4000, Seed: 99, AlexaN: 20000, ProofRounds: 1,
 		Netem: "lan,seed=5", AdaptiveWindow: true, WindowCap: 4 << 20,
 	}
 	res, err := env.RunPrivCount(PrivCountRun{
@@ -155,7 +155,7 @@ func TestEnvNetemFleet(t *testing.T) {
 
 // TestEnvCaching: the Alexa list and databases build once per env.
 func TestEnvCaching(t *testing.T) {
-	env := &Env{Scale: 4000, Seed: 1, AlexaN: 5000, ProofRounds: 0}
+	env := &Env{Scale: 4000, Seed: 1, AlexaN: 5000, ProofRounds: 1}
 	l1 := env.Alexa()
 	l2 := env.Alexa()
 	if l1 != l2 {

@@ -270,7 +270,7 @@ func TestPSCOverTCP(t *testing.T) {
 // a simulated relay event stream marshaled over TCP and consumed by a
 // DC-side decoder, as cmd/torsim and cmd/datacollector do.
 func TestEventFeedRoundTrip(t *testing.T) {
-	env := &Env{Scale: 8000, Seed: 3, AlexaN: 5000, ProofRounds: 0}
+	env := &Env{Scale: 8000, Seed: 3, AlexaN: 5000, ProofRounds: 1}
 	sim, err := env.BuildSim(tornet.StudyFractions(), 0)
 	if err != nil {
 		t.Fatal(err)

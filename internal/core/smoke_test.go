@@ -4,9 +4,14 @@ import (
 	"testing"
 )
 
+// testEnv is a fast configuration for unit tests.
+func testEnv() *Env {
+	return &Env{Scale: 2000, Seed: 7, AlexaN: 50_000, ProofRounds: 1}
+}
+
 // sharedTestEnv is reused across core tests; building the Alexa list
 // and databases once keeps the suite fast.
-var sharedTestEnv = TestEnv()
+var sharedTestEnv = testEnv()
 
 func runExperiment(t *testing.T, id string) *Report {
 	t.Helper()

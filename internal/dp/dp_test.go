@@ -53,10 +53,6 @@ func TestSplitAndCompose(t *testing.T) {
 	if _, err := p.Split(0); err == nil {
 		t.Fatal("split 0 must fail")
 	}
-	c := half.Compose(half).Compose(half)
-	if math.Abs(c.Epsilon-0.3) > 1e-12 || math.Abs(c.Delta-3e-11) > 1e-24 {
-		t.Fatalf("compose: %+v", c)
-	}
 }
 
 func TestGaussianSigmaFormula(t *testing.T) {

@@ -38,12 +38,6 @@ func (p Params) Split(n int) (Params, error) {
 	return Params{Epsilon: p.Epsilon / float64(n), Delta: p.Delta / float64(n)}, nil
 }
 
-// Compose returns the sequential composition of two guarantees: budgets
-// add (basic composition theorem).
-func (p Params) Compose(q Params) Params {
-	return Params{Epsilon: p.Epsilon + q.Epsilon, Delta: p.Delta + q.Delta}
-}
-
 // GaussianSigma returns the standard deviation required by the Gaussian
 // mechanism to make a statistic with the given L2 sensitivity
 // (ε,δ)-differentially private: σ = s·√(2·ln(1.25/δ))/ε.

@@ -94,29 +94,6 @@ func BatchMul(base Point, ks []*big.Int) []Point {
 	return batchTableMul(t, ks)
 }
 
-// BatchAdd computes pᵢ + qᵢ elementwise, one field inversion per chunk
-// instead of one per addition.
-func BatchAdd(ps, qs []Point) []Point {
-	if len(ps) != len(qs) {
-		panic("elgamal: BatchAdd length mismatch")
-	}
-	out := make([]Point, len(ps))
-	parallel.For(len(ps), batchMinChunk, func(lo, hi int) {
-		n := hi - lo
-		pts := make([]affinePoint, 2*n)
-		acc, add := pts[:n], pts[n:]
-		for i := range acc {
-			acc[i].fromPoint(ps[lo+i])
-			add[i].fromPoint(qs[lo+i])
-		}
-		newAffineScratch(n).addVec(acc, add)
-		for i := range acc {
-			out[lo+i] = acc[i].toPoint()
-		}
-	})
-	return out
-}
-
 // sharedBaseTable resolves the table to use for a batch against one
 // shared base: nil means "no table is worth it, use stdlib".
 func sharedBaseTable(base Point, n int) *fixedTable {

@@ -84,9 +84,6 @@ func BenchmarkGroupOps(b *testing.B) {
 			points[i%benchBatch].Add(points2[i%benchBatch])
 		}
 	})
-	b.Run("Add/batch", func(b *testing.B) {
-		perBatch(b, func(n int) { BatchAdd(points[:n], points2[:n]) })
-	})
 }
 
 // BenchmarkCiphertextOps measures the protocol-level vector operations
@@ -114,7 +111,7 @@ func BenchmarkCiphertextOps(b *testing.B) {
 
 	b.Run("Rerandomize/old", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cts[i%benchBatch].Rerandomize(key.PK)
+			cts[i%benchBatch].RerandomizeWith(key.PK, RandomScalar())
 		}
 	})
 	b.Run("Rerandomize/batch", func(b *testing.B) {

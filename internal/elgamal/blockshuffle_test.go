@@ -118,7 +118,7 @@ func TestBlockShuffleCommitmentBinding(t *testing.T) {
 		{"commitment byte", func(p *BlockShuffleProof, r int) { p.Commits[r][5] ^= 1 }},
 		{"opening scalar", func(p *BlockShuffleProof, r int) {
 			s := p.Openings[r].Rand[3]
-			s.Add(s, big.NewInt(1)).Mod(s, Order())
+			s.Add(s, big.NewInt(1)).Mod(s, order)
 		}},
 		{"permutation entries", func(p *BlockShuffleProof, r int) {
 			perm := p.Openings[r].Perm
@@ -213,7 +213,7 @@ func TestShuffleProofRejectsNonPermutation(t *testing.T) {
 		{"duplicate index", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm = []int{0, 0, 1, 2} }},
 		{"index past the block", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm[0] = n }},
 		{"negative index", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm[0] = -1 }},
-		{"scalar equal to the order", func(p *BlockShuffleProof, r int) { p.Openings[r].Rand[1] = Order() }},
+		{"scalar equal to the order", func(p *BlockShuffleProof, r int) { p.Openings[r].Rand[1] = new(big.Int).Set(order) }},
 		{"negative scalar", func(p *BlockShuffleProof, r int) { p.Openings[r].Rand[1] = big.NewInt(-1) }},
 		{"nil scalar", func(p *BlockShuffleProof, r int) { p.Openings[r].Rand[1] = nil }},
 		{"short permutation", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm = p.Openings[r].Perm[:n-1] }},

@@ -71,27 +71,17 @@ func (c Ciphertext) Add(d Ciphertext) Ciphertext {
 	return Ciphertext{C1: c.C1.Add(d.C1), C2: c.C2.Add(d.C2)}
 }
 
-// Rerandomize refreshes the ciphertext so it is unlinkable to c while
-// encrypting the same plaintext.
-func (c Ciphertext) Rerandomize(pk Point) Ciphertext {
-	return c.RerandomizeWith(pk, RandomScalar())
-}
-
-// RerandomizeWith refreshes with a caller-chosen randomizer.
+// RerandomizeWith refreshes the ciphertext with randomizer r so it is
+// unlinkable to c while encrypting the same plaintext.
 func (c Ciphertext) RerandomizeWith(pk Point, r *big.Int) Ciphertext {
 	return Ciphertext{C1: c.C1.Add(BaseMul(r)), C2: c.C2.Add(pk.Mul(r))}
 }
 
-// ExpBlind multiplies the plaintext by a random non-zero scalar by
+// ExpBlindWith multiplies the plaintext by the non-zero scalar s by
 // exponentiating both ciphertext halves. The identity plaintext stays
-// the identity; any other plaintext becomes uniformly random. This is
-// the PSC step that destroys everything about a bin except whether it
-// was empty.
-func (c Ciphertext) ExpBlind() Ciphertext {
-	return c.ExpBlindWith(RandomScalar())
-}
-
-// ExpBlindWith blinds with a caller-chosen scalar.
+// the identity; any other plaintext becomes uniformly random when s
+// is. This is the PSC step that destroys everything about a bin except
+// whether it was empty.
 func (c Ciphertext) ExpBlindWith(s *big.Int) Ciphertext {
 	return Ciphertext{C1: c.C1.Mul(s), C2: c.C2.Mul(s)}
 }
@@ -138,19 +128,4 @@ type DecryptionShare struct {
 // PartialDecrypt computes this party's decryption share for c.
 func (k *PrivateKey) PartialDecrypt(c Ciphertext) DecryptionShare {
 	return DecryptionShare{Share: c.C1.Mul(k.X)}
-}
-
-// Recover combines all parties' shares to expose the plaintext point:
-// M = C2 − Σ x_i·C1. Every share must be present.
-func Recover(c Ciphertext, shares []DecryptionShare) Point {
-	m := c.C2
-	for _, s := range shares {
-		m = m.Sub(s.Share)
-	}
-	return m
-}
-
-// Decrypt is single-party decryption, a convenience for tests.
-func (k *PrivateKey) Decrypt(c Ciphertext) Point {
-	return Recover(c, []DecryptionShare{k.PartialDecrypt(c)})
 }

@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// Recover combines all parties' shares to expose the plaintext point:
+// M = C2 − Σ x_i·C1. Every share must be present. It is the
+// single-element reference RecoverBatch is held to.
+func Recover(c Ciphertext, shares []DecryptionShare) Point {
+	m := c.C2
+	for _, s := range shares {
+		m = m.Sub(s.Share)
+	}
+	return m
+}
+
+// Decrypt is single-party decryption, a convenience for tests.
+func (k *PrivateKey) Decrypt(c Ciphertext) Point {
+	return Recover(c, []DecryptionShare{k.PartialDecrypt(c)})
+}
+
 func TestGroupBasics(t *testing.T) {
 	g := Generator()
 	id := Identity()
@@ -27,7 +43,7 @@ func TestGroupBasics(t *testing.T) {
 	if !BaseMul(two).Equal(g.Mul(two)) {
 		t.Fatal("BaseMul(2) != 2G")
 	}
-	if !g.Mul(Order()).IsIdentity() {
+	if !g.Mul(order).IsIdentity() {
 		t.Fatal("order·G != identity")
 	}
 	if !g.Neg().Add(g).IsIdentity() {
@@ -108,7 +124,7 @@ func TestRerandomizePreservesPlaintext(t *testing.T) {
 	k := GenerateKey()
 	msg := BaseMul(big.NewInt(31337))
 	c := Encrypt(k.PK, msg)
-	c2 := c.Rerandomize(k.PK)
+	c2 := c.RerandomizeWith(k.PK, RandomScalar())
 	if c2.Equal(c) {
 		t.Fatal("rerandomization must change the ciphertext")
 	}
@@ -119,13 +135,13 @@ func TestRerandomizePreservesPlaintext(t *testing.T) {
 
 func TestExpBlindPreservesZeroOnly(t *testing.T) {
 	k := GenerateKey()
-	zero := EncryptBit(k.PK, false).ExpBlind()
+	zero := EncryptBit(k.PK, false).ExpBlindWith(RandomScalar())
 	if !k.Decrypt(zero).IsIdentity() {
 		t.Fatal("blinded 0 must stay identity")
 	}
 	one := EncryptBit(k.PK, true)
-	b1 := one.ExpBlind()
-	b2 := one.ExpBlind()
+	b1 := one.ExpBlindWith(RandomScalar())
+	b2 := one.ExpBlindWith(RandomScalar())
 	p1, p2 := k.Decrypt(b1), k.Decrypt(b2)
 	if p1.IsIdentity() || p2.IsIdentity() {
 		t.Fatal("blinded 1 must stay non-identity")
@@ -253,7 +269,7 @@ func TestShufflePreservesMultiset(t *testing.T) {
 func TestRandomScalarInRange(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		s := RandomScalar()
-		if s.Sign() <= 0 || s.Cmp(Order()) >= 0 {
+		if s.Sign() <= 0 || s.Cmp(order) >= 0 {
 			t.Fatalf("scalar out of range: %v", s)
 		}
 	}
@@ -280,7 +296,7 @@ func BenchmarkExpBlind(b *testing.B) {
 	c := EncryptBit(k.PK, true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.ExpBlind()
+		c.ExpBlindWith(RandomScalar())
 	}
 }
 

@@ -308,10 +308,16 @@ func TestBatchAddEquivalence(t *testing.T) {
 	qs[2] = Identity()
 	qs[3] = ps[3]       // doubling
 	qs[4] = ps[4].Neg() // cancellation
-	got := BatchAdd(ps, qs)
+	// Both halves of every sum are pᵢ + qᵢ, once in each operand order.
+	as := make([]Ciphertext, n)
+	bs := make([]Ciphertext, n)
 	for i := range ps {
-		if want := stdlibAdd(ps[i], qs[i]); !got[i].Equal(want) {
-			t.Fatalf("BatchAdd[%d] mismatch", i)
+		as[i] = Ciphertext{C1: ps[i], C2: qs[i]}
+		bs[i] = Ciphertext{C1: qs[i], C2: ps[i]}
+	}
+	for i, got := range BatchAddCiphertexts(as, bs) {
+		if want := stdlibAdd(ps[i], qs[i]); !got.C1.Equal(want) || !got.C2.Equal(want) {
+			t.Fatalf("BatchAddCiphertexts[%d] mismatch", i)
 		}
 	}
 }

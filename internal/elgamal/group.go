@@ -301,6 +301,3 @@ func randomScalarBits(r *bufio.Reader, bits int) *big.Int {
 	}
 	return new(big.Int).SetBytes(buf)
 }
-
-// Order returns a copy of the group order.
-func Order() *big.Int { return new(big.Int).Set(order) }

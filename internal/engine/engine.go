@@ -142,14 +142,6 @@ func (e *Engine) SetRoundDeadline(d time.Duration) {
 	e.deadline = d
 }
 
-// SetMetrics redirects the engine's counters to reg (default: the
-// process-wide metrics.Default registry).
-func (e *Engine) SetMetrics(reg *metrics.Registry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.reg = reg
-}
-
 // Metrics returns the registry the engine records into.
 func (e *Engine) Metrics() *metrics.Registry {
 	e.mu.Lock()

@@ -14,6 +14,14 @@ import (
 	"repro/internal/wire"
 )
 
+// SetMetrics redirects the engine's counters to reg, so a test reads
+// its own engine's counts and not the process-wide registry's.
+func (e *Engine) SetMetrics(reg *metrics.Registry) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.reg = reg
+}
+
 // dcRound is one data-collector role delivered to the test "harness":
 // the per-round DC object plus the channel the harness closes once it
 // has finished (or abandoned) the round.
@@ -220,6 +228,16 @@ func TestAccountantRefusesOverBudgetRounds(t *testing.T) {
 	e.SetAccountant(acct)
 
 	small := psc.Config{Bins: 64, NoisePerCP: 2, ShuffleProofRounds: 1, NumDCs: 2, NumCPs: 2}
+	// A config the tally refuses is turned away before the accountant is
+	// asked (start builds the tally, then authorizes): it spends nothing.
+	unverified := small
+	unverified.ShuffleProofRounds = 0
+	if _, err := e.StartPSC(unverified, nil); err == nil || !strings.Contains(err.Error(), "ShuffleProofRounds") {
+		t.Fatalf("zero proof rounds: StartPSC error = %v, want psc.Config.Validate's", err)
+	}
+	if got := acct.Rounds(); got != 0 {
+		t.Fatalf("refused config charged the accountant: %d rounds recorded", got)
+	}
 	var done []*Round
 	for i := 0; i < 2; i++ {
 		r, err := e.StartPSC(small, nil)

@@ -181,25 +181,6 @@ func (e *Engine) SetRejoinGrace(d time.Duration) {
 	e.grace = d
 }
 
-// PartyInfo is one registry row, for operator introspection.
-type PartyInfo struct {
-	Role, ID, Name string
-	State          PartyState
-}
-
-// Parties snapshots the registry.
-func (e *Engine) Parties() []PartyInfo {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]PartyInfo, 0, len(e.registry))
-	for _, role := range []string{RoleCP, RoleSK, RoleDC} {
-		for _, m := range e.members[role] {
-			out = append(out, PartyInfo{Role: m.role, ID: m.id, Name: m.name, State: m.state})
-		}
-	}
-	return out
-}
-
 // reopenFor tries to restore a round's link to a party whose stream
 // failed: if the member has a live session (it already rejoined, or only
 // the stream — not the session — died), a fresh round stream is opened

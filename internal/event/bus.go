@@ -56,6 +56,3 @@ func (b *Bus) Publish(e Event) {
 		s.fn(e)
 	}
 }
-
-// Subscribers reports the number of registered subscriptions.
-func (b *Bus) Subscribers() int { return len(b.subs) }

@@ -130,8 +130,8 @@ func TestBusFiltering(t *testing.T) {
 	if streams != 2 {
 		t.Errorf("stream subscriber: got %d want 2", streams)
 	}
-	if b.Subscribers() != 3 {
-		t.Errorf("Subscribers: %d", b.Subscribers())
+	if len(b.subs) != 3 {
+		t.Errorf("Subscribers: %d", len(b.subs))
 	}
 }
 

@@ -149,9 +149,6 @@ func (db *DB) Country(ip netip.Addr) string {
 // Blocks returns the blocks assigned to a country (nil if unknown).
 func (db *DB) Blocks(country string) []Block { return db.byCountry[country] }
 
-// NumBlocks returns the total number of blocks in the database.
-func (db *DB) NumBlocks() int { return len(db.blocks) }
-
 // RandomIP draws an address uniformly from the country's blocks using
 // the provided generator. It panics if the country has no blocks; every
 // ISO code in Countries() has at least one.

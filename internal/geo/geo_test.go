@@ -95,7 +95,7 @@ func TestRandomIPPanicsOnUnknown(t *testing.T) {
 
 func TestBuildDeterministic(t *testing.T) {
 	a, b := Build(7), Build(7)
-	if a.NumBlocks() != b.NumBlocks() {
+	if len(a.blocks) != len(b.blocks) {
 		t.Fatal("block counts differ")
 	}
 	for _, c := range []string{"US", "BV"} {

@@ -52,9 +52,6 @@ func (e *Estimator) Observe(ev event.Event) {
 	e.requests += e.ConsensusShare
 }
 
-// Requests returns the raw observed request count.
-func (e *Estimator) Requests() float64 { return e.requests }
-
 // DailyUsers returns the Metrics-style estimate: observed requests,
 // scaled up by the reporting fraction, divided by the per-client
 // heuristic and the number of observed days.

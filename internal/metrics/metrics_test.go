@@ -30,8 +30,8 @@ func TestEstimatorCountsOnlyDirectoryCircuits(t *testing.T) {
 	e.Observe(&event.CircuitEnd{Kind: event.CircuitData})
 	e.Observe(&event.ConnectionEnd{})
 	e.Observe(&event.StreamEnd{})
-	if e.Requests() != 1 {
-		t.Fatalf("requests: %v", e.Requests())
+	if e.requests != 1 {
+		t.Fatalf("requests: %v", e.requests)
 	}
 }
 
@@ -40,8 +40,8 @@ func TestConsensusShareScalesRequests(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		e.Observe(dirCircuit())
 	}
-	if math.Abs(e.Requests()-100*e.ConsensusShare) > 1e-9 {
-		t.Fatalf("requests %v, want %v", e.Requests(), 100*e.ConsensusShare)
+	if math.Abs(e.requests-100*e.ConsensusShare) > 1e-9 {
+		t.Fatalf("requests %v, want %v", e.requests, 100*e.ConsensusShare)
 	}
 }
 

@@ -60,13 +60,6 @@ func (r *Registry) Get(name string) float64 {
 	return r.counters[name]
 }
 
-// Gauge returns the gauge's current value (zero if never set).
-func (r *Registry) Gauge(name string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
-}
-
 // Snapshot copies the current counter values.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
@@ -111,9 +104,9 @@ func (r *Registry) Dump(w io.Writer) error {
 
 // defaultRegistry collects counters from layers that have no natural
 // place to thread a registry through (e.g. proof verification deep in
-// the PSC tally pipeline). The engine records here too unless
-// redirected with SetMetrics; dumpers that install their own registry
-// must also dump this one or the deep-layer counters go unseen.
+// the PSC tally pipeline). The engine records here too; dumpers that
+// install their own registry must also dump this one or the deep-layer
+// counters go unseen.
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.

@@ -26,10 +26,10 @@ func TestGauges(t *testing.T) {
 	r.Set("g", 5)
 	r.Set("g", 2.5) // last write wins, no accumulation
 	r.Inc("c")
-	if got := r.Gauge("g"); got != 2.5 {
+	if got := r.SnapshotGauges()["g"]; got != 2.5 {
 		t.Fatalf("gauge = %g, want 2.5", got)
 	}
-	if got := r.Gauge("missing"); got != 0 {
+	if got := r.SnapshotGauges()["missing"]; got != 0 {
 		t.Fatalf("missing gauge = %g", got)
 	}
 	if snap := r.Snapshot(); len(snap) != 1 {

@@ -21,7 +21,7 @@ import (
 func Wrap(c net.Conn, p Profile) net.Conn {
 	s := &shaper{
 		dst:    c,
-		pc:     newPacer(p, true),
+		pc:     newPacer(p),
 		mtu:    p.mtu(),
 		bufCap: p.buffer(),
 		start:  time.Now(),
@@ -51,8 +51,7 @@ func (c *shapedConn) Close() error { return c.s.close() }
 
 // shaper owns one shaped direction: a bounded FIFO of scheduled
 // chunks drained by a pump goroutine at their due times. Due times
-// are nondecreasing (ordered pacing), so the pump only ever sleeps on
-// the head chunk.
+// are nondecreasing, so the pump only ever sleeps on the head chunk.
 type shaper struct {
 	dst    net.Conn
 	mtu    int
@@ -96,7 +95,7 @@ func (s *shaper) write(b []byte) (int, error) {
 		// Write returns, but the pump delivers this data much later.
 		cp := make([]byte, n)
 		copy(cp, b[:n])
-		due, _ := s.pc.next(time.Since(s.start), n)
+		due := s.pc.next(time.Since(s.start), n)
 		s.q = append(s.q, chunk{b: cp, due: due})
 		s.queued += n
 		s.cond.Broadcast()

@@ -1,35 +1,25 @@
 // Package netem is the WAN emulation subsystem: it wraps transport
-// connections and wire messengers with configurable one-way latency,
-// bandwidth pacing, jitter, and probabilistic frame loss/reorder, so
-// every protocol in this repository can be measured over links shaped
-// like the deployment the paper describes — mutually distrusting
-// operators connected by Tor-adjacent paths with hundreds of
-// milliseconds of delay and single-digit MB/s of bandwidth — instead
-// of loopback pipes.
+// connections with configurable one-way latency, bandwidth pacing,
+// jitter, and probabilistic loss, so every protocol in this repository
+// can be measured over links shaped like the deployment the paper
+// describes — mutually distrusting operators connected by Tor-adjacent
+// paths with hundreds of milliseconds of delay and single-digit MB/s of
+// bandwidth — instead of loopback pipes.
 //
 // The shaping engine is deterministic under a seeded RNG: the same
 // Profile (including Seed) applied to the same write sequence produces
 // the identical delivery schedule, so emulation-driven tests and
 // benchmarks are reproducible.
 //
-// Two wrapping layers are provided:
-//
-//   - Wrap shapes a net.Conn's write direction: bytes are split into
-//     MTU-sized chunks, paced through a token bucket at the profile's
-//     bandwidth, and delivered after the one-way latency plus jitter.
-//     A "lost" chunk on this reliable byte stream is emulated the way
-//     TCP surfaces loss to the application — a retransmit stall (RTO)
-//     that delays the chunk and everything queued behind it. Wrapping
-//     both ends of a connection yields a full round trip of 2× the
-//     one-way latency.
-//
-//   - WrapMessenger shapes a wire.Messenger at frame granularity with
-//     a delay heap: frames are independently delayed (latency plus
-//     jitter), which reorders them when their sampled delays cross,
-//     and dropped outright with probability Loss. This models an
-//     unreliable datagram path; the credit-window protocols in this
-//     repository assume a reliable transport, so the messenger wrapper
-//     is for loss-tolerant tests and harnesses only.
+// Wrap shapes a net.Conn's write direction: bytes are split into
+// MTU-sized chunks, paced through a token bucket at the profile's
+// bandwidth, and delivered after the one-way latency plus jitter. The
+// protocols in this repository assume a reliable transport, so there is
+// one loss model: a "lost" chunk is emulated the way TCP surfaces loss
+// to the application — a retransmit stall (RTO) that delays the chunk
+// and everything queued behind it. Nothing is dropped or reordered.
+// Wrapping both ends of a connection yields a full round trip of 2× the
+// one-way latency.
 //
 // Profiles are named presets (lan, wan-good, wan-tor — the clearnet /
 // good-WAN / Tor rows of the gethrelay tor-performance table) parsed

@@ -15,8 +15,8 @@ import (
 type Profile struct {
 	// Name labels the profile in logs and bench output.
 	Name string
-	// Latency is the one-way propagation delay added to every chunk or
-	// frame. Wrapping both ends of a connection therefore yields a
+	// Latency is the one-way propagation delay added to every chunk.
+	// Wrapping both ends of a connection therefore yields a
 	// round-trip time of 2×Latency.
 	Latency time.Duration
 	// Jitter adds a uniform random extra delay in [0, Jitter) per
@@ -25,14 +25,13 @@ type Profile struct {
 	// Bandwidth paces the path at this many bytes per second through a
 	// token bucket; 0 leaves the path unpaced.
 	Bandwidth int64
-	// Loss is the per-chunk loss probability. On the byte-stream
-	// wrapper (Wrap) a loss is emulated the way TCP surfaces it — the
-	// chunk and everything behind it stall for RTO (a retransmit); on
-	// the frame wrapper (WrapMessenger) the frame is dropped outright.
+	// Loss is the per-chunk loss probability. A loss is emulated the
+	// way TCP surfaces it — the chunk and everything behind it stall
+	// for RTO (a retransmit); no byte is ever dropped.
 	Loss float64
 	// RTO is the emulated retransmission timeout charged per lost
-	// chunk on the byte-stream wrapper; 0 selects 4×Latency (floor
-	// 1ms), the shape of a TCP RTO built from the path RTT.
+	// chunk; 0 selects 4×Latency (floor 1ms), the shape of a TCP RTO
+	// built from the path RTT.
 	RTO time.Duration
 	// MTU is the pacing granularity in bytes: writes are split into
 	// MTU-sized chunks so a large buffered write is serialized over
@@ -234,21 +233,19 @@ type pacer struct {
 	// nextFree is the token bucket's virtual clock: the offset at
 	// which the link finishes serializing everything scheduled so far.
 	nextFree time.Duration
-	// lastDue enforces in-order delivery for byte-stream (ordered)
-	// pacing; datagram pacing leaves frames independent so jitter can
-	// reorder them.
+	// lastDue enforces in-order delivery: a byte stream's chunks
+	// arrive in the order written, whatever jitter each one drew.
 	lastDue time.Duration
-	ordered bool
 }
 
-func newPacer(p Profile, ordered bool) *pacer {
-	return &pacer{p: p, rng: rand.New(rand.NewSource(p.Seed)), ordered: ordered}
+func newPacer(p Profile) *pacer {
+	return &pacer{p: p, rng: rand.New(rand.NewSource(p.Seed))}
 }
 
 // next schedules an n-byte chunk written at offset now, returning its
-// delivery offset. dropped reports datagram loss (ordered mode never
-// drops — loss is charged as a retransmit stall instead).
-func (pc *pacer) next(now time.Duration, n int) (due time.Duration, dropped bool) {
+// delivery offset. A lost chunk is never dropped: it is charged a
+// retransmit stall.
+func (pc *pacer) next(now time.Duration, n int) time.Duration {
 	start := now
 	if pc.nextFree > start {
 		start = pc.nextFree
@@ -262,18 +259,12 @@ func (pc *pacer) next(now time.Duration, n int) (due time.Duration, dropped bool
 		delay += time.Duration(pc.rng.Int63n(int64(pc.p.Jitter)))
 	}
 	if pc.p.Loss > 0 && pc.rng.Float64() < pc.p.Loss {
-		if pc.ordered {
-			delay += pc.p.rto()
-		} else {
-			dropped = true
-		}
+		delay += pc.p.rto()
 	}
-	due = pc.nextFree + delay
-	if pc.ordered {
-		if due < pc.lastDue {
-			due = pc.lastDue
-		}
-		pc.lastDue = due
+	due := pc.nextFree + delay
+	if due < pc.lastDue {
+		due = pc.lastDue
 	}
-	return due, dropped
+	pc.lastDue = due
+	return due
 }

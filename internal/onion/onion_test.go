@@ -10,6 +10,17 @@ import (
 	"repro/internal/tornet"
 )
 
+// defaultPopulationConfig returns paper-scale values before scaling.
+func defaultPopulationConfig() PopulationConfig {
+	return PopulationConfig{
+		LiveServices:  70826,
+		DeadAddresses: 400000,
+		PublicShare:   0.568,
+		FetchZipf:     0.7,
+		Seed:          2018,
+	}
+}
+
 func testRing(t *testing.T) (*tornet.Consensus, *Ring) {
 	t.Helper()
 	c, err := tornet.NewConsensus(tornet.DefaultConsensusConfig())
@@ -113,7 +124,7 @@ func TestMeasuringCoverageMatchesRingShare(t *testing.T) {
 
 func TestPopulationPublicShare(t *testing.T) {
 	_, ring := testRing(t)
-	cfg := DefaultPopulationConfig()
+	cfg := defaultPopulationConfig()
 	cfg.LiveServices = 5000
 	p := NewPopulation(cfg, ring)
 	if len(p.Services) != 5000 {
@@ -145,7 +156,7 @@ func TestPopulationPublicShare(t *testing.T) {
 
 func TestDeadAddressesDistinctFromLive(t *testing.T) {
 	_, ring := testRing(t)
-	cfg := DefaultPopulationConfig()
+	cfg := defaultPopulationConfig()
 	cfg.LiveServices = 100
 	cfg.DeadAddresses = 100
 	p := NewPopulation(cfg, ring)
@@ -170,7 +181,7 @@ func TestFetchEmitsOnlyAtMeasuringRelays(t *testing.T) {
 			events = append(events, f)
 		}
 	})
-	cfg := DefaultPopulationConfig()
+	cfg := defaultPopulationConfig()
 	cfg.LiveServices = 200
 	p := NewPopulation(cfg, ring)
 	r := simtime.Rand(7, "fetch")
@@ -211,7 +222,7 @@ func TestPublishDayEmitsForResponsibleServices(t *testing.T) {
 			count++
 		}
 	})
-	cfg := DefaultPopulationConfig()
+	cfg := defaultPopulationConfig()
 	cfg.LiveServices = 3000
 	p := NewPopulation(cfg, ring)
 	r := simtime.Rand(8, "publish")

@@ -49,17 +49,6 @@ type PopulationConfig struct {
 	Seed      uint64
 }
 
-// DefaultPopulationConfig returns paper-scale values before scaling.
-func DefaultPopulationConfig() PopulationConfig {
-	return PopulationConfig{
-		LiveServices:  70826,
-		DeadAddresses: 400000,
-		PublicShare:   0.568,
-		FetchZipf:     0.7,
-		Seed:          2018,
-	}
-}
-
 // NewPopulation builds the service world on the given ring.
 func NewPopulation(cfg PopulationConfig, ring *Ring) *Population {
 	if cfg.LiveServices <= 0 {

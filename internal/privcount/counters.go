@@ -34,9 +34,6 @@ type StatConfig struct {
 	Sigma float64
 }
 
-// NumBins returns the bin count.
-func (s StatConfig) NumBins() int { return len(s.Bins) }
-
 // StatShape is what a DC is told about a statistic: its name, how many
 // bins it has, and its noise sigma. A DC counts into bins by index and
 // never reads a label, so the configure frame carries no labels — its
@@ -147,14 +144,6 @@ func (c *Counters) Increment(stat string, bin int, delta float64) error {
 	}
 	c.vals[off] += toFixed(delta)
 	return nil
-}
-
-// AddBlinding adds a whole share vector (mod 2⁶⁴) into the counters.
-func (c *Counters) AddBlinding(shares []uint64) error {
-	if len(shares) != len(c.vals) {
-		return fmt.Errorf("privcount: share vector length %d, want %d", len(shares), len(c.vals))
-	}
-	return c.AddBlindingAt(0, shares)
 }
 
 // AddBlindingAt adds a share slice (mod 2⁶⁴) into the counter slots

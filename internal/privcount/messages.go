@@ -201,10 +201,3 @@ func (c *ValueChunkMsg) ParseWire(b []byte) error {
 	c.Off, c.Raw = p.Int(), p.Bytes()
 	return p.Done()
 }
-
-// ResultsMsg is the TS's final output broadcast, used by the CLI
-// deployment so every operator sees the same result.
-type ResultsMsg struct {
-	Round  uint64
-	Values map[string][]float64
-}

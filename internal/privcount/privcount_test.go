@@ -344,8 +344,8 @@ func TestMissingSKSumsBreaksUnblinding(t *testing.T) {
 	}
 	sharesA := RandomShares(1)
 	sharesB := RandomShares(1)
-	c.AddBlinding(sharesA)
-	c.AddBlinding(sharesB)
+	c.AddBlindingAt(0, sharesA)
+	c.AddBlindingAt(0, sharesB)
 
 	// With both SK sums, exact recovery.
 	full, err := AggregateSum(schema, sumMod(c.vals, negate(sharesA), negate(sharesB)))

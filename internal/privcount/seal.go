@@ -131,21 +131,3 @@ func SealBatch(recipients, plaintexts [][]byte) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// OpenBatch opens every box with the recipient key across the worker
-// pool, with the same error contract as SealBatch.
-func (k *SealKey) OpenBatch(boxes [][]byte) ([][]byte, error) {
-	out := make([][]byte, len(boxes))
-	errs := make([]error, len(boxes))
-	parallel.For(len(boxes), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], errs[i] = k.Open(boxes[i])
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

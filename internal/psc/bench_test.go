@@ -290,9 +290,6 @@ func BenchmarkPSCRound(b *testing.B) {
 	b.Run("verified/bins-512", func(b *testing.B) {
 		benchRound(b, 512, 64, 1, 200, pipePair)
 	})
-	b.Run("honest/bins-512", func(b *testing.B) {
-		benchRound(b, 512, 64, 0, 200, pipePair)
-	})
 	b.Run("verified/bins-2048", func(b *testing.B) {
 		benchRound(b, 2048, 128, 1, 800, pipePair)
 	})

@@ -76,14 +76,21 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 	if err := m.Expect(kindMix, &hdr); err != nil {
 		return fmt.Errorf("psc cp %s: mix request: %w", cp.Name, err)
 	}
-	prove := cfg.ShuffleProofRounds > 0
-	chunk := chunkOf(cfg.ChunkElems)
+	// The configure and mix frames are input from outside the process:
+	// nothing below may size an allocation or a grid from them unchecked.
+	if hdr.N < 1 || cfg.NoisePerCP < 0 {
+		return fmt.Errorf("psc cp %s: mix of %d elements plus %d noise", cp.Name, hdr.N, cfg.NoisePerCP)
+	}
 	total := hdr.N + cfg.NoisePerCP
+	if err := checkShape(total, cfg.ChunkElems, cfg.ShuffleBlockElems, cfg.ShufflePasses, cfg.ShuffleProofRounds); err != nil {
+		return fmt.Errorf("psc cp %s: configure: %w", cp.Name, err)
+	}
+	chunk := chunkOf(cfg.ChunkElems)
 	g := newGrid(total, blockOf(cfg.ShuffleBlockElems))
 	passes := g.passes(passesOf(cfg.ShufflePasses))
 
-	// The noise contribution is independent of the input, so encrypt
-	// (and prove) it while input chunks are still arriving.
+	// The noise contribution is independent of the input, so encrypt it
+	// and build its bit proofs while input chunks are still arriving.
 	noiseCh := make(chan roundNoise, 1)
 	go func() {
 		noise := cp.noise
@@ -95,11 +102,7 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 			bits[i] = noise.Binomial(1) == 1
 		}
 		cts, rands := elgamal.BatchEncryptBits(joint, bits)
-		var proofs []elgamal.BitProof
-		if prove {
-			proofs = elgamal.BatchProveBits(joint, cts, bits, rands)
-		}
-		noiseCh <- roundNoise{cts: cts, proofs: proofs}
+		noiseCh <- roundNoise{cts: cts, proofs: elgamal.BatchProveBits(joint, cts, bits, rands)}
 	}()
 
 	// Stage 1: announce the mixed length and ship the fair-coin noise.
@@ -110,12 +113,9 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 		return err
 	}
 	err := forEachChunk(len(noise.cts), chunk, func(off, end int) error {
-		nc := NoiseChunkMsg{Off: off, Count: end - off, Data: encodeVector(noise.cts[off:end])}
-		if prove {
-			nc.Proofs = make([]wireBitProof, end-off)
-			for i, pr := range noise.proofs[off:end] {
-				nc.Proofs[i] = packBitProof(pr)
-			}
+		nc := NoiseChunkMsg{Off: off, Count: end - off, Data: encodeVector(noise.cts[off:end]), Proofs: make([]wireBitProof, end-off)}
+		for i, pr := range noise.proofs[off:end] {
+			nc.Proofs[i] = packBitProof(pr)
 		}
 		return m.Send(kindNoise, nc)
 	})
@@ -129,11 +129,9 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 	// stage transcript; only the current block (and, for later passes,
 	// the spilled encoding of the previous pass's output) is resident.
 	st := &cpShuffleState{
-		cp: cp, m: m, joint: joint, prove: prove,
+		cp: cp, m: m, joint: joint,
 		rounds: cfg.ShuffleProofRounds, g: g, passes: passes,
-	}
-	if prove {
-		st.tr = elgamal.NewShuffleTranscript(joint, total, g.block, passes, cfg.ShuffleProofRounds)
+		tr: elgamal.NewShuffleTranscript(joint, total, g.block, passes, cfg.ShuffleProofRounds),
 	}
 	if passes > 1 {
 		if st.inter, err = newSpill(total); err != nil {
@@ -168,7 +166,6 @@ type cpShuffleState struct {
 	cp     *CP
 	m      wire.Messenger
 	joint  elgamal.Point
-	prove  bool
 	rounds int
 	g      grid
 	passes int
@@ -266,15 +263,11 @@ func (st *cpShuffleState) emitBlock(p, b int, in []elgamal.Ciphertext) error {
 
 func (st *cpShuffleState) emitBlockTo(p, b int, in []elgamal.Ciphertext, dst *ctSpill) error {
 	out, witness := elgamal.Shuffle(st.joint, in)
-	if st.prove {
-		proof, err := elgamal.ProveShuffleBlock(st.tr, p, b, st.joint, in, out, witness, st.rounds)
-		if err != nil {
-			return fmt.Errorf("psc cp %s: block %d/%d proof: %w", st.cp.Name, p, b, err)
-		}
-		if err := sendBlockProof(st.m, p, b, out, proof); err != nil {
-			return err
-		}
-	} else if err := st.m.Send(kindShufBlock, BlockOutMsg{Pass: p, Block: b, Count: len(out), Data: encodeVector(out)}); err != nil {
+	proof, err := elgamal.ProveShuffleBlock(st.tr, p, b, st.joint, in, out, witness, st.rounds)
+	if err != nil {
+		return fmt.Errorf("psc cp %s: block %d/%d proof: %w", st.cp.Name, p, b, err)
+	}
+	if err := sendBlockProof(st.m, p, b, out, proof); err != nil {
 		return err
 	}
 	if p < st.passes {
@@ -289,12 +282,9 @@ func (st *cpShuffleState) emitBlockTo(p, b int, in []elgamal.Ciphertext, dst *ct
 // block.
 func (st *cpShuffleState) blindBlock(p, b int, out []elgamal.Ciphertext) error {
 	blinded, blindScalars := elgamal.BatchExpBlind(out)
-	bc := BlindChunkMsg{Off: st.g.outStart(p, b), Count: len(blinded), Data: encodeVector(blinded)}
-	if st.prove {
-		bc.Proofs = make([]wireEquality, len(blinded))
-		for i, pr := range elgamal.BatchProveBlinds(out, blinded, blindScalars) {
-			bc.Proofs[i] = packEquality(pr)
-		}
+	bc := BlindChunkMsg{Off: st.g.outStart(p, b), Count: len(blinded), Data: encodeVector(blinded), Proofs: make([]wireEquality, len(blinded))}
+	for i, pr := range elgamal.BatchProveBlinds(out, blinded, blindScalars) {
+		bc.Proofs[i] = packEquality(pr)
 	}
 	return st.m.Send(kindBlind, bc)
 }

@@ -66,18 +66,6 @@ func (dc *DC) Observe(item string) error {
 	return nil
 }
 
-// Occupied reports how many bins are set (used by tests; a real DC
-// never reveals this).
-func (dc *DC) Occupied() int {
-	n := 0
-	for _, b := range dc.bins {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // Finish encrypts the bit table under the joint key and streams it to
 // the tally server chunk by chunk, then clears the table. Only one
 // chunk of ciphertexts is ever resident, so a DC's memory is bounded by

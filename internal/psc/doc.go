@@ -79,10 +79,14 @@
 //     order and the decrypt barrier are unchanged. Only the shuffle
 //     transcript itself is sequential: each block's Fiat–Shamir
 //     challenge binds every block before it.
-//   - Shuffle soundness is per block: a cheating block survives one
-//     argument with probability 2^-ShuffleProofRounds, and a stage
-//     makes blocks·passes attempts (union bound) — size proof rounds
-//     to the table, not just to 2^-k.
+//   - Every round is verified: Config.Validate requires
+//     1 ≤ ShuffleProofRounds ≤ 128, a CP applies the same check to the
+//     configure frame it is sent, and no code path skips a bit,
+//     shuffle, blind or share proof. Shuffle soundness is per block: a
+//     cheating block survives one argument with probability
+//     2^-ShuffleProofRounds, and a stage makes blocks·passes attempts
+//     (union bound) — size proof rounds to the table, not just to
+//     2^-k.
 //   - Decryption never starts before every CP's verification (block
 //     arguments, pass continuity, blind proofs) has finished; blinded
 //     blocks forwarded early are semantically secure ciphertexts, so a

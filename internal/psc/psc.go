@@ -21,11 +21,11 @@ type Config struct {
 	// calibration comes from dp.PSCNoiseTrials.
 	NoisePerCP int
 	// ShuffleProofRounds is the per-block cut-and-choose soundness
-	// parameter (a cheating block survives with probability 2^-rounds;
-	// the stage error is at most blocks·passes·2^-rounds by a union
-	// bound). Zero disables shuffle/blind/bit proofs — an
-	// honest-but-curious mode used only by the scale benchmarks; the
-	// deployment default is 8.
+	// parameter, in [1,128]: a cheating block survives with probability
+	// 2^-rounds, and the stage error is at most blocks·passes·2^-rounds
+	// by a union bound. Every round is verified — there is no setting
+	// that skips the shuffle, blind, bit or share proofs; the deployment
+	// default is 8.
 	ShuffleProofRounds int
 	// ShuffleBlockElems is the streaming shuffle's block size: the
 	// mixed vector is arranged as rows of this many elements and each
@@ -72,30 +72,6 @@ func (c Config) Validate() error {
 	if c.NoisePerCP < 0 {
 		return fmt.Errorf("psc: negative noise")
 	}
-	if c.ShuffleProofRounds < 0 {
-		return fmt.Errorf("psc: negative proof rounds")
-	}
-	if c.ChunkElems < 0 {
-		return fmt.Errorf("psc: negative chunk size")
-	}
-	// A blind chunk carries ~330 bytes per element (ciphertext plus
-	// DLEQ proof); past 2048 elements a chunk frame would approach the
-	// wire frame cap and flow-control window.
-	if c.ChunkElems > 2048 {
-		return fmt.Errorf("psc: chunk size %d exceeds the frame budget (max 2048)", c.ChunkElems)
-	}
-	if c.ShuffleBlockElems < 0 {
-		return fmt.Errorf("psc: negative shuffle block size")
-	}
-	if c.ShuffleBlockElems > maxBlockElems {
-		return fmt.Errorf("psc: shuffle block %d exceeds the frame budget (max %d)", c.ShuffleBlockElems, maxBlockElems)
-	}
-	if c.ShufflePasses < 0 || c.ShufflePasses > 16 {
-		return fmt.Errorf("psc: shuffle passes %d outside [0,16]", c.ShufflePasses)
-	}
-	if c.ShuffleProofRounds > 128 {
-		return fmt.Errorf("psc: %d proof rounds exceeds the transcript budget (max 128)", c.ShuffleProofRounds)
-	}
 	if c.NumDCs <= 0 {
 		return fmt.Errorf("psc: need at least one DC")
 	}
@@ -105,23 +81,49 @@ func (c Config) Validate() error {
 	if c.NumCPs <= 0 {
 		return fmt.Errorf("psc: need at least one CP (privacy needs one honest CP)")
 	}
+	// The largest mixed vector is the last CP's: the table plus every
+	// CP's appended noise.
+	return checkShape(c.Bins+c.NumCPs*c.NoisePerCP, c.ChunkElems, c.ShuffleBlockElems, c.ShufflePasses, c.ShuffleProofRounds)
+}
+
+// checkShape checks a round's streaming geometry and proof count
+// against the frame budget, for a mixed vector of total elements. The
+// TS applies it to its own Config; a CP applies it to the configure
+// frame it was sent, which is input from outside the process.
+func checkShape(total, chunk, block, passes, rounds int) error {
+	if total < 1 {
+		return fmt.Errorf("psc: mixed vector of %d elements", total)
+	}
+	// A blind chunk carries ~330 bytes per element (ciphertext plus
+	// DLEQ proof); past 2048 elements a chunk frame would approach the
+	// wire frame cap and flow-control window.
+	if chunk < 0 || chunk > 2048 {
+		return fmt.Errorf("psc: chunk size %d outside the frame budget [0,2048]", chunk)
+	}
+	if block < 0 || block > maxBlockElems {
+		return fmt.Errorf("psc: shuffle block %d outside the frame budget [0,%d]", block, maxBlockElems)
+	}
+	if passes < 0 || passes > 16 {
+		return fmt.Errorf("psc: shuffle passes %d outside [0,16]", passes)
+	}
+	if rounds < 1 || rounds > 128 {
+		return fmt.Errorf("psc: ShuffleProofRounds %d outside [1,128]: every round is verified, the unverified mode is gone", rounds)
+	}
 	// A column block carries one element per row, so the row count must
-	// fit the frame budget too. The largest mixed vector is the last
-	// CP's: the table plus every CP's appended noise.
-	block := blockOf(c.ShuffleBlockElems)
-	maxTotal := c.Bins + c.NumCPs*c.NoisePerCP
-	if rows := (maxTotal + block - 1) / block; rows > maxBlockElems {
+	// fit the frame budget too.
+	block = blockOf(block)
+	if total > maxBlockElems*block {
 		return fmt.Errorf("psc: %d-element vectors over %d-element blocks give %d-element columns, exceeding the frame budget (max %d); raise the shuffle block size",
-			maxTotal, block, rows, maxBlockElems)
+			total, block, (total-1)/block+1, maxBlockElems)
 	}
 	// A single pass over a multi-block vector never moves an element
 	// out of its block, so the TS would learn which block every
 	// occupied bin falls in — a silent downgrade of the privacy barrier
 	// the shuffle exists to provide. (A vector that fits one block is
 	// fine: one pass covers it entirely.)
-	if c.ShufflePasses == 1 && maxTotal > block {
+	if passes == 1 && total > block {
 		return fmt.Errorf("psc: 1 shuffle pass over a %d-element vector with %d-element blocks is block-local, not a full shuffle; use at least 2 passes",
-			maxTotal, block)
+			total, block)
 	}
 	return nil
 }

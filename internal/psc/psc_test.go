@@ -164,18 +164,6 @@ func TestRoundEmptySets(t *testing.T) {
 	}
 }
 
-func TestHonestButCuriousModeWithoutProofs(t *testing.T) {
-	cfg := Config{Round: 4, Bins: 64, NoisePerCP: 8, ShuffleProofRounds: 0, NumDCs: 2, NumCPs: 2}
-	res := runRound(t, cfg, func(dcs []*DC) {
-		dcs[0].Observe("a")
-		dcs[1].Observe("b")
-	})
-	// 2 occupied bins + Binomial(16, 1/2) noise: result in [2, 18].
-	if res.Reported < 2 || res.Reported > 18 {
-		t.Fatalf("reported %d outside feasible range", res.Reported)
-	}
-}
-
 func TestSameItemSameBinAcrossDCs(t *testing.T) {
 	key := []byte("k")
 	for _, item := range []string{"x", "10.1.2.3", "example.onion"} {
@@ -198,33 +186,47 @@ func TestSameItemSameBinAcrossDCs(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Bins: 0, NumDCs: 1, NumCPs: 1},
-		{Bins: 8, NoisePerCP: -1, NumDCs: 1, NumCPs: 1},
-		{Bins: 8, ShuffleProofRounds: -1, NumDCs: 1, NumCPs: 1},
-		{Bins: 8, NumDCs: 0, NumCPs: 1},
-		{Bins: 8, NumDCs: 1, NumCPs: 0},
-		{Bins: 8, ShuffleBlockElems: -1, NumDCs: 1, NumCPs: 1},
-		{Bins: 8, ShuffleBlockElems: maxBlockElems + 1, NumDCs: 1, NumCPs: 1},
-		{Bins: 8, ShufflePasses: 17, NumDCs: 1, NumCPs: 1},
-		{Bins: 8, ShuffleProofRounds: 129, NumDCs: 1, NumCPs: 1},
+	// Each row breaks exactly one rule of an otherwise valid config.
+	base := Config{Bins: 8, ShuffleProofRounds: 1, NumDCs: 1, NumCPs: 1}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("base config rejected: %v", err)
+	}
+	bad := []func(*Config){
+		func(c *Config) { c.Bins = 0 },
+		func(c *Config) { c.NoisePerCP = -1 },
+		func(c *Config) { c.ShuffleProofRounds = -1 },
+		func(c *Config) { c.ShuffleProofRounds = 0 },
+		func(c *Config) { c.ShuffleProofRounds = 129 },
+		func(c *Config) { c.NumDCs = 0 },
+		func(c *Config) { c.NumCPs = 0 },
+		func(c *Config) { c.ChunkElems = 2049 },
+		func(c *Config) { c.ShuffleBlockElems = -1 },
+		func(c *Config) { c.ShuffleBlockElems = maxBlockElems + 1 },
+		func(c *Config) { c.ShufflePasses = 17 },
 		// Column length over the frame budget: 2^16 bins in 16-element
 		// blocks means 4096-element columns.
-		{Bins: 1 << 16, ShuffleBlockElems: 16, NumDCs: 1, NumCPs: 1},
+		func(c *Config) { c.Bins, c.ShuffleBlockElems = 1<<16, 16 },
 		// One pass over a multi-block vector is block-local, not a
 		// shuffle: the TS would learn each occupied bin's block.
-		{Bins: 4096, ShufflePasses: 1, NumDCs: 1, NumCPs: 1},
+		func(c *Config) { c.Bins, c.ShufflePasses = 4096, 1 },
 	}
-	for i, cfg := range bad {
+	for i, breakIt := range bad {
+		cfg := base
+		breakIt(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	// The unverified mode is gone, and the error says which field.
+	err := Config{Bins: 8, NumDCs: 1, NumCPs: 1}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "ShuffleProofRounds") {
+		t.Fatalf("zero proof rounds: got %v, want an error naming ShuffleProofRounds", err)
 	}
 	if _, err := NewTally(Config{}); err == nil {
 		t.Fatal("NewTally must validate")
 	}
 	// A single pass is fine when the vector fits one block.
-	ok := Config{Bins: 512, ShufflePasses: 1, ShuffleBlockElems: 1024, NumDCs: 1, NumCPs: 1}
+	ok := Config{Bins: 512, ShufflePasses: 1, ShuffleBlockElems: 1024, ShuffleProofRounds: 1, NumDCs: 1, NumCPs: 1}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("single-block single-pass config rejected: %v", err)
 	}
@@ -242,7 +244,7 @@ func TestObserveBeforeSetupFails(t *testing.T) {
 }
 
 func TestTallyRejectsWrongConnCount(t *testing.T) {
-	tally, err := NewTally(Config{Round: 1, Bins: 8, NumDCs: 1, NumCPs: 1})
+	tally, err := NewTally(Config{Round: 1, Bins: 8, ShuffleProofRounds: 1, NumDCs: 1, NumCPs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,5 +718,55 @@ func TestRunCancelledContextFailsRound(t *testing.T) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("%d goroutines, %d before the round:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
+	}
+}
+
+// TestCPRejectsHostileConfigure plays a TS that sends a CP round
+// parameters Config.Validate would never let a real tally hold. The
+// configure and mix frames are outside input to the CP daemon, so each
+// must end that round's ServeRound with an error — not size an
+// allocation or a grid, which used to panic the whole process.
+func TestCPRejectsHostileConfigure(t *testing.T) {
+	joint := elgamal.GenerateKey().PK.Bytes()
+	cases := []struct {
+		name string
+		cfg  ConfigureMsg
+		mixN int
+	}{
+		{"negative noise", ConfigureMsg{NoisePerCP: -1, ShuffleProofRounds: 1}, 8},
+		{"zero-length mix", ConfigureMsg{ShuffleProofRounds: 1}, 0},
+		{"zero rounds", ConfigureMsg{NoisePerCP: 2}, 8},
+		{"129 rounds", ConfigureMsg{NoisePerCP: 2, ShuffleProofRounds: 129}, 8},
+		{"oversize block", ConfigureMsg{ShuffleProofRounds: 1, ShuffleBlockElems: maxBlockElems + 1}, 8},
+		{"column overflow", ConfigureMsg{ShuffleProofRounds: 1, ShuffleBlockElems: 16}, 1 << 16},
+		{"unbounded noise", ConfigureMsg{NoisePerCP: 1 << 40, ShuffleProofRounds: 1}, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tsSide, cpSide := wire.Pipe()
+			defer tsSide.Close()
+			errCh := make(chan error, 1)
+			go func() { errCh <- NewCP("cp", nil, nil).ServeRound(cpSide) }()
+
+			var reg RegisterMsg
+			if err := tsSide.Expect(kindRegister, &reg); err != nil {
+				t.Fatal(err)
+			}
+			tc.cfg.JointKey = joint
+			if err := tsSide.Send(kindConfig, tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := tsSide.Send(kindMix, VectorHeader{N: tc.mixN}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-errCh:
+				if err == nil {
+					t.Fatal("CP served a hostile configure to completion")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("CP still serving 10 s after a hostile configure")
+			}
+		})
 	}
 }

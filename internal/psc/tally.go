@@ -561,7 +561,6 @@ func forwardOrdered[T any](ctx context.Context, cancel context.CancelCauseFunc, 
 // finished".
 func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name string, m wire.Messenger, joint elgamal.Point, nIn int, in <-chan vchunk, out chan<- vchunk) {
 	forwardOrdered(ctx, cancel, out, func(blind *parallel.Ordered[vchunk]) error {
-		prove := t.cfg.ShuffleProofRounds > 0
 		total := nIn + t.cfg.NoisePerCP
 		g := newGrid(total, blockOf(t.cfg.ShuffleBlockElems))
 		passes := g.passes(passesOf(t.cfg.ShufflePasses))
@@ -634,7 +633,7 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 				return fmt.Errorf("psc ts: CP %s noise chunk [%d,%d) out of order", name, nc.Off, nc.Off+nc.Count)
 			}
 			noise.Submit(func() ([]elgamal.Ciphertext, error) {
-				return t.verifyNoiseChunk(name, joint, nc, prove)
+				return t.verifyNoiseChunk(name, joint, nc)
 			})
 			off += nc.Count
 		}
@@ -643,10 +642,7 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 			return context.Cause(ctx)
 		}
 
-		var tr *elgamal.ShuffleTranscript
-		if prove {
-			tr = elgamal.NewShuffleTranscript(joint, total, g.block, passes, t.cfg.ShuffleProofRounds)
-		}
+		tr := elgamal.NewShuffleTranscript(joint, total, g.block, passes, t.cfg.ShuffleProofRounds)
 
 		// Pass 1: assemble the CP's input blocks from the fed copies plus
 		// the verified noise tail, checking each block's argument as its
@@ -808,16 +804,10 @@ func (t *Tally) recvBlock(name string, m wire.Messenger, tr *elgamal.ShuffleTran
 	if err := m.Expect(kindShufBlock, &bo); err != nil {
 		return nil, fmt.Errorf("psc ts: block from CP %s: %w", name, err)
 	}
-	rounds := 0
-	if tr != nil {
-		rounds = t.cfg.ShuffleProofRounds
-	}
+	rounds := t.cfg.ShuffleProofRounds
 	outB, commits, err := parseBlockOut(bo, p, b, len(inB), rounds)
 	if err != nil {
 		return nil, fmt.Errorf("psc ts: CP %s: %w", name, err)
-	}
-	if tr == nil {
-		return outB, nil
 	}
 	proof := elgamal.BlockShuffleProof{Commits: commits, Openings: make([]elgamal.BlockOpening, rounds)}
 	for r := 0; r < rounds; r++ {
@@ -838,13 +828,10 @@ func (t *Tally) recvBlock(name string, m wire.Messenger, tr *elgamal.ShuffleTran
 
 // verifyNoiseChunk decodes one noise chunk and verifies its bit proofs
 // as a batch — shard work, independent of every other chunk.
-func (t *Tally) verifyNoiseChunk(name string, joint elgamal.Point, nc NoiseChunkMsg, prove bool) ([]elgamal.Ciphertext, error) {
+func (t *Tally) verifyNoiseChunk(name string, joint elgamal.Point, nc NoiseChunkMsg) ([]elgamal.Ciphertext, error) {
 	cts, err := decodeVector(nc.Data, nc.Count)
 	if err != nil {
 		return nil, fmt.Errorf("psc ts: CP %s noise batch: %w", name, err)
-	}
-	if !prove {
-		return cts, nil
 	}
 	if len(nc.Proofs) != nc.Count {
 		return nil, fmt.Errorf("psc ts: CP %s sent %d bit proofs for %d noise elements", name, len(nc.Proofs), nc.Count)
@@ -884,22 +871,20 @@ func (t *Tally) recvBlindSubmit(name string, m wire.Messenger, off int, outB []e
 		if err != nil {
 			return vchunk{}, fmt.Errorf("psc ts: CP %s blinded batch: %w", name, err)
 		}
-		if t.cfg.ShuffleProofRounds > 0 {
-			if len(bc.Proofs) != bc.Count {
-				return vchunk{}, fmt.Errorf("psc ts: CP %s sent %d blind proofs for %d elements", name, len(bc.Proofs), bc.Count)
+		if len(bc.Proofs) != bc.Count {
+			return vchunk{}, fmt.Errorf("psc ts: CP %s sent %d blind proofs for %d elements", name, len(bc.Proofs), bc.Count)
+		}
+		proofs := make([]elgamal.EqualityProof, bc.Count)
+		for i, w := range bc.Proofs {
+			proof, err := unpackEquality(w)
+			if err != nil {
+				return vchunk{}, fmt.Errorf("psc ts: CP %s blind proof %d: %w", name, off+i, err)
 			}
-			proofs := make([]elgamal.EqualityProof, bc.Count)
-			for i, w := range bc.Proofs {
-				proof, err := unpackEquality(w)
-				if err != nil {
-					return vchunk{}, fmt.Errorf("psc ts: CP %s blind proof %d: %w", name, off+i, err)
-				}
-				proofs[i] = proof
-			}
-			if i, ok := elgamal.VerifyBlindsBatch(outB, cts, proofs); !ok {
-				verifyFailure("blind-proof")
-				return vchunk{}, fmt.Errorf("psc ts: CP %s blinding of element %d unverified", name, off+i)
-			}
+			proofs[i] = proof
+		}
+		if i, ok := elgamal.VerifyBlindsBatch(outB, cts, proofs); !ok {
+			verifyFailure("blind-proof")
+			return vchunk{}, fmt.Errorf("psc ts: CP %s blinding of element %d unverified", name, off+i)
 		}
 		return vchunk{off: off, cts: cts}, nil
 	})
@@ -935,7 +920,6 @@ func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, n
 	// forwarder delivers verified chunks in stream order, so the
 	// combiner still sees them on the boundaries it expects.
 	forwardOrdered(ctx, cancel, out, func(verify *parallel.Ordered[decShareChunk]) error {
-		prove := t.cfg.ShuffleProofRounds > 0
 		sent := make(chan []elgamal.Ciphertext, 2)
 		go func() {
 			defer close(sent)
@@ -950,9 +934,6 @@ func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, n
 				}
 				if err := m.Send(kindChunk, ChunkMsg{Off: off, Count: end - off, Data: encodeVector(cts)}); err != nil {
 					return err
-				}
-				if !prove {
-					return nil // verifier doesn't need the plaintext chunks
 				}
 				select {
 				case sent <- cts:
@@ -992,19 +973,17 @@ func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, n
 			// channel here, in stream order; the verification itself is
 			// shard work.
 			var cts []elgamal.Ciphertext
-			if prove {
-				select {
-				case c, ok := <-sent:
-					if !ok {
-						return nil // the sender failed and cancelled the round
-					}
-					cts = c
-				case <-ctx.Done():
-					return context.Cause(ctx)
+			select {
+			case c, ok := <-sent:
+				if !ok {
+					return nil // the sender failed and cancelled the round
 				}
+				cts = c
+			case <-ctx.Done():
+				return context.Cause(ctx)
 			}
 			verify.Submit(func() (decShareChunk, error) {
-				return t.verifyShareChunk(name, cpKey, sc, cts, prove)
+				return t.verifyShareChunk(name, cpKey, sc, cts)
 			})
 			off += sc.Count
 		}
@@ -1015,7 +994,7 @@ func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, n
 // verifyShareChunk parses one CP's share chunk and verifies its DLEQ
 // RLC against the plaintext chunk the TS sent — shard work, independent
 // of every other chunk.
-func (t *Tally) verifyShareChunk(name string, cpKey elgamal.Point, sc ShareChunkMsg, cts []elgamal.Ciphertext, prove bool) (decShareChunk, error) {
+func (t *Tally) verifyShareChunk(name string, cpKey elgamal.Point, sc ShareChunkMsg, cts []elgamal.Ciphertext) (decShareChunk, error) {
 	shares := make([]elgamal.DecryptionShare, 0, sc.Count)
 	b := sc.Shares
 	for i := 0; i < sc.Count; i++ {
@@ -1029,22 +1008,20 @@ func (t *Tally) verifyShareChunk(name string, cpKey elgamal.Point, sc ShareChunk
 	if len(b) != 0 {
 		return decShareChunk{}, fmt.Errorf("psc ts: CP %s sent %d trailing share bytes", name, len(b))
 	}
-	if prove {
-		if len(sc.Proofs) != sc.Count {
-			return decShareChunk{}, fmt.Errorf("psc ts: CP %s sent %d share proofs for %d elements", name, len(sc.Proofs), sc.Count)
+	if len(sc.Proofs) != sc.Count {
+		return decShareChunk{}, fmt.Errorf("psc ts: CP %s sent %d share proofs for %d elements", name, len(sc.Proofs), sc.Count)
+	}
+	proofs := make([]elgamal.EqualityProof, sc.Count)
+	for i, w := range sc.Proofs {
+		proof, err := unpackEquality(w)
+		if err != nil {
+			return decShareChunk{}, fmt.Errorf("psc ts: CP %s share proof %d: %w", name, sc.Off+i, err)
 		}
-		proofs := make([]elgamal.EqualityProof, sc.Count)
-		for i, w := range sc.Proofs {
-			proof, err := unpackEquality(w)
-			if err != nil {
-				return decShareChunk{}, fmt.Errorf("psc ts: CP %s share proof %d: %w", name, sc.Off+i, err)
-			}
-			proofs[i] = proof
-		}
-		if i, ok := elgamal.VerifySharesBatch(cpKey, cts, shares, proofs); !ok {
-			verifyFailure("share-proof")
-			return decShareChunk{}, fmt.Errorf("psc ts: CP %s share %d unverified", name, sc.Off+i)
-		}
+		proofs[i] = proof
+	}
+	if i, ok := elgamal.VerifySharesBatch(cpKey, cts, shares, proofs); !ok {
+		verifyFailure("share-proof")
+		return decShareChunk{}, fmt.Errorf("psc ts: CP %s share %d unverified", name, sc.Off+i)
 	}
 	return decShareChunk{off: sc.Off, shares: shares}, nil
 }

@@ -28,7 +28,6 @@ func Exp(r *rand.Rand, rate float64) Time {
 // extrapolation in internal/stats both sample from this distribution.
 type Zipf struct {
 	cdf []float64
-	s   float64
 }
 
 // NewZipf builds a sampler over ranks 1..n with exponent s > 0.
@@ -45,14 +44,11 @@ func NewZipf(n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= total
 	}
-	return &Zipf{cdf: cdf, s: s}
+	return &Zipf{cdf: cdf}
 }
 
 // N returns the support size.
 func (z *Zipf) N() int { return len(z.cdf) }
-
-// Exponent returns the power-law exponent s.
-func (z *Zipf) Exponent() float64 { return z.s }
 
 // Rank draws a rank in [1, N].
 func (z *Zipf) Rank(r *rand.Rand) int {

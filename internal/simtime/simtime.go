@@ -11,7 +11,6 @@ import (
 	"container/heap"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"math/rand/v2"
 	"time"
 )
@@ -110,28 +109,8 @@ func (s *Scheduler) After(d time.Duration, fn Event) {
 	s.At(s.now.Add(d), fn)
 }
 
-// Every schedules fn to run periodically with the given period, starting
-// one period from now, until the scheduler stops or the horizon passes.
-// A non-positive period panics: it would livelock the simulation.
-func (s *Scheduler) Every(period time.Duration, fn Event) {
-	if period <= 0 {
-		panic(fmt.Sprintf("simtime: non-positive period %v", period))
-	}
-	var tick Event
-	tick = func(now Time) {
-		fn(now)
-		if !s.stopped {
-			s.After(period, tick)
-		}
-	}
-	s.After(period, tick)
-}
-
 // Stop halts the run loop after the currently executing event returns.
 func (s *Scheduler) Stop() { s.stopped = true }
-
-// Pending reports the number of events awaiting execution.
-func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // Run executes events in timestamp order until the queue is empty, the
 // horizon is exceeded, or Stop is called. It returns the virtual time at

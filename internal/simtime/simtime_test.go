@@ -45,8 +45,8 @@ func TestSchedulerHorizonStopsEarly(t *testing.T) {
 	if ran {
 		t.Fatal("event beyond horizon must not run")
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("event should remain queued, pending=%d", s.Pending())
+	if len(s.queue) != 1 {
+		t.Fatalf("event should remain queued, pending=%d", len(s.queue))
 	}
 	s.Run(3 * Hour)
 	if !ran {
@@ -89,25 +89,19 @@ func TestSchedulerPastEventClampsToNow(t *testing.T) {
 func TestSchedulerStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	s.Every(time.Minute, func(Time) {
+	var tick Event
+	tick = func(Time) {
 		count++
 		if count == 3 {
 			s.Stop()
 		}
-	})
+		s.After(time.Minute, tick)
+	}
+	s.After(time.Minute, tick)
 	s.Run(Day)
 	if count != 3 {
 		t.Fatalf("stop should halt the loop: count=%d", count)
 	}
-}
-
-func TestEveryPanicsOnNonPositivePeriod(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Every(0) must panic")
-		}
-	}()
-	NewScheduler().Every(0, func(Time) {})
 }
 
 func TestRandDeterministicPerStream(t *testing.T) {

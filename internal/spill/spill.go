@@ -86,13 +86,10 @@ func New(n, slot int) (*Store, error) {
 // Slots returns the record count the store was created for.
 func (s *Store) Slots() int { return s.n }
 
-// SlotSize returns the fixed record size in bytes.
-func (s *Store) SlotSize() int { return s.slot }
-
 // InMemory reports whether the store fell back to a memory buffer.
 func (s *Store) InMemory() bool { return s.file == nil && s.mem != nil }
 
-// WriteAt stores len(buf)/SlotSize records at record offset off. buf
+// WriteAt stores len(buf)/slot-size records at record offset off. buf
 // must be a whole number of slots.
 func (s *Store) WriteAt(off int, buf []byte) error {
 	if len(buf)%s.slot != 0 {
@@ -151,8 +148,8 @@ func (s *Store) ReadRangeInto(off, count int, scratch []byte) (data, grown []byt
 	return buf, scratch, nil
 }
 
-// ReadSlot reads record i into buf, which must be at least SlotSize
-// bytes. One slot is read per call — the strided gather of a column
+// ReadSlot reads record i into buf, which must be at least one slot
+// long. One slot is read per call — the strided gather of a column
 // pass; sequential writes leave the file hot in the page cache, so the
 // gather costs syscalls, not seeks.
 func (s *Store) ReadSlot(i int, buf []byte) error {

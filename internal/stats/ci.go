@@ -8,7 +8,6 @@
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -97,100 +96,4 @@ func RangeOnly(observed float64, fraction float64) (Interval, error) {
 		return Interval{}, fmt.Errorf("stats: observation fraction %v outside (0,1]", fraction)
 	}
 	return Interval{Value: observed, Lo: observed, Hi: observed / fraction}, nil
-}
-
-// BinomialCI returns an exact (Clopper–Pearson style, via normal-free
-// search) central 95% interval for the success probability of a
-// Binomial(n, p) given k observed successes. Used for proportions such
-// as the descriptor-fetch failure rate.
-func BinomialCI(k, n int) (Interval, error) {
-	if n <= 0 || k < 0 || k > n {
-		return Interval{}, errors.New("stats: invalid binomial observation")
-	}
-	point := float64(k) / float64(n)
-	lo := searchBinomialBound(k, n, 0.025, true)
-	hi := searchBinomialBound(k, n, 0.025, false)
-	return Interval{Value: point, Lo: lo, Hi: hi}, nil
-}
-
-// searchBinomialBound finds p such that the tail probability of
-// observing k (or more extreme) equals alpha.
-func searchBinomialBound(k, n int, alpha float64, lower bool) float64 {
-	if lower && k == 0 {
-		return 0
-	}
-	if !lower && k == n {
-		return 1
-	}
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		var tail float64
-		if lower {
-			// P(X >= k | p=mid); want == alpha. Increasing in p.
-			tail = 1 - binomialCDF(k-1, n, mid)
-			if tail < alpha {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		} else {
-			// P(X <= k | p=mid); want == alpha. Decreasing in p.
-			tail = binomialCDF(k, n, mid)
-			if tail > alpha {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// binomialCDF returns P(X <= k) for X ~ Binomial(n, p), computed in log
-// space for stability.
-func binomialCDF(k, n int, p float64) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= n {
-		return 1
-	}
-	if p <= 0 {
-		return 1
-	}
-	if p >= 1 {
-		return 0
-	}
-	// For large n use a normal approximation with continuity correction;
-	// exact summation otherwise.
-	if n > 10000 {
-		mean := float64(n) * p
-		sd := math.Sqrt(float64(n) * p * (1 - p))
-		return normalCDF((float64(k) + 0.5 - mean) / sd)
-	}
-	logP, log1P := math.Log(p), math.Log1p(-p)
-	sum := 0.0
-	for i := 0; i <= k; i++ {
-		lp := logChoose(n, i) + float64(i)*logP + float64(n-i)*log1P
-		sum += math.Exp(lp)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
-func logChoose(n, k int) float64 {
-	return lgamma(float64(n)+1) - lgamma(float64(k)+1) - lgamma(float64(n-k)+1)
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}
-
-// normalCDF is the standard normal CDF.
-func normalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }

@@ -96,55 +96,6 @@ func TestRangeOnly(t *testing.T) {
 	}
 }
 
-func TestBinomialCI(t *testing.T) {
-	iv, err := BinomialCI(50, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv.Value != 0.5 {
-		t.Fatal("point")
-	}
-	if !(iv.Lo < 0.5 && iv.Hi > 0.5) {
-		t.Fatalf("CI must bracket point: %+v", iv)
-	}
-	if iv.Lo < 0.39 || iv.Lo > 0.41 || iv.Hi < 0.59 || iv.Hi > 0.61 {
-		t.Fatalf("Clopper-Pearson 50/100 should be ~[0.398, 0.602]: %+v", iv)
-	}
-	// Edge cases.
-	iv, _ = BinomialCI(0, 10)
-	if iv.Lo != 0 {
-		t.Fatal("k=0 lower bound must be 0")
-	}
-	iv, _ = BinomialCI(10, 10)
-	if iv.Hi != 1 {
-		t.Fatal("k=n upper bound must be 1")
-	}
-	if _, err := BinomialCI(5, 0); err == nil {
-		t.Fatal("n=0 must fail")
-	}
-	if _, err := BinomialCI(11, 10); err == nil {
-		t.Fatal("k>n must fail")
-	}
-}
-
-func TestBinomialCILargeN(t *testing.T) {
-	// Normal-approximation branch: 90.9% failures of 134M fetches
-	// (Table 7 scale, scaled down to keep runtime sane).
-	iv, err := BinomialCI(909000, 1000000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(iv.Value-0.909) > 1e-9 {
-		t.Fatal("point")
-	}
-	if iv.Width() > 0.002 {
-		t.Fatalf("CI too wide for n=1e6: %+v", iv)
-	}
-	if !iv.Contains(0.909) {
-		t.Fatal("CI must contain point")
-	}
-}
-
 // Property: CI coverage scales out — intersect is commutative and
 // scaling preserves containment.
 func TestIntervalProperties(t *testing.T) {

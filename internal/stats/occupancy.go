@@ -10,9 +10,10 @@ import (
 // the number of non-empty hash-table bins plus Binomial(t, 1/2) noise,
 // so recovering the distinct-item count must undo both the noise and the
 // hash collisions. The paper computes 95% confidence intervals "using an
-// exact algorithm based on dynamic programming"; OccupancyPMF is that
-// dynamic program, and UnionCardinalityCI inverts the full observation
-// model.
+// exact algorithm based on dynamic programming"; UnionCardinalityCI
+// inverts the full observation model through the occupancy's exact
+// moments, which occupancy_test.go holds to that dynamic program
+// (OccupancyPMF, O(n·b), kept there as the reference).
 
 // OccupancyMoments returns the exact mean and variance of the number of
 // occupied bins when n distinct items hash uniformly into b bins:
@@ -33,45 +34,6 @@ func OccupancyMoments(b, n int) (mean, variance float64) {
 		variance = 0
 	}
 	return mean, variance
-}
-
-// OccupancyPMF returns the exact probability mass function of the number
-// of occupied bins after inserting n distinct items into b bins, using
-// the dynamic program
-//
-//	P(X_{m+1}=k) = P(X_m=k)·k/b + P(X_m=k−1)·(b−k+1)/b.
-//
-// Cost is O(n·b); intended for exact small-scale work and for verifying
-// the moment-based approximation used at measurement scale.
-func OccupancyPMF(b, n int) ([]float64, error) {
-	if b <= 0 {
-		return nil, errors.New("stats: non-positive bin count")
-	}
-	if n < 0 {
-		return nil, errors.New("stats: negative item count")
-	}
-	pmf := make([]float64, b+1)
-	pmf[0] = 1
-	next := make([]float64, b+1)
-	fb := float64(b)
-	for m := 0; m < n; m++ {
-		for k := range next {
-			next[k] = 0
-		}
-		for k, p := range pmf {
-			if p == 0 {
-				continue
-			}
-			// Item lands in an occupied bin: k stays.
-			next[k] += p * float64(k) / fb
-			// Item lands in a free bin: k+1.
-			if k < b {
-				next[k+1] += p * (fb - float64(k)) / fb
-			}
-		}
-		pmf, next = next, pmf
-	}
-	return pmf, nil
 }
 
 // InvertOccupancy estimates the number of distinct items from an

@@ -1,11 +1,51 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/simtime"
 )
+
+// OccupancyPMF returns the exact probability mass function of the number
+// of occupied bins after inserting n distinct items into b bins, using
+// the dynamic program
+//
+//	P(X_{m+1}=k) = P(X_m=k)·k/b + P(X_m=k−1)·(b−k+1)/b.
+//
+// Cost is O(n·b); intended for exact small-scale work and for verifying
+// the moment-based approximation used at measurement scale.
+func OccupancyPMF(b, n int) ([]float64, error) {
+	if b <= 0 {
+		return nil, errors.New("stats: non-positive bin count")
+	}
+	if n < 0 {
+		return nil, errors.New("stats: negative item count")
+	}
+	pmf := make([]float64, b+1)
+	pmf[0] = 1
+	next := make([]float64, b+1)
+	fb := float64(b)
+	for m := 0; m < n; m++ {
+		for k := range next {
+			next[k] = 0
+		}
+		for k, p := range pmf {
+			if p == 0 {
+				continue
+			}
+			// Item lands in an occupied bin: k stays.
+			next[k] += p * float64(k) / fb
+			// Item lands in a free bin: k+1.
+			if k < b {
+				next[k+1] += p * (fb - float64(k)) / fb
+			}
+		}
+		pmf, next = next, pmf
+	}
+	return pmf, nil
+}
 
 func TestOccupancyPMFIsDistribution(t *testing.T) {
 	for _, tc := range []struct{ b, n int }{{10, 0}, {10, 5}, {10, 50}, {64, 64}} {

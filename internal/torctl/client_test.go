@@ -99,7 +99,7 @@ func TestSourceSafeCookie(t *testing.T) {
 	want := feedTrace(m, 50)
 	m.End()
 
-	src, err := DialSource(Config{Addr: addr, Logf: t.Logf}, LineParser{Time: *NewEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))})
+	src, err := DialSource(Config{Addr: addr, Logf: t.Logf}, LineParser{Time: *newEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSourceSafeCookie(t *testing.T) {
 func TestSourcePasswordAndLiveFeed(t *testing.T) {
 	m, addr := startMock(t, MockConfig{Password: `s3kr1t "quoted"`})
 	src, err := DialSource(Config{Addr: addr, Password: `s3kr1t "quoted"`, Logf: t.Logf},
-		LineParser{Time: *NewEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))})
+		LineParser{Time: *newEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestReconnectSurvivesDrop(t *testing.T) {
 
 	src, err := DialSource(Config{
 		Addr: addr, ReconnectMin: 20 * time.Millisecond, Logf: t.Logf,
-	}, LineParser{Time: *NewEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))})
+	}, LineParser{Time: *newEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func FuzzParseEventLine(f *testing.F) {
 	f.Add(strings.Repeat("A=", 1000))
 
 	f.Fuzz(func(t *testing.T, line string) {
-		p := &LineParser{Time: *NewEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0)), DefaultRelay: 3}
+		p := &LineParser{Time: *newEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0)), DefaultRelay: 3}
 		ev, err := p.Parse(line)
 		if err != nil {
 			return

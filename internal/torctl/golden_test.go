@@ -50,7 +50,7 @@ func TestGoldenLines(t *testing.T) {
 	}
 
 	// Round trip: every golden line parses back to the exact event.
-	p := &LineParser{Time: *NewEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))}
+	p := &LineParser{Time: *newEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))}
 	lines := strings.Split(strings.TrimRight(string(want), "\r\n"), "\r\n")
 	evs := sampleEvents()
 	if len(lines) != len(evs) {

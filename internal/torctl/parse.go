@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/event"
 	"repro/internal/simtime"
@@ -20,16 +19,10 @@ var ErrTraceDone = errors.New("torctl: end of replayed trace")
 // The zero TimeMap anchors: the first timestamp it sees becomes
 // simtime 0 and later timestamps map to their offset from it, which is
 // what a live collector wants (its measurement period starts at the
-// first observation). An explicit epoch pins the mapping instead,
-// which is what trace replay wants (offsets reproduce exactly).
+// first observation).
 type TimeMap struct {
 	epoch     int64 // wall instant of simtime 0, Unix nanoseconds
 	haveEpoch bool
-}
-
-// NewEpochTimeMap pins simtime 0 to the given wall-clock instant.
-func NewEpochTimeMap(epoch time.Time) *TimeMap {
-	return &TimeMap{epoch: epoch.UnixNano(), haveEpoch: true}
 }
 
 // Map converts a wall-clock Unix-nanosecond timestamp to simtime,

@@ -12,6 +12,12 @@ import (
 	"repro/internal/simtime"
 )
 
+// newEpochTimeMap pins simtime 0 to the given wall-clock instant, so
+// the tests' parsed offsets reproduce exactly.
+func newEpochTimeMap(epoch time.Time) *TimeMap {
+	return &TimeMap{epoch: epoch.UnixNano(), haveEpoch: true}
+}
+
 // sampleEvents covers every event type plus the awkward field shapes:
 // quoted hostnames, empty strings, missing addresses, zero times.
 func sampleEvents() []event.Event {
@@ -54,7 +60,7 @@ func sampleEvents() []event.Event {
 // TestFormatParseRoundTrip pins FormatEvent and Parse as inverses,
 // comparing through the binary codec so every field participates.
 func TestFormatParseRoundTrip(t *testing.T) {
-	p := &LineParser{Time: *NewEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))}
+	p := &LineParser{Time: *newEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))}
 	for _, ev := range sampleEvents() {
 		line, err := FormatEvent(ev, defaultEpochUnixNano)
 		if err != nil {

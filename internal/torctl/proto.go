@@ -40,9 +40,6 @@ func (r Reply) Text() string {
 // IsOK reports whether the reply is a 2xx success.
 func (r Reply) IsOK() bool { return r.Status >= 200 && r.Status < 300 }
 
-// IsAsync reports whether the reply is an asynchronous 650 event.
-func (r Reply) IsAsync() bool { return r.Status == 650 }
-
 // readLine reads one CRLF- (or, tolerantly, LF-) terminated line. The
 // length cap is enforced while reading — a peer streaming an endless
 // unterminated line errors out at ~maxLineLen instead of growing an

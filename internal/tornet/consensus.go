@@ -83,11 +83,9 @@ type Consensus struct {
 	measuringExits  []event.RelayID
 	measuringGuards []event.RelayID
 	measuringHSDirs []event.RelayID
-	measuringRend   []event.RelayID
 
 	exitPick  *simtime.WeightedChoice // over measuringExits
 	guardPick *simtime.WeightedChoice // over measuringGuards
-	rendPick  *simtime.WeightedChoice // over measuringRend
 
 	numHSDirs int
 }
@@ -146,14 +144,12 @@ func NewConsensus(cfg ConsensusConfig) (*Consensus, error) {
 		w := 0.8 + 0.4*r.Float64()
 		rel := addRelay(fmt.Sprintf("measure-exit-%d", i), FlagExit, w, true)
 		c.measuringExits = append(c.measuringExits, rel.ID)
-		c.measuringRend = append(c.measuringRend, rel.ID)
 	}
 	for i := 0; i < cfg.MeasuringNonExits; i++ {
 		w := 0.8 + 0.4*r.Float64()
 		rel := addRelay(fmt.Sprintf("measure-relay-%d", i), FlagGuard|FlagHSDir, w, true)
 		c.measuringGuards = append(c.measuringGuards, rel.ID)
 		c.measuringHSDirs = append(c.measuringHSDirs, rel.ID)
-		c.measuringRend = append(c.measuringRend, rel.ID)
 	}
 
 	// Background relays: heavy-tailed weights, mixed flags.
@@ -183,7 +179,6 @@ func NewConsensus(cfg ConsensusConfig) (*Consensus, error) {
 	// Per-measuring-relay selection distributions.
 	c.exitPick = pickerFor(c.Relays, c.measuringExits)
 	c.guardPick = pickerFor(c.Relays, c.measuringGuards)
-	c.rendPick = pickerFor(c.Relays, c.measuringRend)
 	return c, nil
 }
 
@@ -221,29 +216,10 @@ func (c *Consensus) MeasuringRelays() []event.RelayID {
 // NumHSDirs returns the HSDir ring size.
 func (c *Consensus) NumHSDirs() int { return c.numHSDirs }
 
-// ExitObserved samples whether a circuit's exit is one of the measuring
-// exits, returning the relay when it is. Marginally this equals
-// weighted exit selection over the full consensus.
-func (c *Consensus) ExitObserved(r *rand.Rand) (event.RelayID, bool) {
-	if r.Float64() >= c.fractions.Exit {
-		return 0, false
-	}
-	return c.measuringExits[c.exitPick.Pick(r)], true
-}
-
 // PickMeasuringExit samples one of the measuring exits in proportion to
 // its weight, for use on streams already known to be observed.
 func (c *Consensus) PickMeasuringExit(r *rand.Rand) event.RelayID {
 	return c.measuringExits[c.exitPick.Pick(r)]
-}
-
-// RendObserved samples whether a rendezvous point lands on a measuring
-// relay.
-func (c *Consensus) RendObserved(r *rand.Rand) (event.RelayID, bool) {
-	if r.Float64() >= c.fractions.Rend {
-		return 0, false
-	}
-	return c.measuringRend[c.rendPick.Pick(r)], true
 }
 
 // PickGuard samples one guard: a measuring guard with probability equal

@@ -2,6 +2,7 @@ package tornet
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/asn"
@@ -66,6 +67,26 @@ func TestConsensusConfigValidation(t *testing.T) {
 	if _, err := NewConsensus(bad3); err == nil {
 		t.Fatal("tiny network must fail")
 	}
+}
+
+// ExitObserved samples whether a circuit's exit is one of the measuring
+// exits, returning the relay when it is — per circuit, what the workload
+// driver does per day with a Poisson thinning at the same fraction.
+func (c *Consensus) ExitObserved(r *rand.Rand) (event.RelayID, bool) {
+	if r.Float64() >= c.fractions.Exit {
+		return 0, false
+	}
+	return c.PickMeasuringExit(r), true
+}
+
+// RendObserved samples whether a rendezvous point lands on a measuring
+// relay.
+func (c *Consensus) RendObserved(r *rand.Rand) (event.RelayID, bool) {
+	if r.Float64() >= c.fractions.Rend {
+		return 0, false
+	}
+	relays := c.MeasuringRelays()
+	return relays[r.IntN(len(relays))], true
 }
 
 func TestExitObservedMatchesFraction(t *testing.T) {

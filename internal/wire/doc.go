@@ -62,13 +62,12 @@
 //
 // # Invariants
 //
-//   - No frame exceeds the connection's cap (DefaultMaxFrame, 1 MiB
-//     unless overridden with WithMaxFrame): vector-valued protocol
-//     phases chunk their payloads, and a peer demanding a larger
-//     allocation is dropped, not accommodated. The cap is tested
-//     before the receive allocation and before the send; a body shorter
-//     than its own header, or a kind length that overruns it, is
-//     ErrBadFrame.
+//   - No frame exceeds the connection's cap (DefaultMaxFrame, 1 MiB):
+//     vector-valued protocol phases chunk their payloads, and a peer
+//     demanding a larger allocation is dropped, not accommodated. The
+//     cap is tested before the receive allocation and before the send;
+//     a body shorter than its own header, or a kind length that
+//     overruns it, is ErrBadFrame.
 //   - A ParseWire never sizes an allocation or a slice from a length
 //     it has not compared with the bytes remaining, and rejects
 //     trailing bytes (ErrBadPayload). It checks framing only: what the

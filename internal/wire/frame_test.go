@@ -12,6 +12,12 @@ import (
 	"time"
 )
 
+// WithMaxFrame overrides the per-connection frame cap, so the codec
+// tests can put a frame on either side of a small cap.
+func WithMaxFrame(n int) Option {
+	return func(c *Conn) { c.maxFrame = n }
+}
+
 // byteConn is a net.Conn over a byte script: Recv reads the script,
 // SendFrame appends to out. maxRead records the largest buffer a Read
 // was handed — the receive path's allocation, seen from outside.

@@ -62,20 +62,17 @@ func frameCost(f Frame) int64 { return int64(len(f.Payload)) + frameOverhead }
 
 // openMsg announces a new stream. Window is the opener's receive
 // window for this stream (and, symmetrically, the credit it assumes
-// until an ack adjusts it); MaxWindow is the opener's adaptive cap (0:
-// fixed).
+// until an ack adjusts it).
 type openMsg struct {
-	Round     uint64
-	Label     string
-	Window    int64
-	MaxWindow int64
+	Round  uint64
+	Label  string
+	Window int64
 }
 
 // openAck is the acceptor's reply to an open, announcing the acceptor's
-// own receive window and cap for the stream.
+// own receive window for the stream.
 type openAck struct {
-	Window    int64
-	MaxWindow int64
+	Window int64
 }
 
 // winUpdate is the credit grant: Credit extends the
@@ -149,10 +146,7 @@ func (s *Session) Open(round uint64, label string) (*Stream, error) {
 	s.streams[id] = st
 	s.mu.Unlock()
 
-	payload, err := EncodePayload(openMsg{
-		Round: round, Label: label,
-		Window: s.conn.window, MaxWindow: s.conn.windowCap,
-	})
+	payload, err := EncodePayload(openMsg{Round: round, Label: label, Window: s.conn.window})
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +272,6 @@ func (s *Session) handleOpen(f Frame, om openMsg) error {
 	st := newStream(s, f.SID, om.Round, om.Label)
 	st.sendCredit = om.Window
 	st.sendWindow = om.Window
-	st.peerMaxWindow = om.MaxWindow
 	// Until its ack lands the opener sends against its own announced
 	// window, so enforcement must honor the larger of the two
 	// announcements.
@@ -289,7 +282,7 @@ func (s *Session) handleOpen(f Frame, om openMsg) error {
 	if s.conn.adaptive {
 		st.ctrl = newWinController(st.recvWindow, s.conn.windowCap)
 	}
-	payload, err := EncodePayload(openAck{Window: st.recvWindow, MaxWindow: s.conn.windowCap})
+	payload, err := EncodePayload(openAck{Window: st.recvWindow})
 	if err != nil {
 		return err
 	}
@@ -440,8 +433,7 @@ type Stream struct {
 	// refunds until paid down.
 	debt int64
 	// ctrl is the AIMD controller; nil on fixed-window streams.
-	ctrl          *winController
-	peerMaxWindow int64
+	ctrl *winController
 	// acked makes onOpenAck apply the peer's ack exactly once (set at
 	// once on an accepted stream, which is never acked).
 	acked bool
@@ -555,7 +547,6 @@ func (st *Stream) onOpenAck(ack openAck) {
 	st.mu.Lock()
 	if !st.acked {
 		st.acked = true
-		st.peerMaxWindow = ack.MaxWindow
 		assumed := st.sess.conn.window
 		st.sendCredit += ack.Window - assumed
 		if st.sendWindow == assumed || ack.Window > st.sendWindow {

@@ -625,7 +625,7 @@ func TestMuxOpenAckAfterWindowUpdateKeepsCredit(t *testing.T) {
 			sess := NewSession(a, true)
 			st := newStream(sess, 1, 1, "opener")
 			update := func() { st.onWinUpdate(winUpdate{Credit: grant, Window: raised}) } // Seq 0: no echo
-			ack := func() { st.onOpenAck(openAck{Window: ackWin, MaxWindow: DefaultWindowCap}) }
+			ack := func() { st.onOpenAck(openAck{Window: ackWin}) }
 			if updateFirst {
 				update()
 				ack()

@@ -26,7 +26,7 @@ func TestRecvGarbageDoesNotPanic(t *testing.T) {
 			server.Write(payload)
 			server.Close()
 		}()
-		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		conn.c.SetDeadline(time.Now().Add(2 * time.Second))
 		_, err := conn.Recv()
 		return err != nil // garbage must never decode into a valid frame silently... or may decode; just must not panic
 	}
@@ -52,7 +52,7 @@ func TestRecvHugeLengthPrefixRejected(t *testing.T) {
 		binary.BigEndian.PutUint32(lenb[:], DefaultMaxFrame+1)
 		server.Write(lenb[:])
 	}()
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	conn.c.SetDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Recv(); err != ErrFrameTooLarge {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
@@ -71,7 +71,7 @@ func TestRecvTruncatedFrame(t *testing.T) {
 		server.Write([]byte("short"))
 		server.Close()
 	}()
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	conn.c.SetDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Recv(); err == nil {
 		t.Fatal("truncated frame must error")
 	}

@@ -8,13 +8,12 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 )
 
-// DefaultMaxFrame bounds a single message unless a connection overrides
-// it with WithMaxFrame. Since vectors travel as bounded chunks, no
-// honest frame comes close to this; a peer demanding more is asking the
-// receiver for an allocation it has no business requesting.
+// DefaultMaxFrame bounds a single message. Since vectors travel as
+// bounded chunks, no honest frame comes close to this; a peer demanding
+// more is asking the receiver for an allocation it has no business
+// requesting.
 const DefaultMaxFrame = 1 << 20
 
 // Frame is the unit of exchange: a message kind tag and an encoded
@@ -51,17 +50,6 @@ type Messenger interface {
 
 // Option configures a Conn.
 type Option func(*Conn)
-
-// WithMaxFrame overrides the per-connection frame cap. Both ends of a
-// connection must agree, or the larger sender will be dropped by the
-// smaller receiver.
-func WithMaxFrame(n int) Option {
-	return func(c *Conn) {
-		if n > 0 {
-			c.maxFrame = n
-		}
-	}
-}
 
 // WithWindow overrides the initial per-stream flow-control window for
 // sessions multiplexed over this connection (default DefaultWindow).
@@ -152,12 +140,6 @@ func (c *Conn) Window() int64 { return c.window }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
-
-// RemoteAddr reports the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
-
-// SetDeadline bounds both reads and writes.
-func (c *Conn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 
 // Send encodes v as the payload of a frame with the given kind.
 func (c *Conn) Send(kind string, v any) error {

@@ -107,9 +107,6 @@ func (d *Driver) newClient(promiscuous bool) *tornet.Client {
 	return c
 }
 
-// Clients returns the current population (for tests).
-func (d *Driver) Clients() []*tornet.Client { return d.clients }
-
 // Run schedules and executes the given number of whole virtual days.
 func (d *Driver) Run(days int) {
 	for day := 0; day < days; day++ {

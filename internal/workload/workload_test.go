@@ -205,17 +205,17 @@ func TestEventsOnlyAtMeasuringRelays(t *testing.T) {
 func TestChurnReplacesClients(t *testing.T) {
 	d := newDriver(t, 4000, 9)
 	before := map[string]bool{}
-	for _, c := range d.Clients() {
+	for _, c := range d.clients {
 		before[c.IP.String()] = true
 	}
 	d.Run(2) // day 1 applies churn
 	replaced := 0
-	for _, c := range d.Clients() {
+	for _, c := range d.clients {
 		if !before[c.IP.String()] {
 			replaced++
 		}
 	}
-	frac := float64(replaced) / float64(len(d.Clients()))
+	frac := float64(replaced) / float64(len(d.clients))
 	if math.Abs(frac-d.P.ChurnPerDay) > 0.08 {
 		t.Fatalf("churned fraction %v, want ~%v", frac, d.P.ChurnPerDay)
 	}
@@ -260,7 +260,7 @@ func TestPromiscuousClientsSeenEverywhere(t *testing.T) {
 	d := newDriver(t, 400, 11)
 	// Find one promiscuous client and count distinct guards observing it.
 	var promIP string
-	for _, c := range d.Clients() {
+	for _, c := range d.clients {
 		if c.Promiscuous {
 			promIP = c.IP.String()
 			break
