@@ -19,10 +19,11 @@
 #                      prints µs/elem and B/op for one 1024-element
 #                      shuffle block on one core)
 #   make fuzz-smoke  - every codec fuzz target (frame envelope, PSC
-#                      block messages, PrivCount share/chunk frames) and
-#                      the affine batch plane against the single-element
-#                      group law, 5 s each: the seed corpus always runs
-#                      under `make test`; this also mutates
+#                      block messages, PSC noise/blind/share chunks,
+#                      PrivCount share/chunk frames) and the affine
+#                      batch plane against the single-element group
+#                      law, 5 s each: the seed corpus always runs under
+#                      `make test`; this also mutates
 #   make bench    - the full paper-table benchmark harness (slow)
 
 GO ?= go
@@ -58,6 +59,9 @@ fuzz-smoke:
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockOutCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockShadowCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockFeedCodec$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzNoiseChunkCodec$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlindChunkCodec$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzShareChunkCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/privcount/ -run '^$$' -fuzz '^FuzzSharesRelayCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzRerandomizeEquivalence$$' -fuzztime=$(FUZZTIME)
 

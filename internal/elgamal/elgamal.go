@@ -22,17 +22,24 @@ func GenerateKey() *PrivateKey {
 
 // CombineKeys returns the joint public key: the sum of the given party
 // public keys. Encrypting under the joint key means no subset of parties
-// missing even one member can decrypt.
+// missing even one member can decrypt. An identity member contributes
+// no secret and an identity sum encrypts nothing — every ciphertext
+// under it is its own plaintext — so both are refused; that the sum was
+// not steered there by a key built from the others is for the members'
+// proofs of possession (VerifyPossession) to establish first.
 func CombineKeys(pks ...Point) (Point, error) {
 	if len(pks) == 0 {
 		return Point{}, errors.New("elgamal: no public keys to combine")
 	}
 	sum := Identity()
 	for _, pk := range pks {
-		if !pk.IsValid() {
+		if !pk.IsValid() || pk.IsIdentity() {
 			return Point{}, errors.New("elgamal: invalid public key")
 		}
 		sum = sum.Add(pk)
+	}
+	if sum.IsIdentity() {
+		return Point{}, errors.New("elgamal: public keys sum to the identity")
 	}
 	return sum, nil
 }

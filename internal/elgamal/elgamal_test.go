@@ -180,6 +180,39 @@ func TestCombineKeysRejectsInvalid(t *testing.T) {
 	if _, err := CombineKeys(Point{}); err == nil {
 		t.Fatal("invalid key must fail")
 	}
+	// An identity member contributes no secret; a member that cancels
+	// the others leaves every ciphertext a plaintext.
+	a, b := GenerateKey().PK, GenerateKey().PK
+	if _, err := CombineKeys(a, Identity(), b); err == nil {
+		t.Fatal("identity member key must fail")
+	}
+	if _, err := CombineKeys(a, b, a.Add(b).Neg()); err == nil {
+		t.Fatal("keys summing to the identity must fail")
+	}
+}
+
+func TestProofOfPossession(t *testing.T) {
+	k, other := GenerateKey(), GenerateKey()
+	if !VerifyPossession(k.PK, k.ProvePossession()) {
+		t.Fatal("honest proof of possession rejected")
+	}
+	if VerifyPossession(other.PK, k.ProvePossession()) {
+		t.Fatal("a proof of possession verified for another key")
+	}
+	// The rogue key: chosen to cancel two honest ones, logarithm unknown
+	// to its maker, who can only borrow someone's proof.
+	rogue := k.PK.Add(other.PK).Neg()
+	if VerifyPossession(rogue, other.ProvePossession()) {
+		t.Fatal("rogue key accepted on a borrowed proof")
+	}
+	// x = 0 proves honestly, and is no key.
+	zero := &PrivateKey{X: new(big.Int), PK: Identity()}
+	if VerifyPossession(zero.PK, zero.ProvePossession()) {
+		t.Fatal("identity key accepted")
+	}
+	if VerifyPossession(k.PK, EqualityProof{}) || VerifyPossession(Point{}, k.ProvePossession()) {
+		t.Fatal("garbage accepted")
+	}
 }
 
 func TestCiphertextEncoding(t *testing.T) {
@@ -198,43 +231,58 @@ func TestCiphertextEncoding(t *testing.T) {
 	}
 }
 
+// shareChunk encrypts n bits under pk and returns the ciphertexts with
+// k's decryption shares for them.
+func shareChunk(pk Point, k *PrivateKey, n int) ([]Ciphertext, []DecryptionShare) {
+	bits := make([]bool, n)
+	for i := range bits {
+		bits[i] = i%3 == 0
+	}
+	cts, _ := BatchEncryptBits(pk, bits)
+	return cts, k.BatchPartialDecrypt(cts)
+}
+
 func TestChaumPedersenShareProof(t *testing.T) {
 	parties := []*PrivateKey{GenerateKey(), GenerateKey()}
 	pk, _ := CombineKeys(parties[0].PK, parties[1].PK)
-	c := EncryptBit(pk, true)
+	cts, shares := shareChunk(pk, parties[0], 6)
 
-	share := parties[0].PartialDecrypt(c)
-	proof := parties[0].ProveShare(c, share)
-	if !VerifyShare(parties[0].PK, c, share, proof) {
-		t.Fatal("honest share proof must verify")
+	proof := parties[0].BatchProveShares(cts, shares)
+	if _, ok := VerifySharesBatch(parties[0].PK, cts, shares, proof); !ok {
+		t.Fatal("honest chunk proof must verify")
 	}
-	// Wrong share: computed with a different key.
-	badShare := parties[1].PartialDecrypt(c)
-	if VerifyShare(parties[0].PK, c, badShare, proof) {
-		t.Fatal("proof must not verify a different share")
+	// One wrong share: computed with a different key.
+	bad := append([]DecryptionShare(nil), shares...)
+	bad[4] = parties[1].PartialDecrypt(cts[4])
+	if _, ok := VerifySharesBatch(parties[0].PK, cts, bad, proof); ok {
+		t.Fatal("proof must not verify a chunk with a different share in it")
 	}
 	// Tampered response.
 	tampered := proof
 	tampered.Response = new(big.Int).Add(proof.Response, big.NewInt(1))
-	if VerifyShare(parties[0].PK, c, share, tampered) {
+	if _, ok := VerifySharesBatch(parties[0].PK, cts, shares, tampered); ok {
 		t.Fatal("tampered proof must fail")
 	}
-	// Malicious party lying about its share with a proof for its own key.
-	lie := DecryptionShare{Share: BaseMul(big.NewInt(5))}
-	lieProof := parties[0].ProveShare(c, lie)
-	if VerifyShare(parties[0].PK, c, lie, lieProof) {
-		t.Fatal("proof for an incorrect share must fail")
+	// Malicious party lying about a share, proving the lie with its own key.
+	bad[4] = DecryptionShare{Share: BaseMul(big.NewInt(5))}
+	lieProof := parties[0].BatchProveShares(cts, bad)
+	if _, ok := VerifySharesBatch(parties[0].PK, cts, bad, lieProof); ok {
+		t.Fatal("proof for a chunk with an incorrect share must fail")
+	}
+	// The other party's honest chunk does not verify under this key.
+	others := parties[1].BatchPartialDecrypt(cts)
+	if _, ok := VerifySharesBatch(parties[0].PK, cts, others, parties[1].BatchProveShares(cts, others)); ok {
+		t.Fatal("shares proved under another key must fail")
 	}
 }
 
 func TestVerifyShareRejectsGarbage(t *testing.T) {
 	k := GenerateKey()
-	c := EncryptBit(k.PK, false)
-	share := k.PartialDecrypt(c)
-	if VerifyShare(k.PK, c, share, EqualityProof{}) {
+	cts, shares := shareChunk(k.PK, k, 3)
+	if _, ok := VerifySharesBatch(k.PK, cts, shares, EqualityProof{}); ok {
 		t.Fatal("empty proof must fail")
 	}
-	if VerifyShare(Point{}, c, share, k.ProveShare(c, share)) {
+	if _, ok := VerifySharesBatch(Point{}, cts, shares, k.BatchProveShares(cts, shares)); ok {
 		t.Fatal("invalid pk must fail")
 	}
 }

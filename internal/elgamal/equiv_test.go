@@ -488,30 +488,105 @@ func TestRandomScalars(t *testing.T) {
 }
 
 func TestBatchVerifyShares(t *testing.T) {
-	key := GenerateKey()
-	n := 20
-	bits := make([]bool, n)
-	cts, _ := BatchEncryptBits(key.PK, bits)
-	shares := key.BatchPartialDecrypt(cts)
-	proofs := make([]EqualityProof, n)
-	for i := range cts {
-		proofs[i] = key.ProveShare(cts[i], shares[i])
+	key, other := GenerateKey(), GenerateKey()
+	for _, n := range []int{1, 2, 20, 200} { // 200 takes the Pippenger path
+		cts, shares := shareChunk(key.PK, key, n)
+		proof := key.BatchProveShares(cts, shares)
+		verify := func(cs []Ciphertext, sh []DecryptionShare) (int, bool) {
+			return VerifySharesBatch(key.PK, cs, sh, proof)
+		}
+		if idx, ok := verify(cts, shares); !ok || idx != -1 {
+			t.Fatalf("n=%d: valid share chunk gave (%d,%v)", n, idx, ok)
+		}
+		// One wrong share anywhere in the chunk: first, last, middle. The
+		// fold cannot say which, so the index stays -1.
+		for _, at := range []int{0, n - 1, n / 2} {
+			bad := append([]DecryptionShare(nil), shares...)
+			bad[at] = DecryptionShare{Share: shares[at].Share.Add(Generator())}
+			if idx, ok := verify(cts, bad); ok || idx != -1 {
+				t.Fatalf("n=%d: wrong share at %d gave (%d,%v), want (-1,false)", n, at, idx, ok)
+			}
+			// Re-proving over the lie does not help.
+			if _, ok := VerifySharesBatch(key.PK, cts, bad, key.BatchProveShares(cts, bad)); ok {
+				t.Fatalf("n=%d: chunk with a wrong share at %d verified under a fresh proof", n, at)
+			}
+		}
+		// The same shares under another key's name.
+		if _, ok := VerifySharesBatch(other.PK, cts, shares, proof); ok {
+			t.Fatalf("n=%d: proof verified against another key", n)
+		}
+		// A tampered response.
+		bent := proof
+		bent.Response = new(big.Int).Add(proof.Response, big.NewInt(1))
+		if _, ok := VerifySharesBatch(key.PK, cts, shares, bent); ok {
+			t.Fatalf("n=%d: tampered response accepted", n)
+		}
+		// Length mismatch names no element.
+		if idx, ok := verify(cts, shares[:n-1]); ok || idx != -1 {
+			t.Fatalf("n=%d: short share vector gave (%d,%v)", n, idx, ok)
+		}
+		// Malformed inputs are the one thing the index reports.
+		at := n / 2
+		bad := append([]DecryptionShare(nil), shares...)
+		bad[at] = DecryptionShare{Share: Point{X: big.NewInt(1), Y: big.NewInt(1)}}
+		if idx, ok := verify(cts, bad); ok || idx != at {
+			t.Fatalf("n=%d: off-curve share gave (%d,%v), want (%d,false)", n, idx, ok, at)
+		}
+		badCts := append([]Ciphertext(nil), cts...)
+		badCts[at].C1 = Point{}
+		if idx, ok := verify(badCts, shares); ok || idx != at {
+			t.Fatalf("n=%d: nil ciphertext gave (%d,%v), want (%d,false)", n, idx, ok, at)
+		}
+		if n < 2 {
+			continue
+		}
+		// Every share still correct, but the chunk permuted under the
+		// proof: the coefficients, and with them the statement, change.
+		pc, ps := append([]Ciphertext(nil), cts...), append([]DecryptionShare(nil), shares...)
+		pc[0], pc[n-1], ps[0], ps[n-1] = pc[n-1], pc[0], ps[n-1], ps[0]
+		if _, ok := verify(pc, ps); ok {
+			t.Fatalf("n=%d: proof replayed onto a permuted chunk accepted", n)
+		}
+		if _, ok := VerifySharesBatch(key.PK, pc, ps, key.BatchProveShares(pc, ps)); !ok {
+			t.Fatalf("n=%d: permuted chunk rejected under its own proof", n)
+		}
 	}
-	if idx, ok := VerifySharesBatch(key.PK, cts, shares, proofs); !ok {
-		t.Fatalf("valid share batch rejected at %d", idx)
+
+	// Two wrong shares that cancel under equal weights (+D and −D) are
+	// caught: the coefficients differ per position.
+	cts, shares := shareChunk(key.PK, key, 8)
+	shares[2].Share = shares[2].Share.Add(Generator())
+	shares[5].Share = shares[5].Share.Sub(Generator())
+	if _, ok := VerifySharesBatch(key.PK, cts, shares, key.BatchProveShares(cts, shares)); ok {
+		t.Fatal("cancelling pair of wrong shares accepted")
 	}
-	// Tamper with one share: the batch must reject and locate it.
-	badIdx := 7
-	orig := shares[badIdx]
-	shares[badIdx] = DecryptionShare{Share: Generator()}
-	if idx, ok := VerifySharesBatch(key.PK, cts, shares, proofs); ok || idx != badIdx {
-		t.Fatalf("tampered share: got (%d,%v), want (%d,false)", idx, ok, badIdx)
+
+	// Identity C1s: the honest share is the identity and verifies, alone
+	// (the fold itself is then the identity) or among others; any other
+	// share for one is caught.
+	trivial := []Ciphertext{{C1: Identity(), C2: Generator()}, {C1: Identity(), C2: Identity()}}
+	tshares := key.BatchPartialDecrypt(trivial)
+	if _, ok := VerifySharesBatch(key.PK, trivial, tshares, key.BatchProveShares(trivial, tshares)); !ok {
+		t.Fatal("all-identity chunk rejected")
 	}
-	shares[badIdx] = orig
-	// Tamper with a proof response.
-	proofs[3].Response = new(big.Int).Add(proofs[3].Response, big.NewInt(1))
-	if idx, ok := VerifySharesBatch(key.PK, cts, shares, proofs); ok || idx != 3 {
-		t.Fatalf("tampered proof: got (%d,%v), want (3,false)", idx, ok)
+	tshares[1].Share = Generator()
+	if _, ok := VerifySharesBatch(key.PK, trivial, tshares, key.BatchProveShares(trivial, tshares)); ok {
+		t.Fatal("non-identity share for an identity C1 accepted")
+	}
+	mixed, _ := shareChunk(key.PK, key, 4)
+	mixed[1].C1 = Identity()
+	mshares := key.BatchPartialDecrypt(mixed)
+	if _, ok := VerifySharesBatch(key.PK, mixed, mshares, key.BatchProveShares(mixed, mshares)); !ok {
+		t.Fatal("chunk with one identity C1 rejected")
+	}
+
+	// The empty chunk is vacuous: the proof still shows knowledge of the
+	// key, and there is no share to be wrong.
+	if idx, ok := VerifySharesBatch(key.PK, nil, nil, key.BatchProveShares(nil, nil)); !ok || idx != -1 {
+		t.Fatalf("empty chunk gave (%d,%v)", idx, ok)
+	}
+	if _, ok := VerifySharesBatch(key.PK, nil, nil, other.BatchProveShares(nil, nil)); ok {
+		t.Fatal("empty chunk verified under another key's proof")
 	}
 }
 
@@ -534,6 +609,27 @@ func TestBatchVerifyBlinds(t *testing.T) {
 	blinded[5] = blinded[5].ExpBlindWith(big.NewInt(3))
 	if idx, ok := VerifyBlindsBatch(cts, blinded, proofs); ok || idx != 5 {
 		t.Fatalf("tampered blind: got (%d,%v), want (5,false)", idx, ok)
+	}
+
+	// The zero blind: s = 0 sends any element to (O, O), an encryption of
+	// nothing, and the DLEQ for it is honest — the proof's equations hold.
+	// It must be refused all the same, batched, one at a time, and below
+	// the batching threshold.
+	blinded, ss = BatchExpBlind(cts)
+	proofs = BatchProveBlinds(cts, blinded, ss)
+	zero := Ciphertext{C1: Identity(), C2: Identity()}
+	blinded[9], proofs[9] = zero, ProveBlind(cts[9], zero, new(big.Int))
+	if !VerifyDLEQ(blindDomain, cts[9].C1, zero.C1, cts[9].C2, zero.C2, proofs[9]) {
+		t.Fatal("the zero blind's DLEQ should hold: the test no longer exercises the identity check")
+	}
+	if VerifyBlind(cts[9], zero, proofs[9]) {
+		t.Fatal("zero blind accepted")
+	}
+	if idx, ok := VerifyBlindsBatch(cts, blinded, proofs); ok || idx != 9 {
+		t.Fatalf("zero blind in a batch: got (%d,%v), want (9,false)", idx, ok)
+	}
+	if idx, ok := VerifyBlindsBatch(cts[8:10], blinded[8:10], proofs[8:10]); ok || idx != 1 {
+		t.Fatalf("zero blind in a short batch: got (%d,%v), want (1,false)", idx, ok)
 	}
 }
 

@@ -10,15 +10,16 @@ import (
 	"repro/internal/parallel"
 )
 
-// This file implements the zero-knowledge arguments PSC needs from its
-// computation parties that are per-element sigma protocols —
-// Chaum–Pedersen proofs that a decryption share (or an exponent
-// blinding) used the claimed secret, and the OR-proof that a noise
-// ciphertext encrypts a bit — made non-interactive with the
-// Fiat–Shamir transform over SHA-256 transcripts, plus the shuffle
-// primitive itself (Shuffle and its witness). The argument that an
-// output block is a permuted re-randomization of an input block lives
-// in blockshuffle.go.
+// This file implements the sigma protocols PSC needs from its
+// computation parties — the Chaum–Pedersen proof that an exponent
+// blinding used one secret on both ciphertext halves, the OR-proof that
+// a noise ciphertext encrypts a bit (both per element), the one
+// Chaum–Pedersen proof that covers a whole chunk of decryption shares,
+// and the Schnorr proof that a party knows its key — made
+// non-interactive with the Fiat–Shamir transform over SHA-256
+// transcripts, plus the shuffle primitive itself (Shuffle and its
+// witness). The argument that an output block is a permuted
+// re-randomization of an input block lives in blockshuffle.go.
 
 // hashToScalar derives a challenge scalar from a domain tag and a
 // transcript of encoded group elements.
@@ -39,9 +40,10 @@ func hashToScalar(domain string, parts ...[]byte) *big.Int {
 
 // EqualityProof is a Chaum–Pedersen NIZK that two points share a
 // discrete logarithm over two bases: log_{B1}(P1) = log_{B2}(P2). PSC
-// uses it twice — to prove decryption shares correct (B1=G, P1=pk,
-// B2=C1, P2=share) and to prove exponent blinding correct (B1=C1,
-// P1=C1', B2=C2, P2=C2').
+// uses it three ways — one per chunk of decryption shares (B1=G, P1=pk,
+// B2 and P2 the chunk's folded C1s and shares, see BatchProveShares),
+// one per exponent-blinded element (B1=C1, P1=C1', B2=C2, P2=C2'), and
+// once per key as a proof of possession (both bases G).
 type EqualityProof struct {
 	Commit1, Commit2 Point    // t·B1 and t·B2
 	Response         *big.Int // t + c·x mod order
@@ -79,19 +81,132 @@ func VerifyDLEQ(domain string, b1, p1, b2, p2 Point, pr EqualityProof) bool {
 	return b2.Mul(pr.Response).Equal(pr.Commit2.Add(p2.Mul(ch)))
 }
 
-const shareDomain = "psc/chaum-pedersen/share"
+// One proof per share chunk.
+//
+// A CP raises every C1ᵢ of a chunk to the same key x, so the n
+// statements shareᵢ = x·C1ᵢ fold into one. Both sides derive 128-bit
+// coefficients λᵢ from a hash of the CP key and every C1ᵢ and shareᵢ of
+// the chunk in order, form
+//
+//	A = Σ λᵢ·C1ᵢ        B = Σ λᵢ·shareᵢ
+//
+// and the CP proves the single statement DLEQ(G, pk; A, B). The prover
+// gets B as x·A; the verifier folds the shares it was sent.
+//
+// Soundness (random-oracle model, prime-order group). Write
+// Dᵢ = shareᵢ − x·C1ᵢ, so B − x·A = Σ λᵢ·Dᵢ. If some Dⱼ ≠ O then, with
+// every other coefficient fixed, exactly one residue of λⱼ mod the
+// group order makes the sum vanish, and λⱼ is a fresh 128-bit oracle
+// output: Pr[B = x·A] ≤ 2⁻¹²⁸. The coefficients exist only once every
+// ciphertext and share of the chunk has been hashed, so a prover cannot
+// choose a share after seeing them; it can only re-draw the whole chunk,
+// one oracle query and one 2⁻¹²⁸ chance each. When B ≠ x·A the DLEQ
+// statement is false and the Chaum–Pedersen proof below is sound on its
+// own. The chunk and the key are bound twice over — into the λᵢ and,
+// through A and B, into the proof's challenge — so a proof replayed
+// onto a permuted or different chunk, or under another key, faces fresh
+// coefficients and a fresh challenge. Identities need no special case:
+// an identity C1ᵢ adds nothing to A, and its share must then add
+// nothing to B, which is the honest share O; if A itself is the
+// identity the proof's second equation forces B = O.
+//
+// What a rejection says: some share of the chunk is wrong, or the proof
+// is. It cannot say which share — the fold is the point — so the TS
+// attributes a failure to the CP and the chunk, never to an element.
 
-// ProveShare proves that share = x·c.C1 for the key's secret x.
-func (k *PrivateKey) ProveShare(c Ciphertext, share DecryptionShare) EqualityProof {
-	return ProveDLEQ(shareDomain, Generator(), k.PK, c.C1, share.Share, k.X)
+const shareDomain = "psc/chaum-pedersen/share-chunk"
+
+// shareCoefficients derives the chunk's folding coefficients: one
+// SHA-256 over the packed chunk for a seed, then λᵢ = the first 128
+// bits of SHA-256(seed, i). Every point must already be valid.
+func shareCoefficients(pk Point, cs []Ciphertext, shares []DecryptionShare) []*big.Int {
+	h := sha256.New()
+	h.Write([]byte(shareDomain))
+	buf := binary.LittleEndian.AppendUint64(pk.AppendBytes(make([]byte, 0, 2*pointLen)), uint64(len(cs)))
+	h.Write(buf)
+	for i := range cs {
+		buf = shares[i].Share.AppendBytes(cs[i].C1.AppendBytes(buf[:0]))
+		h.Write(buf)
+	}
+	var seed [sha256.Size + 8]byte
+	h.Sum(seed[:0])
+	out := make([]*big.Int, len(cs))
+	for i := range out {
+		binary.LittleEndian.PutUint64(seed[sha256.Size:], uint64(i))
+		d := sha256.Sum256(seed[:])
+		out[i] = new(big.Int).SetBytes(d[:batchLambdaBits/8])
+	}
+	return out
 }
 
-// VerifyShare checks a share proof against the prover's public key.
-func VerifyShare(pk Point, c Ciphertext, share DecryptionShare, pr EqualityProof) bool {
-	if !c.IsValid() {
-		return false
+// foldPoints returns Σ λᵢ·point(i): one multi-scalar multiplication
+// whose scalars are half width, so half its windows are empty and
+// skipped.
+func foldPoints(lambdas []*big.Int, point func(i int) Point) (Point, bool) {
+	terms := make([]msmTerm, len(lambdas))
+	for i, l := range lambdas {
+		terms[i] = msmTerm{scalar: l, point: point(i)}
 	}
-	return VerifyDLEQ(shareDomain, Generator(), pk, c.C1, share.Share, pr)
+	var sum jacPoint
+	if !multiScalarMul(&sum, terms) {
+		return Point{}, false
+	}
+	return sum.toPoint(), true
+}
+
+// BatchProveShares proves every share of a chunk correct — shares[i] =
+// x·cs[i].C1 for the key's secret x — with one proof (see above). The
+// ciphertexts must be valid group elements, as anything ParseCiphertext
+// returned is.
+func (k *PrivateKey) BatchProveShares(cs []Ciphertext, shares []DecryptionShare) EqualityProof {
+	if len(cs) != len(shares) {
+		panic("elgamal: BatchProveShares length mismatch")
+	}
+	a, ok := foldPoints(shareCoefficients(k.PK, cs, shares), func(i int) Point { return cs[i].C1 })
+	if !ok {
+		panic("elgamal: BatchProveShares on an off-curve ciphertext")
+	}
+	return ProveDLEQ(shareDomain, Generator(), k.PK, a, a.Mul(k.X), k.X)
+}
+
+// VerifySharesBatch checks a CP's proof for one chunk of decryption
+// shares against its public key. It returns (-1, true) on acceptance.
+// On rejection the index is that of the first malformed input — a
+// ciphertext or share that is not a group element — or -1 when every
+// input is well formed and the proof does not hold, or the lengths
+// differ: a failed fold names no element.
+func VerifySharesBatch(pk Point, cs []Ciphertext, shares []DecryptionShare, proof EqualityProof) (int, bool) {
+	if len(cs) != len(shares) || !pk.IsValid() {
+		return -1, false
+	}
+	for i := range cs {
+		if !cs[i].IsValid() || !shares[i].Share.IsValid() {
+			return i, false
+		}
+	}
+	lambdas := shareCoefficients(pk, cs, shares)
+	a, okA := foldPoints(lambdas, func(i int) Point { return cs[i].C1 })
+	b, okB := foldPoints(lambdas, func(i int) Point { return shares[i].Share })
+	return -1, okA && okB && VerifyDLEQ(shareDomain, Generator(), pk, a, b, proof)
+}
+
+const possessionDomain = "psc/schnorr/key-possession"
+
+// ProvePossession proves knowledge of the key's secret: a Schnorr proof
+// in Chaum–Pedersen clothing, both bases G. Without it a party could
+// register a key computed from the others' (pk₃ = x·G − pk₁ − pk₂ makes
+// the joint key x·G, its own to decrypt under; x = 0 makes every
+// ciphertext a plaintext).
+func (k *PrivateKey) ProvePossession() EqualityProof {
+	g := Generator()
+	return ProveDLEQ(possessionDomain, g, k.PK, g, k.PK, k.X)
+}
+
+// VerifyPossession checks a proof of possession for pk. The identity is
+// refused outright: its logarithm is known to everyone.
+func VerifyPossession(pk Point, pr EqualityProof) bool {
+	g := Generator()
+	return !pk.IsIdentity() && VerifyDLEQ(possessionDomain, g, pk, g, pk, pr)
 }
 
 const blindDomain = "psc/chaum-pedersen/blind"
@@ -102,8 +217,14 @@ func ProveBlind(in, out Ciphertext, s *big.Int) EqualityProof {
 	return ProveDLEQ(blindDomain, in.C1, out.C1, in.C2, out.C2, s)
 }
 
-// VerifyBlind checks an exponent-blinding proof.
+// VerifyBlind checks an exponent-blinding proof. A blinded C1 at the
+// identity is refused whatever the proof says: in a prime-order group it
+// means s ≡ 0, a perfectly provable "blinding" that turns the element
+// into an encryption of nothing and erases it from the count.
 func VerifyBlind(in, out Ciphertext, pr EqualityProof) bool {
+	if out.C1.IsIdentity() {
+		return false
+	}
 	return VerifyDLEQ(blindDomain, in.C1, out.C1, in.C2, out.C2, pr)
 }
 
@@ -277,18 +398,6 @@ func isPerm(p []int) bool {
 		seen[v] = true
 	}
 	return true
-}
-
-// BatchProveShares produces the share-correctness proofs for a whole
-// batch across the worker pool.
-func (k *PrivateKey) BatchProveShares(cs []Ciphertext, shares []DecryptionShare) []EqualityProof {
-	out := make([]EqualityProof, len(cs))
-	parallel.For(len(cs), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = k.ProveShare(cs[i], shares[i])
-		}
-	})
-	return out
 }
 
 // BatchProveBlinds produces the exponent-blinding proofs for a whole

@@ -115,3 +115,63 @@ func BenchmarkVerifyBit(b *testing.B) {
 		}
 	}
 }
+
+// TestFixedWidthProofCodec: both proof types round-trip at their fixed
+// width — an identity commitment included — and the parsers refuse any
+// other length, an off-curve commitment and a padded identity.
+func TestFixedWidthProofCodec(t *testing.T) {
+	k := GenerateKey()
+	c := EncryptBit(k.PK, true)
+	s := RandomScalar()
+	eq := ProveBlind(c, c.ExpBlindWith(s), s)
+	// A proof over an identity base commits to the identity.
+	idBase := ProveDLEQ("test", Generator(), k.PK, Identity(), Identity(), k.X)
+	for _, pr := range []EqualityProof{eq, idBase} {
+		b := pr.AppendTo(nil)
+		if len(b) != EqualityProofLen {
+			t.Fatalf("equality proof encodes to %d bytes, want %d", len(b), EqualityProofLen)
+		}
+		back, err := ParseEqualityProof(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !back.Commit1.Equal(pr.Commit1) || !back.Commit2.Equal(pr.Commit2) || back.Response.Cmp(pr.Response) != 0 {
+			t.Fatal("equality proof round trip")
+		}
+	}
+	if !VerifyDLEQ("test", Generator(), k.PK, Identity(), Identity(), idBase) {
+		t.Fatal("identity-base proof rejected")
+	}
+
+	r := RandomScalar()
+	bitCt := EncryptWith(k.PK, Generator(), r)
+	bit := ProveBit(k.PK, bitCt, true, r)
+	bb := bit.AppendTo(nil)
+	if len(bb) != BitProofLen {
+		t.Fatalf("bit proof encodes to %d bytes, want %d", len(bb), BitProofLen)
+	}
+	backBit, err := ParseBitProof(bb)
+	if err != nil || !VerifyBit(k.PK, bitCt, backBit) {
+		t.Fatalf("bit proof round trip: err %v", err)
+	}
+
+	good := eq.AppendTo(nil)
+	for name, bad := range map[string][]byte{
+		"empty":           nil,
+		"short":           good[:EqualityProofLen-1],
+		"long":            append(append([]byte(nil), good...), 0),
+		"off-curve":       append([]byte{4, 1}, good[2:]...),
+		"bad tag":         append([]byte{2}, good[1:]...),
+		"padded identity": append([]byte{0}, good[1:]...),
+	} {
+		if _, err := ParseEqualityProof(bad); err == nil {
+			t.Errorf("%s equality proof accepted", name)
+		}
+	}
+	if _, err := ParseBitProof(bb[:BitProofLen-1]); err == nil {
+		t.Error("short bit proof accepted")
+	}
+	if _, err := ParseBitProof(append([]byte{4, 1}, bb[2:]...)); err == nil {
+		t.Error("bit proof with an off-curve commitment accepted")
+	}
+}

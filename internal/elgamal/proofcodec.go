@@ -1,0 +1,115 @@
+package elgamal
+
+import (
+	"errors"
+	"fmt"
+	"math/big"
+)
+
+// Fixed-width proof encoding. A proof on the wire is its points at 65
+// bytes each and its scalars at 32, in declaration order, so a frame of
+// n proofs is n·width bytes and is sliced, not scanned. Point.Bytes
+// gives the identity one byte; here it takes the same 65 as any other
+// point (all zero), which only a degenerate statement ever needs.
+
+const scalarLen = 32
+
+// Encoded proof sizes.
+const (
+	EqualityProofLen = 2*pointLen + scalarLen
+	BitProofLen      = 4*pointLen + 4*scalarLen
+)
+
+func appendFixedPoint(dst []byte, p Point) []byte {
+	if p.IsIdentity() {
+		return append(dst, make([]byte, pointLen)...)
+	}
+	return p.AppendBytes(dst)
+}
+
+// parseFixedPoint decodes the pointLen bytes at the head of b.
+func parseFixedPoint(b []byte) (Point, error) {
+	if b[0] != 0 {
+		p, _, err := ParsePoint(b[:pointLen])
+		return p, err
+	}
+	for _, v := range b[1:pointLen] {
+		if v != 0 {
+			return Point{}, errors.New("elgamal: identity encoding with non-zero padding")
+		}
+	}
+	return Identity(), nil
+}
+
+// appendScalar appends k, which must be below 2²⁵⁶ as every reduced
+// scalar is, as 32 big-endian bytes.
+func appendScalar(dst []byte, k *big.Int) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, scalarLen)...)
+	k.FillBytes(dst[n:])
+	return dst
+}
+
+// proofReader walks one fixed-width proof whose length the caller has
+// checked; the first bad point latches.
+type proofReader struct {
+	b   []byte
+	err error
+}
+
+func (r *proofReader) point() Point {
+	p, err := parseFixedPoint(r.b)
+	if r.err == nil {
+		r.err = err
+	}
+	r.b = r.b[pointLen:]
+	return p
+}
+
+func (r *proofReader) scalar() *big.Int {
+	k := new(big.Int).SetBytes(r.b[:scalarLen])
+	r.b = r.b[scalarLen:]
+	return k
+}
+
+// AppendTo appends the proof's EqualityProofLen-byte encoding to dst.
+func (p EqualityProof) AppendTo(dst []byte) []byte {
+	return appendScalar(appendFixedPoint(appendFixedPoint(dst, p.Commit1), p.Commit2), p.Response)
+}
+
+// ParseEqualityProof decodes exactly EqualityProofLen bytes, validating
+// curve membership of both commitments. The response is taken as sent;
+// verification reduces it.
+func ParseEqualityProof(b []byte) (EqualityProof, error) {
+	if len(b) != EqualityProofLen {
+		return EqualityProof{}, fmt.Errorf("elgamal: equality proof of %d bytes, want %d", len(b), EqualityProofLen)
+	}
+	r := proofReader{b: b}
+	p := EqualityProof{Commit1: r.point(), Commit2: r.point(), Response: r.scalar()}
+	return p, r.err
+}
+
+// AppendTo appends the proof's BitProofLen-byte encoding to dst.
+func (p BitProof) AppendTo(dst []byte) []byte {
+	for _, pt := range []Point{p.Commit0G, p.Commit0P, p.Commit1G, p.Commit1P} {
+		dst = appendFixedPoint(dst, pt)
+	}
+	for _, k := range []*big.Int{p.Chal0, p.Chal1, p.Resp0, p.Resp1} {
+		dst = appendScalar(dst, k)
+	}
+	return dst
+}
+
+// ParseBitProof decodes exactly BitProofLen bytes, validating curve
+// membership of the four commitments.
+func ParseBitProof(b []byte) (BitProof, error) {
+	if len(b) != BitProofLen {
+		return BitProof{}, fmt.Errorf("elgamal: bit proof of %d bytes, want %d", len(b), BitProofLen)
+	}
+	r := proofReader{b: b}
+	p := BitProof{
+		Commit0G: r.point(), Commit0P: r.point(), Commit1G: r.point(), Commit1P: r.point(),
+		Chal0: r.scalar(), Chal1: r.scalar(), Resp0: r.scalar(), Resp1: r.scalar(),
+	}
+	return p, r.err
+}

@@ -1,19 +1,22 @@
 package elgamal
 
-// Batched proof verification. The tally server verifies thousands of
-// Chaum–Pedersen equations per PSC round; checking each with two full
-// scalar multiplications is the single largest cost of a verified
-// round. Instead, the verifier draws an independent random 128-bit
-// coefficient per equation and checks one random linear combination
+// Batched verification of the per-element proofs. The tally server
+// verifies thousands of blinding and noise-bit equations per PSC round;
+// checking each with two full scalar multiplications would be the
+// single largest cost of a verified round. Instead, the verifier draws
+// an independent random 128-bit coefficient per equation and checks one
+// random linear combination
 //
 //	Σ λₑ·(respₑ·Bₑ − chₑ·Pₑ − Tₑ) == O
 //
 // with a shared-doubling multi-scalar multiplication (multiexp.go).
 // If every equation holds the combination is the identity; if any
 // fails, a random combination vanishes with probability ≤ 2⁻¹²⁸
-// (standard small-exponent batch verification). Equations over the
-// fixed bases G and pk collapse into a single accumulated coefficient
-// each, so they cost one table multiplication per *batch*.
+// (standard small-exponent batch verification). The bit proofs'
+// equations over the fixed bases G and pk collapse into a single
+// accumulated coefficient each, so they cost one table multiplication
+// per *batch*. (Decryption shares need none of this: a chunk of them
+// carries one proof, see BatchProveShares.)
 //
 // A batch rejection falls back to exact per-element verification to
 // locate the offending element, so callers keep byte-identical error
@@ -99,8 +102,6 @@ func (a *eqAccum) check() bool {
 }
 
 // dleqFold folds one Chaum–Pedersen equation pair into the accumulator.
-// Share proofs hit the B1 = G, P1 = pk special case, where both
-// fixed-base terms fold into the shared coefficients.
 func dleqFold(a *eqAccum, domain string, b1, p1, b2, p2 Point, pr EqualityProof) bool {
 	if pr.Response == nil || pr.Commit1.X == nil || pr.Commit2.X == nil {
 		return false
@@ -114,16 +115,8 @@ func dleqFold(a *eqAccum, domain string, b1, p1, b2, p2 Point, pr EqualityProof)
 	l := a.lambda()
 	lr := new(big.Int).Mul(l, resp)
 	lc := new(big.Int).Mul(l, ch)
-	if b1.isGenerator() {
-		a.addG(lr)
-	} else {
-		a.add(lr, b1)
-	}
-	if p1.Equal(a.pk) {
-		a.addPK(lc.Neg(lc))
-	} else {
-		a.sub(lc, p1)
-	}
+	a.add(lr, b1)
+	a.sub(lc, p1)
 	a.sub(l, pr.Commit1)
 
 	// Equation 2: resp·B2 − ch·P2 − T2 = O
@@ -136,42 +129,11 @@ func dleqFold(a *eqAccum, domain string, b1, p1, b2, p2 Point, pr EqualityProof)
 	return true
 }
 
-// VerifySharesBatch verifies a CP's decryption shares for a whole batch
-// in one randomized check. It returns (-1, true) on acceptance; on
-// rejection it re-verifies element by element and returns the index of
-// the first failing share.
-func VerifySharesBatch(pk Point, cs []Ciphertext, shares []DecryptionShare, proofs []EqualityProof) (int, bool) {
-	if len(cs) != len(shares) || len(cs) != len(proofs) {
-		return 0, false
-	}
-	scan := func() (int, bool) {
-		return scanVerify(len(cs), func(i int) bool {
-			return VerifyShare(pk, cs[i], shares[i], proofs[i])
-		})
-	}
-	if len(cs) < batchVerifyMin {
-		return scan()
-	}
-	acc := newEqAccum(pk, 4*len(cs))
-	ok := true
-	for i := range cs {
-		if !cs[i].IsValid() {
-			return i, false
-		}
-		if !dleqFold(acc, shareDomain, Generator(), pk, cs[i].C1, shares[i].Share, proofs[i]) {
-			ok = false
-			break
-		}
-	}
-	if ok && acc.check() {
-		return -1, true
-	}
-	return scan()
-}
-
 // VerifyBlindsBatch verifies a CP's exponent-blinding proofs for a
-// whole batch in one randomized check, with the same contract as
-// VerifySharesBatch.
+// whole batch in one randomized check. It returns (-1, true) on
+// acceptance; on rejection it re-verifies element by element and
+// returns the index of the first failing one. A blinded C1 at the
+// identity fails like a bad proof (see VerifyBlind).
 func VerifyBlindsBatch(ins, outs []Ciphertext, proofs []EqualityProof) (int, bool) {
 	if len(ins) != len(outs) || len(ins) != len(proofs) {
 		return 0, false
@@ -187,7 +149,7 @@ func VerifyBlindsBatch(ins, outs []Ciphertext, proofs []EqualityProof) (int, boo
 	acc := newEqAccum(Identity(), 6*len(ins))
 	ok := true
 	for i := range ins {
-		if !dleqFold(acc, blindDomain, ins[i].C1, outs[i].C1, ins[i].C2, outs[i].C2, proofs[i]) {
+		if outs[i].C1.IsIdentity() || !dleqFold(acc, blindDomain, ins[i].C1, outs[i].C1, ins[i].C2, outs[i].C2, proofs[i]) {
 			ok = false
 			break
 		}
@@ -200,7 +162,7 @@ func VerifyBlindsBatch(ins, outs []Ciphertext, proofs []EqualityProof) (int, boo
 
 // VerifyBitsBatch verifies the CDS bit proofs for a batch of noise
 // ciphertexts in one randomized check, with the same contract as
-// VerifySharesBatch. The challenge-splitting constraint
+// VerifyBlindsBatch. The challenge-splitting constraint
 // (c0 + c1 == H(transcript)) is exact per element; only the four group
 // equations per proof are folded into the combination.
 func VerifyBitsBatch(pk Point, cs []Ciphertext, proofs []BitProof) (int, bool) {

@@ -85,7 +85,12 @@ func recvVectorFunc(m wire.Messenger, n int, fn func(off int, cts []elgamal.Ciph
 }
 
 // decodeVector parses exactly n ciphertexts and validates every point.
+// n is compared with the bytes that must back it (two at the least per
+// ciphertext) before it sizes anything.
 func decodeVector(b []byte, n int) ([]elgamal.Ciphertext, error) {
+	if n < 0 || n > len(b)/2 {
+		return nil, fmt.Errorf("psc: %d ciphertexts announced in %d bytes", n, len(b))
+	}
 	out := make([]elgamal.Ciphertext, 0, n)
 	for i := 0; i < n; i++ {
 		c, used, err := elgamal.ParseCiphertext(b)
@@ -101,68 +106,57 @@ func decodeVector(b []byte, n int) ([]elgamal.Ciphertext, error) {
 	return out, nil
 }
 
-// wireEquality is the gob-friendly form of an elgamal.EqualityProof.
-type wireEquality struct {
-	C1, C2   []byte
-	Response []byte
+// packProofs encodes proofs back to back at their fixed width.
+func packProofs[P interface{ AppendTo([]byte) []byte }](proofs []P, width int) []byte {
+	out := make([]byte, 0, len(proofs)*width)
+	for _, p := range proofs {
+		out = p.AppendTo(out)
+	}
+	return out
 }
 
-func packEquality(p elgamal.EqualityProof) wireEquality {
-	return wireEquality{C1: p.Commit1.Bytes(), C2: p.Commit2.Bytes(), Response: p.Response.Bytes()}
-}
-
-func unpackEquality(w wireEquality) (elgamal.EqualityProof, error) {
-	c1, _, err := elgamal.ParsePoint(w.C1)
+// decodeProved parses exactly n ciphertexts and their n fixed-width
+// proofs — the body of a noise or blind chunk. The proof bytes are
+// checked against n, by division, before n sizes anything. Like the
+// parse* functions it takes nothing in the frame on trust: malformed
+// frames error, they never panic.
+func decodeProved[P any](data, proofs []byte, n, width int, parse func([]byte) (P, error)) ([]elgamal.Ciphertext, []P, error) {
+	if n < 0 || len(proofs)%width != 0 || len(proofs)/width != n {
+		return nil, nil, fmt.Errorf("psc: %d proof bytes for %d elements, want %d each", len(proofs), n, width)
+	}
+	cts, err := decodeVector(data, n)
 	if err != nil {
-		return elgamal.EqualityProof{}, err
+		return nil, nil, err
 	}
-	c2, _, err := elgamal.ParsePoint(w.C2)
-	if err != nil {
-		return elgamal.EqualityProof{}, err
+	out := make([]P, n)
+	for i := range out {
+		if out[i], err = parse(proofs[i*width : (i+1)*width]); err != nil {
+			return nil, nil, fmt.Errorf("psc: proof %d: %w", i, err)
+		}
 	}
-	return elgamal.EqualityProof{
-		Commit1:  c1,
-		Commit2:  c2,
-		Response: new(big.Int).SetBytes(w.Response),
-	}, nil
+	return cts, out, nil
 }
 
-// wireBitProof is the gob-friendly form of an elgamal.BitProof.
-type wireBitProof struct {
-	C0G, C0P, C1G, C1P []byte
-	Chal0, Chal1       []byte
-	Resp0, Resp1       []byte
-}
-
-func packBitProof(p elgamal.BitProof) wireBitProof {
-	return wireBitProof{
-		C0G: p.Commit0G.Bytes(), C0P: p.Commit0P.Bytes(),
-		C1G: p.Commit1G.Bytes(), C1P: p.Commit1P.Bytes(),
-		Chal0: p.Chal0.Bytes(), Chal1: p.Chal1.Bytes(),
-		Resp0: p.Resp0.Bytes(), Resp1: p.Resp1.Bytes(),
+// parseShareChunk decodes a share chunk's Count shares and its one
+// proof.
+func parseShareChunk(m ShareChunkMsg) ([]elgamal.DecryptionShare, elgamal.EqualityProof, error) {
+	if m.Count < 0 || m.Count > len(m.Shares) {
+		return nil, elgamal.EqualityProof{}, fmt.Errorf("psc: %d shares announced in %d bytes", m.Count, len(m.Shares))
 	}
-}
-
-func unpackBitProof(w wireBitProof) (elgamal.BitProof, error) {
-	var p elgamal.BitProof
-	var err error
-	if p.Commit0G, _, err = elgamal.ParsePoint(w.C0G); err != nil {
-		return p, err
+	shares := make([]elgamal.DecryptionShare, m.Count)
+	b := m.Shares
+	for i := range shares {
+		pt, used, err := elgamal.ParsePoint(b)
+		if err != nil {
+			return nil, elgamal.EqualityProof{}, fmt.Errorf("psc: share %d: %w", i, err)
+		}
+		shares[i].Share, b = pt, b[used:]
 	}
-	if p.Commit0P, _, err = elgamal.ParsePoint(w.C0P); err != nil {
-		return p, err
+	if len(b) != 0 {
+		return nil, elgamal.EqualityProof{}, fmt.Errorf("psc: %d trailing bytes after shares", len(b))
 	}
-	if p.Commit1G, _, err = elgamal.ParsePoint(w.C1G); err != nil {
-		return p, err
-	}
-	if p.Commit1P, _, err = elgamal.ParsePoint(w.C1P); err != nil {
-		return p, err
-	}
-	p.Chal0 = new(big.Int).SetBytes(w.Chal0)
-	p.Chal1 = new(big.Int).SetBytes(w.Chal1)
-	p.Resp0 = new(big.Int).SetBytes(w.Resp0)
-	p.Resp1 = new(big.Int).SetBytes(w.Resp1)
-	return p, nil
+	proof, err := elgamal.ParseEqualityProof(m.Proof)
+	return shares, proof, err
 }
 
 // Fixed-width opening encoding: a permutation index is a little-endian

@@ -19,9 +19,10 @@ import (
 type CP struct {
 	Name string
 
-	m     wire.Messenger
-	key   *elgamal.PrivateKey
-	noise *dp.NoiseSource
+	m        wire.Messenger
+	key      *elgamal.PrivateKey
+	keyProof []byte // proof of possession of key, sent with every registration
+	noise    *dp.NoiseSource
 }
 
 // NewCP creates a computation party with a fresh ElGamal key share. A
@@ -31,24 +32,19 @@ type CP struct {
 // given. The messenger may be nil when the CP serves rounds on explicit
 // streams via ServeRound.
 func NewCP(name string, m wire.Messenger, noise *dp.NoiseSource) *CP {
-	return &CP{Name: name, m: m, key: elgamal.GenerateKey(), noise: noise}
+	key := elgamal.GenerateKey()
+	return &CP{Name: name, m: m, key: key, keyProof: key.ProvePossession().AppendTo(nil), noise: noise}
 }
 
 // Serve runs one round on the CP's bound messenger.
 func (cp *CP) Serve() error { return cp.ServeRound(cp.m) }
-
-// roundNoise is the precomputed noise contribution for one round.
-type roundNoise struct {
-	cts    []elgamal.Ciphertext
-	proofs []elgamal.BitProof
-}
 
 // ServeRound runs the CP's side of one round over m: register, mix once
 // when asked, then produce decryption shares chunk by chunk. All round
 // state is local, so one CP serves many rounds concurrently.
 func (cp *CP) ServeRound(m wire.Messenger) error {
 	if err := m.Send(kindRegister, RegisterMsg{
-		Role: RoleCP, Name: cp.Name, PubKey: cp.key.PK.Bytes(),
+		Role: RoleCP, Name: cp.Name, PubKey: cp.key.PK.Bytes(), KeyProof: cp.keyProof,
 	}); err != nil {
 		return fmt.Errorf("psc cp %s: register: %w", cp.Name, err)
 	}
@@ -89,35 +85,26 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 	g := newGrid(total, blockOf(cfg.ShuffleBlockElems))
 	passes := g.passes(passesOf(cfg.ShufflePasses))
 
-	// The noise contribution is independent of the input, so encrypt it
-	// and build its bit proofs while input chunks are still arriving.
-	noiseCh := make(chan roundNoise, 1)
-	go func() {
-		noise := cp.noise
-		if noise == nil {
-			noise = dp.NewNoiseSource(nil)
-		}
-		bits := make([]bool, cfg.NoisePerCP)
-		for i := range bits {
-			bits[i] = noise.Binomial(1) == 1
-		}
-		cts, rands := elgamal.BatchEncryptBits(joint, bits)
-		noiseCh <- roundNoise{cts: cts, proofs: elgamal.BatchProveBits(joint, cts, bits, rands)}
-	}()
-
-	// Stage 1: announce the mixed length and ship the fair-coin noise.
-	// The TS reconstructs the combined vector itself, so only the
-	// appended elements travel; they form the tail of the shuffle input.
-	noise := <-noiseCh
+	// Stage 1: announce the mixed length and ship the fair-coin noise
+	// with its bit proofs. The TS reconstructs the combined vector itself,
+	// so only the appended elements travel; they form the tail of the
+	// shuffle input.
+	src := cp.noise
+	if src == nil {
+		src = dp.NewNoiseSource(nil)
+	}
+	bits := make([]bool, cfg.NoisePerCP)
+	for i := range bits {
+		bits[i] = src.Binomial(1) == 1
+	}
+	noise, rands := elgamal.BatchEncryptBits(joint, bits)
+	proofs := elgamal.BatchProveBits(joint, noise, bits, rands)
 	if err := m.Send(kindMixed, VectorHeader{From: cp.Name, Round: cfg.Round, N: total}); err != nil {
 		return err
 	}
-	err := forEachChunk(len(noise.cts), chunk, func(off, end int) error {
-		nc := NoiseChunkMsg{Off: off, Count: end - off, Data: encodeVector(noise.cts[off:end]), Proofs: make([]wireBitProof, end-off)}
-		for i, pr := range noise.proofs[off:end] {
-			nc.Proofs[i] = packBitProof(pr)
-		}
-		return m.Send(kindNoise, nc)
+	err := forEachChunk(len(noise), chunk, func(off, end int) error {
+		return m.Send(kindNoise, NoiseChunkMsg{Off: off, Count: end - off,
+			Data: encodeVector(noise[off:end]), Proofs: packProofs(proofs[off:end], elgamal.BitProofLen)})
 	})
 	if err != nil {
 		return err
@@ -146,7 +133,7 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 
 	// Pass 1 streams directly off the arriving input: noise tail
 	// appended after the TS-fed prefix, blocks emitted as they fill.
-	if err := st.runPassOne(hdr.N, noise.cts); err != nil {
+	if err := st.runPassOne(hdr.N, noise); err != nil {
 		return err
 	}
 	// Later passes re-stream the spilled intermediate in the new pass's
@@ -181,7 +168,7 @@ func (st *cpShuffleState) runPassOne(nIn int, noise []elgamal.Ciphertext) error 
 	block := make([]elgamal.Ciphertext, 0, st.g.block)
 	bIdx := 0
 	emit := func() error {
-		if err := st.emitBlock(1, bIdx, block); err != nil {
+		if err := st.emitBlockTo(1, bIdx, block, st.inter); err != nil {
 			return err
 		}
 		bIdx++
@@ -255,12 +242,8 @@ func (st *cpShuffleState) runPass(p int) error {
 	return nil
 }
 
-// emitBlock shuffles, proves, and sends one block, then either blinds
-// it (final pass) or spills it for the next pass.
-func (st *cpShuffleState) emitBlock(p, b int, in []elgamal.Ciphertext) error {
-	return st.emitBlockTo(p, b, in, st.inter)
-}
-
+// emitBlockTo shuffles, proves, and sends one block, then either blinds
+// it (final pass) or spills it to dst for the next pass.
 func (st *cpShuffleState) emitBlockTo(p, b int, in []elgamal.Ciphertext, dst *ctSpill) error {
 	out, witness := elgamal.Shuffle(st.joint, in)
 	proof, err := elgamal.ProveShuffleBlock(st.tr, p, b, st.joint, in, out, witness, st.rounds)
@@ -282,15 +265,14 @@ func (st *cpShuffleState) emitBlockTo(p, b int, in []elgamal.Ciphertext, dst *ct
 // block.
 func (st *cpShuffleState) blindBlock(p, b int, out []elgamal.Ciphertext) error {
 	blinded, blindScalars := elgamal.BatchExpBlind(out)
-	bc := BlindChunkMsg{Off: st.g.outStart(p, b), Count: len(blinded), Data: encodeVector(blinded), Proofs: make([]wireEquality, len(blinded))}
-	for i, pr := range elgamal.BatchProveBlinds(out, blinded, blindScalars) {
-		bc.Proofs[i] = packEquality(pr)
-	}
-	return st.m.Send(kindBlind, bc)
+	proofs := elgamal.BatchProveBlinds(out, blinded, blindScalars)
+	return st.m.Send(kindBlind, BlindChunkMsg{Off: st.g.outStart(p, b), Count: len(blinded),
+		Data: encodeVector(blinded), Proofs: packProofs(proofs, elgamal.EqualityProofLen)})
 }
 
-// decryptPhase answers the final batch chunk by chunk: only one chunk
-// of ciphertexts, shares, and proofs is ever resident.
+// decryptPhase answers the final batch chunk by chunk, each chunk's
+// shares under one proof: only one chunk of ciphertexts and shares is
+// ever resident.
 func (cp *CP) decryptPhase(m wire.Messenger, cfg ConfigureMsg) error {
 	var hdr VectorHeader
 	if err := m.Expect(kindDecrypt, &hdr); err != nil {
@@ -305,10 +287,7 @@ func (cp *CP) decryptPhase(m wire.Messenger, cfg ConfigureMsg) error {
 		for _, sh := range decShares {
 			shares = sh.Share.AppendBytes(shares)
 		}
-		proofs := make([]wireEquality, len(cts))
-		for i, pr := range cp.key.BatchProveShares(cts, decShares) {
-			proofs[i] = packEquality(pr)
-		}
-		return m.Send(kindShare, ShareChunkMsg{Off: off, Count: len(cts), Shares: shares, Proofs: proofs})
+		proof := cp.key.BatchProveShares(cts, decShares).AppendTo(nil)
+		return m.Send(kindShare, ShareChunkMsg{Off: off, Count: len(cts), Shares: shares, Proof: proof})
 	})
 }

@@ -29,21 +29,36 @@
 //     intermediate in the new block order; the TS checks the re-stream
 //     against the previous pass's per-block hashes (pass-continuity),
 //     so the claimed input can never diverge from the verified
-//     intermediate. Final-pass blocks are exponent-blinded
-//     (Chaum–Pedersen proofs, verified per block) and forwarded while
+//     intermediate. Final-pass blocks are exponent-blinded (one
+//     Chaum–Pedersen proof per element, verified per block; a blind
+//     of zero is refused whatever its proof says) and forwarded while
 //     later blocks are still in flight, so only empty-vs-non-empty
 //     survives, nobody can link bins, and no party ever holds more
 //     than O(block) ciphertexts.
 //  3. The CPs jointly decrypt, streamed: the TS re-streams the spilled
 //     final vector per chunk to every CP, verifies each share chunk's
-//     proofs on arrival, and recovers and counts plaintexts chunk by
+//     one proof on arrival, and recovers and counts plaintexts chunk by
 //     chunk (behind the barrier that all mix verification finished).
+//
+// # One proof per share chunk, one per blinded element
+//
+// A CP raises every element of a share chunk to the same key, so the
+// chunk carries a single Chaum–Pedersen proof over a hash-weighted fold
+// of its ciphertexts and shares (elgamal.BatchProveShares; soundness
+// 2⁻¹²⁸, argued in elgamal/proof.go). A rejection therefore tells the
+// TS which CP and which chunk, never which share. Blinding cannot be
+// folded the same way: the fold needs one secret across the chunk, and
+// a shared blind s would leave equal plaintexts equal (s·M = s·M'),
+// linkable after the shuffle — each element needs its own sᵢ and proof.
 //
 // The reported value is occupied-bins + Binomial(k·|CPs|, ½); the
 // estimator in internal/stats removes the noise mean and inverts hash
 // collisions to recover the distinct count with an exact CI (§3.3).
 // Privacy holds if at least one CP is honest; correctness is enforced
-// against all CPs by the attached proofs.
+// against all CPs by the attached proofs. A CP registers its key with a
+// proof that it knows the secret, and the TS refuses an identity key or
+// joint key: otherwise the last CP to register could pick the key that
+// cancels the others' and read every ciphertext.
 //
 // # Key types
 //
@@ -73,7 +88,7 @@
 //     Done, and Run returns the cause — the caller's, when the caller
 //     cancelled.
 //   - The tally's per-chunk verification and combination (noise bit
-//     proofs, blind DLEQs, share RLCs, homomorphic merges, recovery)
+//     proofs, blind DLEQs, share-chunk proofs, homomorphic merges, recovery)
 //     runs on bounded ordered worker pools (internal/parallel) sized
 //     from GOMAXPROCS; results apply in submission order, so wire
 //     order and the decrypt barrier are unchanged. Only the shuffle

@@ -31,11 +31,13 @@ const (
 	RoleCP = "cp"
 )
 
-// RegisterMsg announces a party. CPs include their ElGamal public key.
+// RegisterMsg announces a party. CPs include their ElGamal public key
+// and a proof that they know its secret.
 type RegisterMsg struct {
-	Role   string
-	Name   string
-	PubKey []byte // CP only: encoded group point
+	Role     string
+	Name     string
+	PubKey   []byte // CP only: encoded group point
+	KeyProof []byte // CP only: fixed-width proof of possession of PubKey
 }
 
 // ConfigureMsg distributes the round parameters. The hash key goes to
@@ -62,15 +64,15 @@ type VectorHeader struct {
 	N int
 }
 
-// The four messages below that hold nothing but integers and packed
-// bytes — ChunkMsg, BlockOutMsg, BlockShadowMsg, BlockFeedMsg — carry
-// most of a round's traffic and encode themselves (wire.WireAppender /
-// wire.WireParser): the struct's fields in declaration order, integers
-// as eight little-endian bytes, byte strings behind a uint32 length. A
-// received message's byte fields alias the frame it arrived in. The
-// codec checks framing only; what the fields must say is still decided
-// by recvVectorRawFunc and the parseBlock* functions. The proof-bearing
-// chunk messages hold slices of structs and stay gob.
+// The seven messages below — every one that carries a ciphertext, a
+// share or a proof — hold only integers and packed bytes and encode
+// themselves (wire.WireAppender / wire.WireParser): fields in
+// declaration order, integers as eight little-endian bytes, byte
+// strings behind a uint32 length, proofs packed at their fixed width
+// (elgamal.EqualityProofLen, BitProofLen). A received message's byte
+// fields alias its frame. The codec checks framing only; what the
+// fields must say is decided by recvVectorFunc, decodeProved and the
+// parse* functions in codec.go. gob is left with the control messages.
 
 // ChunkMsg carries Count packed ciphertexts at element offset Off of
 // the vector announced by the preceding header.
@@ -94,12 +96,36 @@ func (c *ChunkMsg) ParseWire(b []byte) error {
 	return p.Done()
 }
 
+// The three proof-bearing chunk messages share one layout.
+func appendProofChunk(b []byte, off, count int, data, proofs []byte) []byte {
+	b = wire.Grow(b, 2*wire.IntSize+wire.BytesSize(len(data))+wire.BytesSize(len(proofs)))
+	b = wire.AppendInt(b, off)
+	b = wire.AppendInt(b, count)
+	return wire.AppendBytes(wire.AppendBytes(b, data), proofs)
+}
+
+func parseProofChunk(b []byte, off, count *int, data, proofs *[]byte) error {
+	p := wire.NewParser(b)
+	*off, *count, *data, *proofs = p.Int(), p.Int(), p.Bytes(), p.Bytes()
+	return p.Done()
+}
+
 // NoiseChunkMsg carries a CP's appended noise ciphertexts (offsets are
 // relative to the noise section) with their bit proofs.
 type NoiseChunkMsg struct {
 	Off, Count int
-	Data       []byte
-	Proofs     []wireBitProof
+	Data       []byte // Count packed ciphertexts
+	Proofs     []byte // Count fixed-width bit proofs
+}
+
+// AppendWire implements wire.WireAppender.
+func (m NoiseChunkMsg) AppendWire(b []byte) []byte {
+	return appendProofChunk(b, m.Off, m.Count, m.Data, m.Proofs)
+}
+
+// ParseWire implements wire.WireParser.
+func (m *NoiseChunkMsg) ParseWire(b []byte) error {
+	return parseProofChunk(b, &m.Off, &m.Count, &m.Data, &m.Proofs)
 }
 
 // BlockOutMsg carries one shuffled block of the streaming verifiable
@@ -207,16 +233,36 @@ func (m *BlockFeedMsg) ParseWire(b []byte) error {
 // next arrives.
 type BlindChunkMsg struct {
 	Off, Count int
-	Data       []byte
-	Proofs     []wireEquality
+	Data       []byte // Count packed ciphertexts
+	Proofs     []byte // Count fixed-width equality proofs
+}
+
+// AppendWire implements wire.WireAppender.
+func (m BlindChunkMsg) AppendWire(b []byte) []byte {
+	return appendProofChunk(b, m.Off, m.Count, m.Data, m.Proofs)
+}
+
+// ParseWire implements wire.WireParser.
+func (m *BlindChunkMsg) ParseWire(b []byte) error {
+	return parseProofChunk(b, &m.Off, &m.Count, &m.Data, &m.Proofs)
 }
 
 // ShareChunkMsg carries a CP's decryption shares for one chunk of the
-// final batch, with correctness proofs.
+// final batch and the one equality proof that covers them all.
 type ShareChunkMsg struct {
 	Off, Count int
-	Shares     []byte // packed points
-	Proofs     []wireEquality
+	Shares     []byte // Count packed points
+	Proof      []byte // one fixed-width equality proof for the chunk
+}
+
+// AppendWire implements wire.WireAppender.
+func (m ShareChunkMsg) AppendWire(b []byte) []byte {
+	return appendProofChunk(b, m.Off, m.Count, m.Shares, m.Proof)
+}
+
+// ParseWire implements wire.WireParser.
+func (m *ShareChunkMsg) ParseWire(b []byte) error {
+	return parseProofChunk(b, &m.Off, &m.Count, &m.Shares, &m.Proof)
 }
 
 // Result is the TS's round outcome.

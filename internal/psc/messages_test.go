@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-// binaryMsg is one of the four self-encoding PSC messages under test.
+// binaryMsg is one of the seven self-encoding PSC messages under test.
 type binaryMsg struct {
 	name  string
 	msg   wire.WireAppender
@@ -27,7 +27,18 @@ func binaryMsgs() []binaryMsg {
 	data := bytes.Repeat([]byte{0xD1}, 130)
 	perm, rand := bytes.Repeat([]byte{0x02}, 4), bytes.Repeat([]byte{0x03}, 64)
 	c0, c1 := bytes.Repeat([]byte{0x0A}, 32), bytes.Repeat([]byte{0x0B}, 32)
+	eqProofs, bitProofs := bytes.Repeat([]byte{0x0E}, 2*elgamal.EqualityProofLen), bytes.Repeat([]byte{0x0F}, 2*elgamal.BitProofLen)
+	proofsAt := 2*wire.IntSize + wire.BytesSize(len(data))
 	return []binaryMsg{
+		{"NoiseChunkMsg", NoiseChunkMsg{Off: 16, Count: 2, Data: data, Proofs: bitProofs},
+			func() wire.WireParser { return new(NoiseChunkMsg) }, proofsAt, len(bitProofs),
+			func(p any) [][]byte { m := p.(*NoiseChunkMsg); return [][]byte{m.Data, m.Proofs} }},
+		{"BlindChunkMsg", BlindChunkMsg{Off: 1024, Count: 2, Data: data, Proofs: eqProofs},
+			func() wire.WireParser { return new(BlindChunkMsg) }, proofsAt, len(eqProofs),
+			func(p any) [][]byte { m := p.(*BlindChunkMsg); return [][]byte{m.Data, m.Proofs} }},
+		{"ShareChunkMsg", ShareChunkMsg{Off: 1024, Count: 2, Shares: data, Proof: eqProofs[:elgamal.EqualityProofLen]},
+			func() wire.WireParser { return new(ShareChunkMsg) }, proofsAt, elgamal.EqualityProofLen,
+			func(p any) [][]byte { m := p.(*ShareChunkMsg); return [][]byte{m.Shares, m.Proof} }},
 		{"ChunkMsg", ChunkMsg{Off: 1024, Count: 2, Data: data},
 			func() wire.WireParser { return new(ChunkMsg) }, 2 * wire.IntSize, len(data),
 			func(p any) [][]byte { return [][]byte{p.(*ChunkMsg).Data} }},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/big"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +13,8 @@ import (
 
 	"repro/internal/dp"
 	"repro/internal/elgamal"
+	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -253,17 +256,19 @@ func TestTallyRejectsWrongConnCount(t *testing.T) {
 	}
 }
 
-// tamperConn wraps a TS-side messenger and corrupts the Nth shuffled
-// block announcement arriving from the CP: one output ciphertext is
-// replaced with a fresh, perfectly valid encryption. The block's shadow
-// commitments and openings still describe the CP's honest output, so
-// this models a CP (or a relay between them) substituting a ciphertext
-// inside the streaming shuffle.
+// tamperConn wraps a TS-side messenger and rewrites one frame arriving
+// from the CP: the (skip+1)th of the given kind goes through alter. The
+// CP behind it is honest, so this models a CP (or a relay between the
+// two) that cheats in exactly one place.
 type tamperConn struct {
 	wire.Messenger
-	joint    elgamal.Point
-	skip     int // tamper the (skip+1)th block announcement
-	tampered bool
+	kind  string
+	skip  int
+	alter func(tc *tamperConn, payload []byte) (any, error)
+
+	joint     elgamal.Point
+	lastBlock []elgamal.Ciphertext // the most recent shuffled block: what the next blind frame blinds
+	tampered  bool
 }
 
 func (tc *tamperConn) Send(kind string, v any) error {
@@ -277,55 +282,154 @@ func (tc *tamperConn) Send(kind string, v any) error {
 
 func (tc *tamperConn) Recv() (wire.Frame, error) {
 	f, err := tc.Messenger.Recv()
-	if err != nil || f.Kind != kindShufBlock || tc.tampered {
+	if err != nil {
 		return f, err
+	}
+	if f.Kind == kindShufBlock {
+		var bo BlockOutMsg
+		if wire.DecodePayload(f.Payload, &bo) == nil {
+			tc.lastBlock, _ = decodeVector(bo.Data, bo.Count)
+		}
+	}
+	if f.Kind != tc.kind || tc.tampered {
+		return f, nil
 	}
 	if tc.skip > 0 {
 		tc.skip--
 		return f, nil
 	}
-	var bo BlockOutMsg
-	if err := wire.DecodePayload(f.Payload, &bo); err != nil {
-		return f, nil
-	}
-	cts, err := decodeVector(bo.Data, bo.Count)
+	msg, err := tc.alter(tc, f.Payload)
 	if err != nil {
-		return f, nil
+		return f, fmt.Errorf("tamperConn: %w", err)
 	}
-	cts[0] = elgamal.Encrypt(tc.joint, elgamal.Generator())
-	bo.Data = encodeVector(cts)
-	if payload, err := wire.EncodePayload(bo); err == nil {
-		f.Payload = payload
-		tc.tampered = true
+	if f.Payload, err = wire.EncodePayload(msg); err != nil {
+		return f, err
 	}
+	tc.tampered = true
 	return f, nil
 }
 
 func (tc *tamperConn) Expect(kind string, out any) error { return expectOn(tc.Recv, kind, out) }
 
-// TestMaliciousCPRejected substitutes a single valid ciphertext into
-// one shuffled block of an otherwise honest CP and requires the TS to
-// reject the round. The single-pass shape is caught by the block's
-// cut-and-choose argument or, at the latest, by the blind DLEQ check
-// against the tampered block; the multi-pass shape is additionally
-// pinned by the pass-continuity hashes when the CP re-streams its own
-// (untampered) intermediate.
+// substituteCiphertext replaces one output ciphertext of a shuffled
+// block with a fresh, perfectly valid encryption. The block's shadow
+// commitments and openings still describe the CP's honest output.
+func substituteCiphertext(tc *tamperConn, payload []byte) (any, error) {
+	var bo BlockOutMsg
+	if err := wire.DecodePayload(payload, &bo); err != nil {
+		return nil, err
+	}
+	cts, err := decodeVector(bo.Data, bo.Count)
+	if err != nil {
+		return nil, err
+	}
+	cts[0] = elgamal.Encrypt(tc.joint, elgamal.Generator())
+	bo.Data = encodeVector(cts)
+	return bo, nil
+}
+
+// wrongShare alters exactly one decryption share of a share chunk — to
+// another valid group element — and leaves the chunk's proof alone.
+func wrongShare(_ *tamperConn, payload []byte) (any, error) {
+	var sc ShareChunkMsg
+	if err := wire.DecodePayload(payload, &sc); err != nil {
+		return nil, err
+	}
+	shares, _, err := parseShareChunk(sc)
+	if err != nil {
+		return nil, err
+	}
+	at := len(shares) / 2
+	shares[at].Share = shares[at].Share.Add(elgamal.Generator())
+	sc.Shares = nil
+	for _, sh := range shares {
+		sc.Shares = sh.Share.AppendBytes(sc.Shares)
+	}
+	return sc, nil
+}
+
+// zeroBlind "blinds" exactly one element of a blind chunk with s = 0 —
+// the element becomes (O, O), an encryption of nothing that would drop
+// out of the count — and attaches the honest DLEQ proof for it, whose
+// equations do hold.
+func zeroBlind(tc *tamperConn, payload []byte) (any, error) {
+	var bc BlindChunkMsg
+	if err := wire.DecodePayload(payload, &bc); err != nil {
+		return nil, err
+	}
+	cts, proofs, err := decodeBlind(bc)
+	if err != nil {
+		return nil, err
+	}
+	if len(tc.lastBlock) != len(cts) {
+		return nil, fmt.Errorf("blind chunk of %d elements follows a block of %d", len(cts), len(tc.lastBlock))
+	}
+	at := len(cts) / 2
+	cts[at] = elgamal.Ciphertext{C1: elgamal.Identity(), C2: elgamal.Identity()}
+	proofs[at] = elgamal.ProveBlind(tc.lastBlock[at], cts[at], new(big.Int))
+	bc.Data, bc.Proofs = encodeVector(cts), packProofs(proofs, elgamal.EqualityProofLen)
+	return bc, nil
+}
+
+// goroutineBaseline returns the goroutine count to hold a finished
+// round to. The process-wide worker pool is started first: its workers
+// are never reaped and would otherwise read as a leak in whichever test
+// happens to use it first.
+func goroutineBaseline() int {
+	parallel.For(parallel.PoolSize(), 1, func(int, int) {})
+	return runtime.NumGoroutine()
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to
+// baseline within 30 s.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the round:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestMaliciousCPRejected puts an otherwise honest CP behind a wire
+// that cheats in exactly one place and requires the TS to abort the
+// round with an error naming that CP and the failed check, and to leave
+// no goroutine behind. A substituted ciphertext in a single-pass
+// shuffle is caught by the block's cut-and-choose argument or, at the
+// latest, by the blind DLEQ check against the tampered block; in the
+// multi-pass shape it is additionally pinned by the pass-continuity
+// hashes when the CP re-streams its own (untampered) intermediate. One
+// wrong share anywhere in a chunk fails that chunk's one proof. A zero
+// blind carries a DLEQ that verifies, and is refused for what it is.
 func TestMaliciousCPRejected(t *testing.T) {
+	single := Config{Round: 9, Bins: 16, NoisePerCP: 2, ShuffleProofRounds: 8, NumDCs: 1, NumCPs: 2}
+	multi := Config{Round: 10, Bins: 48, NoisePerCP: 2, ShuffleProofRounds: 2,
+		ShuffleBlockElems: 8, ShufflePasses: 2, NumDCs: 1, NumCPs: 2}
+	chunked := multi
+	chunked.ChunkElems = 16 // four share chunks per CP
 	cases := []struct {
-		name string
-		cfg  Config
-		skip int
+		name    string
+		cfg     Config
+		kind    string
+		skip    int
+		alter   func(*tamperConn, []byte) (any, error)
+		want    string // the check the error must name ("" for whichever of several catches it)
+		counter string
 	}{
 		// Single pass (vector fits one block): tamper the only block.
-		{"single-pass", Config{Round: 9, Bins: 16, NoisePerCP: 2, ShuffleProofRounds: 8, NumDCs: 1, NumCPs: 2}, 0},
+		{"single-pass", single, kindShufBlock, 0, substituteCiphertext, "", ""},
 		// Multi-pass grid: tamper a pass-1 block; the continuity check
 		// over the re-streamed intermediate must catch whatever the
 		// cut-and-choose argument misses.
-		{"multi-pass", Config{Round: 10, Bins: 48, NoisePerCP: 2, ShuffleProofRounds: 2,
-			ShuffleBlockElems: 8, ShufflePasses: 2, NumDCs: 1, NumCPs: 2}, 1},
+		{"multi-pass", multi, kindShufBlock, 1, substituteCiphertext, "", ""},
+		{"one-wrong-share", chunked, kindShare, 2, wrongShare, "share chunk [32,48) unverified", "share-proof"},
+		{"zero-blind", multi, kindBlind, 3, zeroBlind, "blinding of element", "blind-proof"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			baseline := goroutineBaseline()
+			failures := metrics.Default().Get("psc/verify-failures/" + tc.counter)
 			tally, err := NewTally(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -340,7 +444,8 @@ func TestMaliciousCPRejected(t *testing.T) {
 
 			// Honest CP behind a tampering wire.
 			tsSide2, cpSide2 := wire.Pipe()
-			tsConns = append(tsConns, &tamperConn{Messenger: tsSide2, skip: tc.skip})
+			cheat := &tamperConn{Messenger: tsSide2, kind: tc.kind, skip: tc.skip, alter: tc.alter}
+			tsConns = append(tsConns, cheat)
 			victim := NewCP("cp-b", cpSide2, nil)
 			go victim.Serve()
 
@@ -361,12 +466,88 @@ func TestMaliciousCPRejected(t *testing.T) {
 
 			_, err = tally.Run(context.Background(), tsConns)
 			if err == nil {
-				t.Fatal("tally must reject the tampered shuffle")
+				t.Fatal("tally must reject the tampered round")
+			}
+			if !cheat.tampered {
+				t.Fatalf("round failed before the tamper point: %v", err)
+			}
+			if !strings.Contains(err.Error(), "CP cp-b") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name CP cp-b and %q", err, tc.want)
+			}
+			if tc.counter != "" && metrics.Default().Get("psc/verify-failures/"+tc.counter) != failures+1 {
+				t.Errorf("psc/verify-failures/%s did not count the rejection", tc.counter)
 			}
 			for _, m := range tsConns {
 				m.Close()
 			}
 			wg.Wait()
+			waitGoroutines(t, baseline)
+		})
+	}
+}
+
+// rogueCP plays a CP that registers under name with the given key
+// material and then waits to be configured.
+func rogueCP(conn wire.Messenger, name string, pub, proof []byte) {
+	conn.Send(kindRegister, RegisterMsg{Role: RoleCP, Name: name, PubKey: pub, KeyProof: proof})
+	var cc ConfigureMsg
+	conn.Expect(kindConfig, &cc)
+}
+
+// TestRogueCPKeyRejected: a CP key the joint key cannot safely include
+// fails the round at registration, before any DC is configured under
+// it — the identity, a key registered with no proof of possession or
+// with someone else's, and the keys built from the honest CPs' to steer
+// the sum (pk₃ = x·G − pk₁ − pk₂ makes the joint key x·G, the rogue's
+// own; x = 0 cancels it outright), which their maker cannot prove
+// knowledge of. Every error names the CP and the check.
+func TestRogueCPKeyRejected(t *testing.T) {
+	honest := []*elgamal.PrivateKey{elgamal.GenerateKey(), elgamal.GenerateKey()}
+	pop := func(k *elgamal.PrivateKey) []byte { return k.ProvePossession().AppendTo(nil) }
+	cancelling := honest[0].PK.Add(honest[1].PK).Neg()
+	mine := elgamal.GenerateKey()
+	steering := mine.PK.Add(cancelling)
+	zero := &elgamal.PrivateKey{X: new(big.Int), PK: elgamal.Identity()}
+	cases := []struct {
+		name       string
+		pub, proof []byte
+		want       string
+	}{
+		{"identity key", zero.PK.Bytes(), pop(zero), "identity"},
+		{"no proof", elgamal.GenerateKey().PK.Bytes(), nil, "proof of possession"},
+		{"borrowed proof", elgamal.GenerateKey().PK.Bytes(), pop(honest[0]), "proof of possession"},
+		{"garbage proof", elgamal.GenerateKey().PK.Bytes(), make([]byte, elgamal.EqualityProofLen), "proof of possession"},
+		{"cancelling key", cancelling.Bytes(), pop(honest[1]), "proof of possession"},
+		{"steering key", steering.Bytes(), pop(mine), "proof of possession"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := goroutineBaseline()
+			tally, err := NewTally(Config{Round: 12, Bins: 16, NoisePerCP: 2, ShuffleProofRounds: 2, NumDCs: 1, NumCPs: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tsConns []wire.Messenger
+			for i, k := range honest {
+				ts, side := wire.Pipe()
+				tsConns = append(tsConns, ts)
+				go rogueCP(side, fmt.Sprintf("cp-%d", i), k.PK.Bytes(), pop(k))
+			}
+			ts, side := wire.Pipe()
+			tsConns = append(tsConns, ts)
+			go rogueCP(side, "cp-rogue", tc.pub, tc.proof)
+			ts, dcSide := wire.Pipe()
+			tsConns = append(tsConns, ts)
+			go NewDC("dc-0", dcSide).Setup() // never configured; errors when its pipe closes
+
+			_, err = tally.Run(context.Background(), tsConns)
+			if err == nil || !strings.Contains(err.Error(), `CP "cp-rogue"`) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run returned %v, want an error naming CP \"cp-rogue\" and %q", err, tc.want)
+			}
+			for _, m := range tsConns {
+				m.Close()
+			}
+			waitGoroutines(t, baseline)
 		})
 	}
 }
@@ -437,6 +618,49 @@ func TestShuffleFramesCarryNoShadow(t *testing.T) {
 	t.Logf("shuffle argument: %.1f B per element per proof round", per)
 	if per > maxPerElem {
 		t.Fatalf("shuffle argument costs %.1f B per element per proof round, want <= %d", per, maxPerElem)
+	}
+}
+
+// TestShareFramesCarryOneProof is the tier-1 guard on the decrypt
+// phase's wire cost: on a verified round every psc/share-chunk frame is
+// its shares (65 B each) plus a fixed overhead — header fields and the
+// chunk's one 162-byte proof — never a proof per element (which read
+// ≈ 235 B per element).
+func TestShareFramesCarryOneProof(t *testing.T) {
+	cfg := Config{Round: 4, Bins: 100, NoisePerCP: 6, ShuffleProofRounds: 2, ChunkElems: 32, NumDCs: 1, NumCPs: 2}
+	const perElem, perFrame = 65, 200
+
+	var mu sync.Mutex
+	var frames, elems int
+	record := func(kind string, payload []byte) {
+		if kind != kindShare {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		var m ShareChunkMsg
+		if err := wire.DecodePayload(payload, &m); err != nil {
+			t.Error(err)
+			return
+		}
+		frames++
+		elems += m.Count
+		if len(payload) > perElem*m.Count+perFrame {
+			t.Errorf("share chunk at %d is %d bytes for %d shares, over %d B per share + %d B",
+				m.Off, len(payload), m.Count, perElem, perFrame)
+		}
+	}
+	runBenchRound(t, cfg, 20, recordingPair(func() (wire.Messenger, wire.Messenger) {
+		ts, party := wire.Pipe()
+		return ts, party
+	}, record))
+
+	finalN := cfg.Bins + cfg.NumCPs*cfg.NoisePerCP
+	if want := cfg.NumCPs * finalN; elems != want {
+		t.Fatalf("share chunks covered %d elements, want %d", elems, want)
+	}
+	if want := cfg.NumCPs * ((finalN + cfg.ChunkElems - 1) / cfg.ChunkElems); frames != want {
+		t.Fatalf("%d share-chunk frames, want %d", frames, want)
 	}
 }
 
@@ -665,7 +889,7 @@ func TestTallyRejectsMisorderedParties(t *testing.T) {
 // cause — no connection is closed first — and once the test does close
 // the pipes, every goroutine the round started must be gone.
 func TestRunCancelledContextFailsRound(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := goroutineBaseline()
 	cfg := Config{Round: 31, Bins: 32, NoisePerCP: 2, ShuffleProofRounds: 2, NumDCs: 2, NumCPs: 2}
 	tally, err := NewTally(cfg)
 	if err != nil {
@@ -713,12 +937,7 @@ func TestRunCancelledContextFailsRound(t *testing.T) {
 	for _, m := range tsConns {
 		m.Close()
 	}
-	for deadline := time.Now().Add(30 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before the round:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-	}
+	waitGoroutines(t, baseline)
 }
 
 // TestCPRejectsHostileConfigure plays a TS that sends a CP round

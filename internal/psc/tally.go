@@ -413,7 +413,7 @@ func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, gs *gatherS
 	return name, false, err
 }
 
-// addCP records one computation party's registration.
+// addCP checks and records one computation party's registration.
 func (rp *roundParties) addCP(reg RegisterMsg, m wire.Messenger) error {
 	if _, dup := rp.cpM[reg.Name]; dup {
 		return fmt.Errorf("psc ts: duplicate CP %q", reg.Name)
@@ -421,6 +421,14 @@ func (rp *roundParties) addCP(reg RegisterMsg, m wire.Messenger) error {
 	pk, _, err := elgamal.ParsePoint(reg.PubKey)
 	if err != nil {
 		return fmt.Errorf("psc ts: CP %q public key: %w", reg.Name, err)
+	}
+	if pk.IsIdentity() {
+		return fmt.Errorf("psc ts: CP %q registered the identity as its public key", reg.Name)
+	}
+	// An unproved key could have been built to cancel the other CPs'.
+	if proof, err := elgamal.ParseEqualityProof(reg.KeyProof); err != nil || !elgamal.VerifyPossession(pk, proof) {
+		verifyFailure("key-proof")
+		return fmt.Errorf("psc ts: CP %q proof of possession of its public key unverified", reg.Name)
 	}
 	rp.cpM[reg.Name] = m
 	rp.cpKeys[reg.Name] = pk
@@ -829,20 +837,9 @@ func (t *Tally) recvBlock(name string, m wire.Messenger, tr *elgamal.ShuffleTran
 // verifyNoiseChunk decodes one noise chunk and verifies its bit proofs
 // as a batch — shard work, independent of every other chunk.
 func (t *Tally) verifyNoiseChunk(name string, joint elgamal.Point, nc NoiseChunkMsg) ([]elgamal.Ciphertext, error) {
-	cts, err := decodeVector(nc.Data, nc.Count)
+	cts, proofs, err := decodeProved(nc.Data, nc.Proofs, nc.Count, elgamal.BitProofLen, elgamal.ParseBitProof)
 	if err != nil {
-		return nil, fmt.Errorf("psc ts: CP %s noise batch: %w", name, err)
-	}
-	if len(nc.Proofs) != nc.Count {
-		return nil, fmt.Errorf("psc ts: CP %s sent %d bit proofs for %d noise elements", name, len(nc.Proofs), nc.Count)
-	}
-	proofs := make([]elgamal.BitProof, nc.Count)
-	for i, w := range nc.Proofs {
-		proof, err := unpackBitProof(w)
-		if err != nil {
-			return nil, fmt.Errorf("psc ts: CP %s bit proof %d: %w", name, nc.Off+i, err)
-		}
-		proofs[i] = proof
+		return nil, fmt.Errorf("psc ts: CP %s noise chunk at %d: %w", name, nc.Off, err)
 	}
 	// Every appended noise element must provably encrypt a bit.
 	if i, ok := elgamal.VerifyBitsBatch(joint, cts, proofs); !ok {
@@ -867,20 +864,9 @@ func (t *Tally) recvBlindSubmit(name string, m wire.Messenger, off int, outB []e
 		return fmt.Errorf("psc ts: CP %s blind chunk [%d,%d), want [%d,%d)", name, bc.Off, bc.Off+bc.Count, off, off+len(outB))
 	}
 	blind.Submit(func() (vchunk, error) {
-		cts, err := decodeVector(bc.Data, bc.Count)
+		cts, proofs, err := decodeProved(bc.Data, bc.Proofs, bc.Count, elgamal.EqualityProofLen, elgamal.ParseEqualityProof)
 		if err != nil {
-			return vchunk{}, fmt.Errorf("psc ts: CP %s blinded batch: %w", name, err)
-		}
-		if len(bc.Proofs) != bc.Count {
-			return vchunk{}, fmt.Errorf("psc ts: CP %s sent %d blind proofs for %d elements", name, len(bc.Proofs), bc.Count)
-		}
-		proofs := make([]elgamal.EqualityProof, bc.Count)
-		for i, w := range bc.Proofs {
-			proof, err := unpackEquality(w)
-			if err != nil {
-				return vchunk{}, fmt.Errorf("psc ts: CP %s blind proof %d: %w", name, off+i, err)
-			}
-			proofs[i] = proof
+			return vchunk{}, fmt.Errorf("psc ts: CP %s blind chunk at %d: %w", name, off, err)
 		}
 		if i, ok := elgamal.VerifyBlindsBatch(outB, cts, proofs); !ok {
 			verifyFailure("blind-proof")
@@ -909,14 +895,14 @@ type decShareChunk struct {
 }
 
 // decryptCP streams the final batch to one CP from the shared spill and
-// verifies its share chunks as they return (a per-chunk RLC), pushing
+// verifies its share chunks as they return (one proof per chunk), pushing
 // each verified chunk to the combiner. Sending and receiving overlap:
 // the CP answers chunk k while chunk k+1 is in flight; the sender hands
 // each parsed chunk to the verifier over a bounded channel so the spill
 // is decoded once per CP, not twice. A failure cancels the round with
 // its error; out always closes.
 func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, name string, m wire.Messenger, cpKey elgamal.Point, src *lockedSpill, n, chunk int, out chan<- decShareChunk) {
-	// Share parsing and the per-chunk RLC run on the verify shard; the
+	// Share parsing and the per-chunk proof check run on the verify shard; the
 	// forwarder delivers verified chunks in stream order, so the
 	// combiner still sees them on the boundaries it expects.
 	forwardOrdered(ctx, cancel, out, func(verify *parallel.Ordered[decShareChunk]) error {
@@ -991,37 +977,17 @@ func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, n
 	})
 }
 
-// verifyShareChunk parses one CP's share chunk and verifies its DLEQ
-// RLC against the plaintext chunk the TS sent — shard work, independent
-// of every other chunk.
+// verifyShareChunk parses one CP's share chunk and verifies its one
+// proof against the ciphertext chunk the TS sent — shard work. The
+// proof covers the whole chunk, so a rejection cannot name a share.
 func (t *Tally) verifyShareChunk(name string, cpKey elgamal.Point, sc ShareChunkMsg, cts []elgamal.Ciphertext) (decShareChunk, error) {
-	shares := make([]elgamal.DecryptionShare, 0, sc.Count)
-	b := sc.Shares
-	for i := 0; i < sc.Count; i++ {
-		pt, used, err := elgamal.ParsePoint(b)
-		if err != nil {
-			return decShareChunk{}, fmt.Errorf("psc ts: CP %s share %d: %w", name, sc.Off+i, err)
-		}
-		b = b[used:]
-		shares = append(shares, elgamal.DecryptionShare{Share: pt})
+	shares, proof, err := parseShareChunk(sc)
+	if err != nil {
+		return decShareChunk{}, fmt.Errorf("psc ts: CP %s share chunk at %d: %w", name, sc.Off, err)
 	}
-	if len(b) != 0 {
-		return decShareChunk{}, fmt.Errorf("psc ts: CP %s sent %d trailing share bytes", name, len(b))
-	}
-	if len(sc.Proofs) != sc.Count {
-		return decShareChunk{}, fmt.Errorf("psc ts: CP %s sent %d share proofs for %d elements", name, len(sc.Proofs), sc.Count)
-	}
-	proofs := make([]elgamal.EqualityProof, sc.Count)
-	for i, w := range sc.Proofs {
-		proof, err := unpackEquality(w)
-		if err != nil {
-			return decShareChunk{}, fmt.Errorf("psc ts: CP %s share proof %d: %w", name, sc.Off+i, err)
-		}
-		proofs[i] = proof
-	}
-	if i, ok := elgamal.VerifySharesBatch(cpKey, cts, shares, proofs); !ok {
+	if _, ok := elgamal.VerifySharesBatch(cpKey, cts, shares, proof); !ok {
 		verifyFailure("share-proof")
-		return decShareChunk{}, fmt.Errorf("psc ts: CP %s share %d unverified", name, sc.Off+i)
+		return decShareChunk{}, fmt.Errorf("psc ts: CP %s share chunk [%d,%d) unverified", name, sc.Off, sc.Off+sc.Count)
 	}
 	return decShareChunk{off: sc.Off, shares: shares}, nil
 }

@@ -26,12 +26,13 @@
 // type, never from a setting. The bulk messages — the ones that are
 // nothing but integers and byte strings and carry nearly all of a
 // round's bytes (privcount.ValueChunkMsg; psc.ChunkMsg, BlockOutMsg,
-// BlockShadowMsg, BlockFeedMsg) — implement WireAppender and
+// BlockShadowMsg, BlockFeedMsg, NoiseChunkMsg, BlindChunkMsg,
+// ShareChunkMsg: every message that holds a ciphertext, a share or a
+// proof, proofs packed at a fixed width) — implement WireAppender and
 // WireParser: fields in declaration order, integers as eight
 // little-endian bytes, byte strings behind a uint32 length (AppendInt,
-// AppendBytes, Parser). Everything else — the ~25 control messages,
-// and the proof-bearing PSC chunks, whose fields are slices of structs
-// — is gob-encoded: those frames are few or small, and gob keeps them
+// AppendBytes, Parser). Everything else — the ~25 control messages —
+// is gob-encoded: those frames are few and small, and gob keeps them
 // type-safe and free to grow fields.
 //
 // The aliasing rule: a message parsed by ParseWire owns its frame's
