@@ -20,7 +20,9 @@
 // must be configured with the matching -stats spec, see below); PSC
 // rounds observe unique client IPs from connection events (Table 5).
 // When the source ends, all active rounds are finished and reported;
-// rounds scheduled after that report empty observations.
+// rounds scheduled after that report empty observations. A round the
+// tally aborts or resets leaves the fan-out at once and is reported
+// failed, whether or not the source has ended.
 //
 //	datacollector -tally 127.0.0.1:7001 -torsim 127.0.0.1:7000 \
 //	              -relay 3 -name dc-3 -rounds 4 [-pin <hex-spki>]
@@ -46,7 +48,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/privcount"
-	"repro/internal/psc"
 	"repro/internal/torctl"
 	"repro/internal/wire"
 )
@@ -98,10 +99,9 @@ func main() {
 	}
 
 	c := &collector{
-		name:       name,
-		feedDone:   make(chan struct{}),
-		pscActive:  make(map[*psc.DC]bool),
-		privActive: make(map[*privcount.DC]bool),
+		name:     name,
+		feedDone: make(chan struct{}),
+		active:   make(map[engine.DCRound]bool),
 	}
 
 	// Feed pump: every event reaches every active round.
@@ -134,32 +134,12 @@ func main() {
 		err   error
 	}
 	completed := make(chan outcome, *rounds)
-	hello := p.Hello()
+	host := engine.DCHost{
+		Collect: c.collect,
+		Served:  func(round uint64, err error) { completed <- outcome{round, err} },
+	}
 	go func() {
-		err := p.Loop(dial, func(sess *wire.Session) error {
-			if _, err := engine.SendHelloPinned(sess, hello); err != nil {
-				return err
-			}
-			return engine.ServeRounds(sess, func(st *wire.Stream) error {
-				err := c.serveRound(st)
-				if err == nil {
-					// Wait for the tally to finish the round and close
-					// the stream before counting it served: this DC's
-					// part ends at its upload, but exiting the process
-					// while the round is still in flight would RST the
-					// connection and discard table chunks the kernel
-					// already delivered to the tally.
-					st.Close()
-					for {
-						if _, rerr := st.Recv(); rerr != nil {
-							break
-						}
-					}
-				}
-				completed <- outcome{round: st.Round(), err: err}
-				return err
-			})
-		})
+		err := p.Loop(dial, func(sess *wire.Session) error { return engine.ServeDC(sess, p.Hello(), host) })
 		if err != nil {
 			log.Fatalf("datacollector %s: tally: %v", name, err)
 		}
@@ -253,60 +233,41 @@ type collector struct {
 	name     string
 	feedDone chan struct{}
 
-	mu         sync.Mutex
-	pscActive  map[*psc.DC]bool
-	privActive map[*privcount.DC]bool
+	mu     sync.Mutex
+	active map[engine.DCRound]bool
 }
 
-// serveRound runs one round stream to completion: setup, collect until
-// the feed ends, report.
-func (c *collector) serveRound(st *wire.Stream) error {
-	switch st.Label() {
-	case engine.LabelPSC:
-		dc := psc.NewDC(c.name, st)
-		if err := dc.Setup(); err != nil {
-			return err
-		}
-		fmt.Printf("datacollector %s: round %d started (%s)\n", c.name, st.Round(), st.Label())
-		c.mu.Lock()
-		c.pscActive[dc] = true
-		c.mu.Unlock()
-		<-c.feedDone
-		c.mu.Lock()
-		delete(c.pscActive, dc)
-		c.mu.Unlock()
-		return dc.Finish()
-	case engine.LabelPrivCount:
-		dc := privcount.NewDC(c.name, st, nil)
-		if err := dc.Setup(); err != nil {
-			return err
-		}
-		fmt.Printf("datacollector %s: round %d started (%s)\n", c.name, st.Round(), st.Label())
-		c.mu.Lock()
-		c.privActive[dc] = true
-		c.mu.Unlock()
-		<-c.feedDone
-		c.mu.Lock()
-		delete(c.privActive, dc)
-		c.mu.Unlock()
-		return dc.Finish()
-	default:
-		return fmt.Errorf("datacollector %s: unexpected stream %q", c.name, st.Label())
+// collect holds one round in the fan-out until the feed ends or the
+// round fails.
+func (c *collector) collect(r engine.DCRound, failed <-chan struct{}) error {
+	fmt.Printf("datacollector %s: round %d started (%s)\n", c.name, r.Round, r.Label())
+	c.mu.Lock()
+	c.active[r] = true
+	c.mu.Unlock()
+	select {
+	case <-c.feedDone:
+	case <-failed:
 	}
+	c.mu.Lock()
+	delete(c.active, r)
+	c.mu.Unlock()
+	return nil
 }
 
 // dispatch routes one event to every active round.
 func (c *collector) dispatch(ev event.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch e := ev.(type) {
-	case *event.ConnectionEnd:
-		for dc := range c.pscActive {
-			_ = dc.Observe(e.ClientIP.String())
-		}
-	case *event.StreamEnd:
-		for dc := range c.privActive {
-			incrementFig1(dc, e)
+	for r := range c.active {
+		switch e := ev.(type) {
+		case *event.ConnectionEnd:
+			if r.PSC != nil {
+				_ = r.PSC.Observe(e.ClientIP.String())
+			}
+		case *event.StreamEnd:
+			if r.PrivCount != nil {
+				incrementFig1(r.PrivCount, e)
+			}
 		}
 	}
 }

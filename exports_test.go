@@ -16,9 +16,9 @@ import (
 // TestNoUnreachedExports keeps internal/'s exported surface to what a
 // round can reach: a package-level exported func, type, const or var
 // declared in a non-test file under internal/ must be named by some
-// file other than its own directory's _test.go files — a command, an
-// example, the benchmark, another package (tests included), or the
-// package's own non-test code. A name only its own tests call is
+// file other than its own directory's _test.go files — a command, the
+// benchmark, another package (tests included), or the package's own
+// non-test code. A name only its own tests call is
 // deleted with them, or lives in the _test.go file that needs it.
 // Methods are out of scope: they also satisfy interfaces. The scan is
 // by identifier name behind the importing file's package qualifier, so
@@ -29,7 +29,7 @@ func TestNoUnreachedExports(t *testing.T) {
 	declared := map[decl]token.Position{}
 	reached := map[decl]bool{}
 	fset := token.NewFileSet()
-	for _, root := range []string{".", "internal", "cmd", "examples", "bench"} {
+	for _, root := range []string{".", "internal", "cmd", "bench"} {
 		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err

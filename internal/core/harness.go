@@ -55,13 +55,12 @@ const (
 )
 
 // dcDelivery hands one round's DC role from its host session to the
-// experiment driving the round. The driver closes done once the DC has
-// finished (or the round is abandoned), releasing the host's handler.
+// experiment driving the round. The experiment closes release once
+// collection is over, and the host then finishes the DC itself.
 type dcDelivery struct {
-	host int
-	psc  *psc.DC
-	priv *privcount.DC
-	done chan struct{}
+	engine.DCRound
+	host    int
+	release chan struct{}
 }
 
 // partyRuntime is an Env's persistent protocol fleet.
@@ -133,51 +132,31 @@ func (rt *partyRuntime) ensureDCs(n int) error {
 	defer rt.mu.Unlock()
 	for rt.numDCs < n {
 		host := rt.numDCs
-		name := fmt.Sprintf("dc-%d", host)
+		h := engine.Hello{Name: fmt.Sprintf("dc-%d", host)}
 		err := rt.attach(func(sess *wire.Session) error {
-			if _, err := engine.SendHelloPinned(sess, engine.Hello{Role: engine.RoleDC, Name: name}); err != nil {
-				return err
-			}
-			return engine.ServeRounds(sess, func(st *wire.Stream) error {
-				return rt.serveDCRound(host, name, st)
+			return engine.ServeDC(sess, h, engine.DCHost{
+				Noise: func(round uint64) *dp.NoiseSource { return rt.dcNoise(h.Name, round) },
+				// Hand the DC to the experiment, then collect until it
+				// releases the round or the round dies (abort, sibling
+				// failure), whether or not it ever took the delivery.
+				Collect: func(r engine.DCRound, failed <-chan struct{}) error {
+					d := dcDelivery{DCRound: r, host: host, release: make(chan struct{})}
+					select {
+					case rt.delivery(r.Round) <- d:
+						select {
+						case <-d.release:
+						case <-failed:
+						}
+					case <-failed:
+					}
+					return nil
+				},
 			})
 		})
 		if err != nil {
 			return err
 		}
 		rt.numDCs++
-	}
-	return nil
-}
-
-// serveDCRound handles one round stream on a DC host: it creates the
-// per-round DC, completes setup, hands the DC to the experiment, and
-// holds the stream open until the experiment releases it.
-func (rt *partyRuntime) serveDCRound(host int, name string, st *wire.Stream) error {
-	d := dcDelivery{host: host, done: make(chan struct{})}
-	switch st.Label() {
-	case engine.LabelPSC:
-		dc := psc.NewDC(name, st)
-		if err := dc.Setup(); err != nil {
-			return err
-		}
-		d.psc = dc
-	case engine.LabelPrivCount:
-		dc := privcount.NewDC(name, st, rt.dcNoise(name, st.Round()))
-		if err := dc.Setup(); err != nil {
-			return err
-		}
-		d.priv = dc
-	default:
-		return fmt.Errorf("core: unexpected round stream %q", st.Label())
-	}
-	rt.delivery(st.Round()) <- d
-	// The experiment closes done after Finish; a round that dies first
-	// (abort, sibling failure) resets this stream, and Failed unblocks
-	// the handler even if the experiment never drained the delivery.
-	select {
-	case <-d.done:
-	case <-st.Failed():
 	}
 	return nil
 }
@@ -215,7 +194,8 @@ func (rt *partyRuntime) releaseRound(round uint64) {
 }
 
 // collectDCs waits for n DC roles of a round, watching for early round
-// failure (e.g. a setup error aborting the round).
+// failure (e.g. a setup error aborting the round). A failed round has
+// reset its streams, so every host it delivered to unwinds on its own.
 func (rt *partyRuntime) collectDCs(r *engine.Round, n int) ([]dcDelivery, error) {
 	ch := rt.delivery(r.ID)
 	out := make([]dcDelivery, 0, n)
@@ -224,20 +204,11 @@ func (rt *partyRuntime) collectDCs(r *engine.Round, n int) ([]dcDelivery, error)
 		case d := <-ch:
 			out = append(out, d)
 		case <-r.Done():
-			// Drain any deliveries that raced with the failure so their
-			// handlers unwind.
-			for {
-				select {
-				case d := <-ch:
-					close(d.done)
-				default:
-					err := r.Err()
-					if err == nil {
-						err = fmt.Errorf("core: round %d ended before all DCs attached", r.ID)
-					}
-					return nil, err
-				}
+			err := r.Err()
+			if err == nil {
+				err = fmt.Errorf("core: round %d ended before all DCs attached", r.ID)
 			}
+			return nil, err
 		}
 	}
 	return out, nil
@@ -344,7 +315,7 @@ func (e *Env) RunPrivCountWithSim(run PrivCountRun, onSim func(*Sim)) (*PrivCoun
 
 	// Attach each round DC to its relay's event feed.
 	for _, d := range dcs {
-		dc := d.priv
+		dc := d.PrivCount
 		inc := func(stat string, bin int, delta float64) {
 			// Unknown statistics are a programming error in the
 			// experiment; surface loudly.
@@ -359,29 +330,14 @@ func (e *Env) RunPrivCountWithSim(run PrivCountRun, onSim func(*Sim)) (*PrivCoun
 
 	sim.Driver.Run(run.Days)
 
-	// Finish concurrently: the tally server collects reports in its own
-	// order, and large reports can exceed a stream's flow-control
-	// window, so sequential finishing could stall against the TS's
-	// collection order.
-	finishErrs := make(chan error, len(dcs))
+	// Each released host finishes its own DC, so uploads run concurrently:
+	// one at a time could stall against the tally's collection order.
 	for _, d := range dcs {
-		go func(d dcDelivery) {
-			finishErrs <- d.priv.Finish()
-			close(d.done)
-		}(d)
-	}
-	var finishErr error
-	for range dcs {
-		if err := <-finishErrs; err != nil && finishErr == nil {
-			finishErr = err
-		}
+		close(d.release)
 	}
 	res, err := round.WaitPrivCount()
 	if err != nil {
 		return nil, err
-	}
-	if finishErr != nil {
-		return nil, finishErr
 	}
 	return &PrivCountResult{Values: res, Sigmas: sigmas, Sim: sim}, nil
 }
@@ -479,7 +435,7 @@ func (e *Env) RunPSCWithSim(run PSCRun, onSim func(*Sim)) (*PSCResult, error) {
 	}
 
 	for _, d := range dcs {
-		dc := d.psc
+		dc := d.PSC
 		sim.Net.Bus.SubscribeFiltered([]event.RelayID{relays[d.host]}, nil, func(ev event.Event) {
 			if item, ok := run.Item(ev); ok {
 				if err := dc.Observe(item); err != nil {
@@ -491,27 +447,13 @@ func (e *Env) RunPSCWithSim(run PSCRun, onSim func(*Sim)) (*PSCResult, error) {
 
 	sim.Driver.Run(run.Days)
 
-	// Finish concurrently: a large table exceeds a stream's window, so
-	// sequential finishing could stall against the TS's per-DC readers.
-	finishErrs := make(chan error, len(dcs))
+	// Released hosts upload concurrently; see RunPrivCountWithSim.
 	for _, d := range dcs {
-		go func(d dcDelivery) {
-			finishErrs <- d.psc.Finish()
-			close(d.done)
-		}(d)
-	}
-	var finishErr error
-	for range dcs {
-		if err := <-finishErrs; err != nil && finishErr == nil {
-			finishErr = err
-		}
+		close(d.release)
 	}
 	res, err := round.WaitPSC()
 	if err != nil {
 		return nil, err
-	}
-	if finishErr != nil {
-		return nil, finishErr
 	}
 	iv, err := stats.UnionCardinalityCI(stats.PSCObservation{
 		Reported: res.Reported, Bins: res.Bins, NoiseTrials: res.NoiseTrials,

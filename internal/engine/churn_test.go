@@ -15,12 +15,13 @@ import (
 
 // churnDC is one restartable in-process data-collector daemon: each
 // "process incarnation" gets a fresh session registered through the
-// real hello handshake, serving PSC round streams until its session
-// dies. Killing it closes the party-side session, which is what a
-// killed daemon process looks like from the tally's side.
+// real hello handshake, serving round streams through ServeDC until its
+// session dies. Killing it closes the party-side session, which is what
+// a killed daemon process looks like from the tally's side.
 type churnDC struct {
 	t     *testing.T
 	e     *Engine
+	host  int
 	name  string
 	token string
 
@@ -28,8 +29,8 @@ type churnDC struct {
 	rounds chan dcRound
 }
 
-func newChurnDC(t *testing.T, e *Engine, name, token string, rounds chan dcRound) *churnDC {
-	d := &churnDC{t: t, e: e, name: name, token: token, rounds: rounds}
+func newChurnDC(t *testing.T, e *Engine, host int, token string, rounds chan dcRound) *churnDC {
+	d := &churnDC{t: t, e: e, host: host, name: fmt.Sprintf("dc-%d", host), token: token, rounds: rounds}
 	d.start()
 	return d
 }
@@ -41,32 +42,11 @@ func (d *churnDC) start() {
 	tsConn, partyConn := wire.Pipe()
 	tsSess := wire.NewSession(tsConn, false)
 	partySess := wire.NewSession(partyConn, true)
-	hello := Hello{Role: RoleDC, Name: d.name, Token: d.token}
-	errCh := make(chan error, 1)
-	go func() {
-		if _, err := d.e.AcceptSession(tsSess); err != nil {
-			errCh <- err
-		}
-	}()
-	if _, err := SendHelloPinned(partySess, hello); err != nil {
+	go ServeDC(partySess, Hello{Name: d.name, Token: d.token}, testDCHost(d.host, d.rounds))
+	if _, err := d.e.AcceptSession(tsSess); err != nil {
 		d.t.Fatalf("churn dc %s register: %v", d.name, err)
 	}
-	select {
-	case err := <-errCh:
-		d.t.Fatalf("churn dc %s accept: %v", d.name, err)
-	default:
-	}
 	d.sess = partySess
-	go ServeRounds(partySess, func(st *wire.Stream) error {
-		dc := psc.NewDC(d.name, st)
-		if err := dc.Setup(); err != nil {
-			return err
-		}
-		r := dcRound{psc: dc, done: make(chan struct{})}
-		d.rounds <- r
-		<-r.done
-		return nil
-	})
 }
 
 // kill closes the current incarnation's session, as a SIGKILL would.
@@ -89,7 +69,7 @@ func churnFleet(t *testing.T, numCPs, numDCs int) (*Engine, []*churnDC, chan dcR
 	}
 	dcs := make([]*churnDC, numDCs)
 	for i := range dcs {
-		dcs[i] = newChurnDC(t, e, fmt.Sprintf("dc-%d", i), fmt.Sprintf("secret-%d", i), rounds)
+		dcs[i] = newChurnDC(t, e, i, fmt.Sprintf("secret-%d", i), rounds)
 	}
 	t.Cleanup(e.Close)
 	return e, dcs, rounds
@@ -120,15 +100,18 @@ func TestRejoinWrongTokenRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range collect(t, rounds, 2, r) {
-		d.psc.Observe("item")
-		if err := d.psc.Finish(); err != nil {
-			t.Fatalf("finish: %v", err)
-		}
-		close(d.done)
+	roles := collect(t, rounds, 2, r)
+	for _, d := range roles {
+		d.PSC.Observe("item")
+		close(d.release)
 	}
 	if _, err := r.WaitPSC(); err != nil {
 		t.Fatalf("round after rejected hijack: %v", err)
+	}
+	for _, d := range roles {
+		if err := d.outcome(t); err != nil {
+			t.Fatalf("finish: %v", err)
+		}
 	}
 	_ = dcs
 }
@@ -155,14 +138,17 @@ func TestRejoinLatestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range collect(t, rounds, 2, r) {
-		if err := d.psc.Finish(); err != nil {
-			t.Fatalf("finish: %v", err)
-		}
-		close(d.done)
+	roles := collect(t, rounds, 2, r)
+	for _, d := range roles {
+		close(d.release)
 	}
 	if _, err := r.WaitPSC(); err != nil {
 		t.Fatalf("round after takeover: %v", err)
+	}
+	for _, d := range roles {
+		if err := d.outcome(t); err != nil {
+			t.Fatalf("finish: %v", err)
+		}
 	}
 }
 
@@ -184,26 +170,24 @@ func TestMidRoundKillDegradesThenFullStrength(t *testing.T) {
 	roles := collect(t, rounds, 2, r)
 	var survivor dcRound
 	for _, d := range roles {
-		if d.psc.Name == "dc-1" {
+		if d.PSC.Name == "dc-1" {
 			// Feed the doomed DC and begin its upload so its contribution
 			// barrier is passed, then kill it mid-round.
-			d.psc.Observe("doomed-item")
+			d.PSC.Observe("doomed-item")
 		} else {
 			survivor = d
 		}
 	}
 	dcs[1].kill()
-	survivor.psc.Observe("item-a")
-	survivor.psc.Observe("item-b")
-	if err := survivor.psc.Finish(); err != nil {
-		t.Fatalf("survivor finish: %v", err)
-	}
+	survivor.PSC.Observe("item-a")
+	survivor.PSC.Observe("item-b")
+	close(survivor.release)
 	res, err := r.WaitPSC()
 	if err != nil {
 		t.Fatalf("degraded round failed: %v", err)
 	}
-	for _, d := range roles {
-		close(d.done)
+	if err := survivor.outcome(t); err != nil {
+		t.Fatalf("survivor finish: %v", err)
 	}
 	if len(res.AbsentDCs) != 1 || res.AbsentDCs[0] != "dc-1" {
 		t.Fatalf("AbsentDCs = %v, want [dc-1]", res.AbsentDCs)
@@ -227,16 +211,19 @@ func TestMidRoundKillDegradesThenFullStrength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range collect(t, rounds, 2, full) {
-		d.psc.Observe("fresh-item")
-		if err := d.psc.Finish(); err != nil {
-			t.Fatalf("full-strength finish: %v", err)
-		}
-		close(d.done)
+	fullRoles := collect(t, rounds, 2, full)
+	for _, d := range fullRoles {
+		d.PSC.Observe("fresh-item")
+		close(d.release)
 	}
 	fullRes, err := full.WaitPSC()
 	if err != nil {
 		t.Fatalf("full-strength round failed: %v", err)
+	}
+	for _, d := range fullRoles {
+		if err := d.outcome(t); err != nil {
+			t.Fatalf("full-strength finish: %v", err)
+		}
 	}
 	if len(fullRes.AbsentDCs) != 0 || full.Degraded() {
 		t.Fatalf("post-rejoin round degraded: absent %v", fullRes.AbsentDCs)
@@ -271,36 +258,37 @@ func TestRejoinResumesRoundBeforeBarrier(t *testing.T) {
 	// The reopened stream delivers a fresh DC role for the same round.
 	var fresh dcRound
 	deadline := time.After(2 * time.Minute)
-	for fresh.psc == nil {
+	for fresh.PSC == nil {
 		select {
 		case d := <-rounds:
-			if d.psc.Round() != r.ID {
-				t.Fatalf("unexpected round %d delivery", d.psc.Round())
+			if d.Round != r.ID {
+				t.Fatalf("unexpected round %d delivery", d.Round)
 			}
 			fresh = d
 		case <-deadline:
 			t.Fatal("rejoined DC never received a reopened round stream")
 		}
 	}
-	finish := func(d dcRound) {
-		if d.psc.Name == "dc-1" && d.done != fresh.done && d.psc != fresh.psc {
-			// The first incarnation's role died with its session.
-			close(d.done)
-			return
-		}
-		d.psc.Observe("item-" + d.psc.Name)
-		if err := d.psc.Finish(); err != nil {
-			t.Fatalf("finish %s: %v", d.psc.Name, err)
-		}
-		close(d.done)
-	}
+	// The first incarnation's dc-1 role died with its session; the
+	// others upload.
+	live := []dcRound{fresh}
 	for _, d := range roles {
-		finish(d)
+		if d.PSC.Name != "dc-1" {
+			live = append(live, d)
+		}
 	}
-	finish(fresh)
+	for _, d := range live {
+		d.PSC.Observe("item-" + d.PSC.Name)
+		close(d.release)
+	}
 	res, err := r.WaitPSC()
 	if err != nil {
 		t.Fatalf("resumed round failed: %v", err)
+	}
+	for _, d := range live {
+		if err := d.outcome(t); err != nil {
+			t.Fatalf("finish %s: %v", d.PSC.Name, err)
+		}
 	}
 	if len(res.AbsentDCs) != 0 {
 		t.Fatalf("resumed round degraded: absent %v", res.AbsentDCs)
@@ -330,18 +318,18 @@ func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 	roles := collect(t, rounds, 2, r)
 	dcs[1].kill() // never restarted: the grace window expires
 	for _, d := range roles {
-		if d.psc.Name != "dc-1" {
-			d.psc.Observe("item")
-			if err := d.psc.Finish(); err != nil {
-				t.Fatalf("finish: %v", err)
-			}
+		if d.PSC.Name != "dc-1" {
+			d.PSC.Observe("item")
+			close(d.release)
 		}
 	}
 	if _, err := r.WaitPSC(); err != nil {
 		t.Fatalf("degraded round failed: %v", err)
 	}
 	for _, d := range roles {
-		close(d.done)
+		if err := d.outcome(t); d.PSC.Name != "dc-1" && err != nil {
+			t.Fatalf("finish: %v", err)
+		}
 	}
 	if got := reg.Get("engine/" + LabelPSC + "/rounds-degraded"); got != 1 {
 		t.Errorf("rounds-degraded = %g, want exactly 1", got)
@@ -363,14 +351,11 @@ func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roles2 := collect(t, rounds2, 2, r2)
+	collect(t, rounds2, 2, r2)
 	dcs2[1].kill()
 	_, err = r2.WaitPSC()
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("deadline-vs-grace round error = %v, want deadline abort", err)
-	}
-	for _, d := range roles2 {
-		close(d.done)
 	}
 	if got := reg2.Get("engine/" + LabelPSC + "/rounds-degraded"); got != 0 {
 		t.Errorf("rounds-degraded = %g after deadline abort, want 0", got)
@@ -402,7 +387,9 @@ func TestQuorumLostAborts(t *testing.T) {
 		t.Fatal("round with zero DCs completed")
 	}
 	for _, d := range roles {
-		close(d.done)
+		if err := d.outcome(t); err == nil {
+			t.Fatalf("%s served a round whose session died", d.PSC.Name)
+		}
 	}
 }
 
@@ -510,7 +497,9 @@ func TestSetMetricsDuringRejoin(t *testing.T) {
 		t.Fatal("aborted round reported success")
 	}
 	for _, d := range roles {
-		close(d.done)
+		if err := d.outcome(t); err == nil {
+			t.Fatalf("%s served the aborted round", d.PSC.Name)
+		}
 	}
 	for _, name := range []string{"engine/parties-rejoined", "engine/" + LabelPSC + "/parties-reattached"} {
 		if got := reg.Get(name); got != 1 {

@@ -20,6 +20,10 @@
 //     in isolation, Absent lists parties the round completed without.
 //   - QuorumPolicy: the per-protocol degradation rule (MinDCs); see
 //     below.
+//   - ServeCP, ServeSK, ServeDC: the party side, three functions over
+//     one skeleton (the acked hello, then ServeRounds with the role's
+//     stream labels). ServeDC owns a data collector's round from Setup
+//     to Finish; its host supplies only the collection (DCHost).
 //   - ReconnectLoop: the party-daemon dial/serve/backoff loop.
 //
 // # Party churn

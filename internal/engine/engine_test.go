@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,13 +24,68 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 }
 
 // dcRound is one data-collector role delivered to the test "harness":
-// the per-round DC object plus the channel the harness closes once it
-// has finished (or abandoned) the round.
+// the round ServeDC configured, the channel the test closes to end its
+// collection, and where ServeDC's report of the round's outcome lands.
 type dcRound struct {
+	DCRound
 	host int
-	psc  *psc.DC
-	priv *privcount.DC
-	done chan struct{}
+	// noiseAsked counts the noise sources ServeDC asked the host for
+	// before handing the round over.
+	noiseAsked int
+	release    chan struct{}
+	served     chan error
+}
+
+// outcome waits for ServeDC's report of the round's outcome.
+func (d dcRound) outcome(t *testing.T) error {
+	t.Helper()
+	select {
+	case err := <-d.served:
+		return err
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("round %d on dc host %d never reported", d.Round, d.host)
+		return nil
+	}
+}
+
+// testDCHost is the DCHost of every test data collector: it counts the
+// noise sources ServeDC asks for, hands each configured round to the
+// test on rounds, holds collection open until the test releases the
+// round or the round fails, and passes Served's report to the round's
+// served channel.
+func testDCHost(host int, rounds chan<- dcRound) DCHost {
+	var mu sync.Mutex
+	noise := map[uint64]int{}
+	served := map[uint64]chan error{}
+	outcome := func(round uint64) chan error {
+		mu.Lock()
+		defer mu.Unlock()
+		if served[round] == nil {
+			served[round] = make(chan error, 1)
+		}
+		return served[round]
+	}
+	return DCHost{
+		Noise: func(round uint64) *dp.NoiseSource {
+			mu.Lock()
+			noise[round]++
+			mu.Unlock()
+			return nil
+		},
+		Collect: func(r DCRound, failed <-chan struct{}) error {
+			mu.Lock()
+			asked := noise[r.Round]
+			mu.Unlock()
+			d := dcRound{DCRound: r, host: host, noiseAsked: asked, release: make(chan struct{}), served: outcome(r.Round)}
+			rounds <- d
+			select {
+			case <-d.release:
+			case <-failed:
+			}
+			return nil
+		},
+		Served: func(round uint64, err error) { outcome(round) <- err },
+	}
 }
 
 // testFleet wires an engine to in-process parties over piped sessions:
@@ -63,37 +119,7 @@ func testFleet(t *testing.T, numCPs, numSKs, numDCs int) (*Engine, chan dcRound)
 	}
 	for i := 0; i < numDCs; i++ {
 		ts, party := attach()
-		i := i
-		name := fmt.Sprintf("dc-%d", i)
-		go func() {
-			if _, err := SendHelloPinned(party, Hello{Role: RoleDC, Name: name}); err != nil {
-				return
-			}
-			ServeRounds(party, func(st *wire.Stream) error {
-				switch st.Label() {
-				case LabelPSC:
-					dc := psc.NewDC(name, st)
-					if err := dc.Setup(); err != nil {
-						return err
-					}
-					r := dcRound{host: i, psc: dc, done: make(chan struct{})}
-					rounds <- r
-					<-r.done
-					return nil
-				case LabelPrivCount:
-					dc := privcount.NewDC(name, st, nil)
-					if err := dc.Setup(); err != nil {
-						return err
-					}
-					r := dcRound{host: i, priv: dc, done: make(chan struct{})}
-					rounds <- r
-					<-r.done
-					return nil
-				default:
-					return fmt.Errorf("unexpected stream %q", st.Label())
-				}
-			})
-		}()
+		go ServeDC(party, Hello{Name: fmt.Sprintf("dc-%d", i)}, testDCHost(i, rounds))
 		accept(ts)
 	}
 	t.Cleanup(e.Close)
@@ -156,20 +182,19 @@ func TestConcurrentPSCAndPrivCountRounds(t *testing.T) {
 	// Both rounds' DC roles arrive interleaved over the same sessions.
 	var pscDCs []*psc.DC
 	var privDCs []*privcount.DC
-	var all []dcRound
-	for _, r := range collect(t, rounds, 4, pscRound, privRound) {
-		all = append(all, r)
-		if r.psc != nil {
-			pscDCs = append(pscDCs, r.psc)
+	all := collect(t, rounds, 4, pscRound, privRound)
+	for _, r := range all {
+		if r.PSC != nil {
+			pscDCs = append(pscDCs, r.PSC)
 		} else {
-			privDCs = append(privDCs, r.priv)
+			privDCs = append(privDCs, r.PrivCount)
 		}
 	}
 	if len(pscDCs) != 2 || len(privDCs) != 2 {
 		t.Fatalf("got %d PSC and %d PrivCount DC roles", len(pscDCs), len(privDCs))
 	}
 
-	// Feed both measurements, then finish everything.
+	// Feed both measurements, then let every host finish its DC.
 	for i, dc := range pscDCs {
 		for k := 0; k < 40; k++ {
 			dc.Observe(fmt.Sprintf("client-%d", k+i*20)) // 20 overlap across DCs
@@ -179,18 +204,8 @@ func TestConcurrentPSCAndPrivCountRounds(t *testing.T) {
 		dc.Increment("streams", 0, 10)
 		dc.Increment("streams", 1, 2)
 	}
-	for _, dc := range pscDCs {
-		if err := dc.Finish(); err != nil {
-			t.Fatalf("psc finish: %v", err)
-		}
-	}
-	for _, dc := range privDCs {
-		if err := dc.Finish(); err != nil {
-			t.Fatalf("privcount finish: %v", err)
-		}
-	}
 	for _, r := range all {
-		close(r.done)
+		close(r.release)
 	}
 
 	pscRes, err := pscRound.WaitPSC()
@@ -211,6 +226,11 @@ func TestConcurrentPSCAndPrivCountRounds(t *testing.T) {
 	}
 	if got := privRes["streams"][1]; got != 4 {
 		t.Fatalf("streams/b = %v, want 4", got)
+	}
+	for _, r := range all {
+		if err := r.outcome(t); err != nil {
+			t.Fatalf("%s finish: %v", r.Label(), err)
+		}
 	}
 }
 
@@ -254,16 +274,19 @@ func TestAccountantRefusesOverBudgetRounds(t *testing.T) {
 		t.Fatalf("accountant recorded %d rounds, want 2", got)
 	}
 	// The admitted rounds still run to completion.
-	for _, r := range collect(t, rounds, 4, done...) {
-		r.psc.Observe("item")
-		if err := r.psc.Finish(); err != nil {
-			t.Fatalf("finish: %v", err)
-		}
-		close(r.done)
+	dcs := collect(t, rounds, 4, done...)
+	for _, r := range dcs {
+		r.PSC.Observe("item")
+		close(r.release)
 	}
 	for _, r := range done {
 		if _, err := r.WaitPSC(); err != nil {
 			t.Fatalf("in-budget round failed: %v", err)
+		}
+	}
+	for _, r := range dcs {
+		if err := r.outcome(t); err != nil {
+			t.Fatalf("finish: %v", err)
 		}
 	}
 }
@@ -291,7 +314,9 @@ func TestRoundDeadlineAbortsStalledRound(t *testing.T) {
 		t.Fatalf("stalled round error = %v, want a deadline abort", err)
 	}
 	for _, r := range stalledDCs {
-		close(r.done)
+		if err := r.outcome(t); err == nil {
+			t.Fatal("a DC of the stalled round reported success")
+		}
 	}
 	if got := reg.Get("engine/" + LabelPSC + "/rounds-deadline-exceeded"); got != 1 {
 		t.Errorf("deadline-exceeded counter = %g, want 1", got)
@@ -307,15 +332,18 @@ func TestRoundDeadlineAbortsStalledRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range collect(t, rounds, 2, quick) {
-		r.psc.Observe("item")
-		if err := r.psc.Finish(); err != nil {
-			t.Fatalf("finish: %v", err)
-		}
-		close(r.done)
+	quickDCs := collect(t, rounds, 2, quick)
+	for _, r := range quickDCs {
+		r.PSC.Observe("item")
+		close(r.release)
 	}
 	if _, err := quick.WaitPSC(); err != nil {
 		t.Fatalf("post-deadline round failed: %v", err)
+	}
+	for _, r := range quickDCs {
+		if err := r.outcome(t); err != nil {
+			t.Fatalf("finish: %v", err)
+		}
 	}
 	st := quick.Stats()
 	if st.Seconds <= 0 || st.BytesSent <= 0 || st.BytesRecv <= 0 {
@@ -347,7 +375,7 @@ func TestRoundFailureIsolation(t *testing.T) {
 
 	var doomedDCs, survivorDCs []dcRound
 	for _, r := range collect(t, rounds, 4, doomed, survivor) {
-		if r.psc.Round() == doomed.ID {
+		if r.Round == doomed.ID {
 			doomedDCs = append(doomedDCs, r)
 		} else {
 			survivorDCs = append(survivorDCs, r)
@@ -361,20 +389,26 @@ func TestRoundFailureIsolation(t *testing.T) {
 	if _, err := doomed.WaitPSC(); err == nil || !strings.Contains(err.Error(), "operator cancelled") {
 		t.Fatalf("doomed round error = %v, want the abort reason", err)
 	}
+	// The abort unblocks the hosts' Collect without a release, and
+	// Finish never runs.
 	for _, r := range doomedDCs {
-		close(r.done) // release the host's handler; Finish was never called
+		if err := r.outcome(t); err == nil || !strings.Contains(err.Error(), "operator cancelled") {
+			t.Fatalf("doomed DC outcome = %v, want the abort reason", err)
+		}
 	}
 
 	// The sibling completes on the same sessions.
 	for i, r := range survivorDCs {
-		r.psc.Observe(fmt.Sprintf("item-%d", i))
-		if err := r.psc.Finish(); err != nil {
-			t.Fatalf("survivor finish: %v", err)
-		}
-		close(r.done)
+		r.PSC.Observe(fmt.Sprintf("item-%d", i))
+		close(r.release)
 	}
 	if _, err := survivor.WaitPSC(); err != nil {
 		t.Fatalf("survivor round: %v", err)
+	}
+	for _, r := range survivorDCs {
+		if err := r.outcome(t); err != nil {
+			t.Fatalf("survivor finish: %v", err)
+		}
 	}
 
 	// And the engine schedules fresh rounds afterwards.
@@ -382,14 +416,17 @@ func TestRoundFailureIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range collect(t, rounds, 2, again) {
-		if err := r.psc.Finish(); err != nil {
-			t.Fatalf("post-abort finish: %v", err)
-		}
-		close(r.done)
+	againDCs := collect(t, rounds, 2, again)
+	for _, r := range againDCs {
+		close(r.release)
 	}
 	if _, err := again.WaitPSC(); err != nil {
 		t.Fatalf("post-abort round: %v", err)
+	}
+	for _, r := range againDCs {
+		if err := r.outcome(t); err != nil {
+			t.Fatalf("post-abort finish: %v", err)
+		}
 	}
 }
 

@@ -119,9 +119,6 @@ func (dc *DC) Increment(stat string, bin int, delta float64) error {
 // Schema returns the round schema (nil before Setup).
 func (dc *DC) Schema() *Schema { return dc.schema }
 
-// Round reports the round this DC is configured for (zero before Setup).
-func (dc *DC) Round() uint64 { return dc.round }
-
 // Finish adds this DC's share of the Gaussian noise and streams the
 // blinded report to the tally server in bounded chunks.
 func (dc *DC) Finish() error {

@@ -54,9 +54,6 @@ func (dc *DC) Setup() error {
 	return nil
 }
 
-// Round reports the round this DC is configured for (zero before Setup).
-func (dc *DC) Round() uint64 { return dc.cfg.Round }
-
 // Observe records that an item was seen. Only the item's bin survives.
 func (dc *DC) Observe(item string) error {
 	if !dc.ready {
