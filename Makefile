@@ -11,7 +11,9 @@
 #                   internal + cmd + tools together
 #   make bench-smoke - one iteration of the crypto and protocol
 #                      benchmarks; catches gross perf regressions fast
-#                      (BenchmarkPSCRound also prints wire-B/elem, the
+#                      (the group and ciphertext ops print allocs/op, so
+#                      a Point that allocates again shows;
+#                      BenchmarkPSCRound also prints wire-B/elem, the
 #                      round's wire bytes per mixed element, so a
 #                      proof-byte regression shows even when time holds;
 #                      BenchmarkConnChunkRoundTrip prints MB/s and B/op
@@ -20,10 +22,12 @@
 #                      shuffle block on one core)
 #   make fuzz-smoke  - every codec fuzz target (frame envelope, PSC
 #                      block messages, PSC noise/blind/share chunks,
-#                      PrivCount share/chunk frames) and the affine
-#                      batch plane against the single-element group
-#                      law, 5 s each: the seed corpus always runs under
-#                      `make test`; this also mutates
+#                      PrivCount share/chunk frames, the point decoder
+#                      against crypto/elliptic), the affine batch plane
+#                      against the single-element group law and point
+#                      addition against crypto/elliptic, 5 s each: the
+#                      seed corpus always runs under `make test`; this
+#                      also mutates
 #   make bench    - the full paper-table benchmark harness (slow)
 
 GO ?= go
@@ -64,9 +68,11 @@ fuzz-smoke:
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzShareChunkCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/privcount/ -run '^$$' -fuzz '^FuzzSharesRelayCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzRerandomizeEquivalence$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzParsePoint$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzAddEquivalence$$' -fuzztime=$(FUZZTIME)
 
 bench-smoke:
-	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkGroupOps' -benchtime=100x
+	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkGroupOps|BenchmarkCiphertextOps' -benchtime=100x
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkRerandomizeBlock' -benchtime=20x -cpu 1
 	$(GO) test ./internal/wire/ -run '^$$' -bench 'BenchmarkConnChunkRoundTrip' -benchtime=2000x
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/(verified|tcp)/bins-512' -benchtime=1x

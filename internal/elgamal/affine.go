@@ -10,9 +10,10 @@ package elgamal
 // products, one feInv, peel the inverses off backwards), which leaves
 // 5 multiplications and a squaring per addition against addMixed's 8
 // and 3 — and the sums are already affine, so there is no normalization
-// pass after them. The inversion (≈ 3.5 µs through math/big) is the
-// fixed cost of a step, which is why callers hand add chunks of at
-// least batchMinChunk additions.
+// pass after them. The inversion (feInv, ≈ 7 µs) is the fixed cost of
+// a step, which is why callers hand add chunks of at least
+// batchMinChunk additions. Points are affine already, so a chunk's
+// accumulators are plain copies of its inputs.
 //
 // The verifier runs this on a prover's ciphertexts with a prover's
 // scalars, so add is total. An operand at infinity needs no arithmetic
@@ -20,7 +21,7 @@ package elgamal
 // which a cheating prover can arrange at will — would put a zero into
 // the shared product and poison every other element's inverse, so that
 // element stays out of the product and takes that one step through the
-// Jacobian group law (addMixed, then its own normalization). Along one
+// Jacobian group law (addMixed, then its own toAffine). Along one
 // chain of fixed-base window steps an element can meet equal x only a
 // few times — after a doubling the accumulator is a multiple no later
 // window holds, after a cancellation the chain restarts from infinity —
@@ -31,16 +32,16 @@ package elgamal
 // Each parallel.For chunk makes its own; it must not be shared between
 // workers.
 type affineScratch struct {
-	addend []*affinePoint // what add adds to each element; nil for nothing
-	den    []fe           // x₂ − x₁ of each addition in the shared product
-	prod   []fe           // prod[k] = den[0]·…·den[k]
-	elem   []int32        // the element den[k] belongs to
+	addend []*Point // what add adds to each element; nil for nothing
+	den    []fe     // x₂ − x₁ of each addition in the shared product
+	prod   []fe     // prod[k] = den[0]·…·den[k]
+	elem   []int32  // the element den[k] belongs to
 }
 
 func newAffineScratch(n int) *affineScratch {
 	fes := make([]fe, 2*n)
 	return &affineScratch{
-		addend: make([]*affinePoint, n),
+		addend: make([]*Point, n),
 		den:    fes[:n],
 		prod:   fes[n:],
 		elem:   make([]int32, n),
@@ -48,7 +49,7 @@ func newAffineScratch(n int) *affineScratch {
 }
 
 // add sets acc[i] += *addend[i] for every i below len(acc).
-func (s *affineScratch) add(acc []affinePoint) {
+func (s *affineScratch) add(acc []Point) {
 	n := 0
 	run := feOneVal
 	for i := range acc {
@@ -100,14 +101,14 @@ func (s *affineScratch) add(acc []affinePoint) {
 
 // addEqualX sets p += q for finite points with the same x (q = ±p),
 // outside the shared inversion.
-func addEqualX(p, q *affinePoint) {
-	jp := jacPoint{x: p.x, y: p.y, z: feOneVal}
+func addEqualX(p, q *Point) {
+	jp := p.jacobian()
 	jp.addMixed(&jp, q)
-	*p = batchToAffine([]jacPoint{jp})[0]
+	*p = jp.toAffine()
 }
 
 // addVec sets acc[i] += add[i].
-func (s *affineScratch) addVec(acc, add []affinePoint) {
+func (s *affineScratch) addVec(acc, add []Point) {
 	for i := range add {
 		s.addend[i] = &add[i]
 	}

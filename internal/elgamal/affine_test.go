@@ -26,16 +26,16 @@ func seededScalar(label string, i int) *big.Int {
 
 // accumulateFrom runs accumulate over seed points (nil: all infinity)
 // and returns the sums.
-func accumulateFrom(tb *fixedTable, seeds []Point, ks []*big.Int) []affinePoint {
-	acc := make([]affinePoint, len(ks))
+func accumulateFrom(tb *fixedTable, seeds []Point, ks []*big.Int) []Point {
+	acc := make([]Point, len(ks))
 	for i := range acc {
 		if seeds == nil {
-			acc[i].infinity = true
+			acc[i] = Identity()
 		} else {
-			acc[i].fromPoint(seeds[i])
+			acc[i] = seeds[i]
 		}
 	}
-	tb.accumulate(acc, scalarLimbsOf(reduceScalars(ks)), newAffineScratch(len(ks)))
+	accumulate([]*fixedTable{tb}, acc, scalarLimbsOf(reduceScalars(ks)), newAffineScratch(len(ks)))
 	return acc
 }
 
@@ -112,7 +112,7 @@ func TestAccumulateExceptionalCases(t *testing.T) {
 	one := big.NewInt(1)
 	for _, w := range []uint{8, 12} {
 		tb := buildTable(base, w)
-		entry := func(j int, d uint64) Point { return tb.windows[j][d-1].toPoint() }
+		entry := func(j int, d uint64) Point { return tb.windows[j][d-1] }
 		lowZero := new(big.Int).Lsh(big.NewInt(0x5a5), 3*w) // windows 0..2 empty
 		ordinary := func(i int) (Point, *big.Int) {
 			return stdlibBaseMul(seededScalar("ordinary seed", i)), seededScalar("ordinary scalar", i)
@@ -150,15 +150,15 @@ func TestAccumulateExceptionalCases(t *testing.T) {
 
 		got := accumulateFrom(tb, seeds, ks)
 		for i := range got {
-			if want := refAccumulate(seeds[i], base, ks[i]); !got[i].toPoint().Equal(want) {
-				t.Errorf("width %d: element %d (k=%v): got %v, want %v", w, i, ks[i], got[i].toPoint(), want)
+			if want := refAccumulate(seeds[i], base, ks[i]); !got[i].Equal(want) {
+				t.Errorf("width %d: element %d (k=%v): got %v, want %v", w, i, ks[i], got[i], want)
 			}
 		}
 
 		// A chunk of one exceptional element, and an empty chunk.
 		single := accumulateFrom(tb, seeds[:1], ks[:1])
-		if want := refAccumulate(seeds[0], base, ks[0]); !single[0].toPoint().Equal(want) {
-			t.Errorf("width %d: one-element chunk: got %v, want %v", w, single[0].toPoint(), want)
+		if want := refAccumulate(seeds[0], base, ks[0]); !single[0].Equal(want) {
+			t.Errorf("width %d: one-element chunk: got %v, want %v", w, single[0], want)
 		}
 		if empty := accumulateFrom(tb, nil, nil); len(empty) != 0 {
 			t.Errorf("width %d: empty chunk returned %d points", w, len(empty))
@@ -279,7 +279,7 @@ func TestVerifyShuffleBlockHostileOpening(t *testing.T) {
 		out[i] = in[j].RerandomizeWith(key.PK, w.Rand[i])
 	}
 	outOf := invertPerm(w.Perm) // input index -> output index
-	if e := baseTable().windows[0][a(2)-1].toPoint(); !e.Equal(in[2].C1) {
+	if e := baseTable().windows[0][a(2)-1]; !e.Equal(in[2].C1) {
 		t.Fatal("test premise broken: in[2].C1 is not a first-window table entry")
 	}
 

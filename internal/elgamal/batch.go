@@ -17,10 +17,10 @@ import (
 )
 
 // batchMinChunk is the smallest slice of vector work handed to a
-// worker. A step of the affine plane costs one inversion (≈ 3.5 µs)
+// worker. A step of the affine plane costs one inversion (≈ 7 µs)
 // plus ≈ 0.2 µs per element, so at 64 elements the inversion is about
-// a fifth of the step and by a PSC block's 512 per worker it is under
-// 5 %; below 64 the split would cost more in inversions than the second
+// a third of the step and by a PSC block's 512 per worker it is about
+// 6 %; below 64 the split would cost more in inversions than the second
 // core returns.
 const batchMinChunk = 64
 
@@ -43,18 +43,16 @@ func BatchBaseMul(ks []*big.Int) []Point {
 	return batchTableMul(baseTable(), reduceScalars(ks))
 }
 
-// batchTableMul computes kᵢ·B for reduced scalars through B's table.
+// batchTableMul computes kᵢ·B for reduced scalars through B's table,
+// each chunk accumulating in place in its slice of the output.
 func batchTableMul(t *fixedTable, ks []*big.Int) []Point {
 	out := make([]Point, len(ks))
 	parallel.For(len(ks), batchMinChunk, func(lo, hi int) {
-		acc := make([]affinePoint, hi-lo)
+		acc := out[lo:hi]
 		for i := range acc {
-			acc[i].infinity = true
+			acc[i] = Identity()
 		}
-		t.accumulate(acc, scalarLimbsOf(ks[lo:hi]), newAffineScratch(hi-lo))
-		for i := range acc {
-			out[lo+i] = acc[i].toPoint()
-		}
+		accumulate([]*fixedTable{t}, acc, scalarLimbsOf(ks[lo:hi]), newAffineScratch(hi-lo))
 	})
 	return out
 }
@@ -77,7 +75,7 @@ func BatchMul(base Point, ks []*big.Int) []Point {
 		}
 		return out
 	}
-	if base.isGenerator() {
+	if base == generator {
 		return BatchBaseMul(ks)
 	}
 	ks = reduceScalars(ks)
@@ -97,7 +95,7 @@ func BatchMul(base Point, ks []*big.Int) []Point {
 // sharedBaseTable resolves the table to use for a batch against one
 // shared base: nil means "no table is worth it, use stdlib".
 func sharedBaseTable(base Point, n int) *fixedTable {
-	if base.isGenerator() {
+	if base == generator {
 		return baseTable()
 	}
 	t := cachedTable(base)
@@ -145,8 +143,8 @@ func BatchEncryptBits(pk Point, bits []bool) ([]Ciphertext, []*big.Int) {
 // BatchRerandomizeWith refreshes every ciphertext with the given
 // randomizers: out[i] = (C1ᵢ + rᵢ·G, C2ᵢ + rᵢ·pk). A chunk seeds its
 // affine accumulators with the ciphertext halves and walks the
-// generator table over the first and pk's table over the second, both
-// from one set of scalar limbs and one scratch.
+// generator table over the first and pk's table over the second in
+// the same steps, from one set of scalar limbs and one scratch.
 func BatchRerandomizeWith(pk Point, cs []Ciphertext, rs []*big.Int) []Ciphertext {
 	if len(cs) != len(rs) {
 		panic("elgamal: BatchRerandomizeWith length mismatch")
@@ -165,18 +163,14 @@ func BatchRerandomizeWith(pk Point, cs []Ciphertext, rs []*big.Int) []Ciphertext
 	gt := baseTable()
 	parallel.For(len(cs), batchMinChunk, func(lo, hi int) {
 		n := hi - lo
-		acc := make([]affinePoint, 2*n)
+		acc := make([]Point, 2*n)
 		c1, c2 := acc[:n], acc[n:]
 		for i, c := range cs[lo:hi] {
-			c1[i].fromPoint(c.C1)
-			c2[i].fromPoint(c.C2)
+			c1[i], c2[i] = c.C1, c.C2
 		}
-		limbs := scalarLimbsOf(rs[lo:hi])
-		s := newAffineScratch(n)
-		gt.accumulate(c1, limbs, s)
-		pt.accumulate(c2, limbs, s)
+		accumulate([]*fixedTable{gt, pt}, acc, scalarLimbsOf(rs[lo:hi]), newAffineScratch(2*n))
 		for i := range c1 {
-			out[lo+i] = Ciphertext{C1: c1[i].toPoint(), C2: c2[i].toPoint()}
+			out[lo+i] = Ciphertext{C1: c1[i], C2: c2[i]}
 		}
 	})
 	return out
@@ -199,17 +193,15 @@ func BatchAddCiphertexts(as, bs []Ciphertext) []Ciphertext {
 	out := make([]Ciphertext, len(as))
 	parallel.For(len(as), batchMinChunk, func(lo, hi int) {
 		n := hi - lo
-		pts := make([]affinePoint, 4*n)
+		pts := make([]Point, 4*n)
 		acc, add := pts[:2*n], pts[2*n:]
 		for i := 0; i < n; i++ {
-			acc[i].fromPoint(as[lo+i].C1)
-			acc[n+i].fromPoint(as[lo+i].C2)
-			add[i].fromPoint(bs[lo+i].C1)
-			add[n+i].fromPoint(bs[lo+i].C2)
+			acc[i], acc[n+i] = as[lo+i].C1, as[lo+i].C2
+			add[i], add[n+i] = bs[lo+i].C1, bs[lo+i].C2
 		}
 		newAffineScratch(2*n).addVec(acc, add)
 		for i := 0; i < n; i++ {
-			out[lo+i] = Ciphertext{C1: acc[i].toPoint(), C2: acc[n+i].toPoint()}
+			out[lo+i] = Ciphertext{C1: acc[i], C2: acc[n+i]}
 		}
 	})
 	return out
@@ -254,22 +246,16 @@ func RecoverBatch(cs []Ciphertext, shares [][]DecryptionShare) []Point {
 	}
 	out := make([]Point, len(cs))
 	parallel.For(len(cs), batchMinChunk, func(lo, hi int) {
-		n := hi - lo
-		pts := make([]affinePoint, 2*n)
-		acc, sub := pts[:n], pts[n:]
+		acc, sub := out[lo:hi], make([]Point, hi-lo)
 		for i := range acc {
-			acc[i].fromPoint(cs[lo+i].C2)
+			acc[i] = cs[lo+i].C2
 		}
-		s := newAffineScratch(n)
+		s := newAffineScratch(hi - lo)
 		for _, sv := range shares {
 			for i := range sub {
-				sub[i].fromPoint(sv[lo+i].Share)
-				sub[i].negate()
+				sub[i] = sv[lo+i].Share.Neg()
 			}
 			s.addVec(acc, sub)
-		}
-		for i := range acc {
-			out[lo+i] = acc[i].toPoint()
 		}
 	})
 	return out

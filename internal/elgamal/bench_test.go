@@ -10,8 +10,8 @@ package elgamal
 //     code actually called (assembly-backed on amd64);
 //   - batch:      the new Jacobian/table/batch pipeline.
 //
-// All arms report ns per element so the sub-benchmarks compare
-// directly. See PERF.md for recorded numbers.
+// All arms report ns and allocations per element so the sub-benchmarks
+// compare directly. See PERF.md for recorded numbers.
 
 import (
 	"math/big"
@@ -35,51 +35,60 @@ func perBatch(b *testing.B, fn func(n int)) {
 
 func benchScalars(n int) []*big.Int { return RandomScalars(n) }
 
+// runAllocs is b.Run with allocations reported; a sub-benchmark does
+// not inherit its parent's ReportAllocs.
+func runAllocs(b *testing.B, name string, f func(*testing.B)) {
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		f(b)
+	})
+}
+
 func BenchmarkGroupOps(b *testing.B) {
 	ks := benchScalars(benchBatch)
 	base := stdlibBaseMul(RandomScalar())
 	points := BatchBaseMul(benchScalars(benchBatch))
 	points2 := BatchBaseMul(benchScalars(benchBatch))
 
-	b.Run("BaseMul/affine-ref", func(b *testing.B) {
+	runAllocs(b, "BaseMul/affine-ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			refAffineBaseMul(ks[i%benchBatch])
 		}
 	})
-	b.Run("BaseMul/stdlib", func(b *testing.B) {
+	runAllocs(b, "BaseMul/stdlib", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stdlibBaseMul(ks[i%benchBatch])
 		}
 	})
-	b.Run("BaseMul/table", func(b *testing.B) {
+	runAllocs(b, "BaseMul/table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			BaseMul(ks[i%benchBatch])
 		}
 	})
-	b.Run("BaseMul/batch", func(b *testing.B) {
+	runAllocs(b, "BaseMul/batch", func(b *testing.B) {
 		perBatch(b, func(n int) { BatchBaseMul(ks[:n]) })
 	})
 
-	b.Run("Mul/stdlib", func(b *testing.B) {
+	runAllocs(b, "Mul/stdlib", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stdlibMul(base, ks[i%benchBatch])
 		}
 	})
-	b.Run("Mul/batch", func(b *testing.B) {
+	runAllocs(b, "Mul/batch", func(b *testing.B) {
 		perBatch(b, func(n int) { BatchMul(base, ks[:n]) })
 	})
 
-	b.Run("Add/affine-ref", func(b *testing.B) {
+	runAllocs(b, "Add/affine-ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			refAffineAdd(points[i%benchBatch], points2[i%benchBatch])
 		}
 	})
-	b.Run("Add/stdlib", func(b *testing.B) {
+	runAllocs(b, "Add/stdlib", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stdlibAdd(points[i%benchBatch], points2[i%benchBatch])
 		}
 	})
-	b.Run("Add/single", func(b *testing.B) {
+	runAllocs(b, "Add/single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			points[i%benchBatch].Add(points2[i%benchBatch])
 		}
@@ -88,8 +97,8 @@ func BenchmarkGroupOps(b *testing.B) {
 
 // BenchmarkCiphertextOps measures the protocol-level vector operations
 // per element: encryption, re-randomization, blinding, decryption
-// shares, and the proof verifications that dominate a verified PSC
-// round.
+// shares, the proof verifications that dominate a verified PSC round,
+// and decoding a ciphertext off the wire.
 func BenchmarkCiphertextOps(b *testing.B) {
 	key := GenerateKey()
 	Precompute(key.PK)
@@ -98,32 +107,49 @@ func BenchmarkCiphertextOps(b *testing.B) {
 		bits[i] = i%2 == 0
 	}
 	cts, rs := BatchEncryptBits(key.PK, bits)
-	_ = rs
 
-	b.Run("EncryptBit/old", func(b *testing.B) {
+	var packed []byte
+	for _, c := range cts {
+		packed = c.AppendTo(packed)
+	}
+	runAllocs(b, "Parse/ciphertext", func(b *testing.B) {
+		rest := packed
+		for i := 0; i < b.N; i++ {
+			if len(rest) == 0 {
+				rest = packed
+			}
+			_, n, err := ParseCiphertext(rest)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rest = rest[n:]
+		}
+	})
+
+	runAllocs(b, "EncryptBit/old", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			EncryptBit(key.PK, i%2 == 0)
 		}
 	})
-	b.Run("EncryptBit/batch", func(b *testing.B) {
+	runAllocs(b, "EncryptBit/batch", func(b *testing.B) {
 		perBatch(b, func(n int) { BatchEncryptBits(key.PK, bits[:n]) })
 	})
 
-	b.Run("Rerandomize/old", func(b *testing.B) {
+	runAllocs(b, "Rerandomize/old", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cts[i%benchBatch].RerandomizeWith(key.PK, RandomScalar())
 		}
 	})
-	b.Run("Rerandomize/batch", func(b *testing.B) {
+	runAllocs(b, "Rerandomize/batch", func(b *testing.B) {
 		perBatch(b, func(n int) { BatchRerandomize(key.PK, cts[:n]) })
 	})
 
-	b.Run("PartialDecrypt/old", func(b *testing.B) {
+	runAllocs(b, "PartialDecrypt/old", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			key.PartialDecrypt(cts[i%benchBatch])
 		}
 	})
-	b.Run("PartialDecrypt/batch", func(b *testing.B) {
+	runAllocs(b, "PartialDecrypt/batch", func(b *testing.B) {
 		perBatch(b, func(n int) { key.BatchPartialDecrypt(cts[:n]) })
 	})
 
@@ -131,14 +157,14 @@ func BenchmarkCiphertextOps(b *testing.B) {
 	// One proof covers a chunk, so these two arms work on whole
 	// benchBatch-element chunks: ns/op is per element when b.N is a
 	// multiple of it.
-	b.Run("ProveShares/chunk", func(b *testing.B) {
+	runAllocs(b, "ProveShares/chunk", func(b *testing.B) {
 		b.ResetTimer()
 		for done := 0; done < b.N; done += benchBatch {
 			key.BatchProveShares(cts, shares)
 		}
 	})
 	shareProof := key.BatchProveShares(cts, shares)
-	b.Run("VerifyShares/chunk", func(b *testing.B) {
+	runAllocs(b, "VerifyShares/chunk", func(b *testing.B) {
 		b.ResetTimer()
 		for done := 0; done < b.N; done += benchBatch {
 			if _, ok := VerifySharesBatch(key.PK, cts, shares, shareProof); !ok {
@@ -149,7 +175,7 @@ func BenchmarkCiphertextOps(b *testing.B) {
 
 	blinded, ss := BatchExpBlind(cts)
 	blindProofs := BatchProveBlinds(cts, blinded, ss)
-	b.Run("VerifyBlind/old", func(b *testing.B) {
+	runAllocs(b, "VerifyBlind/old", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := i % benchBatch
 			if !VerifyBlind(cts[j], blinded[j], blindProofs[j]) {
@@ -157,7 +183,7 @@ func BenchmarkCiphertextOps(b *testing.B) {
 			}
 		}
 	})
-	b.Run("VerifyBlind/batch", func(b *testing.B) {
+	runAllocs(b, "VerifyBlind/batch", func(b *testing.B) {
 		perBatch(b, func(n int) {
 			if _, ok := VerifyBlindsBatch(cts[:n], blinded[:n], blindProofs[:n]); !ok {
 				b.Fatal("blind batch rejected")
@@ -166,7 +192,7 @@ func BenchmarkCiphertextOps(b *testing.B) {
 	})
 
 	bitProofs := BatchProveBits(key.PK, cts, bits, rs)
-	b.Run("VerifyBit/old", func(b *testing.B) {
+	runAllocs(b, "VerifyBit/old", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := i % benchBatch
 			if !VerifyBit(key.PK, cts[j], bitProofs[j]) {
@@ -174,7 +200,7 @@ func BenchmarkCiphertextOps(b *testing.B) {
 			}
 		}
 	})
-	b.Run("VerifyBit/batch", func(b *testing.B) {
+	runAllocs(b, "VerifyBit/batch", func(b *testing.B) {
 		perBatch(b, func(n int) {
 			if _, ok := VerifyBitsBatch(key.PK, cts[:n], bitProofs[:n]); !ok {
 				b.Fatal("bit batch rejected")

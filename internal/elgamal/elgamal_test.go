@@ -80,6 +80,94 @@ func TestPointEncoding(t *testing.T) {
 	if _, _, err := ParsePoint(Generator().Bytes()[:20]); err == nil {
 		t.Fatal("short encoding must fail")
 	}
+	// A coordinate ≥ p names the same residue as coordinate − p; taking
+	// it would give one point two encodings. aliasedPoint finds a point
+	// whose x + p still fits 32 bytes.
+	x, y := aliasedPoint()
+	enc := func(x, y *big.Int) []byte {
+		return append(append([]byte{4}, x.FillBytes(make([]byte, 32))...), y.FillBytes(make([]byte, 32))...)
+	}
+	if _, _, err := ParsePoint(enc(x, y)); err != nil {
+		t.Fatalf("canonical (%v, y) rejected: %v", x, err)
+	}
+	if _, _, err := ParsePoint(enc(new(big.Int).Add(x, curve.Params().P), y)); err == nil {
+		t.Fatal("x + p accepted as an encoding of x")
+	}
+}
+
+// aliasedPoint returns the curve point with the smallest x, whose x + p
+// is below 2²⁵⁶.
+func aliasedPoint() (x, y *big.Int) {
+	params := curve.Params()
+	for x = new(big.Int); ; x.Add(x, big.NewInt(1)) {
+		rhs := new(big.Int).Exp(x, big.NewInt(3), params.P)
+		rhs.Sub(rhs, new(big.Int).Mul(x, big.NewInt(3)))
+		rhs.Add(rhs, params.B).Mod(rhs, params.P)
+		if y = new(big.Int).ModSqrt(rhs, params.P); y != nil {
+			return x, y
+		}
+	}
+}
+
+// TestPointOpsDoNotAllocate holds the representation to its point: a
+// Point is a value, so decoding, the group law on single points and
+// encoding into a buffer with room allocate nothing.
+func TestPointOpsDoNotAllocate(t *testing.T) {
+	g, p := Generator(), BaseMul(big.NewInt(12345))
+	enc := Ciphertext{C1: g, C2: p}.Bytes()
+	buf := make([]byte, 0, pointLen)
+	var sink Point
+	var ok bool
+	for name, op := range map[string]func(){
+		"ParsePoint":      func() { sink, _, _ = ParsePoint(enc) },
+		"ParseCiphertext": func() { c, _, _ := ParseCiphertext(enc); sink = c.C2 },
+		"Add":             func() { sink = g.Add(p) },
+		"Sub":             func() { sink = g.Sub(p) },
+		"Neg":             func() { sink = p.Neg() },
+		"Equal":           func() { ok = g.Equal(p) },
+		"IsValid":         func() { ok = p.IsValid() },
+		"Identity":        func() { sink = Identity() },
+		"Generator":       func() { sink = Generator() },
+		"AppendBytes":     func() { buf = p.AppendBytes(buf[:0]) },
+	} {
+		if n := testing.AllocsPerRun(50, op); n != 0 {
+			t.Errorf("%s allocates %v times per call", name, n)
+		}
+	}
+	_, _ = sink, ok
+}
+
+// TestZeroPointIsNotAGroupElement: the zero Point is (0, 0), off the
+// curve, and everything that takes a point from outside refuses it.
+func TestZeroPointIsNotAGroupElement(t *testing.T) {
+	var z Point
+	if z.IsValid() || z.IsIdentity() || z.Equal(Identity()) {
+		t.Fatal("the zero Point passes for a group element")
+	}
+	if _, _, err := ParsePoint(z.Bytes()); err == nil {
+		t.Fatal("the zero Point's encoding parses")
+	}
+	k := GenerateKey()
+	g := Generator()
+	pr := ProveDLEQ("test", g, k.PK, g, k.PK, k.X)
+	if !VerifyDLEQ("test", g, k.PK, g, k.PK, pr) {
+		t.Fatal("honest DLEQ rejected")
+	}
+	if VerifyDLEQ("test", g, z, g, k.PK, pr) {
+		t.Fatal("VerifyDLEQ accepted the zero Point as a statement point")
+	}
+	for _, bad := range []EqualityProof{{Commit1: z, Commit2: pr.Commit2, Response: pr.Response}, {Commit1: pr.Commit1, Commit2: z, Response: pr.Response}} {
+		if VerifyDLEQ("test", g, k.PK, g, k.PK, bad) {
+			t.Fatal("VerifyDLEQ accepted the zero Point as a commitment")
+		}
+	}
+	cts := makeBatch(k.PK, []bool{true, false, true, false, true, false})
+	blinded, ss := BatchExpBlind(cts)
+	proofs := BatchProveBlinds(cts, blinded, ss)
+	proofs[3].Commit2 = z
+	if idx, ok := VerifyBlindsBatch(cts, blinded, proofs); ok || idx != 3 {
+		t.Fatalf("zero commitment in a blind batch: got (%d,%v), want (3,false)", idx, ok)
+	}
 }
 
 func TestEncryptDecrypt(t *testing.T) {
@@ -189,6 +277,9 @@ func TestCombineKeysRejectsInvalid(t *testing.T) {
 	if _, err := CombineKeys(a, b, a.Add(b).Neg()); err == nil {
 		t.Fatal("keys summing to the identity must fail")
 	}
+	if _, err := CombineKeys(a, b, Point{}); err == nil {
+		t.Fatal("a zero Point member key must fail")
+	}
 }
 
 func TestProofOfPossession(t *testing.T) {
@@ -282,8 +373,19 @@ func TestVerifyShareRejectsGarbage(t *testing.T) {
 	if _, ok := VerifySharesBatch(k.PK, cts, shares, EqualityProof{}); ok {
 		t.Fatal("empty proof must fail")
 	}
-	if _, ok := VerifySharesBatch(Point{}, cts, shares, k.BatchProveShares(cts, shares)); ok {
+	proof := k.BatchProveShares(cts, shares)
+	if _, ok := VerifySharesBatch(Point{}, cts, shares, proof); ok {
 		t.Fatal("invalid pk must fail")
+	}
+	zeroShare := append([]DecryptionShare(nil), shares...)
+	zeroShare[1].Share = Point{}
+	if idx, ok := VerifySharesBatch(k.PK, cts, zeroShare, proof); ok || idx != 1 {
+		t.Fatalf("zero Point share gave (%d,%v), want (1,false)", idx, ok)
+	}
+	zeroCommit := proof
+	zeroCommit.Commit1 = Point{}
+	if _, ok := VerifySharesBatch(k.PK, cts, shares, zeroCommit); ok {
+		t.Fatal("zero Point commitment must fail")
 	}
 }
 

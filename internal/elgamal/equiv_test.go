@@ -35,8 +35,7 @@ func stdlibBaseMul(k *big.Int) Point {
 	if kk.Sign() == 0 {
 		return Identity()
 	}
-	x, y := elliptic.P256().ScalarBaseMult(kk.Bytes())
-	return Point{X: x, Y: y}
+	return pointXY(elliptic.P256().ScalarBaseMult(kk.Bytes()))
 }
 
 // stdlibMul is the old Point.Mul implementation.
@@ -48,14 +47,15 @@ func stdlibMul(p Point, k *big.Int) Point {
 	if kk.Sign() == 0 {
 		return Identity()
 	}
-	x, y := elliptic.P256().ScalarMult(p.X, p.Y, kk.Bytes())
-	return Point{X: x, Y: y}
+	x, y := coords(p)
+	return pointXY(elliptic.P256().ScalarMult(x, y, kk.Bytes()))
 }
 
 // stdlibAdd is the old Point.Add implementation.
 func stdlibAdd(p, q Point) Point {
-	x, y := elliptic.P256().Add(p.X, p.Y, q.X, q.Y)
-	return Point{X: x, Y: y}
+	px, py := coords(p)
+	qx, qy := coords(q)
+	return pointXY(elliptic.P256().Add(px, py, qx, qy))
 }
 
 func TestFieldArithmeticMatchesBig(t *testing.T) {
@@ -178,7 +178,7 @@ func TestBaseMulEquivalence(t *testing.T) {
 	for _, k := range scalars {
 		want := stdlibBaseMul(k)
 		if got := BaseMul(k); !got.Equal(want) {
-			t.Fatalf("BaseMul(%v) = %v,%v want %v,%v", k, got.X, got.Y, want.X, want.Y)
+			t.Fatalf("BaseMul(%v) = %v want %v", k, got, want)
 		}
 	}
 	// The affine math/big reference must agree too (fewer iterations —
@@ -198,7 +198,7 @@ func TestMulEquivalence(t *testing.T) {
 		for _, k := range scalars {
 			want := stdlibMul(p, k)
 			if got := p.Mul(k); !got.Equal(want) {
-				t.Fatalf("Mul(%v) mismatch on base %v,%v", k, p.X, p.Y)
+				t.Fatalf("Mul(%v) mismatch on base %v", k, p)
 			}
 			if got := refAffineMul(p, k); !p.IsIdentity() && !got.Equal(want) {
 				t.Fatalf("refAffineMul(%v) mismatch", k)
@@ -235,7 +235,7 @@ func TestAddEquivalence(t *testing.T) {
 	for _, c := range cases {
 		want := stdlibAdd(c[0], c[1])
 		if got := c[0].Add(c[1]); !got.Equal(want) {
-			t.Fatalf("Add mismatch: got %v,%v want %v,%v", got.X, got.Y, want.X, want.Y)
+			t.Fatalf("Add mismatch: got %v want %v", got, want)
 		}
 		if got := refAffineAdd(c[0], c[1]); !got.Equal(want) {
 			t.Fatalf("refAffineAdd mismatch")
@@ -436,12 +436,12 @@ func TestMultiScalarMul(t *testing.T) {
 		if !multiScalarMul(&sum, terms) {
 			t.Fatalf("msm rejected valid terms")
 		}
-		if got := sum.toPoint(); !got.Equal(want) {
+		if got := sum.toAffine(); !got.Equal(want) {
 			t.Fatalf("msm(n=%d) mismatch", n)
 		}
 	}
 	// Off-curve input must be rejected, not computed with.
-	bad := []msmTerm{{scalar: big.NewInt(2), point: Point{X: big.NewInt(1), Y: big.NewInt(1)}}}
+	bad := []msmTerm{{scalar: big.NewInt(2), point: pointXY(big.NewInt(1), big.NewInt(1))}}
 	var sum jacPoint
 	if multiScalarMul(&sum, bad) {
 		t.Fatal("msm accepted an off-curve point")
@@ -528,7 +528,7 @@ func TestBatchVerifyShares(t *testing.T) {
 		// Malformed inputs are the one thing the index reports.
 		at := n / 2
 		bad := append([]DecryptionShare(nil), shares...)
-		bad[at] = DecryptionShare{Share: Point{X: big.NewInt(1), Y: big.NewInt(1)}}
+		bad[at] = DecryptionShare{Share: pointXY(big.NewInt(1), big.NewInt(1))}
 		if idx, ok := verify(cts, bad); ok || idx != at {
 			t.Fatalf("n=%d: off-curve share gave (%d,%v), want (%d,false)", n, idx, ok, at)
 		}
@@ -693,19 +693,19 @@ func TestPippengerMSM(t *testing.T) {
 	if !pippengerMSM(&sum, terms) {
 		t.Fatal("pippenger rejected valid terms")
 	}
-	if got := sum.toPoint(); !got.Equal(want) {
-		t.Fatalf("pippenger mismatch: got %v,%v want %v,%v", got.X, got.Y, want.X, want.Y)
+	if got := sum.toAffine(); !got.Equal(want) {
+		t.Fatalf("pippenger mismatch: got %v want %v", got, want)
 	}
 	// Strauss on the same terms must agree.
 	var sum2 jacPoint
 	if !straussMSM(&sum2, terms) {
 		t.Fatal("strauss rejected valid terms")
 	}
-	if got := sum2.toPoint(); !got.Equal(want) {
+	if got := sum2.toAffine(); !got.Equal(want) {
 		t.Fatal("strauss mismatch on large batch")
 	}
 	// Off-curve rejection on the bucket path too.
-	terms[11].point = Point{X: big.NewInt(2), Y: big.NewInt(9)}
+	terms[11].point = pointXY(big.NewInt(2), big.NewInt(9))
 	if pippengerMSM(&sum, terms) {
 		t.Fatal("pippenger accepted an off-curve point")
 	}

@@ -1,22 +1,18 @@
 package elgamal
 
-// P-256 base-field arithmetic on 4×64-bit limbs in Montgomery form.
-//
-// The deprecated crypto/elliptic entry points this package historically
-// used convert through math/big on every call and normalize every
-// intermediate result to affine coordinates (one field inversion per
-// point addition). The PSC hot loops — encrypting thousands of bins,
-// re-randomizing and blinding whole mix batches, verifying thousands of
-// Chaum–Pedersen proofs — pay that cost per element. This file provides
-// the raw field layer for the Jacobian group core in jacobian.go: a
-// multiplication is ~30ns instead of ~240ns for math/big Mul+Mod, and no
-// operation allocates.
+// P-256 base-field arithmetic on 4×64-bit limbs in Montgomery form: the
+// layer every Point coordinate lives in (group.go) and the Jacobian and
+// affine batch formulas compute on (jacobian.go, affine.go). A
+// multiplication is ~30 ns instead of ~240 ns for math/big Mul+Mod, and
+// no operation allocates. math/big appears here only to derive the
+// constants below and to hand coordinates to crypto/elliptic (toBig).
 //
 // Arithmetic here is *variable time*. The reproduction runs simulated
 // parties inside one trusted process, so timing side channels between
 // parties are out of scope; see the package comment in group.go.
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 )
@@ -31,20 +27,15 @@ var p256P = fe{0xffffffffffffffff, 0x00000000ffffffff, 0x0000000000000000, 0xfff
 // Montgomery constants, derived once from big.Int so they cannot drift
 // from the curve parameters.
 var (
-	feOneVal fe // R mod p, the Montgomery form of 1
-	feR2     fe // R² mod p, used to convert into Montgomery form
-	feBVal   fe // curve coefficient b in Montgomery form
+	feOneVal = twoPowModP(256) // R mod p, the Montgomery form of 1
+	feR2     = twoPowModP(512) // R² mod p, used to convert into Montgomery form
+	feBVal   = feFromBig(curve.Params().B)
 )
 
-func init() {
-	p := curve.Params().P
-	r := new(big.Int).Lsh(big.NewInt(1), 256)
-	r.Mod(r, p)
-	feOneVal = feFromSaturated(r)
-	r2 := new(big.Int).Lsh(big.NewInt(1), 512)
-	r2.Mod(r2, p)
-	feR2 = feFromSaturated(r2)
-	feBVal = feFromBig(curve.Params().B)
+// twoPowModP returns 2^k mod p as raw limbs.
+func twoPowModP(k uint) fe {
+	r := new(big.Int).Lsh(big.NewInt(1), k)
+	return feFromSaturated(r.Mod(r, curve.Params().P))
 }
 
 // limbsFromBig loads a non-negative big.Int of at most 64·len(out)
@@ -81,32 +72,40 @@ func feFromBig(v *big.Int) fe {
 	return out
 }
 
-// toBig converts out of Montgomery form into a fresh big.Int. On 64-bit
-// platforms the limbs are the big.Int's words as they stand, so the
-// value and its words come from one allocation with no byte round trip:
-// a re-randomized block makes four of these per element.
-func (x *fe) toBig() *big.Int {
-	var one = fe{1}
+// feFromBytes decodes 32 big-endian bytes into Montgomery form. It
+// refuses a value ≥ p: the conversion would reduce it to value − p, and
+// one point would have two encodings.
+func feFromBytes(b []byte) (fe, bool) {
 	var raw fe
-	feMul(&raw, x, &one) // divides by R, leaving the true value
-	if bits.UintSize == 64 {
-		v := new(struct {
-			n     big.Int
-			words [4]big.Word
-		})
-		for i, limb := range raw {
-			v.words[i] = big.Word(limb)
-		}
-		return v.n.SetBits(v.words[:]) // SetBits strips leading zero words
+	for i := range raw {
+		raw[3-i] = binary.BigEndian.Uint64(b[8*i:])
 	}
-	buf := make([]byte, 32)
-	for i := 0; i < 4; i++ {
-		limb := raw[3-i]
-		for j := 0; j < 8; j++ {
-			buf[i*8+j] = byte(limb >> (56 - 8*j))
-		}
+	var borrow uint64
+	for i := range raw {
+		_, borrow = bits.Sub64(raw[i], p256P[i], borrow)
 	}
-	return new(big.Int).SetBytes(buf)
+	if borrow == 0 {
+		return fe{}, false
+	}
+	var out fe
+	feMul(&out, &raw, &feR2)
+	return out, true
+}
+
+// appendBytes appends x out of Montgomery form as 32 big-endian bytes.
+func (x *fe) appendBytes(dst []byte) []byte {
+	var raw fe
+	feMul(&raw, x, &fe{1}) // divides by R, leaving the true value
+	for i := 3; i >= 0; i-- {
+		dst = binary.BigEndian.AppendUint64(dst, raw[i])
+	}
+	return dst
+}
+
+// toBig converts out of Montgomery form into a fresh big.Int.
+func (x *fe) toBig() *big.Int {
+	var buf [32]byte
+	return new(big.Int).SetBytes(x.appendBytes(buf[:0]))
 }
 
 // isZero reports whether x is zero (works in Montgomery form: the
@@ -350,13 +349,39 @@ func feSqr(z, x *fe) {
 	z[3] = u3 ^ (keep & (u3 ^ t3))
 }
 
-// feInv computes z = x⁻¹ mod p, delegating to big.Int's extended GCD
-// (≈ 3.5 µs, a few hundred bytes of temporaries). Inversions are rare
-// by design — one per *batch* of point normalizations (batchToAffine)
-// or of affine additions (affineScratch.add) — so the conversion cost
-// is noise.
+// feInv computes z = x⁻¹ = x^(p−2) mod p (Fermat), 255 squarings and 13
+// multiplications that allocate nothing. Reading p − 2 from the top bit
+// down, it is 32 ones, 31 zeros, a one, 96 zeros, 94 ones, a zero and a
+// one; runs[i] holds x raised to a run of 2^i ones. Inversions are
+// rare by design — one per single-point normalization, per *batch* of
+// them (batchToAffine) or per step of affine additions
+// (affineScratch.add).
 func feInv(z, x *fe) {
-	v := x.toBig()
-	v.ModInverse(v, curve.Params().P)
-	*z = feFromBig(v)
+	var runs [6]fe
+	runs[0] = *x
+	for i := 1; i < len(runs); i++ {
+		feSqrN(&runs[i], &runs[i-1], 1<<(i-1))
+		feMul(&runs[i], &runs[i], &runs[i-1])
+	}
+	t := runs[5]
+	feSqrN(&t, &t, 32)
+	feMul(&t, &t, x)
+	feSqrN(&t, &t, 96+32)
+	feMul(&t, &t, &runs[5])
+	feSqrN(&t, &t, 32)
+	feMul(&t, &t, &runs[5])
+	for i := 4; i >= 1; i-- { // 64 + 16 + 8 + 4 + 2 = 94 ones
+		feSqrN(&t, &t, 1<<i)
+		feMul(&t, &t, &runs[i])
+	}
+	feSqrN(&t, &t, 2)
+	feMul(z, &t, x)
+}
+
+// feSqrN computes z = x^(2^n) for n ≥ 1.
+func feSqrN(z, x *fe, n int) {
+	feSqr(z, x)
+	for i := 1; i < n; i++ {
+		feSqr(z, z)
+	}
 }

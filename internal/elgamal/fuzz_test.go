@@ -1,12 +1,15 @@
 package elgamal
 
 import (
+	"crypto/elliptic"
 	"math/big"
 	"testing"
 )
 
-// FuzzParsePoint drives the point decoder with arbitrary bytes: it must
-// never panic and never accept an off-curve point.
+// FuzzParsePoint drives the point decoder with arbitrary bytes against
+// crypto/elliptic: tag 0 is the identity in one byte, and a tag-4
+// encoding is accepted exactly when elliptic.Unmarshal accepts its 65
+// bytes, as the same coordinates. Accepted points round-trip.
 func FuzzParsePoint(f *testing.F) {
 	f.Add(Identity().Bytes())
 	f.Add(Generator().Bytes())
@@ -14,20 +17,48 @@ func FuzzParsePoint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4})
 	f.Add(make([]byte, 65))
+	p := curve.Params().P
+	gx, gy := coords(Generator())
+	ones := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
+	ax, ay := aliasedPoint()
+	for _, xy := range [][2]*big.Int{
+		{p, gy}, // x = p
+		{gx, p}, // y = p
+		{new(big.Int).Sub(p, big.NewInt(1)), gy},
+		{ones, gy},
+		{gx, ones},
+		{new(big.Int).Add(ax, p), ay}, // a curve point's x, plus p
+	} {
+		f.Add(append(append([]byte{4}, xy[0].FillBytes(make([]byte, 32))...), xy[1].FillBytes(make([]byte, 32))...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, n, err := ParsePoint(data)
+		pt, n, err := ParsePoint(data)
+		switch {
+		case len(data) > 0 && data[0] == 0:
+			if err != nil || n != 1 || !pt.IsIdentity() {
+				t.Fatalf("tag 0: got (%v, %d, %v), want the identity in one byte", pt, n, err)
+			}
+		case len(data) >= pointLen && data[0] == 4:
+			x, y := elliptic.Unmarshal(elliptic.P256(), data[:pointLen])
+			if (x != nil) != (err == nil) {
+				t.Fatalf("ParsePoint error %v, crypto/elliptic accepts: %v", err, x != nil)
+			}
+			if x != nil && (n != pointLen || !pt.Equal(pointXY(x, y))) {
+				t.Fatalf("decoded (%d bytes) to another point than crypto/elliptic", n)
+			}
+		default:
+			if err == nil {
+				t.Fatalf("accepted %d bytes with tag %d", len(data), data[0])
+			}
+		}
 		if err != nil {
 			return
 		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d", n, len(data))
-		}
-		if !p.IsValid() {
+		if !pt.IsValid() {
 			t.Fatal("decoder returned an invalid point")
 		}
-		// Accepted points must round-trip.
-		q, _, err := ParsePoint(p.Bytes())
-		if err != nil || !q.Equal(p) {
+		q, _, err := ParsePoint(pt.Bytes())
+		if err != nil || !q.Equal(pt) {
 			t.Fatal("round trip failed")
 		}
 	})
@@ -121,10 +152,11 @@ func FuzzRerandomizeEquivalence(f *testing.F) {
 		}
 		return out
 	}
-	ordinary := record(3, 1, stdlibBaseMul(big.NewInt(31)).X) // any full-width scalar
-	f.Add(record(5, 5, big.NewInt(5)))                        // doubling at the only step
-	f.Add(record(-5, -5, big.NewInt(5+1<<20)))                // cancels at step 0, restarts from infinity
-	f.Add(record(9, 9, big.NewInt(-9)))                       // ends at the identity pair
+	x31, _ := coords(stdlibBaseMul(big.NewInt(31)))
+	ordinary := record(3, 1, x31)              // any full-width scalar
+	f.Add(record(5, 5, big.NewInt(5)))         // doubling at the only step
+	f.Add(record(-5, -5, big.NewInt(5+1<<20))) // cancels at step 0, restarts from infinity
+	f.Add(record(9, 9, big.NewInt(-9)))        // ends at the identity pair
 	f.Add(record(0, 0, big.NewInt(0)))
 	f.Add(record(0, 1, big.NewInt(1)))
 	f.Add(record(1, 0, big.NewInt(-1)))

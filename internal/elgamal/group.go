@@ -17,10 +17,15 @@
 // thousands of ciphertexts per round, so the group core is built for
 // batch throughput:
 //
-//   - the field is a dedicated 4×64-limb Montgomery implementation
-//     (field.go) whose reductions are branch-free — the final borrow of
-//     a random operand pair is a coin flip, and a mispredicted branch
-//     there used to cost feSub more than its arithmetic;
+//   - a Point is the affine form that arithmetic runs on: two field
+//     elements in Montgomery form (field.go) and an identity flag, no
+//     pointers and nothing to convert. Its encoding is decoded straight
+//     into limbs and its zero value (0, 0) is not on the curve, so an
+//     unset Point is never mistaken for a group element;
+//   - the field is a dedicated 4×64-limb Montgomery implementation whose
+//     reductions are branch-free — the final borrow of a random operand
+//     pair is a coin flip, and a mispredicted branch there used to cost
+//     feSub more than its arithmetic;
 //   - single operations — Add, BaseMul, Mul on a cached base, table
 //     building, the multi-scalar multiplications — run in Jacobian
 //     coordinates (jacobian.go) and normalize once at the end;
@@ -30,12 +35,13 @@
 //   - vectorized entry points (Batch* in batch.go) fan out over a
 //     GOMAXPROCS-sized worker pool in chunks of at least 64 elements,
 //     and a chunk never leaves affine coordinates: it walks the tables
-//     one window step at a time across all its elements, and the
-//     step's additions share one field inversion (affine.go). An
+//     one window step at a time across all its elements (both of a
+//     re-randomization's tables in the same steps), and the step's
+//     additions share one field inversion (affine.go). An
 //     addition costs 5 multiplications and a squaring instead of a
 //     mixed Jacobian addition's 8 and 3, and nothing is left to
-//     normalize. The inversion (≈ 3.5 µs through math/big) is a step's
-//     fixed cost, which is why chunks are no smaller than 64;
+//     normalize. The inversion (≈ 7 µs) is a step's fixed cost, which
+//     is why chunks are no smaller than 64;
 //   - that plane is total, because the shuffle verifier runs it on a
 //     prover's ciphertexts with the prover's opened scalars: operands
 //     at infinity are settled without arithmetic, and an addition of
@@ -46,11 +52,13 @@
 //   - proof batches are verified with random-linear-combination checks
 //     over a shared-doubling multi-scalar multiplication (verify.go).
 //
-// Single-element variable-base multiplications still delegate to the
-// assembly-backed crypto/elliptic P-256, which remains the fastest
-// primitive available for that one shape.
+// math/big survives at the edges only: scalars are *big.Int, the field
+// constants are derived from the curve parameters through it, and a
+// single-element variable-base multiplication hands its coordinates to
+// the assembly-backed crypto/elliptic P-256, still the fastest primitive
+// available for that one shape.
 //
-// The new core is *variable time*: table indices and NAF digits depend
+// The core is *variable time*: table indices and NAF digits depend
 // on scalar bits. The reproduction simulates all parties in one trusted
 // process, so cross-party timing side channels are out of scope here —
 // a real deployment must swap in constant-time arithmetic.
@@ -71,91 +79,67 @@ var (
 	curve = elliptic.P256()
 	// order is the order of the P-256 base point group.
 	order = curve.Params().N
+
+	generator = Point{x: feFromBig(curve.Params().Gx), y: feFromBig(curve.Params().Gy)}
 )
 
-// Point is an element of the P-256 group in affine coordinates. The
-// identity (point at infinity) is represented by X = Y = 0, the
-// convention crypto/elliptic itself uses.
+// Point is an element of the P-256 group: an affine point with
+// Montgomery-form coordinates, or the identity (point at infinity),
+// which affine coordinates cannot express and a flag marks. Every
+// producer in this package leaves the coordinates reduced and the
+// identity's zero, so == is group equality and a Point can key a map.
+// The zero value is (0, 0), which is not on the curve: it is not a
+// group element, and IsValid and every verifier refuse it.
 type Point struct {
-	X, Y *big.Int
+	x, y     fe
+	infinity bool
 }
 
 // Identity returns the group identity element.
-func Identity() Point {
-	return Point{X: new(big.Int), Y: new(big.Int)}
-}
+func Identity() Point { return Point{infinity: true} }
 
 // Generator returns the standard base point G.
-func Generator() Point {
-	p := curve.Params()
-	return Point{X: new(big.Int).Set(p.Gx), Y: new(big.Int).Set(p.Gy)}
-}
+func Generator() Point { return generator }
 
 // IsIdentity reports whether p is the identity element.
-func (p Point) IsIdentity() bool {
-	return p.X != nil && p.Y != nil && p.X.Sign() == 0 && p.Y.Sign() == 0
-}
+func (p Point) IsIdentity() bool { return p.infinity }
 
-// IsValid reports whether p is the identity or a point on the curve.
+// IsValid reports whether p is the identity or a point on the curve
+// y² = x³ − 3x + b.
 func (p Point) IsValid() bool {
-	if p.X == nil || p.Y == nil {
-		return false
-	}
-	if p.IsIdentity() {
+	if p.infinity {
 		return true
 	}
-	pp := curve.Params().P
-	if p.X.Sign() < 0 || p.X.Cmp(pp) >= 0 || p.Y.Sign() < 0 || p.Y.Cmp(pp) >= 0 {
-		return false
-	}
-	var a affinePoint
-	a.fromPoint(p)
-	return a.onCurve()
+	var lhs, rhs, t fe
+	feSqr(&lhs, &p.y)
+	feSqr(&rhs, &p.x)
+	feMul(&rhs, &rhs, &p.x)
+	feMulBy3(&t, &p.x)
+	feSub(&rhs, &rhs, &t)
+	feAdd(&rhs, &rhs, &feBVal)
+	return rhs == lhs
 }
 
 // Equal reports whether two points are the same group element.
-func (p Point) Equal(q Point) bool {
-	if p.X == nil || q.X == nil {
-		return false
-	}
-	return p.X.Cmp(q.X) == 0 && p.Y.Cmp(q.Y) == 0
-}
-
-// isGenerator reports whether p is the standard base point.
-func (p Point) isGenerator() bool {
-	params := curve.Params()
-	return p.X != nil && p.Y != nil && p.X.Cmp(params.Gx) == 0 && p.Y.Cmp(params.Gy) == 0
-}
+func (p Point) Equal(q Point) bool { return p == q }
 
 // Add returns p + q.
 func (p Point) Add(q Point) Point {
-	var jp jacPoint
-	var aq affinePoint
-	jp.fromPoint(p)
-	aq.fromPoint(q)
-	jp.addMixed(&jp, &aq)
-	return jp.toPoint()
+	jp := p.jacobian()
+	jp.addMixed(&jp, &q)
+	return jp.toAffine()
 }
 
 // Neg returns -p.
 func (p Point) Neg() Point {
-	if p.IsIdentity() {
-		return Identity()
+	if !p.infinity {
+		feNeg(&p.y, &p.y)
 	}
-	y := new(big.Int).Sub(curve.Params().P, p.Y)
-	y.Mod(y, curve.Params().P)
-	return Point{X: new(big.Int).Set(p.X), Y: y}
+	return p
 }
 
 // Sub returns p - q.
-func (p Point) Sub(q Point) Point {
-	var jp jacPoint
-	var aq affinePoint
-	jp.fromPoint(p)
-	aq.fromPoint(q)
-	jp.subMixed(&jp, &aq)
-	return jp.toPoint()
-}
+func (p Point) Sub(q Point) Point { return p.Add(q.Neg()) }
 
 // Mul returns k·p for a scalar k. Multiplications by the generator or
 // by a base with a precomputed table (see Precompute) use the windowed
@@ -163,23 +147,23 @@ func (p Point) Sub(q Point) Point {
 // implementation, which is the fastest single-shot variable-base
 // multiplication available.
 func (p Point) Mul(k *big.Int) Point {
-	if p.IsIdentity() || k.Sign() == 0 {
+	if p.infinity || k.Sign() == 0 {
 		return Identity()
 	}
 	kk := new(big.Int).Mod(k, order)
 	if kk.Sign() == 0 {
 		return Identity()
 	}
-	if p.isGenerator() {
+	if p == generator {
 		return BaseMul(kk)
 	}
 	if t := cachedTable(p); t != nil {
 		var jp jacPoint
 		t.mul(&jp, kk)
-		return jp.toPoint()
+		return jp.toAffine()
 	}
-	x, y := curve.ScalarMult(p.X, p.Y, kk.Bytes())
-	return Point{X: x, Y: y}
+	x, y := curve.ScalarMult(p.x.toBig(), p.y.toBig(), kk.Bytes())
+	return Point{x: feFromBig(x), y: feFromBig(y)}
 }
 
 // BaseMul returns k·G via the static precomputed generator table.
@@ -190,7 +174,7 @@ func BaseMul(k *big.Int) Point {
 	}
 	var jp jacPoint
 	baseTable().mul(&jp, kk)
-	return jp.toPoint()
+	return jp.toAffine()
 }
 
 const pointLen = 1 + 32 + 32
@@ -205,19 +189,15 @@ func (p Point) Bytes() []byte {
 // slice, letting vector encoders reuse one allocation (see
 // psc's encodeVector).
 func (p Point) AppendBytes(dst []byte) []byte {
-	if p.IsIdentity() {
+	if p.infinity {
 		return append(dst, 0)
 	}
-	n := len(dst)
-	dst = append(dst, make([]byte, pointLen)...)
-	dst[n] = 4
-	p.X.FillBytes(dst[n+1 : n+33])
-	p.Y.FillBytes(dst[n+33 : n+65])
-	return dst
+	return p.y.appendBytes(p.x.appendBytes(append(dst, 4)))
 }
 
 // ParsePoint decodes a point produced by Bytes and validates curve
-// membership. It returns the number of bytes consumed.
+// membership. It returns the number of bytes consumed. A coordinate
+// must be below p: the one encoding of a point is the canonical one.
 func ParsePoint(b []byte) (Point, int, error) {
 	if len(b) < 1 {
 		return Point{}, 0, errors.New("elgamal: empty point encoding")
@@ -229,11 +209,10 @@ func ParsePoint(b []byte) (Point, int, error) {
 		if len(b) < pointLen {
 			return Point{}, 0, errors.New("elgamal: short point encoding")
 		}
-		p := Point{
-			X: new(big.Int).SetBytes(b[1:33]),
-			Y: new(big.Int).SetBytes(b[33:65]),
-		}
-		if !p.IsValid() || p.IsIdentity() {
+		x, okX := feFromBytes(b[1:33])
+		y, okY := feFromBytes(b[33:65])
+		p := Point{x: x, y: y}
+		if !okX || !okY || !p.IsValid() {
 			return Point{}, 0, errors.New("elgamal: point not on curve")
 		}
 		return p, pointLen, nil

@@ -2,10 +2,11 @@ package elgamal
 
 // Jacobian-coordinate P-256 group arithmetic. A point (X, Y, Z)
 // represents the affine point (X/Z², Y/Z³); the point at infinity has
-// Z = 0. Working projectively defers the expensive field inversion:
-// a whole vector of additions costs *one* inversion (batchToAffine,
-// Montgomery's simultaneous-inversion trick) instead of one per add as
-// in the affine crypto/elliptic path.
+// Z = 0. Working projectively defers the field inversion that an affine
+// addition needs: a chain of additions (a table multiplication, an MSM)
+// costs *one* inversion when its result becomes a Point again (toAffine),
+// and a vector of them shares one (batchToAffine, Montgomery's
+// simultaneous-inversion trick).
 
 import "math/big"
 
@@ -21,49 +22,28 @@ func (p *jacPoint) isInfinity() bool { return p.z.isZero() }
 // setInfinity sets p to the group identity.
 func (p *jacPoint) setInfinity() { *p = jacPoint{} }
 
-// affinePoint is an affine point in Montgomery-form field elements, the
-// compact entry type for precomputed tables and mixed additions. The
-// identity is flagged explicitly because affine coordinates cannot
-// express it.
-type affinePoint struct {
-	x, y     fe
-	infinity bool
-}
-
-// fromPoint loads the public affine representation ((0,0) = identity).
-func (p *jacPoint) fromPoint(q Point) {
-	if q.IsIdentity() {
-		p.setInfinity()
-		return
+// jacobian lifts p to Z = 1 (Z = 0 for the identity).
+func (p *Point) jacobian() jacPoint {
+	if p.infinity {
+		return jacPoint{}
 	}
-	p.x = feFromBig(q.X)
-	p.y = feFromBig(q.Y)
-	p.z = feOneVal
+	return jacPoint{x: p.x, y: p.y, z: feOneVal}
 }
 
-func (p *affinePoint) fromPoint(q Point) {
-	if q.IsIdentity() {
-		*p = affinePoint{infinity: true}
-		return
-	}
-	p.x = feFromBig(q.X)
-	p.y = feFromBig(q.Y)
-	p.infinity = false
-}
-
-// toPoint converts to the public affine representation with a single
-// field inversion. Prefer batchToAffine for vectors.
-func (p *jacPoint) toPoint() Point {
+// toAffine normalizes p to a Point with one field inversion. Prefer
+// batchToAffine for vectors.
+func (p *jacPoint) toAffine() Point {
 	if p.isInfinity() {
 		return Identity()
 	}
-	var zInv, zInv2, zInv3, ax, ay fe
+	var zInv, zInv2, zInv3 fe
+	var out Point
 	feInv(&zInv, &p.z)
 	feSqr(&zInv2, &zInv)
 	feMul(&zInv3, &zInv2, &zInv)
-	feMul(&ax, &p.x, &zInv2)
-	feMul(&ay, &p.y, &zInv3)
-	return Point{X: ax.toBig(), Y: ay.toBig()}
+	feMul(&out.x, &p.x, &zInv2)
+	feMul(&out.y, &p.y, &zInv3)
+	return out
 }
 
 // double sets p = 2q using dbl-2001-b for a = −3 (3M + 5S).
@@ -102,7 +82,7 @@ func (p *jacPoint) double(q *jacPoint) {
 }
 
 // addMixed sets p = q + r where r is affine (madd-2004-hmv, 8M + 3S).
-func (p *jacPoint) addMixed(q *jacPoint, r *affinePoint) {
+func (p *jacPoint) addMixed(q *jacPoint, r *Point) {
 	if r.infinity {
 		*p = *q
 		return
@@ -144,17 +124,9 @@ func (p *jacPoint) addMixed(q *jacPoint, r *affinePoint) {
 	p.z = z3
 }
 
-// negate sets p = −p.
-func (p *affinePoint) negate() {
-	if !p.infinity {
-		feNeg(&p.y, &p.y)
-	}
-}
-
 // subMixed sets p = q − r for affine r.
-func (p *jacPoint) subMixed(q *jacPoint, r *affinePoint) {
-	neg := *r
-	neg.negate()
+func (p *jacPoint) subMixed(q *jacPoint, r *Point) {
+	neg := r.Neg()
 	p.addMixed(q, &neg)
 }
 
@@ -216,8 +188,8 @@ func (p *jacPoint) add(q, r *jacPoint) {
 // single field inversion (Montgomery's simultaneous-inversion trick):
 // accumulate prefix products of the Zs, invert the total once, then
 // peel per-point inverses off backwards.
-func batchToAffine(ps []jacPoint) []affinePoint {
-	out := make([]affinePoint, len(ps))
+func batchToAffine(ps []jacPoint) []Point {
+	out := make([]Point, len(ps))
 	// Prefix products over the non-infinity Zs.
 	prods := make([]fe, 0, len(ps))
 	acc := feOneVal
@@ -256,29 +228,6 @@ func batchToAffine(ps []jacPoint) []affinePoint {
 	return out
 }
 
-func (a *affinePoint) toPoint() Point {
-	if a.infinity {
-		return Identity()
-	}
-	return Point{X: a.x.toBig(), Y: a.y.toBig()}
-}
-
-// onCurve reports whether (x, y) in Montgomery form satisfies
-// y² = x³ − 3x + b.
-func (a *affinePoint) onCurve() bool {
-	if a.infinity {
-		return true
-	}
-	var lhs, rhs, t fe
-	feSqr(&lhs, &a.y)
-	feSqr(&rhs, &a.x)
-	feMul(&rhs, &rhs, &a.x)
-	feMulBy3(&t, &a.x)
-	feSub(&rhs, &rhs, &t)
-	feAdd(&rhs, &rhs, &feBVal)
-	return feEqual(&lhs, &rhs)
-}
-
 // scalarLimbs loads a scalar already reduced mod the group order into
 // 4 little-endian limbs.
 func scalarLimbs(k *big.Int) [4]uint64 {
@@ -295,9 +244,4 @@ func scalarLimbsOf(ks []*big.Int) [][4]uint64 {
 		out[i] = scalarLimbs(k)
 	}
 	return out
-}
-
-// scalarBit returns bit i of the limb representation.
-func scalarBit(k *[4]uint64, i int) uint64 {
-	return (k[i>>6] >> (uint(i) & 63)) & 1
 }

@@ -118,9 +118,7 @@ func straussMSM(dst *jacPoint, terms []msmTerm) bool {
 		if t.scalar.Sign() == 0 || t.point.IsIdentity() {
 			continue
 		}
-		var base affinePoint
-		base.fromPoint(t.point)
-		if !base.onCurve() {
+		if !t.point.IsValid() {
 			return false
 		}
 		n := wnafDigits(t.scalar, &scratch)
@@ -149,8 +147,8 @@ func straussMSM(dst *jacPoint, terms []msmTerm) bool {
 	// whole precomputation.
 	jacOdd := make([]jacPoint, 0, len(live)*wnafTableSize)
 	for _, p := range live {
-		var single, twice jacPoint
-		single.fromPoint(p)
+		single := p.jacobian()
+		var twice jacPoint
 		twice.double(&single)
 		jacOdd = append(jacOdd, single)
 		prev := single
@@ -231,15 +229,13 @@ func pippengerMSM(dst *jacPoint, terms []msmTerm) bool {
 	windows := (257 + int(c) - 1) / int(c)
 	half := int32(1) << (c - 1)
 
-	points := make([]affinePoint, 0, len(terms))
+	points := make([]Point, 0, len(terms))
 	digits := make([]int32, 0, len(terms)*windows)
 	for _, t := range terms {
 		if t.scalar.Sign() == 0 || t.point.IsIdentity() {
 			continue
 		}
-		var ap affinePoint
-		ap.fromPoint(t.point)
-		if !ap.onCurve() {
+		if !t.point.IsValid() {
 			return false
 		}
 		// Signed base-2^c decomposition: digit ∈ (−2^(c−1), 2^(c−1)].
@@ -270,7 +266,7 @@ func pippengerMSM(dst *jacPoint, terms []msmTerm) bool {
 		// carry can only remain set if the scalar's top window
 		// overflowed, impossible for reduced scalars (< 2^256 with two
 		// spare top bits in the final window).
-		points = append(points, ap)
+		points = append(points, t.point)
 	}
 	dst.setInfinity()
 	if len(points) == 0 {

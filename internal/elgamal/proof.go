@@ -151,7 +151,7 @@ func foldPoints(lambdas []*big.Int, point func(i int) Point) (Point, bool) {
 	if !multiScalarMul(&sum, terms) {
 		return Point{}, false
 	}
-	return sum.toPoint(), true
+	return sum.toAffine(), true
 }
 
 // BatchProveShares proves every share of a chunk correct — shares[i] =

@@ -6,11 +6,12 @@ import (
 	"math/big"
 )
 
-// Fixed-width proof encoding. A proof on the wire is its points at 65
-// bytes each and its scalars at 32, in declaration order, so a frame of
-// n proofs is n·width bytes and is sliced, not scanned. Point.Bytes
-// gives the identity one byte; here it takes the same 65 as any other
-// point (all zero), which only a degenerate statement ever needs.
+// Fixed-width encoding. A proof on the wire is its points at 65 bytes
+// each and its scalars at 32, in declaration order, so a frame of n
+// proofs is n·width bytes and is sliced, not scanned; a ciphertext is
+// its two points, 130 bytes, which is how psc lays out a spill slot.
+// Point.Bytes gives the identity one byte; here it takes the same 65 as
+// any other point (all zero).
 
 const scalarLen = 32
 
@@ -39,6 +40,26 @@ func parseFixedPoint(b []byte) (Point, error) {
 		}
 	}
 	return Identity(), nil
+}
+
+// AppendFixed appends the ciphertext's 130-byte fixed-width encoding to
+// dst.
+func (c Ciphertext) AppendFixed(dst []byte) []byte {
+	return appendFixedPoint(appendFixedPoint(dst, c.C1), c.C2)
+}
+
+// ParseFixedCiphertext decodes the 130-byte fixed-width encoding at the
+// head of b, validating curve membership and identity padding.
+func ParseFixedCiphertext(b []byte) (Ciphertext, error) {
+	if len(b) < 2*pointLen {
+		return Ciphertext{}, fmt.Errorf("elgamal: fixed ciphertext of %d bytes, want %d", len(b), 2*pointLen)
+	}
+	c1, err := parseFixedPoint(b)
+	if err != nil {
+		return Ciphertext{}, err
+	}
+	c2, err := parseFixedPoint(b[pointLen:])
+	return Ciphertext{C1: c1, C2: c2}, err
 }
 
 // appendScalar appends k, which must be below 2²⁵⁶ as every reduced

@@ -8,8 +8,9 @@ package elgamal
 // multiplication (mul) makes them mixed Jacobian additions and leaves
 // the result projective for the caller to normalize; a vector of them
 // (accumulate, behind every Batch* entry point) makes them affine
-// additions, one window step across the whole chunk at a time under
-// one shared inversion, and its results need no normalization.
+// additions, one window step across the whole chunk — and across both
+// tables of a re-randomization — at a time under one shared inversion,
+// and its results need no normalization.
 //
 // Two kinds of table exist:
 //
@@ -29,7 +30,7 @@ import (
 
 type fixedTable struct {
 	w       uint
-	windows [][]affinePoint // windows[j][m-1] = m·2^(wj)·B
+	windows [][]Point // windows[j][m-1] = m·2^(wj)·B
 }
 
 // buildTable precomputes a width-w table for base (must not be the
@@ -39,8 +40,7 @@ func buildTable(base Point, w uint) *fixedTable {
 	d := (256 + int(w) - 1) / int(w)
 	size := 1<<w - 1
 	entries := make([]jacPoint, d*size)
-	var windowBase jacPoint
-	windowBase.fromPoint(base)
+	windowBase := base.jacobian()
 	for j := 0; j < d; j++ {
 		win := entries[j*size : (j+1)*size]
 		win[0] = windowBase
@@ -58,7 +58,7 @@ func buildTable(base Point, w uint) *fixedTable {
 		}
 	}
 	aff := batchToAffine(entries)
-	t := &fixedTable{w: w, windows: make([][]affinePoint, d)}
+	t := &fixedTable{w: w, windows: make([][]Point, d)}
 	for j := 0; j < d; j++ {
 		t.windows[j] = aff[j*size : (j+1)*size]
 	}
@@ -89,20 +89,30 @@ func (t *fixedTable) mul(dst *jacPoint, k *big.Int) {
 	}
 }
 
-// accumulate adds kᵢ·B to acc[i] for a whole chunk at once, the scalars
-// given as limbs of values reduced mod the group order. It walks the
-// table window by window across the chunk: step j adds each element's
-// window-j entry to its accumulator in affine coordinates, all of the
+// accumulate adds kᵢ·Bₜ to acc[t·n + i] for a whole chunk of n scalars
+// at once and each base Bₜ = tables[t], the scalars given as limbs of
+// values reduced mod the group order. It walks the tables window by
+// window across the chunk: step j adds each element's window-j entry of
+// every table to its accumulator in affine coordinates, all of the
 // step's additions sharing one field inversion (see affine.go), so the
-// sums come out normalized. Seed acc with the points the products are
-// to be added to, or with infinity for the bare products.
-func (t *fixedTable) accumulate(acc []affinePoint, limbs [][4]uint64, s *affineScratch) {
-	for j, win := range t.windows {
-		for i := range acc {
-			if d := t.digit(&limbs[i], j); d != 0 {
-				s.addend[i] = &win[d-1]
-			} else {
-				s.addend[i] = nil
+// sums come out normalized and a re-randomization's two tables cost one
+// inversion per step, not one each. Seed acc with the points the
+// products are to be added to, or with infinity for the bare products.
+func accumulate(tables []*fixedTable, acc []Point, limbs [][4]uint64, s *affineScratch) {
+	steps := 0
+	for _, t := range tables {
+		steps = max(steps, len(t.windows))
+	}
+	n := len(limbs)
+	for j := 0; j < steps; j++ {
+		for k, t := range tables {
+			for i := range limbs {
+				s.addend[k*n+i] = nil
+				if j < len(t.windows) {
+					if d := t.digit(&limbs[i], j); d != 0 {
+						s.addend[k*n+i] = &t.windows[j][d-1]
+					}
+				}
 			}
 		}
 		s.add(acc)
@@ -120,7 +130,7 @@ var (
 
 func baseTable() *fixedTable {
 	baseTableOnce.Do(func() {
-		baseTableVal = buildTable(Generator(), baseTableWidth)
+		baseTableVal = buildTable(generator, baseTableWidth)
 	})
 	return baseTableVal
 }
@@ -132,21 +142,14 @@ const (
 	maxCachedTables  = 32
 )
 
-type tableKey [64]byte
-
-func keyOf(p Point) tableKey {
-	var k tableKey
-	p.X.FillBytes(k[:32])
-	p.Y.FillBytes(k[32:])
-	return k
-}
-
+// tableCache maps a base to its table; a Point is comparable, so the
+// base itself is the key.
 var tableCache = struct {
 	sync.RWMutex
-	tables map[tableKey]*fixedTable
-	order  []tableKey // insertion order, for FIFO eviction
+	tables map[Point]*fixedTable
+	order  []Point // insertion order, for FIFO eviction
 }{
-	tables: make(map[tableKey]*fixedTable),
+	tables: make(map[Point]*fixedTable),
 }
 
 // cachedTable returns the table for base if one has been precomputed,
@@ -155,9 +158,8 @@ var tableCache = struct {
 // bases are hot) or by the batch APIs when a batch is large enough to
 // repay an on-the-spot build.
 func cachedTable(base Point) *fixedTable {
-	k := keyOf(base)
 	tableCache.RLock()
-	t := tableCache.tables[k]
+	t := tableCache.tables[base]
 	tableCache.RUnlock()
 	return t
 }
@@ -172,26 +174,25 @@ func cachedTable(base Point) *fixedTable {
 // long-lived party keeps accelerating new rounds instead of pinning
 // tables for dead keys.
 func Precompute(p Point) {
-	if !p.IsValid() || p.IsIdentity() || p.Equal(Generator()) {
+	if !p.IsValid() || p.IsIdentity() || p == generator {
 		return
 	}
-	k := keyOf(p)
 	tableCache.RLock()
-	_, ok := tableCache.tables[k]
+	_, ok := tableCache.tables[p]
 	tableCache.RUnlock()
 	if ok {
 		return
 	}
 	t := buildTable(p, sharedTableWidth)
 	tableCache.Lock()
-	if _, ok := tableCache.tables[k]; !ok {
+	if _, ok := tableCache.tables[p]; !ok {
 		for len(tableCache.tables) >= maxCachedTables {
 			oldest := tableCache.order[0]
 			tableCache.order = tableCache.order[1:]
 			delete(tableCache.tables, oldest)
 		}
-		tableCache.tables[k] = t
-		tableCache.order = append(tableCache.order, k)
+		tableCache.tables[p] = t
+		tableCache.order = append(tableCache.order, p)
 	}
 	tableCache.Unlock()
 }

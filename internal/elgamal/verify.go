@@ -103,7 +103,7 @@ func (a *eqAccum) check() bool {
 
 // dleqFold folds one Chaum–Pedersen equation pair into the accumulator.
 func dleqFold(a *eqAccum, domain string, b1, p1, b2, p2 Point, pr EqualityProof) bool {
-	if pr.Response == nil || pr.Commit1.X == nil || pr.Commit2.X == nil {
+	if pr.Response == nil || !pr.Commit1.IsValid() || !pr.Commit2.IsValid() {
 		return false
 	}
 	ch := hashToScalar(domain,

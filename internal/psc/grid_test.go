@@ -192,3 +192,46 @@ func TestSpillRoundTrip(t *testing.T) {
 		t.Fatal("out-of-range write must fail")
 	}
 }
+
+// TestSpillSlotRejectsCorruption: a spill slot is the fixed-width
+// ciphertext encoding. A ciphertext with an identity half round-trips,
+// and a slot that is not an encoding — an off-curve coordinate, an
+// identity with non-zero padding, an unknown tag — fails the read, by
+// range and by index.
+func TestSpillSlotRejectsCorruption(t *testing.T) {
+	ct := encryptBits(pkForTest(), 1)[0]
+	trivial := elgamal.Ciphertext{C1: elgamal.Identity(), C2: ct.C2}
+	sp, err := newSpill(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	if err := sp.write(0, []elgamal.Ciphertext{trivial, ct}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sp.readRange(0, 2)
+	if err != nil || !got[0].Equal(trivial) || !got[1].Equal(ct) {
+		t.Fatalf("identity-bearing slot round trip: %v", err)
+	}
+	good := trivial.AppendFixed(nil)
+	flip := func(at int, mask byte) []byte {
+		slot := append([]byte(nil), good...)
+		slot[at] ^= mask
+		return slot
+	}
+	for name, slot := range map[string][]byte{
+		"off-curve coordinate": flip(65+20, 1), // a byte of C2's x
+		"identity padding":     flip(30, 1),    // inside C1's 65 zero bytes
+		"bad tag":              flip(65, 4^2),  // C2's tag 4 becomes 2
+	} {
+		if err := sp.st.WriteAt(1, slot); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sp.readRange(0, 2); err == nil {
+			t.Errorf("%s: readRange accepted the slot", name)
+		}
+		if _, err := sp.readIndices([]int{1}); err == nil {
+			t.Errorf("%s: readIndices accepted the slot", name)
+		}
+	}
+}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/spill"
 )
 
-// spillSlot is the fixed record size: a length byte plus the maximal
-// ciphertext encoding (two uncompressed points). Identity points encode
-// shorter; the length byte keeps parsing exact.
-const spillSlot = 1 + 130
+// spillSlot is the fixed record size: a ciphertext in elgamal's
+// fixed-width encoding, two 65-byte points with an identity as 65 zero
+// bytes.
+const spillSlot = 130
 
 // ctSpill is the ciphertext codec over a spill.Store: a random-access
 // store of n encoded ciphertexts backing the streaming shuffle's
@@ -43,13 +43,7 @@ func (s *ctSpill) write(off int, cts []elgamal.Ciphertext) error {
 func encodeSlots(cts []elgamal.Ciphertext) []byte {
 	buf := make([]byte, 0, len(cts)*spillSlot)
 	for _, c := range cts {
-		n := len(buf)
-		buf = append(buf, 0)
-		buf = c.AppendTo(buf)
-		buf[n] = byte(len(buf) - n - 1)
-		for len(buf)-n < spillSlot {
-			buf = append(buf, 0)
-		}
+		buf = c.AppendFixed(buf)
 	}
 	return buf
 }
@@ -109,16 +103,9 @@ func decodeSlots(raw []byte, count int) ([]elgamal.Ciphertext, error) {
 
 // decodeSlot parses one fixed-size record.
 func decodeSlot(b []byte) (elgamal.Ciphertext, error) {
-	n := int(b[0])
-	if n < 2 || n > spillSlot-1 {
-		return elgamal.Ciphertext{}, fmt.Errorf("psc: corrupt spill slot (len %d)", n)
-	}
-	c, used, err := elgamal.ParseCiphertext(b[1 : 1+n])
+	c, err := elgamal.ParseFixedCiphertext(b)
 	if err != nil {
 		return elgamal.Ciphertext{}, fmt.Errorf("psc: corrupt spill slot: %w", err)
-	}
-	if used != n {
-		return elgamal.Ciphertext{}, fmt.Errorf("psc: spill slot has %d trailing bytes", n-used)
 	}
 	return c, nil
 }
