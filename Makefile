@@ -19,7 +19,9 @@
 #                      BenchmarkConnChunkRoundTrip prints MB/s and B/op
 #                      for the frame path alone; BenchmarkRerandomizeBlock
 #                      prints µs/elem and B/op for one 1024-element
-#                      shuffle block on one core)
+#                      shuffle block on one core; BenchmarkObserve
+#                      prints allocs/op for one DC item, which must
+#                      read 0)
 #   make fuzz-smoke  - every codec fuzz target (frame envelope, PSC
 #                      block messages, PSC noise/blind/share chunks,
 #                      PrivCount share/chunk frames, the point decoder
@@ -75,6 +77,7 @@ bench-smoke:
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkGroupOps|BenchmarkCiphertextOps' -benchtime=100x
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkRerandomizeBlock' -benchtime=20x -cpu 1
 	$(GO) test ./internal/wire/ -run '^$$' -bench 'BenchmarkConnChunkRoundTrip' -benchtime=2000x
+	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkObserve' -benchtime=10000x
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/(verified|tcp)/bins-512' -benchtime=1x
 	# The 2^16-bin streaming-shuffle round (previously infeasible with
 	# the whole-vector shuffle). The bench itself is -short-aware: run

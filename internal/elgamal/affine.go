@@ -28,9 +28,11 @@ package elgamal
 // so a hostile element costs less than the Jacobian multiplication it
 // used to get.
 
+import "sync"
+
 // affineScratch is the working memory of one batch of affine additions.
-// Each parallel.For chunk makes its own; it must not be shared between
-// workers.
+// It must not be shared between workers: each parallel.For chunk holds
+// its own, inside a chunkScratch.
 type affineScratch struct {
 	addend []*Point // what add adds to each element; nil for nothing
 	den    []fe     // x₂ − x₁ of each addition in the shared product
@@ -38,14 +40,47 @@ type affineScratch struct {
 	elem   []int32  // the element den[k] belongs to
 }
 
-func newAffineScratch(n int) *affineScratch {
-	fes := make([]fe, 2*n)
-	return &affineScratch{
-		addend: make([]*Point, n),
-		den:    fes[:n],
-		prod:   fes[n:],
-		elem:   make([]int32, n),
+// chunkScratch is all the working memory of one parallel.For chunk of
+// the batch plane: accumulators (or addends), scalar limbs and the
+// affine scratch. Chunks take it from chunkPool instead of allocating
+// it, so a round's thousands of chunks reuse a few per worker.
+type chunkScratch struct {
+	acc   []Point
+	limbs [][4]uint64
+	s     affineScratch
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunkScratch) }}
+
+// getChunkScratch returns a pooled scratch with nPts points in acc and
+// limbs for nLimbs scalars, for up to nAdd additions per step. Return
+// it with put.
+func getChunkScratch(nPts, nLimbs, nAdd int) *chunkScratch {
+	c := chunkPool.Get().(*chunkScratch)
+	c.acc = resize(c.acc, nPts)
+	c.limbs = resize(c.limbs, nLimbs)
+	c.s.addend = resize(c.s.addend, nAdd)
+	c.s.den = resize(c.s.den, nAdd)
+	c.s.prod = resize(c.s.prod, nAdd)
+	c.s.elem = resize(c.s.elem, nAdd)
+	return c
+}
+
+// put returns c to the pool. The addend pointers reach into tables and
+// caller slices, so they are cleared first: a pooled scratch pins no
+// memory. Entries past len were cleared by an earlier put.
+func (c *chunkScratch) put() {
+	clear(c.s.addend)
+	chunkPool.Put(c)
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are not preserved.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
 // add sets acc[i] += *addend[i] for every i below len(acc).

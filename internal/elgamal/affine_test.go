@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 )
@@ -27,15 +28,18 @@ func seededScalar(label string, i int) *big.Int {
 // accumulateFrom runs accumulate over seed points (nil: all infinity)
 // and returns the sums.
 func accumulateFrom(tb *fixedTable, seeds []Point, ks []*big.Int) []Point {
+	c := getChunkScratch(0, len(ks), len(ks))
+	defer c.put()
 	acc := make([]Point, len(ks))
-	for i := range acc {
+	for i, k := range reduceScalars(ks) {
 		if seeds == nil {
 			acc[i] = Identity()
 		} else {
 			acc[i] = seeds[i]
 		}
+		c.limbs[i] = scalarLimbs(k)
 	}
-	accumulate([]*fixedTable{tb}, acc, scalarLimbsOf(reduceScalars(ks)), newAffineScratch(len(ks)))
+	accumulate([]*fixedTable{tb}, acc, c.limbs, &c.s)
 	return acc
 }
 
@@ -360,5 +364,96 @@ func TestVerifyShuffleBlockHostileOpening(t *testing.T) {
 		if err := VerifyShuffleBlock(transcript(), 1, 0, key.PK, in, out, bad); !errors.Is(err, ErrBadBlockShuffle) {
 			t.Fatalf("side %d: tampered exceptional opening: got %v, want ErrBadBlockShuffle", side, err)
 		}
+	}
+}
+
+// TestChunkScratchPoolReuse pushes calls of 64, 1024, 65 and 2048
+// elements through every pooled entry point in turn, so each call's
+// chunks reuse scratch a call of another size and shape left in the
+// pool, larger or smaller. Every call carries equal-x and infinity
+// operands, and every output is checked against stdlib arithmetic.
+func TestChunkScratchPoolReuse(t *testing.T) {
+	key := &PrivateKey{X: seededScalar("pool key", 0)}
+	key.PK = stdlibBaseMul(key.X)
+	Precompute(key.PK)
+	mulG := func(m int64) Point { return stdlibBaseMul(big.NewInt(m)) }
+	mulPK := func(m int64) Point { return stdlibMul(key.PK, big.NewInt(m)) }
+	for _, n := range []int{64, 1024, 65, 2048} {
+		ks := make([]*big.Int, 3*n)
+		for i := range ks {
+			ks[i] = seededScalar(fmt.Sprint("pool point ", n), i)
+		}
+		pts := BatchBaseMul(ks)
+		cs := make([]Ciphertext, n)
+		rs := make([]*big.Int, n)
+		shares := make([]DecryptionShare, n)
+		for i := range cs {
+			cs[i] = Ciphertext{C1: pts[i], C2: pts[n+i]}
+			rs[i] = seededScalar(fmt.Sprint("pool scalar ", n), i)
+			shares[i].Share = pts[2*n+i]
+		}
+		// At both ends and the middle, so every chunk of the call sees
+		// some: a doubling, a pair ending at infinity, the identity
+		// pair, and a share equal to the C2 it cancels.
+		for _, i := range []int{0, n / 2, n - 4} {
+			cs[i] = Ciphertext{C1: mulG(5), C2: mulPK(5)}
+			rs[i] = big.NewInt(5 + 1<<20)
+			cs[i+1] = Ciphertext{C1: mulG(9), C2: mulPK(9)}
+			rs[i+1] = new(big.Int).Sub(order, big.NewInt(9))
+			cs[i+2] = Ciphertext{C1: Identity(), C2: Identity()}
+			shares[i+3].Share = cs[i+3].C2
+		}
+
+		for i, got := range BatchRerandomizeWith(key.PK, cs, rs) {
+			want := Ciphertext{C1: stdlibAdd(cs[i].C1, stdlibBaseMul(rs[i])), C2: stdlibAdd(cs[i].C2, stdlibMul(key.PK, rs[i]))}
+			if !got.Equal(want) {
+				t.Fatalf("n=%d: BatchRerandomizeWith[%d] disagrees with stdlib", n, i)
+			}
+		}
+		rev := make([]Ciphertext, n)
+		for i := range rev {
+			rev[i] = cs[n-1-i]
+		}
+		for i, got := range BatchAddCiphertexts(cs, rev) {
+			want := Ciphertext{C1: stdlibAdd(cs[i].C1, rev[i].C1), C2: stdlibAdd(cs[i].C2, rev[i].C2)}
+			if !got.Equal(want) {
+				t.Fatalf("n=%d: BatchAddCiphertexts[%d] disagrees with stdlib", n, i)
+			}
+		}
+		for i, got := range RecoverBatch(cs, [][]DecryptionShare{shares}) {
+			if want := stdlibAdd(cs[i].C2, shares[i].Share.Neg()); !got.Equal(want) {
+				t.Fatalf("n=%d: RecoverBatch[%d] disagrees with stdlib", n, i)
+			}
+		}
+		for i, got := range BatchBaseMul(rs) {
+			if want := stdlibBaseMul(rs[i]); !got.Equal(want) {
+				t.Fatalf("n=%d: BatchBaseMul[%d] disagrees with stdlib", n, i)
+			}
+		}
+	}
+	// Whatever the pool hands out holds no pointer into a finished
+	// call's tables or inputs.
+	c := getChunkScratch(0, 0, 0)
+	defer c.put()
+	for i, p := range c.s.addend[:cap(c.s.addend)] {
+		if p != nil {
+			t.Fatalf("pooled scratch still holds addend %d", i)
+		}
+	}
+}
+
+// TestBatchRerandomizeAllocs bounds a 1024-element re-randomization's
+// allocations per call: the outputs, the reduced scalars and the chunk
+// closure, but no chunk scratch and nothing per element. AllocsPerRun
+// runs at GOMAXPROCS 1, so the call is one chunk.
+func TestBatchRerandomizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	pk, cts, rs := seededBlock()
+	Precompute(pk)
+	BatchRerandomizeWith(pk, cts, rs) // fill the pool
+	if allocs := testing.AllocsPerRun(10, func() { BatchRerandomizeWith(pk, cts, rs) }); allocs > 4 {
+		t.Fatalf("BatchRerandomizeWith on %d elements allocates %.0f times per call, want at most 4", len(cts), allocs)
 	}
 }

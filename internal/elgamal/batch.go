@@ -7,6 +7,9 @@ package elgamal
 // tables one window step at a time across the whole chunk
 // (fixedTable.accumulate) and pays one field inversion per step, not a
 // Jacobian addition per element and a normalization pass at the end.
+// A chunk's accumulators, scalar limbs and inversion scratch come from
+// a pool (chunkScratch), so a call allocates its output and nothing per
+// chunk.
 // Per-element variable-base work (blinding, decryption shares) goes to
 // the stdlib assembly, spread over the same worker pool.
 
@@ -48,11 +51,14 @@ func BatchBaseMul(ks []*big.Int) []Point {
 func batchTableMul(t *fixedTable, ks []*big.Int) []Point {
 	out := make([]Point, len(ks))
 	parallel.For(len(ks), batchMinChunk, func(lo, hi int) {
+		c := getChunkScratch(0, hi-lo, hi-lo)
+		defer c.put()
 		acc := out[lo:hi]
 		for i := range acc {
 			acc[i] = Identity()
+			c.limbs[i] = scalarLimbs(ks[lo+i])
 		}
-		accumulate([]*fixedTable{t}, acc, scalarLimbsOf(ks[lo:hi]), newAffineScratch(hi-lo))
+		accumulate([]*fixedTable{t}, acc, c.limbs, &c.s)
 	})
 	return out
 }
@@ -141,34 +147,57 @@ func BatchEncryptBits(pk Point, bits []bool) ([]Ciphertext, []*big.Int) {
 }
 
 // BatchRerandomizeWith refreshes every ciphertext with the given
-// randomizers: out[i] = (C1ᵢ + rᵢ·G, C2ᵢ + rᵢ·pk). A chunk seeds its
-// affine accumulators with the ciphertext halves and walks the
-// generator table over the first and pk's table over the second in
-// the same steps, from one set of scalar limbs and one scratch.
+// randomizers: out[i] = (C1ᵢ + rᵢ·G, C2ᵢ + rᵢ·pk).
 func BatchRerandomizeWith(pk Point, cs []Ciphertext, rs []*big.Int) []Ciphertext {
-	if len(cs) != len(rs) {
+	return rerandomizePermuted(pk, cs, nil, rs)
+}
+
+// source returns the input index feeding output i: perm[i], or i for
+// a nil perm.
+func source(perm []int, i int) int {
+	if perm == nil {
+		return i
+	}
+	return perm[i]
+}
+
+// rerandomizePermuted returns out[i] = in[perm[i]] re-randomized with
+// rs[i], or in[i] for a nil perm. A chunk seeds its affine accumulators
+// with the input halves, read through perm so no permuted copy is
+// gathered first, and walks the generator table over the first and
+// pk's table over the second in the same steps, from one set of scalar
+// limbs and one scratch.
+func rerandomizePermuted(pk Point, in []Ciphertext, perm []int, rs []*big.Int) []Ciphertext {
+	n := len(in)
+	if perm != nil {
+		n = len(perm)
+	}
+	if n != len(rs) {
 		panic("elgamal: BatchRerandomizeWith length mismatch")
 	}
 	rs = reduceScalars(rs)
-	out := make([]Ciphertext, len(cs))
-	pt := sharedBaseTable(pk, len(cs))
+	out := make([]Ciphertext, n)
+	pt := sharedBaseTable(pk, n)
 	if pt == nil {
-		parallel.For(len(cs), 1, func(lo, hi int) {
+		parallel.For(n, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				out[i] = cs[i].RerandomizeWith(pk, rs[i])
+				out[i] = in[source(perm, i)].RerandomizeWith(pk, rs[i])
 			}
 		})
 		return out
 	}
 	gt := baseTable()
-	parallel.For(len(cs), batchMinChunk, func(lo, hi int) {
-		n := hi - lo
-		acc := make([]Point, 2*n)
-		c1, c2 := acc[:n], acc[n:]
-		for i, c := range cs[lo:hi] {
-			c1[i], c2[i] = c.C1, c.C2
+	parallel.For(n, batchMinChunk, func(lo, hi int) {
+		m := hi - lo
+		c := getChunkScratch(2*m, m, 2*m)
+		defer c.put()
+		c1, c2 := c.acc[:m], c.acc[m:]
+		for i := range c1 {
+			ct := &in[source(perm, lo+i)]
+			c1[i], c2[i] = ct.C1, ct.C2
+			c.limbs[i] = scalarLimbs(rs[lo+i])
 		}
-		accumulate([]*fixedTable{gt, pt}, acc, scalarLimbsOf(rs[lo:hi]), newAffineScratch(2*n))
+		accumulate([]*fixedTable{gt, pt}, c.acc, c.limbs, &c.s)
 		for i := range c1 {
 			out[lo+i] = Ciphertext{C1: c1[i], C2: c2[i]}
 		}
@@ -193,13 +222,14 @@ func BatchAddCiphertexts(as, bs []Ciphertext) []Ciphertext {
 	out := make([]Ciphertext, len(as))
 	parallel.For(len(as), batchMinChunk, func(lo, hi int) {
 		n := hi - lo
-		pts := make([]Point, 4*n)
-		acc, add := pts[:2*n], pts[2*n:]
+		c := getChunkScratch(4*n, 0, 2*n)
+		defer c.put()
+		acc, add := c.acc[:2*n], c.acc[2*n:]
 		for i := 0; i < n; i++ {
 			acc[i], acc[n+i] = as[lo+i].C1, as[lo+i].C2
 			add[i], add[n+i] = bs[lo+i].C1, bs[lo+i].C2
 		}
-		newAffineScratch(2*n).addVec(acc, add)
+		c.s.addVec(acc, add)
 		for i := 0; i < n; i++ {
 			out[lo+i] = Ciphertext{C1: acc[i], C2: acc[n+i]}
 		}
@@ -246,16 +276,17 @@ func RecoverBatch(cs []Ciphertext, shares [][]DecryptionShare) []Point {
 	}
 	out := make([]Point, len(cs))
 	parallel.For(len(cs), batchMinChunk, func(lo, hi int) {
-		acc, sub := out[lo:hi], make([]Point, hi-lo)
+		c := getChunkScratch(hi-lo, 0, hi-lo)
+		defer c.put()
+		acc, sub := out[lo:hi], c.acc
 		for i := range acc {
 			acc[i] = cs[lo+i].C2
 		}
-		s := newAffineScratch(hi - lo)
 		for _, sv := range shares {
 			for i := range sub {
 				sub[i] = sv[lo+i].Share.Neg()
 			}
-			s.addVec(acc, sub)
+			c.s.addVec(acc, sub)
 		}
 	})
 	return out

@@ -190,7 +190,7 @@ func ProveShuffleBlock(t *ShuffleTranscript, pass, block int, pk Point, in, out 
 	for r := range proof.Openings {
 		// Each shadow lives only long enough to be hashed.
 		o := BlockOpening{Perm: randomPerm(n), Rand: RandomScalars(n)}
-		proof.Commits[r] = HashBlock(BatchRerandomizeWith(pk, permute(in, o.Perm), o.Rand))
+		proof.Commits[r] = HashBlock(rerandomizePermuted(pk, in, o.Perm, o.Rand))
 		proof.Openings[r] = o
 	}
 	bits, err := t.BlockChallenges(pass, block, HashBlock(in), HashBlock(out), proof.Commits, rounds)
@@ -255,7 +255,7 @@ func VerifyShuffleBlock(t *ShuffleTranscript, pass, block int, pk Point, in, out
 		// per window step) from the side the challenge opened.
 		var shadow []Ciphertext
 		if bits[r] == 0 {
-			shadow = BatchRerandomizeWith(pk, permute(in, o.Perm), o.Rand)
+			shadow = rerandomizePermuted(pk, in, o.Perm, o.Rand)
 		} else {
 			neg := make([]*big.Int, n)
 			for i, rr := range o.Rand {

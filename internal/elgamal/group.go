@@ -41,7 +41,9 @@
 //     addition costs 5 multiplications and a squaring instead of a
 //     mixed Jacobian addition's 8 and 3, and nothing is left to
 //     normalize. The inversion (≈ 7 µs) is a step's fixed cost, which
-//     is why chunks are no smaller than 64;
+//     is why chunks are no smaller than 64. A chunk's accumulators,
+//     scalar limbs and inversion scratch come from a sync.Pool
+//     (chunkScratch) and are reused, not rebuilt per chunk;
 //   - that plane is total, because the shuffle verifier runs it on a
 //     prover's ciphertexts with the prover's opened scalars: operands
 //     at infinity are settled without arithmetic, and an addition of

@@ -235,13 +235,3 @@ func scalarLimbs(k *big.Int) [4]uint64 {
 	limbsFromBig(out[:], k)
 	return out
 }
-
-// scalarLimbsOf loads a vector of scalars already reduced mod the group
-// order.
-func scalarLimbsOf(ks []*big.Int) [][4]uint64 {
-	out := make([][4]uint64, len(ks))
-	for i, k := range ks {
-		out[i] = scalarLimbs(k)
-	}
-	return out
-}

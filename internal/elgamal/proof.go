@@ -340,16 +340,7 @@ type ShuffleWitness struct {
 func Shuffle(pk Point, in []Ciphertext) ([]Ciphertext, ShuffleWitness) {
 	perm := randomPerm(len(in))
 	rands := RandomScalars(len(in))
-	return BatchRerandomizeWith(pk, permute(in, perm), rands), ShuffleWitness{Perm: perm, Rand: rands}
-}
-
-// permute gathers in[perm[i]] into a fresh slice.
-func permute(in []Ciphertext, perm []int) []Ciphertext {
-	out := make([]Ciphertext, len(perm))
-	for i, j := range perm {
-		out[i] = in[j]
-	}
-	return out
+	return rerandomizePermuted(pk, in, perm, rands), ShuffleWitness{Perm: perm, Rand: rands}
 }
 
 // randomPerm draws a uniform permutation of [0,n) by Fisher–Yates over

@@ -286,6 +286,23 @@ func benchRound(b *testing.B, bins, noisePerCP, proofRounds, items int,
 	b.ReportMetric(float64(wireBytes.Load())/float64(b.N)/float64(elems), "wire-B/elem")
 }
 
+// BenchmarkObserve hashes client addresses into a configured DC's
+// table, the per-event work of a PSC round; allocs/op must read 0.
+func BenchmarkObserve(b *testing.B) {
+	dc := configuredDC(b, "dc", []byte("round key"), 1<<16)
+	items := make([]string, 1024)
+	for i := range items {
+		items[i] = fmt.Sprintf("10.%d.%d.%d", i>>16&255, i>>8&255, i&255)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dc.Observe(items[i%len(items)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPSCRound(b *testing.B) {
 	b.Run("verified/bins-512", func(b *testing.B) {
 		benchRound(b, 512, 64, 1, 200, pipePair)

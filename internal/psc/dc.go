@@ -1,7 +1,11 @@
 package psc
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
 
 	"repro/internal/elgamal"
 	"repro/internal/wire"
@@ -11,6 +15,9 @@ import (
 // the item into a bin and discards it, so even a compromised DC holds
 // no client IPs, domains, or onion addresses (§5.1: "we do not store,
 // even temporarily, IP addresses since PSC uses oblivious counters").
+//
+// The keyed hash is built once per round and Observe reuses it, one
+// item buffer and one digest, so observing allocates nothing.
 type DC struct {
 	Name string
 
@@ -19,6 +26,10 @@ type DC struct {
 	jointKey elgamal.Point
 	bins     []bool
 	ready    bool
+
+	mac  hash.Hash // HMAC-SHA256 under the round's hash key
+	item []byte    // the item being hashed; zeroed once it is
+	sum  [sha256.Size]byte
 }
 
 // NewDC creates a data collector speaking on m — a dedicated connection
@@ -50,16 +61,28 @@ func (dc *DC) Setup() error {
 	dc.jointKey = pk
 	elgamal.Precompute(dc.jointKey)
 	dc.bins = make([]bool, dc.cfg.Bins)
+	dc.mac = hmac.New(sha256.New, dc.cfg.HashKey)
 	dc.ready = true
 	return nil
 }
 
-// Observe records that an item was seen. Only the item's bin survives.
+// Observe records that an item was seen. Only the item's bin survives:
+// the first 8 bytes of HMAC-SHA256(hash key, item), little-endian, mod
+// the table size, so an item lands in the same bin at every DC of the
+// round but is unlinkable without the round key. Observe is not safe
+// for concurrent use; callers feed a DC from one goroutine at a time.
 func (dc *DC) Observe(item string) error {
 	if !dc.ready {
 		return fmt.Errorf("psc dc %s: observe before setup", dc.Name)
 	}
-	dc.bins[binOf(dc.cfg.HashKey, item, dc.cfg.Bins)] = true
+	dc.item = append(dc.item[:0], item...)
+	dc.mac.Write(dc.item)
+	dc.mac.Sum(dc.sum[:0])
+	dc.bins[binary.LittleEndian.Uint64(dc.sum[:8])%uint64(dc.cfg.Bins)] = true
+	// Leave no copy of the item behind: the reset returns the MAC to its
+	// keyed state, overwriting the buffered input block.
+	dc.mac.Reset()
+	clear(dc.item)
 	return nil
 }
 

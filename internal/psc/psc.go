@@ -1,9 +1,6 @@
 package psc
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/wire"
@@ -131,13 +128,3 @@ func checkShape(total, chunk, block, passes, rounds int) error {
 // TotalNoiseTrials returns the total number of coin flips in a round's
 // report, the parameter the estimator needs.
 func (c Config) TotalNoiseTrials() int { return c.NoisePerCP * c.NumCPs }
-
-// binOf maps an item to its bin with a keyed hash, so items are
-// consistent across DCs but unlinkable without the round key.
-func binOf(key []byte, item string, bins int) int {
-	mac := hmac.New(sha256.New, key)
-	mac.Write([]byte(item))
-	sum := mac.Sum(nil)
-	v := binary.LittleEndian.Uint64(sum[:8])
-	return int(v % uint64(bins))
-}

@@ -2,10 +2,14 @@ package psc
 
 import (
 	"context"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -167,24 +171,107 @@ func TestRoundEmptySets(t *testing.T) {
 	}
 }
 
-func TestSameItemSameBinAcrossDCs(t *testing.T) {
-	key := []byte("k")
-	for _, item := range []string{"x", "10.1.2.3", "example.onion"} {
-		if binOf(key, item, 128) != binOf(key, item, 128) {
-			t.Fatal("hash must be deterministic")
+// configuredDC returns a DC set up for a round of the given table size
+// and hash key, configured by a stand-in tally over a pipe.
+func configuredDC(t testing.TB, name string, key []byte, bins int) *DC {
+	t.Helper()
+	tsSide, dcSide := wire.Pipe()
+	t.Cleanup(func() { tsSide.Close() })
+	dc := NewDC(name, dcSide)
+	errc := make(chan error, 1)
+	go func() { errc <- dc.Setup() }()
+	var reg RegisterMsg
+	if err := tsSide.Expect(kindRegister, &reg); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ConfigureMsg{Round: 1, Bins: bins, HashKey: key, JointKey: elgamal.GenerateKey().PK.Bytes()}
+	if err := tsSide.Send(kindConfig, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	return dc
+}
+
+// refBins returns, ascending, the bins items must occupy: the first 8
+// bytes of HMAC-SHA256(key, item), little-endian, mod the table size.
+func refBins(key []byte, items []string, bins int) []int {
+	set := map[int]bool{}
+	for _, item := range items {
+		mac := hmac.New(sha256.New, key)
+		mac.Write([]byte(item))
+		set[int(binary.LittleEndian.Uint64(mac.Sum(nil)[:8])%uint64(bins))] = true
+	}
+	out := make([]int, 0, len(set))
+	for i := range set {
+		out = append(out, i)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// observeAll feeds items to dc and returns its occupied bins, ascending.
+func observeAll(t *testing.T, dc *DC, items []string) []int {
+	t.Helper()
+	for _, item := range items {
+		if err := dc.Observe(item); err != nil {
+			t.Fatal(err)
 		}
 	}
+	var set []int
+	for i, b := range dc.bins {
+		if b {
+			set = append(set, i)
+		}
+	}
+	return set
+}
+
+func TestSameItemSameBinAcrossDCs(t *testing.T) {
+	const bins = 1 << 20
+	key := []byte("k")
+	// Items of several lengths, so the reused item buffer both grows and
+	// shrinks between calls.
+	items := []string{"x", "10.1.2.3", "example.onion", "", strings.Repeat("y", 200), "z"}
+	want := fmt.Sprint(refBins(key, items, bins))
+	for _, name := range []string{"dc-a", "dc-b"} {
+		if got := fmt.Sprint(observeAll(t, configuredDC(t, name, key, bins), items)); got != want {
+			t.Fatalf("%s: set bins %s, want %s", name, got, want)
+		}
+	}
+
 	// Different keys give (almost surely) different placements for some
 	// item set — the per-round key prevents offline dictionary tests.
-	diff := 0
+	items = items[:0]
 	for i := 0; i < 32; i++ {
-		item := fmt.Sprintf("item-%d", i)
-		if binOf([]byte("k1"), item, 1<<20) != binOf([]byte("k2"), item, 1<<20) {
-			diff++
-		}
+		items = append(items, fmt.Sprintf("item-%d", i))
 	}
-	if diff == 0 {
+	got1 := fmt.Sprint(observeAll(t, configuredDC(t, "dc-k1", []byte("k1"), bins), items))
+	got2 := fmt.Sprint(observeAll(t, configuredDC(t, "dc-k2", []byte("k2"), bins), items))
+	if want := fmt.Sprint(refBins([]byte("k1"), items, bins)); got1 != want {
+		t.Fatalf("key k1: set bins %s, want %s", got1, want)
+	}
+	if got1 == got2 {
 		t.Fatal("key must affect placement")
+	}
+}
+
+// TestObserveDoesNotAllocate: a DC round observes every client IP,
+// domain or onion address its relay sees, so Observe must reuse the
+// round's keyed hash instead of building one per item.
+func TestObserveDoesNotAllocate(t *testing.T) {
+	dc := configuredDC(t, "dc", []byte("round key"), 1<<16)
+	items := []string{"10.1.2.3", "example.onion", "x"}
+	k := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := dc.Observe(items[k%len(items)]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("Observe allocates %.1f times per call, want 0", allocs)
 	}
 }
 
