@@ -71,12 +71,13 @@
 //     a DC addressed exactly one box to every SK and relays them.
 //   - A round may complete without a DC (its counts, blinds, and noise
 //     share are all excluded) but never without an SK.
-//   - The TS's residency is one schema-sized modular accumulator
-//     plus O(chunk) per in-flight stream: DC reports are
-//     collected concurrently, each buffered whole on spill storage
-//     (internal/spill) and folded into the striped accumulator only
-//     once complete — a DC that dies mid-report contributes nothing,
-//     which the telescoping sum requires, since its blinding is
-//     excluded from the SK sums. SK sums fold directly: every SK is
-//     required, so a partial fold is never observed.
+//   - The TS's residency is one schema-sized modular sum plus
+//     O(chunk) per in-flight stream: DC reports are collected
+//     concurrently, each buffered whole on spill storage
+//     (internal/spill) by its own goroutine and folded into the sum by
+//     Run's goroutine, its one writer, only once complete — a DC that
+//     dies mid-report contributes nothing, which the telescoping sum
+//     requires, since its blinding is excluded from the SK sums. SK
+//     sums fold directly: every SK is required, so a partial fold is
+//     never observed.
 package privcount

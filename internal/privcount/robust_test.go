@@ -1,10 +1,14 @@
 package privcount
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/spill"
 	"repro/internal/wire"
 )
 
@@ -231,6 +235,94 @@ func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
 		c.Close()
 	}
 	wg.Wait()
+}
+
+// TestFailedCollectClosesEveryReport: a round that fails while reports
+// are in flight still owns every report it buffered. Here dc-dying
+// fails the round (no Recover) before dc-good reports, so Run never
+// takes dc-good's whole report and the goroutine that buffered it must
+// close it.
+func TestFailedCollectClosesEveryReport(t *testing.T) {
+	dir := t.TempDir()
+	spill.SetDir(dir)
+	defer spill.SetDir("")
+
+	tally, err := NewTally(TallyConfig{Round: 4, Stats: oneStat, NumDCs: 2, NumSKs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsConns := make([]wire.Messenger, 3)
+	conns := make([]*wire.Conn, 3)
+	for i := range tsConns {
+		tsConns[i], conns[i] = wire.Pipe()
+	}
+	sk, _ := NewSK("sk", conns[0])
+	good := NewDC("dc-good", conns[1], nil)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		sk.Serve() // errors when the round aborts; ignored
+	}()
+	go func() {
+		// The dying DC announces its report and hangs up.
+		defer wg.Done()
+		c := conns[2]
+		defer c.Close()
+		slots, ok := shareAs(c, "dc-dying")
+		if !ok {
+			return
+		}
+		var begin BeginMsg
+		if c.Expect(kindBegin, &begin) != nil {
+			return
+		}
+		c.Send(kindReport, ReportMsg{From: "dc-dying", Round: 4, N: slots})
+	}()
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := tally.Run(tsConns)
+		errCh <- err
+	}()
+
+	if err := good.Setup(); err != nil {
+		t.Fatalf("dc-good setup: %v", err)
+	}
+	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "dc-dying") {
+		t.Fatalf("want the round to fail on dc-dying, got %v", err)
+	}
+	// The pipe is synchronous: once Finish returns, the tally has read
+	// the whole report into a spill buffer nobody will take.
+	if err := good.Finish(); err != nil {
+		t.Fatalf("dc-good finish: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); openSpills(t, dir) > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d report buffers still open under %s", openSpills(t, dir), dir)
+		}
+	}
+	for _, c := range tsConns {
+		c.Close()
+	}
+	wg.Wait()
+}
+
+// openSpills counts this process's open files under dir — the spill
+// stores still open there, since a store's file is unlinked but held
+// until Close. It skips the test where /proc/self/fd is unavailable.
+func openSpills(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestSKRefusesCollectWithoutDCList: the collect DC list is never

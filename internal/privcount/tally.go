@@ -1,6 +1,7 @@
 package privcount
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -198,20 +199,33 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 		begun = append(begun, d)
 	}
 	// Reports are collected concurrently — one goroutine per begun DC —
-	// each streaming into a spilled per-DC buffer that folds into the
-	// round's single modular accumulator only once complete, so a DC
-	// that dies mid-report leaves nothing behind and the TS holds one
-	// schema-sized sum plus O(chunk) per stream instead of one vector
-	// per party. The recovery callback stays on this goroutine.
-	acc := newSumAccum(t.schema.Size())
+	// each streaming into a spilled per-DC buffer that this goroutine,
+	// the sum's one writer, folds into the round's modular sum only once
+	// complete. A DC that dies mid-report leaves nothing behind, and the
+	// TS holds one schema-sized sum plus O(chunk) per stream instead of
+	// one vector per party. The recovery callback stays on this
+	// goroutine too. A buffer changes hands only when this loop takes it
+	// (the channel is unbuffered); one nobody takes, because Run
+	// returned early, is closed by its own goroutine.
+	sum := make([]uint64, t.schema.Size())
 	type reportOutcome struct {
 		d   dcSlot
+		buf *spill.Store // the whole report; nil on error
 		err error
 	}
-	repOutcomes := make(chan reportOutcome, len(begun))
+	repOutcomes := make(chan reportOutcome)
+	done := make(chan struct{})
+	defer close(done)
 	for _, d := range begun {
 		go func(d dcSlot) {
-			repOutcomes <- reportOutcome{d: d, err: t.collectReport(d.name, d.conn, acc)}
+			buf, err := t.collectReport(d.name, d.conn)
+			select {
+			case repOutcomes <- reportOutcome{d: d, buf: buf, err: err}:
+			case <-done:
+				if buf != nil {
+					buf.Close()
+				}
+			}
 		}(d)
 	}
 	var reported []string
@@ -223,6 +237,13 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 			}
 			absent = append(absent, o.d.name)
 			continue
+		}
+		err := foldReport(sum, o.buf)
+		o.buf.Close()
+		if err != nil {
+			// Part of the report may already be in the sum, so the DC
+			// cannot be declared absent: the round fails.
+			return nil, fmt.Errorf("privcount ts: report fold for DC %s: %w", o.d.name, err)
 		}
 		reported = append(reported, o.d.name)
 	}
@@ -241,14 +262,14 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 
 	// SK sums over exactly the reported DCs: the telescoping sum must
 	// exclude an absent DC's blinding on both sides. Every SK is
-	// required, so its chunks fold straight into the accumulator — a
-	// failure aborts the round, partial folds and all.
-	if err := t.collectSums(skNames, skConns, reported, acc); err != nil {
+	// required, so its chunks fold straight into the sum — a failure
+	// aborts the round, partial folds and all.
+	if err := t.collectSums(skNames, skConns, reported, sum); err != nil {
 		return nil, err
 	}
 	sort.Strings(absent)
 	t.absent = absent
-	return AggregateSum(t.schema, acc.sum)
+	return AggregateSum(t.schema, sum)
 }
 
 // setupDC drives one DC through registration, configuration, and share
@@ -303,45 +324,61 @@ func (t *Tally) relayShares(name string, c wire.Messenger, skNames []string, skC
 	return nil
 }
 
-// collectReport streams one DC's report into a spilled buffer and,
-// only once every chunk has arrived, folds it into the round
-// accumulator. The two phases matter: a DC that dies mid-report must
+// collectReport streams one DC's report into a spilled buffer and
+// returns it only once every chunk has arrived; Run folds it into the
+// round's sum. The two phases matter: a DC that dies mid-report must
 // contribute nothing, because its blinding will be excluded from the
-// SK sums — so partial folds would corrupt the telescoping sum.
-func (t *Tally) collectReport(name string, c wire.Messenger, acc *sumAccum) error {
+// SK sums — so partial folds would corrupt the telescoping sum. On
+// failure the buffer is closed here.
+func (t *Tally) collectReport(name string, c wire.Messenger) (*spill.Store, error) {
 	var rep ReportMsg
 	if err := c.Expect(kindReport, &rep); err != nil {
-		return fmt.Errorf("privcount ts: report from DC %s: %w", name, err)
+		return nil, fmt.Errorf("privcount ts: report from DC %s: %w", name, err)
 	}
 	if rep.Round != t.cfg.Round {
-		return fmt.Errorf("privcount ts: DC %s reported round %d, want %d", name, rep.Round, t.cfg.Round)
+		return nil, fmt.Errorf("privcount ts: DC %s reported round %d, want %d", name, rep.Round, t.cfg.Round)
 	}
 	if rep.N != t.schema.Size() {
-		return fmt.Errorf("privcount ts: DC %s report has %d slots, want %d", name, rep.N, t.schema.Size())
+		return nil, fmt.Errorf("privcount ts: DC %s report has %d slots, want %d", name, rep.N, t.schema.Size())
 	}
 	buf, err := spill.New(rep.N, 8)
 	if err != nil {
-		return fmt.Errorf("privcount ts: report spill for DC %s: %w", name, err)
+		return nil, fmt.Errorf("privcount ts: report spill for DC %s: %w", name, err)
 	}
-	defer buf.Close()
 	if err := recvValuesFunc(c, rep.N, buf.WriteAt); err != nil {
-		return fmt.Errorf("privcount ts: report from DC %s: %w", name, err)
+		buf.Close()
+		return nil, fmt.Errorf("privcount ts: report from DC %s: %w", name, err)
 	}
-	return forEachChunk(rep.N, func(off, end int) error {
+	return buf, nil
+}
+
+// foldReport adds a whole buffered report into sum, a chunk at a time.
+func foldReport(sum []uint64, buf *spill.Store) error {
+	return forEachChunk(len(sum), func(off, end int) error {
 		raw, err := buf.ReadRange(off, end-off)
 		if err != nil {
-			return fmt.Errorf("privcount ts: report fold for DC %s: %w", name, err)
+			return err
 		}
-		acc.fold(off, raw)
+		addSlots(sum[off:end], raw)
 		return nil
 	})
 }
 
+// addSlots adds raw — slots as they travel and spill, eight
+// little-endian bytes apiece — into dst mod 2⁶⁴, one slot per element
+// of dst.
+func addSlots(dst []uint64, raw []byte) {
+	for i := range dst {
+		dst[i] += binary.LittleEndian.Uint64(raw[8*i:])
+	}
+}
+
 // collectSums asks every SK for its blinding sums over the reported DCs
-// and streams them straight into the round accumulator. Unlike DC reports, no buffer-then-fold staging is
-// needed: every SK is required, so any SK failure aborts the whole
-// round and a partially folded sum is never observed.
-func (t *Tally) collectSums(skNames []string, skConns map[string]wire.Messenger, dcs []string, acc *sumAccum) error {
+// and streams them straight into the round's sum. Unlike DC reports, no
+// buffer-then-fold staging is needed: every SK is required, so any SK
+// failure aborts the whole round and a partially folded sum is never
+// observed.
+func (t *Tally) collectSums(skNames []string, skConns map[string]wire.Messenger, dcs []string, sum []uint64) error {
 	for _, name := range skNames {
 		if err := skConns[name].Send(kindCollect, CollectMsg{Round: t.cfg.Round, DCs: dcs}); err != nil {
 			return fmt.Errorf("privcount ts: collect SK %s: %w", name, err)
@@ -356,7 +393,7 @@ func (t *Tally) collectSums(skNames []string, skConns map[string]wire.Messenger,
 			return fmt.Errorf("privcount ts: SK %s sums have %d slots, want %d", name, sums.N, t.schema.Size())
 		}
 		err := recvValuesFunc(skConns[name], sums.N, func(off int, raw []byte) error {
-			acc.fold(off, raw)
+			addSlots(sum[off:off+len(raw)/8], raw)
 			return nil
 		})
 		if err != nil {

@@ -81,14 +81,18 @@
 //     buffers all live as encoded bytes in unlinked temp-file spills
 //     (internal/spill, -spill-dir), so TS residency is O(chunk) end
 //     to end — a spill read failure mid-re-stream cancels the round's
-//     context with the read error and aborts cleanly.
+//     context with the read error and aborts cleanly. No spill is
+//     shared: each has one owning goroutine at a time. DC goroutines
+//     hand whole tables to the gather loop, the combination's one
+//     writer, and each spilled vector the TS re-streams has one reader
+//     that fans its chunks out.
 //   - Run has one cancellation mechanism: a context derived from the
 //     caller's. Every stage fails the round by cancelling it with its
 //     error (first cause wins), every channel wait selects on its
 //     Done, and Run returns the cause — the caller's, when the caller
 //     cancelled.
 //   - The tally's per-chunk verification and combination (noise bit
-//     proofs, blind DLEQs, share-chunk proofs, homomorphic merges, recovery)
+//     proofs, blind DLEQs, share-chunk proofs, recovery)
 //     runs on bounded ordered worker pools (internal/parallel) sized
 //     from GOMAXPROCS; results apply in submission order, so wire
 //     order and the decrypt barrier are unchanged. Only the shuffle

@@ -51,8 +51,8 @@ type Config struct {
 	// i of the Run slice (CPs first, then DCs) fails. canRetry reports
 	// that a replacement messenger (a rejoined daemon's fresh round
 	// stream) may restart the DC's exchange from registration; the
-	// tally buffers each DC's table and merges it into the shared sum
-	// only once complete, so a failed upload leaves no partial state
+	// tally buffers each DC's table and folds it into the round's
+	// combination only once complete, so a failed upload leaves no partial state
 	// and every failure before the table's completion is retryable. A
 	// nil replacement with absentOK=true declares the DC absent — none
 	// of its table is included in the aggregate; absentOK=false fails

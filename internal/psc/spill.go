@@ -2,7 +2,6 @@ package psc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/elgamal"
 	"repro/internal/spill"
@@ -15,10 +14,11 @@ const spillSlot = 130
 
 // ctSpill is the ciphertext codec over a spill.Store: a random-access
 // store of n encoded ciphertexts backing the streaming shuffle's
-// inter-pass vectors, the tally's combined gather table, and the
-// pre-decrypt buffer. It holds O(1) ciphertexts in memory — encoded
+// inter-pass vectors, the tally's per-DC and combined gather tables, and
+// the pre-decrypt buffer. It holds O(1) ciphertexts in memory — encoded
 // records are ~10× smaller than parsed ciphertexts and never enter the
-// heap as group elements until read.
+// heap as group elements until read. Like the Store it is not safe for
+// concurrent use: every ctSpill has one owning goroutine at a time.
 type ctSpill struct {
 	st *spill.Store
 }
@@ -57,17 +57,21 @@ func (s *ctSpill) readRange(off, count int) ([]elgamal.Ciphertext, error) {
 	return decodeSlots(raw, count)
 }
 
-// readRangeScratch is readRange reading through the caller's scratch
-// buffer instead of the store's shared one — for concurrent readers of
-// disjoint ranges (the gather store's stripes). It returns the decoded
-// elements and the possibly-grown scratch for reuse.
-func (s *ctSpill) readRangeScratch(off, count int, scratch []byte) ([]elgamal.Ciphertext, []byte, error) {
-	raw, scratch, err := s.st.ReadRangeInto(off, count, scratch)
-	if err != nil {
-		return nil, scratch, err
-	}
-	out, err := decodeSlots(raw, count)
-	return out, scratch, err
+// add folds other, a whole vector of the same length, into s a chunk at
+// a time: element-wise ciphertext sums, OR in the exponent of PSC's
+// bins, one BatchAddCiphertexts call per chunk.
+func (s *ctSpill) add(other *ctSpill, chunk int) error {
+	return forEachChunk(s.st.Slots(), chunk, func(off, end int) error {
+		cur, err := s.readRange(off, end-off)
+		if err != nil {
+			return err
+		}
+		cts, err := other.readRange(off, end-off)
+		if err != nil {
+			return err
+		}
+		return s.write(off, elgamal.BatchAddCiphertexts(cur, cts))
+	})
 }
 
 // readIndices gathers the elements at the given offsets — the strided
@@ -113,32 +117,4 @@ func decodeSlot(b []byte) (elgamal.Ciphertext, error) {
 // Close releases the backing storage. Safe to call more than once.
 func (s *ctSpill) Close() error {
 	return s.st.Close()
-}
-
-// lockedSpill serializes a ctSpill shared by concurrent readers (the
-// tally's per-CP decrypt streams all walk the final vector) and makes
-// closing safe while readers may still be in flight: a round-failure
-// path can tear the spill down and any late reader gets an error, not
-// a read of released storage.
-type lockedSpill struct {
-	mu     sync.Mutex
-	sp     *ctSpill
-	closed bool
-}
-
-func (ls *lockedSpill) readRange(off, count int) ([]elgamal.Ciphertext, error) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if ls.closed {
-		return nil, fmt.Errorf("psc: spill closed")
-	}
-	return ls.sp.readRange(off, count)
-}
-
-// Close releases the underlying spill; subsequent reads error.
-func (ls *lockedSpill) Close() error {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	ls.closed = true
-	return ls.sp.Close()
 }

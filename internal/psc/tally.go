@@ -13,10 +13,10 @@ import (
 	"repro/internal/wire"
 )
 
-// gatherFeedTestHook, when set by a test, runs on the completed gather
-// store just before the mix feeder starts re-streaming it — the
+// gatherFeedTestHook, when set by a test, runs on the combined gather
+// table just before the mix feeder starts re-streaming it — the
 // injection point for spill-failure tests.
-var gatherFeedTestHook func(*gatherStore)
+var gatherFeedTestHook func(*ctSpill)
 
 // Tally is the PSC tally server, the coordination role the paper added
 // to the original design (§3.1: "we slightly modify the original PSC
@@ -25,8 +25,9 @@ var gatherFeedTestHook func(*gatherStore)
 // never sees an unencrypted bin.
 //
 // Every vector phase is chunked and pipelined: each DC's table is
-// buffered on spill storage and merged into the shared combination only
-// once whole (so a DC that fails mid-upload contributes nothing), each
+// buffered on spill storage by its own goroutine and folded into the
+// combination by the gather loop, its one writer, only once whole (so a
+// DC that fails mid-upload contributes nothing), each
 // CP's verified blinded blocks are forwarded to the next CP while the
 // upstream CP is still mixing, and decryption shares are verified and
 // recovered per chunk from all CPs concurrently. The shuffle itself
@@ -96,53 +97,29 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 	// the cause), a success return only releases the context.
 	defer func() { cancel(err) }()
 
-	// Collect encrypted tables from all DCs concurrently, combining
-	// them homomorphically on the spilled gather store: per-bin
-	// ciphertext sums turn into OR in the exponent, and the running
-	// combination lives as encoded bytes on spill storage, not parsed
-	// group elements on the heap. Each DC's table is buffered (also
-	// spilled) and merged once complete (see collectTable).
-	gs, err := newGatherStore(t.cfg.Bins, t.cfg.ChunkElems)
+	// Collect encrypted tables from all DCs concurrently and combine
+	// them homomorphically: per-bin ciphertext sums turn into OR in the
+	// exponent, and the running combination lives as encoded bytes on
+	// spill storage, not parsed group elements on the heap. Each DC's
+	// table is buffered (also spilled) by its own goroutine and folded
+	// in by the gather loop once complete (see gather).
+	sum, rp, err := t.gather(ctx, parties)
 	if err != nil {
-		return Result{}, fmt.Errorf("psc ts: gather spill: %w", err)
-	}
-	rp, err := t.gather(ctx, parties, gs)
-	if err != nil {
-		gs.Close()
 		return Result{}, err
 	}
 
 	chunk := chunkOf(t.cfg.ChunkElems)
 
 	if h := gatherFeedTestHook; h != nil {
-		h(gs)
+		h(sum)
 	}
 	// Mixing pipeline: feeder -> CP 1 -> ... -> CP k -> collector, all
 	// running at once, chunked end to end. The feeder re-streams the
 	// combined table from the gather spill a chunk at a time, so from
 	// the first byte of the gather to the last decryption share the TS
-	// holds O(chunk) parsed ciphertexts per CP stage. A spill read
-	// failure cancels the round instead of wedging the pipeline.
+	// holds O(chunk) parsed ciphertexts per CP stage.
 	feed := make(chan vchunk, 2)
-	go func() {
-		defer close(feed)
-		defer gs.Close()
-		err := forEachChunk(t.cfg.Bins, chunk, func(off, end int) error {
-			cts, err := gs.readRange(off, end-off)
-			if err != nil {
-				return fmt.Errorf("psc ts: gather spill: %w", err)
-			}
-			select {
-			case feed <- vchunk{off: off, cts: cts}:
-				return nil
-			case <-ctx.Done():
-				return context.Cause(ctx)
-			}
-		})
-		if err != nil {
-			cancel(err)
-		}
-	}()
+	go restream(ctx, cancel, sum, chunk, "gather spill", feed)
 	in := feed
 	var mixWG sync.WaitGroup
 	for i, n := range rp.cpNames {
@@ -162,11 +139,6 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 	if err != nil {
 		return Result{}, fmt.Errorf("psc ts: decrypt spill: %w", err)
 	}
-	// Closed through the locking wrapper: a failure path may return
-	// while per-CP decrypt goroutines still read the spill, and they
-	// must see an error, not released storage.
-	src := &lockedSpill{sp: dec}
-	defer src.Close()
 	written := 0
 	for c := range in {
 		if err := dec.write(c.off, c.cts); err != nil {
@@ -189,22 +161,31 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 	if ctx.Err() != nil {
 		// Checked after the select, not in it: both may be ready at
 		// once, and a latched failure must never lose that race.
+		dec.Close()
 		return Result{}, context.Cause(ctx)
 	}
 	if written != finalN {
+		dec.Close()
 		return Result{}, fmt.Errorf("psc ts: mix pipeline produced %d elements, want %d", written, finalN)
 	}
 
-	// Joint decryption, streamed: every CP receives the final vector
-	// chunk by chunk from the spill, its share chunks are verified on
-	// arrival, and each chunk's plaintexts are recovered and counted the
-	// moment all CPs have answered it — the TS never holds more than a
-	// chunk of shares per CP.
+	// Joint decryption, streamed: one reader decodes the final vector
+	// from the spill chunk by chunk and hands every chunk to each CP's
+	// decrypt stream, each CP's share chunks are verified on arrival,
+	// and each chunk's plaintexts are recovered and counted the moment
+	// all CPs have answered it — the TS never holds more than a chunk of
+	// shares per CP.
+	feeds := make([]chan<- vchunk, len(rp.cpNames))
 	shareChans := make([]chan decShareChunk, len(rp.cpNames))
 	for i, n := range rp.cpNames {
+		// Two chunks of slack, like every stage here: the reader decodes
+		// chunk k+1 while the CP stream is still sending chunk k.
+		f := make(chan vchunk, 2)
+		feeds[i] = f
 		shareChans[i] = make(chan decShareChunk, 2)
-		go t.decryptCP(ctx, cancel, n, rp.cpM[n], rp.cpKeys[n], src, finalN, chunk, shareChans[i])
+		go t.decryptCP(ctx, cancel, n, rp.cpM[n], rp.cpKeys[n], f, finalN, chunk, shareChans[i])
 	}
+	go restream(ctx, cancel, dec, chunk, "decrypt spill", feeds...)
 	// Each chunk's plaintext recovery is independent once every CP's
 	// verified shares for it are in hand, so the combine runs on its own
 	// shard: the collection loop stays sequential (it merges per-CP
@@ -222,10 +203,9 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 		}
 	}()
 	err = forEachChunk(finalN, chunk, func(off, end int) error {
-		cts, err := src.readRange(off, end-off)
-		if err != nil {
-			return fmt.Errorf("psc ts: decrypt spill: %w", err)
-		}
+		// Every CP's chunk carries the one decoded ciphertext slice its
+		// shares were verified against.
+		var cts []elgamal.Ciphertext
 		shares := make([][]elgamal.DecryptionShare, len(rp.cpNames))
 		for i := range shareChans {
 			select {
@@ -239,7 +219,7 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 				if sc.off != off {
 					return fmt.Errorf("psc ts: CP %s shares for offset %d, want %d", rp.cpNames[i], sc.off, off)
 				}
-				shares[i] = sc.shares
+				cts, shares[i] = sc.cts, sc.shares
 			case <-ctx.Done():
 				return context.Cause(ctx)
 			}
@@ -279,45 +259,69 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 // deciding — per failed DC — between a restart on a rejoined session,
 // a declared absence, and failing the round. The round proceeds only
 // if the surviving tables meet the quorum floor and still cover every
-// bin.
-func (t *Tally) gather(ctx context.Context, parties []wire.Messenger, gs *gatherStore) (roundParties, error) {
+// bin. It returns the round's combined table, which the caller then
+// owns.
+//
+// The combination has one writer, this loop: a DC goroutine hands over
+// only its whole buffered table, the first becomes the combination and
+// every later one is folded into it. The hand-off is unbuffered, so a
+// table always has exactly one owner — the loop once it has taken it,
+// otherwise the DC goroutine, which closes it when the round is over.
+func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill, roundParties, error) {
 	rp := roundParties{cpM: make(map[string]wire.Messenger), cpKeys: make(map[string]elgamal.Point)}
 	for i := 0; i < t.cfg.NumCPs; i++ {
 		var reg RegisterMsg
 		if err := parties[i].Expect(kindRegister, &reg); err != nil {
-			return rp, fmt.Errorf("psc ts: registration: %w", err)
+			return nil, rp, fmt.Errorf("psc ts: registration: %w", err)
 		}
 		if reg.Role != RoleCP {
-			return rp, fmt.Errorf("psc ts: party %d registered as %q, want %q", i, reg.Role, RoleCP)
+			return nil, rp, fmt.Errorf("psc ts: party %d registered as %q, want %q", i, reg.Role, RoleCP)
 		}
 		if err := rp.addCP(reg, parties[i]); err != nil {
-			return rp, err
+			return nil, rp, err
 		}
 	}
 	cpCfg, dcCfg, err := t.buildConfigs(&rp)
 	if err != nil {
-		return rp, err
+		return nil, rp, err
 	}
 	for _, n := range rp.cpNames {
 		if err := rp.cpM[n].Send(kindConfig, cpCfg); err != nil {
-			return rp, fmt.Errorf("psc ts: configure CP %s: %w", n, err)
+			return nil, rp, fmt.Errorf("psc ts: configure CP %s: %w", n, err)
 		}
 	}
 
 	type outcome struct {
 		name   string
+		table  *ctSpill // the DC's whole table; nil when it failed or is absent
 		absent bool
 		err    error
 	}
-	outcomes := make(chan outcome, t.cfg.NumDCs)
+	outcomes := make(chan outcome)
 	var mu sync.Mutex
 	owner := make(map[string]int) // DC name -> party index, for duplicate detection across retries
 	for di := 0; di < t.cfg.NumDCs; di++ {
 		idx := t.cfg.NumCPs + di
 		go func(idx int) {
-			name, absent, err := t.runDC(idx, parties[idx], dcCfg, gs, &mu, owner)
-			outcomes <- outcome{name: name, absent: absent, err: err}
+			var o outcome
+			o.name, o.table, o.absent, o.err = t.runDC(idx, parties[idx], dcCfg, &mu, owner)
+			select {
+			case outcomes <- o:
+			case <-ctx.Done():
+				// The loop has given up on the round (Run cancels on
+				// return), so nobody will take the table.
+				if o.table != nil {
+					o.table.Close()
+				}
+			}
 		}(idx)
+	}
+	var sum *ctSpill
+	fail := func(err error) (*ctSpill, roundParties, error) {
+		if sum != nil {
+			sum.Close()
+		}
+		return nil, rp, err
 	}
 	completed := 0
 	for i := 0; i < t.cfg.NumDCs; i++ {
@@ -325,53 +329,57 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger, gs *gather
 		select {
 		case o = <-outcomes:
 		case <-ctx.Done():
-			return rp, context.Cause(ctx)
+			return fail(context.Cause(ctx))
 		}
 		switch {
 		case o.err != nil:
 			// Fail fast: the round is aborting (or a DC misbehaved past
 			// what quorum tolerates). The abort resets every stream, so
-			// the remaining DC goroutines unwind into the buffered
-			// channel instead of wedging this loop.
-			return rp, o.err
+			// the remaining DC goroutines unwind and close their own
+			// tables instead of wedging this loop.
+			return fail(o.err)
 		case o.absent:
 			rp.absent = append(rp.absent, o.name)
+			continue
+		case sum == nil:
+			sum = o.table
 		default:
-			completed++
+			err := sum.add(o.table, t.cfg.ChunkElems)
+			o.table.Close()
+			if err != nil {
+				return fail(fmt.Errorf("psc ts: table merge for DC %s: %w", o.name, err))
+			}
 		}
+		completed++
 	}
 	min := t.cfg.MinDCs
 	if min <= 0 {
 		min = t.cfg.NumDCs
 	}
+	// Every folded table is whole, so one complete table covers every
+	// bin: a degraded round never decrypts an unset ciphertext.
 	if completed < min || completed < 1 {
-		return rp, fmt.Errorf("psc ts: quorum lost: %d of %d DC tables arrived, need %d (absent: %v)",
-			completed, t.cfg.NumDCs, min, rp.absent)
-	}
-	// A degraded round must still cover the whole table: with >= 1
-	// complete table every bin is populated, but verify rather than
-	// decrypt zero-value ciphertexts.
-	if i := gs.uncovered(); i >= 0 {
-		return rp, fmt.Errorf("psc ts: bin %d has no contribution after degradation", i)
+		return fail(fmt.Errorf("psc ts: quorum lost: %d of %d DC tables arrived, need %d (absent: %v)",
+			completed, t.cfg.NumDCs, min, rp.absent))
 	}
 	sort.Strings(rp.absent)
-	return rp, nil
+	return sum, rp, nil
 }
 
 // runDC drives one data collector's registration/configure/table
 // exchange, retrying once on a replacement messenger when the recovery
-// callback provides one. Tables are buffered per DC and merged into the
-// shared combination only once complete, so a failed upload leaves no
-// partial state: every failure before the table's completion is
-// retryable, and a DC declared absent contributed nothing.
-func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, gs *gatherStore, mu *sync.Mutex, owner map[string]int) (name string, absent bool, err error) {
-	attempt := func(m wire.Messenger) (string, error) {
+// callback provides one. It returns the DC's table only once complete,
+// so a failed upload leaves no partial state: every failure before the
+// table's completion is retryable, and a DC declared absent contributed
+// nothing.
+func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, mu *sync.Mutex, owner map[string]int) (name string, table *ctSpill, absent bool, err error) {
+	attempt := func(m wire.Messenger) (string, *ctSpill, error) {
 		var reg RegisterMsg
 		if err := m.Expect(kindRegister, &reg); err != nil {
-			return "", fmt.Errorf("psc ts: registration: %w", err)
+			return "", nil, fmt.Errorf("psc ts: registration: %w", err)
 		}
 		if reg.Role != RoleDC {
-			return reg.Name, fmt.Errorf("psc ts: party %d registered as %q, want %q", idx, reg.Role, RoleDC)
+			return reg.Name, nil, fmt.Errorf("psc ts: party %d registered as %q, want %q", idx, reg.Role, RoleDC)
 		}
 		mu.Lock()
 		prev, claimed := owner[reg.Name]
@@ -380,26 +388,27 @@ func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, gs *gatherS
 		}
 		mu.Unlock()
 		if claimed && prev != idx {
-			return reg.Name, fmt.Errorf("psc ts: duplicate DC %q", reg.Name)
+			return reg.Name, nil, fmt.Errorf("psc ts: duplicate DC %q", reg.Name)
 		}
 		if err := m.Send(kindConfig, dcCfg); err != nil {
-			return reg.Name, fmt.Errorf("psc ts: configure DC %s: %w", reg.Name, err)
+			return reg.Name, nil, fmt.Errorf("psc ts: configure DC %s: %w", reg.Name, err)
 		}
-		return reg.Name, t.collectTable(reg.Name, m, gs)
+		table, err := t.collectTable(reg.Name, m)
+		return reg.Name, table, err
 	}
 
-	name, err = attempt(m)
+	name, table, err = attempt(m)
 	if err == nil {
-		return name, false, nil
+		return name, table, false, nil
 	}
 	repl, absentOK := t.cfg.Recover(idx, name, true)
 	if repl != nil {
-		retryName, retryErr := attempt(repl)
+		retryName, retryTable, retryErr := attempt(repl)
 		if retryName != "" {
 			name = retryName
 		}
 		if retryErr == nil {
-			return name, false, nil
+			return name, retryTable, false, nil
 		}
 		err = retryErr
 		_, absentOK = t.cfg.Recover(idx, name, false)
@@ -408,9 +417,9 @@ func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, gs *gatherS
 		name = fmt.Sprintf("dc#%d", idx-t.cfg.NumCPs)
 	}
 	if absentOK {
-		return name, true, nil
+		return name, nil, true, nil
 	}
-	return name, false, err
+	return name, nil, false, err
 }
 
 // addCP checks and records one computation party's registration.
@@ -475,48 +484,64 @@ func (t *Tally) buildConfigs(rp *roundParties) (cpCfg, dcCfg ConfigureMsg, err e
 	return cpCfg, dcCfg, nil
 }
 
-// collectTable streams one DC's table into a private buffer and merges
-// it into the shared combination only once it is complete. Ciphertext
-// sums cannot be unpicked, so a DC the quorum policy later declares
-// absent must never have touched the shared sum: buffering makes
+// collectTable streams one DC's table into a private buffer and returns
+// it only once complete; the gather loop folds it into the combination.
+// Ciphertext sums cannot be unpicked, so a DC the quorum policy later
+// declares absent must never have touched the sum: buffering makes
 // Result.AbsentDCs an exact coverage statement ("none of this DC's
 // table is included"). The buffer is itself spilled, so up to NumDCs
 // in-flight tables cost encoded bytes on scratch storage, not parsed
-// ciphertexts on the heap.
-func (t *Tally) collectTable(name string, m wire.Messenger, gs *gatherStore) error {
+// ciphertexts on the heap. On failure the buffer is closed here.
+func (t *Tally) collectTable(name string, m wire.Messenger) (*ctSpill, error) {
 	var hdr VectorHeader
 	if err := m.Expect(kindTable, &hdr); err != nil {
-		return fmt.Errorf("psc ts: table from DC %s: %w", name, err)
+		return nil, fmt.Errorf("psc ts: table from DC %s: %w", name, err)
 	}
 	if hdr.N != t.cfg.Bins {
-		return fmt.Errorf("psc ts: DC %s sent %d bins, want %d", name, hdr.N, t.cfg.Bins)
+		return nil, fmt.Errorf("psc ts: DC %s sent %d bins, want %d", name, hdr.N, t.cfg.Bins)
 	}
 	buf, err := newSpill(t.cfg.Bins)
 	if err != nil {
-		return fmt.Errorf("psc ts: table spill for DC %s: %w", name, err)
+		return nil, fmt.Errorf("psc ts: table spill for DC %s: %w", name, err)
 	}
-	defer buf.Close()
-	err = recvVectorFunc(m, t.cfg.Bins, func(off int, cts []elgamal.Ciphertext) error {
-		return buf.write(off, cts)
-	})
-	if err != nil {
-		return fmt.Errorf("psc ts: table from DC %s: %w", name, err)
+	// recvVectorFunc requires the chunks to tile [0, Bins) in order, so
+	// success means the buffer holds a whole table.
+	if err := recvVectorFunc(m, t.cfg.Bins, buf.write); err != nil {
+		buf.Close()
+		return nil, fmt.Errorf("psc ts: table from DC %s: %w", name, err)
 	}
-	// recvVectorFunc guarantees the chunks tiled [0, Bins) in order, so
-	// the buffer holds a whole table; fold it into the shared
-	// combination chunk by chunk — DC goroutines fold concurrently, the
-	// store's stripes keep them out of each other's way.
-	err = forEachChunk(t.cfg.Bins, gs.chunk, func(off, end int) error {
-		cts, err := buf.readRange(off, end-off)
-		if err != nil {
-			return err
+	return buf, nil
+}
+
+// restream is the one reader of a spilled vector: it decodes sp a chunk
+// at a time, hands each chunk to every one of outs in turn, and closes
+// sp and then outs when done. A read failure cancels the round with its
+// error instead of wedging the pipeline on a short stream; a cancelled
+// round stops it.
+func restream(ctx context.Context, cancel context.CancelCauseFunc, sp *ctSpill, chunk int, what string, outs ...chan<- vchunk) {
+	defer func() {
+		for _, o := range outs {
+			close(o)
 		}
-		return gs.merge(off, cts)
+	}()
+	defer sp.Close()
+	err := forEachChunk(sp.st.Slots(), chunk, func(off, end int) error {
+		cts, err := sp.readRange(off, end-off)
+		if err != nil {
+			return fmt.Errorf("psc ts: %s: %w", what, err)
+		}
+		for _, o := range outs {
+			select {
+			case o <- vchunk{off: off, cts: cts}:
+			case <-ctx.Done():
+				return context.Cause(ctx)
+			}
+		}
+		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("psc ts: table merge for DC %s: %w", name, err)
+		cancel(err)
 	}
-	return nil
 }
 
 // forwardOrdered runs one CP stage's protocol loop with a verify shard
@@ -887,21 +912,22 @@ func verifyFailure(kind string) {
 }
 
 // decShareChunk is one CP's verified decryption shares for one chunk
-// of the final vector, handed from the per-CP decrypt stream to the
-// recovering combiner.
+// of the final vector, with the ciphertexts they were verified against,
+// handed from the per-CP decrypt stream to the recovering combiner.
 type decShareChunk struct {
 	off    int
+	cts    []elgamal.Ciphertext
 	shares []elgamal.DecryptionShare
 }
 
-// decryptCP streams the final batch to one CP from the shared spill and
-// verifies its share chunks as they return (one proof per chunk), pushing
-// each verified chunk to the combiner. Sending and receiving overlap:
-// the CP answers chunk k while chunk k+1 is in flight; the sender hands
-// each parsed chunk to the verifier over a bounded channel so the spill
-// is decoded once per CP, not twice. A failure cancels the round with
-// its error; out always closes.
-func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, name string, m wire.Messenger, cpKey elgamal.Point, src *lockedSpill, n, chunk int, out chan<- decShareChunk) {
+// decryptCP streams the final batch to one CP from in, the decrypt
+// spill's re-stream, and verifies its share chunks as they return (one
+// proof per chunk), pushing each verified chunk to the combiner. Sending
+// and receiving overlap: the CP answers chunk k while chunk k+1 is in
+// flight; the sender hands each chunk to the verifier over a bounded
+// channel. A failure cancels the round with its error; out always
+// closes.
+func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, name string, m wire.Messenger, cpKey elgamal.Point, in <-chan vchunk, n, chunk int, out chan<- decShareChunk) {
 	// Share parsing and the per-chunk proof check run on the verify shard; the
 	// forwarder delivers verified chunks in stream order, so the
 	// combiner still sees them on the boundaries it expects.
@@ -913,23 +939,16 @@ func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, n
 				cancel(fmt.Errorf("psc ts: decrypt to CP %s: %w", name, err))
 				return
 			}
-			err := forEachChunk(n, chunk, func(off, end int) error {
-				cts, err := src.readRange(off, end-off)
-				if err != nil {
-					return err
-				}
-				if err := m.Send(kindChunk, ChunkMsg{Off: off, Count: end - off, Data: encodeVector(cts)}); err != nil {
-					return err
+			for c := range in {
+				if err := m.Send(kindChunk, ChunkMsg{Off: c.off, Count: len(c.cts), Data: encodeVector(c.cts)}); err != nil {
+					cancel(fmt.Errorf("psc ts: decrypt chunk to CP %s: %w", name, err))
+					return
 				}
 				select {
-				case sent <- cts:
-					return nil
+				case sent <- c.cts:
 				case <-ctx.Done():
-					return context.Cause(ctx)
+					return
 				}
-			})
-			if err != nil {
-				cancel(fmt.Errorf("psc ts: decrypt chunk to CP %s: %w", name, err))
 			}
 		}()
 
@@ -962,7 +981,7 @@ func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, n
 			select {
 			case c, ok := <-sent:
 				if !ok {
-					return nil // the sender failed and cancelled the round
+					return nil // the sender or the re-stream failed and cancelled the round
 				}
 				cts = c
 			case <-ctx.Done():
@@ -989,5 +1008,5 @@ func (t *Tally) verifyShareChunk(name string, cpKey elgamal.Point, sc ShareChunk
 		verifyFailure("share-proof")
 		return decShareChunk{}, fmt.Errorf("psc ts: CP %s share chunk [%d,%d) unverified", name, sc.Off, sc.Off+sc.Count)
 	}
-	return decShareChunk{off: sc.Off, shares: shares}, nil
+	return decShareChunk{off: sc.Off, cts: cts, shares: shares}, nil
 }

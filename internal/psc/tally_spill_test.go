@@ -3,26 +3,29 @@ package psc
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/spill"
 	"repro/internal/wire"
 )
 
-// TestGatherSpillReadErrorAbortsRound injures the completed gather
-// store just before the mix feeder starts re-streaming it, so the
+// TestGatherSpillReadErrorAbortsRound injures the combined gather
+// table just before the mix feeder starts re-streaming it, so the
 // feeder's first read fails. The round must abort with the spill error
 // — the cause the round context is cancelled with, so every stage unwinds — rather
 // than wedge the pipeline on a silently closed feed.
 func TestGatherSpillReadErrorAbortsRound(t *testing.T) {
-	gatherFeedTestHook = func(gs *gatherStore) {
+	gatherFeedTestHook = func(sum *ctSpill) {
 		// Close the backing store out from under the feeder: every
 		// subsequent readRange returns an error, the mid-re-stream
 		// read-failure shape (ENOSPC, a reaped tmpfile, a bad disk).
-		gs.sp.Close()
+		sum.Close()
 	}
 	defer func() { gatherFeedTestHook = nil }()
 
@@ -65,17 +68,107 @@ func TestGatherSpillReadErrorAbortsRound(t *testing.T) {
 	wg.Wait()
 }
 
+// openSpills counts this process's open files under dir — the spill
+// stores still open there, since a store's file is unlinked but held
+// until Close. It skips the test where /proc/self/fd is unavailable.
+func openSpills(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+			n++
+		}
+	}
+	return n
+}
+
+// waitSpillsClosed fails the test unless every spill store under dir is
+// closed within 10 s.
+func waitSpillsClosed(t *testing.T, dir string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); openSpills(t, dir) > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d spill stores still open under %s", openSpills(t, dir), dir)
+		}
+	}
+}
+
+// TestFailedGatherClosesEveryTable: a round that fails in the gather
+// still owns every DC table it buffered. Here dc-dying fails the round
+// (no Recover) before dc-good uploads, so the gather loop never takes
+// dc-good's whole table and the goroutine that buffered it must close
+// it; a table the loop did take is closed by the loop's failure path.
+func TestFailedGatherClosesEveryTable(t *testing.T) {
+	dir := t.TempDir()
+	spill.SetDir(dir)
+	defer spill.SetDir("")
+
+	cfg := Config{Round: 24, Bins: 64, ShuffleProofRounds: 2, NumDCs: 2, NumCPs: 1, ChunkElems: 16}
+	tally, err := NewTally(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tsConns []wire.Messenger
+	var wg sync.WaitGroup
+	tsSide, cpSide := wire.Pipe()
+	tsConns = append(tsConns, tsSide)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		NewCP("cp-0", cpSide, nil).Serve() // errors when the round aborts; ignored
+	}()
+	tsSide, goodSide := wire.Pipe()
+	tsConns = append(tsConns, tsSide)
+	good := NewDC("dc-good", goodSide)
+	tsSide, dyingSide := wire.Pipe()
+	tsConns = append(tsConns, tsSide)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		dyingDC(dyingSide, "dc-dying")
+	}()
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := tally.Run(context.Background(), tsConns)
+		errCh <- err
+	}()
+
+	if err := good.Setup(); err != nil {
+		t.Fatalf("dc-good setup: %v", err)
+	}
+	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "dc-dying") {
+		t.Fatalf("want the round to fail on dc-dying, got %v", err)
+	}
+	// The pipe is synchronous: once Finish returns, the tally has read
+	// the whole table into a spill buffer nobody will take.
+	good.Observe("late-item")
+	if err := good.Finish(); err != nil {
+		t.Fatalf("dc-good finish: %v", err)
+	}
+	waitSpillsClosed(t, dir)
+	for _, m := range tsConns {
+		m.Close()
+	}
+	wg.Wait()
+}
+
 // TestRoundUsesConfiguredSpillDir runs a verified round with -spill-dir
 // pointed at a writable directory and requires the gather table to be
-// file-backed with no memory fallback recorded.
+// file-backed with no memory fallback recorded, and every spill store
+// the round opened to be closed once it ends.
 func TestRoundUsesConfiguredSpillDir(t *testing.T) {
-	spill.SetDir(t.TempDir())
+	dir := t.TempDir()
+	spill.SetDir(dir)
 	defer spill.SetDir("")
 	before := metrics.Default().Get("spill/mem-fallbacks")
 
 	var inMemory *bool
-	gatherFeedTestHook = func(gs *gatherStore) {
-		v := gs.sp.st.InMemory()
+	gatherFeedTestHook = func(sum *ctSpill) {
+		v := sum.st.InMemory()
 		inMemory = &v
 	}
 	defer func() { gatherFeedTestHook = nil }()
@@ -94,6 +187,7 @@ func TestRoundUsesConfiguredSpillDir(t *testing.T) {
 	if after := metrics.Default().Get("spill/mem-fallbacks"); after != before {
 		t.Fatalf("mem-fallbacks moved %g -> %g with a writable dir", before, after)
 	}
+	waitSpillsClosed(t, dir)
 }
 
 // TestRoundSpillDirUnwritableFallsBack points -spill-dir at a path that
@@ -105,8 +199,8 @@ func TestRoundSpillDirUnwritableFallsBack(t *testing.T) {
 	before := metrics.Default().Get("spill/mem-fallbacks")
 
 	var inMemory *bool
-	gatherFeedTestHook = func(gs *gatherStore) {
-		v := gs.sp.st.InMemory()
+	gatherFeedTestHook = func(sum *ctSpill) {
+		v := sum.st.InMemory()
 		inMemory = &v
 	}
 	defer func() { gatherFeedTestHook = nil }()

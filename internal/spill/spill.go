@@ -48,9 +48,8 @@ func Dir() string {
 }
 
 // Store is a random-access store of n fixed-size records. It is not
-// safe for concurrent use; callers that share a Store across
-// goroutines serialize access themselves (the protocol layers wrap it
-// in a locked or striped structure).
+// safe for concurrent use: every store in the protocol layers has one
+// owning goroutine at a time, and changes hands whole.
 type Store struct {
 	n, slot int
 	file    *os.File // nil when memory-backed
@@ -118,34 +117,6 @@ func (s *Store) ReadRange(off, count int) ([]byte, error) {
 		return nil, fmt.Errorf("spill: read [%d,%d) out of range %d", off, off+count, s.n)
 	}
 	return s.raw(int64(off)*int64(s.slot), count*s.slot)
-}
-
-// ReadRangeInto is ReadRange reading through the caller's scratch
-// buffer (grown as needed) instead of the store's shared one — the
-// variant for concurrent readers of disjoint ranges, who serialize
-// range ownership themselves but must not share a read buffer. It
-// returns the filled slice (which may alias the memory backing rather
-// than scratch) and the possibly-grown scratch for reuse.
-func (s *Store) ReadRangeInto(off, count int, scratch []byte) (data, grown []byte, err error) {
-	if off < 0 || count < 0 || off+count > s.n {
-		return nil, scratch, fmt.Errorf("spill: read [%d,%d) out of range %d", off, off+count, s.n)
-	}
-	if s.file == nil {
-		if s.mem == nil {
-			return nil, scratch, fmt.Errorf("spill: store closed")
-		}
-		pos := off * s.slot
-		return s.mem[pos : pos+count*s.slot], scratch, nil
-	}
-	want := count * s.slot
-	if cap(scratch) < want {
-		scratch = make([]byte, want)
-	}
-	buf := scratch[:want]
-	if _, err := s.file.ReadAt(buf, int64(off)*int64(s.slot)); err != nil && err != io.EOF {
-		return nil, scratch, err
-	}
-	return buf, scratch, nil
 }
 
 // ReadSlot reads record i into buf, which must be at least one slot
