@@ -30,8 +30,6 @@ func main() {
 	alexaN := flag.Int("alexa", 200000, "synthetic Alexa list size")
 	proofRounds := flag.Int("proof-rounds", 2, "PSC per-block shuffle-proof rounds (1 to 128)")
 	netemSpec := flag.String("netem", "", "WAN emulation profile shaping every party connection (lan, wan-good, wan-tor, or key=value spec; empty: unshaped pipes)")
-	adaptiveWindow := flag.Bool("adaptive-window", true, "autotune stream windows toward the measured bandwidth-delay product")
-	windowCap := flag.Int("window-cap", 0, "adaptive stream-window growth bound in bytes (0: wire default, 16 MiB)")
 	flag.Parse()
 
 	if *list {
@@ -43,7 +41,7 @@ func main() {
 
 	env := &core.Env{
 		Scale: *scale, Seed: *seed, AlexaN: *alexaN, ProofRounds: *proofRounds,
-		Netem: *netemSpec, AdaptiveWindow: *adaptiveWindow, WindowCap: *windowCap,
+		Netem: *netemSpec,
 	}
 
 	ids := []string{*id}

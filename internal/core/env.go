@@ -37,11 +37,6 @@ type Env struct {
 	// "lan", "wan-tor", "wan-tor,seed=42", ...) applied to every party
 	// connection of the Env's fleet; empty runs over unshaped pipes.
 	Netem string
-	// AdaptiveWindow enables AIMD stream-window autotuning on the
-	// fleet's sessions; WindowCap bounds the growth (0 selects
-	// wire.DefaultWindowCap).
-	AdaptiveWindow bool
-	WindowCap      int
 	// NoiseSeed, when nonzero, draws each PrivCount DC's Gaussian noise
 	// from a stream derived from (NoiseSeed, DC name, round) instead of
 	// crypto/rand, so a report repeats exactly: for tests that bound

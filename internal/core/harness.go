@@ -66,8 +66,8 @@ type dcDelivery struct {
 // partyRuntime is an Env's persistent protocol fleet.
 type partyRuntime struct {
 	eng *engine.Engine
-	// connOpts configures every party pipe: WAN emulation and window
-	// tuning from the Env knobs.
+	// connOpts configures every party pipe: WAN emulation from the
+	// Env's Netem profile.
 	connOpts []wire.Option
 	// noiseSeed is the Env's NoiseSeed; zero leaves DC noise to
 	// crypto/rand.
@@ -91,9 +91,6 @@ func (e *Env) runtime() (*partyRuntime, error) {
 		return nil, err
 	} else if p != nil {
 		rt.connOpts = append(rt.connOpts, netem.WireOption(*p))
-	}
-	if e.AdaptiveWindow {
-		rt.connOpts = append(rt.connOpts, wire.WithAdaptiveWindow(e.WindowCap))
 	}
 	for i := 0; i < harnessCPs; i++ {
 		h := engine.Hello{Name: fmt.Sprintf("cp-%d", i)}

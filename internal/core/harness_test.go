@@ -118,13 +118,13 @@ func TestDeterministicReports(t *testing.T) {
 	}
 }
 
-// TestEnvNetemFleet: an Env with a WAN-emulation profile and adaptive
-// windows still runs protocol rounds correctly — the whole fleet's
-// traffic flows through shaped pipes and negotiated windows.
+// TestEnvNetemFleet: an Env with a WAN-emulation profile still runs
+// protocol rounds correctly — the whole fleet's traffic flows through
+// shaped pipes and autotuned stream windows.
 func TestEnvNetemFleet(t *testing.T) {
 	env := &Env{
 		Scale: 4000, Seed: 99, AlexaN: 20000, ProofRounds: 1,
-		Netem: "lan,seed=5", AdaptiveWindow: true, WindowCap: 4 << 20,
+		Netem: "lan,seed=5",
 	}
 	res, err := env.RunPrivCount(PrivCountRun{
 		Fractions: tornet.StudyFractions(),

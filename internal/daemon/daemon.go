@@ -1,7 +1,7 @@
 // Package daemon is the part of a command's main that every daemon
-// repeats: the transport flags and their wire.Option assembly, the
-// metrics endpoint and spill directory, and — for the party daemons —
-// the pinned dial to the tally wrapped in engine.ReconnectLoop. A
+// repeats: the -netem transport flag and its wire.Option, the metrics
+// endpoint and spill directory, and — for the party daemons — the
+// pinned dial to the tally wrapped in engine.ReconnectLoop. A
 // command keeps only what is its own: its role, its default name, its
 // extra flags and the function that serves a session.
 package daemon
@@ -19,12 +19,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Flags is the flag set all four daemons share: -stream-window,
-// -adaptive-window, -window-cap and -netem shape their connections,
-// -metrics-addr and -spill-dir their operation.
+// Flags is the flag set all four daemons share: -netem shapes their
+// connections, -metrics-addr and -spill-dir their operation.
 type Flags struct {
-	streamWindow, windowCap          *int
-	adaptiveWindow                   *bool
 	netemSpec, metricsAddr, spillDir *string
 }
 
@@ -35,11 +32,8 @@ type Flags struct {
 // omits the flag (a share keeper spills nothing).
 func CommonFlags(netemScope, spillHelp string) *Flags {
 	f := &Flags{
-		metricsAddr:    flag.String("metrics-addr", "", "serve the ops metrics registry over HTTP at this address (empty: disabled)"),
-		streamWindow:   flag.Int("stream-window", 0, "initial per-stream flow-control window in bytes (0: wire default, 1 MiB); announced per direction at stream open"),
-		netemSpec:      flag.String("netem", "", "WAN emulation profile shaping "+netemScope+" (lan, wan-good, wan-tor, or key=value spec; empty: none)"),
-		adaptiveWindow: flag.Bool("adaptive-window", true, "autotune stream windows toward the measured bandwidth-delay product (AIMD)"),
-		windowCap:      flag.Int("window-cap", 0, "adaptive stream-window growth bound in bytes (0: wire default, 16 MiB)"),
+		metricsAddr: flag.String("metrics-addr", "", "serve the ops metrics registry over HTTP at this address (empty: disabled)"),
+		netemSpec:   flag.String("netem", "", "WAN emulation profile shaping "+netemScope+" (lan, wan-good, wan-tor, or key=value spec; empty: none)"),
 	}
 	if spillHelp != "" {
 		f.spillDir = flag.String("spill-dir", "", spillHelp)
@@ -56,12 +50,6 @@ func (f *Flags) Start(prefix string) ([]wire.Option, error) {
 		spill.SetDir(*f.spillDir)
 	}
 	var opts []wire.Option
-	if *f.streamWindow > 0 {
-		opts = append(opts, wire.WithWindow(*f.streamWindow))
-	}
-	if *f.adaptiveWindow {
-		opts = append(opts, wire.WithAdaptiveWindow(*f.windowCap))
-	}
 	p, err := netem.ParseProfile(*f.netemSpec)
 	if err != nil {
 		return nil, err

@@ -393,6 +393,40 @@ func TestQuorumLostAborts(t *testing.T) {
 	}
 }
 
+// TestParseQuorum pins the -quorum spec grammar: "dcs=K" or a bare K,
+// K ≥ 1, and nothing else — trailing text is an error, not ignored.
+func TestParseQuorum(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want int // MinDCs; -1: the spec must be rejected
+	}{
+		{"", 0},
+		{"dcs=2", 2},
+		{"3", 3},
+		{"dcs=1", 1},
+		{"dcs=2x", -1},
+		{"2,3", -1},
+		{"1.5", -1},
+		{"dcs=0", -1},
+		{"0", -1},
+		{"-1", -1},
+		{"dcs=", -1},
+		{"dcs", -1},
+		{"dcs=dcs=2", -1},
+		{" 2", -1},
+	} {
+		q, err := ParseQuorum(tc.spec)
+		switch {
+		case tc.want < 0 && err == nil:
+			t.Errorf("ParseQuorum(%q) = %+v, want an error", tc.spec, q)
+		case tc.want >= 0 && err != nil:
+			t.Errorf("ParseQuorum(%q): %v", tc.spec, err)
+		case tc.want >= 0 && q.MinDCs != tc.want:
+			t.Errorf("ParseQuorum(%q).MinDCs = %d, want %d", tc.spec, q.MinDCs, tc.want)
+		}
+	}
+}
+
 // TestRejoinWithoutTokenRejected: an identity pinned without a token is
 // not rejoin-capable. A second session claiming it — presenting the
 // trivially "matching" empty token — must be refused with an explicit

@@ -474,9 +474,9 @@ func (r *Round) finish(err error) {
 		r.reg.Set("engine/"+r.Label+"/last-round-bytes-recv", float64(stats.BytesRecv))
 		r.reg.Set("engine/"+r.Label+"/last-round-parties-absent", float64(nAbsent))
 		// Flow-control gauges: the widest stream window of the round and
-		// the smoothed credit-grant RTT, making the adaptive window's
-		// behavior visible on the Prometheus endpoint. Zero when every
-		// stream ran the fixed-window protocol (no probes, no estimate).
+		// the smoothed credit-grant RTT, making the window controller's
+		// behavior visible on the Prometheus endpoint. The RTT reads zero
+		// when no stream of the round completed a probe.
 		r.reg.Set("wire/"+r.Label+"/window-bytes", float64(maxWindow))
 		r.reg.Set("wire/"+r.Label+"/rtt-ms", float64(maxRTT)/float64(time.Millisecond))
 		// A degraded round counts exactly once, and only if it actually

@@ -3,6 +3,8 @@ package engine
 import (
 	"crypto/subtle"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/wire"
@@ -261,21 +263,17 @@ func (e *Engine) SetQuorum(q QuorumPolicy) {
 // integer K) sets MinDCs=K; the empty string is the all-required
 // policy.
 func ParseQuorum(spec string) (QuorumPolicy, error) {
-	var q QuorumPolicy
 	if spec == "" {
-		return q, nil
+		return QuorumPolicy{}, nil
 	}
-	var k int
-	if _, err := fmt.Sscanf(spec, "dcs=%d", &k); err != nil {
-		if _, err := fmt.Sscanf(spec, "%d", &k); err != nil {
-			return q, fmt.Errorf("engine: bad quorum spec %q (want dcs=K)", spec)
-		}
+	k, err := strconv.Atoi(strings.TrimPrefix(spec, "dcs="))
+	if err != nil {
+		return QuorumPolicy{}, fmt.Errorf("engine: bad quorum spec %q (want dcs=K)", spec)
 	}
 	if k < 1 {
-		return q, fmt.Errorf("engine: quorum must require at least one DC, got %d", k)
+		return QuorumPolicy{}, fmt.Errorf("engine: quorum must require at least one DC, got %d", k)
 	}
-	q.MinDCs = k
-	return q, nil
+	return QuorumPolicy{MinDCs: k}, nil
 }
 
 // failedMessenger stands in for a party whose round stream could not be

@@ -12,15 +12,14 @@ import (
 	"repro/internal/wire"
 )
 
-// runAdaptive moves total bytes through one stream of an adaptive
-// session pair over a netem pipe shaped by p, and returns the
-// receiver-side stream stats.
-func runAdaptive(t *testing.T, p Profile, initial, cap, total int) wire.StreamStats {
+// runAdaptive moves total bytes through one stream of a session pair
+// whose windows grow to at most cap, over a netem pipe shaped by p, and
+// returns the receiver-side stream stats.
+func runAdaptive(t *testing.T, p Profile, cap, total int) wire.StreamStats {
 	t.Helper()
 	ca, cb := Pipe(p)
-	opts := []wire.Option{wire.WithWindow(initial), wire.WithAdaptiveWindow(cap)}
-	client := wire.NewSession(wire.NewConn(ca, opts...), true)
-	server := wire.NewSession(wire.NewConn(cb, opts...), false)
+	client := wire.NewSession(wire.NewConn(ca, wire.WithAdaptiveWindow(cap)), true)
+	server := wire.NewSession(wire.NewConn(cb, wire.WithAdaptiveWindow(cap)), false)
 	defer client.Close()
 	defer server.Close()
 
@@ -64,12 +63,12 @@ func runAdaptive(t *testing.T, p Profile, initial, cap, total int) wire.StreamSt
 }
 
 // TestAdaptiveWindowGrowsOverWAN checks that on a clean high-latency
-// path the receive window climbs above its initial value toward the
+// path the receive window climbs above DefaultWindow toward the
 // bandwidth-delay product, never passes the cap, and the RTT estimator
 // prices at least the emulated round trip.
 func TestAdaptiveWindowGrowsOverWAN(t *testing.T) {
-	const initial, cap = 64 << 10, 1 << 20
-	ss := runAdaptive(t, Profile{Latency: 5 * time.Millisecond, Seed: 1}, initial, cap, 2<<20)
+	const initial, cap = wire.DefaultWindow, 4 << 20
+	ss := runAdaptive(t, Profile{Latency: 5 * time.Millisecond, Seed: 1}, cap, 8<<20)
 	if ss.RecvWindow <= initial {
 		t.Fatalf("window never grew: still %d after a window-limited transfer", ss.RecvWindow)
 	}
@@ -93,17 +92,18 @@ func TestAdaptiveWindowGrowsOverWAN(t *testing.T) {
 //
 // The loss schedule is a function of the seed and of the byte stream
 // (one draw per MTU-sized chunk of every write), so the seed is chosen
-// for the current framing: under seed 15 the first credit exchange
-// crosses without a loss, which gives the controller the clean
-// round-trip sample that later stalls are judged against. Most seeds
-// stall that first exchange too, and then nothing ever looks inflated.
+// for the current framing and the 1 MiB initial window: under seed 35
+// the first credit exchange crosses without a loss, which gives the
+// controller the clean round-trip sample that later stalls are judged
+// against. Most seeds stall that first exchange too, and then nothing
+// ever looks inflated.
 func TestAdaptiveWindowBacksOffUnderLoss(t *testing.T) {
-	const initial, cap = 64 << 10, 1 << 20
+	const initial, cap = wire.DefaultWindow, 4 << 20
 	p := Profile{
 		Latency: 5 * time.Millisecond, Bandwidth: 50_000_000,
-		Loss: 0.3, RTO: 40 * time.Millisecond, Seed: 15,
+		Loss: 0.3, RTO: 40 * time.Millisecond, Seed: 35,
 	}
-	ss := runAdaptive(t, p, initial, cap, 1<<20)
+	ss := runAdaptive(t, p, cap, 8<<20)
 	if ss.Decreases == 0 {
 		t.Fatal("no multiplicative backoff under 30% emulated loss")
 	}

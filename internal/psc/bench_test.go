@@ -211,17 +211,17 @@ func runBenchRound(b testing.TB, cfg Config, items int, mk connPair) {
 // connection is shaped at both ends by the netem profile p — the bulk
 // table-upload phase of a WAN round, isolated from crypto cost so the
 // flow-control window is the only variable. Goodput is reported as
-// xput-MB/s; with a static window it is bounded by window/RTT, with
-// the adaptive window it should approach the emulated link rate.
-func benchWANStream(b *testing.B, p netem.Profile, total int, opts ...wire.Option) {
+// xput-MB/s; as the window grows toward the bandwidth-delay product it
+// should approach the emulated link rate.
+func benchWANStream(b *testing.B, p netem.Profile, total int) {
 	const chunk = 32 << 10
 	payload := make([]byte, chunk)
 	var secs float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ca, cb := netem.Pipe(p)
-		party := wire.NewSession(wire.NewConn(ca, opts...), true)
-		ts := wire.NewSession(wire.NewConn(cb, opts...), false)
+		party := wire.NewSession(wire.NewConn(ca), true)
+		ts := wire.NewSession(wire.NewConn(cb), false)
 		st, err := party.Open(uint64(i)+1, "table-upload")
 		if err != nil {
 			b.Fatal(err)
@@ -328,33 +328,26 @@ func BenchmarkPSCRound(b *testing.B) {
 	})
 	// WAN arms: a 2^18-bin table of ciphertexts (~32 MB) uploaded over
 	// the wan-tor profile (300 ms one-way, 5 MB/s, 0.1% loss — the
-	// tor-relay-grade path). The static 1 MiB window is RTT-bound at
-	// ~1.7 MB/s on this path; the adaptive window must grow to the
-	// bandwidth-delay product and at least double that goodput. Gated
-	// on -short (tens of seconds of emulated wall clock each);
-	// EXPERIMENTS.md §8 has the command.
-	wanTor, _ := netem.Lookup("wan-tor")
-	b.Run("wan-tor/static-win-1m", func(b *testing.B) {
-		if testing.Short() {
-			b.Skip("skipping WAN-emulated arm in -short mode")
-		}
-		benchWANStream(b, wanTor, 32<<20, wire.WithWindow(1<<20))
-	})
+	// tor-relay-grade path). A window held at its initial 1 MiB would be
+	// RTT-bound at ~1.7 MB/s on this path; the stream window must grow
+	// to the bandwidth-delay product to beat that. Gated on -short (tens
+	// of seconds of emulated wall clock each); EXPERIMENTS.md §8 has the
+	// command.
 	b.Run("wan-tor/adaptive", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("skipping WAN-emulated arm in -short mode")
 		}
-		benchWANStream(b, wanTor, 32<<20, wire.WithWindow(1<<20), wire.WithAdaptiveWindow(0))
+		wanTor, _ := netem.Lookup("wan-tor")
+		benchWANStream(b, wanTor, 32<<20)
 	})
-	// The clean-continental path: higher bandwidth, modest latency. The
-	// adaptive window has to push well past the static baseline here
-	// too — its BDP is ~4 MB.
+	// The clean-continental path: higher bandwidth, modest latency; its
+	// BDP is ~4 MB, so the window has to grow well past 1 MiB here too.
 	b.Run("wan-good/adaptive", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("skipping WAN-emulated arm in -short mode")
 		}
 		wanGood, _ := netem.Lookup("wan-good")
-		benchWANStream(b, wanGood, 64<<20, wire.WithWindow(1<<20), wire.WithAdaptiveWindow(0))
+		benchWANStream(b, wanGood, 64<<20)
 	})
 	// The million-bin regime this PR targets: 2¹⁸ bins, verified,
 	// gather table and per-DC buffers on spill storage, verify/combine

@@ -51,10 +51,11 @@
 //     the bounds-checked cursor its implementations read through.
 //   - Session / Stream: HTTP/2-in-miniature multiplexing — one
 //     persistent connection carries one logical Stream per (round,
-//     role), each with credit-based flow control: every open is
-//     acked with the acceptor's window, and every credit grant is one
-//     frame kind (mux/window). Session.Done is the churn signal the
-//     engine's party registry watches.
+//     role), each with credit-based flow control: every stream starts
+//     at DefaultWindow in both directions, its receiver autotunes the
+//     window toward the measured bandwidth-delay product, and every
+//     credit grant is one frame kind (mux/window). Session.Done is the
+//     churn signal the engine's party registry watches.
 //   - Messenger: the interface every protocol role speaks, satisfied by
 //     both Conn and Stream, so a role runs unchanged over a dedicated
 //     connection or one stream of a shared session.
@@ -74,9 +75,12 @@
 //     trailing bytes (ErrBadPayload). It checks framing only: what the
 //     fields must say is decided where it always was, by the protocol
 //     code that consumes the message.
-//   - A stream sender may have at most one flow-control window
-//     (DefaultWindow) in flight; the session read loop never writes,
-//     so two sessions cannot deadlock exchanging window updates.
+//   - A stream sender may have at most one flow-control window in
+//     flight: DefaultWindow at open, afterwards whatever the receiver
+//     has granted, never past the window cap (DefaultWindowCap unless
+//     WithAdaptiveWindow sets another). The session read loop never
+//     writes, so two sessions cannot deadlock exchanging window
+//     updates.
 //   - Stream IDs are split by parity — the initiator opens odd IDs,
 //     the acceptor even ones — and an open that arrives with zero or the
 //     receiver's own parity fails the session: it could otherwise be

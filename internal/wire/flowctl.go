@@ -18,8 +18,8 @@ import "time"
 // travels, so it prices exactly the latency that stalls a
 // window-limited sender.
 
-// DefaultWindowCap bounds adaptive window growth when
-// WithAdaptiveWindow is given no explicit cap. 16 MiB covers the
+// DefaultWindowCap bounds window growth unless WithAdaptiveWindow
+// sets another cap. 16 MiB covers the
 // bandwidth-delay product of a 10 MB/s link at 1.6 s RTT — beyond the
 // unfavorable end of the Tor deployment envelope — while bounding
 // worst-case per-stream buffering.

@@ -21,33 +21,30 @@ import (
 // from the application's Recv calls; stream IDs carry an initiator bit
 // so both ends can open streams without coordination.
 //
-// Window negotiation: the opener's mux/open announces its receive
-// window and its window cap; the acceptor always replies with
-// mux/open-ack carrying its own, and the two directions then run
-// asymmetric windows. Every credit grant is a mux/window frame. With
-// WithAdaptiveWindow enabled, the receiver tags occasional grants with
-// a probe sequence; the sender echoes mux/winack, the measured
-// credit-grant round trip drives the AIMD controller in flowctl.go, and
-// window growth is granted as extra credit in further mux/window
-// frames. Shrink cannot claw back granted credit, so it is applied as
-// debt withheld from future refunds.
+// Windows: every stream starts at DefaultWindow in both directions, so
+// mux/open carries only the round and label and nothing is negotiated.
+// Every credit grant is a mux/window frame. The receiver tags
+// occasional grants with a probe sequence; the sender echoes
+// mux/winack, the measured credit-grant round trip drives the AIMD
+// controller in flowctl.go, and window growth is granted as extra
+// credit in further mux/window frames. Shrink cannot claw back granted
+// credit, so it is applied as debt withheld from future refunds.
 
 // Mux control frame kinds. Application kinds must not collide with
 // these; all protocol kinds in this repository are namespaced
 // ("psc/...", "privcount/...") so the "mux/" prefix is reserved.
 const (
-	kindMuxOpen    = "mux/open"
-	kindMuxOpenAck = "mux/open-ack"
-	kindMuxWindow  = "mux/window"
-	kindMuxWinAck  = "mux/winack"
-	kindMuxClose   = "mux/close"
-	kindMuxReset   = "mux/reset"
+	kindMuxOpen   = "mux/open"
+	kindMuxWindow = "mux/window"
+	kindMuxWinAck = "mux/winack"
+	kindMuxClose  = "mux/close"
+	kindMuxReset  = "mux/reset"
 )
 
 // DefaultWindow is the initial per-stream flow-control window: the
 // maximum bytes (payload plus per-frame overhead) a sender may have
-// buffered at the receiver. It bounds per-stream memory on both ends;
-// adaptive streams grow beyond it toward their cap.
+// buffered at the receiver. Every stream starts here on both ends and
+// grows beyond it toward the connection's window cap.
 const DefaultWindow = 1 << 20
 
 // frameOverhead is the accounting cost added to each frame's payload
@@ -60,19 +57,10 @@ const probeStale = 5 * time.Second
 
 func frameCost(f Frame) int64 { return int64(len(f.Payload)) + frameOverhead }
 
-// openMsg announces a new stream. Window is the opener's receive
-// window for this stream (and, symmetrically, the credit it assumes
-// until an ack adjusts it).
+// openMsg announces a new stream.
 type openMsg struct {
-	Round  uint64
-	Label  string
-	Window int64
-}
-
-// openAck is the acceptor's reply to an open, announcing the acceptor's
-// own receive window for the stream.
-type openAck struct {
-	Window int64
+	Round uint64
+	Label string
 }
 
 // winUpdate is the credit grant: Credit extends the
@@ -102,8 +90,8 @@ type Session struct {
 	acceptCh chan *Stream
 	done     chan struct{}
 
-	// Control frames originated by the read loop (open-acks, winacks,
-	// growth grants) are queued here and written by ctrlLoop, keeping
+	// Control frames originated by the read loop (winacks, growth
+	// grants) are queued here and written by ctrlLoop, keeping
 	// the read loop write-free.
 	ctrlMu   sync.Mutex
 	ctrlCond *sync.Cond
@@ -146,7 +134,7 @@ func (s *Session) Open(round uint64, label string) (*Stream, error) {
 	s.streams[id] = st
 	s.mu.Unlock()
 
-	payload, err := EncodePayload(openMsg{Round: round, Label: label, Window: s.conn.window})
+	payload, err := EncodePayload(openMsg{Round: round, Label: label})
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +213,7 @@ func (s *Session) sendCtrl(f Frame) {
 }
 
 // ctrlLoop writes queued control frames. It is the only writer the
-// read loop can enlist, so read-side replies (open-acks, winacks)
+// read loop can enlist, so read-side replies (winacks, growth grants)
 // never block demultiplexing.
 func (s *Session) ctrlLoop() {
 	for {
@@ -259,34 +247,15 @@ func (s *Session) lookup(id uint64) *Stream {
 	return s.streams[id]
 }
 
-// handleOpen installs a peer-initiated stream and acks it with this
-// end's own window, so the two directions run asymmetric (possibly
-// adaptive) windows. The SID must come from the peer's half of the ID
-// space: an open carrying the local parity (or zero) could be silently
-// replaced by this end's next Open, after which that round's frames
-// would reach the wrong stream.
+// handleOpen installs a peer-initiated stream. The SID must come from
+// the peer's half of the ID space: an open carrying the local parity
+// (or zero) could be silently replaced by this end's next Open, after
+// which that round's frames would reach the wrong stream.
 func (s *Session) handleOpen(f Frame, om openMsg) error {
 	if f.SID == 0 || (f.SID%2 == 1) == s.initiator {
 		return fmt.Errorf("wire: peer opened stream id %d inside the local id space", f.SID)
 	}
 	st := newStream(s, f.SID, om.Round, om.Label)
-	st.sendCredit = om.Window
-	st.sendWindow = om.Window
-	// Until its ack lands the opener sends against its own announced
-	// window, so enforcement must honor the larger of the two
-	// announcements.
-	if om.Window > st.maxAdvertised {
-		st.maxAdvertised = om.Window
-	}
-	st.acked = true
-	if s.conn.adaptive {
-		st.ctrl = newWinController(st.recvWindow, s.conn.windowCap)
-	}
-	payload, err := EncodePayload(openAck{Window: st.recvWindow})
-	if err != nil {
-		return err
-	}
-	s.sendCtrl(Frame{Kind: kindMuxOpenAck, SID: f.SID, Payload: payload})
 	s.mu.Lock()
 	if s.err != nil {
 		s.mu.Unlock()
@@ -327,15 +296,6 @@ func (s *Session) readLoop() {
 			if err := s.handleOpen(f, om); err != nil {
 				s.fail(err)
 				return
-			}
-		case kindMuxOpenAck:
-			var ack openAck
-			if err := DecodePayload(f.Payload, &ack); err != nil {
-				s.fail(fmt.Errorf("wire: bad mux open-ack: %w", err))
-				return
-			}
-			if st := s.lookup(f.SID); st != nil {
-				st.onOpenAck(ack)
 			}
 		case kindMuxWindow:
 			var wu winUpdate
@@ -380,20 +340,19 @@ func (s *Session) readLoop() {
 }
 
 // StreamStats is the per-stream telemetry surface: byte counters for
-// the round accounting, the live windows, and — when the adaptive
-// controller is running — its RTT estimators and backoff count.
+// the round accounting, the live windows, and the window controller's
+// RTT estimators and backoff count.
 type StreamStats struct {
 	// BytesSent and BytesRecv count payload bytes moved on the stream.
 	BytesSent int64
 	BytesRecv int64
 	// SendWindow is the peer-announced window governing this end's
-	// sends; RecvWindow is this end's own (current AIMD target when
-	// adaptive).
+	// sends; RecvWindow is this end's own (the current AIMD target).
 	SendWindow int64
 	RecvWindow int64
 	// RTT is the smoothed credit-grant round-trip estimate and MinRTT
 	// the smallest sample seen; both are zero until the first probe
-	// completes (fixed-window streams never probe).
+	// completes.
 	RTT    time.Duration
 	MinRTT time.Duration
 	// Decreases counts AIMD multiplicative backoffs.
@@ -422,7 +381,7 @@ type Stream struct {
 	sendCredit    int64
 	// sendWindow is the peer's announced receive window (the largest
 	// frame that can ever be covered by credit); recvWindow is this
-	// end's own, governing refunds and the adaptive target.
+	// end's own, governing refunds and the controller's target.
 	sendWindow int64
 	recvWindow int64
 	// maxAdvertised is the high-water mark of credit the peer may
@@ -432,11 +391,8 @@ type Stream struct {
 	// the peer's hands cannot be revoked, so it is withheld from
 	// refunds until paid down.
 	debt int64
-	// ctrl is the AIMD controller; nil on fixed-window streams.
+	// ctrl is the AIMD controller driving recvWindow.
 	ctrl *winController
-	// acked makes onOpenAck apply the peer's ack exactly once (set at
-	// once on an accepted stream, which is never acked).
-	acked bool
 	// probeSeq numbers credit probes; probeSent is the departure time
 	// of the outstanding probe (zero: none) and probeBytes the recv
 	// counter at that moment.
@@ -454,8 +410,9 @@ type Stream struct {
 func newStream(s *Session, id, round uint64, label string) *Stream {
 	st := &Stream{
 		sess: s, id: id, round: round, label: label, created: time.Now(),
-		sendCredit: s.conn.window, sendWindow: s.conn.window,
-		recvWindow: s.conn.window, maxAdvertised: s.conn.window,
+		sendCredit: DefaultWindow, sendWindow: DefaultWindow,
+		recvWindow: DefaultWindow, maxAdvertised: DefaultWindow,
+		ctrl:     newWinController(DefaultWindow, s.conn.windowCap),
 		failedCh: make(chan struct{}),
 	}
 	st.cond = sync.NewCond(&st.mu)
@@ -510,7 +467,7 @@ func (st *Stream) SendFrame(f Frame) error {
 }
 
 // Stats reports the stream's telemetry: byte counters, live windows,
-// and the adaptive controller's RTT/throughput estimators.
+// and the window controller's RTT/throughput estimators.
 func (st *Stream) Stats() StreamStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -519,45 +476,14 @@ func (st *Stream) Stats() StreamStats {
 		BytesRecv:  st.bytesRecv,
 		SendWindow: st.sendWindow,
 		RecvWindow: st.recvWindow,
-	}
-	if st.ctrl != nil {
-		ss.RTT = st.ctrl.srtt
-		ss.MinRTT = st.ctrl.minRTT
-		ss.Decreases = st.ctrl.decreases
+		RTT:        st.ctrl.srtt,
+		MinRTT:     st.ctrl.minRTT,
+		Decreases:  st.ctrl.decreases,
 	}
 	if el := time.Since(st.created).Seconds(); el > 0 {
 		ss.Throughput = float64(st.bytesRecv) / el
 	}
 	return ss
-}
-
-// onOpenAck applies the acceptor's window announcement: the opener
-// assumed a symmetric window at open, so the send budget is adjusted
-// by the difference, and the adaptive controller starts.
-//
-// The ack rides the peer's control queue, and a credit refund written
-// straight from the peer's Recv can overtake it. The difference is
-// therefore taken against the window assumed at open — never against
-// sendWindow, which an overtaking update may already have raised:
-// rebasing on the raised value would silently discard up to a window
-// of credit and leave opener and acceptor blocked on each other. For
-// the same reason a sendWindow already raised past the ack's figure
-// (the update is the newer announcement) is left alone.
-func (st *Stream) onOpenAck(ack openAck) {
-	st.mu.Lock()
-	if !st.acked {
-		st.acked = true
-		assumed := st.sess.conn.window
-		st.sendCredit += ack.Window - assumed
-		if st.sendWindow == assumed || ack.Window > st.sendWindow {
-			st.sendWindow = ack.Window
-		}
-		if st.sess.conn.adaptive && st.ctrl == nil {
-			st.ctrl = newWinController(st.recvWindow, st.sess.conn.windowCap)
-		}
-	}
-	st.mu.Unlock()
-	st.cond.Broadcast()
 }
 
 // onWinUpdate applies a credit grant and echoes the probe, if any,
@@ -583,7 +509,7 @@ func (st *Stream) onWinUpdate(wu winUpdate) {
 // debt.
 func (st *Stream) onWinAck(seq uint64) {
 	st.mu.Lock()
-	if st.ctrl == nil || seq == 0 || seq != st.probeSeq || st.probeSent.IsZero() {
+	if seq == 0 || seq != st.probeSeq || st.probeSent.IsZero() {
 		st.mu.Unlock()
 		return
 	}
@@ -661,10 +587,10 @@ func (st *Stream) Recv() (Frame, error) {
 				st.debt = 0
 			}
 		}
-		// Piggyback an RTT probe on the grant when the adaptive loop is
-		// running and no probe is in flight (or the last one went
-		// unanswered long enough to be presumed lost).
-		if st.ctrl != nil && (st.probeSent.IsZero() || time.Since(st.probeSent) > probeStale) {
+		// Piggyback an RTT probe on the grant when no probe is in flight
+		// (or the last one went unanswered long enough to be presumed
+		// lost).
+		if st.probeSent.IsZero() || time.Since(st.probeSent) > probeStale {
 			st.probeSeq++
 			probe = st.probeSeq
 			st.probeSent = time.Now()

@@ -51,42 +51,17 @@ type Messenger interface {
 // Option configures a Conn.
 type Option func(*Conn)
 
-// WithWindow overrides the initial per-stream flow-control window for
-// sessions multiplexed over this connection (default DefaultWindow).
-// Each direction's window is announced on stream open (open and
-// open-ack), so two ends configured differently run asymmetric windows.
-// A frame costing more than the window can
-// never be covered and is rejected with ErrFrameTooLarge, so the
-// window must exceed the largest frame the protocol ships — for PSC at
-// the default chunk/block sizes that is a ~256 KiB share chunk, making
-// 512 KiB a safe practical floor. With adaptive windows enabled (see
-// WithAdaptiveWindow) this is only the starting point; without them it
-// is the WAN-tuning knob: a window of at least the bandwidth-delay
-// product keeps a stream's pipe full.
-func WithWindow(n int) Option {
-	return func(c *Conn) {
-		if n > 0 {
-			c.window = int64(n)
-		}
-	}
-}
-
-// WithAdaptiveWindow enables receiver-driven window autotuning for
-// streams multiplexed over this connection: each stream measures the
-// credit-grant round-trip time, grows its receive window toward the
-// measured bandwidth-delay product (slow-start doubling, then additive
-// increase), and halves it when RTT inflation signals congestion —
-// AIMD, never exceeding cap bytes (cap <= 0 selects
-// DefaultWindowCap). Growth is granted as extra credit in the same
-// window-update frame that carries refunds; a peer that left the option
-// off still honours the grants, and its own receive windows stay fixed.
+// WithAdaptiveWindow bounds the growth of the receive windows of
+// streams multiplexed over this connection at cap bytes (cap <= 0
+// selects DefaultWindowCap, the default). Every stream starts at
+// DefaultWindow, measures the credit-grant round-trip time, grows its
+// receive window toward the measured bandwidth-delay product
+// (slow-start doubling, then additive increase) and halves it when RTT
+// inflation signals congestion: AIMD, never past the cap.
 func WithAdaptiveWindow(cap int) Option {
 	return func(c *Conn) {
-		c.adaptive = true
 		if cap > 0 {
 			c.windowCap = int64(cap)
-		} else {
-			c.windowCap = DefaultWindowCap
 		}
 	}
 }
@@ -107,9 +82,7 @@ func WithTransportWrap(f func(net.Conn) net.Conn) Option {
 type Conn struct {
 	c         net.Conn
 	maxFrame  int
-	window    int64
 	windowCap int64
-	adaptive  bool
 	wrap      func(net.Conn) net.Conn
 	readMu    sync.Mutex
 	writeMu   sync.Mutex
@@ -121,7 +94,7 @@ type Conn struct {
 
 // NewConn wraps a stream connection.
 func NewConn(c net.Conn, opts ...Option) *Conn {
-	conn := &Conn{c: c, maxFrame: DefaultMaxFrame, window: DefaultWindow}
+	conn := &Conn{c: c, maxFrame: DefaultMaxFrame, windowCap: DefaultWindowCap}
 	for _, o := range opts {
 		o(conn)
 	}
@@ -130,13 +103,6 @@ func NewConn(c net.Conn, opts ...Option) *Conn {
 	}
 	return conn
 }
-
-// MaxFrame reports the connection's frame cap.
-func (c *Conn) MaxFrame() int { return c.maxFrame }
-
-// Window reports the flow-control window sessions over this connection
-// grant each stream.
-func (c *Conn) Window() int64 { return c.window }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
