@@ -83,8 +83,6 @@ func main() {
 	bins := flag.Int("bins", 4096, "psc hash-table size")
 	noise := flag.Int("noise", 64, "psc noise coins per CP")
 	proofRounds := flag.Int("proof-rounds", 8, "psc per-block shuffle-proof rounds (1 to 128)")
-	shuffleBlock := flag.Int("shuffle-block", 0, "psc streaming-shuffle block size in elements (0: default 1024)")
-	shufflePasses := flag.Int("shuffle-passes", 0, "psc shuffle passes per CP, alternating rows/columns (0: default 2)")
 	rounds := flag.Int("rounds", 1, "number of rounds (or round pairs with -protocol both)")
 	concurrency := flag.Int("concurrency", 1, "rounds (or pairs) in flight at once")
 	abortRound := flag.Int("abort-round", 0, "abort the Nth scheduled round mid-flight (0: none)")
@@ -98,7 +96,6 @@ func main() {
 
 	pscCfg := psc.Config{
 		Bins: *bins, NoisePerCP: *noise, ShuffleProofRounds: *proofRounds,
-		ShuffleBlockElems: *shuffleBlock, ShufflePasses: *shufflePasses,
 		NumDCs: *dcs, NumCPs: *cps,
 	}
 	if *protocol != "privcount" {

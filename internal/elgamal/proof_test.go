@@ -160,7 +160,7 @@ func TestFixedWidthProofCodec(t *testing.T) {
 		"empty":           nil,
 		"short":           good[:EqualityProofLen-1],
 		"long":            append(append([]byte(nil), good...), 0),
-		"off-curve":       append([]byte{4, 1}, good[2:]...),
+		"off-curve":       append([]byte{4, good[1] ^ 1}, good[2:]...),
 		"bad tag":         append([]byte{2}, good[1:]...),
 		"padded identity": append([]byte{0}, good[1:]...),
 	} {
@@ -171,7 +171,7 @@ func TestFixedWidthProofCodec(t *testing.T) {
 	if _, err := ParseBitProof(bb[:BitProofLen-1]); err == nil {
 		t.Error("short bit proof accepted")
 	}
-	if _, err := ParseBitProof(append([]byte{4, 1}, bb[2:]...)); err == nil {
+	if _, err := ParseBitProof(append([]byte{4, bb[1] ^ 1}, bb[2:]...)); err == nil {
 		t.Error("bit proof with an off-curve commitment accepted")
 	}
 }

@@ -163,18 +163,18 @@ type chunkShape struct {
 // proofs field holds fixed-width proofs of w bytes each.
 func malformedChunks(data, proofs []byte, w int) []chunkShape {
 	return []chunkShape{
-		{2, data, proofs},                                     // count understates both
-		{4, data, proofs},                                     // count overstates both
-		{3, data, proofs[:len(proofs)-w]},                     // a proof missing
-		{3, data, append(bytes.Clone(proofs), 0)},             // ragged proofs
-		{3, data, append(bytes.Clone(proofs), proofs[:w]...)}, // a proof too many
-		{3, data[:len(data)-3], proofs},                       // last element cut short
-		{3, append(bytes.Clone(data), 0), proofs},             // an element too many
-		{3, append([]byte{4, 1}, data[2:]...), proofs},        // off-curve element
-		{3, data, append([]byte{4, 1}, proofs[2:]...)},        // off-curve commitment
-		{3, data, append([]byte{0, 1}, proofs[2:]...)},        // padded identity commitment
-		{1 << 40, data, proofs},                               // count no frame could back
-		{-3, data, proofs},                                    // negative count
+		{2, data, proofs},                                          // count understates both
+		{4, data, proofs},                                          // count overstates both
+		{3, data, proofs[:len(proofs)-w]},                          // a proof missing
+		{3, data, append(bytes.Clone(proofs), 0)},                  // ragged proofs
+		{3, data, append(bytes.Clone(proofs), proofs[:w]...)},      // a proof too many
+		{3, data[:len(data)-3], proofs},                            // last element cut short
+		{3, append(bytes.Clone(data), 0), proofs},                  // an element too many
+		{3, append([]byte{4, data[1] ^ 1}, data[2:]...), proofs},   // off-curve element
+		{3, data, append([]byte{4, proofs[1] ^ 1}, proofs[2:]...)}, // off-curve commitment
+		{3, data, append([]byte{0, 1}, proofs[2:]...)},             // padded identity commitment
+		{1 << 40, data, proofs},                                    // count no frame could back
+		{-3, data, proofs},                                         // negative count
 	}
 }
 

@@ -2,6 +2,7 @@ package psc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -13,33 +14,35 @@ import (
 // bandwidth, so vectors are packed into byte slices rather than
 // per-element gob structures, and travel as bounded chunks.
 
-// DefaultChunk is how many ciphertexts ride in one chunk frame when the
-// round configuration doesn't say otherwise: ~130 bytes per ciphertext
-// keeps a chunk near 128 KiB, far below any connection's frame cap.
-const DefaultChunk = 1024
+// chunkElems is how many ciphertexts ride in one chunk frame: ~130
+// bytes per ciphertext keeps a chunk near 128 KiB, far below any
+// connection's frame cap.
+const chunkElems = 1024
 
-// chunkOf normalizes a configured chunk size.
-func chunkOf(n int) int {
-	if n <= 0 {
-		return DefaultChunk
-	}
-	return n
-}
-
-// forEachChunk invokes fn(off, end) over [0, n) in chunk-sized ranges —
-// the one place the clamp-and-slice arithmetic lives.
-func forEachChunk(n, chunk int, fn func(off, end int) error) error {
-	chunk = chunkOf(chunk)
-	for off := 0; off < n; off += chunk {
-		end := off + chunk
-		if end > n {
-			end = n
-		}
+// forEachChunk invokes fn(off, end) over [0, n) in chunkElems-sized
+// ranges — the one place the clamp-and-slice arithmetic lives.
+func forEachChunk(n int, fn func(off, end int) error) error {
+	for off := 0; off < n; off += chunkElems {
+		end := min(off+chunkElems, n)
 		if err := fn(off, end); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// parseJointKey decodes a configure frame's joint key, refusing the
+// identity: under it C2 = M, so the table and the noise would travel in
+// the clear.
+func parseJointKey(b []byte) (elgamal.Point, error) {
+	pk, _, err := elgamal.ParsePoint(b)
+	if err == nil && pk.IsIdentity() {
+		err = errors.New("the identity")
+	}
+	if err != nil {
+		return elgamal.Point{}, fmt.Errorf("joint key: %w", err)
+	}
+	return pk, nil
 }
 
 // encodeVector packs ciphertexts back to back into one allocation.
@@ -49,14 +52,6 @@ func encodeVector(v []elgamal.Ciphertext) []byte {
 		out = c.AppendTo(out)
 	}
 	return out
-}
-
-// sendVector streams v as kindChunk frames of at most chunk elements.
-// The receiver learns the total from the phase's preceding header.
-func sendVector(m wire.Messenger, v []elgamal.Ciphertext, chunk int) error {
-	return forEachChunk(len(v), chunk, func(off, end int) error {
-		return m.Send(kindChunk, ChunkMsg{Off: off, Count: end - off, Data: encodeVector(v[off:end])})
-	})
 }
 
 // recvVectorFunc consumes kindChunk frames until n elements have
@@ -167,7 +162,7 @@ const (
 	openScalarLen = 32
 )
 
-// Block lengths never exceed maxBlockElems (Config.Validate), so every
+// Block lengths never exceed maxBlockElems (checkShape), so every
 // permutation index fits the uint16 the opening frame gives it.
 const _ = uint16(maxBlockElems - 1)
 

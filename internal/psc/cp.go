@@ -52,9 +52,9 @@ func (cp *CP) ServeRound(m wire.Messenger) error {
 	if err := m.Expect(kindConfig, &cfg); err != nil {
 		return fmt.Errorf("psc cp %s: configure: %w", cp.Name, err)
 	}
-	joint, _, err := elgamal.ParsePoint(cfg.JointKey)
+	joint, err := parseJointKey(cfg.JointKey)
 	if err != nil {
-		return fmt.Errorf("psc cp %s: joint key: %w", cp.Name, err)
+		return fmt.Errorf("psc cp %s: %w", cp.Name, err)
 	}
 	// Every operation of the round multiplies against the joint key; one
 	// table build here repays itself thousands of times, and is shared
@@ -78,12 +78,11 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 		return fmt.Errorf("psc cp %s: mix of %d elements plus %d noise", cp.Name, hdr.N, cfg.NoisePerCP)
 	}
 	total := hdr.N + cfg.NoisePerCP
-	if err := checkShape(total, cfg.ChunkElems, cfg.ShuffleBlockElems, cfg.ShufflePasses, cfg.ShuffleProofRounds); err != nil {
+	if err := checkShape(total, cfg.ShuffleProofRounds); err != nil {
 		return fmt.Errorf("psc cp %s: configure: %w", cp.Name, err)
 	}
-	chunk := chunkOf(cfg.ChunkElems)
-	g := newGrid(total, blockOf(cfg.ShuffleBlockElems))
-	passes := g.passes(passesOf(cfg.ShufflePasses))
+	g := newGrid(total, shuffleBlock)
+	passes := g.passes()
 
 	// Stage 1: announce the mixed length and ship the fair-coin noise
 	// with its bit proofs. The TS reconstructs the combined vector itself,
@@ -102,7 +101,7 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 	if err := m.Send(kindMixed, VectorHeader{From: cp.Name, Round: cfg.Round, N: total}); err != nil {
 		return err
 	}
-	err := forEachChunk(len(noise), chunk, func(off, end int) error {
+	err := forEachChunk(len(noise), func(off, end int) error {
 		return m.Send(kindNoise, NoiseChunkMsg{Off: off, Count: end - off,
 			Data: encodeVector(noise[off:end]), Proofs: packProofs(proofs[off:end], elgamal.BitProofLen)})
 	})

@@ -48,15 +48,17 @@ func (dc *DC) Setup() error {
 	if err := dc.m.Expect(kindConfig, &dc.cfg); err != nil {
 		return fmt.Errorf("psc dc %s: configure: %w", dc.Name, err)
 	}
-	if dc.cfg.Bins <= 0 {
-		return fmt.Errorf("psc dc %s: configured with %d bins", dc.Name, dc.cfg.Bins)
+	// The configure frame is input from outside the process: the table
+	// it sizes must fit the one vector budget checkShape enforces.
+	if dc.cfg.Bins <= 0 || dc.cfg.Bins > maxVectorElems {
+		return fmt.Errorf("psc dc %s: configured with %d bins, want [1,%d]", dc.Name, dc.cfg.Bins, maxVectorElems)
 	}
 	if len(dc.cfg.HashKey) == 0 {
 		return fmt.Errorf("psc dc %s: no hash key in configuration", dc.Name)
 	}
-	pk, _, err := elgamal.ParsePoint(dc.cfg.JointKey)
+	pk, err := parseJointKey(dc.cfg.JointKey)
 	if err != nil {
-		return fmt.Errorf("psc dc %s: joint key: %w", dc.Name, err)
+		return fmt.Errorf("psc dc %s: %w", dc.Name, err)
 	}
 	dc.jointKey = pk
 	elgamal.Precompute(dc.jointKey)
@@ -99,7 +101,7 @@ func (dc *DC) Finish() error {
 	if err := dc.m.Send(kindTable, VectorHeader{From: dc.Name, Round: dc.cfg.Round, N: dc.cfg.Bins}); err != nil {
 		return err
 	}
-	err := forEachChunk(len(dc.bins), dc.cfg.ChunkElems, func(off, end int) error {
+	err := forEachChunk(len(dc.bins), func(off, end int) error {
 		cts, _ := elgamal.BatchEncryptBits(dc.jointKey, dc.bins[off:end])
 		return dc.m.Send(kindChunk, ChunkMsg{Off: off, Count: end - off, Data: encodeVector(cts)})
 	})

@@ -14,9 +14,10 @@
 //  2. Each CP in turn appends fair-coin noise ciphertexts (with
 //     Cramer–Damgård–Schoenmakers proofs they encrypt bits), then runs
 //     the streaming verifiable shuffle: the vector is arranged as a
-//     grid of ShuffleBlockElems-element rows and permuted in
-//     ShufflePasses alternating passes (contiguous row blocks, then
-//     column groups — a transpose in emission order). Every block is
+//     grid of 1024-element rows and permuted in two passes
+//     (contiguous row blocks, then column groups — a transpose in
+//     emission order). The geometry is a protocol constant, so every
+//     party derives the same grid and no frame carries it. Every block is
 //     independently permuted, re-randomized, and proven with its own
 //     cut-and-choose argument whose shadows are hash-committed before
 //     the challenge exists and whose challenge bits come from a

@@ -3,7 +3,7 @@ package psc
 import "sort"
 
 // Shuffle-grid geometry. The streaming shuffle arranges an n-element
-// vector as rows of blockElems elements and runs alternating passes:
+// vector as rows of shuffleBlock elements and runs alternating passes:
 // odd passes permute contiguous row blocks, even passes permute column
 // groups — ~block-sized bundles of adjacent columns, so the per-block
 // proof overhead stays amortized whatever the grid's aspect ratio.
@@ -13,41 +13,28 @@ import "sort"
 // re-partitions it. A row pass reaches every column and a column-group
 // pass reaches every row (and every slot of the group), so after one
 // of each every input index can reach every output index with a
-// near-uniform marginal; more passes tighten the composed permutation
-// further (grid_test.go measures the marginals).
+// near-uniform marginal (grid_test.go measures the marginals).
 
-// DefaultShuffleBlock is the shuffle block size when the round
-// configuration doesn't say otherwise: at ~130 bytes per ciphertext a
-// block's wire frames stay near 128 KiB, and a 2¹⁶-bin table becomes
-// 64 row blocks.
-const DefaultShuffleBlock = 1024
+// The round geometry is fixed: every party derives the same grid from
+// these constants, so no configure frame carries it. At ~130 bytes per
+// ciphertext a block's wire frames stay near 128 KiB, and a 2¹⁶-bin
+// table becomes 64 row blocks. Two passes — rows, then column groups —
+// are the minimum giving every element full positional support.
+const (
+	shuffleBlock  = 1024
+	shufflePasses = 2
+)
 
-// DefaultShufflePasses is the default pass count: rows then column
-// groups, the minimum giving every element full positional support.
-const DefaultShufflePasses = 2
-
-// maxBlockElems bounds the block size and the column length
-// (ceil(n/block)) so any block — the largest frames of the shuffle
-// stage are the block itself and its blind frame; there is no shadow
-// frame to size for — fits the wire frame budget, and any index into
-// a block fits the uint16 an opening frame gives it (codec.go).
+// maxBlockElems bounds the column length (ceil(n/shuffleBlock)) so any
+// block — the largest frames of the shuffle stage are the block itself
+// and its blind frame; there is no shadow frame to size for — fits the
+// wire frame budget, and any index into a block fits the uint16 an
+// opening frame gives it (codec.go).
 const maxBlockElems = 2048
 
-// blockOf normalizes a configured shuffle block size.
-func blockOf(n int) int {
-	if n <= 0 {
-		return DefaultShuffleBlock
-	}
-	return n
-}
-
-// passesOf normalizes a configured pass count.
-func passesOf(n int) int {
-	if n <= 0 {
-		return DefaultShufflePasses
-	}
-	return n
-}
+// maxVectorElems is the longest mixed vector the frame budget admits:
+// 2²¹ elements, maxBlockElems rows of shuffleBlock.
+const maxVectorElems = maxBlockElems * shuffleBlock
 
 // grid is the blocking of one n-element vector.
 type grid struct {
@@ -74,25 +61,15 @@ func newGrid(n, block int) grid {
 // passes returns the effective pass count: a vector that fits one block
 // is fully shuffled by a single pass, and extra passes over a single
 // row would add cost without mixing.
-func (g grid) passes(configured int) int {
+func (g grid) passes() int {
 	if g.rows == 1 {
 		return 1
 	}
-	return configured
+	return shufflePasses
 }
 
 // rowPass reports whether pass p (1-based) partitions contiguously.
 func rowPass(p int) bool { return p%2 == 1 }
-
-// colLen returns the element count of column c: every column exists in
-// every row except that columns at or past the ragged last row's end
-// miss it.
-func (g grid) colLen(c int) int {
-	if c < g.last {
-		return g.rows
-	}
-	return g.rows - 1
-}
 
 // elemsBefore returns how many elements the columns [0, c) hold.
 func (g grid) elemsBefore(c int) int {

@@ -102,7 +102,7 @@ func TestComposedPassesPermutationEquivalence(t *testing.T) {
 	for _, shape := range shapes {
 		n := shape.n
 		g := newGrid(n, shape.block)
-		passes := g.passes(DefaultShufflePasses)
+		passes := g.passes()
 		if passes < 2 {
 			t.Fatalf("grid %dx%d collapsed to one pass", n, shape.block)
 		}
@@ -140,7 +140,7 @@ func TestComposedPassesPermutationEquivalence(t *testing.T) {
 	// A ragged grid must keep the same guarantees.
 	g2 := newGrid(19, 6)
 	for trial := 0; trial < 64; trial++ {
-		pos := applyPasses(g2, g2.passes(DefaultShufflePasses), rng)
+		pos := applyPasses(g2, g2.passes(), rng)
 		seen := make([]bool, g2.n)
 		for _, dst := range pos {
 			if seen[dst] {

@@ -47,9 +47,6 @@ type ConfigureMsg struct {
 	Bins               int
 	NoisePerCP         int
 	ShuffleProofRounds int
-	ShuffleBlockElems  int      // shuffle block size (0: DefaultShuffleBlock)
-	ShufflePasses      int      // shuffle passes (0: DefaultShufflePasses)
-	ChunkElems         int      // elements per vector chunk (0: DefaultChunk)
 	JointKey           []byte   // combined CP public key
 	CPKeys             [][]byte // individual CP keys, in pipeline order
 	HashKey            []byte   // DCs only

@@ -24,22 +24,7 @@ type Config struct {
 	// that skips the shuffle, blind, bit or share proofs; the deployment
 	// default is 8.
 	ShuffleProofRounds int
-	// ShuffleBlockElems is the streaming shuffle's block size: the
-	// mixed vector is arranged as rows of this many elements and each
-	// pass permutes one block at a time, so CP and TS shuffle-phase
-	// residency is O(block) ciphertexts instead of O(bins·rounds). Zero
-	// selects DefaultShuffleBlock.
-	ShuffleBlockElems int
-	// ShufflePasses is how many alternating row/column passes each CP
-	// runs (zero: DefaultShufflePasses). Two passes give every element
-	// full positional support; more passes tighten the composed
-	// permutation toward uniform at a linear cost.
-	ShufflePasses  int
-	NumDCs, NumCPs int
-	// ChunkElems is how many ciphertexts travel per chunk frame; zero
-	// selects DefaultChunk. Smaller chunks tighten the per-party memory
-	// bound of the element-wise phases at the cost of more frames.
-	ChunkElems int
+	NumDCs, NumCPs     int
 	// MinDCs is the quorum floor for data collectors: the round
 	// completes (with degraded coverage, annotated in
 	// Result.AbsentDCs) as long as at least MinDCs tables arrive in
@@ -79,48 +64,31 @@ func (c Config) Validate() error {
 		return fmt.Errorf("psc: need at least one CP (privacy needs one honest CP)")
 	}
 	// The largest mixed vector is the last CP's: the table plus every
-	// CP's appended noise.
-	return checkShape(c.Bins+c.NumCPs*c.NoisePerCP, c.ChunkElems, c.ShuffleBlockElems, c.ShufflePasses, c.ShuffleProofRounds)
+	// CP's appended noise. The noise is bounded by division, before the
+	// product is formed, so no product can wrap into the budget.
+	if c.NoisePerCP > (maxVectorElems-c.Bins)/c.NumCPs {
+		return fmt.Errorf("psc: %d bins plus %d noise elements from each of %d CPs exceed the %d-element vector budget",
+			c.Bins, c.NoisePerCP, c.NumCPs, maxVectorElems)
+	}
+	return checkShape(c.Bins+c.NumCPs*c.NoisePerCP, c.ShuffleProofRounds)
 }
 
-// checkShape checks a round's streaming geometry and proof count
+// checkShape checks a round's mixed-vector length and proof count
 // against the frame budget, for a mixed vector of total elements. The
 // TS applies it to its own Config; a CP applies it to the configure
 // frame it was sent, which is input from outside the process.
-func checkShape(total, chunk, block, passes, rounds int) error {
+func checkShape(total, rounds int) error {
 	if total < 1 {
 		return fmt.Errorf("psc: mixed vector of %d elements", total)
-	}
-	// A blind chunk carries ~330 bytes per element (ciphertext plus
-	// DLEQ proof); past 2048 elements a chunk frame would approach the
-	// wire frame cap and flow-control window.
-	if chunk < 0 || chunk > 2048 {
-		return fmt.Errorf("psc: chunk size %d outside the frame budget [0,2048]", chunk)
-	}
-	if block < 0 || block > maxBlockElems {
-		return fmt.Errorf("psc: shuffle block %d outside the frame budget [0,%d]", block, maxBlockElems)
-	}
-	if passes < 0 || passes > 16 {
-		return fmt.Errorf("psc: shuffle passes %d outside [0,16]", passes)
 	}
 	if rounds < 1 || rounds > 128 {
 		return fmt.Errorf("psc: ShuffleProofRounds %d outside [1,128]: every round is verified, the unverified mode is gone", rounds)
 	}
 	// A column block carries one element per row, so the row count must
 	// fit the frame budget too.
-	block = blockOf(block)
-	if total > maxBlockElems*block {
-		return fmt.Errorf("psc: %d-element vectors over %d-element blocks give %d-element columns, exceeding the frame budget (max %d); raise the shuffle block size",
-			total, block, (total-1)/block+1, maxBlockElems)
-	}
-	// A single pass over a multi-block vector never moves an element
-	// out of its block, so the TS would learn which block every
-	// occupied bin falls in — a silent downgrade of the privacy barrier
-	// the shuffle exists to provide. (A vector that fits one block is
-	// fine: one pass covers it entirely.)
-	if passes == 1 && total > block {
-		return fmt.Errorf("psc: 1 shuffle pass over a %d-element vector with %d-element blocks is block-local, not a full shuffle; use at least 2 passes",
-			total, block)
+	if total > maxVectorElems {
+		return fmt.Errorf("psc: %d-element vectors over %d-element blocks give %d-element columns, exceeding the frame budget (max %d)",
+			total, shuffleBlock, (total-1)/shuffleBlock+1, maxBlockElems)
 	}
 	return nil
 }

@@ -145,24 +145,6 @@ func TestRoundWithNoiseRecoversCount(t *testing.T) {
 	}
 }
 
-// TestRoundNonDefaultShuffleGeometry pins the end-to-end propagation of
-// the shuffle parameters: an honest round with a non-default block size
-// and pass count must succeed, which only happens when the TS's
-// ConfigureMsg carries the same geometry the tally verifies against
-// (a mismatch desynchronizes blocking on the first block).
-func TestRoundNonDefaultShuffleGeometry(t *testing.T) {
-	cfg := Config{Round: 11, Bins: 96, NoisePerCP: 4, ShuffleProofRounds: 2,
-		ShuffleBlockElems: 16, ShufflePasses: 3, NumDCs: 2, NumCPs: 2, ChunkElems: 32}
-	res := runRound(t, cfg, func(dcs []*DC) {
-		dcs[0].Observe("alpha")
-		dcs[1].Observe("beta")
-	})
-	// 2 occupied bins + Binomial(8, 1/2) noise: result in [2, 10].
-	if res.Reported < 2 || res.Reported > 10 {
-		t.Fatalf("reported %d outside feasible range", res.Reported)
-	}
-}
-
 func TestRoundEmptySets(t *testing.T) {
 	cfg := Config{Round: 3, Bins: 32, NoisePerCP: 0, ShuffleProofRounds: 2, NumDCs: 2, NumCPs: 2}
 	res := runRound(t, cfg, func([]*DC) {})
@@ -289,16 +271,11 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.ShuffleProofRounds = 129 },
 		func(c *Config) { c.NumDCs = 0 },
 		func(c *Config) { c.NumCPs = 0 },
-		func(c *Config) { c.ChunkElems = 2049 },
-		func(c *Config) { c.ShuffleBlockElems = -1 },
-		func(c *Config) { c.ShuffleBlockElems = maxBlockElems + 1 },
-		func(c *Config) { c.ShufflePasses = 17 },
-		// Column length over the frame budget: 2^16 bins in 16-element
-		// blocks means 4096-element columns.
-		func(c *Config) { c.Bins, c.ShuffleBlockElems = 1<<16, 16 },
-		// One pass over a multi-block vector is block-local, not a
-		// shuffle: the TS would learn each occupied bin's block.
-		func(c *Config) { c.Bins, c.ShufflePasses = 4096, 1 },
+		// Column length over the frame budget: one element past 2048
+		// rows of shuffleBlock.
+		func(c *Config) { c.Bins = maxBlockElems*shuffleBlock + 1 },
+		// 4·2⁶² wraps to 0: the noise bound must not form the product.
+		func(c *Config) { c.Bins, c.NoisePerCP, c.NumCPs = 1024, 1<<62, 4 },
 	}
 	for i, breakIt := range bad {
 		cfg := base
@@ -314,11 +291,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewTally(Config{}); err == nil {
 		t.Fatal("NewTally must validate")
-	}
-	// A single pass is fine when the vector fits one block.
-	ok := Config{Bins: 512, ShufflePasses: 1, ShuffleBlockElems: 1024, ShuffleProofRounds: 1, NumDCs: 1, NumCPs: 1}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("single-block single-pass config rejected: %v", err)
 	}
 }
 
@@ -491,10 +463,8 @@ func waitGoroutines(t *testing.T, baseline int) {
 // blind carries a DLEQ that verifies, and is refused for what it is.
 func TestMaliciousCPRejected(t *testing.T) {
 	single := Config{Round: 9, Bins: 16, NoisePerCP: 2, ShuffleProofRounds: 8, NumDCs: 1, NumCPs: 2}
-	multi := Config{Round: 10, Bins: 48, NoisePerCP: 2, ShuffleProofRounds: 2,
-		ShuffleBlockElems: 8, ShufflePasses: 2, NumDCs: 1, NumCPs: 2}
-	chunked := multi
-	chunked.ChunkElems = 16 // four share chunks per CP
+	// Just over one block: two blocks per pass, two share chunks per CP.
+	multi := Config{Round: 10, Bins: 1100, NoisePerCP: 2, ShuffleProofRounds: 1, NumDCs: 1, NumCPs: 2}
 	cases := []struct {
 		name    string
 		cfg     Config
@@ -510,8 +480,8 @@ func TestMaliciousCPRejected(t *testing.T) {
 		// over the re-streamed intermediate must catch whatever the
 		// cut-and-choose argument misses.
 		{"multi-pass", multi, kindShufBlock, 1, substituteCiphertext, "", ""},
-		{"one-wrong-share", chunked, kindShare, 2, wrongShare, "share chunk [32,48) unverified", "share-proof"},
-		{"zero-blind", multi, kindBlind, 3, zeroBlind, "blinding of element", "blind-proof"},
+		{"one-wrong-share", multi, kindShare, 1, wrongShare, "share chunk [1024,1104) unverified", "share-proof"},
+		{"zero-blind", multi, kindBlind, 1, zeroBlind, "blinding of element", "blind-proof"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -647,8 +617,7 @@ func TestRogueCPKeyRejected(t *testing.T) {
 // openings, frame headers — stays within 40 B per element per proof
 // round (166 B when every round shipped its shadow).
 func TestShuffleFramesCarryNoShadow(t *testing.T) {
-	cfg := Config{Round: 3, Bins: 240, NoisePerCP: 8, ShuffleProofRounds: 4,
-		ShuffleBlockElems: 64, ShufflePasses: 2, NumDCs: 1, NumCPs: 2}
+	cfg := Config{Round: 3, Bins: 1100, NoisePerCP: 8, ShuffleProofRounds: 2, NumDCs: 1, NumCPs: 2}
 	const maxPerElem = 40
 
 	var mu sync.Mutex
@@ -696,7 +665,7 @@ func TestShuffleFramesCarryNoShadow(t *testing.T) {
 	// every element once per proof round.
 	want := 0
 	for i := 1; i <= cfg.NumCPs; i++ {
-		want += (cfg.Bins + i*cfg.NoisePerCP) * cfg.ShufflePasses * cfg.ShuffleProofRounds
+		want += (cfg.Bins + i*cfg.NoisePerCP) * shufflePasses * cfg.ShuffleProofRounds
 	}
 	if opened != want {
 		t.Fatalf("openings covered %d elements, want %d: the proved shuffle path did not run as configured", opened, want)
@@ -714,7 +683,7 @@ func TestShuffleFramesCarryNoShadow(t *testing.T) {
 // chunk's one 162-byte proof — never a proof per element (which read
 // ≈ 235 B per element).
 func TestShareFramesCarryOneProof(t *testing.T) {
-	cfg := Config{Round: 4, Bins: 100, NoisePerCP: 6, ShuffleProofRounds: 2, ChunkElems: 32, NumDCs: 1, NumCPs: 2}
+	cfg := Config{Round: 4, Bins: 1100, NoisePerCP: 6, ShuffleProofRounds: 1, NumDCs: 1, NumCPs: 2}
 	const perElem, perFrame = 65, 200
 
 	var mu sync.Mutex
@@ -746,7 +715,7 @@ func TestShareFramesCarryOneProof(t *testing.T) {
 	if want := cfg.NumCPs * finalN; elems != want {
 		t.Fatalf("share chunks covered %d elements, want %d", elems, want)
 	}
-	if want := cfg.NumCPs * ((finalN + cfg.ChunkElems - 1) / cfg.ChunkElems); frames != want {
+	if want := cfg.NumCPs * ((finalN + chunkElems - 1) / chunkElems); frames != want {
 		t.Fatalf("%d share-chunk frames, want %d", frames, want)
 	}
 }
@@ -806,7 +775,7 @@ func dyingDC(conn wire.Messenger, name string) {
 	if err != nil {
 		return
 	}
-	bits := make([]bool, cc.ChunkElems)
+	bits := make([]bool, chunkElems)
 	for i := range bits {
 		bits[i] = true
 	}
@@ -819,12 +788,12 @@ func dyingDC(conn wire.Messenger, name string) {
 // of its table must be declared absent with none of its chunks in the
 // aggregate. Each table is buffered and merged only once complete, so
 // Result.AbsentDCs is an exact coverage statement — here the dying DC
-// marks 16 bins in its aborted upload and the result must still count
+// marks 1024 bins in its aborted upload and the result must still count
 // only the survivor's one item.
 func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 	cfg := Config{
-		Round: 7, Bins: 64, NoisePerCP: 0, ShuffleProofRounds: 2,
-		NumDCs: 2, NumCPs: 1, MinDCs: 1, ChunkElems: 16,
+		Round: 7, Bins: 2048, NoisePerCP: 0, ShuffleProofRounds: 1,
+		NumDCs: 2, NumCPs: 1, MinDCs: 1,
 		Recover: func(int, string, bool) (wire.Messenger, bool) { return nil, true },
 	}
 	tally, err := NewTally(cfg)
@@ -891,7 +860,7 @@ func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 // other DC uploads a whole table — and every party unwinds once the
 // caller closes the round's connections.
 func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
-	cfg := Config{Round: 8, Bins: 64, ShuffleProofRounds: 2, NumDCs: 2, NumCPs: 1, ChunkElems: 16}
+	cfg := Config{Round: 8, Bins: 2048, ShuffleProofRounds: 1, NumDCs: 2, NumCPs: 1}
 	tally, err := NewTally(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1043,28 +1012,32 @@ func TestCPRejectsHostileConfigure(t *testing.T) {
 		{"zero-length mix", ConfigureMsg{ShuffleProofRounds: 1}, 0},
 		{"zero rounds", ConfigureMsg{NoisePerCP: 2}, 8},
 		{"129 rounds", ConfigureMsg{NoisePerCP: 2, ShuffleProofRounds: 129}, 8},
-		{"oversize block", ConfigureMsg{ShuffleProofRounds: 1, ShuffleBlockElems: maxBlockElems + 1}, 8},
-		{"column overflow", ConfigureMsg{ShuffleProofRounds: 1, ShuffleBlockElems: 16}, 1 << 16},
+		{"column overflow", ConfigureMsg{ShuffleProofRounds: 1}, maxBlockElems*shuffleBlock + 1},
 		{"unbounded noise", ConfigureMsg{NoisePerCP: 1 << 40, ShuffleProofRounds: 1}, 8},
+		{"identity joint key", ConfigureMsg{NoisePerCP: 2, ShuffleProofRounds: 1, JointKey: elgamal.Identity().Bytes()}, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tsSide, cpSide := wire.Pipe()
 			defer tsSide.Close()
 			errCh := make(chan error, 1)
-			go func() { errCh <- NewCP("cp", nil, nil).ServeRound(cpSide) }()
+			go func() {
+				err := NewCP("cp", nil, nil).ServeRound(cpSide)
+				cpSide.Close() // a CP that refused the configure reads no mix frame
+				errCh <- err
+			}()
 
 			var reg RegisterMsg
 			if err := tsSide.Expect(kindRegister, &reg); err != nil {
 				t.Fatal(err)
 			}
-			tc.cfg.JointKey = joint
+			if tc.cfg.JointKey == nil {
+				tc.cfg.JointKey = joint
+			}
 			if err := tsSide.Send(kindConfig, tc.cfg); err != nil {
 				t.Fatal(err)
 			}
-			if err := tsSide.Send(kindMix, VectorHeader{N: tc.mixN}); err != nil {
-				t.Fatal(err)
-			}
+			tsSide.Send(kindMix, VectorHeader{N: tc.mixN})
 			select {
 			case err := <-errCh:
 				if err == nil {
@@ -1072,6 +1045,43 @@ func TestCPRejectsHostileConfigure(t *testing.T) {
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("CP still serving 10 s after a hostile configure")
+			}
+		})
+	}
+}
+
+// TestDCRejectsHostileConfigure plays a TS that sends a DC a configure
+// frame no valid round produces. The frame is outside input to the
+// datacollector daemon, so Setup must refuse it with an error: a table
+// sized from it unchecked panicked the whole process, and an identity
+// joint key would have encrypted the table in the clear.
+func TestDCRejectsHostileConfigure(t *testing.T) {
+	joint := elgamal.GenerateKey().PK.Bytes()
+	key := []byte("round hash key")
+	cases := []struct {
+		name string
+		cfg  ConfigureMsg
+	}{
+		{"zero bins", ConfigureMsg{Bins: 0, HashKey: key, JointKey: joint}},
+		{"2^50 bins", ConfigureMsg{Bins: 1 << 50, HashKey: key, JointKey: joint}},
+		{"one bin over budget", ConfigureMsg{Bins: maxBlockElems*shuffleBlock + 1, HashKey: key, JointKey: joint}},
+		{"identity joint key", ConfigureMsg{Bins: 8, HashKey: key, JointKey: elgamal.Identity().Bytes()}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tsSide, dcSide := wire.Pipe()
+			defer tsSide.Close()
+			errCh := make(chan error, 1)
+			go func() { errCh <- NewDC("dc", dcSide).Setup() }()
+			var reg RegisterMsg
+			if err := tsSide.Expect(kindRegister, &reg); err != nil {
+				t.Fatal(err)
+			}
+			if err := tsSide.Send(kindConfig, tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errCh; err == nil {
+				t.Fatal("DC accepted a hostile configure")
 			}
 		})
 	}

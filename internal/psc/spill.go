@@ -60,8 +60,8 @@ func (s *ctSpill) readRange(off, count int) ([]elgamal.Ciphertext, error) {
 // add folds other, a whole vector of the same length, into s a chunk at
 // a time: element-wise ciphertext sums, OR in the exponent of PSC's
 // bins, one BatchAddCiphertexts call per chunk.
-func (s *ctSpill) add(other *ctSpill, chunk int) error {
-	return forEachChunk(s.st.Slots(), chunk, func(off, end int) error {
+func (s *ctSpill) add(other *ctSpill) error {
+	return forEachChunk(s.st.Slots(), func(off, end int) error {
 		cur, err := s.readRange(off, end-off)
 		if err != nil {
 			return err

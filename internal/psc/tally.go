@@ -108,8 +108,6 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 		return Result{}, err
 	}
 
-	chunk := chunkOf(t.cfg.ChunkElems)
-
 	if h := gatherFeedTestHook; h != nil {
 		h(sum)
 	}
@@ -119,7 +117,7 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 	// the first byte of the gather to the last decryption share the TS
 	// holds O(chunk) parsed ciphertexts per CP stage.
 	feed := make(chan vchunk, 2)
-	go restream(ctx, cancel, sum, chunk, "gather spill", feed)
+	go restream(ctx, cancel, sum, "gather spill", feed)
 	in := feed
 	var mixWG sync.WaitGroup
 	for i, n := range rp.cpNames {
@@ -183,9 +181,9 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 		f := make(chan vchunk, 2)
 		feeds[i] = f
 		shareChans[i] = make(chan decShareChunk, 2)
-		go t.decryptCP(ctx, cancel, n, rp.cpM[n], rp.cpKeys[n], f, finalN, chunk, shareChans[i])
+		go t.decryptCP(ctx, cancel, n, rp.cpM[n], rp.cpKeys[n], f, finalN, shareChans[i])
 	}
-	go restream(ctx, cancel, dec, chunk, "decrypt spill", feeds...)
+	go restream(ctx, cancel, dec, "decrypt spill", feeds...)
 	// Each chunk's plaintext recovery is independent once every CP's
 	// verified shares for it are in hand, so the combine runs on its own
 	// shard: the collection loop stays sequential (it merges per-CP
@@ -202,7 +200,7 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 			reported += r.V
 		}
 	}()
-	err = forEachChunk(finalN, chunk, func(off, end int) error {
+	err = forEachChunk(finalN, func(off, end int) error {
 		// Every CP's chunk carries the one decoded ciphertext slice its
 		// shares were verified against.
 		var cts []elgamal.Ciphertext
@@ -344,7 +342,7 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 		case sum == nil:
 			sum = o.table
 		default:
-			err := sum.add(o.table, t.cfg.ChunkElems)
+			err := sum.add(o.table)
 			o.table.Close()
 			if err != nil {
 				return fail(fmt.Errorf("psc ts: table merge for DC %s: %w", o.name, err))
@@ -473,9 +471,6 @@ func (t *Tally) buildConfigs(rp *roundParties) (cpCfg, dcCfg ConfigureMsg, err e
 		Bins:               t.cfg.Bins,
 		NoisePerCP:         t.cfg.NoisePerCP,
 		ShuffleProofRounds: t.cfg.ShuffleProofRounds,
-		ShuffleBlockElems:  t.cfg.ShuffleBlockElems,
-		ShufflePasses:      t.cfg.ShufflePasses,
-		ChunkElems:         t.cfg.ChunkElems,
 		JointKey:           rp.joint.Bytes(),
 		CPKeys:             keyBytes,
 	}
@@ -518,14 +513,14 @@ func (t *Tally) collectTable(name string, m wire.Messenger) (*ctSpill, error) {
 // sp and then outs when done. A read failure cancels the round with its
 // error instead of wedging the pipeline on a short stream; a cancelled
 // round stops it.
-func restream(ctx context.Context, cancel context.CancelCauseFunc, sp *ctSpill, chunk int, what string, outs ...chan<- vchunk) {
+func restream(ctx context.Context, cancel context.CancelCauseFunc, sp *ctSpill, what string, outs ...chan<- vchunk) {
 	defer func() {
 		for _, o := range outs {
 			close(o)
 		}
 	}()
 	defer sp.Close()
-	err := forEachChunk(sp.st.Slots(), chunk, func(off, end int) error {
+	err := forEachChunk(sp.st.Slots(), func(off, end int) error {
 		cts, err := sp.readRange(off, end-off)
 		if err != nil {
 			return fmt.Errorf("psc ts: %s: %w", what, err)
@@ -595,8 +590,8 @@ func forwardOrdered[T any](ctx context.Context, cancel context.CancelCauseFunc, 
 func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name string, m wire.Messenger, joint elgamal.Point, nIn int, in <-chan vchunk, out chan<- vchunk) {
 	forwardOrdered(ctx, cancel, out, func(blind *parallel.Ordered[vchunk]) error {
 		total := nIn + t.cfg.NoisePerCP
-		g := newGrid(total, blockOf(t.cfg.ShuffleBlockElems))
-		passes := g.passes(passesOf(t.cfg.ShufflePasses))
+		g := newGrid(total, shuffleBlock)
+		passes := g.passes()
 
 		if err := m.Send(kindMix, VectorHeader{Round: t.cfg.Round, N: nIn}); err != nil {
 			return fmt.Errorf("psc ts: mix to CP %s: %w", name, err)
@@ -927,7 +922,7 @@ type decShareChunk struct {
 // flight; the sender hands each chunk to the verifier over a bounded
 // channel. A failure cancels the round with its error; out always
 // closes.
-func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, name string, m wire.Messenger, cpKey elgamal.Point, in <-chan vchunk, n, chunk int, out chan<- decShareChunk) {
+func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, name string, m wire.Messenger, cpKey elgamal.Point, in <-chan vchunk, n int, out chan<- decShareChunk) {
 	// Share parsing and the per-chunk proof check run on the verify shard; the
 	// forwarder delivers verified chunks in stream order, so the
 	// combiner still sees them on the boundaries it expects.
@@ -963,10 +958,7 @@ func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, n
 			// Share chunks must mirror the chunks we sent: the combiner
 			// recovers plaintexts on the same boundaries, and RecoverBatch
 			// requires share and ciphertext vectors of equal length.
-			end := off + chunk
-			if end > n {
-				end = n
-			}
+			end := min(off+chunkElems, n)
 			var sc ShareChunkMsg
 			if err := m.Expect(kindShare, &sc); err != nil {
 				return fmt.Errorf("psc ts: shares from CP %s: %w", name, err)

@@ -107,7 +107,7 @@ func TestFailedGatherClosesEveryTable(t *testing.T) {
 	spill.SetDir(dir)
 	defer spill.SetDir("")
 
-	cfg := Config{Round: 24, Bins: 64, ShuffleProofRounds: 2, NumDCs: 2, NumCPs: 1, ChunkElems: 16}
+	cfg := Config{Round: 24, Bins: 2048, ShuffleProofRounds: 1, NumDCs: 2, NumCPs: 1}
 	tally, err := NewTally(cfg)
 	if err != nil {
 		t.Fatal(err)

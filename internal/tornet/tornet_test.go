@@ -2,7 +2,6 @@ package tornet
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 
 	"repro/internal/asn"
@@ -66,58 +65,6 @@ func TestConsensusConfigValidation(t *testing.T) {
 	bad3.TotalRelays = 10
 	if _, err := NewConsensus(bad3); err == nil {
 		t.Fatal("tiny network must fail")
-	}
-}
-
-// ExitObserved samples whether a circuit's exit is one of the measuring
-// exits, returning the relay when it is — per circuit, what the workload
-// driver does per day with a Poisson thinning at the same fraction.
-func (c *Consensus) ExitObserved(r *rand.Rand) (event.RelayID, bool) {
-	if r.Float64() >= c.fractions.Exit {
-		return 0, false
-	}
-	return c.PickMeasuringExit(r), true
-}
-
-// RendObserved samples whether a rendezvous point lands on a measuring
-// relay.
-func (c *Consensus) RendObserved(r *rand.Rand) (event.RelayID, bool) {
-	if r.Float64() >= c.fractions.Rend {
-		return 0, false
-	}
-	relays := c.MeasuringRelays()
-	return relays[r.IntN(len(relays))], true
-}
-
-func TestExitObservedMatchesFraction(t *testing.T) {
-	c := testConsensus(t)
-	r := simtime.Rand(1, "exit-frac")
-	const draws = 400000
-	hits := 0
-	for i := 0; i < draws; i++ {
-		if _, ok := c.ExitObserved(r); ok {
-			hits++
-		}
-	}
-	got := float64(hits) / draws
-	if math.Abs(got-0.015) > 0.001 {
-		t.Fatalf("exit observation rate %v, want 0.015", got)
-	}
-}
-
-func TestRendObservedMatchesFraction(t *testing.T) {
-	c := testConsensus(t)
-	r := simtime.Rand(2, "rend-frac")
-	const draws = 400000
-	hits := 0
-	for i := 0; i < draws; i++ {
-		if _, ok := c.RendObserved(r); ok {
-			hits++
-		}
-	}
-	got := float64(hits) / draws
-	if math.Abs(got-0.0088) > 0.0008 {
-		t.Fatalf("rend observation rate %v, want 0.0088", got)
 	}
 }
 
