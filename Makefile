@@ -21,13 +21,17 @@
 #                      prints µs/elem and B/op for one 1024-element
 #                      shuffle block on one core; BenchmarkObserve
 #                      prints allocs/op for one DC item, which must
-#                      read 0)
+#                      read 0; BenchmarkFieldOps prints ns/op for field
+#                      multiplication, squaring and inversion on one
+#                      core, the amd64 kernel beside the pure-Go bodies)
 #   make fuzz-smoke  - every codec fuzz target (frame envelope, PSC
 #                      block messages, PSC noise/blind/share chunks,
 #                      PrivCount share/chunk frames, the point decoder
 #                      against crypto/elliptic), the affine batch plane
-#                      against the single-element group law and point
-#                      addition against crypto/elliptic, 5 s each: the
+#                      against the single-element group law, point
+#                      addition and scalar multiplication against
+#                      crypto/elliptic, and the field kernel against the
+#                      pure-Go field and math/big, 5 s each: the
 #                      seed corpus always runs under `make test`; this
 #                      also mutates
 #   make bench    - the full paper-table benchmark harness (slow)
@@ -72,10 +76,13 @@ fuzz-smoke:
 	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzRerandomizeEquivalence$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzParsePoint$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzAddEquivalence$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzScalarMulEquivalence$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzFieldArith$$' -fuzztime=$(FUZZTIME)
 
 bench-smoke:
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkGroupOps|BenchmarkCiphertextOps' -benchtime=100x
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkRerandomizeBlock' -benchtime=20x -cpu 1
+	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkFieldOps' -cpu 1
 	$(GO) test ./internal/wire/ -run '^$$' -bench 'BenchmarkConnChunkRoundTrip' -benchtime=2000x
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkObserve' -benchtime=10000x
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/(verified|tcp)/bins-512' -benchtime=1x

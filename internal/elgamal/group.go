@@ -25,7 +25,10 @@
 //   - the field is a dedicated 4×64-limb Montgomery implementation whose
 //     reductions are branch-free — the final borrow of a random operand
 //     pair is a coin flip, and a mispredicted branch there used to cost
-//     feSub more than its arithmetic;
+//     feSub more than its arithmetic. On amd64 its multiplication and
+//     squaring are Go's own P-256 Montgomery assembly (field_amd64.s:
+//     same limbs, same R), about 0.7× the pure-Go bodies, which stay as
+//     the non-amd64 build and as the tests' oracle;
 //   - single operations — Add, BaseMul, Mul on a cached base, table
 //     building, the multi-scalar multiplications — run in Jacobian
 //     coordinates (jacobian.go) and normalize once at the end;
