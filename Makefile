@@ -68,7 +68,6 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzConnRecv$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockOutCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockShadowCodec$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockFeedCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzNoiseChunkCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlindChunkCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzShareChunkCodec$$' -fuzztime=$(FUZZTIME)

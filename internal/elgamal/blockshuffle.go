@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"math/big"
 )
 
@@ -49,7 +48,7 @@ import (
 
 // HashBlock commits to a ciphertext block: SHA-256 over the element
 // count and each ciphertext's encoding. It is the commitment scheme of
-// the block shuffle argument and the continuity check between passes.
+// the block shuffle argument.
 func HashBlock(cts []Ciphertext) [32]byte {
 	h := sha256.New()
 	var n [8]byte
@@ -61,42 +60,6 @@ func HashBlock(cts []Ciphertext) [32]byte {
 	}
 	var out [32]byte
 	h.Sum(out[:0])
-	return out
-}
-
-// BlockHasher computes HashBlock incrementally, for verifiers that see
-// a block's elements one at a time (the pass-continuity check receives
-// the previous pass's output transposed).
-type BlockHasher struct {
-	h    hash.Hash
-	seen int
-	n    int
-}
-
-// NewBlockHasher starts an incremental commitment over a block that
-// will receive exactly n elements.
-func NewBlockHasher(n int) *BlockHasher {
-	h := sha256.New()
-	var nb [8]byte
-	binary.LittleEndian.PutUint64(nb[:], uint64(n))
-	h.Write(nb[:])
-	return &BlockHasher{h: h, n: n}
-}
-
-// Add absorbs the next element. Elements must arrive in block order.
-func (bh *BlockHasher) Add(c Ciphertext) {
-	var buf [2 * pointLen]byte
-	bh.h.Write(c.AppendTo(buf[:0]))
-	bh.seen++
-}
-
-// Done reports whether every element has been absorbed.
-func (bh *BlockHasher) Done() bool { return bh.seen == bh.n }
-
-// Sum finalizes the commitment; valid only once Done.
-func (bh *BlockHasher) Sum() [32]byte {
-	var out [32]byte
-	bh.h.Sum(out[:0])
 	return out
 }
 

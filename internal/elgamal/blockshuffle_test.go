@@ -292,21 +292,3 @@ func TestBlockShuffleCheatDetectionProbability(t *testing.T) {
 		t.Fatalf("detection rate %.3f outside [0.55, 0.95] (expected %.2f)", rate, 0.75)
 	}
 }
-
-func TestBlockHasherMatchesHashBlock(t *testing.T) {
-	key := GenerateKey()
-	cts := encryptBlock(key.PK, 9)
-	bh := NewBlockHasher(len(cts))
-	for _, c := range cts {
-		if bh.Done() {
-			t.Fatal("hasher done early")
-		}
-		bh.Add(c)
-	}
-	if !bh.Done() {
-		t.Fatal("hasher not done after all elements")
-	}
-	if bh.Sum() != HashBlock(cts) {
-		t.Fatal("incremental hash diverges from HashBlock")
-	}
-}

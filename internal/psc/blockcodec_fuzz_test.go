@@ -134,42 +134,6 @@ func FuzzBlockShadowCodec(f *testing.F) {
 	})
 }
 
-// FuzzBlockFeedCodec mutates a re-streamed input block frame.
-func FuzzBlockFeedCodec(f *testing.F) {
-	pk := pkForTest()
-	cts := encryptBits(pk, 2)
-	good := BlockFeedMsg{Pass: 2, Block: 1, Count: 2, Data: encodeVector(cts)}
-	seed := mustEncode(f, good)
-	f.Add(seed, 2)
-	f.Add([]byte(nil), 0)
-	f.Add(seed[:len(seed)-1], 2)           // truncated: ParseWire's to refuse
-	f.Add(append(bytes.Clone(seed), 0), 2) // trailing byte: likewise
-	f.Add(seed, 1)                         // well framed, wrong count: parseBlockFeed's
-	cut := good
-	cut.Data = good.Data[:len(good.Data)-3]
-	f.Add(mustEncode(f, cut), 2) // well framed, second ciphertext cut short
-	f.Fuzz(func(t *testing.T, payload []byte, count int) {
-		if count < 0 || count > 64 {
-			return
-		}
-		var msg BlockFeedMsg
-		if err := wire.DecodePayload(payload, &msg); err != nil {
-			return
-		}
-		checkCanonical(t, payload, msg)
-		if len(msg.Data) > 1<<16 {
-			return
-		}
-		inB, err := parseBlockFeed(msg, msg.Pass, msg.Block, count)
-		if err != nil {
-			return
-		}
-		if len(inB) != count {
-			t.Fatal("parseBlockFeed accepted a short block")
-		}
-	})
-}
-
 // TestBlockCodecRejectsMalformed pins the specific malformed shapes the
 // fuzzers explore: they must error, not panic, and never be accepted.
 func TestBlockCodecRejectsMalformed(t *testing.T) {
@@ -211,10 +175,6 @@ func TestBlockCodecRejectsMalformed(t *testing.T) {
 		if _, err := parseBlockShadow(overWire(t, msg), 1, 0, 0, 3); err == nil {
 			t.Errorf("malformed BlockShadowMsg %d accepted", i)
 		}
-	}
-
-	if _, err := parseBlockFeed(overWire(t, BlockFeedMsg{Pass: 2, Block: 0, Count: 3, Data: data[:7]}), 2, 0, 3); err == nil {
-		t.Error("truncated BlockFeedMsg accepted")
 	}
 }
 

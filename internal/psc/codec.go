@@ -31,16 +31,20 @@ func forEachChunk(n int, fn func(off, end int) error) error {
 	return nil
 }
 
-// parseJointKey decodes a configure frame's joint key, refusing the
-// identity: under it C2 = M, so the table and the noise would travel in
-// the clear.
-func parseJointKey(b []byte) (elgamal.Point, error) {
-	pk, _, err := elgamal.ParsePoint(b)
-	if err == nil && pk.IsIdentity() {
-		err = errors.New("the identity")
-	}
-	if err != nil {
-		return elgamal.Point{}, fmt.Errorf("joint key: %w", err)
+// parseKey decodes a public-key field — a configure frame's joint key
+// or a CP's registered key — which must hold exactly one point
+// encoding. It refuses trailing bytes and the identity: under an
+// identity key C2 = M, so the table and the noise would travel in the
+// clear.
+func parseKey(b []byte) (elgamal.Point, error) {
+	pk, n, err := elgamal.ParsePoint(b)
+	switch {
+	case err != nil:
+		return elgamal.Point{}, err
+	case n != len(b):
+		return elgamal.Point{}, fmt.Errorf("%d trailing bytes after the point", len(b)-n)
+	case pk.IsIdentity():
+		return elgamal.Point{}, errors.New("the identity")
 	}
 	return pk, nil
 }
@@ -252,21 +256,4 @@ func parseBlockShadow(msg BlockShadowMsg, pass, block, round, count int) (elgama
 		o.Rand[i] = new(big.Int).SetBytes(msg.OpenRand[openScalarLen*i : openScalarLen*(i+1)])
 	}
 	return o, nil
-}
-
-// parseBlockFeed validates a re-streamed input block against the
-// expected position and count and decodes it. Malformed frames error;
-// they never panic.
-func parseBlockFeed(msg BlockFeedMsg, pass, block, count int) ([]elgamal.Ciphertext, error) {
-	if msg.Pass != pass || msg.Block != block {
-		return nil, fmt.Errorf("psc: feed block %d/%d out of order (want %d/%d)", msg.Pass, msg.Block, pass, block)
-	}
-	if msg.Count != count {
-		return nil, fmt.Errorf("psc: feed block %d/%d has %d elements, want %d", pass, block, msg.Count, count)
-	}
-	cts, err := decodeVector(msg.Data, count)
-	if err != nil {
-		return nil, fmt.Errorf("psc: feed block %d/%d: %w", pass, block, err)
-	}
-	return cts, nil
 }

@@ -52,9 +52,9 @@ func (cp *CP) ServeRound(m wire.Messenger) error {
 	if err := m.Expect(kindConfig, &cfg); err != nil {
 		return fmt.Errorf("psc cp %s: configure: %w", cp.Name, err)
 	}
-	joint, err := parseJointKey(cfg.JointKey)
+	joint, err := parseKey(cfg.JointKey)
 	if err != nil {
-		return fmt.Errorf("psc cp %s: %w", cp.Name, err)
+		return fmt.Errorf("psc cp %s: joint key: %w", cp.Name, err)
 	}
 	// Every operation of the round multiplies against the joint key; one
 	// table build here repays itself thousands of times, and is shared
@@ -112,8 +112,8 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 	// Stage 2+3: the streaming verifiable shuffle, with the final
 	// pass's blocks exponent-blinded as they emerge. Every block is
 	// permuted, re-randomized, and proven independently against the
-	// stage transcript; only the current block (and, for later passes,
-	// the spilled encoding of the previous pass's output) is resident.
+	// stage transcript; only the current block (and, on a two-pass
+	// vector, the spilled encoding of the row pass's output) is resident.
 	st := &cpShuffleState{
 		cp: cp, m: m, joint: joint,
 		rounds: cfg.ShuffleProofRounds, g: g, passes: passes,
@@ -123,31 +123,23 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 		if st.inter, err = newSpill(total); err != nil {
 			return fmt.Errorf("psc cp %s: shuffle spill: %w", cp.Name, err)
 		}
-		defer func() {
-			if st.inter != nil {
-				st.inter.Close()
-			}
-		}()
+		defer st.inter.Close()
 	}
 
-	// Pass 1 streams directly off the arriving input: noise tail
+	// The row pass streams directly off the arriving input: noise tail
 	// appended after the TS-fed prefix, blocks emitted as they fill.
-	if err := st.runPassOne(hdr.N, noise); err != nil {
+	if err := st.runRowPass(hdr.N, noise); err != nil {
 		return err
 	}
-	// Later passes re-stream the spilled intermediate in the new pass's
-	// block order (a transpose for column passes).
-	for p := 2; p <= passes; p++ {
-		if err := st.runPass(p); err != nil {
-			return err
-		}
+	if passes == 1 {
+		return nil
 	}
-	return nil
+	return st.runColumnPass()
 }
 
 // cpShuffleState threads one CP's streaming-shuffle stage: the
-// Fiat–Shamir transcript, the grid geometry, and the spilled
-// inter-pass vector.
+// Fiat–Shamir transcript, the grid geometry, and the spilled row-pass
+// output.
 type cpShuffleState struct {
 	cp     *CP
 	m      wire.Messenger
@@ -156,24 +148,16 @@ type cpShuffleState struct {
 	g      grid
 	passes int
 	tr     *elgamal.ShuffleTranscript
-	inter  *ctSpill // previous pass's output; nil for a single pass
+	inter  *ctSpill // row-pass output; nil for a single pass
 }
 
-// runPassOne consumes the TS-fed input chunks plus this CP's noise
+// runRowPass consumes the TS-fed input chunks plus this CP's noise
 // tail, emitting each row block's shuffle (and argument) as soon as the
 // block fills. With a single pass the block is also blinded and shipped
-// immediately; otherwise its output is spilled for the next pass.
-func (st *cpShuffleState) runPassOne(nIn int, noise []elgamal.Ciphertext) error {
+// immediately; otherwise its output is spilled for the column pass.
+func (st *cpShuffleState) runRowPass(nIn int, noise []elgamal.Ciphertext) error {
 	block := make([]elgamal.Ciphertext, 0, st.g.block)
 	bIdx := 0
-	emit := func() error {
-		if err := st.emitBlockTo(1, bIdx, block, st.inter); err != nil {
-			return err
-		}
-		bIdx++
-		block = block[:0]
-		return nil
-	}
 	absorb := func(cts []elgamal.Ciphertext) error {
 		for len(cts) > 0 {
 			take := st.g.blockLen(1, bIdx) - len(block)
@@ -183,9 +167,11 @@ func (st *cpShuffleState) runPassOne(nIn int, noise []elgamal.Ciphertext) error 
 			block = append(block, cts[:take]...)
 			cts = cts[take:]
 			if len(block) == st.g.blockLen(1, bIdx) {
-				if err := emit(); err != nil {
+				if err := st.emitBlock(1, bIdx, block); err != nil {
 					return err
 				}
+				bIdx++
+				block = block[:0]
 			}
 		}
 		return nil
@@ -199,51 +185,26 @@ func (st *cpShuffleState) runPassOne(nIn int, noise []elgamal.Ciphertext) error 
 	return absorb(noise)
 }
 
-// runPass re-streams the previous pass's spilled output in pass p's
-// block order, announcing each claimed input block before its shuffle
-// so the TS can hash-check the stream against the verified
-// intermediate.
-func (st *cpShuffleState) runPass(p int) error {
-	var next *ctSpill
-	var err error
-	handedOff := false
-	if p < st.passes {
-		if next, err = newSpill(st.g.n); err != nil {
-			return fmt.Errorf("psc cp %s: shuffle spill: %w", st.cp.Name, err)
-		}
-		defer func() {
-			if !handedOff {
-				next.Close()
-			}
-		}()
-	}
-	idx := make([]int, 0, maxBlockElems)
-	for b := 0; b < st.g.blocks(p); b++ {
-		n := st.g.blockLen(p, b)
-		idx = idx[:0]
-		for j := 0; j < n; j++ {
-			idx = append(idx, st.g.inIndex(p, b, j))
-		}
-		in, err := st.inter.readIndices(idx)
+// runColumnPass reads each column-group block back from the spilled
+// row-pass output — the walk the TS makes over its own spill of the
+// row blocks it verified, so the input never travels — and shuffles,
+// proves and blinds it.
+func (st *cpShuffleState) runColumnPass() error {
+	for b := 0; b < st.g.blocks(2); b++ {
+		in, err := st.inter.readColumnGroup(st.g, b)
 		if err != nil {
 			return fmt.Errorf("psc cp %s: shuffle spill: %w", st.cp.Name, err)
 		}
-		if err := st.m.Send(kindShufFeed, BlockFeedMsg{Pass: p, Block: b, Count: n, Data: encodeVector(in)}); err != nil {
-			return err
-		}
-		if err := st.emitBlockTo(p, b, in, next); err != nil {
+		if err := st.emitBlock(2, b, in); err != nil {
 			return err
 		}
 	}
-	st.inter.Close()
-	st.inter = next
-	handedOff = true
 	return nil
 }
 
-// emitBlockTo shuffles, proves, and sends one block, then either blinds
-// it (final pass) or spills it to dst for the next pass.
-func (st *cpShuffleState) emitBlockTo(p, b int, in []elgamal.Ciphertext, dst *ctSpill) error {
+// emitBlock shuffles, proves, and sends one block, then either spills
+// it for the column pass or, on the final pass, blinds it.
+func (st *cpShuffleState) emitBlock(p, b int, in []elgamal.Ciphertext) error {
 	out, witness := elgamal.Shuffle(st.joint, in)
 	proof, err := elgamal.ProveShuffleBlock(st.tr, p, b, st.joint, in, out, witness, st.rounds)
 	if err != nil {
@@ -253,7 +214,7 @@ func (st *cpShuffleState) emitBlockTo(p, b int, in []elgamal.Ciphertext, dst *ct
 		return err
 	}
 	if p < st.passes {
-		return dst.write(st.g.outStart(p, b), out)
+		return st.inter.write(st.g.outStart(p, b), out)
 	}
 	return st.blindBlock(p, b, out)
 }

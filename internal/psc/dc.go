@@ -56,9 +56,9 @@ func (dc *DC) Setup() error {
 	if len(dc.cfg.HashKey) == 0 {
 		return fmt.Errorf("psc dc %s: no hash key in configuration", dc.Name)
 	}
-	pk, err := parseJointKey(dc.cfg.JointKey)
+	pk, err := parseKey(dc.cfg.JointKey)
 	if err != nil {
-		return fmt.Errorf("psc dc %s: %w", dc.Name, err)
+		return fmt.Errorf("psc dc %s: joint key: %w", dc.Name, err)
 	}
 	dc.jointKey = pk
 	elgamal.Precompute(dc.jointKey)

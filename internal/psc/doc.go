@@ -26,11 +26,12 @@
 //     frame carries only its opening (a uint16 index and a 32-byte
 //     scalar per element), and the TS recomputes the shadow from the
 //     opening and checks it against the commitment it already holds.
-//     Later passes re-stream the spilled
-//     intermediate in the new block order; the TS checks the re-stream
-//     against the previous pass's per-block hashes (pass-continuity),
-//     so the claimed input can never diverge from the verified
-//     intermediate. Final-pass blocks are exponent-blinded (one
+//     On a vector longer than one block, the CP and the TS each spill
+//     the row pass's output (the TS spills the blocks it verified) and
+//     read the column pass's input blocks back from their own copy, in
+//     the same column-group walk, so the intermediate vector never
+//     travels and the column pass is checked against exactly what the
+//     TS verified. Final-pass blocks are exponent-blinded (one
 //     Chaum–Pedersen proof per element, verified per block; a blind
 //     of zero is refused whatever its proof says) and forwarded while
 //     later blocks are still in flight, so only empty-vs-non-empty
@@ -77,16 +78,17 @@
 //
 //   - Every vector phase travels as a header plus bounded chunks or
 //     blocks; no phase of the CP chain holds a whole vector of parsed
-//     ciphertexts. Inter-pass shuffle vectors, the pre-decrypt final
-//     vector, the TS's combined gather table, and its per-DC table
-//     buffers all live as encoded bytes in unlinked temp-file spills
-//     (internal/spill, -spill-dir), so TS residency is O(chunk) end
-//     to end — a spill read failure mid-re-stream cancels the round's
-//     context with the read error and aborts cleanly. No spill is
-//     shared: each has one owning goroutine at a time. DC goroutines
-//     hand whole tables to the gather loop, the combination's one
-//     writer, and each spilled vector the TS re-streams has one reader
-//     that fans its chunks out.
+//     ciphertexts. Row-pass shuffle outputs (one per CP, and one per CP
+//     stage on the TS), the pre-decrypt final vector, the TS's combined
+//     gather table, and its per-DC table buffers all live as encoded
+//     bytes in unlinked temp-file spills (internal/spill, -spill-dir),
+//     so TS residency is O(chunk) end to end and a failed round still
+//     closes every spill it opened. A spill read failure mid-re-stream
+//     cancels the round's context with the read error and aborts
+//     cleanly. No spill is shared: each has one owning goroutine at a
+//     time. DC goroutines hand whole tables to the gather loop, the
+//     combination's one writer, and each spilled vector the TS
+//     re-streams has one reader that fans its chunks out.
 //   - Run has one cancellation mechanism: a context derived from the
 //     caller's. Every stage fails the round by cancelling it with its
 //     error (first cause wins), every channel wait selects on its
@@ -107,8 +109,8 @@
 //     2^-ShuffleProofRounds, and a stage makes blocks·passes attempts
 //     (union bound) — size proof rounds to the table, not just to
 //     2^-k.
-//   - Decryption never starts before every CP's verification (block
-//     arguments, pass continuity, blind proofs) has finished; blinded
+//   - Decryption never starts before every CP's verification (noise
+//     bit proofs, block arguments, blind proofs) has finished; blinded
 //     blocks forwarded early are semantically secure ciphertexts, so a
 //     late verification failure still aborts the round before any
 //     share is produced.

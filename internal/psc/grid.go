@@ -1,7 +1,5 @@
 package psc
 
-import "sort"
-
 // Shuffle-grid geometry. The streaming shuffle arranges an n-element
 // vector as rows of shuffleBlock elements and runs alternating passes:
 // odd passes permute contiguous row blocks, even passes permute column
@@ -121,8 +119,7 @@ func (g grid) outStart(p, b int) int {
 
 // inIndex returns the input-vector index of element j of block b in
 // pass p: contiguous for row passes; for even passes the group is
-// walked column by column (ascending column, ascending row), which is
-// what keeps the continuity hashes sequential per row.
+// walked column by column (ascending column, ascending row).
 func (g grid) inIndex(p, b, j int) int {
 	if rowPass(p) {
 		return b*g.block + j
@@ -141,20 +138,4 @@ func (g grid) inIndex(p, b, j int) int {
 	j -= fullCols * g.rows
 	c := cstart + fullCols + j/(g.rows-1)
 	return (j % (g.rows - 1) * g.block) + c
-}
-
-// prevBlockOf maps an input-vector index of pass p to the block of
-// pass p-1 whose output contains it — the lookup the pass-continuity
-// check needs to route re-streamed elements to the right incremental
-// hash.
-func (g grid) prevBlockOf(p, idx int) int {
-	prev := p - 1
-	if rowPass(prev) {
-		return idx / g.block
-	}
-	nBlocks := g.blocks(prev)
-	// First even-pass block whose range ends past idx.
-	return sort.Search(nBlocks, func(b int) bool {
-		return g.outStart(prev, b)+g.blockLen(prev, b) > idx
-	})
 }

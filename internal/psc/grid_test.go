@@ -15,18 +15,16 @@ func encryptBits(pk elgamal.Point, n int) []elgamal.Ciphertext {
 }
 
 // TestGridGeometry checks the blocking invariants every shape must
-// satisfy: blocks tile the vector exactly, emission offsets are
-// consistent with block lengths, and prevBlockOf inverts outStart.
+// satisfy in both passes: blocks tile the vector exactly, every input
+// index is read once, and emission offsets are consistent with block
+// lengths.
 func TestGridGeometry(t *testing.T) {
 	shapes := []struct{ n, block int }{
 		{1, 4}, {4, 4}, {5, 4}, {16, 4}, {17, 4}, {19, 4}, {100, 7}, {1024, 64}, {65792, 1024},
 	}
 	for _, s := range shapes {
 		g := newGrid(s.n, s.block)
-		for p := 1; p <= 3; p++ {
-			if g.rows == 1 && p > 1 {
-				break
-			}
+		for p := 1; p <= g.passes(); p++ {
 			seen := make([]bool, s.n)
 			emitted := 0
 			for b := 0; b < g.blocks(p); b++ {
@@ -39,13 +37,6 @@ func TestGridGeometry(t *testing.T) {
 						t.Fatalf("n=%d block=%d pass %d: index %d repeated or out of range", s.n, s.block, p, idx)
 					}
 					seen[idx] = true
-					if p > 1 {
-						pb := g.prevBlockOf(p, idx)
-						start := g.outStart(p-1, pb)
-						if idx < start || idx >= start+g.blockLen(p-1, pb) {
-							t.Fatalf("n=%d block=%d pass %d: prevBlockOf(%d)=%d does not contain it", s.n, s.block, p, idx, pb)
-						}
-					}
 				}
 				emitted += g.blockLen(p, b)
 			}
@@ -175,14 +166,19 @@ func TestSpillRoundTrip(t *testing.T) {
 			t.Fatalf("readRange element %d differs", i)
 		}
 	}
-	idx := []int{36, 0, 7, 7, 19}
-	gathered, err := sp.readIndices(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range gathered {
-		if !c.Equal(cts[idx[i]]) {
-			t.Fatalf("readIndices element %d differs", i)
+	g := newGrid(n, 8) // a ragged 5-row grid
+	for b := 0; b < g.blocks(2); b++ {
+		group, err := sp.readColumnGroup(g, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(group) != g.blockLen(2, b) {
+			t.Fatalf("column group %d has %d elements, want %d", b, len(group), g.blockLen(2, b))
+		}
+		for j, c := range group {
+			if !c.Equal(cts[g.inIndex(2, b, j)]) {
+				t.Fatalf("column group %d element %d differs", b, j)
+			}
 		}
 	}
 	if _, err := sp.readRange(30, 10); err == nil {
@@ -197,7 +193,7 @@ func TestSpillRoundTrip(t *testing.T) {
 // ciphertext encoding. A ciphertext with an identity half round-trips,
 // and a slot that is not an encoding — an off-curve coordinate, an
 // identity with non-zero padding, an unknown tag — fails the read, by
-// range and by index.
+// range and by column group.
 func TestSpillSlotRejectsCorruption(t *testing.T) {
 	ct := encryptBits(pkForTest(), 1)[0]
 	trivial := elgamal.Ciphertext{C1: elgamal.Identity(), C2: ct.C2}
@@ -230,8 +226,9 @@ func TestSpillSlotRejectsCorruption(t *testing.T) {
 		if _, err := sp.readRange(0, 2); err == nil {
 			t.Errorf("%s: readRange accepted the slot", name)
 		}
-		if _, err := sp.readIndices([]int{1}); err == nil {
-			t.Errorf("%s: readIndices accepted the slot", name)
+		// One column of two rows: the only group reads both slots.
+		if _, err := sp.readColumnGroup(newGrid(2, 1), 0); err == nil {
+			t.Errorf("%s: readColumnGroup accepted the slot", name)
 		}
 	}
 }

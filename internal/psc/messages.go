@@ -18,7 +18,6 @@ const (
 	kindNoise      = "psc/noise"          // CP noise chunk with bit proofs
 	kindShufBlock  = "psc/shuffle-block"  // one shuffled block with shadow commitments
 	kindShufShadow = "psc/shuffle-shadow" // one shadow round's opening (no ciphertexts)
-	kindShufFeed   = "psc/shuffle-feed"   // pass>=2 claimed input block (re-streamed)
 	kindBlind      = "psc/blind"          // blinded chunk with DLEQ proofs
 	kindDecrypt    = "psc/decrypt"        // TS->CP final batch header, then chunks
 	kindShares     = "psc/shares"         // CP->TS share stream header
@@ -196,32 +195,6 @@ func (m *BlockShadowMsg) ParseWire(b []byte) error {
 	p := wire.NewParser(b)
 	m.Pass, m.Block, m.Round, m.Count = p.Int(), p.Int(), p.Int(), p.Int()
 	m.OpenPerm, m.OpenRand = p.Bytes(), p.Bytes()
-	return p.Done()
-}
-
-// BlockFeedMsg re-streams one input block of a pass ≥ 2: the prover
-// reads the previous pass's output back in the new pass's block order
-// (a transpose for column passes) and the verifier checks the stream
-// against the previous pass's per-block hashes, so the claimed input
-// can never diverge from the verified intermediate vector.
-type BlockFeedMsg struct {
-	Pass, Block, Count int
-	Data               []byte
-}
-
-// AppendWire implements wire.WireAppender.
-func (m BlockFeedMsg) AppendWire(b []byte) []byte {
-	b = wire.Grow(b, 3*wire.IntSize+wire.BytesSize(len(m.Data)))
-	b = wire.AppendInt(b, m.Pass)
-	b = wire.AppendInt(b, m.Block)
-	b = wire.AppendInt(b, m.Count)
-	return wire.AppendBytes(b, m.Data)
-}
-
-// ParseWire implements wire.WireParser.
-func (m *BlockFeedMsg) ParseWire(b []byte) error {
-	p := wire.NewParser(b)
-	m.Pass, m.Block, m.Count, m.Data = p.Int(), p.Int(), p.Int(), p.Bytes()
 	return p.Done()
 }
 

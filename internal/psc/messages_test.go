@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-// binaryMsg is one of the seven self-encoding PSC messages under test.
+// binaryMsg is one of the six self-encoding PSC messages under test.
 type binaryMsg struct {
 	name  string
 	msg   wire.WireAppender
@@ -42,9 +42,6 @@ func binaryMsgs() []binaryMsg {
 		{"ChunkMsg", ChunkMsg{Off: 1024, Count: 2, Data: data},
 			func() wire.WireParser { return new(ChunkMsg) }, 2 * wire.IntSize, len(data),
 			func(p any) [][]byte { return [][]byte{p.(*ChunkMsg).Data} }},
-		{"BlockFeedMsg", BlockFeedMsg{Pass: 2, Block: 7, Count: 2, Data: data},
-			func() wire.WireParser { return new(BlockFeedMsg) }, 3 * wire.IntSize, len(data),
-			func(p any) [][]byte { return [][]byte{p.(*BlockFeedMsg).Data} }},
 		{"BlockOutMsg", BlockOutMsg{Pass: 1, Block: 7, Count: 2, Data: data, Commits: [][]byte{c0, c1}},
 			func() wire.WireParser { return new(BlockOutMsg) },
 			3*wire.IntSize + wire.BytesSize(len(data)) + wire.LenSize + wire.BytesSize(32), 32,

@@ -1,6 +1,7 @@
 package psc
 
 import (
+	"bytes"
 	"context"
 	"crypto/hmac"
 	"crypto/sha256"
@@ -456,15 +457,26 @@ func waitGoroutines(t *testing.T, baseline int) {
 // round with an error naming that CP and the failed check, and to leave
 // no goroutine behind. A substituted ciphertext in a single-pass
 // shuffle is caught by the block's cut-and-choose argument or, at the
-// latest, by the blind DLEQ check against the tampered block; in the
-// multi-pass shape it is additionally pinned by the pass-continuity
-// hashes when the CP re-streams its own (untampered) intermediate. One
-// wrong share anywhere in a chunk fails that chunk's one proof. A zero
-// blind carries a DLEQ that verifies, and is refused for what it is.
+// latest, by the blind DLEQ check against the tampered block. In the
+// two-pass shape a tampered row-pass block is caught by the block
+// arguments alone: the TS spills the tampered block as the column
+// pass's input while the CP spills its own, and the two transcripts
+// diverge at that block. A proof round passes the tampered block only
+// when the TS draws challenge bit 0 and the CP, answering its own
+// transcript, drew 0 too: with TS bit 1 the TS rebuilds the shadow
+// from the tampered output, which no commitment of the CP's matches,
+// and with TS bit 0 against CP bit 1 it reads an opening of the other
+// side. The two transcripts' bits are independent, so the block escapes
+// with probability at most 4^-rounds: 2^-40 at the row's 20 proof
+// rounds. One wrong share anywhere in a chunk fails that chunk's one
+// proof. A zero blind carries a DLEQ that verifies, and is refused for
+// what it is.
 func TestMaliciousCPRejected(t *testing.T) {
 	single := Config{Round: 9, Bins: 16, NoisePerCP: 2, ShuffleProofRounds: 8, NumDCs: 1, NumCPs: 2}
 	// Just over one block: two blocks per pass, two share chunks per CP.
 	multi := Config{Round: 10, Bins: 1100, NoisePerCP: 2, ShuffleProofRounds: 1, NumDCs: 1, NumCPs: 2}
+	multiProved := multi
+	multiProved.ShuffleProofRounds = 20
 	cases := []struct {
 		name    string
 		cfg     Config
@@ -476,10 +488,9 @@ func TestMaliciousCPRejected(t *testing.T) {
 	}{
 		// Single pass (vector fits one block): tamper the only block.
 		{"single-pass", single, kindShufBlock, 0, substituteCiphertext, "", ""},
-		// Multi-pass grid: tamper a pass-1 block; the continuity check
-		// over the re-streamed intermediate must catch whatever the
-		// cut-and-choose argument misses.
-		{"multi-pass", multi, kindShufBlock, 1, substituteCiphertext, "", ""},
+		// Two-pass grid: tamper row block 1/1; only the block arguments
+		// stand between it and the column pass.
+		{"multi-pass", multiProved, kindShufBlock, 1, substituteCiphertext, "", ""},
 		{"one-wrong-share", multi, kindShare, 1, wrongShare, "share chunk [1024,1104) unverified", "share-proof"},
 		{"zero-blind", multi, kindBlind, 1, zeroBlind, "blinding of element", "blind-proof"},
 	}
@@ -544,8 +555,11 @@ func TestMaliciousCPRejected(t *testing.T) {
 }
 
 // rogueCP plays a CP that registers under name with the given key
-// material and then waits to be configured.
+// material, waits to be configured and hangs up: a round that wrongly
+// accepts the key then fails on the closed pipe instead of waiting for
+// a mix forever.
 func rogueCP(conn wire.Messenger, name string, pub, proof []byte) {
+	defer conn.Close()
 	conn.Send(kindRegister, RegisterMsg{Role: RoleCP, Name: name, PubKey: pub, KeyProof: proof})
 	var cc ConfigureMsg
 	conn.Expect(kindConfig, &cc)
@@ -557,7 +571,8 @@ func rogueCP(conn wire.Messenger, name string, pub, proof []byte) {
 // with someone else's, and the keys built from the honest CPs' to steer
 // the sum (pk₃ = x·G − pk₁ − pk₂ makes the joint key x·G, the rogue's
 // own; x = 0 cancels it outright), which their maker cannot prove
-// knowledge of. Every error names the CP and the check.
+// knowledge of, and a valid key with bytes after its encoding. Every
+// error names the CP and the check.
 func TestRogueCPKeyRejected(t *testing.T) {
 	honest := []*elgamal.PrivateKey{elgamal.GenerateKey(), elgamal.GenerateKey()}
 	pop := func(k *elgamal.PrivateKey) []byte { return k.ProvePossession().AppendTo(nil) }
@@ -565,6 +580,7 @@ func TestRogueCPKeyRejected(t *testing.T) {
 	mine := elgamal.GenerateKey()
 	steering := mine.PK.Add(cancelling)
 	zero := &elgamal.PrivateKey{X: new(big.Int), PK: elgamal.Identity()}
+	trailing := elgamal.GenerateKey()
 	cases := []struct {
 		name       string
 		pub, proof []byte
@@ -576,6 +592,7 @@ func TestRogueCPKeyRejected(t *testing.T) {
 		{"garbage proof", elgamal.GenerateKey().PK.Bytes(), make([]byte, elgamal.EqualityProofLen), "proof of possession"},
 		{"cancelling key", cancelling.Bytes(), pop(honest[1]), "proof of possession"},
 		{"steering key", steering.Bytes(), pop(mine), "proof of possession"},
+		{"trailing bytes", append(trailing.PK.Bytes(), 0xFF), pop(trailing), "trailing bytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -595,7 +612,10 @@ func TestRogueCPKeyRejected(t *testing.T) {
 			go rogueCP(side, "cp-rogue", tc.pub, tc.proof)
 			ts, dcSide := wire.Pipe()
 			tsConns = append(tsConns, ts)
-			go NewDC("dc-0", dcSide).Setup() // never configured; errors when its pipe closes
+			go func() {
+				NewDC("dc-0", dcSide).Setup() // never configured; errors when its pipe closes
+				dcSide.Close()
+			}()
 
 			_, err = tally.Run(context.Background(), tsConns)
 			if err == nil || !strings.Contains(err.Error(), `CP "cp-rogue"`) || !strings.Contains(err.Error(), tc.want) {
@@ -636,12 +656,6 @@ func TestShuffleFramesCarryNoShadow(t *testing.T) {
 				t.Error(err)
 			}
 			proofBytes -= len(m.Data) // the shuffled block is the output, not the proof
-		case kindShufFeed:
-			var m BlockFeedMsg
-			if err := wire.DecodePayload(payload, &m); err != nil {
-				t.Error(err)
-			}
-			proofBytes -= len(m.Data)
 		case kindShufShadow:
 			var m BlockShadowMsg
 			if err := wire.DecodePayload(payload, &m); err != nil {
@@ -1015,6 +1029,7 @@ func TestCPRejectsHostileConfigure(t *testing.T) {
 		{"column overflow", ConfigureMsg{ShuffleProofRounds: 1}, maxBlockElems*shuffleBlock + 1},
 		{"unbounded noise", ConfigureMsg{NoisePerCP: 1 << 40, ShuffleProofRounds: 1}, 8},
 		{"identity joint key", ConfigureMsg{NoisePerCP: 2, ShuffleProofRounds: 1, JointKey: elgamal.Identity().Bytes()}, 8},
+		{"trailing bytes", ConfigureMsg{NoisePerCP: 2, ShuffleProofRounds: 1, JointKey: append(bytes.Clone(joint), 0xFF)}, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -1066,6 +1081,7 @@ func TestDCRejectsHostileConfigure(t *testing.T) {
 		{"2^50 bins", ConfigureMsg{Bins: 1 << 50, HashKey: key, JointKey: joint}},
 		{"one bin over budget", ConfigureMsg{Bins: maxBlockElems*shuffleBlock + 1, HashKey: key, JointKey: joint}},
 		{"identity joint key", ConfigureMsg{Bins: 8, HashKey: key, JointKey: elgamal.Identity().Bytes()}},
+		{"trailing bytes", ConfigureMsg{Bins: 8, HashKey: key, JointKey: append(bytes.Clone(joint), 0xFF)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,10 +14,11 @@ const spillSlot = 130
 
 // ctSpill is the ciphertext codec over a spill.Store: a random-access
 // store of n encoded ciphertexts backing the streaming shuffle's
-// inter-pass vectors, the tally's per-DC and combined gather tables, and
-// the pre-decrypt buffer. It holds O(1) ciphertexts in memory — encoded
-// records are ~10× smaller than parsed ciphertexts and never enter the
-// heap as group elements until read. Like the Store it is not safe for
+// row-pass outputs (one per CP and one per CP stage on the tally), the
+// tally's per-DC and combined gather tables, and the pre-decrypt
+// buffer. It holds O(1) ciphertexts in memory — encoded records are
+// ~10× smaller than parsed ciphertexts and never enter the heap as
+// group elements until read. Like the Store it is not safe for
 // concurrent use: every ctSpill has one owning goroutine at a time.
 type ctSpill struct {
 	st *spill.Store
@@ -74,13 +75,16 @@ func (s *ctSpill) add(other *ctSpill) error {
 	})
 }
 
-// readIndices gathers the elements at the given offsets — the strided
-// read of a column pass.
-func (s *ctSpill) readIndices(idx []int) ([]elgamal.Ciphertext, error) {
-	out := make([]elgamal.Ciphertext, 0, len(idx))
+// readColumnGroup returns the input of column-pass block b: the
+// elements of the spilled row-pass output that the block's column group
+// covers, in grid.inIndex order. Prover and verifier both read the
+// column pass through it, each from its own spill.
+func (s *ctSpill) readColumnGroup(g grid, b int) ([]elgamal.Ciphertext, error) {
+	n := g.blockLen(2, b)
+	out := make([]elgamal.Ciphertext, 0, n)
 	var slot [spillSlot]byte
-	for _, i := range idx {
-		if err := s.st.ReadSlot(i, slot[:]); err != nil {
+	for j := 0; j < n; j++ {
+		if err := s.st.ReadSlot(g.inIndex(2, b, j), slot[:]); err != nil {
 			return nil, err
 		}
 		c, err := decodeSlot(slot[:])

@@ -33,9 +33,11 @@ var gatherFeedTestHook func(*ctSpill)
 // recovered per chunk from all CPs concurrently. The shuffle itself
 // streams block-wise (grid passes with per-block cut-and-choose
 // arguments), so no phase of the CP chain holds a whole vector of
-// parsed ciphertexts; the only whole-vector state is the spilled
-// encoding of the final batch awaiting the pre-decrypt verification
-// barrier.
+// parsed ciphertexts. Whole-vector state lives only as spilled
+// encodings: the DC tables and their combination, one row-pass output
+// per CP stage of a two-pass shuffle (the column pass's input, spilled
+// as it verifies), and the final batch awaiting the pre-decrypt
+// verification barrier.
 type Tally struct {
 	cfg Config
 }
@@ -146,8 +148,8 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 		written += len(c.cts)
 	}
 	// Decryption must not start until every CP's verification has
-	// finished: the last blinded blocks are forwarded before the final
-	// pass-continuity check completes, and decrypting a batch whose
+	// finished: each blinded block is forwarded as soon as it verifies,
+	// before the rest of its stage has, and decrypting a batch whose
 	// shuffle later fails to verify would hand out shares the protocol
 	// never authorized.
 	mixDone := make(chan struct{})
@@ -425,12 +427,9 @@ func (rp *roundParties) addCP(reg RegisterMsg, m wire.Messenger) error {
 	if _, dup := rp.cpM[reg.Name]; dup {
 		return fmt.Errorf("psc ts: duplicate CP %q", reg.Name)
 	}
-	pk, _, err := elgamal.ParsePoint(reg.PubKey)
+	pk, err := parseKey(reg.PubKey)
 	if err != nil {
 		return fmt.Errorf("psc ts: CP %q public key: %w", reg.Name, err)
-	}
-	if pk.IsIdentity() {
-		return fmt.Errorf("psc ts: CP %q registered the identity as its public key", reg.Name)
 	}
 	// An unproved key could have been built to cancel the other CPs'.
 	if proof, err := elgamal.ParseEqualityProof(reg.KeyProof); err != nil || !elgamal.VerifyPossession(pk, proof) {
@@ -576,10 +575,11 @@ func forwardOrdered[T any](ctx context.Context, cancel context.CancelCauseFunc, 
 // mixCP drives one CP's mixing stage through the streaming block
 // shuffle: a feeder goroutine forwards upstream chunks to the CP while
 // the stream goroutine verifies, block by block, the CP's noise, every
-// block's shuffle argument, the pass-continuity hashes of re-streamed
-// intermediates, and the final pass's blinding — forwarding each
-// verified blinded block downstream before the next arrives. Neither
-// direction ever holds more than O(block) ciphertexts. The block
+// block's shuffle argument and the final pass's blinding — forwarding
+// each verified blinded block downstream before the next arrives. A
+// two-pass vector's row-pass output is spilled as it verifies and read
+// back in column-group order as the column pass's input, so neither
+// direction ever holds more than O(block) parsed ciphertexts. The block
 // shuffle arguments are transcript-sequential and stay on the stream
 // goroutine; the independent batch checks (noise bit proofs, blind
 // DLEQ RLCs) run on the verify shard. Any failure cancels the round
@@ -672,13 +672,19 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 
 		tr := elgamal.NewShuffleTranscript(joint, total, g.block, passes, t.cfg.ShuffleProofRounds)
 
-		// Pass 1: assemble the CP's input blocks from the fed copies plus
+		// Row pass: assemble the CP's input blocks from the fed copies plus
 		// the verified noise tail, checking each block's argument as its
-		// output lands.
+		// output lands. A single-pass block is final and goes straight to
+		// blinding; on a two-pass vector the TS spills its own copy of
+		// each verified output block, the column pass's only input.
 		src := &blockSource{feed: feedCopy, tail: noiseCts}
-		var prevHashes [][32]byte
+		var inter *ctSpill
 		if passes > 1 {
-			prevHashes = make([][32]byte, g.blocks(1))
+			var err error
+			if inter, err = newSpill(total); err != nil {
+				return fmt.Errorf("psc ts: CP %s shuffle spill: %w", name, err)
+			}
+			defer inter.Close()
 		}
 		for b := 0; b < g.blocks(1); b++ {
 			inB, err := src.next(ctx, g.blockLen(1, b))
@@ -690,50 +696,33 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 				return err
 			}
 			if passes > 1 {
-				prevHashes[b] = elgamal.HashBlock(outB)
+				if err := inter.write(g.outStart(1, b), outB); err != nil {
+					return fmt.Errorf("psc ts: CP %s shuffle spill: %w", name, err)
+				}
 			} else if err := t.recvBlindSubmit(name, m, g.outStart(1, b), outB, blind); err != nil {
 				return err
 			}
 		}
+		if passes == 1 {
+			return nil
+		}
 
-		// Later passes: the CP re-streams the previous pass's output in the
-		// new pass's block order; the continuity check proves the claimed
-		// input is exactly the verified intermediate (per-block incremental
-		// hashes), so no whole-vector copy is ever needed here.
-		for p := 2; p <= passes; p++ {
-			cont := newContinuity(g, p, prevHashes)
-			var nextHashes [][32]byte
-			if p < passes {
-				nextHashes = make([][32]byte, g.blocks(p))
+		// Column pass: every input block is read back from the spilled
+		// row-pass output in the walk the CP makes over its own spill, so
+		// the argument is checked against exactly what the TS verified
+		// and nothing crosses the wire twice.
+		for b := 0; b < g.blocks(2); b++ {
+			inB, err := inter.readColumnGroup(g, b)
+			if err != nil {
+				return fmt.Errorf("psc ts: CP %s shuffle spill: %w", name, err)
 			}
-			for b := 0; b < g.blocks(p); b++ {
-				var fm BlockFeedMsg
-				if err := m.Expect(kindShufFeed, &fm); err != nil {
-					return fmt.Errorf("psc ts: feed from CP %s: %w", name, err)
-				}
-				inB, err := parseBlockFeed(fm, p, b, g.blockLen(p, b))
-				if err != nil {
-					return fmt.Errorf("psc ts: CP %s: %w", name, err)
-				}
-				if err := cont.absorb(b, inB); err != nil {
-					verifyFailure("pass-continuity")
-					return fmt.Errorf("psc ts: CP %s pass %d: %w", name, p, err)
-				}
-				outB, err := t.recvBlock(name, m, tr, joint, p, b, inB)
-				if err != nil {
-					return err
-				}
-				if p < passes {
-					nextHashes[b] = elgamal.HashBlock(outB)
-				} else if err := t.recvBlindSubmit(name, m, g.outStart(p, b), outB, blind); err != nil {
-					return err
-				}
+			outB, err := t.recvBlock(name, m, tr, joint, 2, b, inB)
+			if err != nil {
+				return err
 			}
-			if err := cont.finish(); err != nil {
-				verifyFailure("pass-continuity")
-				return fmt.Errorf("psc ts: CP %s pass %d: %w", name, p, err)
+			if err := t.recvBlindSubmit(name, m, g.outStart(2, b), outB, blind); err != nil {
+				return err
 			}
-			prevHashes = nextHashes
 		}
 		return nil
 	})
@@ -773,56 +762,6 @@ func (s *blockSource) next(ctx context.Context, n int) ([]elgamal.Ciphertext, er
 	blk := s.pending[:n:n]
 	s.pending = s.pending[n:]
 	return blk, nil
-}
-
-// continuity verifies that a pass's re-streamed input equals the
-// previous pass's verified output: every arriving element feeds the
-// incremental hash of the previous-pass block that produced it, and
-// each completed hash must match the commitment recorded when that
-// block's argument was verified. Only O(rows) hash states are live.
-type continuity struct {
-	g       grid
-	p       int
-	prev    [][32]byte
-	hashers map[int]*elgamal.BlockHasher
-	seen    int
-	matched int
-}
-
-func newContinuity(g grid, p int, prev [][32]byte) *continuity {
-	return &continuity{g: g, p: p, prev: prev, hashers: make(map[int]*elgamal.BlockHasher)}
-}
-
-// absorb feeds one claimed input block (block b of pass p) into the
-// running hashes.
-func (c *continuity) absorb(b int, cts []elgamal.Ciphertext) error {
-	for j, ct := range cts {
-		idx := c.g.inIndex(c.p, b, j)
-		pb := c.g.prevBlockOf(c.p, idx)
-		h := c.hashers[pb]
-		if h == nil {
-			h = elgamal.NewBlockHasher(c.g.blockLen(c.p-1, pb))
-			c.hashers[pb] = h
-		}
-		h.Add(ct)
-		c.seen++
-		if h.Done() {
-			if h.Sum() != c.prev[pb] {
-				return fmt.Errorf("re-streamed input diverges from verified block %d of pass %d", pb, c.p-1)
-			}
-			delete(c.hashers, pb)
-			c.matched++
-		}
-	}
-	return nil
-}
-
-// finish checks that the whole intermediate vector was re-streamed.
-func (c *continuity) finish() error {
-	if c.seen != c.g.n || c.matched != len(c.prev) || len(c.hashers) != 0 {
-		return fmt.Errorf("re-streamed input covered %d/%d elements, %d/%d blocks", c.seen, c.g.n, c.matched, len(c.prev))
-	}
-	return nil
 }
 
 // recvBlock receives and verifies one shuffled block (announcement plus

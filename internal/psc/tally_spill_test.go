@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -154,6 +155,68 @@ func TestFailedGatherClosesEveryTable(t *testing.T) {
 		m.Close()
 	}
 	wg.Wait()
+}
+
+// TestFailedMixClosesIntermediate: on a two-pass vector the TS spills
+// each CP's verified row-pass output as that CP's column-pass input, and
+// the CP spills its own. Here cp-b's first column-pass block is tampered
+// on the wire, so the round fails naming cp-b while both spills are
+// open, and every store must still be closed once the round unwinds.
+func TestFailedMixClosesIntermediate(t *testing.T) {
+	dir := t.TempDir()
+	spill.SetDir(dir)
+	defer spill.SetDir("")
+	// A store nobody closed is still closed by its file's finalizer once
+	// a collection runs; with the collector off only Close releases it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	// 1104 mixed elements at cp-b: two row blocks, then two column groups.
+	cfg := Config{Round: 25, Bins: 1100, NoisePerCP: 2, ShuffleProofRounds: 2, NumDCs: 1, NumCPs: 2}
+	tally, err := NewTally(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tsConns []wire.Messenger
+	var wg sync.WaitGroup
+	serve := func(cp *CP) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cp.Serve() // errors when the round aborts; ignored
+		}()
+	}
+	tsSide, cpSide := wire.Pipe()
+	tsConns = append(tsConns, tsSide)
+	serve(NewCP("cp-a", cpSide, nil))
+	tsSide, cpSide = wire.Pipe()
+	cheat := &tamperConn{Messenger: tsSide, kind: kindShufBlock, skip: 2, alter: substituteCiphertext}
+	tsConns = append(tsConns, cheat)
+	serve(NewCP("cp-b", cpSide, nil))
+	tsSide, dcSide := wire.Pipe()
+	tsConns = append(tsConns, tsSide)
+	dc := NewDC("dc-0", dcSide)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := dc.Setup(); err != nil {
+			return
+		}
+		dc.Observe("mixed")
+		dc.Finish()
+	}()
+
+	_, err = tally.Run(context.Background(), tsConns)
+	if err == nil || !strings.Contains(err.Error(), "CP cp-b") {
+		t.Fatalf("want the round to fail on cp-b, got %v", err)
+	}
+	if !cheat.tampered {
+		t.Fatalf("round failed before the column pass: %v", err)
+	}
+	for _, m := range tsConns {
+		m.Close()
+	}
+	wg.Wait()
+	waitSpillsClosed(t, dir)
 }
 
 // TestRoundUsesConfiguredSpillDir runs a verified round with -spill-dir

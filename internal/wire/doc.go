@@ -26,9 +26,9 @@
 // type, never from a setting. The bulk messages — the ones that are
 // nothing but integers and byte strings and carry nearly all of a
 // round's bytes (privcount.ValueChunkMsg; psc.ChunkMsg, BlockOutMsg,
-// BlockShadowMsg, BlockFeedMsg, NoiseChunkMsg, BlindChunkMsg,
-// ShareChunkMsg: every message that holds a ciphertext, a share or a
-// proof, proofs packed at a fixed width) — implement WireAppender and
+// BlockShadowMsg, NoiseChunkMsg, BlindChunkMsg, ShareChunkMsg: every
+// message that holds a ciphertext, a share or a proof, proofs packed
+// at a fixed width) — implement WireAppender and
 // WireParser: fields in declaration order, integers as eight
 // little-endian bytes, byte strings behind a uint32 length (AppendInt,
 // AppendBytes, Parser). Everything else — the ~25 control messages —

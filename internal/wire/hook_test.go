@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-// TestPayloadHookValueAndPointerAgree: the five binary message types
+// TestPayloadHookValueAndPointerAgree: the four binary message types
 // encode identically whether Send is handed a value or a pointer, what
 // they encode is their own layout and not gob, and they decode back to
 // themselves; a type without the two methods still travels as gob.
@@ -24,7 +24,6 @@ func TestPayloadHookValueAndPointerAgree(t *testing.T) {
 	}{
 		{privcount.ValueChunkMsg{Off: 4096, Raw: data[:64]}, 8, 64},
 		{psc.ChunkMsg{Off: 9, Count: 2, Data: data}, 16, 70},
-		{psc.BlockFeedMsg{Pass: 2, Block: 1, Count: 2, Data: data}, 24, 70},
 		{psc.BlockOutMsg{Pass: 1, Block: 3, Count: 2, Data: data, Commits: [][]byte{data[:32], data[32:64]}}, 24, 70},
 		{psc.BlockShadowMsg{Pass: 1, Block: 3, Round: 5, Count: 2, OpenPerm: data[:4], OpenRand: data[:64]}, 32, 4},
 	}

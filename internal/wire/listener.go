@@ -1,22 +1,6 @@
 package wire
 
-import (
-	"net"
-	"sync"
-	"time"
-)
-
-// netListener and the tiny indirection functions keep tls.go free of
-// direct net imports tangled with TLS logic.
-type netListener = net.Listener
-
-func netListen(network, addr string) (net.Listener, error) {
-	return net.Listen(network, addr)
-}
-
-func dialerWithTimeout(timeout time.Duration) *net.Dialer {
-	return &net.Dialer{Timeout: timeout}
-}
+import "net"
 
 // Listener accepts framed connections, applying its options to each.
 type Listener struct {
@@ -37,24 +21,4 @@ func (ln Listener) Accept() (*Conn, error) {
 		return nil, err
 	}
 	return NewConn(c, ln.opts...), nil
-}
-
-// Serve accepts connections until the listener closes, invoking handle
-// in a new goroutine per connection. It returns after the listener is
-// closed and all handlers have finished.
-func (ln Listener) Serve(handle func(*Conn)) {
-	var wg sync.WaitGroup
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer c.Close()
-			handle(c)
-		}()
-	}
-	wg.Wait()
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"net"
 	"time"
 )
 
@@ -125,7 +126,7 @@ func ClientTLSPin(fingerprint string) (*tls.Config, error) {
 // Listen opens a TCP listener, TLS-wrapped when tlsCfg is non-nil.
 // Use addr "127.0.0.1:0" in tests to get an ephemeral port.
 func Listen(addr string, tlsCfg *tls.Config, opts ...Option) (Listener, error) {
-	l, err := newTCPListener(addr)
+	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return Listener{}, err
 	}
@@ -135,14 +136,10 @@ func Listen(addr string, tlsCfg *tls.Config, opts ...Option) (Listener, error) {
 	return Listener{l: l, opts: opts}, nil
 }
 
-func newTCPListener(addr string) (netListener, error) {
-	return netListen("tcp", addr)
-}
-
 // Dial connects to addr, TLS-wrapped when tlsCfg is non-nil, with the
 // given timeout.
 func Dial(addr string, tlsCfg *tls.Config, timeout time.Duration, opts ...Option) (*Conn, error) {
-	d := dialerWithTimeout(timeout)
+	d := &net.Dialer{Timeout: timeout}
 	if tlsCfg != nil {
 		c, err := tls.DialWithDialer(d, "tcp", addr, tlsCfg)
 		if err != nil {

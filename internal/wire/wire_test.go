@@ -220,6 +220,26 @@ func TestEncodeDecodePayload(t *testing.T) {
 	}
 }
 
+// serve accepts connections until the listener closes, invoking handle
+// in a new goroutine per connection. It returns after the listener is
+// closed and all handlers have finished.
+func serve(ln Listener, handle func(*Conn)) {
+	var wg sync.WaitGroup
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Close()
+			handle(c)
+		}()
+	}
+	wg.Wait()
+}
+
 func TestServeHandlesMultipleConnections(t *testing.T) {
 	ln, err := Listen("127.0.0.1:0", nil)
 	if err != nil {
@@ -229,7 +249,7 @@ func TestServeHandlesMultipleConnections(t *testing.T) {
 	served := 0
 	done := make(chan struct{})
 	go func() {
-		ln.Serve(func(c *Conn) {
+		serve(ln, func(c *Conn) {
 			var m testMsg
 			if c.Expect("n", &m) == nil {
 				mu.Lock()
