@@ -22,16 +22,19 @@
 #                      shuffle block on one core; BenchmarkObserve
 #                      prints allocs/op for one DC item, which must
 #                      read 0; BenchmarkFieldOps prints ns/op for field
-#                      multiplication, squaring and inversion on one
-#                      core, the amd64 kernel beside the pure-Go bodies)
+#                      multiplication, squaring, inversion and square
+#                      root on one core, the amd64 kernel beside the
+#                      pure-Go bodies)
 #   make fuzz-smoke  - every codec fuzz target (frame envelope, PSC
 #                      block messages, PSC noise/blind/share chunks,
-#                      PrivCount share/chunk frames, the point decoder
-#                      against crypto/elliptic), the affine batch plane
-#                      against the single-element group law, point
+#                      PrivCount share/chunk frames, the compressed point
+#                      decoder against crypto/elliptic), the affine batch
+#                      plane against the single-element group law, point
 #                      addition and scalar multiplication against
-#                      crypto/elliptic, and the field kernel against the
-#                      pure-Go field and math/big, 5 s each: the
+#                      crypto/elliptic, the field kernel (square root
+#                      included) against the pure-Go field and
+#                      math/big, and the -netem profile parser, 5 s
+#                      each: the
 #                      seed corpus always runs under `make test`; this
 #                      also mutates
 #   make bench    - the full paper-table benchmark harness (slow)
@@ -77,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzAddEquivalence$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzScalarMulEquivalence$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/elgamal/ -run '^$$' -fuzz '^FuzzFieldArith$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/netem/ -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime=$(FUZZTIME)
 
 bench-smoke:
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkGroupOps|BenchmarkCiphertextOps' -benchtime=100x

@@ -11,9 +11,11 @@ package elgamal
 //   - batch:      the new Jacobian/table/batch pipeline.
 //
 // All arms report ns and allocations per element so the sub-benchmarks
-// compare directly. See PERF.md for recorded numbers.
+// compare directly. Parse/compressed and Parse/stdlib decode one
+// compressed point, ParsePoint against elliptic.UnmarshalCompressed. See PERF.md for recorded numbers.
 
 import (
+	"crypto/elliptic"
 	"math/big"
 	"testing"
 )
@@ -91,6 +93,27 @@ func BenchmarkGroupOps(b *testing.B) {
 	runAllocs(b, "Add/single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			points[i%benchBatch].Add(points2[i%benchBatch])
+		}
+	})
+
+	// Decoding one compressed point off the wire: ParsePoint's square
+	// root on the field kernel against crypto/elliptic's decoder.
+	encoded := make([][]byte, benchBatch)
+	for i, p := range points {
+		encoded[i] = p.Bytes()
+	}
+	runAllocs(b, "Parse/compressed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := ParsePoint(encoded[i%benchBatch]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	runAllocs(b, "Parse/stdlib", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if x, _ := elliptic.UnmarshalCompressed(curve, encoded[i%benchBatch]); x == nil {
+				b.Fatal("crypto/elliptic refused a point")
+			}
 		}
 	})
 }

@@ -54,9 +54,9 @@ func HashBlock(cts []Ciphertext) [32]byte {
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], uint64(len(cts)))
 	h.Write(n[:])
-	var buf [2 * pointLen]byte
+	var buf [2 * uncompressedLen]byte
 	for _, c := range cts {
-		h.Write(c.AppendTo(buf[:0]))
+		h.Write(c.C2.appendUncompressed(c.C1.appendUncompressed(buf[:0])))
 	}
 	var out [32]byte
 	h.Sum(out[:0])
@@ -82,7 +82,7 @@ const shuffleTranscriptDomain = "psc/block-shuffle/v1"
 func NewShuffleTranscript(pk Point, n, block, passes, rounds int) *ShuffleTranscript {
 	h := sha256.New()
 	h.Write([]byte(shuffleTranscriptDomain))
-	h.Write(pk.Bytes())
+	h.Write(pk.uncompressed())
 	var buf [8]byte
 	for _, v := range []int{n, block, passes, rounds} {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))

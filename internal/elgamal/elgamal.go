@@ -101,7 +101,8 @@ func (c Ciphertext) Equal(d Ciphertext) bool {
 	return c.C1.Equal(d.C1) && c.C2.Equal(d.C2)
 }
 
-// Bytes encodes the ciphertext as the concatenation of its two points.
+// Bytes encodes the ciphertext as its two points compressed, back to
+// back: 66 bytes, or fewer when a half is the identity.
 func (c Ciphertext) Bytes() []byte {
 	return c.AppendTo(make([]byte, 0, 2*pointLen))
 }
@@ -113,7 +114,8 @@ func (c Ciphertext) AppendTo(dst []byte) []byte {
 	return c.C2.AppendBytes(c.C1.AppendBytes(dst))
 }
 
-// ParseCiphertext decodes a ciphertext and returns bytes consumed.
+// ParseCiphertext decodes a ciphertext and returns bytes consumed; each
+// half costs ParsePoint's square root.
 func ParseCiphertext(b []byte) (Ciphertext, int, error) {
 	c1, n1, err := ParsePoint(b)
 	if err != nil {

@@ -52,7 +52,8 @@ func TestGroupBasics(t *testing.T) {
 }
 
 func TestPointEncoding(t *testing.T) {
-	for _, p := range []Point{Identity(), Generator(), BaseMul(big.NewInt(12345))} {
+	// G and −G share an x: one of each parity.
+	for _, p := range []Point{Identity(), Generator(), Generator().Neg(), BaseMul(big.NewInt(12345))} {
 		b := p.Bytes()
 		q, n, err := ParsePoint(b)
 		if err != nil {
@@ -71,55 +72,81 @@ func TestPointEncoding(t *testing.T) {
 	if _, _, err := ParsePoint([]byte{9}); err == nil {
 		t.Fatal("bad tag must fail")
 	}
-	// A coordinate pair off the curve must be rejected.
-	bad := Generator().Bytes()
-	bad[10] ^= 0xFF
-	if _, _, err := ParsePoint(bad); err == nil {
-		t.Fatal("off-curve point must fail")
+	// An x on no curve point must be rejected, whichever parity.
+	for _, tag := range []byte{2, 3} {
+		if _, _, err := ParsePoint(compressed(tag, rootlessX())); err == nil {
+			t.Fatalf("tag %d with an x that has no root accepted", tag)
+		}
 	}
 	if _, _, err := ParsePoint(Generator().Bytes()[:20]); err == nil {
 		t.Fatal("short encoding must fail")
+	}
+	// The uncompressed form never crosses the wire.
+	if _, _, err := ParsePoint(Generator().uncompressed()); err == nil {
+		t.Fatal("uncompressed encoding accepted")
 	}
 	// A coordinate ≥ p names the same residue as coordinate − p; taking
 	// it would give one point two encodings. aliasedPoint finds a point
 	// whose x + p still fits 32 bytes.
 	x, y := aliasedPoint()
-	enc := func(x, y *big.Int) []byte {
-		return append(append([]byte{4}, x.FillBytes(make([]byte, 32))...), y.FillBytes(make([]byte, 32))...)
+	tag := byte(2 | y.Bit(0))
+	if p, _, err := ParsePoint(compressed(tag, x)); err != nil || !p.Equal(pointXY(x, y)) {
+		t.Fatalf("canonical (%v, y) rejected or misread: %v", x, err)
 	}
-	if _, _, err := ParsePoint(enc(x, y)); err != nil {
-		t.Fatalf("canonical (%v, y) rejected: %v", x, err)
-	}
-	if _, _, err := ParsePoint(enc(new(big.Int).Add(x, curve.Params().P), y)); err == nil {
+	if _, _, err := ParsePoint(compressed(tag, new(big.Int).Add(x, curve.Params().P))); err == nil {
 		t.Fatal("x + p accepted as an encoding of x")
+	}
+	if _, _, err := ParsePoint(compressed(2, curve.Params().P)); err == nil {
+		t.Fatal("x = p accepted")
+	}
+}
+
+// compressed returns the 33-byte encoding with the given tag and x.
+func compressed(tag byte, x *big.Int) []byte {
+	return append([]byte{tag}, x.FillBytes(make([]byte, 32))...)
+}
+
+// curveRHS returns x³ − 3x + b mod p.
+func curveRHS(x *big.Int) *big.Int {
+	params := curve.Params()
+	rhs := new(big.Int).Exp(x, big.NewInt(3), params.P)
+	rhs.Sub(rhs, new(big.Int).Mul(x, big.NewInt(3)))
+	return rhs.Add(rhs, params.B).Mod(rhs, params.P)
+}
+
+// rootlessX returns the smallest x that is on no curve point.
+func rootlessX() *big.Int {
+	for x := new(big.Int); ; x.Add(x, big.NewInt(1)) {
+		if new(big.Int).ModSqrt(curveRHS(x), curve.Params().P) == nil {
+			return x
+		}
 	}
 }
 
 // aliasedPoint returns the curve point with the smallest x, whose x + p
 // is below 2²⁵⁶.
 func aliasedPoint() (x, y *big.Int) {
-	params := curve.Params()
 	for x = new(big.Int); ; x.Add(x, big.NewInt(1)) {
-		rhs := new(big.Int).Exp(x, big.NewInt(3), params.P)
-		rhs.Sub(rhs, new(big.Int).Mul(x, big.NewInt(3)))
-		rhs.Add(rhs, params.B).Mod(rhs, params.P)
-		if y = new(big.Int).ModSqrt(rhs, params.P); y != nil {
+		if y = new(big.Int).ModSqrt(curveRHS(x), curve.Params().P); y != nil {
 			return x, y
 		}
 	}
 }
 
 // TestPointOpsDoNotAllocate holds the representation to its point: a
-// Point is a value, so decoding, the group law on single points and
-// encoding into a buffer with room allocate nothing.
+// Point is a value, so decoding (a compressed point's square root, either
+// parity), the group law on single points and encoding into a buffer
+// with room, compressed or not, allocate nothing.
 func TestPointOpsDoNotAllocate(t *testing.T) {
 	g, p := Generator(), BaseMul(big.NewInt(12345))
 	enc := Ciphertext{C1: g, C2: p}.Bytes()
-	buf := make([]byte, 0, pointLen)
+	odd := g.Neg().Bytes() // the other parity from enc's first point
+	buf := make([]byte, 0, uncompressedLen)
 	var sink Point
 	var ok bool
 	for name, op := range map[string]func(){
 		"ParsePoint":      func() { sink, _, _ = ParsePoint(enc) },
+		"ParsePoint/odd":  func() { sink, _, _ = ParsePoint(odd) },
 		"ParseCiphertext": func() { c, _, _ := ParseCiphertext(enc); sink = c.C2 },
 		"Add":             func() { sink = g.Add(p) },
 		"Sub":             func() { sink = g.Sub(p) },
@@ -129,6 +156,7 @@ func TestPointOpsDoNotAllocate(t *testing.T) {
 		"Identity":        func() { sink = Identity() },
 		"Generator":       func() { sink = Generator() },
 		"AppendBytes":     func() { buf = p.AppendBytes(buf[:0]) },
+		"Uncompressed":    func() { buf = p.appendUncompressed(buf[:0]) },
 	} {
 		if n := testing.AllocsPerRun(50, op); n != 0 {
 			t.Errorf("%s allocates %v times per call", name, n)

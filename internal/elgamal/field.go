@@ -362,17 +362,12 @@ func feSqrGeneric(z, x *fe) {
 // feInv computes z = x⁻¹ = x^(p−2) mod p (Fermat), 255 squarings and 13
 // multiplications that allocate nothing. Reading p − 2 from the top bit
 // down, it is 32 ones, 31 zeros, a one, 96 zeros, 94 ones, a zero and a
-// one; runs[i] holds x raised to a run of 2^i ones. Inversions are
-// rare by design — one per single-point normalization, per *batch* of
-// them (batchToAffine) or per step of affine additions
+// one; runs[i] (feOnesRuns) holds x raised to a run of 2^i ones.
+// Inversions are rare by design — one per single-point normalization,
+// per *batch* of them (batchToAffine) or per step of affine additions
 // (affineScratch.add).
 func feInv(z, x *fe) {
-	var runs [6]fe
-	runs[0] = *x
-	for i := 1; i < len(runs); i++ {
-		feSqrN(&runs[i], &runs[i-1], 1<<(i-1))
-		feMul(&runs[i], &runs[i], &runs[i-1])
-	}
+	runs := feOnesRuns(x)
 	t := runs[5]
 	feSqrN(&t, &t, 32)
 	feMul(&t, &t, x)
@@ -386,6 +381,38 @@ func feInv(z, x *fe) {
 	}
 	feSqrN(&t, &t, 2)
 	feMul(z, &t, x)
+}
+
+// feOnesRuns returns runs[i] = x^(2^(2^i) − 1), x raised to a run of
+// 2^i ones, for i = 0…5: the 31 squarings and 5 multiplications feInv's
+// and feSqrt's chains start from.
+func feOnesRuns(x *fe) (runs [6]fe) {
+	runs[0] = *x
+	for i := 1; i < len(runs); i++ {
+		feSqrN(&runs[i], &runs[i-1], 1<<(i-1))
+		feMul(&runs[i], &runs[i], &runs[i-1])
+	}
+	return runs
+}
+
+// feSqrt sets z to a square root of x and reports whether x is a
+// square; when it is not, z is left holding a non-root. Since
+// p ≡ 3 (mod 4) a root is x^((p+1)/4), and (p+1)/4 read from the top
+// bit down is 32 ones, 31 zeros, a one, 95 zeros, a one and 94 zeros:
+// 253 squarings and 7 multiplications, plus the squaring that checks
+// the result. Decompressing a point (ParsePoint) costs one of these.
+func feSqrt(z, x *fe) bool {
+	runs := feOnesRuns(x)
+	t := runs[5]
+	feSqrN(&t, &t, 32)
+	feMul(&t, &t, x)
+	feSqrN(&t, &t, 96)
+	feMul(&t, &t, x)
+	feSqrN(&t, &t, 94)
+	var check fe
+	feSqr(&check, &t)
+	*z = t
+	return check == *x
 }
 
 // feSqrNGeneric computes z = x^(2^n) by n squarings, and z = x for

@@ -15,12 +15,7 @@ import (
 // feInvGeneric is feInv's addition chain on the generic bodies: the
 // oracle and the benchmark baseline for the kernel's inversion.
 func feInvGeneric(z, x *fe) {
-	var runs [6]fe
-	runs[0] = *x
-	for i := 1; i < len(runs); i++ {
-		feSqrNGeneric(&runs[i], &runs[i-1], 1<<(i-1))
-		feMulGeneric(&runs[i], &runs[i], &runs[i-1])
-	}
+	runs := feOnesRunsGeneric(x)
 	t := runs[5]
 	feSqrNGeneric(&t, &t, 32)
 	feMulGeneric(&t, &t, x)
@@ -34,6 +29,32 @@ func feInvGeneric(z, x *fe) {
 	}
 	feSqrNGeneric(&t, &t, 2)
 	feMulGeneric(z, &t, x)
+}
+
+// feOnesRunsGeneric is feOnesRuns on the generic bodies.
+func feOnesRunsGeneric(x *fe) (runs [6]fe) {
+	runs[0] = *x
+	for i := 1; i < len(runs); i++ {
+		feSqrNGeneric(&runs[i], &runs[i-1], 1<<(i-1))
+		feMulGeneric(&runs[i], &runs[i], &runs[i-1])
+	}
+	return runs
+}
+
+// feSqrtGeneric is feSqrt's addition chain on the generic bodies: the
+// oracle for the kernel's square root.
+func feSqrtGeneric(z, x *fe) bool {
+	runs := feOnesRunsGeneric(x)
+	t := runs[5]
+	feSqrNGeneric(&t, &t, 32)
+	feMulGeneric(&t, &t, x)
+	feSqrNGeneric(&t, &t, 96)
+	feMulGeneric(&t, &t, x)
+	feSqrNGeneric(&t, &t, 94)
+	var check fe
+	feSqrGeneric(&check, &t)
+	*z = t
+	return check == *x
 }
 
 // feLess reports x < p, i.e. x is a reduced residue.
@@ -95,8 +116,8 @@ func checkKernelPair(t *testing.T, x, y fe) {
 	}
 }
 
-// TestFieldKernelMatchesGeneric holds feMul, feSqr, feSqrN and feInv to
-// the generic bodies bit for bit: every pair of boundary values, then
+// TestFieldKernelMatchesGeneric holds feMul, feSqr, feSqrN, feInv and
+// feSqrt to the generic bodies bit for bit: every pair of boundary values, then
 // 100 000 seeded random residues.
 func TestFieldKernelMatchesGeneric(t *testing.T) {
 	vals := fieldBoundaryValues()
@@ -129,6 +150,10 @@ func TestFieldKernelMatchesGeneric(t *testing.T) {
 			if feInv(&got, &x); got != want {
 				t.Fatalf("feInv(%x) = %x, generic %x", x, got, want)
 			}
+			wantOK := feSqrtGeneric(&want, &x)
+			if ok := feSqrt(&got, &x); got != want || ok != wantOK {
+				t.Fatalf("feSqrt(%x) = %x, %v, generic %x, %v", x, got, ok, want, wantOK)
+			}
 		}
 	}
 }
@@ -154,7 +179,9 @@ func TestFeSqrNNonPositive(t *testing.T) {
 
 // FuzzFieldArith compares the kernel, the generic bodies and math/big
 // on arbitrary residues: each 32-byte operand is read big-endian and
-// reduced mod p, and n picks a squaring count in [0, 15].
+// reduced mod p, and n picks a squaring count in [0, 15]. The square
+// root of the first operand is held to big.Int.ModSqrt: a root (either
+// sign) when there is one, a refusal when there is not.
 func FuzzFieldArith(f *testing.F) {
 	p := curve.Params().P
 	vals := fieldBoundaryValues()
@@ -195,11 +222,26 @@ func FuzzFieldArith(f *testing.F) {
 		if want := feFromSaturated(v); kernel != want || generic != want {
 			t.Fatalf("sqr^%d %x: kernel %x, generic %x, math/big %x", k, a, kernel, generic, want)
 		}
+
+		// x holds the Montgomery form of a·R⁻¹; a root of that, back in
+		// Montgomery form, is the limbs of root·R.
+		okK, okG := feSqrt(&kernel, &x), feSqrtGeneric(&generic, &x)
+		root := new(big.Int).ModSqrt(mont(a, big.NewInt(1)), p)
+		if okK != okG || okK != (root != nil) || kernel != generic {
+			t.Fatalf("sqrt %x: kernel %x (%v), generic %x (%v), math/big %v", a, kernel, okK, generic, okG, root)
+		}
+		if root != nil {
+			r := new(big.Int).Lsh(root, 256)
+			want, neg := feFromSaturated(r.Mod(r, p)), feFromSaturated(r.Sub(p, r).Mod(r, p))
+			if kernel != want && kernel != neg {
+				t.Fatalf("sqrt %x: kernel %x, math/big ±%x", a, kernel, want)
+			}
+		}
 	})
 }
 
-// BenchmarkFieldOps reports ns per field multiplication, squaring and
-// inversion for the kernel and the generic bodies. Run it with -cpu 1
+// BenchmarkFieldOps reports ns per field multiplication, squaring,
+// inversion and square root for the kernel and the generic bodies. Run it with -cpu 1
 // for the per-core cost; on amd64 the kernel feMul should read at most
 // 0.8× the generic one.
 func BenchmarkFieldOps(b *testing.B) {
@@ -210,9 +252,10 @@ func BenchmarkFieldOps(b *testing.B) {
 		mul  func(z, x, y *fe)
 		sqr  func(z, x *fe)
 		inv  func(z, x *fe)
+		sqrt func(z, x *fe) bool
 	}{
-		{"kernel", feMul, feSqr, feInv},
-		{"generic", feMulGeneric, feSqrGeneric, feInvGeneric},
+		{"kernel", feMul, feSqr, feInv, feSqrt},
+		{"generic", feMulGeneric, feSqrGeneric, feInvGeneric, feSqrtGeneric},
 	} {
 		// Each result feeds the next call, so the loop measures latency
 		// and the compiler cannot hoist the call.
@@ -232,6 +275,12 @@ func BenchmarkFieldOps(b *testing.B) {
 			z := x
 			for i := 0; i < b.N; i++ {
 				arm.inv(&z, &z)
+			}
+		})
+		b.Run("Sqrt/"+arm.name, func(b *testing.B) {
+			z := x
+			for i := 0; i < b.N; i++ {
+				arm.sqrt(&z, &z)
 			}
 		})
 	}

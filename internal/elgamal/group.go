@@ -19,8 +19,9 @@
 //
 //   - a Point is the affine form that arithmetic runs on: two field
 //     elements in Montgomery form (field.go) and an identity flag, no
-//     pointers and nothing to convert. Its encoding is decoded straight
-//     into limbs and its zero value (0, 0) is not on the curve, so an
+//     pointers and nothing to convert. Its wire encoding is SEC1
+//     compressed (33 bytes, y recovered with one square root on the
+//     field kernel) and its zero value (0, 0) is not on the curve, so an
 //     unset Point is never mistaken for a group element;
 //   - the field is a dedicated 4×64-limb Montgomery implementation whose
 //     reductions are branch-free — the final borrow of a random operand
@@ -182,27 +183,61 @@ func BaseMul(k *big.Int) Point {
 	return jp.toAffine()
 }
 
-const pointLen = 1 + 32 + 32
+// Point encodings. What crosses the wire is the SEC1 compressed form,
+// pointLen bytes: a tag 2 or 3 carrying y's parity, then x. What is
+// hashed (Fiat–Shamir transcripts, HashBlock) or spilled is the
+// uncompressed form, uncompressedLen bytes: tag 4, x, then y, so a
+// transcript or a spill slot reads back without a square root. Either
+// way the identity is the single byte 0.
+const (
+	pointLen        = 1 + 32
+	uncompressedLen = 1 + 32 + 32
+)
 
-// Bytes encodes the point: a tag byte (0 identity, 4 uncompressed)
-// followed by two 32-byte big-endian coordinates for non-identity points.
+// Bytes encodes the point compressed: the identity as one 0 byte, any
+// other point as pointLen bytes.
 func (p Point) Bytes() []byte {
 	return p.AppendBytes(make([]byte, 0, pointLen))
 }
 
-// AppendBytes appends the encoding of p to dst and returns the extended
-// slice, letting vector encoders reuse one allocation (see
-// psc's encodeVector).
+// AppendBytes appends the compressed encoding of p to dst and returns
+// the extended slice, letting vector encoders reuse one allocation (see
+// psc's encodeVector). No group element has y = 0 — P-256 has prime
+// order, so no point of order two — but the zero Point does, and its
+// compressed form would otherwise be a valid encoding of (0, √b); it
+// gets a tag no decoder accepts instead, so an unset Point never
+// decodes.
 func (p Point) AppendBytes(dst []byte) []byte {
+	if p.infinity {
+		return append(dst, 0)
+	}
+	var y fe
+	feMul(&y, &p.y, &fe{1}) // out of Montgomery form, for the parity
+	tag := byte(2 | y[0]&1)
+	if p.y.isZero() {
+		tag = 0xff
+	}
+	return p.x.appendBytes(append(dst, tag))
+}
+
+// appendUncompressed appends the uncompressed encoding of p: the form
+// transcripts hash and spill slots hold.
+func (p Point) appendUncompressed(dst []byte) []byte {
 	if p.infinity {
 		return append(dst, 0)
 	}
 	return p.y.appendBytes(p.x.appendBytes(append(dst, 4)))
 }
 
-// ParsePoint decodes a point produced by Bytes and validates curve
-// membership. It returns the number of bytes consumed. A coordinate
-// must be below p: the one encoding of a point is the canonical one.
+// uncompressed returns the uncompressed encoding of p in a fresh slice.
+func (p Point) uncompressed() []byte {
+	return p.appendUncompressed(make([]byte, 0, uncompressedLen))
+}
+
+// ParsePoint decodes a compressed point produced by Bytes and returns
+// the number of bytes consumed. It recovers y with one square root
+// (feSqrt) and refuses the uncompressed form, an x at or above p (one
+// point would have two encodings) and an x that is on no curve point.
 func ParsePoint(b []byte) (Point, int, error) {
 	if len(b) < 1 {
 		return Point{}, 0, errors.New("elgamal: empty point encoding")
@@ -210,20 +245,60 @@ func ParsePoint(b []byte) (Point, int, error) {
 	switch b[0] {
 	case 0:
 		return Identity(), 1, nil
-	case 4:
+	case 2, 3:
 		if len(b) < pointLen {
 			return Point{}, 0, errors.New("elgamal: short point encoding")
 		}
-		x, okX := feFromBytes(b[1:33])
-		y, okY := feFromBytes(b[33:65])
-		p := Point{x: x, y: y}
-		if !okX || !okY || !p.IsValid() {
+		x, ok := feFromBytes(b[1:pointLen])
+		if !ok {
+			return Point{}, 0, errors.New("elgamal: point not on curve")
+		}
+		p := Point{x: x}
+		if !p.setY(b[0] & 1) {
 			return Point{}, 0, errors.New("elgamal: point not on curve")
 		}
 		return p, pointLen, nil
+	case 4:
+		return Point{}, 0, errors.New("elgamal: uncompressed point encoding")
 	default:
 		return Point{}, 0, fmt.Errorf("elgamal: bad point tag %d", b[0])
 	}
+}
+
+// setY solves the curve equation y² = x³ − 3x + b for p.y, taking the
+// root whose canonical value has the given parity, and reports whether
+// p.x is the x of a curve point.
+func (p *Point) setY(parity byte) bool {
+	var rhs, t fe
+	feSqr(&rhs, &p.x)
+	feMul(&rhs, &rhs, &p.x)
+	feMulBy3(&t, &p.x)
+	feSub(&rhs, &rhs, &t)
+	feAdd(&rhs, &rhs, &feBVal)
+	if !feSqrt(&p.y, &rhs) {
+		return false
+	}
+	feMul(&t, &p.y, &fe{1})
+	if byte(t[0]&1) != parity {
+		feNeg(&p.y, &p.y)
+	}
+	return true
+}
+
+// parseUncompressed decodes the uncompressedLen-byte tag-4 encoding at
+// the head of b — a spill slot's point — and validates curve
+// membership. A coordinate must be below p.
+func parseUncompressed(b []byte) (Point, error) {
+	if len(b) < uncompressedLen || b[0] != 4 {
+		return Point{}, errors.New("elgamal: bad uncompressed point encoding")
+	}
+	x, okX := feFromBytes(b[1:33])
+	y, okY := feFromBytes(b[33:uncompressedLen])
+	p := Point{x: x, y: y}
+	if !okX || !okY || !p.IsValid() {
+		return Point{}, errors.New("elgamal: point not on curve")
+	}
+	return p, nil
 }
 
 // randReaders pools buffered readers over the crypto randomness source,

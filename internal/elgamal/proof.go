@@ -56,7 +56,8 @@ func ProveDLEQ(domain string, b1, p1, b2, p2 Point, x *big.Int) EqualityProof {
 	t1 := b1.Mul(t)
 	t2 := b2.Mul(t)
 	ch := hashToScalar(domain,
-		b1.Bytes(), p1.Bytes(), b2.Bytes(), p2.Bytes(), t1.Bytes(), t2.Bytes())
+		b1.uncompressed(), p1.uncompressed(), b2.uncompressed(), p2.uncompressed(),
+		t1.uncompressed(), t2.uncompressed())
 	resp := new(big.Int).Mul(ch, x)
 	resp.Add(resp, t).Mod(resp, order)
 	return EqualityProof{Commit1: t1, Commit2: t2, Response: resp}
@@ -73,8 +74,8 @@ func VerifyDLEQ(domain string, b1, p1, b2, p2 Point, pr EqualityProof) bool {
 		return false
 	}
 	ch := hashToScalar(domain,
-		b1.Bytes(), p1.Bytes(), b2.Bytes(), p2.Bytes(),
-		pr.Commit1.Bytes(), pr.Commit2.Bytes())
+		b1.uncompressed(), p1.uncompressed(), b2.uncompressed(), p2.uncompressed(),
+		pr.Commit1.uncompressed(), pr.Commit2.uncompressed())
 	if !b1.Mul(pr.Response).Equal(pr.Commit1.Add(p1.Mul(ch))) {
 		return false
 	}
@@ -122,10 +123,10 @@ const shareDomain = "psc/chaum-pedersen/share-chunk"
 func shareCoefficients(pk Point, cs []Ciphertext, shares []DecryptionShare) []*big.Int {
 	h := sha256.New()
 	h.Write([]byte(shareDomain))
-	buf := binary.LittleEndian.AppendUint64(pk.AppendBytes(make([]byte, 0, 2*pointLen)), uint64(len(cs)))
+	buf := binary.LittleEndian.AppendUint64(pk.appendUncompressed(make([]byte, 0, 2*uncompressedLen)), uint64(len(cs)))
 	h.Write(buf)
 	for i := range cs {
-		buf = shares[i].Share.AppendBytes(cs[i].C1.AppendBytes(buf[:0]))
+		buf = shares[i].Share.appendUncompressed(cs[i].C1.appendUncompressed(buf[:0]))
 		h.Write(buf)
 	}
 	var seed [sha256.Size + 8]byte
@@ -321,9 +322,9 @@ func VerifyBit(pk Point, c Ciphertext, pr BitProof) bool {
 // bitChallenge hashes the full OR-proof transcript.
 func bitChallenge(pk Point, c Ciphertext, pr BitProof) *big.Int {
 	return hashToScalar(bitDomain,
-		pk.Bytes(), c.C1.Bytes(), c.C2.Bytes(),
-		pr.Commit0G.Bytes(), pr.Commit0P.Bytes(),
-		pr.Commit1G.Bytes(), pr.Commit1P.Bytes())
+		pk.uncompressed(), c.C1.uncompressed(), c.C2.uncompressed(),
+		pr.Commit0G.uncompressed(), pr.Commit0P.uncompressed(),
+		pr.Commit1G.uncompressed(), pr.Commit1P.uncompressed())
 }
 
 // Shuffle permutes and re-randomizes a batch of ciphertexts, returning

@@ -118,7 +118,8 @@ func BenchmarkVerifyBit(b *testing.B) {
 
 // TestFixedWidthProofCodec: both proof types round-trip at their fixed
 // width — an identity commitment included — and the parsers refuse any
-// other length, an off-curve commitment and a padded identity.
+// other length, an off-curve commitment, an uncompressed one and a
+// padded identity.
 func TestFixedWidthProofCodec(t *testing.T) {
 	k := GenerateKey()
 	c := EncryptBit(k.PK, true)
@@ -160,8 +161,9 @@ func TestFixedWidthProofCodec(t *testing.T) {
 		"empty":           nil,
 		"short":           good[:EqualityProofLen-1],
 		"long":            append(append([]byte(nil), good...), 0),
-		"off-curve":       append([]byte{4, good[1] ^ 1}, good[2:]...),
-		"bad tag":         append([]byte{2}, good[1:]...),
+		"off-curve":       append(compressed(2, rootlessX()), good[pointLen:]...),
+		"uncompressed":    append(Generator().uncompressed(), good[uncompressedLen:]...),
+		"bad tag":         append([]byte{4}, good[1:]...),
 		"padded identity": append([]byte{0}, good[1:]...),
 	} {
 		if _, err := ParseEqualityProof(bad); err == nil {
@@ -171,7 +173,7 @@ func TestFixedWidthProofCodec(t *testing.T) {
 	if _, err := ParseBitProof(bb[:BitProofLen-1]); err == nil {
 		t.Error("short bit proof accepted")
 	}
-	if _, err := ParseBitProof(append([]byte{4, bb[1] ^ 1}, bb[2:]...)); err == nil {
+	if _, err := ParseBitProof(append(compressed(3, rootlessX()), bb[pointLen:]...)); err == nil {
 		t.Error("bit proof with an off-curve commitment accepted")
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"math/big"
 )
 
-// Fixed-width encoding. A proof on the wire is its points at 65 bytes
-// each and its scalars at 32, in declaration order, so a frame of n
-// proofs is n·width bytes and is sliced, not scanned; a ciphertext is
-// its two points, 130 bytes, which is how psc lays out a spill slot.
-// Point.Bytes gives the identity one byte; here it takes the same 65 as
-// any other point (all zero).
+// Fixed-width encoding. A proof on the wire is its points compressed,
+// pointLen (33) bytes each, and its scalars at 32, in declaration order,
+// so a frame of n proofs is n·width bytes and is sliced, not scanned. A
+// spill slot is a ciphertext's two points uncompressed, 130 bytes, so a
+// spill read needs no square root. Point.Bytes gives the identity one
+// byte; a fixed-width slot gives it the slot's width, all zero.
 
 const scalarLen = 32
 
@@ -21,44 +21,55 @@ const (
 	BitProofLen      = 4*pointLen + 4*scalarLen
 )
 
-func appendFixedPoint(dst []byte, p Point) []byte {
-	if p.IsIdentity() {
-		return append(dst, make([]byte, pointLen)...)
+// appendSlot appends p in a width-byte slot: the identity as width zero
+// bytes, any other point compressed (width pointLen) or uncompressed
+// (width uncompressedLen).
+func appendSlot(dst []byte, p Point, width int) []byte {
+	switch {
+	case p.IsIdentity():
+		return append(dst, make([]byte, width)...)
+	case width == pointLen:
+		return p.AppendBytes(dst)
+	default:
+		return p.appendUncompressed(dst)
 	}
-	return p.AppendBytes(dst)
 }
 
-// parseFixedPoint decodes the pointLen bytes at the head of b.
-func parseFixedPoint(b []byte) (Point, error) {
-	if b[0] != 0 {
+// parseSlot decodes the width-byte slot at the head of b, which must be
+// at least that long.
+func parseSlot(b []byte, width int) (Point, error) {
+	if b[0] == 0 {
+		for _, v := range b[1:width] {
+			if v != 0 {
+				return Point{}, errors.New("elgamal: identity encoding with non-zero padding")
+			}
+		}
+		return Identity(), nil
+	}
+	if width == pointLen {
 		p, _, err := ParsePoint(b[:pointLen])
 		return p, err
 	}
-	for _, v := range b[1:pointLen] {
-		if v != 0 {
-			return Point{}, errors.New("elgamal: identity encoding with non-zero padding")
-		}
-	}
-	return Identity(), nil
+	return parseUncompressed(b[:width])
 }
 
-// AppendFixed appends the ciphertext's 130-byte fixed-width encoding to
+// AppendFixed appends the ciphertext's 130-byte spill-slot encoding to
 // dst.
 func (c Ciphertext) AppendFixed(dst []byte) []byte {
-	return appendFixedPoint(appendFixedPoint(dst, c.C1), c.C2)
+	return appendSlot(appendSlot(dst, c.C1, uncompressedLen), c.C2, uncompressedLen)
 }
 
-// ParseFixedCiphertext decodes the 130-byte fixed-width encoding at the
+// ParseFixedCiphertext decodes the 130-byte spill-slot encoding at the
 // head of b, validating curve membership and identity padding.
 func ParseFixedCiphertext(b []byte) (Ciphertext, error) {
-	if len(b) < 2*pointLen {
-		return Ciphertext{}, fmt.Errorf("elgamal: fixed ciphertext of %d bytes, want %d", len(b), 2*pointLen)
+	if len(b) < 2*uncompressedLen {
+		return Ciphertext{}, fmt.Errorf("elgamal: fixed ciphertext of %d bytes, want %d", len(b), 2*uncompressedLen)
 	}
-	c1, err := parseFixedPoint(b)
+	c1, err := parseSlot(b, uncompressedLen)
 	if err != nil {
 		return Ciphertext{}, err
 	}
-	c2, err := parseFixedPoint(b[pointLen:])
+	c2, err := parseSlot(b[uncompressedLen:], uncompressedLen)
 	return Ciphertext{C1: c1, C2: c2}, err
 }
 
@@ -79,7 +90,7 @@ type proofReader struct {
 }
 
 func (r *proofReader) point() Point {
-	p, err := parseFixedPoint(r.b)
+	p, err := parseSlot(r.b, pointLen)
 	if r.err == nil {
 		r.err = err
 	}
@@ -95,7 +106,7 @@ func (r *proofReader) scalar() *big.Int {
 
 // AppendTo appends the proof's EqualityProofLen-byte encoding to dst.
 func (p EqualityProof) AppendTo(dst []byte) []byte {
-	return appendScalar(appendFixedPoint(appendFixedPoint(dst, p.Commit1), p.Commit2), p.Response)
+	return appendScalar(appendSlot(appendSlot(dst, p.Commit1, pointLen), p.Commit2, pointLen), p.Response)
 }
 
 // ParseEqualityProof decodes exactly EqualityProofLen bytes, validating
@@ -113,7 +124,7 @@ func ParseEqualityProof(b []byte) (EqualityProof, error) {
 // AppendTo appends the proof's BitProofLen-byte encoding to dst.
 func (p BitProof) AppendTo(dst []byte) []byte {
 	for _, pt := range []Point{p.Commit0G, p.Commit0P, p.Commit1G, p.Commit1P} {
-		dst = appendFixedPoint(dst, pt)
+		dst = appendSlot(dst, pt, pointLen)
 	}
 	for _, k := range []*big.Int{p.Chal0, p.Chal1, p.Resp0, p.Resp1} {
 		dst = appendScalar(dst, k)

@@ -107,8 +107,8 @@ func dleqFold(a *eqAccum, domain string, b1, p1, b2, p2 Point, pr EqualityProof)
 		return false
 	}
 	ch := hashToScalar(domain,
-		b1.Bytes(), p1.Bytes(), b2.Bytes(), p2.Bytes(),
-		pr.Commit1.Bytes(), pr.Commit2.Bytes())
+		b1.uncompressed(), p1.uncompressed(), b2.uncompressed(), p2.uncompressed(),
+		pr.Commit1.uncompressed(), pr.Commit2.uncompressed())
 	resp := new(big.Int).Mod(pr.Response, order)
 
 	// Equation 1: resp·B1 − ch·P1 − T1 = O

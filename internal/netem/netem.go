@@ -1,7 +1,10 @@
 package netem
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -58,11 +61,13 @@ func (p Profile) mtu() int {
 
 // rto returns the effective retransmit stall per lost chunk.
 func (p Profile) rto() time.Duration {
-	if p.RTO > 0 {
+	switch {
+	case p.RTO > 0:
 		return p.RTO
-	}
-	if r := 4 * p.Latency; r > time.Millisecond {
-		return r
+	case p.Latency > math.MaxInt64/4:
+		return math.MaxInt64
+	case 4*p.Latency > time.Millisecond:
+		return 4 * p.Latency
 	}
 	return time.Millisecond
 }
@@ -72,13 +77,31 @@ func (p Profile) buffer() int {
 	if p.Buffer > 0 {
 		return p.Buffer
 	}
-	b := 256 << 10
-	if p.Bandwidth > 0 {
-		if bdp := int(4 * p.Bandwidth * int64(2*p.Latency) / int64(time.Second)); bdp > b {
-			b = bdp
-		}
+	return max(256<<10, fourBDP(p.Bandwidth, p.Latency))
+}
+
+// fourBDP returns four times the bandwidth-delay product of a path
+// with one-way latency lat — 4·bw·2·lat, in bytes — computed in 128
+// bits and saturated at the largest int, so a fast, long path gets a
+// huge bound rather than a wrapped one. It is 0 unless bw and lat are
+// positive.
+func fourBDP(bw int64, lat time.Duration) int {
+	if bw <= 0 || lat <= 0 {
+		return 0
 	}
-	return b
+	hi, lo := bits.Mul64(uint64(bw), uint64(lat))
+	if hi >= 1<<61 { // ×8 would pass 128 bits
+		return math.MaxInt
+	}
+	hi, lo = hi<<3|lo>>61, lo<<3
+	if hi >= uint64(time.Second) { // the quotient would pass 64 bits
+		return math.MaxInt
+	}
+	q, _ := bits.Div64(hi, lo, uint64(time.Second))
+	if q > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(q)
 }
 
 // String renders the profile compactly for logs.
@@ -136,7 +159,9 @@ func Lookup(name string) (Profile, bool) {
 // "lat=150ms,bw=5M,jitter=10ms". Recognized keys: lat/latency,
 // jitter, rto (durations), bw/bandwidth (bytes/sec, K/M/G decimal or
 // Ki/Mi/Gi binary suffixes), loss (probability), mtu, buffer (bytes),
-// seed (integer). An empty spec returns (nil, nil): no emulation.
+// seed (integer). A negative duration or byte count, a NaN or
+// infinite value and a count past int64 are refused: the spec is
+// operator input. An empty spec returns (nil, nil): no emulation.
 func ParseProfile(spec string) (*Profile, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -164,26 +189,22 @@ func ParseProfile(spec string) (*Profile, error) {
 		var err error
 		switch k {
 		case "lat", "latency":
-			p.Latency, err = time.ParseDuration(v)
+			p.Latency, err = parseDuration(v)
 		case "jitter":
-			p.Jitter, err = time.ParseDuration(v)
+			p.Jitter, err = parseDuration(v)
 		case "rto":
-			p.RTO, err = time.ParseDuration(v)
+			p.RTO, err = parseDuration(v)
 		case "bw", "bandwidth":
 			p.Bandwidth, err = parseBytes(v)
 		case "loss":
 			p.Loss, err = strconv.ParseFloat(v, 64)
-			if err == nil && (p.Loss < 0 || p.Loss >= 1) {
+			if err == nil && !(p.Loss >= 0 && p.Loss < 1) { // NaN fails both
 				err = fmt.Errorf("outside [0,1)")
 			}
 		case "mtu":
-			var n int64
-			n, err = parseBytes(v)
-			p.MTU = int(n)
+			p.MTU, err = parseSize(v)
 		case "buffer":
-			var n int64
-			n, err = parseBytes(v)
-			p.Buffer = int(n)
+			p.Buffer, err = parseSize(v)
 		case "seed":
 			p.Seed, err = strconv.ParseInt(v, 10, 64)
 		default:
@@ -196,8 +217,28 @@ func ParseProfile(spec string) (*Profile, error) {
 	return &p, nil
 }
 
+// parseDuration parses a non-negative duration.
+func parseDuration(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		err = errors.New("negative duration")
+	}
+	return d, err
+}
+
+// parseSize parses a byte count (parseBytes) that must fit an int.
+func parseSize(s string) (int, error) {
+	n, err := parseBytes(s)
+	if err == nil && n > math.MaxInt {
+		err = errors.New("too large")
+	}
+	return int(n), err
+}
+
 // parseBytes parses a byte count with an optional K/M/G (decimal) or
-// Ki/Mi/Gi (binary) suffix; a trailing "B" is tolerated ("5MB").
+// Ki/Mi/Gi (binary) suffix; a trailing "B" is tolerated ("5MB"). It
+// refuses a negative, NaN or infinite count and one past int64, which
+// the conversion would otherwise wrap.
 func parseBytes(s string) (int64, error) {
 	s = strings.TrimSuffix(strings.TrimSpace(s), "B")
 	mult := int64(1)
@@ -219,7 +260,11 @@ func parseBytes(s string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return int64(f * float64(mult)), nil
+	v := f * float64(mult)
+	if !(v >= 0 && v < 1<<63) { // NaN fails both
+		return 0, errors.New("outside [0, 2^63)")
+	}
+	return int64(v), nil
 }
 
 // pacer turns a write sequence into a delivery schedule. All times are

@@ -3,6 +3,7 @@ package netem
 import (
 	"bytes"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -173,11 +174,73 @@ func TestParseProfile(t *testing.T) {
 	if p.Latency != 150*time.Millisecond || p.Bandwidth != 512<<10 || p.MTU != 4<<10 {
 		t.Fatalf("custom spec wrong: %+v", p)
 	}
-	for _, bad := range []string{"nope", "wan-tor,loss=2", "wan-tor,zap=1", "wan-tor,lat"} {
-		if _, err := ParseProfile(bad); err == nil {
-			t.Fatalf("spec %q should have failed", bad)
+	for _, bad := range []string{
+		"nope", "wan-tor,loss=2", "wan-tor,zap=1", "wan-tor,lat",
+		"wan-tor,loss=NaN", "wan-tor,loss=-0.5", "lat=-1s", "jitter=-2s", "rto=-3ms",
+		"bw=-5M", "bw=1e30", "bw=NaN", "bw=Inf", "bw=9.3e18", "mtu=-3", "buffer=-1Ki", "buffer=NaN",
+	} {
+		if p, err := ParseProfile(bad); err == nil {
+			t.Fatalf("spec %q should have failed, got %+v", bad, p)
 		}
 	}
+}
+
+// TestProfileBuffer pins the default queue bound, 4× the bandwidth-delay
+// product of the round trip with a 256 KiB floor: exact where it fits
+// an int (wan-tor's is 12 MB; 1 s at 10 GB/s is 80 GB, which the int64
+// product used to wrap), saturated where it does not.
+func TestProfileBuffer(t *testing.T) {
+	wanTor, _ := Lookup("wan-tor")
+	for _, c := range []struct {
+		p    Profile
+		want int
+	}{
+		{wanTor, 12_000_000},
+		{Profile{Latency: time.Second, Bandwidth: 10_000_000_000}, 80_000_000_000},
+		{Profile{Latency: time.Millisecond, Bandwidth: 1000}, 256 << 10},
+		{Profile{Latency: time.Second}, 256 << 10},
+		{Profile{Latency: -time.Second, Bandwidth: 1 << 40}, 256 << 10},
+		{Profile{Latency: math.MaxInt64, Bandwidth: math.MaxInt64}, math.MaxInt},
+		{Profile{Latency: 1000 * time.Hour, Bandwidth: 1 << 40}, math.MaxInt},
+		{Profile{Buffer: 7, Latency: time.Second, Bandwidth: 1 << 40}, 7},
+	} {
+		if got := c.p.buffer(); got != c.want {
+			t.Errorf("buffer(lat=%v, bw=%d, buffer=%d) = %d, want %d", c.p.Latency, c.p.Bandwidth, c.p.Buffer, got, c.want)
+		}
+	}
+	if got := (Profile{Latency: math.MaxInt64 / 2}).rto(); got != math.MaxInt64 {
+		t.Errorf("rto of a %v path = %v, want the largest duration", time.Duration(math.MaxInt64/2), got)
+	}
+}
+
+// FuzzParseProfile: ParseProfile never panics, and every profile it
+// accepts describes a possible link — durations and byte counts at or
+// above zero, in the fields and in the effective values the shaper
+// uses, and a loss probability in [0, 1).
+func FuzzParseProfile(f *testing.F) {
+	for _, seed := range []string{
+		"", "wan-tor", "lan", "wan-good,seed=-4", "wan-tor,seed=42,loss=0,bw=10M",
+		"lat=150ms,jitter=10ms,bw=512Ki,mtu=4Ki", "lat=1s,bw=10G", "lat=2562047h,bw=9e18",
+		"wan-tor,loss=NaN", "lat=-1s", "jitter=-2s", "bw=-5M", "mtu=-3", "bw=1e30", "bw=NaN",
+		"buffer=1Gi,rto=5s", "wan-tor,lat", "x=1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseProfile(spec)
+		if err != nil || p == nil {
+			return
+		}
+		if p.Latency < 0 || p.Jitter < 0 || p.RTO < 0 || p.rto() < 0 {
+			t.Fatalf("%q: negative duration in %+v (rto %v)", spec, p, p.rto())
+		}
+		if p.Bandwidth < 0 || p.MTU < 0 || p.Buffer < 0 || p.mtu() <= 0 || p.buffer() <= 0 {
+			t.Fatalf("%q: negative size in %+v (mtu %d, buffer %d)", spec, p, p.mtu(), p.buffer())
+		}
+		if !(p.Loss >= 0 && p.Loss < 1) {
+			t.Fatalf("%q: loss %v outside [0, 1)", spec, p.Loss)
+		}
+	})
 }
 
 // TestWireOptionShapesListenDial checks the plumbing end to end: a

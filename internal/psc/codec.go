@@ -14,9 +14,9 @@ import (
 // bandwidth, so vectors are packed into byte slices rather than
 // per-element gob structures, and travel as bounded chunks.
 
-// chunkElems is how many ciphertexts ride in one chunk frame: ~130
-// bytes per ciphertext keeps a chunk near 128 KiB, far below any
-// connection's frame cap.
+// chunkElems is how many ciphertexts ride in one chunk frame: ~66
+// bytes per compressed ciphertext keeps a chunk near 66 KiB, far below
+// any connection's frame cap.
 const chunkElems = 1024
 
 // forEachChunk invokes fn(off, end) over [0, n) in chunkElems-sized
@@ -51,7 +51,7 @@ func parseKey(b []byte) (elgamal.Point, error) {
 
 // encodeVector packs ciphertexts back to back into one allocation.
 func encodeVector(v []elgamal.Ciphertext) []byte {
-	out := make([]byte, 0, len(v)*130)
+	out := make([]byte, 0, len(v)*66) // two compressed points each
 	for _, c := range v {
 		out = c.AppendTo(out)
 	}

@@ -243,7 +243,7 @@ func (cp *CP) decryptPhase(m wire.Messenger, cfg ConfigureMsg) error {
 	}
 	return recvVectorFunc(m, hdr.N, func(off int, cts []elgamal.Ciphertext) error {
 		decShares := cp.key.BatchPartialDecrypt(cts)
-		shares := make([]byte, 0, len(cts)*65)
+		shares := make([]byte, 0, len(cts)*33) // compressed points
 		for _, sh := range decShares {
 			shares = sh.Share.AppendBytes(shares)
 		}

@@ -116,6 +116,14 @@
 //     share is produced.
 //   - A round may complete without a DC (reduced coverage, annotated)
 //     but never without a CP: the joint key is an n-of-n threshold.
+//   - Every group element on the wire is SEC1 compressed: 33 bytes (an
+//     identity one byte, or 33 zero bytes in a fixed-width proof slot),
+//     so a ciphertext is 66 bytes, a share 33, a blind or share proof
+//     98 and a noise bit proof 260. The receiver pays one square root
+//     per point to recover y. What is hashed or spilled keeps the
+//     65-byte uncompressed form: Fiat–Shamir transcripts and block
+//     commitments do not depend on the wire encoding, and a spill slot
+//     is 130 bytes that read back without a root.
 //   - A DC's upload can be restarted on a rejoined session until its
 //     table completes: the tally buffers each table privately and
 //     merges it into the shared combination only as a whole, so a

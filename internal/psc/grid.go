@@ -14,10 +14,11 @@ package psc
 // near-uniform marginal (grid_test.go measures the marginals).
 
 // The round geometry is fixed: every party derives the same grid from
-// these constants, so no configure frame carries it. At ~130 bytes per
-// ciphertext a block's wire frames stay near 128 KiB, and a 2¹⁶-bin
-// table becomes 64 row blocks. Two passes — rows, then column groups —
-// are the minimum giving every element full positional support.
+// these constants, so no configure frame carries it. At ~66 bytes per
+// compressed ciphertext a block's wire frames stay near 66 KiB, and a
+// 2¹⁶-bin table becomes 64 row blocks. Two passes — rows, then column
+// groups — are the minimum giving every element full positional
+// support.
 const (
 	shuffleBlock  = 1024
 	shufflePasses = 2

@@ -632,7 +632,7 @@ func TestRogueCPKeyRejected(t *testing.T) {
 // TestShuffleFramesCarryNoShadow is the tier-1 guard on the shuffle
 // argument's wire cost: on a proved two-pass round no frame carries
 // shadow ciphertexts. An opening frame holds an index and a scalar per
-// element (34 B, against 130 B for a ciphertext), and everything the
+// element (34 B, against 66 B for a ciphertext), and everything the
 // shuffle phase moves beyond the blocks themselves — commitments,
 // openings, frame headers — stays within 40 B per element per proof
 // round (166 B when every round shipped its shadow).
@@ -693,12 +693,12 @@ func TestShuffleFramesCarryNoShadow(t *testing.T) {
 
 // TestShareFramesCarryOneProof is the tier-1 guard on the decrypt
 // phase's wire cost: on a verified round every psc/share-chunk frame is
-// its shares (65 B each) plus a fixed overhead — header fields and the
-// chunk's one 162-byte proof — never a proof per element (which read
-// ≈ 235 B per element).
+// its shares (33 B each, compressed) plus a fixed overhead — header
+// fields and the chunk's one 98-byte proof — never a proof per element
+// (which read ≈ 131 B per element at this encoding).
 func TestShareFramesCarryOneProof(t *testing.T) {
 	cfg := Config{Round: 4, Bins: 1100, NoisePerCP: 6, ShuffleProofRounds: 1, NumDCs: 1, NumCPs: 2}
-	const perElem, perFrame = 65, 200
+	const perElem, perFrame = 33, 136
 
 	var mu sync.Mutex
 	var frames, elems int

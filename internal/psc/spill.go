@@ -8,8 +8,8 @@ import (
 )
 
 // spillSlot is the fixed record size: a ciphertext in elgamal's
-// fixed-width encoding, two 65-byte points with an identity as 65 zero
-// bytes.
+// fixed-width spill encoding, two uncompressed 65-byte points with an
+// identity as 65 zero bytes, so a read needs no square root.
 const spillSlot = 130
 
 // ctSpill is the ciphertext codec over a spill.Store: a random-access
