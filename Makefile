@@ -17,7 +17,10 @@
 #                      round's wire bytes per mixed element, so a
 #                      proof-byte regression shows even when time holds;
 #                      BenchmarkConnChunkRoundTrip prints MB/s and B/op
-#                      for the frame path alone; BenchmarkRerandomizeBlock
+#                      for one full PrivCount chunk frame, on the frame
+#                      path alone (frame) and through Stream.Send's
+#                      encode, frame and receive together (stream-send);
+#                      BenchmarkRerandomizeBlock
 #                      prints µs/elem and B/op for one 1024-element
 #                      shuffle block on one core; BenchmarkObserve
 #                      prints allocs/op for one DC item, which must
@@ -25,8 +28,9 @@
 #                      multiplication, squaring, inversion and square
 #                      root on one core, the amd64 kernel beside the
 #                      pure-Go bodies)
-#   make fuzz-smoke  - every codec fuzz target (frame envelope, PSC
-#                      block messages, PSC noise/blind/share chunks,
+#   make fuzz-smoke  - every codec fuzz target (frame envelope, mux
+#                      control frames, PSC block messages, PSC
+#                      noise/blind/share chunks,
 #                      PrivCount share/chunk frames, the compressed point
 #                      decoder against crypto/elliptic), the affine batch
 #                      plane against the single-element group law, point
@@ -69,6 +73,7 @@ bench-check:
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzConnRecv$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzMuxControl$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockOutCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockShadowCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzNoiseChunkCodec$$' -fuzztime=$(FUZZTIME)

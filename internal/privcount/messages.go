@@ -27,10 +27,22 @@ const (
 	kindResults   = "privcount/results"
 )
 
-// ChunkSlots is how many uint64 counter slots travel per chunk frame
-// (and expand per step of a blinding seed): 32 KiB of payload, far
-// below any frame cap.
+// ChunkSlots is the step, in counter slots, in which a blinding seed
+// expands and a tally folds a buffered report. It stays a power of
+// two: the benchmark's probes size their chunks by it and assume it
+// divides their 2¹⁸-slot spill.
 const ChunkSlots = 4096
+
+// FrameSlots is how many counter slots travel per chunk frame: the
+// most whose frame body fits in 32 KiB, Go's largest small-object size
+// class, so receiving a chunk allocates exactly that class and not a
+// 40 KiB page span. The body is the frame envelope after its length
+// prefix (u16 kind length, the kind, u64 stream ID) and then the
+// ValueChunkMsg payload (Off, then Raw behind its length):
+// 2 + 15 + 8 + 8 + 4 + 8·slots ≤ 32 768, so 4091 slots in a 32 765-byte
+// body. (15 is len(kindChunk), spelled out because len would make the
+// constant a typed int.)
+const FrameSlots = (32<<10 - (2 + 15 + 8) - wire.IntSize - wire.LenSize) / 8
 
 // maxSlots bounds the slot count of a round: the total a schema may
 // describe, and so the counters a DC allocates from its configure
@@ -40,14 +52,10 @@ const ChunkSlots = 4096
 // counters or sums.
 const maxSlots = 1 << 24
 
-// forEachChunk invokes fn(off, end) over [0, n) in ChunkSlots-sized
-// ranges.
-func forEachChunk(n int, fn func(off, end int) error) error {
-	for off := 0; off < n; off += ChunkSlots {
-		end := off + ChunkSlots
-		if end > n {
-			end = n
-		}
+// forEachChunk invokes fn(off, end) over [0, n) in step-sized ranges.
+func forEachChunk(n, step int, fn func(off, end int) error) error {
+	for off := 0; off < n; off += step {
+		end := min(off+step, n)
 		if err := fn(off, end); err != nil {
 			return err
 		}
@@ -55,16 +63,17 @@ func forEachChunk(n int, fn func(off, end int) error) error {
 	return nil
 }
 
-// sendValues streams a counter vector as bounded chunks after its
-// header has announced len(v) slots.
+// sendValues streams a counter vector as FrameSlots-sized chunk frames
+// after its header has announced len(v) slots.
 func sendValues(m wire.Messenger, v []uint64) error {
-	raw := make([]byte, 8*min(len(v), ChunkSlots))
-	return forEachChunk(len(v), func(off, end int) error {
-		buf := raw[:8*(end-off)]
+	raw := make([]byte, 8*min(len(v), FrameSlots))
+	var c ValueChunkMsg // sent by pointer: one interface value for every chunk
+	return forEachChunk(len(v), FrameSlots, func(off, end int) error {
+		c.Off, c.Raw = off, raw[:8*(end-off)]
 		for i, x := range v[off:end] {
-			binary.LittleEndian.PutUint64(buf[8*i:], x)
+			binary.LittleEndian.PutUint64(c.Raw[8*i:], x)
 		}
-		return m.Send(kindChunk, ValueChunkMsg{Off: off, Raw: buf})
+		return m.Send(kindChunk, &c)
 	})
 }
 

@@ -41,7 +41,7 @@ func expandSeed(seed []byte, n int, fn func(off int, shares []uint64) error) err
 	stream := cipher.NewCTR(block, make([]byte, aes.BlockSize))
 	raw := make([]byte, 8*min(n, ChunkSlots))
 	shares := make([]uint64, len(raw)/8)
-	return forEachChunk(n, func(off, end int) error {
+	return forEachChunk(n, ChunkSlots, func(off, end int) error {
 		buf := raw[:8*(end-off)]
 		clear(buf) // XORKeyStream over zeros is the keystream itself
 		stream.XORKeyStream(buf, buf)

@@ -157,7 +157,7 @@ func TestSharesFrameIsConstantSize(t *testing.T) {
 		got := <-frames
 
 		wantKinds := []string{kindRegister, kindShares, kindReport}
-		for n := 0; n < slots; n += ChunkSlots {
+		for n := 0; n < slots; n += FrameSlots {
 			wantKinds = append(wantKinds, kindChunk)
 		}
 		var kinds []string

@@ -354,7 +354,7 @@ func (t *Tally) collectReport(name string, c wire.Messenger) (*spill.Store, erro
 
 // foldReport adds a whole buffered report into sum, a chunk at a time.
 func foldReport(sum []uint64, buf *spill.Store) error {
-	return forEachChunk(len(sum), func(off, end int) error {
+	return forEachChunk(len(sum), ChunkSlots, func(off, end int) error {
 		raw, err := buf.ReadRange(off, end-off)
 		if err != nil {
 			return err

@@ -20,6 +20,12 @@
 // and hands it to the transport in one Write. Recv reads the body into
 // one allocation and returns Payload as a sub-slice of it.
 //
+// Sending allocates nothing per frame. Send encodes into a buffer the
+// sender owns and reuses: Conn.Send straight into its write buffer,
+// behind the envelope, and Stream.Send into the stream's own buffer,
+// which SendFrame copies into the write buffer before returning. The
+// receive body is the one per-frame allocation left.
+//
 // # Payload codecs
 //
 // EncodePayload and DecodePayload pick the codec from the message's
@@ -31,16 +37,18 @@
 // at a fixed width) — implement WireAppender and
 // WireParser: fields in declaration order, integers as eight
 // little-endian bytes, byte strings behind a uint32 length (AppendInt,
-// AppendBytes, Parser). Everything else — the ~25 control messages —
+// AppendBytes, Parser). So do the mux control messages (mux/open,
+// mux/window, mux/winack, mux/reset), so nothing on the mux plane goes
+// through gob. Everything else — the ~25 protocol control messages —
 // is gob-encoded: those frames are few and small, and gob keeps them
 // type-safe and free to grow fields.
 //
 // The aliasing rule: a message parsed by ParseWire owns its frame's
 // body — its byte fields are sub-slices of it, capped at their own
 // length so an append reallocates — and nothing else refers to that
-// body. A payload is therefore copied once on the way out (into the
-// encoded payload, then into the write buffer without allocating) and
-// allocated once on the way in.
+// body. A payload is therefore written once on the way out (a
+// stream's is copied once more, into the write buffer, without
+// allocating) and allocated once on the way in.
 //
 // # Key types
 //
@@ -74,13 +82,17 @@
 //     it has not compared with the bytes remaining, and rejects
 //     trailing bytes (ErrBadPayload). It checks framing only: what the
 //     fields must say is decided where it always was, by the protocol
-//     code that consumes the message.
+//     code that consumes the message. The one exception is the mux's
+//     own window update, whose parser refuses a negative credit or
+//     window; a credit grant saturates the sender's credit rather
+//     than wrapping it.
 //   - A stream sender may have at most one flow-control window in
 //     flight: DefaultWindow at open, afterwards whatever the receiver
 //     has granted, never past the window cap (DefaultWindowCap unless
 //     WithAdaptiveWindow sets another). The session read loop never
 //     writes, so two sessions cannot deadlock exchanging window
-//     updates.
+//     updates, and a stream has at most one winack queued for the
+//     control writer, so a peer flooding probes cannot grow its queue.
 //   - Stream IDs are split by parity — the initiator opens odd IDs,
 //     the acceptor even ones — and an open that arrives with zero or the
 //     receiver's own parity fails the session: it could otherwise be
@@ -90,5 +102,6 @@
 //     "engine/...").
 //   - Send and Recv are each safe for one concurrent caller (a reader
 //     goroutine plus a writer goroutine — the shape every chunked
-//     phase uses).
+//     phase uses). Concurrent Sends on one Conn or Stream are
+//     serialised on the sender's buffer, never interleaved.
 package wire

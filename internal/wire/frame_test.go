@@ -270,34 +270,3 @@ func TestConnSharedWriteBuffer(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// BenchmarkConnChunkRoundTrip moves 32 KiB frames — the size of a
-// PrivCount value chunk — over a pipe: MB/s and B/op for the frame path
-// alone, no message codec.
-func BenchmarkConnChunkRoundTrip(b *testing.B) {
-	x, y := Pipe()
-	defer x.Close()
-	defer y.Close()
-	payload := make([]byte, 32<<10)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < b.N; i++ {
-			if _, err := y.Recv(); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := x.SendFrame(Frame{Kind: "privcount/chunk", SID: 1, Payload: payload}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := <-done; err != nil {
-		b.Fatal(err)
-	}
-}

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -57,21 +59,98 @@ const probeStale = 5 * time.Second
 
 func frameCost(f Frame) int64 { return int64(len(f.Payload)) + frameOverhead }
 
-// openMsg announces a new stream.
+// The mux control messages travel in their own binary form
+// (WireAppender/WireParser), like the bulk messages: integers as eight
+// little-endian bytes, strings behind a uint32 length.
+
+// openMsg announces a new stream: [Round][Label].
 type openMsg struct {
 	Round uint64
 	Label string
+}
+
+// AppendWire implements WireAppender.
+func (m openMsg) AppendWire(b []byte) []byte {
+	return appendString(binary.LittleEndian.AppendUint64(b, m.Round), m.Label)
+}
+
+// ParseWire implements WireParser.
+func (m *openMsg) ParseWire(b []byte) error {
+	p := NewParser(b)
+	m.Round, m.Label = p.u64(), string(p.Bytes())
+	return p.Done()
 }
 
 // winUpdate is the credit grant: Credit extends the
 // sender's budget (refunds and window growth alike), Window reports
 // the receiver's current window (monotonic high-water on the sender's
 // side), and a nonzero Seq asks the sender to echo a winack so the
-// receiver can time the credit round trip.
+// receiver can time the credit round trip. [Credit][Window][Seq].
 type winUpdate struct {
 	Credit int64
 	Window int64
 	Seq    uint64
+}
+
+// winUpdateSize is a winUpdate's encoded size.
+const winUpdateSize = 3 * IntSize
+
+// AppendWire implements WireAppender.
+func (wu winUpdate) AppendWire(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(wu.Credit))
+	b = binary.LittleEndian.AppendUint64(b, uint64(wu.Window))
+	return binary.LittleEndian.AppendUint64(b, wu.Seq)
+}
+
+// ParseWire implements WireParser. No receiver grants negative credit
+// or announces a negative window, so either is refused.
+func (wu *winUpdate) ParseWire(b []byte) error {
+	p := NewParser(b)
+	wu.Credit, wu.Window, wu.Seq = int64(p.u64()), int64(p.u64()), p.u64()
+	if err := p.Done(); err != nil {
+		return err
+	}
+	if wu.Credit < 0 || wu.Window < 0 {
+		return fmt.Errorf("%w: credit %d, window %d", ErrBadPayload, wu.Credit, wu.Window)
+	}
+	return nil
+}
+
+// winAck echoes a probe's sequence number: [Seq].
+type winAck uint64
+
+// AppendWire implements WireAppender.
+func (a winAck) AppendWire(b []byte) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(a))
+}
+
+// ParseWire implements WireParser.
+func (a *winAck) ParseWire(b []byte) error {
+	p := NewParser(b)
+	*a = winAck(p.u64())
+	return p.Done()
+}
+
+// resetMsg is the reason a stream was reset: [Msg].
+type resetMsg string
+
+// AppendWire implements WireAppender.
+func (m resetMsg) AppendWire(b []byte) []byte { return appendString(b, string(m)) }
+
+// ParseWire implements WireParser.
+func (m *resetMsg) ParseWire(b []byte) error {
+	p := NewParser(b)
+	*m = resetMsg(p.Bytes())
+	return p.Done()
+}
+
+// ctrlMsg is a control frame queued for the control writer: a growth
+// grant, or (ack) a winack whose sequence number the writer takes from
+// its stream's ackSeq.
+type ctrlMsg struct {
+	st  *Stream
+	ack bool
+	wu  winUpdate
 }
 
 // Session multiplexes streams over one Conn. One side is the initiator
@@ -92,10 +171,11 @@ type Session struct {
 
 	// Control frames originated by the read loop (winacks, growth
 	// grants) are queued here and written by ctrlLoop, keeping
-	// the read loop write-free.
+	// the read loop write-free. ctrlMu also guards every stream's
+	// ackSeq.
 	ctrlMu   sync.Mutex
 	ctrlCond *sync.Cond
-	ctrlq    []Frame
+	ctrlq    []ctrlMsg
 	ctrlDone bool
 }
 
@@ -134,10 +214,7 @@ func (s *Session) Open(round uint64, label string) (*Stream, error) {
 	s.streams[id] = st
 	s.mu.Unlock()
 
-	payload, err := EncodePayload(openMsg{Round: round, Label: label})
-	if err != nil {
-		return nil, err
-	}
+	payload := openMsg{Round: round, Label: label}.AppendWire(nil)
 	if err := s.conn.SendFrame(Frame{Kind: kindMuxOpen, SID: id, Payload: payload}); err != nil {
 		s.drop(id)
 		return nil, err
@@ -202,20 +279,38 @@ func (s *Session) fail(err error) {
 	}
 }
 
-// sendCtrl queues a control frame for the control writer.
-func (s *Session) sendCtrl(f Frame) {
+// sendGrant queues a growth grant for the control writer.
+func (s *Session) sendGrant(st *Stream, wu winUpdate) {
 	s.ctrlMu.Lock()
 	if !s.ctrlDone {
-		s.ctrlq = append(s.ctrlq, f)
+		s.ctrlq = append(s.ctrlq, ctrlMsg{st: st, wu: wu})
 		s.ctrlCond.Signal()
 	}
 	s.ctrlMu.Unlock()
 }
 
-// ctrlLoop writes queued control frames. It is the only writer the
-// read loop can enlist, so read-side replies (winacks, growth grants)
-// never block demultiplexing.
+// sendAck queues a winack echoing probe seq. A stream has at most one
+// winack queued, carrying the newest sequence — onWinAck ignores every
+// sequence but the latest probe's — so a peer that floods probes and
+// stops reading cannot grow the queue.
+func (s *Session) sendAck(st *Stream, seq uint64) {
+	s.ctrlMu.Lock()
+	if !s.ctrlDone {
+		if st.ackSeq == 0 {
+			s.ctrlq = append(s.ctrlq, ctrlMsg{st: st, ack: true})
+			s.ctrlCond.Signal()
+		}
+		st.ackSeq = seq
+	}
+	s.ctrlMu.Unlock()
+}
+
+// ctrlLoop writes queued control frames, each encoded into one buffer
+// it reuses. It is the only writer the read loop can enlist, so
+// read-side replies (winacks, growth grants) never block
+// demultiplexing.
 func (s *Session) ctrlLoop() {
+	var buf []byte
 	for {
 		s.ctrlMu.Lock()
 		for len(s.ctrlq) == 0 && !s.ctrlDone {
@@ -225,10 +320,18 @@ func (s *Session) ctrlLoop() {
 			s.ctrlMu.Unlock()
 			return
 		}
-		f := s.ctrlq[0]
+		m := s.ctrlq[0]
 		s.ctrlq = s.ctrlq[1:]
+		kind := kindMuxWindow
+		if m.ack {
+			kind = kindMuxWinAck
+			buf = winAck(m.st.ackSeq).AppendWire(buf[:0])
+			m.st.ackSeq = 0
+		} else {
+			buf = m.wu.AppendWire(buf[:0])
+		}
 		s.ctrlMu.Unlock()
-		if err := s.conn.SendFrame(f); err != nil {
+		if err := s.conn.SendFrame(Frame{Kind: kind, SID: m.st.id, Payload: buf}); err != nil {
 			s.fail(err)
 			return
 		}
@@ -289,7 +392,7 @@ func (s *Session) readLoop() {
 		switch f.Kind {
 		case kindMuxOpen:
 			var om openMsg
-			if err := DecodePayload(f.Payload, &om); err != nil {
+			if err := om.ParseWire(f.Payload); err != nil {
 				s.fail(fmt.Errorf("wire: bad mux open: %w", err))
 				return
 			}
@@ -299,7 +402,7 @@ func (s *Session) readLoop() {
 			}
 		case kindMuxWindow:
 			var wu winUpdate
-			if err := DecodePayload(f.Payload, &wu); err != nil {
+			if err := wu.ParseWire(f.Payload); err != nil {
 				s.fail(fmt.Errorf("wire: bad window update: %w", err))
 				return
 			}
@@ -307,21 +410,22 @@ func (s *Session) readLoop() {
 				st.onWinUpdate(wu)
 			}
 		case kindMuxWinAck:
-			var seq uint64
-			if err := DecodePayload(f.Payload, &seq); err != nil {
+			var seq winAck
+			if err := seq.ParseWire(f.Payload); err != nil {
 				s.fail(fmt.Errorf("wire: bad winack: %w", err))
 				return
 			}
 			if st := s.lookup(f.SID); st != nil {
-				st.onWinAck(seq)
+				st.onWinAck(uint64(seq))
 			}
 		case kindMuxClose:
 			if st := s.lookup(f.SID); st != nil {
 				st.remoteClose()
 			}
 		case kindMuxReset:
-			var msg string
-			_ = DecodePayload(f.Payload, &msg)
+			// A reason that does not parse still resets the stream.
+			var msg resetMsg
+			_ = msg.ParseWire(f.Payload)
 			if st := s.lookup(f.SID); st != nil {
 				s.drop(f.SID)
 				st.abort(fmt.Errorf("wire: stream reset by peer: %s", msg))
@@ -371,6 +475,11 @@ type Stream struct {
 	label   string
 	created time.Time
 
+	// sendMu serialises Send, which encodes into sendBuf, a buffer
+	// the stream reuses for every payload it sends.
+	sendMu  sync.Mutex
+	sendBuf []byte
+
 	mu   sync.Mutex
 	cond *sync.Cond
 	rq   []Frame
@@ -396,9 +505,12 @@ type Stream struct {
 	// probeSeq numbers credit probes; probeSent is the departure time
 	// of the outstanding probe (zero: none) and probeBytes the recv
 	// counter at that moment.
-	probeSeq     uint64
-	probeSent    time.Time
-	probeBytes   int64
+	probeSeq   uint64
+	probeSent  time.Time
+	probeBytes int64
+	// ackSeq is the probe sequence a queued winack will echo (zero:
+	// none queued); the session's ctrlMu guards it.
+	ackSeq       uint64
 	err          error
 	failedCh     chan struct{}
 	remoteClosed bool
@@ -425,12 +537,19 @@ func (st *Stream) Round() uint64 { return st.round }
 // Label reports the opener's stream label (the role being served).
 func (st *Stream) Label() string { return st.label }
 
-// Send encodes v as the payload of a frame with the given kind.
+// Send encodes v as the payload of a frame with the given kind, into
+// the stream's own send buffer: SendFrame has copied the payload into
+// the connection's write buffer by the time it returns, so the next
+// Send reuses the same bytes and a steady stream of frames allocates
+// nothing. Concurrent Sends are serialised on the buffer.
 func (st *Stream) Send(kind string, v any) error {
-	payload, err := EncodePayload(v)
+	st.sendMu.Lock()
+	defer st.sendMu.Unlock()
+	payload, err := appendPayload(st.sendBuf[:0], v)
 	if err != nil {
 		return fmt.Errorf("wire: encode %q: %w", kind, err)
 	}
+	st.sendBuf = payload
 	return st.SendFrame(Frame{Kind: kind, Payload: payload})
 }
 
@@ -487,19 +606,19 @@ func (st *Stream) Stats() StreamStats {
 }
 
 // onWinUpdate applies a credit grant and echoes the probe, if any,
-// through the session's control writer.
+// through the session's control writer. Credit and window are never
+// negative (ParseWire refuses them) and credit saturates instead of
+// wrapping, so no grant can park the sender.
 func (st *Stream) onWinUpdate(wu winUpdate) {
 	st.mu.Lock()
-	st.sendCredit += wu.Credit
+	st.sendCredit += min(wu.Credit, math.MaxInt64-st.sendCredit)
 	if wu.Window > st.sendWindow {
 		st.sendWindow = wu.Window
 	}
 	st.mu.Unlock()
 	st.cond.Broadcast()
 	if wu.Seq != 0 {
-		if payload, err := EncodePayload(wu.Seq); err == nil {
-			st.sess.sendCtrl(Frame{Kind: kindMuxWinAck, SID: st.id, Payload: payload})
-		}
+		st.sess.sendAck(st, wu.Seq)
 	}
 }
 
@@ -533,9 +652,7 @@ func (st *Stream) onWinAck(seq uint64) {
 	win := st.recvWindow
 	st.mu.Unlock()
 	if extra > 0 && !dead {
-		if payload, err := EncodePayload(winUpdate{Credit: extra, Window: win}); err == nil {
-			st.sess.sendCtrl(Frame{Kind: kindMuxWindow, SID: st.id, Payload: payload})
-		}
+		st.sess.sendGrant(st, winUpdate{Credit: extra, Window: win})
 	}
 }
 
@@ -600,11 +717,11 @@ func (st *Stream) Recv() (Frame, error) {
 	win := st.recvWindow
 	st.mu.Unlock()
 	if refund > 0 || probe != 0 {
-		if payload, err := EncodePayload(winUpdate{Credit: refund, Window: win, Seq: probe}); err == nil {
-			// A failed window update surfaces on the next Send/Recv via
-			// the session error; ignore it here.
-			_ = st.sess.conn.SendFrame(Frame{Kind: kindMuxWindow, SID: st.id, Payload: payload})
-		}
+		var buf [winUpdateSize]byte
+		payload := winUpdate{Credit: refund, Window: win, Seq: probe}.AppendWire(buf[:0])
+		// A failed window update surfaces on the next Send/Recv via
+		// the session error; ignore it here.
+		_ = st.sess.conn.SendFrame(Frame{Kind: kindMuxWindow, SID: st.id, Payload: payload})
 	}
 	return f, nil
 }
@@ -654,10 +771,7 @@ func (st *Stream) Close() error {
 func (st *Stream) Reset(msg string) {
 	st.sess.drop(st.id)
 	st.abort(fmt.Errorf("wire: stream reset: %s", msg))
-	payload, err := EncodePayload(msg)
-	if err != nil {
-		return
-	}
+	payload := resetMsg(msg).AppendWire(nil)
 	_ = st.sess.conn.SendFrame(Frame{Kind: kindMuxReset, SID: st.id, Payload: payload})
 }
 

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -506,13 +508,7 @@ func TestMuxRejectsOpenInLocalIDSpace(t *testing.T) {
 			sess := NewSession(local, tc.initiator)
 			defer sess.Close()
 			defer peer.Close()
-			go func() { // drain whatever the session writes so the pipe never blocks it
-				for {
-					if _, err := peer.Recv(); err != nil {
-						return
-					}
-				}
-			}()
+			go drainConn(peer)
 			payload, err := EncodePayload(openMsg{Round: 7, Label: "hostile"})
 			if err != nil {
 				t.Fatal(err)
@@ -578,4 +574,202 @@ func TestMuxOpenerStreamsFromFirstFrame(t *testing.T) {
 			t.Fatalf("opener → acceptor streams wedged: %d of %d ends finished in 30 s", i, 2*sessions)
 		}
 	}
+}
+
+// drainConn reads and discards c's frames until it closes, so whatever
+// a session under test writes never blocks on the pipe.
+func drainConn(c *Conn) {
+	for {
+		if _, err := c.Recv(); err != nil {
+			return
+		}
+	}
+}
+
+// TestMuxProbeFloodKeepsOneWinAck: a peer sends 100 000 probe-carrying
+// window updates on one stream and never reads. The control writer
+// blocks on its first winack; every later probe replaces the sequence
+// of the one winack still queued, so the queue never grows past it.
+func TestMuxProbeFloodKeepsOneWinAck(t *testing.T) {
+	const probes = 100_000
+	peer, local := Pipe()
+	sess := NewSession(local, true)
+	defer sess.Close()
+	defer peer.Close()
+	opened := make(chan error, 1)
+	go func() { _, err := peer.Recv(); opened <- err }() // the mux/open, then no more reads
+	st, err := sess.Open(1, "flood")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-opened; err != nil {
+		t.Fatal(err)
+	}
+	queued := func() int {
+		sess.ctrlMu.Lock()
+		defer sess.ctrlMu.Unlock()
+		return len(sess.ctrlq)
+	}
+	var buf [winUpdateSize]byte
+	longest := 0
+	for seq := uint64(1); seq <= probes; seq++ {
+		payload := winUpdate{Seq: seq}.AppendWire(buf[:0])
+		if err := peer.SendFrame(Frame{Kind: kindMuxWindow, SID: st.id, Payload: payload}); err != nil {
+			t.Fatalf("probe %d: %v", seq, err)
+		}
+		if seq%1000 == 0 {
+			longest = max(longest, queued())
+		}
+	}
+	if longest = max(longest, queued()); longest > 1 {
+		t.Fatalf("%d probes left %d control frames queued, want at most 1", probes, longest)
+	}
+}
+
+// TestStreamConcurrentSendsSerialised: eight goroutines Send on one
+// stream, against its one-sender contract. Every payload is encoded
+// into the stream's one send buffer, so under -race this is the test
+// that the buffer never leaves sendMu; without it a frame would carry
+// another sender's bytes.
+func TestStreamConcurrentSendsSerialised(t *testing.T) {
+	const senders, perSender = 8, 40
+	client, server := pipeSessions()
+	defer client.Close()
+	defer server.Close()
+	st, err := client.Open(1, "shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				blob := bytes.Repeat([]byte{byte(s)}, 1+(s*997+i*131)%5000)
+				if err := st.Send("m", testMsg{Round: s, Blobs: [][]byte{blob}}); err != nil {
+					t.Errorf("sender %d: %v", s, err)
+					return
+				}
+			}
+		}(s)
+	}
+	peer, err := server.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < senders*perSender; i++ {
+		var m testMsg
+		if err := peer.Expect("m", &m); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if m.Round < 0 || m.Round >= senders || len(m.Blobs) != 1 ||
+			bytes.Count(m.Blobs[0], []byte{byte(m.Round)}) != len(m.Blobs[0]) {
+			t.Fatalf("frame %d mixes senders: round %d, %d blobs", i, m.Round, len(m.Blobs))
+		}
+	}
+	wg.Wait()
+}
+
+// TestMuxHostileWindowUpdate: a grant of MaxInt64 credit, twice,
+// saturates the sender's credit instead of wrapping it negative and
+// parking the sender; a negative credit or window fails the session.
+func TestMuxHostileWindowUpdate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		wu      winUpdate
+		refused bool
+	}{
+		{"credit MaxInt64 saturates", winUpdate{Credit: math.MaxInt64}, false},
+		{"negative credit", winUpdate{Credit: -1}, true},
+		{"negative window", winUpdate{Credit: 1, Window: -1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer, local := Pipe()
+			sess := NewSession(local, true)
+			defer sess.Close()
+			defer peer.Close()
+			go drainConn(peer)
+			st, err := sess.Open(1, "hostile")
+			if err != nil {
+				t.Fatal(err)
+			}
+			inject := func(f Frame) {
+				f.SID = st.id
+				if err := peer.SendFrame(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			update := Frame{Kind: kindMuxWindow, Payload: tc.wu.AppendWire(nil)}
+			inject(update)
+			if tc.refused {
+				select {
+				case <-sess.Done():
+				case <-time.After(10 * time.Second):
+					t.Fatal("session survived the update")
+				}
+				if err := sess.Err(); !errors.Is(err, ErrBadPayload) {
+					t.Fatalf("session failed with %v, want ErrBadPayload", err)
+				}
+				return
+			}
+			inject(update)
+			// The read loop handles frames in order: once this one
+			// arrives, both updates have been applied.
+			inject(Frame{Kind: "marker"})
+			if _, err := st.Recv(); err != nil {
+				t.Fatal(err)
+			}
+			st.mu.Lock()
+			credit := st.sendCredit
+			st.mu.Unlock()
+			if credit != math.MaxInt64 {
+				t.Fatalf("send credit %d after two MaxInt64 grants, want MaxInt64", credit)
+			}
+			if err := st.Send("after", testMsg{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// FuzzMuxControl feeds arbitrary bytes to the four mux control
+// parsers: none may panic, whatever one accepts must re-encode to
+// exactly the bytes it was parsed from, and no accepted window update
+// carries a negative credit or window.
+func FuzzMuxControl(f *testing.F) {
+	for _, m := range []WireAppender{
+		openMsg{Round: 7, Label: "psc/round"},
+		openMsg{Round: math.MaxUint64},
+		winUpdate{Credit: DefaultWindow, Window: 2 * DefaultWindow, Seq: 3},
+		winUpdate{Credit: math.MaxInt64, Window: math.MaxInt64, Seq: math.MaxUint64},
+		winUpdate{Credit: -1},
+		winUpdate{Window: -1},
+		winUpdate{Credit: math.MinInt64, Window: math.MinInt64},
+		winAck(1),
+		winAck(math.MaxUint64),
+		resetMsg("round 9 aborted"),
+		resetMsg(""),
+	} {
+		f.Add(m.AppendWire(nil))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, m := range []interface {
+			WireAppender
+			WireParser
+		}{new(openMsg), new(winUpdate), new(winAck), new(resetMsg)} {
+			if m.ParseWire(data) != nil {
+				continue
+			}
+			if back := m.AppendWire(nil); !bytes.Equal(back, data) {
+				t.Fatalf("%T accepted %x and re-encodes it as %x", m, data, back)
+			}
+		}
+		var wu winUpdate
+		if wu.ParseWire(data) == nil && (wu.Credit < 0 || wu.Window < 0) {
+			t.Fatalf("window update with credit %d, window %d accepted", wu.Credit, wu.Window)
+		}
+	})
 }

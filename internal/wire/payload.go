@@ -67,6 +67,12 @@ func AppendBytes(b, p []byte) []byte {
 	return append(AppendLen(b, len(p)), p...)
 }
 
+// appendString is AppendBytes for a string, which it does not copy
+// first.
+func appendString(b []byte, s string) []byte {
+	return append(AppendLen(b, len(s)), s...)
+}
+
 // Encoded sizes, for an AppendWire to grow its buffer once.
 const (
 	IntSize = 8 // an AppendInt field
@@ -96,17 +102,24 @@ func (p *Parser) fail(what string) {
 
 // Int reads an AppendInt field.
 func (p *Parser) Int() int {
-	if p.err != nil || len(p.b) < IntSize {
-		p.fail("truncated integer")
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(p.b))
-	p.b = p.b[IntSize:]
+	v := int64(p.u64())
 	if int64(int(v)) != v {
 		p.fail("integer overflows int")
 		return 0
 	}
 	return int(v)
+}
+
+// u64 reads eight little-endian bytes as they were written: an
+// AppendInt field, or a mux control field that uses all 64 bits.
+func (p *Parser) u64() uint64 {
+	if p.err != nil || len(p.b) < IntSize {
+		p.fail("truncated integer")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(p.b)
+	p.b = p.b[IntSize:]
+	return v
 }
 
 // Len reads an AppendLen count and requires at least min (> 0)

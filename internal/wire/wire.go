@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -107,13 +108,20 @@ func NewConn(c net.Conn, opts ...Option) *Conn {
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
 
-// Send encodes v as the payload of a frame with the given kind.
+// Send encodes v straight into the connection's write buffer, behind
+// the frame's envelope, so the payload is written once and handed to
+// the transport without another copy or allocation.
 func (c *Conn) Send(kind string, v any) error {
-	payload, err := EncodePayload(v)
+	if err := checkKind(kind); err != nil {
+		return err
+	}
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	b, err := appendPayload(appendEnvelope(c.wbuf[:0], kind, 0), v)
 	if err != nil {
 		return fmt.Errorf("wire: encode %q: %w", kind, err)
 	}
-	return c.SendFrame(Frame{Kind: kind, Payload: payload})
+	return c.write(b)
 }
 
 // The envelope, in network byte order like the length prefix it grew
@@ -137,21 +145,45 @@ var ErrBadFrame = errors.New("wire: malformed frame header")
 // transport in one Write, so concurrent senders never interleave and a
 // TLS or netem transport sees one record's worth of bytes at a time.
 func (c *Conn) SendFrame(f Frame) error {
-	if len(f.Kind) > maxKindLength {
-		return fmt.Errorf("wire: frame kind of %d bytes exceeds %d", len(f.Kind), maxKindLength)
+	if err := checkKind(f.Kind); err != nil {
+		return err
 	}
-	body := frameHeader + len(f.Kind) + len(f.Payload)
-	if body > c.maxFrame {
-		return ErrFrameTooLarge
+	if frameHeader+len(f.Kind)+len(f.Payload) > c.maxFrame {
+		return ErrFrameTooLarge // before the payload is copied anywhere
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	b := c.wbuf[:0]
-	b = binary.BigEndian.AppendUint32(b, uint32(body))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(f.Kind)))
-	b = append(b, f.Kind...)
-	b = binary.BigEndian.AppendUint64(b, f.SID)
-	b = append(b, f.Payload...)
+	return c.write(append(appendEnvelope(c.wbuf[:0], f.Kind, f.SID), f.Payload...))
+}
+
+// checkKind refuses a kind longer than the envelope's u16 can announce.
+func checkKind(kind string) error {
+	if len(kind) > maxKindLength {
+		return fmt.Errorf("wire: frame kind of %d bytes exceeds %d", len(kind), maxKindLength)
+	}
+	return nil
+}
+
+// appendEnvelope appends a frame's envelope, its body length left for
+// write to fill in once the payload behind it is in place.
+func appendEnvelope(b []byte, kind string, sid uint64) []byte {
+	b = append(b, 0, 0, 0, 0) // [u32 body length]
+	b = binary.BigEndian.AppendUint16(b, uint16(len(kind)))
+	b = append(b, kind...)
+	return binary.BigEndian.AppendUint64(b, sid)
+}
+
+// write fills in the body length of the frame assembled in b, keeps b
+// as the write buffer, and hands the frame to the transport in one
+// Write. The caller holds writeMu. A frame over the cap is refused
+// before anything is written, and its buffer is not kept: the write
+// buffer grows only to the largest frame actually sent.
+func (c *Conn) write(b []byte) error {
+	body := len(b) - lenPrefix
+	if body > c.maxFrame {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(b, uint32(body))
 	c.wbuf = b
 	_, err := c.c.Write(b)
 	return err
@@ -223,13 +255,18 @@ func (c *Conn) Expect(kind string, out any) error {
 // every other value is gob-encoded, and its concrete type must be known
 // to the receiving DecodePayload call site. The message's type picks
 // the codec, never a setting.
-func EncodePayload(v any) ([]byte, error) {
+func EncodePayload(v any) ([]byte, error) { return appendPayload(nil, v) }
+
+// appendPayload appends v's EncodePayload encoding to dst: the one
+// encoder behind EncodePayload and both Sends, which hand it a buffer
+// they own and reuse.
+func appendPayload(dst []byte, v any) ([]byte, error) {
 	if a, ok := v.(WireAppender); ok {
-		return a.AppendWire(nil), nil
+		return a.AppendWire(dst), nil
 	}
-	var buf writerBuf
+	buf := writerBuf{b: dst}
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+		return dst, err
 	}
 	return buf.b, nil
 }
@@ -237,12 +274,13 @@ func EncodePayload(v any) ([]byte, error) {
 // DecodePayload decodes a payload into out (a pointer): through out's
 // ParseWire method when it has one (see WireParser) — the parsed
 // message then aliases b, which the caller must not reuse — and through
-// gob otherwise.
+// gob otherwise. A bytes.Reader is an io.ByteReader, so gob reads it
+// directly instead of wrapping it in a bufio.Reader of its own.
 func DecodePayload(b []byte, out any) error {
 	if p, ok := out.(WireParser); ok {
 		return p.ParseWire(b)
 	}
-	return gob.NewDecoder(readerBuf{b: b, pos: new(int)}).Decode(out)
+	return gob.NewDecoder(bytes.NewReader(b)).Decode(out)
 }
 
 type writerBuf struct{ b []byte }
@@ -250,20 +288,6 @@ type writerBuf struct{ b []byte }
 func (w *writerBuf) Write(p []byte) (int, error) {
 	w.b = append(w.b, p...)
 	return len(p), nil
-}
-
-type readerBuf struct {
-	b   []byte
-	pos *int
-}
-
-func (r readerBuf) Read(p []byte) (int, error) {
-	if *r.pos >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[*r.pos:])
-	*r.pos += n
-	return n, nil
 }
 
 // Pipe returns two connected in-memory Conns for tests and single
