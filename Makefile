@@ -6,9 +6,9 @@
 #                      change that breaks the BENCHMARK.json build fails
 #                      here instead of staying tier-1 green
 #   make loc      - non-test Go line counts, the way ROADMAP's "fewer
-#                   lines" targets are measured: internal/psc,
-#                   internal/wire, internal/privcount, cmd, and
-#                   internal + cmd + tools together
+#                   lines" targets are measured: internal/engine,
+#                   internal/psc, internal/wire, internal/privcount,
+#                   cmd, and internal + cmd + tools together
 #   make bench-smoke - one iteration of the crypto and protocol
 #                      benchmarks; catches gross perf regressions fast
 #                      (the group and ciphertext ops print allocs/op, so
@@ -59,6 +59,7 @@ vet:
 	$(GO) vet ./...
 
 loc:
+	@printf '%s: ' 'internal/engine'; find internal/engine -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf '%s: ' 'internal/psc'; find internal/psc -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf '%s: ' 'internal/wire'; find internal/wire -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf '%s: ' 'internal/privcount'; find internal/privcount -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

@@ -13,6 +13,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -131,7 +132,7 @@ func BenchmarkAblationTransport(b *testing.B) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			_, err := tally.Run(tsConns)
+			_, err := tally.Run(context.Background(), tsConns)
 			done <- err
 		}()
 		setup.Wait()

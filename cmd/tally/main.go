@@ -94,15 +94,41 @@ func main() {
 	quorumSpec := flag.String("quorum", "", "DC quorum, e.g. dcs=2: rounds complete degraded with at least this many DCs (empty: all DCs required)")
 	flag.Parse()
 
+	// A bad protocol, quorum, stats or round flag fails here, not after
+	// the whole fleet has dialled in.
+	var numParties int
+	switch *protocol {
+	case "privcount":
+		numParties = *dcs + *sks
+	case "psc":
+		numParties = *dcs + *cps
+	case "both":
+		numParties = *dcs + *sks + *cps
+	default:
+		log.Fatalf("unknown protocol %q", *protocol)
+	}
+	minDCs, err := parseQuorum(*quorumSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfgStats, err := parseStats(*statsSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
 	pscCfg := psc.Config{
 		Bins: *bins, NoisePerCP: *noise, ShuffleProofRounds: *proofRounds,
-		NumDCs: *dcs, NumCPs: *cps,
+		NumDCs: *dcs, NumCPs: *cps, MinDCs: minDCs,
 	}
+	privCfg := privcount.TallyConfig{Stats: cfgStats, NumDCs: *dcs, NumSKs: *sks, MinDCs: minDCs}
+	var invalid []error
 	if *protocol != "privcount" {
-		// A bad PSC flag fails here, not after the whole fleet has dialled in.
-		if err := pscCfg.Validate(); err != nil {
-			log.Fatalf("tally: %v", err)
-		}
+		invalid = append(invalid, pscCfg.Validate())
+	}
+	if *protocol != "psc" {
+		invalid = append(invalid, privCfg.Validate())
+	}
+	if err := errors.Join(invalid...); err != nil {
+		log.Fatalf("tally: %v", err)
 	}
 	connOpts, err := common.Start("tally")
 	if err != nil {
@@ -129,17 +155,6 @@ func main() {
 	}
 
 	// Phase 1: parties register their sessions once.
-	var numParties int
-	switch *protocol {
-	case "privcount":
-		numParties = *dcs + *sks
-	case "psc":
-		numParties = *dcs + *cps
-	case "both":
-		numParties = *dcs + *sks + *cps
-	default:
-		log.Fatalf("unknown protocol %q", *protocol)
-	}
 	eng := engine.New()
 	defer eng.Close()
 	if *roundDeadline > 0 {
@@ -148,11 +163,6 @@ func main() {
 	if *rejoinGrace > 0 {
 		eng.SetRejoinGrace(*rejoinGrace)
 	}
-	quorum, err := engine.ParseQuorum(*quorumSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng.SetQuorum(quorum)
 	if *budget > 0 || *budgetFile != "" {
 		// The paper's per-round spend, capped at N rounds' worth by
 		// sequential composition; the engine refuses the (N+1)th round.
@@ -217,17 +227,11 @@ func main() {
 
 	// Phase 2: schedule rounds over the persistent sessions, at most
 	// -concurrency scheduling steps in flight.
-	cfgStats, err := parseStats(*statsSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
 	startPSC := func() (*engine.Round, error) {
 		return eng.StartPSC(pscCfg, nil)
 	}
 	startPriv := func() (*engine.Round, error) {
-		return eng.StartPrivCount(privcount.TallyConfig{
-			Stats: cfgStats, NumDCs: *dcs, NumSKs: *sks,
-		}, nil)
+		return eng.StartPrivCount(privCfg, nil)
 	}
 
 	if *concurrency < 1 {
@@ -377,6 +381,19 @@ func printPSC(round uint64, res psc.Result) {
 	fmt.Printf("tally: round %d results:\n", round)
 	fmt.Printf("  round %d reported=%d bins=%d noise-trials=%d\n", round, res.Reported, res.Bins, res.NoiseTrials)
 	fmt.Printf("  round %d distinct count = %s\n", round, iv)
+}
+
+// parseQuorum parses a -quorum spec, "dcs=K" or the bare K with K ≥ 1,
+// into a DC quorum floor; the empty spec is 0, every DC required.
+func parseQuorum(spec string) (int, error) {
+	if spec == "" {
+		return 0, nil
+	}
+	k, err := strconv.Atoi(strings.TrimPrefix(spec, "dcs="))
+	if err != nil || k < 1 {
+		return 0, fmt.Errorf("tally: bad quorum spec %q (want dcs=K, K ≥ 1)", spec)
+	}
+	return k, nil
 }
 
 // parseStats parses "name:bin1,bin2:sigma;name2::sigma2".

@@ -244,6 +244,47 @@ func TestCmdDeploymentPSC(t *testing.T) {
 	t.Logf("psc tally output:\n%s", out)
 }
 
+// TestCmdTallyRejectsBadFlags: a tally whose flags cannot make a valid
+// round exits non-zero before it listens, within seconds — it must not
+// print "listening" and wait for a fleet whose arrival would only fail
+// the round, or for a quorum above the DC count, run it all-required.
+func TestCmdTallyRejectsBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process deployment test skipped in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "tally")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/tally").CombinedOutput(); err != nil {
+		t.Fatalf("build tally: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stats", "garbage"}, "bad stat spec"},
+		{[]string{"-sks", "0"}, "need at least one SK"},
+		{[]string{"-protocol", "psc", "-dcs", "2", "-quorum", "dcs=5"}, "DC quorum 5 out of range for 2 DCs"},
+		{[]string{"-protocol", "both", "-dcs", "3", "-quorum", "dcs=4"}, "DC quorum 4 out of range for 3 DCs"},
+		{[]string{"-quorum", "dcs=0"}, "bad quorum spec"},
+		{[]string{"-protocol", "psc", "-proof-rounds", "0"}, "ShuffleProofRounds 0 outside [1,128]"},
+		{[]string{"-protocol", "bogus"}, "unknown protocol"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-listen", "127.0.0.1:0"}, tc.args...)...).CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		switch {
+		case timedOut:
+			t.Errorf("tally %v still running after 20 s:\n%s", tc.args, out)
+		case err == nil:
+			t.Errorf("tally %v exited 0:\n%s", tc.args, out)
+		case strings.Contains(string(out), "listening"):
+			t.Errorf("tally %v listened before refusing its flags:\n%s", tc.args, out)
+		case !strings.Contains(string(out), tc.want):
+			t.Errorf("tally %v output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
 // proc wraps a running command with captured output and line-watching.
 type proc struct {
 	cmd   *exec.Cmd

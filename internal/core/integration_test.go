@@ -118,7 +118,7 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 		for i := 0; i < numDCs; i++ {
 			tsConns = append(tsConns, <-dcAccepted)
 		}
-		res, err := tally.Run(tsConns)
+		res, err := tally.Run(context.Background(), tsConns)
 		if err != nil {
 			t.Errorf("tally: %v", err)
 			close(resCh)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/privcount"
 	"repro/internal/psc"
 	"repro/internal/wire"
 )
@@ -52,20 +53,25 @@ func (d *churnDC) start() {
 // kill closes the current incarnation's session, as a SIGKILL would.
 func (d *churnDC) kill() { d.sess.Close() }
 
-// churnFleet builds an engine with CPs over piped sessions plus n
-// restartable DCs.
-func churnFleet(t *testing.T, numCPs, numDCs int) (*Engine, []*churnDC, chan dcRound) {
+// churnFleet builds an engine with CPs and SKs over piped sessions plus
+// n restartable DCs.
+func churnFleet(t *testing.T, numCPs, numSKs, numDCs int) (*Engine, []*churnDC, chan dcRound) {
 	t.Helper()
 	e := New()
 	rounds := make(chan dcRound, 64)
-	for i := 0; i < numCPs; i++ {
+	attach := func(serve func(*wire.Session)) {
 		tsConn, partyConn := wire.Pipe()
 		ts := wire.NewSession(tsConn, false)
-		party := wire.NewSession(partyConn, true)
-		go ServeCP(party, Hello{Name: fmt.Sprintf("cp-%d", i)}, nil)
+		go serve(wire.NewSession(partyConn, true))
 		if _, err := e.AcceptSession(ts); err != nil {
-			t.Fatalf("accept cp: %v", err)
+			t.Fatalf("accept party: %v", err)
 		}
+	}
+	for i := 0; i < numCPs; i++ {
+		attach(func(s *wire.Session) { ServeCP(s, Hello{Name: fmt.Sprintf("cp-%d", i)}, nil) })
+	}
+	for i := 0; i < numSKs; i++ {
+		attach(func(s *wire.Session) { ServeSK(s, Hello{Name: fmt.Sprintf("sk-%d", i)}, nil) })
 	}
 	dcs := make([]*churnDC, numDCs)
 	for i := range dcs {
@@ -77,11 +83,17 @@ func churnFleet(t *testing.T, numCPs, numDCs int) (*Engine, []*churnDC, chan dcR
 
 var smallPSC = psc.Config{Bins: 64, NoisePerCP: 2, ShuffleProofRounds: 1, NumCPs: 2, NumDCs: 2}
 
+// withMinDCs is cfg with a DC quorum floor of k.
+func withMinDCs(cfg psc.Config, k int) psc.Config {
+	cfg.MinDCs = k
+	return cfg
+}
+
 // TestRejoinWrongTokenRejected: a session claiming a registered
 // identity with the wrong token must be rejected with an explicit ack,
 // and the pinned member must keep its original session.
 func TestRejoinWrongTokenRejected(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 2)
+	e, dcs, rounds := churnFleet(t, 2, 0, 2)
 
 	tsConn, partyConn := wire.Pipe()
 	ts := wire.NewSession(tsConn, false)
@@ -120,7 +132,7 @@ func TestRejoinWrongTokenRejected(t *testing.T) {
 // identity resolve latest-wins — the newer session serves, the older
 // one is closed by the engine.
 func TestRejoinLatestWins(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 2)
+	e, dcs, rounds := churnFleet(t, 2, 0, 2)
 
 	old := dcs[1].sess
 	dcs[1].start() // second incarnation registers while the first is still live
@@ -158,12 +170,11 @@ func TestRejoinLatestWins(t *testing.T) {
 // the absence annotated, and — once the DC re-registers under its
 // pinned identity — the next round runs at full strength.
 func TestMidRoundKillDegradesThenFullStrength(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 2)
+	e, dcs, rounds := churnFleet(t, 2, 0, 2)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
-	e.SetQuorum(QuorumPolicy{MinDCs: 1})
 
-	r, err := e.StartPSC(smallPSC, nil)
+	r, err := e.StartPSC(withMinDCs(smallPSC, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +218,7 @@ func TestMidRoundKillDegradesThenFullStrength(t *testing.T) {
 
 	// The DC restarts and re-registers under its pinned identity.
 	dcs[1].start()
-	full, err := e.StartPSC(smallPSC, nil)
+	full, err := e.StartPSC(withMinDCs(smallPSC, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +252,12 @@ func TestMidRoundKillDegradesThenFullStrength(t *testing.T) {
 // the in-flight round's stream on the new session — the round completes
 // at full strength, no degradation.
 func TestRejoinResumesRoundBeforeBarrier(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 2)
+	e, dcs, rounds := churnFleet(t, 2, 0, 2)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
-	e.SetQuorum(QuorumPolicy{MinDCs: 1})
 	e.SetRejoinGrace(time.Minute)
 
-	r, err := e.StartPSC(smallPSC, nil)
+	r, err := e.StartPSC(withMinDCs(smallPSC, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,14 +314,13 @@ func TestRejoinResumesRoundBeforeBarrier(t *testing.T) {
 // deadline failure when the deadline wins — never both.
 func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 	// Grace far shorter than the deadline: degradation wins.
-	e, dcs, rounds := churnFleet(t, 2, 2)
+	e, dcs, rounds := churnFleet(t, 2, 0, 2)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
-	e.SetQuorum(QuorumPolicy{MinDCs: 1})
 	e.SetRejoinGrace(100 * time.Millisecond)
 	e.SetRoundDeadline(2 * time.Minute)
 
-	r, err := e.StartPSC(smallPSC, nil)
+	r, err := e.StartPSC(withMinDCs(smallPSC, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,14 +349,13 @@ func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 
 	// Deadline far shorter than the grace window: the deadline wins and
 	// the round fails exactly once, with no degradation recorded.
-	e2, dcs2, rounds2 := churnFleet(t, 2, 2)
+	e2, dcs2, rounds2 := churnFleet(t, 2, 0, 2)
 	reg2 := metrics.NewRegistry()
 	e2.SetMetrics(reg2)
-	e2.SetQuorum(QuorumPolicy{MinDCs: 1})
 	e2.SetRejoinGrace(2 * time.Minute)
 	e2.SetRoundDeadline(2 * time.Second)
 
-	r2, err := e2.StartPSC(smallPSC, nil)
+	r2, err := e2.StartPSC(withMinDCs(smallPSC, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,10 +380,9 @@ func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 // tolerates, the round must fail with a quorum error rather than
 // report a result over too little coverage.
 func TestQuorumLostAborts(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 2)
-	e.SetQuorum(QuorumPolicy{MinDCs: 2}) // both DCs required
+	e, dcs, rounds := churnFleet(t, 2, 0, 2)
 
-	r, err := e.StartPSC(smallPSC, nil)
+	r, err := e.StartPSC(withMinDCs(smallPSC, 2), nil) // both DCs required
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,8 +390,8 @@ func TestQuorumLostAborts(t *testing.T) {
 	dcs[0].kill()
 	dcs[1].kill()
 	_, err = r.WaitPSC()
-	if err == nil {
-		t.Fatal("round with zero DCs completed")
+	if err == nil || !strings.Contains(err.Error(), "quorum lost") {
+		t.Fatalf("round with zero DCs: got %v, want a quorum-lost failure", err)
 	}
 	for _, d := range roles {
 		if err := d.outcome(t); err == nil {
@@ -393,37 +400,68 @@ func TestQuorumLostAborts(t *testing.T) {
 	}
 }
 
-// TestParseQuorum pins the -quorum spec grammar: "dcs=K" or a bare K,
-// K ≥ 1, and nothing else — trailing text is an error, not ignored.
-func TestParseQuorum(t *testing.T) {
-	for _, tc := range []struct {
-		spec string
-		want int // MinDCs; -1: the spec must be rejected
-	}{
-		{"", 0},
-		{"dcs=2", 2},
-		{"3", 3},
-		{"dcs=1", 1},
-		{"dcs=2x", -1},
-		{"2,3", -1},
-		{"1.5", -1},
-		{"dcs=0", -1},
-		{"0", -1},
-		{"-1", -1},
-		{"dcs=", -1},
-		{"dcs", -1},
-		{"dcs=dcs=2", -1},
-		{" 2", -1},
-	} {
-		q, err := ParseQuorum(tc.spec)
-		switch {
-		case tc.want < 0 && err == nil:
-			t.Errorf("ParseQuorum(%q) = %+v, want an error", tc.spec, q)
-		case tc.want >= 0 && err != nil:
-			t.Errorf("ParseQuorum(%q): %v", tc.spec, err)
-		case tc.want >= 0 && q.MinDCs != tc.want:
-			t.Errorf("ParseQuorum(%q).MinDCs = %d, want %d", tc.spec, q.MinDCs, tc.want)
-		}
+// TestCallerMinDCsHonoured: the MinDCs a caller puts in a round's
+// config is the round's quorum floor, with no engine setting over it.
+// Over two DCs with MinDCs 1, a DC killed past its contribution barrier
+// leaves a degraded success naming it, for either protocol.
+func TestCallerMinDCsHonoured(t *testing.T) {
+	for _, proto := range []string{"psc", "privcount"} {
+		t.Run(proto, func(t *testing.T) {
+			e, dcs, rounds := churnFleet(t, 1, 1, 2)
+			var r *Round
+			var err error
+			if proto == "psc" {
+				cfg := withMinDCs(smallPSC, 1)
+				cfg.NumCPs = 1
+				r, err = e.StartPSC(cfg, nil)
+			} else {
+				r, err = e.StartPrivCount(privcount.TallyConfig{
+					Stats:  []privcount.StatConfig{{Name: "streams", Bins: []string{"a"}, Sigma: 0}},
+					NumDCs: 2, NumSKs: 1, MinDCs: 1,
+				}, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Collect runs once a DC's setup is over: a PrivCount DC has
+			// had its begin, so its shares are in the SKs' hands.
+			roles := collect(t, rounds, 2, r)
+			dcs[1].kill()
+			var survivor dcRound
+			for _, d := range roles {
+				if d.host == 0 {
+					survivor = d
+				}
+			}
+			if proto == "psc" {
+				survivor.PSC.Observe("item")
+			} else {
+				survivor.PrivCount.Increment("streams", 0, 5)
+			}
+			close(survivor.release)
+			if proto == "psc" {
+				var res psc.Result
+				res, err = r.WaitPSC()
+				if err == nil && (len(res.AbsentDCs) != 1 || res.AbsentDCs[0] != "dc-1") {
+					t.Errorf("AbsentDCs = %v, want [dc-1]", res.AbsentDCs)
+				}
+			} else {
+				var res map[string][]float64
+				res, err = r.WaitPrivCount()
+				if err == nil && res["streams"][0] != 5 {
+					t.Errorf("streams/a = %v, want the survivor's 5", res["streams"][0])
+				}
+			}
+			if err != nil {
+				t.Fatalf("round under MinDCs 1 failed: %v", err)
+			}
+			if got := r.Absent(); len(got) != 1 || got[0] != "dc-1" || !r.Degraded() {
+				t.Fatalf("round Absent() = %v (degraded %v), want [dc-1]", got, r.Degraded())
+			}
+			if err := survivor.outcome(t); err != nil {
+				t.Fatalf("survivor finish: %v", err)
+			}
+		})
 	}
 }
 
@@ -465,7 +503,7 @@ func TestRejoinWithoutTokenRejected(t *testing.T) {
 // constant-time comparison rejects on length, and the registry counts
 // the attempt as a rejection.
 func TestRejoinEmptyPresentedTokenRejected(t *testing.T) {
-	e, dcs, _ := churnFleet(t, 1, 1)
+	e, dcs, _ := churnFleet(t, 1, 0, 1)
 	_ = dcs
 	tsConn, partyConn := wire.Pipe()
 	ts := wire.NewSession(tsConn, false)
@@ -486,13 +524,12 @@ func TestRejoinEmptyPresentedTokenRejected(t *testing.T) {
 // read under the engine lock (or the round's own snapshot), which the
 // race detector checks here.
 func TestSetMetricsDuringRejoin(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 2)
+	e, dcs, rounds := churnFleet(t, 2, 0, 2)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
-	e.SetQuorum(QuorumPolicy{MinDCs: 1})
 	e.SetRejoinGrace(time.Minute)
 
-	r, err := e.StartPSC(smallPSC, nil)
+	r, err := e.StartPSC(withMinDCs(smallPSC, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,6 @@
 //   - Round: one scheduled measurement round, and one
 //     context.Context. Wait* blocks for the outcome, Abort cancels it
 //     in isolation, Absent lists parties the round completed without.
-//   - QuorumPolicy: the per-protocol degradation rule (MinDCs); see
-//     below.
 //   - ServeCP, ServeSK, ServeDC: the party side, three functions over
 //     one skeleton (the acked hello, then ServeRounds with the role's
 //     stream labels). ServeDC owns a data collector's round from Setup
@@ -42,22 +40,29 @@
 // resume on its rejoined session while its contribution barrier has
 // not been passed (the engine waits up to the SetRejoinGrace window
 // and reopens the round stream); past the barrier the party is
-// declared absent and the round degrades under the QuorumPolicy —
-// completing with the absence annotated — aborting only when quorum is
-// genuinely lost.
+// declared absent and the round degrades down to the MinDCs floor of
+// the config it was started with — completing with the absence
+// annotated — and fails, naming the DC, only when that floor is lost.
 //
 // # Invariants
 //
 //   - PSC rounds require every CP (the joint ElGamal key is an n-of-n
 //     threshold) and PrivCount rounds require every SK (each holds
-//     blinding state nobody else can reproduce): QuorumPolicy tunes
-//     only data-collector coverage.
+//     blinding state nobody else can reproduce): the config's MinDCs
+//     tunes only data-collector coverage.
+//   - Each degradation decision has one owner. The caller's config
+//     owns the floor: the engine passes MinDCs through unchanged and
+//     has no quorum setting of its own. The engine owns recovery: its
+//     Recover callback returns a replacement stream, or nil for a DC
+//     it recorded absent. The tally owns the verdict: a cancelled
+//     round's cause, a failure naming the DC that breaks the floor, or
+//     a degraded completion.
 //   - A round is stopped by one mechanism: cancelling its context,
 //     with the reason as the cause. Abort, the SetRoundDeadline timeout
 //     and a failed tally all do exactly that; the cancellation resets
-//     the round's streams (one context.AfterFunc), wakes the PSC
-//     pipeline (the tally runs under the round's context) and ends any
-//     rejoin wait.
+//     the round's streams (one context.AfterFunc), wakes both tallies
+//     (each runs under the round's context) and ends any rejoin
+//     wait.
 //   - A round claims exactly one outcome. finish detaches the stream
 //     reset from the context, and whether that detach came first is the
 //     claim: if it did the tally's result stands (completed, possibly

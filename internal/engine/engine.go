@@ -104,8 +104,7 @@ type Engine struct {
 	// WaitParties.
 	membership chan struct{}
 
-	grace  time.Duration
-	quorum QuorumPolicy
+	grace time.Duration
 
 	acct     *dp.Accountant
 	deadline time.Duration
@@ -387,8 +386,8 @@ func (r *Round) addStream(st *wire.Stream) bool {
 }
 
 // Absent lists the parties declared absent from a completed round — the
-// round ran degraded without their contribution under the quorum
-// policy. Empty for a full-strength round.
+// round ran degraded without their contribution, above its config's
+// MinDCs floor. Empty for a full-strength round.
 func (r *Round) Absent() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -501,7 +500,7 @@ func (r *Round) finish(err error) {
 // openRound opens one labeled stream per party of the round's
 // membership snapshot. Parties before dcStart are protocol-critical
 // (CPs, SKs): an open failure aborts the round. From dcStart on the
-// parties are data collectors, where the quorum policy may tolerate
+// parties are data collectors, where the quorum floor may tolerate
 // absence: a failed open substitutes a messenger that reports the
 // failure on first use, routing a dead-at-start DC through the tally's
 // per-party recovery path instead of wedging scheduling.
@@ -535,29 +534,22 @@ func (e *Engine) openRound(r *Round, dcStart int) ([]wire.Messenger, error) {
 // rebind it: an already-rejoined session gets a fresh round stream
 // immediately, and otherwise the call blocks up to the rejoin grace
 // window for the party to re-register. When no resumption is possible
-// the party is recorded absent and the tally decides — by its quorum
-// floor — whether the round degrades or fails. A cancelled round never
-// converts its failures into degradation.
-func (e *Engine) recoverFn(r *Round) func(i int, name string, canRetry bool) (wire.Messenger, bool) {
-	return func(i int, name string, canRetry bool) (wire.Messenger, bool) {
-		if i < 0 || i >= len(r.parties) {
-			return nil, false
-		}
+// the party is recorded absent and nil returned; the tally decides —
+// by the round's cancellation and its quorum floor — whether the round
+// degrades or fails.
+func (e *Engine) recoverFn(r *Round) func(i int, canRetry bool) wire.Messenger {
+	return func(i int, canRetry bool) wire.Messenger {
 		m := r.parties[i]
 		if canRetry {
 			if st := e.reopenFor(r, m); st != nil {
 				r.reg.Inc("engine/" + r.Label + "/parties-reattached")
-				return st, true
+				return st
 			}
-		}
-		if r.ctx.Err() != nil {
-			// The round is being torn down; surface the original error.
-			return nil, false
 		}
 		r.mu.Lock()
 		r.absent = append(r.absent, m.name)
 		r.mu.Unlock()
-		return nil, true
+		return nil
 	}
 }
 
@@ -580,13 +572,14 @@ func (r *Round) WaitPrivCount() (map[string][]float64, error) {
 
 // StartPSC schedules a PSC round over cfg.NumCPs computation parties
 // and cfg.NumDCs collector sessions (dcSel indices, or the first
-// NumDCs). cfg.Round is assigned by the engine. The round runs in the
-// background; collect the outcome with WaitPSC.
+// NumDCs). cfg.Round and cfg.Recover are assigned by the engine;
+// cfg.MinDCs is the round's DC quorum floor, as given. The round runs
+// in the background; collect the outcome with WaitPSC.
 func (e *Engine) StartPSC(cfg psc.Config, dcSel []int) (*Round, error) {
-	// PSC correctness requires every CP (n-of-n joint key); the quorum
-	// policy governs DC coverage only.
-	return e.start(LabelPSC, RoleCP, cfg.NumCPs, dcSel, cfg.NumDCs, func(r *Round, minDCs int) (runFunc, error) {
-		cfg.Round, cfg.MinDCs, cfg.Recover = r.ID, minDCs, e.recoverFn(r)
+	// PSC correctness requires every CP (n-of-n joint key); cfg.MinDCs
+	// governs DC coverage only.
+	return e.start(LabelPSC, RoleCP, cfg.NumCPs, dcSel, cfg.NumDCs, func(r *Round) (runFunc, error) {
+		cfg.Round, cfg.Recover = r.ID, e.recoverFn(r)
 		tally, err := psc.NewTally(cfg)
 		if err != nil {
 			return nil, err
@@ -600,18 +593,19 @@ func (e *Engine) StartPSC(cfg psc.Config, dcSel []int) (*Round, error) {
 
 // StartPrivCount schedules a PrivCount round over cfg.NumSKs share
 // keepers and cfg.NumDCs collector sessions (dcSel indices, or the
-// first NumDCs). cfg.Round is assigned by the engine.
+// first NumDCs). cfg.Round and cfg.Recover are assigned by the engine;
+// cfg.MinDCs is the round's DC quorum floor, as given.
 func (e *Engine) StartPrivCount(cfg privcount.TallyConfig, dcSel []int) (*Round, error) {
 	// PrivCount requires every SK (each holds blinding state nobody can
-	// reproduce); the quorum policy governs DC coverage only.
-	return e.start(LabelPrivCount, RoleSK, cfg.NumSKs, dcSel, cfg.NumDCs, func(r *Round, minDCs int) (runFunc, error) {
-		cfg.Round, cfg.MinDCs, cfg.Recover = r.ID, minDCs, e.recoverFn(r)
+	// reproduce); cfg.MinDCs governs DC coverage only.
+	return e.start(LabelPrivCount, RoleSK, cfg.NumSKs, dcSel, cfg.NumDCs, func(r *Round) (runFunc, error) {
+		cfg.Round, cfg.Recover = r.ID, e.recoverFn(r)
 		tally, err := privcount.NewTally(cfg)
 		if err != nil {
 			return nil, err
 		}
 		return func(ms []wire.Messenger) (err error) {
-			r.privRes, err = tally.Run(ms)
+			r.privRes, err = tally.Run(r.ctx, ms)
 			return err
 		}, nil
 	})
@@ -627,20 +621,19 @@ type runFunc func(ms []wire.Messenger) error
 // budget, open the streams, and run the tally in the background. Any
 // failure before the tally runs cancels the round — resetting whatever
 // streams were opened — and a failed open refunds the budget.
-func (e *Engine) start(label, role string, n int, dcSel []int, numDCs int, build func(r *Round, minDCs int) (runFunc, error)) (*Round, error) {
+func (e *Engine) start(label, role string, n int, dcSel []int, numDCs int, build func(r *Round) (runFunc, error)) (*Round, error) {
 	e.mu.Lock()
 	critical, err := pick(e.members[role], nil, n, role)
 	var dcs []*member
 	if err == nil {
 		dcs, err = pick(e.members[RoleDC], dcSel, numDCs, RoleDC)
 	}
-	minDCs := e.quorum.minDCsFor(numDCs)
 	e.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	r := e.newRound(label, append(append([]*member(nil), critical...), dcs...))
-	run, err := build(r, minDCs)
+	run, err := build(r)
 	if err == nil {
 		err = e.authorize(label)
 	}

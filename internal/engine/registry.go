@@ -3,8 +3,6 @@ package engine
 import (
 	"crypto/subtle"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/wire"
@@ -19,7 +17,8 @@ import (
 // dies enters the disconnected state, and a reconnecting daemon
 // re-registers under its pinned identity — resuming participation in
 // rounds that have not passed its contribution barrier, while rounds
-// past the barrier degrade under the quorum policy instead of wedging.
+// past the barrier degrade down to their MinDCs floor instead of
+// wedging.
 
 // PartyState describes one registered party's liveness.
 type PartyState int
@@ -225,55 +224,6 @@ func (e *Engine) reopenFor(r *Round, m *member) *wire.Stream {
 			return nil
 		}
 	}
-}
-
-// QuorumPolicy is the per-protocol degradation rule: how much of the
-// selected party set a round genuinely needs. Protocol correctness fixes
-// most of it — PSC needs every computation party (the joint key is an
-// n-of-n threshold) and PrivCount needs every share keeper (each holds
-// blinding state no one else can reproduce) — so the tunable dimension
-// is data-collector coverage: with MinDCs = k, a round tolerates up to
-// n-k absent DCs, completing with degraded coverage and an annotated
-// result instead of wedging, and aborts only when fewer than k DCs
-// contribute.
-type QuorumPolicy struct {
-	// MinDCs is the minimum number of selected data collectors that
-	// must contribute for a round to complete. Zero means all selected
-	// DCs are required.
-	MinDCs int
-}
-
-// minDCsFor resolves the policy against a round's selected DC count.
-func (q QuorumPolicy) minDCsFor(selected int) int {
-	if q.MinDCs <= 0 || q.MinDCs > selected {
-		return selected
-	}
-	return q.MinDCs
-}
-
-// SetQuorum installs the degradation policy for subsequently scheduled
-// rounds.
-func (e *Engine) SetQuorum(q QuorumPolicy) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.quorum = q
-}
-
-// ParseQuorum parses an operator quorum spec: "dcs=K" (or the bare
-// integer K) sets MinDCs=K; the empty string is the all-required
-// policy.
-func ParseQuorum(spec string) (QuorumPolicy, error) {
-	if spec == "" {
-		return QuorumPolicy{}, nil
-	}
-	k, err := strconv.Atoi(strings.TrimPrefix(spec, "dcs="))
-	if err != nil {
-		return QuorumPolicy{}, fmt.Errorf("engine: bad quorum spec %q (want dcs=K)", spec)
-	}
-	if k < 1 {
-		return QuorumPolicy{}, fmt.Errorf("engine: quorum must require at least one DC, got %d", k)
-	}
-	return QuorumPolicy{MinDCs: k}, nil
 }
 
 // failedMessenger stands in for a party whose round stream could not be

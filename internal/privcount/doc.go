@@ -17,8 +17,12 @@
 //   - TallyConfig / Tally: one round from the TS's perspective,
 //     including the MinDCs quorum floor and the engine's Recover
 //     callback; Tally.Absent annotates a degraded round. Run has one
-//     flow: it takes its messengers positionally (SKs first, then
-//     DCs) and puts every DC failure to Recover.
+//     flow under the round's context: it takes its messengers
+//     positionally (SKs first, then DCs) and puts every DC failure to
+//     Recover for a replacement. A DC not replaced is absent, and Run
+//     alone decides what that means: the context's cause if the round
+//     is cancelled, a failed round naming the DC if the absentees
+//     would leave fewer than the floor, a degraded round otherwise.
 //   - DC: the per-relay collector — Setup distributes sealed blinding
 //     seeds and blinds with their expansions, Increment counts events,
 //     Finish reports noised blinded totals.

@@ -1,6 +1,7 @@
 package privcount
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -165,7 +166,7 @@ func runRoundOver(t *testing.T, stats []StatConfig, numDCs, numSKs int,
 	resultCh := make(chan map[string][]float64, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		res, err := tally.Run(tsConns)
+		res, err := tally.Run(context.Background(), tsConns)
 		if err != nil {
 			errCh <- err
 			return
@@ -416,7 +417,7 @@ func TestTallyRejectsWrongConnectionCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tally.Run(nil); err == nil {
+	if _, err := tally.Run(context.Background(), nil); err == nil {
 		t.Fatal("no connections must fail")
 	}
 }
@@ -473,7 +474,7 @@ func BenchmarkFullRound8DCs(b *testing.B) {
 		}
 		resCh := make(chan map[string][]float64, 1)
 		go func() {
-			res, err := tally.Run(tsConns)
+			res, err := tally.Run(context.Background(), tsConns)
 			if err != nil {
 				b.Error(err)
 			}

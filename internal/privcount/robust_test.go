@@ -1,8 +1,13 @@
 package privcount
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -33,7 +38,7 @@ func tallyWith(t *testing.T, cfg TallyConfig, parties func(conns []*wire.Conn)) 
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := tally.Run(tsConns)
+		_, err := tally.Run(context.Background(), tsConns)
 		done <- err
 	}()
 	parties(partyConns)
@@ -224,7 +229,7 @@ func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
 		c.Send(kindChunk, ValueChunkMsg{Off: 0, Raw: make([]byte, 8*ChunkSlots)})
 	}()
 
-	res, err := tally.Run(tsConns)
+	res, err := tally.Run(context.Background(), tsConns)
 	if err == nil || !strings.Contains(err.Error(), "dc-dying") {
 		t.Fatalf("want an error naming the lost DC, got %v", err)
 	}
@@ -281,7 +286,7 @@ func TestFailedCollectClosesEveryReport(t *testing.T) {
 	}()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := tally.Run(tsConns)
+		_, err := tally.Run(context.Background(), tsConns)
 		errCh <- err
 	}()
 
@@ -305,6 +310,172 @@ func TestFailedCollectClosesEveryReport(t *testing.T) {
 		c.Close()
 	}
 	wg.Wait()
+}
+
+// TestQuorumTable pins the tally's one degradation rule: a lost DC —
+// one Recover did not replace, or any failed DC without a Recover — is
+// absent while the absentees leave at least the quorum floor (MinDCs,
+// or every DC at 0), and the loss that breaks the floor fails the round
+// at once, naming that DC. Failing DCs register and hang up; DC setup
+// is sequential, so the order of losses is the slice order.
+func TestQuorumTable(t *testing.T) {
+	absentRecover := func(int, bool) wire.Messenger { return nil }
+	for _, tc := range []struct {
+		name           string
+		numDCs, minDCs int
+		fail           []int // DC positions that register and hang up
+		recover        func(int, bool) wire.Messenger
+		wantErr        string // the DC a failed round names; "" for a completed round
+		wantAbsent     []string
+	}{
+		{"all-required-nil-recover", 2, 0, []int{1}, nil, "dc-1", nil},
+		{"all-required-absent", 2, 0, []int{1}, absentRecover, "dc-1", nil},
+		{"floor-equals-fleet-absent", 2, 2, []int{0}, absentRecover, "dc-0", nil},
+		{"1-of-2-nil-recover", 2, 1, []int{1}, nil, "", []string{"dc-1"}},
+		{"1-of-3-absent", 3, 1, []int{0, 2}, absentRecover, "", []string{"dc-0", "dc-2"}},
+		{"2-of-3-second-loss-fails", 3, 2, []int{0, 2}, absentRecover, "dc-2", nil},
+		{"2-of-3-full-strength", 3, 2, nil, nil, "", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tally, err := NewTally(TallyConfig{
+				Round: 1, Stats: oneStat, NumDCs: tc.numDCs, NumSKs: 1,
+				MinDCs: tc.minDCs, Recover: tc.recover,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tsConns := make([]wire.Messenger, 1+tc.numDCs)
+			conns := make([]*wire.Conn, len(tsConns))
+			for i := range tsConns {
+				tsConns[i], conns[i] = wire.Pipe()
+			}
+			var wg sync.WaitGroup
+			sk, _ := NewSK("sk", conns[0])
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sk.Serve() // errors when a failed round hangs up; ignored
+			}()
+			failing := map[int]bool{}
+			for _, di := range tc.fail {
+				failing[di] = true
+			}
+			for di := 0; di < tc.numDCs; di++ {
+				c, name := conns[1+di], fmt.Sprintf("dc-%d", di)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if failing[di] {
+						c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: name})
+						c.Close()
+						return
+					}
+					dc := NewDC(name, c, nil)
+					if dc.Setup() != nil {
+						return
+					}
+					dc.Increment("s", 0, 1)
+					dc.Finish()
+				}()
+			}
+			res, err := tally.Run(context.Background(), tsConns)
+			for _, c := range tsConns {
+				c.Close()
+			}
+			wg.Wait()
+
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), "quorum lost at DC "+tc.wantErr) {
+					t.Fatalf("got %v, want the round failed at %s", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tally.Absent(); !slices.Equal(got, tc.wantAbsent) {
+				t.Fatalf("Absent() = %v, want %v", got, tc.wantAbsent)
+			}
+			if want := float64(tc.numDCs - len(tc.fail)); res["s"][0] != want {
+				t.Fatalf("aggregate %v, want one count from each of the %v reporting DCs", res["s"][0], want)
+			}
+		})
+	}
+}
+
+// TestRunCancelledContextFailsRound begins every DC and has none
+// finish its report: dc-0 sends nothing, dc-1 the first chunk of two,
+// so one report buffer is open when the round is cancelled. Cancelling
+// the caller's context must by itself make Run return the
+// cancellation's cause — no connection is closed first — and once the
+// test closes the pipes, every goroutine the round started must be gone
+// and no report buffer left open.
+func TestRunCancelledContextFailsRound(t *testing.T) {
+	dir := t.TempDir()
+	spill.SetDir(dir)
+	defer spill.SetDir("")
+	baseline := runtime.NumGoroutine()
+
+	stats := []StatConfig{{Name: "s", Bins: make([]string, ChunkSlots+8), Sigma: 0}}
+	tally, err := NewTally(TallyConfig{Round: 6, Stats: stats, NumDCs: 2, NumSKs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsConns := make([]wire.Messenger, 3)
+	conns := make([]*wire.Conn, 3)
+	for i := range tsConns {
+		tsConns[i], conns[i] = wire.Pipe()
+	}
+	sk, _ := NewSK("sk", conns[0])
+	go sk.Serve() // errors when its pipe closes; ignored
+	go NewDC("dc-0", conns[1], nil).Setup()
+	go func() {
+		c := conns[2]
+		slots, ok := shareAs(c, "dc-1")
+		if !ok {
+			return
+		}
+		var begin BeginMsg
+		if c.Expect(kindBegin, &begin) != nil {
+			return
+		}
+		c.Send(kindReport, ReportMsg{From: "dc-1", Round: 6, N: slots})
+		c.Send(kindChunk, ValueChunkMsg{Off: 0, Raw: make([]byte, 8*ChunkSlots)})
+	}()
+
+	ctx, cancel := context.WithCancelCause(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := tally.Run(ctx, tsConns)
+		errCh <- err
+	}()
+	for deadline := time.Now().Add(30 * time.Second); openSpills(t, dir) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("dc-1's report buffer never opened")
+		}
+	}
+
+	cause := errors.New("operator gave up on the round")
+	cancel(cause)
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, cause) {
+			t.Fatalf("Run returned %v, want the cancellation cause %q", err, cause)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run still blocked 30 s after its context was cancelled")
+	}
+
+	for _, c := range tsConns {
+		c.Close()
+	}
+	for deadline := time.Now().Add(30 * time.Second); runtime.NumGoroutine() > baseline || openSpills(t, dir) > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines (%d before the round), %d report buffers open:\n%s",
+				runtime.NumGoroutine(), baseline, openSpills(t, dir), buf[:runtime.Stack(buf, true)])
+		}
+	}
 }
 
 // openSpills counts this process's open files under dir — the spill
@@ -483,7 +654,7 @@ func TestSKSeedReplacedOnDCRestart(t *testing.T) {
 // report, so quorum-floor weights are what keep a round degraded to
 // MinDCs reporting DCs at (or above) the calibrated Gaussian sigma.
 func TestTolerantNoiseWeightProvisionsQuorumFloor(t *testing.T) {
-	recover := func(int, string, bool) (wire.Messenger, bool) { return nil, false }
+	recover := func(int, bool) wire.Messenger { return nil }
 	for _, tc := range []struct {
 		numDCs, minDCs int
 		want           float64

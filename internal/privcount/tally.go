@@ -1,6 +1,7 @@
 package privcount
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -19,22 +20,29 @@ type TallyConfig struct {
 	NumDCs, NumSKs int
 	// MinDCs is the quorum floor for data collectors: the round
 	// completes (with reduced coverage, annotated via Absent) as long
-	// as at least MinDCs reports arrive and Recover declares the rest
-	// absent. Zero means every DC is required. SKs have no quorum knob:
-	// each holds blinding state the aggregate cannot telescope without.
+	// as at least MinDCs reports arrive. Zero means every DC is
+	// required. SKs have no quorum knob: each holds blinding state the
+	// aggregate cannot telescope without.
 	MinDCs int
 	// Recover is consulted whenever the exchange with the DC at index
 	// i of the Run slice (SKs first, then DCs) fails. canRetry reports
 	// that the DC's contribution barrier has not been passed — the
 	// begin signal has not gone out — so a replacement messenger can
 	// restart its register/configure/shares exchange (the SKs replace
-	// that DC's seed with the re-sent one). A nil replacement with
-	// absentOK=true declares the DC absent — its blinding shares are
-	// excluded from every SK's sum via the collect DC list;
-	// absentOK=false fails the round with the original error. Nil
-	// Recover means no replacement and no absence: the first DC error
-	// fails the round.
-	Recover func(i int, name string, canRetry bool) (replacement wire.Messenger, absentOK bool)
+	// that DC's seed with the re-sent one). A non-nil return is that
+	// replacement; nil, or a nil Recover, declares the DC absent, and
+	// Run alone decides whether the absence degrades or fails the
+	// round.
+	Recover func(i int, canRetry bool) wire.Messenger
+}
+
+// floor is how many DCs must report: MinDCs, or every DC when it is
+// zero.
+func (c TallyConfig) floor() int {
+	if c.MinDCs == 0 {
+		return c.NumDCs
+	}
+	return c.MinDCs
 }
 
 // Validate checks the configuration.
@@ -77,10 +85,6 @@ func NewTally(cfg TallyConfig) (*Tally, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Recover == nil {
-		// No replacement, no absence: the first DC error fails the round.
-		cfg.Recover = func(int, string, bool) (wire.Messenger, bool) { return nil, false }
-	}
 	return &Tally{cfg: cfg, schema: schema, shapes: shapes}, nil
 }
 
@@ -101,18 +105,24 @@ func (t *Tally) Schema() *Schema { return t.schema }
 // deployment: registration, configuration, share distribution (sealed
 // seeds relayed through the TS), collection, and aggregation. SKs are
 // all required — each holds irreplaceable blinding state. A DC failure
-// is put to cfg.Recover, which decides between a restart on a rejoined
-// session, a declared absence, and failing the round (a nil Recover
-// always fails it). Absent DCs are excluded from the aggregate on both
-// sides of the telescoping sum — the report sum and, via the collect
-// DC list, every SK's blinding sum; their noise shares are covered by
-// provisioning every DC's weight at the quorum floor (see weightFor),
-// so a degraded round never carries less than the calibrated sigma.
-func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
+// is put to cfg.Recover, which may restart the DC on a rejoined
+// session; a DC it does not replace is lost (see lose). Absent DCs are
+// excluded from the aggregate on both sides of the telescoping sum —
+// the report sum and, via the collect DC list, every SK's blinding
+// sum; their noise shares are covered by provisioning every DC's
+// weight at the quorum floor (see weightFor), so a degraded round
+// never carries less than the calibrated sigma.
+//
+// ctx is the round: cancelling it stops the report collection, and Run
+// returns the cause. It does not unblock a phase waiting on a
+// messenger; the caller resets or closes them once Run has returned.
+func (t *Tally) Run(ctx context.Context, conns []wire.Messenger) (res map[string][]float64, err error) {
 	if len(conns) != t.cfg.NumDCs+t.cfg.NumSKs {
 		return nil, fmt.Errorf("privcount ts: have %d connections, want %d DCs + %d SKs",
 			len(conns), t.cfg.NumDCs, t.cfg.NumSKs)
 	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer func() { cancel(err) }()
 
 	// SKs: positional and protocol-critical.
 	skConns := make(map[string]wire.Messenger)
@@ -137,7 +147,7 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 		skKeys[reg.Name] = reg.SealPub
 	}
 	for _, name := range skNames {
-		cfg := ConfigureMsg{Round: t.cfg.Round, Slots: t.schema.Size(), NumDCs: t.cfg.NumDCs, MinDCs: t.cfg.MinDCs}
+		cfg := ConfigureMsg{Round: t.cfg.Round, Slots: t.schema.Size(), NumDCs: t.cfg.NumDCs, MinDCs: t.cfg.floor()}
 		if err := skConns[name].Send(kindConfigure, cfg); err != nil {
 			return nil, fmt.Errorf("privcount ts: configure SK %s: %w", name, err)
 		}
@@ -155,6 +165,21 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 	}
 	var present []dcSlot
 	var absent []string
+	// lose is the verdict on a DC Recover did not replace: a cancelled
+	// round's cause; a failure naming the DC if one more absentee breaks
+	// the quorum floor (so a nil Recover and MinDCs 0 fail the round on
+	// the first DC error); an absence otherwise.
+	lose := func(name string, err error) error {
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
+		if len(absent) == t.cfg.NumDCs-t.cfg.floor() {
+			return fmt.Errorf("privcount ts: quorum lost at DC %s (%d of %d DCs absent, floor %d): %w",
+				name, len(absent)+1, t.cfg.NumDCs, t.cfg.floor(), err)
+		}
+		absent = append(absent, name)
+		return nil
+	}
 	owner := make(map[string]int)
 	for di := 0; di < t.cfg.NumDCs; di++ {
 		idx := t.cfg.NumSKs + di
@@ -163,8 +188,7 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 			present = append(present, dcSlot{idx: idx, name: name, conn: conns[idx]})
 			continue
 		}
-		repl, absentOK := t.cfg.Recover(idx, name, true)
-		if repl != nil {
+		if repl := t.recoverDC(idx, true); repl != nil {
 			retryName, retryErr := t.setupDC(idx, repl, skNames, skKeys, skConns, owner)
 			if retryName != "" {
 				name = retryName
@@ -174,15 +198,14 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 				continue
 			}
 			err = retryErr
-			_, absentOK = t.cfg.Recover(idx, name, false)
-		}
-		if !absentOK {
-			return nil, err
+			t.recoverDC(idx, false)
 		}
 		if name == "" {
 			name = fmt.Sprintf("dc#%d", di)
 		}
-		absent = append(absent, name)
+		if err := lose(name, err); err != nil {
+			return nil, err
+		}
 	}
 
 	// Begin, then reports; from here a lost DC cannot restart (its
@@ -190,10 +213,10 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 	begun := present[:0]
 	for _, d := range present {
 		if err := d.conn.Send(kindBegin, BeginMsg{Round: t.cfg.Round}); err != nil {
-			if _, absentOK := t.cfg.Recover(d.idx, d.name, false); !absentOK {
-				return nil, fmt.Errorf("privcount ts: begin DC %s: %w", d.name, err)
+			t.recoverDC(d.idx, false)
+			if err := lose(d.name, fmt.Errorf("privcount ts: begin DC %s: %w", d.name, err)); err != nil {
+				return nil, err
 			}
-			absent = append(absent, d.name)
 			continue
 		}
 		begun = append(begun, d)
@@ -206,7 +229,7 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 	// one vector per party. The recovery callback stays on this
 	// goroutine too. A buffer changes hands only when this loop takes it
 	// (the channel is unbuffered); one nobody takes, because Run
-	// returned early, is closed by its own goroutine.
+	// returned early and cancelled ctx, is closed by its own goroutine.
 	sum := make([]uint64, t.schema.Size())
 	type reportOutcome struct {
 		d   dcSlot
@@ -214,14 +237,12 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 		err error
 	}
 	repOutcomes := make(chan reportOutcome)
-	done := make(chan struct{})
-	defer close(done)
 	for _, d := range begun {
 		go func(d dcSlot) {
 			buf, err := t.collectReport(d.name, d.conn)
 			select {
 			case repOutcomes <- reportOutcome{d: d, buf: buf, err: err}:
-			case <-done:
+			case <-ctx.Done():
 				if buf != nil {
 					buf.Close()
 				}
@@ -230,12 +251,17 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 	}
 	var reported []string
 	for range begun {
-		o := <-repOutcomes
+		var o reportOutcome
+		select {
+		case o = <-repOutcomes:
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		}
 		if o.err != nil {
-			if _, absentOK := t.cfg.Recover(o.d.idx, o.d.name, false); !absentOK {
-				return nil, o.err
+			t.recoverDC(o.d.idx, false)
+			if err := lose(o.d.name, o.err); err != nil {
+				return nil, err
 			}
-			absent = append(absent, o.d.name)
 			continue
 		}
 		err := foldReport(sum, o.buf)
@@ -250,15 +276,6 @@ func (t *Tally) Run(conns []wire.Messenger) (map[string][]float64, error) {
 	// Completion order is nondeterministic; the collect request and the
 	// absent annotation should not be.
 	sort.Strings(reported)
-
-	min := t.cfg.MinDCs
-	if min <= 0 {
-		min = t.cfg.NumDCs
-	}
-	if len(reported) < min || len(reported) < 1 {
-		return nil, fmt.Errorf("privcount ts: quorum lost: %d of %d DC reports arrived, need %d (absent: %v)",
-			len(reported), t.cfg.NumDCs, min, absent)
-	}
 
 	// SK sums over exactly the reported DCs: the telescoping sum must
 	// exclude an absent DC's blinding on both sides. Every SK is
@@ -415,10 +432,14 @@ func (t *Tally) collectSums(skNames []string, skConns map[string]wire.Messenger,
 // variance, the price of not knowing at configure time which DCs will
 // survive to report, and the accountant's nominal per-round charge
 // stays an upper bound on the realized epsilon.
-func (t *Tally) weightFor() float64 {
-	min := t.cfg.MinDCs
-	if min <= 0 || min > t.cfg.NumDCs {
-		min = t.cfg.NumDCs
+func (t *Tally) weightFor() float64 { return 1 / float64(t.cfg.floor()) }
+
+// recoverDC puts the failure of the DC at index idx to cfg.Recover:
+// a replacement messenger, or nil — always, without a Recover — for a
+// DC that is absent.
+func (t *Tally) recoverDC(idx int, canRetry bool) wire.Messenger {
+	if t.cfg.Recover == nil {
+		return nil
 	}
-	return 1 / float64(min)
+	return t.cfg.Recover(idx, canRetry)
 }

@@ -68,8 +68,13 @@
 //     floor and the engine's Recover callback for churn tolerance.
 //   - Tally: the TS role — chunk-pipelined relay and verifier; it
 //     holds no decryption capability and never sees an unencrypted
-//     bin. Run has one flow: it takes its messengers positionally
-//     (CPs first, then DCs) and puts every DC failure to Recover.
+//     bin. Run has one flow under the round's context: it takes its
+//     messengers positionally (CPs first, then DCs) and puts every DC
+//     failure to Recover for a replacement. A DC not replaced is
+//     absent, and Run alone decides what that means: the context's
+//     cause if the round is cancelled, a failed round naming the DC if
+//     the absentees would leave fewer than the floor, a degraded round
+//     otherwise.
 //   - DC / CP: the party roles, each speaking over one wire.Messenger.
 //   - Result: the round outcome, with AbsentDCs annotating degraded
 //     coverage.

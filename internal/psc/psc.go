@@ -28,22 +28,30 @@ type Config struct {
 	// MinDCs is the quorum floor for data collectors: the round
 	// completes (with degraded coverage, annotated in
 	// Result.AbsentDCs) as long as at least MinDCs tables arrive in
-	// full and Recover declares the rest absent. Zero means every DC
-	// is required. CPs have no quorum knob: the joint key is an n-of-n
-	// threshold, so losing any CP loses the round.
+	// full. Zero means every DC is required. CPs have no quorum knob:
+	// the joint key is an n-of-n threshold, so losing any CP loses the
+	// round.
 	MinDCs int
 	// Recover is consulted whenever the exchange with the DC at index
 	// i of the Run slice (CPs first, then DCs) fails. canRetry reports
 	// that a replacement messenger (a rejoined daemon's fresh round
 	// stream) may restart the DC's exchange from registration; the
 	// tally buffers each DC's table and folds it into the round's
-	// combination only once complete, so a failed upload leaves no partial state
-	// and every failure before the table's completion is retryable. A
-	// nil replacement with absentOK=true declares the DC absent — none
-	// of its table is included in the aggregate; absentOK=false fails
-	// the round with the original error. Nil Recover means no
-	// replacement and no absence: the first DC error fails the round.
-	Recover func(i int, name string, canRetry bool) (replacement wire.Messenger, absentOK bool)
+	// combination only once complete, so a failed upload leaves no
+	// partial state and every failure before the table's completion is
+	// retryable. A non-nil return is that replacement; nil, or a nil
+	// Recover, declares the DC absent, and Run alone decides whether the
+	// absence degrades or fails the round.
+	Recover func(i int, canRetry bool) wire.Messenger
+}
+
+// floor is how many DCs must contribute: MinDCs, or every DC when it
+// is zero.
+func (c Config) floor() int {
+	if c.MinDCs == 0 {
+		return c.NumDCs
+	}
+	return c.MinDCs
 }
 
 // Validate checks the configuration.

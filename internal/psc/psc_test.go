@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -808,7 +809,7 @@ func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 	cfg := Config{
 		Round: 7, Bins: 2048, NoisePerCP: 0, ShuffleProofRounds: 1,
 		NumDCs: 2, NumCPs: 1, MinDCs: 1,
-		Recover: func(int, string, bool) (wire.Messenger, bool) { return nil, true },
+		Recover: func(int, bool) wire.Messenger { return nil },
 	}
 	tally, err := NewTally(cfg)
 	if err != nil {
@@ -926,6 +927,104 @@ func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
 		m.Close()
 	}
 	wg.Wait()
+}
+
+// TestQuorumTable pins the tally's one degradation rule: a lost DC —
+// one Recover did not replace, or any failed DC without a Recover — is
+// absent while the absentees leave at least the quorum floor (MinDCs,
+// or every DC at 0), and the loss that breaks the floor fails the round
+// at once, naming that DC. Failing DCs register and hang up; the DCs
+// run concurrently, so a round that fails on its second loss may name
+// either failing DC.
+func TestQuorumTable(t *testing.T) {
+	absentRecover := func(int, bool) wire.Messenger { return nil }
+	for _, tc := range []struct {
+		name           string
+		numDCs, minDCs int
+		fail           []int // DC positions that register and hang up
+		recover        func(int, bool) wire.Messenger
+		fails          bool // the round must fail at one of the failing DCs
+		wantAbsent     []string
+	}{
+		{"all-required-nil-recover", 2, 0, []int{1}, nil, true, nil},
+		{"all-required-absent", 2, 0, []int{1}, absentRecover, true, nil},
+		{"floor-equals-fleet-absent", 2, 2, []int{0}, absentRecover, true, nil},
+		{"1-of-2-nil-recover", 2, 1, []int{1}, nil, false, []string{"dc-1"}},
+		{"1-of-3-absent", 3, 1, []int{0, 2}, absentRecover, false, []string{"dc-0", "dc-2"}},
+		{"2-of-3-second-loss-fails", 3, 2, []int{0, 2}, absentRecover, true, nil},
+		{"2-of-3-full-strength", 3, 2, nil, nil, false, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tally, err := NewTally(Config{
+				Round: 12, Bins: 64, ShuffleProofRounds: 1, NumCPs: 1,
+				NumDCs: tc.numDCs, MinDCs: tc.minDCs, Recover: tc.recover,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tsConns := make([]wire.Messenger, 1+tc.numDCs)
+			conns := make([]*wire.Conn, len(tsConns))
+			for i := range tsConns {
+				tsConns[i], conns[i] = wire.Pipe()
+			}
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				NewCP("cp-0", conns[0], nil).Serve() // errors when a failed round hangs up; ignored
+			}()
+			failing := map[int]bool{}
+			var failNames []string
+			for _, di := range tc.fail {
+				failing[di] = true
+				failNames = append(failNames, fmt.Sprintf("dc-%d", di))
+			}
+			for di := 0; di < tc.numDCs; di++ {
+				c, name := conns[1+di], fmt.Sprintf("dc-%d", di)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if failing[di] {
+						c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: name})
+						c.Close()
+						return
+					}
+					dc := NewDC(name, c)
+					if dc.Setup() != nil {
+						return
+					}
+					dc.Observe("item") // every DC sees the same one item
+					dc.Finish()
+				}()
+			}
+			res, err := tally.Run(context.Background(), tsConns)
+			for _, m := range tsConns {
+				m.Close()
+			}
+			wg.Wait()
+
+			if tc.fails {
+				if err == nil {
+					t.Fatalf("round completed: %+v", res)
+				}
+				for _, name := range failNames {
+					if strings.Contains(err.Error(), "quorum lost at DC "+name) {
+						return
+					}
+				}
+				t.Fatalf("got %v, want the round failed at one of %v", err, failNames)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.AbsentDCs, tc.wantAbsent) {
+				t.Fatalf("AbsentDCs = %v, want %v", res.AbsentDCs, tc.wantAbsent)
+			}
+			if res.Reported != 1 {
+				t.Fatalf("reported %d bins, want the one item", res.Reported)
+			}
+		})
+	}
 }
 
 // TestTallyRejectsMisorderedParties: Run's slice is positional, so a DC

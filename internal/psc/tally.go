@@ -47,10 +47,6 @@ func NewTally(cfg Config) (*Tally, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Recover == nil {
-		// No replacement, no absence: the first DC error fails the round.
-		cfg.Recover = func(int, string, bool) (wire.Messenger, bool) { return nil, false }
-	}
 	return &Tally{cfg: cfg}, nil
 }
 
@@ -77,9 +73,12 @@ type roundParties struct {
 // the NumDCs DCs (the engine orders them); a party registering with the
 // wrong role for its position fails the round. Any CP failure fails the
 // round. A DC failure is put to cfg.Recover, which may restart the DC
-// on a replacement messenger or declare it absent, degrading the round
-// down to the MinDCs quorum floor; with a nil Recover there is no
-// replacement and no absence, so the first DC error fails the round.
+// on a replacement messenger; a DC it does not replace is absent, and
+// the round degrades while the absentees leave at least the quorum
+// floor (cfg.MinDCs, or every DC) — the absence that breaks it fails
+// the round at once, naming that DC. With a nil Recover and MinDCs 0
+// the first DC error fails the round. A DC failure in a cancelled round
+// is the cancellation, never an absence.
 //
 // ctx is the round: cancelling it stops Run, which then returns the
 // cancellation cause. Run derives its own cancellable context from it
@@ -255,12 +254,13 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 
 // gather is the registration/configuration/table phase: CPs register
 // positionally (all required), then each DC's register/configure/table
-// exchange runs in its own goroutine with the recovery callback
-// deciding — per failed DC — between a restart on a rejoined session,
-// a declared absence, and failing the round. The round proceeds only
-// if the surviving tables meet the quorum floor and still cover every
-// bin. It returns the round's combined table, which the caller then
-// owns.
+// exchange runs in its own goroutine, where the recovery callback may
+// restart a failed DC on a rejoined session. A DC it does not restart
+// is lost, and this loop alone decides what a loss means: the round's
+// cancellation cause if the round is cancelled, a failed round if the
+// absentees would leave fewer than the quorum floor, an absence
+// otherwise. It returns the round's combined table, which the caller
+// then owns.
 //
 // The combination has one writer, this loop: a DC goroutine hands over
 // only its whole buffered table, the first becomes the combination and
@@ -292,10 +292,9 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 	}
 
 	type outcome struct {
-		name   string
-		table  *ctSpill // the DC's whole table; nil when it failed or is absent
-		absent bool
-		err    error
+		name  string
+		table *ctSpill // the DC's whole table; nil when it was lost
+		err   error    // why the DC was lost
 	}
 	outcomes := make(chan outcome)
 	var mu sync.Mutex
@@ -304,7 +303,7 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 		idx := t.cfg.NumCPs + di
 		go func(idx int) {
 			var o outcome
-			o.name, o.table, o.absent, o.err = t.runDC(idx, parties[idx], dcCfg, &mu, owner)
+			o.name, o.table, o.err = t.runDC(idx, parties[idx], dcCfg, &mu, owner)
 			select {
 			case outcomes <- o:
 			case <-ctx.Done():
@@ -323,7 +322,6 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 		}
 		return nil, rp, err
 	}
-	completed := 0
 	for i := 0; i < t.cfg.NumDCs; i++ {
 		var o outcome
 		select {
@@ -332,15 +330,16 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 			return fail(context.Cause(ctx))
 		}
 		switch {
+		case o.err != nil && ctx.Err() != nil:
+			return fail(context.Cause(ctx))
+		case o.err != nil && len(rp.absent) == t.cfg.NumDCs-t.cfg.floor():
+			// Fail fast: one more absentee breaks the quorum. The abort
+			// resets every stream, so the remaining DC goroutines unwind
+			// and close their own tables instead of wedging this loop.
+			return fail(fmt.Errorf("psc ts: quorum lost at DC %s (%d of %d DCs absent, floor %d): %w",
+				o.name, len(rp.absent)+1, t.cfg.NumDCs, t.cfg.floor(), o.err))
 		case o.err != nil:
-			// Fail fast: the round is aborting (or a DC misbehaved past
-			// what quorum tolerates). The abort resets every stream, so
-			// the remaining DC goroutines unwind and close their own
-			// tables instead of wedging this loop.
-			return fail(o.err)
-		case o.absent:
 			rp.absent = append(rp.absent, o.name)
-			continue
 		case sum == nil:
 			sum = o.table
 		default:
@@ -350,18 +349,10 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 				return fail(fmt.Errorf("psc ts: table merge for DC %s: %w", o.name, err))
 			}
 		}
-		completed++
 	}
-	min := t.cfg.MinDCs
-	if min <= 0 {
-		min = t.cfg.NumDCs
-	}
-	// Every folded table is whole, so one complete table covers every
-	// bin: a degraded round never decrypts an unset ciphertext.
-	if completed < min || completed < 1 {
-		return fail(fmt.Errorf("psc ts: quorum lost: %d of %d DC tables arrived, need %d (absent: %v)",
-			completed, t.cfg.NumDCs, min, rp.absent))
-	}
+	// The floor is at least one DC and every folded table is whole, so
+	// the sum covers every bin: a degraded round never decrypts an unset
+	// ciphertext.
 	sort.Strings(rp.absent)
 	return sum, rp, nil
 }
@@ -370,9 +361,9 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 // exchange, retrying once on a replacement messenger when the recovery
 // callback provides one. It returns the DC's table only once complete,
 // so a failed upload leaves no partial state: every failure before the
-// table's completion is retryable, and a DC declared absent contributed
-// nothing.
-func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, mu *sync.Mutex, owner map[string]int) (name string, table *ctSpill, absent bool, err error) {
+// table's completion is retryable, and a lost DC — one returned with
+// its last error — contributed nothing.
+func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, mu *sync.Mutex, owner map[string]int) (name string, table *ctSpill, err error) {
 	attempt := func(m wire.Messenger) (string, *ctSpill, error) {
 		var reg RegisterMsg
 		if err := m.Expect(kindRegister, &reg); err != nil {
@@ -399,27 +390,25 @@ func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, mu *sync.Mu
 
 	name, table, err = attempt(m)
 	if err == nil {
-		return name, table, false, nil
+		return name, table, nil
 	}
-	repl, absentOK := t.cfg.Recover(idx, name, true)
-	if repl != nil {
-		retryName, retryTable, retryErr := attempt(repl)
-		if retryName != "" {
-			name = retryName
+	if t.cfg.Recover != nil {
+		if repl := t.cfg.Recover(idx, true); repl != nil {
+			retryName, retryTable, retryErr := attempt(repl)
+			if retryName != "" {
+				name = retryName
+			}
+			if retryErr == nil {
+				return name, retryTable, nil
+			}
+			err = retryErr
+			t.cfg.Recover(idx, false)
 		}
-		if retryErr == nil {
-			return name, retryTable, false, nil
-		}
-		err = retryErr
-		_, absentOK = t.cfg.Recover(idx, name, false)
 	}
 	if name == "" {
 		name = fmt.Sprintf("dc#%d", idx-t.cfg.NumCPs)
 	}
-	if absentOK {
-		return name, nil, true, nil
-	}
-	return name, nil, false, err
+	return name, nil, err
 }
 
 // addCP checks and records one computation party's registration.

@@ -131,11 +131,7 @@ func (s *Store) ReadSlot(i int, buf []byte) error {
 		return fmt.Errorf("spill: %d-byte buffer for %d-byte slot", len(buf), s.slot)
 	}
 	if s.file != nil {
-		_, err := s.file.ReadAt(buf[:s.slot], int64(i)*int64(s.slot))
-		if err != nil && err != io.EOF {
-			return err
-		}
-		return nil
+		return readFull(s.file, buf[:s.slot], int64(i)*int64(s.slot))
 	}
 	if s.mem == nil {
 		return fmt.Errorf("spill: store closed")
@@ -156,10 +152,24 @@ func (s *Store) raw(pos int64, count int) ([]byte, error) {
 		s.readBuf = make([]byte, count)
 	}
 	buf := s.readBuf[:count]
-	if _, err := s.file.ReadAt(buf, pos); err != nil && err != io.EOF {
+	if err := readFull(s.file, buf, pos); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// readFull fills buf from f at pos. A read that ends early — slots past
+// the last one written — is io.ErrUnexpectedEOF, never a buffer left
+// holding bytes from before the call.
+func readFull(f *os.File, buf []byte, pos int64) error {
+	n, err := f.ReadAt(buf, pos)
+	if n == len(buf) {
+		return nil
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("spill: read of %d bytes at %d: %w", len(buf), pos, err)
 }
 
 // Close releases the backing storage. Safe to call more than once;

@@ -2,6 +2,8 @@ package spill
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -151,5 +153,41 @@ func TestBounds(t *testing.T) {
 	}
 	if _, err := New(4, 0); err == nil {
 		t.Fatal("zero slot size accepted")
+	}
+}
+
+// TestShortFileReadFails: a file-backed store read past its last
+// written slot must fail, not hand back the read buffer's previous
+// contents (ReadRange) or leave the caller's buffer as it was
+// (ReadSlot) under a nil error.
+func TestShortFileReadFails(t *testing.T) {
+	const slot = 8
+	s, err := New(4, slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.InMemory() {
+		t.Skip("store fell back to memory")
+	}
+	if err := s.WriteAt(0, append(fill(slot, 1), fill(slot, 2)...)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.ReadRange(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(fill(slot, 1), fill(slot, 2)...); !bytes.Equal(got, want) {
+		t.Fatalf("ReadRange(0,2) = %x, want %x", got, want)
+	}
+	if got, err := s.ReadRange(2, 2); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("ReadRange(2,2) past the written slots = %x, %v; want io.ErrUnexpectedEOF", got, err)
+	}
+	buf := fill(slot, 9)
+	if err := s.ReadSlot(3, buf); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("ReadSlot(3) past the written slots = %x, %v; want io.ErrUnexpectedEOF", buf, err)
+	}
+	if err := s.ReadSlot(1, buf); err != nil || !bytes.Equal(buf, fill(slot, 2)) {
+		t.Fatalf("ReadSlot(1) = %x, %v; want %x", buf, err, fill(slot, 2))
 	}
 }
