@@ -18,7 +18,9 @@
 #                      proof-byte regression shows even when time holds;
 #                      BenchmarkConnChunkRoundTrip prints MB/s and B/op
 #                      for one full PrivCount chunk frame, on the frame
-#                      path alone (frame) and through Stream.Send's
+#                      path alone (frame), received through ExpectFunc's
+#                      recycled body (expect-func, which should read
+#                      about 0 B/op) and through Stream.Send's
 #                      encode, frame and receive together (stream-send);
 #                      BenchmarkRerandomizeBlock
 #                      prints µs/elem and B/op for one 1024-element

@@ -46,9 +46,12 @@
 //     applies the same bound on the TS.
 //   - Counter vectors travel as ValueChunkMsg frames in a fixed binary
 //     layout (slot offset, then the slots, eight little-endian bytes
-//     apiece), not gob; a received chunk aliases its frame. The chunk
-//     reader, not the codec, decides whether a chunk continues the
-//     vector.
+//     apiece), not gob. A sender encodes them straight from the
+//     counter vector; the chunk reader receives each through
+//     wire.ExpectFunc and lends its slots to a callback that copies
+//     (a spill write) or folds (a sum) them, so receive bodies are
+//     recycled. The chunk reader, not the codec, decides whether a
+//     chunk continues the vector.
 //   - The aggregate telescopes only when DC reports and SK sums cover
 //     the same DC set: the collect message's DC list keeps both sides
 //     aligned when churn drops a DC after share distribution. An SK

@@ -27,10 +27,10 @@ const (
 	kindResults   = "privcount/results"
 )
 
-// ChunkSlots is the step, in counter slots, in which a blinding seed
-// expands and a tally folds a buffered report. It stays a power of
-// two: the benchmark's probes size their chunks by it and assume it
-// divides their 2¹⁸-slot spill.
+// ChunkSlots is the step, in counter slots, in which a tally folds a
+// buffered report (a seed expands in its own, smaller seedStep). It
+// stays a power of two: the benchmark's probes size their chunks by it
+// and assume it divides their 2¹⁸-slot spill.
 const ChunkSlots = 4096
 
 // FrameSlots is how many counter slots travel per chunk frame: the
@@ -64,15 +64,12 @@ func forEachChunk(n, step int, fn func(off, end int) error) error {
 }
 
 // sendValues streams a counter vector as FrameSlots-sized chunk frames
-// after its header has announced len(v) slots.
+// after its header has announced len(v) slots. Each chunk is encoded
+// straight from v into the messenger's send buffer.
 func sendValues(m wire.Messenger, v []uint64) error {
-	raw := make([]byte, 8*min(len(v), FrameSlots))
-	var c ValueChunkMsg // sent by pointer: one interface value for every chunk
+	var c valueChunk // sent by pointer: one interface value for every chunk
 	return forEachChunk(len(v), FrameSlots, func(off, end int) error {
-		c.Off, c.Raw = off, raw[:8*(end-off)]
-		for i, x := range v[off:end] {
-			binary.LittleEndian.PutUint64(c.Raw[8*i:], x)
-		}
+		c.off, c.vals = off, v[off:end]
 		return m.Send(kindChunk, &c)
 	})
 }
@@ -80,22 +77,26 @@ func sendValues(m wire.Messenger, v []uint64) error {
 // recvValuesFunc consumes chunk frames until n slots have arrived,
 // invoking fn with each chunk's raw slots (eight little-endian bytes
 // apiece) as it lands, so callers fold or spill the vector instead of
-// buffering it whole. Chunks must tile [0, n) in order.
+// buffering it whole. Chunks must tile [0, n) in order. The raw slots
+// are lent (wire.ExpectFunc): fn copies whatever it keeps.
 func recvValuesFunc(m wire.Messenger, n int, fn func(off int, raw []byte) error) error {
 	for off := 0; off < n; {
-		var c ValueChunkMsg
-		if err := m.Expect(kindChunk, &c); err != nil {
+		err := wire.ExpectFunc(m, kindChunk, func(payload []byte) error {
+			var c ValueChunkMsg
+			if err := c.ParseWire(payload); err != nil {
+				return err
+			}
+			count := len(c.Raw) / 8
+			if c.Off != off || count == 0 || len(c.Raw)%8 != 0 || count > n-off {
+				return fmt.Errorf("privcount: chunk of %d bytes at slot %d does not continue vector at %d/%d",
+					len(c.Raw), c.Off, off, n)
+			}
+			off += count
+			return fn(c.Off, c.Raw)
+		})
+		if err != nil {
 			return err
 		}
-		count := len(c.Raw) / 8
-		if c.Off != off || count == 0 || len(c.Raw)%8 != 0 || count > n-off {
-			return fmt.Errorf("privcount: chunk of %d bytes at slot %d does not continue vector at %d/%d",
-				len(c.Raw), c.Off, off, n)
-		}
-		if err := fn(off, c.Raw); err != nil {
-			return err
-		}
-		off += count
 	}
 	return nil
 }
@@ -190,8 +191,9 @@ type SumsMsg struct {
 // the slots starting at Off, eight little-endian bytes apiece. Blinded
 // values are uniform in ℤ₂⁶⁴, so fixed width is also the shortest
 // encoding. It travels in its own binary form (wire.WireAppender), not
-// gob: [Off int][Raw bytes]. A received Raw aliases the frame it
-// arrived in.
+// gob: [Off int][Raw bytes]. A parsed Raw aliases the payload it was
+// parsed from — in recvValuesFunc, a body lent only until its callback
+// returns.
 type ValueChunkMsg struct {
 	Off int
 	Raw []byte
@@ -202,6 +204,27 @@ func (c ValueChunkMsg) AppendWire(b []byte) []byte {
 	b = wire.Grow(b, wire.IntSize+wire.BytesSize(len(c.Raw)))
 	b = wire.AppendInt(b, c.Off)
 	return wire.AppendBytes(b, c.Raw)
+}
+
+// valueChunk is how sendValues sends a ValueChunkMsg without building
+// Raw: its AppendWire writes the slots of vals, starting at off,
+// byte for byte as ValueChunkMsg{Off: off, Raw: vals as raw slots}
+// would.
+type valueChunk struct {
+	off  int
+	vals []uint64
+}
+
+// AppendWire implements wire.WireAppender.
+func (c valueChunk) AppendWire(b []byte) []byte {
+	b = wire.Grow(b, wire.IntSize+wire.BytesSize(8*len(c.vals)))
+	b = wire.AppendInt(b, c.off)
+	b = wire.AppendLen(b, 8*len(c.vals))
+	raw := b[len(b) : len(b)+8*len(c.vals)]
+	for i, x := range c.vals {
+		binary.LittleEndian.PutUint64(raw[8*i:], x)
+	}
+	return b[:len(b)+len(raw)]
 }
 
 // ParseWire implements wire.WireParser.

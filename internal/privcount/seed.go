@@ -27,9 +27,22 @@ func newSeed() []byte {
 	return seed
 }
 
+// seedStep is the step, in slots, in which a seed expands: fn sees
+// the vector seedStep slots at a time, so an expansion's one scratch
+// (the keystream bytes and the slots read from them) is 4 KiB however
+// long the vector.
+const seedStep = 256
+
+// seedScratch is an expansion's keystream step and the slots decoded
+// from it.
+type seedScratch struct {
+	raw    [8 * seedStep]byte
+	shares [seedStep]uint64
+}
+
 // expandSeed streams the n-slot share vector of seed through fn,
-// ChunkSlots at a time. The slice passed to fn is one reused scratch
-// buffer, valid only until fn returns.
+// seedStep slots at a time. The slice passed to fn is one reused
+// scratch buffer, valid only until fn returns.
 func expandSeed(seed []byte, n int, fn func(off int, shares []uint64) error) error {
 	if len(seed) != seedSize {
 		return fmt.Errorf("privcount: blinding seed is %d bytes, want %d", len(seed), seedSize)
@@ -38,14 +51,14 @@ func expandSeed(seed []byte, n int, fn func(off int, shares []uint64) error) err
 	if err != nil {
 		return err
 	}
-	stream := cipher.NewCTR(block, make([]byte, aes.BlockSize))
-	raw := make([]byte, 8*min(n, ChunkSlots))
-	shares := make([]uint64, len(raw)/8)
-	return forEachChunk(n, ChunkSlots, func(off, end int) error {
-		buf := raw[:8*(end-off)]
+	var iv [aes.BlockSize]byte
+	stream := cipher.NewCTR(block, iv[:])
+	sc := new(seedScratch)
+	return forEachChunk(n, seedStep, func(off, end int) error {
+		buf := sc.raw[:8*(end-off)]
 		clear(buf) // XORKeyStream over zeros is the keystream itself
 		stream.XORKeyStream(buf, buf)
-		out := shares[:end-off]
+		out := sc.shares[:end-off]
 		for i := range out {
 			out[i] = binary.LittleEndian.Uint64(buf[8*i:])
 		}

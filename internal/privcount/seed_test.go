@@ -6,6 +6,7 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -17,7 +18,7 @@ func expandAll(t testing.TB, seed []byte, n int) []uint64 {
 	out := make([]uint64, n)
 	next := 0
 	err := expandSeed(seed, n, func(off int, shares []uint64) error {
-		if off != next || len(shares) == 0 || len(shares) > ChunkSlots {
+		if off != next || len(shares) == 0 || len(shares) > seedStep {
 			t.Fatalf("expansion step [%d,+%d) does not continue at %d", off, len(shares), next)
 		}
 		copy(out[off:], shares)
@@ -45,7 +46,7 @@ func TestSeedExpansionDeterministicAndOffsetIndependent(t *testing.T) {
 	}
 	// A slot depends on (seed, index) alone: shorter expansions are
 	// prefixes, wherever the chunk boundaries fall.
-	for _, m := range []int{1, 10, ChunkSlots - 1, ChunkSlots, ChunkSlots + 1} {
+	for _, m := range []int{1, 10, seedStep - 1, seedStep, seedStep + 1, ChunkSlots + 1} {
 		if !slices.Equal(a[:m], expandAll(t, seedA, m)) {
 			t.Fatalf("%d-slot expansion is not a prefix of the %d-slot one", m, n)
 		}
@@ -84,6 +85,39 @@ func TestSeedExpansionDeterministicAndOffsetIndependent(t *testing.T) {
 
 	if err := expandSeed(make([]byte, 16), 1, nil); err == nil {
 		t.Fatal("a 16-byte seed must be refused, not used as an AES-128 key")
+	}
+}
+
+// TestSeedExpansionScratchIsSmall: however long the vector, an
+// expansion allocates one seedStep scratch beside the cipher's own
+// state — about 5 KiB for 100 000 slots, where a ChunkSlots step of
+// keystream and slots took 64 KiB.
+func TestSeedExpansionScratchIsSmall(t *testing.T) {
+	const runs = 20
+	seed := bytes.Repeat([]byte{0x5A}, seedSize)
+	var sum uint64
+	expand := func() {
+		err := expandSeed(seed, 100_000, func(_ int, shares []uint64) error {
+			sum += shares[0]
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	expand()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		expand()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("expanding 100 000 slots allocates %d bytes", perCall)
+	// One small scratch (4 KiB at seedStep 256) and the cipher's state.
+	const bound = 10 << 10
+	if perCall > bound {
+		t.Fatalf("expanding 100 000 slots allocates %d bytes, want at most %d", perCall, bound)
 	}
 }
 

@@ -66,7 +66,10 @@ type VectorHeader struct {
 // declaration order, integers as eight little-endian bytes, byte
 // strings behind a uint32 length, proofs packed at their fixed width
 // (elgamal.EqualityProofLen, BitProofLen). A received message's byte
-// fields alias its frame. The codec checks framing only; what the
+// fields alias its frame, which it owns: PSC receives with Expect, not
+// wire.ExpectFunc, because the tally hands noise, blind and share
+// chunks to shard jobs that run after its next Expect, so a lent body
+// would be recycled under them. The codec checks framing only; what the
 // fields must say is decided by recvVectorFunc, decodeProved and the
 // parse* functions in codec.go. gob is left with the control messages.
 

@@ -18,13 +18,14 @@
 // cap bounds; the payload is whatever follows the SID. SendFrame
 // assembles the frame in a buffer the Conn reuses under its write lock
 // and hands it to the transport in one Write. Recv reads the body into
-// one allocation and returns Payload as a sub-slice of it.
+// one buffer and returns Payload as a sub-slice of it.
 //
 // Sending allocates nothing per frame. Send encodes into a buffer the
 // sender owns and reuses: Conn.Send straight into its write buffer,
 // behind the envelope, and Stream.Send into the stream's own buffer,
-// which SendFrame copies into the write buffer before returning. The
-// receive body is the one per-frame allocation left.
+// which SendFrame copies into the write buffer before returning.
+// Receiving allocates the body, except where ExpectFunc lends it (see
+// the ownership rule below).
 //
 // # Payload codecs
 //
@@ -43,12 +44,29 @@
 // is gob-encoded: those frames are few and small, and gob keeps them
 // type-safe and free to grow fields.
 //
-// The aliasing rule: a message parsed by ParseWire owns its frame's
-// body — its byte fields are sub-slices of it, capped at their own
-// length so an append reallocates — and nothing else refers to that
-// body. A payload is therefore written once on the way out (a
+// # Body ownership
+//
+// A received frame owns its body: Payload is a sub-slice of it, and so
+// are the byte fields of a message ParseWire parses from it, each
+// capped at its own length so an append reallocates. Nothing else
+// refers to the body, so whoever receives the frame — through Recv or
+// Expect — may keep it, or anything parsed from it, for as long as it
+// likes. A payload is therefore written once on the way out (a
 // stream's is copied once more, into the write buffer, without
 // allocating) and allocated once on the way in.
+//
+// ExpectFunc is the one exception, and the one way to receive without
+// allocating. It lends the payload to its callback only until the
+// callback returns, then clears the body and returns it to a receive
+// pool. Recv takes a body from that pool only in Go's 32 KiB size
+// class (28 673 to 32 768 bytes, where a full PrivCount chunk frame
+// lands); every other size is allocated for its frame alone. The pool
+// handle rides in the Frame, unexported, so a Messenger that wraps
+// another and passes its frames through lends as well, and no Release
+// is exported: a frame never given to ExpectFunc keeps its body, at
+// the cost of one allocation, as before. A consumer that hands
+// anything parsed from a frame to work that outlives the callback —
+// the PSC tally's shard jobs do — uses Expect instead.
 //
 // # Key types
 //

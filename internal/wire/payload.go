@@ -26,7 +26,8 @@ type WireAppender interface {
 }
 
 // WireParser is the decoding half, on the pointer receiver. The parsed
-// fields may alias b: a parsed message owns its frame's body.
+// fields may alias b: a parsed message shares its frame's body, on the
+// terms of the package doc's ownership rule.
 type WireParser interface {
 	ParseWire(b []byte) error
 }

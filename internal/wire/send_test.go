@@ -56,9 +56,10 @@ func TestStreamSendDoesNotAllocate(t *testing.T) {
 
 // BenchmarkConnChunkRoundTrip moves full PrivCount chunk frames over a
 // pipe, MB/s and B/op: "frame" is the frame path alone (SendFrame of a
-// ready payload, Recv), "stream-send" a chunk message through
-// Stream.Send on a session pair — encode, frame, flow control and
-// receive together.
+// ready payload, Recv), "expect-func" the same frames received through
+// ExpectFunc, which lends each body and hands it back to the receive
+// pool, and "stream-send" a chunk message through Stream.Send on a
+// session pair — encode, frame, flow control and receive together.
 func BenchmarkConnChunkRoundTrip(b *testing.B) {
 	msg := fullChunk()
 	payload, err := wire.EncodePayload(msg)
@@ -69,7 +70,16 @@ func BenchmarkConnChunkRoundTrip(b *testing.B) {
 		x, y := wire.Pipe()
 		defer x.Close()
 		defer y.Close()
-		roundTrip(b, len(payload), y, func() error {
+		roundTrip(b, len(payload), recvOnly(y), func() error {
+			return x.SendFrame(wire.Frame{Kind: kindChunk, SID: 1, Payload: payload})
+		})
+	})
+	b.Run("expect-func", func(b *testing.B) {
+		x, y := wire.Pipe()
+		defer x.Close()
+		defer y.Close()
+		lent := func([]byte) error { return nil }
+		roundTrip(b, len(payload), func() error { return wire.ExpectFunc(y, kindChunk, lent) }, func() error {
 			return x.SendFrame(wire.Frame{Kind: kindChunk, SID: 1, Payload: payload})
 		})
 	})
@@ -86,18 +96,26 @@ func BenchmarkConnChunkRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		roundTrip(b, len(payload), peer, func() error { return st.Send(kindChunk, msg) })
+		roundTrip(b, len(payload), recvOnly(peer), func() error { return st.Send(kindChunk, msg) })
 	})
 }
 
-// roundTrip times b.N sends against a goroutine receiving b.N frames.
-func roundTrip(b *testing.B, size int, rx interface{ Recv() (wire.Frame, error) }, send func() error) {
+// recvOnly receives a frame from m and drops it.
+func recvOnly(m wire.Messenger) func() error {
+	return func() error {
+		_, err := m.Recv()
+		return err
+	}
+}
+
+// roundTrip times b.N sends against a goroutine making b.N recv calls.
+func roundTrip(b *testing.B, size int, recv, send func() error) {
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < b.N; i++ {
-			if _, err := rx.Recv(); err != nil {
+			if err := recv(); err != nil {
 				done <- err
 				return
 			}

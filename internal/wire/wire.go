@@ -23,11 +23,42 @@ const DefaultMaxFrame = 1 << 20
 // payload type. SID routes the frame to a logical stream when the
 // connection carries a multiplexed Session; it is zero on plain
 // single-stream connections. A received frame's Payload aliases the
-// frame's own buffer, which nothing else refers to.
+// frame's body, which the frame owns unless ExpectFunc lends it (see
+// the package doc's ownership rule).
 type Frame struct {
 	Kind    string
 	Payload []byte
 	SID     uint64
+	// pooled is the receive buffer the body was read into when it came
+	// from bodyPool, and nil otherwise. It travels with the frame —
+	// through a Stream's queue and any Messenger wrapper — to the one
+	// place that hands it back, ExpectFunc.
+	pooled *[pooledBody]byte
+}
+
+// pooledBody is the one body size class Recv reads into a recycled
+// buffer: bodies of minPooledBody to pooledBody bytes, which Go would
+// allocate in its 32 KiB size class anyway — where a full PrivCount
+// chunk frame lands. Every other size is allocated for its frame
+// alone.
+const (
+	pooledBody    = 32 << 10
+	minPooledBody = 28<<10 + 1
+)
+
+// bodyPool holds receive buffers of pooledBody bytes. An array pointer
+// is itself the buffer, so a Get that finds the pool empty allocates
+// just what make would have.
+var bodyPool = sync.Pool{New: func() any { return new([pooledBody]byte) }}
+
+// release clears a pooled body and returns it to bodyPool; a frame
+// whose body was allocated for it alone releases nothing.
+func (f Frame) release() {
+	if f.pooled == nil {
+		return
+	}
+	clear(f.pooled[:])
+	bodyPool.Put(f.pooled)
 }
 
 // Transport errors.
@@ -88,6 +119,8 @@ type Conn struct {
 	readMu    sync.Mutex
 	writeMu   sync.Mutex
 	lenBuf    [lenPrefix]byte
+	// lastKind is the kind of the last frame received, under readMu.
+	lastKind string
 	// wbuf is the frame assembly buffer, reused under writeMu; it grows
 	// to the largest frame sent, which maxFrame bounds.
 	wbuf []byte
@@ -189,10 +222,12 @@ func (c *Conn) write(b []byte) error {
 	return err
 }
 
-// Recv reads the next frame. The body is the frame's one allocation:
-// Kind is copied out of it and Payload is a sub-slice of it, capped at
-// its own length, so the frame — and whatever message is parsed from
-// its payload — owns the body and nothing else refers to it.
+// Recv reads the next frame. Kind is copied out of the body (or is the
+// previous frame's, when equal) and Payload is a sub-slice of it,
+// capped at its own length. The body is the frame's one allocation,
+// except in Go's 32 KiB size class, where it is a buffer from bodyPool
+// that only ExpectFunc hands back. Either way the frame owns its body
+// until then, and nothing else refers to it.
 func (c *Conn) Recv() (Frame, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
@@ -209,26 +244,63 @@ func (c *Conn) Recv() (Frame, error) {
 	if n < frameHeader {
 		return Frame{}, fmt.Errorf("%w: body of %d bytes is shorter than its header", ErrBadFrame, n)
 	}
-	body := make([]byte, n)
+	var pooled *[pooledBody]byte
+	var body []byte
+	if n >= minPooledBody && n <= pooledBody {
+		pooled = bodyPool.Get().(*[pooledBody]byte)
+		body = pooled[:n]
+	} else {
+		body = make([]byte, n)
+	}
 	if _, err := io.ReadFull(c.c, body); err != nil {
 		return Frame{}, err
 	}
-	return parseFrame(body)
+	f, err := c.parseFrame(body)
+	if err != nil {
+		return Frame{}, err
+	}
+	f.pooled = pooled
+	return f, nil
 }
 
-// parseFrame splits a frame body into its fields, aliasing the payload.
-func parseFrame(body []byte) (Frame, error) {
+// parseFrame splits a frame body into its fields, aliasing the
+// payload. A kind equal to the previous frame's reuses its string, so
+// a run of chunk frames allocates no Kind. The caller holds readMu.
+func (c *Conn) parseFrame(body []byte) (Frame, error) {
 	kindLen := int(binary.BigEndian.Uint16(body))
 	if kindLen > len(body)-frameHeader {
 		return Frame{}, fmt.Errorf("%w: kind of %d bytes overruns a body of %d", ErrBadFrame, kindLen, len(body))
 	}
-	kind := body[2 : 2+kindLen]
+	if kind := body[2 : 2+kindLen]; string(kind) != c.lastKind {
+		c.lastKind = string(kind)
+	}
 	rest := body[2+kindLen:]
 	return Frame{
-		Kind:    string(kind),
+		Kind:    c.lastKind,
 		SID:     binary.BigEndian.Uint64(rest),
 		Payload: rest[8:len(rest):len(rest)],
 	}, nil
+}
+
+// ExpectFunc receives the next frame from m, requires its kind to
+// match, and lends its payload to fn, which may read it only until it
+// returns: the body then goes back to the receive pool, cleared. fn
+// must copy whatever it keeps, so it suits a consumer that folds or
+// spills a chunk as it lands. The errors read as Expect's, fn's in the
+// place of a decode error.
+func ExpectFunc(m Messenger, kind string, fn func(payload []byte) error) error {
+	f, err := m.Recv()
+	if err != nil {
+		return err
+	}
+	defer f.release()
+	if f.Kind != kind {
+		return fmt.Errorf("wire: expected %q frame, got %q", kind, f.Kind)
+	}
+	if err := fn(f.Payload); err != nil {
+		return fmt.Errorf("wire: decode %q: %w", kind, err)
+	}
+	return nil
 }
 
 // Expect receives the next frame, requires its kind to match, and
@@ -273,9 +345,10 @@ func appendPayload(dst []byte, v any) ([]byte, error) {
 
 // DecodePayload decodes a payload into out (a pointer): through out's
 // ParseWire method when it has one (see WireParser) — the parsed
-// message then aliases b, which the caller must not reuse — and through
-// gob otherwise. A bytes.Reader is an io.ByteReader, so gob reads it
-// directly instead of wrapping it in a bufio.Reader of its own.
+// message then aliases b, and lives only as long as b does (the
+// package doc's ownership rule) — and through gob otherwise. A
+// bytes.Reader is an io.ByteReader, so gob reads it directly instead
+// of wrapping it in a bufio.Reader of its own.
 func DecodePayload(b []byte, out any) error {
 	if p, ok := out.(WireParser); ok {
 		return p.ParseWire(b)
