@@ -31,7 +31,8 @@
 #                      root on one core, the amd64 kernel beside the
 #                      pure-Go bodies)
 #   make fuzz-smoke  - every codec fuzz target (frame envelope, mux
-#                      control frames, PSC block messages, PSC
+#                      control frames, the engine's hello gate, PSC
+#                      block messages, PSC
 #                      noise/blind/share chunks,
 #                      PrivCount share/chunk frames, the compressed point
 #                      decoder against crypto/elliptic), the affine batch
@@ -77,6 +78,7 @@ FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzConnRecv$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzMuxControl$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzAcceptHello$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockOutCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzBlockShadowCodec$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/psc/ -run '^$$' -fuzz '^FuzzNoiseChunkCodec$$' -fuzztime=$(FUZZTIME)

@@ -132,7 +132,8 @@ func BenchmarkAblationTransport(b *testing.B) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			_, err := tally.Run(context.Background(), tsConns)
+			names := []string{"sk0", "sk1", "dc0", "dc1", "dc2", "dc3"}
+			_, err := tally.Run(context.Background(), tsConns, names)
 			done <- err
 		}()
 		setup.Wait()

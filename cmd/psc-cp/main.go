@@ -8,9 +8,8 @@
 //
 // The daemon survives tally churn: a dropped session is redialed with
 // exponential backoff, and the re-registration under the pinned
-// identity (-id, defaulting to -name, authenticated by -token) rebinds
-// the party in the tally's registry so subsequent rounds run at full
-// strength.
+// identity (-name, authenticated by -token) rebinds the party in the
+// tally's registry so subsequent rounds run at full strength.
 //
 // Usage:
 //

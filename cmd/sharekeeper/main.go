@@ -7,8 +7,8 @@
 // infrastructure independent of the tally server.
 //
 // The daemon survives tally churn: a dropped session is redialed with
-// exponential backoff, re-registering under the pinned identity (-id,
-// defaulting to -name, authenticated by -token). The seal keypair is
+// exponential backoff, re-registering under the pinned identity
+// (-name, authenticated by -token). The seal keypair is
 // held across reconnects, so rounds already configured against this
 // SK's key are not orphaned by a session blip.
 //

@@ -30,7 +30,7 @@
 //
 // Party churn: the accept loop runs for the daemon's whole life, so a
 // party daemon that died can reconnect and re-register under its
-// pinned identity (name/-id plus -token). With -quorum dcs=K a round
+// pinned identity (role and -name, plus -token). With -quorum dcs=K a round
 // that loses a data collector past its contribution barrier completes
 // degraded — the result annotated with the absent parties — instead of
 // wedging, aborting only below K contributing DCs; -rejoin-grace is

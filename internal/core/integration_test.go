@@ -118,7 +118,7 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 		for i := 0; i < numDCs; i++ {
 			tsConns = append(tsConns, <-dcAccepted)
 		}
-		res, err := tally.Run(context.Background(), tsConns)
+		res, err := tally.Run(context.Background(), tsConns, append(roleNames("sk", numSKs), roleNames("dc", numDCs)...))
 		if err != nil {
 			t.Errorf("tally: %v", err)
 			close(resCh)
@@ -224,7 +224,7 @@ func TestPSCOverTCP(t *testing.T) {
 	}
 	resCh := make(chan psc.Result, 1)
 	go func() {
-		res, err := tally.Run(context.Background(), tsConns)
+		res, err := tally.Run(context.Background(), tsConns, append(roleNames("cp", numCPs), roleNames("dc", numDCs)...))
 		if err != nil {
 			t.Errorf("tally: %v", err)
 			close(resCh)
@@ -295,4 +295,14 @@ func TestEventFeedRoundTrip(t *testing.T) {
 			t.Fatalf("feed event failed to decode: %v", err)
 		}
 	}
+}
+
+// roleNames names n parties of one role as the engine's pinned hellos
+// would: "<role>-0", "<role>-1", ...
+func roleNames(role string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s-%d", role, i)
+	}
+	return names
 }

@@ -84,14 +84,14 @@ type Spec struct {
 }
 
 // Party is a daemon that keeps one pinned, multiplexed session to the
-// tally: -tally, -name, -id, -token, -pin, -timeout and -reconnect on
-// top of the common Flags.
+// tally: -tally, -name, -token, -pin, -timeout and -reconnect on top
+// of the common Flags.
 type Party struct {
-	prog, role                  string
-	tally, name, id, token, pin *string
-	timeout                     *time.Duration
-	reconnect                   *int
-	common                      *Flags
+	prog, role              string
+	tally, name, token, pin *string
+	timeout                 *time.Duration
+	reconnect               *int
+	common                  *Flags
 }
 
 // PartyFlags registers a party daemon's flags on the command line; the
@@ -102,7 +102,6 @@ func PartyFlags(spec Spec) *Party {
 		role:      spec.Role,
 		tally:     flag.String("tally", "127.0.0.1:7001", "tally server address"),
 		name:      flag.String("name", spec.DefaultName, spec.NameHelp),
-		id:        flag.String("id", "", "pinned party identity (empty: the name)"),
 		token:     flag.String("token", "", "registration token binding the identity across reconnects (required to rejoin)"),
 		pin:       flag.String("pin", "", "tally SPKI fingerprint (hex) for TLS pinning; empty for plain TCP"),
 		timeout:   flag.Duration("timeout", 10*time.Second, "dial timeout"),
@@ -122,7 +121,7 @@ func (p *Party) Prefix() string { return p.prog + " " + *p.name }
 
 // Hello is the registration the party presents to the tally.
 func (p *Party) Hello() engine.Hello {
-	return engine.Hello{Role: p.role, Name: *p.name, ID: *p.id, Token: *p.token}
+	return engine.Hello{Role: p.role, Name: *p.name, Token: *p.token}
 }
 
 // Start applies the parsed flags (see Flags.Start) and the TLS pin,

@@ -13,11 +13,12 @@
 //     runs the same one over pipes); StartPSC and StartPrivCount
 //     schedule rounds over the registered fleet.
 //   - Hello / HelloAck: the session-registration exchange. A Hello
-//     carries the party's role, name, pinned identity (ID, defaulting
-//     to the name), and registration token.
+//     carries the party's role and name — its pinned identity, and the
+//     one place it says who it is — and its registration token.
 //   - Round: one scheduled measurement round, and one
 //     context.Context. Wait* blocks for the outcome, Abort cancels it
-//     in isolation, Absent lists parties the round completed without.
+//     in isolation, Absent lists, sorted, the parties the round
+//     completed without — the round's one record of absence.
 //   - ServeCP, ServeSK, ServeDC: the party side, three functions over
 //     one skeleton (the acked hello, then ServeRounds with the role's
 //     stream labels). ServeDC owns a data collector's round from Setup
@@ -27,8 +28,11 @@
 // # Party churn
 //
 // The engine keeps an identity-pinned registry rather than a fixed
-// party set. Every party is keyed by (role, ID) and bound to its
-// registration token on first contact; a party whose session dies
+// party set. Every party is keyed by (role, name), so a name is unique
+// within its role, and bound to its registration token on first
+// contact; every round hands its tally the pinned names of its
+// membership snapshot beside the streams, so nothing a party sends
+// inside a round can claim another's name; a party whose session dies
 // enters the disconnected state, and a reconnecting daemon presenting
 // the same identity and token is rebound to its registry entry —
 // latest-wins, with any previous live session closed. A token mismatch

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,30 +31,22 @@ const (
 	RoleDC = "datacollector"
 )
 
-// Hello announces a party when its session is established. ID is the
-// party's pinned identity (defaulting to Name); Token is the
-// registration secret bound to that identity on first contact — a
-// rejoining daemon must present the same token, so a session drop does
-// not let another operator claim the identity. An empty token leaves
-// the identity bound to its first session: every rejoin attempt is
-// refused, since accepting one would let any peer that knows the name
-// take the session over. Daemons that must survive reconnects
+// Hello announces a party when its session is established, and is the
+// only place it says who it is: Role and Name are its pinned identity,
+// unique per role, and the name every round's tally knows it by. Token
+// is the registration secret bound to that identity on first contact —
+// a rejoining daemon must present the same token, so a session drop
+// does not let another operator claim the identity. An empty token
+// leaves the identity bound to its first session: every rejoin attempt
+// is refused, since accepting one would let any peer that knows the
+// name take the session over. Daemons that must survive reconnects
 // therefore need a token. Deployments that want stronger pinning run
 // the wire layer over TLS and use the session fingerprint as the
 // token.
 type Hello struct {
 	Role  string
 	Name  string
-	ID    string
 	Token string
-}
-
-// id resolves the pinned identity: the declared ID, or the name.
-func (h Hello) id() string {
-	if h.ID != "" {
-		return h.ID
-	}
-	return h.Name
 }
 
 // HelloAck is the engine's answer on the hello stream: whether the
@@ -98,7 +91,7 @@ func SendHelloPinned(sess *wire.Session, h Hello) (HelloAck, error) {
 type Engine struct {
 	mu        sync.Mutex
 	nextRound uint64
-	registry  map[string]*member   // pinned identity -> member
+	registry  map[string]*member   // pinned identity (role, name) -> member
 	members   map[string][]*member // role -> members, registration order
 	// membership closes and is replaced on every registration; it wakes
 	// WaitParties.
@@ -177,10 +170,13 @@ func (e *Engine) unauthorize(label string) {
 
 // AcceptSession performs the tally side of the hello handshake: it
 // reads the party announcement, registers or rebinds the pinned
-// identity, and acks the verdict on the hello stream. A re-registration
-// under a known identity with the matching token rebinds the member to
-// this session (latest wins; any previous live session is closed); a
-// token mismatch is rejected and the caller should close the session.
+// identity, and acks the verdict on the hello stream. It is the one
+// identity gate: a hello without a name or with an unknown role is
+// refused, and every name it admits is unique within its role. A
+// re-registration under a known identity with the matching token
+// rebinds the member to this session (latest wins; any previous live
+// session is closed); a token mismatch is rejected and the caller
+// should close the session.
 func (e *Engine) AcceptSession(sess *wire.Session) (Hello, error) {
 	st, err := sess.Accept()
 	if err != nil {
@@ -195,15 +191,14 @@ func (e *Engine) AcceptSession(sess *wire.Session) (Hello, error) {
 	if err := st.Expect(LabelHello, &h); err != nil {
 		return Hello{}, err
 	}
-	if h.Name == "" {
-		return Hello{}, fmt.Errorf("engine: hello without a name")
-	}
 	var rejoined bool
-	switch h.Role {
-	case RoleCP, RoleSK, RoleDC:
-		rejoined, err = e.register(h, sess)
-	default:
+	switch {
+	case h.Name == "":
+		err = fmt.Errorf("engine: hello without a name")
+	case h.Role != RoleCP && h.Role != RoleSK && h.Role != RoleDC:
 		err = fmt.Errorf("engine: unknown role %q", h.Role)
+	default:
+		rejoined, err = e.register(h, sess)
 	}
 	ack := HelloAck{OK: err == nil, Rejoined: rejoined}
 	if err != nil {
@@ -385,13 +380,24 @@ func (r *Round) addStream(st *wire.Stream) bool {
 	return true
 }
 
-// Absent lists the parties declared absent from a completed round — the
-// round ran degraded without their contribution, above its config's
-// MinDCs floor. Empty for a full-strength round.
+// Absent lists, sorted, the parties declared absent from a completed
+// round — the round ran degraded without their contribution, above its
+// config's MinDCs floor. Empty for a full-strength round. It is the
+// round's one record of absence: the tallies keep only a count.
 func (r *Round) Absent() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]string(nil), r.absent...)
+	return slices.Sorted(slices.Values(r.absent))
+}
+
+// names lists the pinned names of the round's membership snapshot, in
+// the order of its streams: what the tally knows each party by.
+func (r *Round) names() []string {
+	names := make([]string, len(r.parties))
+	for i, m := range r.parties {
+		names[i] = m.name
+	}
+	return names
 }
 
 // Degraded reports whether the round completed without some selected
@@ -585,7 +591,7 @@ func (e *Engine) StartPSC(cfg psc.Config, dcSel []int) (*Round, error) {
 			return nil, err
 		}
 		return func(ms []wire.Messenger) (err error) {
-			r.pscRes, err = tally.Run(r.ctx, ms)
+			r.pscRes, err = tally.Run(r.ctx, ms, r.names())
 			return err
 		}, nil
 	})
@@ -605,7 +611,7 @@ func (e *Engine) StartPrivCount(cfg privcount.TallyConfig, dcSel []int) (*Round,
 			return nil, err
 		}
 		return func(ms []wire.Messenger) (err error) {
-			r.privRes, err = tally.Run(r.ctx, ms)
+			r.privRes, err = tally.Run(r.ctx, ms, r.names())
 			return err
 		}, nil
 	})

@@ -12,9 +12,9 @@ import (
 // original engine accepted a fixed party set at startup — a daemon that
 // dropped its TCP session could never rejoin, so one flapping data
 // collector wedged a months-long collection. The registry replaces that:
-// every party is keyed by a pinned identity (role + declared party ID,
-// bound to a registration token on first contact), a party whose session
-// dies enters the disconnected state, and a reconnecting daemon
+// every party is keyed by a pinned identity (role + name, bound to a
+// registration token on first contact), a party whose session dies
+// enters the disconnected state, and a reconnecting daemon
 // re-registers under its pinned identity — resuming participation in
 // rounds that have not passed its contribution barrier, while rounds
 // past the barrier degrade down to their MinDCs floor instead of
@@ -39,14 +39,13 @@ func (s PartyState) String() string {
 	return "disconnected"
 }
 
-// member is one registry entry. The identity (role, id, token) is
+// member is one registry entry. The identity (role, name, token) is
 // pinned at first registration; the session and generation change on
 // every rejoin. gen guards against stale disconnect notifications: a
 // watcher for session generation g must not mark generation g+1
 // disconnected.
 type member struct {
 	role  string
-	id    string
 	name  string
 	token string
 
@@ -60,9 +59,10 @@ type member struct {
 	rejoinCh chan struct{}
 }
 
-// key builds the registry key: identities are pinned per role, so a
-// data collector cannot rejoin as a computation party.
-func regKey(role, id string) string { return role + "/" + id }
+// regKey builds the registry key: identities are pinned per role, so a
+// data collector cannot rejoin as a computation party, and a name is
+// unique within its role.
+func regKey(role, name string) string { return role + "/" + name }
 
 // register adds a new party or rebinds an existing identity to a fresh
 // session (a rejoin). Two live sessions claiming the same identity
@@ -74,21 +74,20 @@ func regKey(role, id string) string { return role + "/" + id }
 // constant-time. A registration whose token does not match the pinned
 // token is rejected.
 func (e *Engine) register(h Hello, sess *wire.Session) (rejoined bool, err error) {
-	id := h.id()
 	var stale *wire.Session
 	e.mu.Lock()
 	reg := e.reg
-	m, ok := e.registry[regKey(h.Role, id)]
+	m, ok := e.registry[regKey(h.Role, h.Name)]
 	if ok {
 		if m.token == "" {
 			e.mu.Unlock()
 			reg.Inc("engine/parties-rejected")
-			return false, fmt.Errorf("engine: %s %q registered without a token and cannot rejoin; set -token to make the identity rejoin-capable", h.Role, id)
+			return false, fmt.Errorf("engine: %s %q registered without a token and cannot rejoin; set -token to make the identity rejoin-capable", h.Role, h.Name)
 		}
 		if subtle.ConstantTimeCompare([]byte(m.token), []byte(h.Token)) != 1 {
 			e.mu.Unlock()
 			reg.Inc("engine/parties-rejected")
-			return false, fmt.Errorf("engine: %s %q: registration token does not match pinned identity", h.Role, id)
+			return false, fmt.Errorf("engine: %s %q: registration token does not match pinned identity", h.Role, h.Name)
 		}
 		if m.sess != sess {
 			stale = m.sess
@@ -96,17 +95,16 @@ func (e *Engine) register(h Hello, sess *wire.Session) (rejoined bool, err error
 		m.sess = sess
 		m.gen++
 		m.state = StateConnected
-		m.name = h.Name
 		close(m.rejoinCh)
 		m.rejoinCh = make(chan struct{})
 		rejoined = true
 	} else {
 		m = &member{
-			role: h.Role, id: id, name: h.Name, token: h.Token,
+			role: h.Role, name: h.Name, token: h.Token,
 			sess: sess, state: StateConnected,
 			rejoinCh: make(chan struct{}),
 		}
-		e.registry[regKey(h.Role, id)] = m
+		e.registry[regKey(h.Role, h.Name)] = m
 		e.members[h.Role] = append(e.members[h.Role], m)
 	}
 	gen := m.gen

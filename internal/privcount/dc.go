@@ -34,14 +34,11 @@ func NewDC(name string, m wire.Messenger, noise *dp.NoiseSource) *DC {
 	return &DC{Name: name, m: m, noise: noise}
 }
 
-// Setup registers with the tally server, receives the round
-// configuration, distributes sealed blinding seeds and blinds its
-// counters with their expansions, and waits for the begin signal. On
-// return the DC is ready to count.
+// Setup receives the round configuration from the tally server,
+// distributes sealed blinding seeds and blinds its counters with their
+// expansions, and waits for the begin signal. On return the DC is ready
+// to count.
 func (dc *DC) Setup() error {
-	if err := dc.m.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: dc.Name}); err != nil {
-		return fmt.Errorf("privcount dc %s: register: %w", dc.Name, err)
-	}
 	var cfg ConfigureMsg
 	if err := dc.m.Expect(kindConfigure, &cfg); err != nil {
 		return fmt.Errorf("privcount dc %s: configure: %w", dc.Name, err)
@@ -96,7 +93,7 @@ func (dc *DC) blind(cfg ConfigureMsg) error {
 		boxes[sk] = sealed[i]
 	}
 	size := dc.schema.Size()
-	if err := dc.m.Send(kindShares, SharesMsg{From: dc.Name, N: size, Boxes: boxes}); err != nil {
+	if err := dc.m.Send(kindShares, SharesMsg{N: size, Boxes: boxes}); err != nil {
 		return fmt.Errorf("privcount dc %s: shares: %w", dc.Name, err)
 	}
 	for _, seed := range seeds {
@@ -130,7 +127,7 @@ func (dc *DC) Finish() error {
 	// The counters stream straight from where they were counted: the DC
 	// serves one round, so nothing writes them again.
 	vals := dc.counters.vals
-	if err := dc.m.Send(kindReport, ReportMsg{From: dc.Name, Round: dc.round, N: len(vals)}); err != nil {
+	if err := dc.m.Send(kindReport, ReportMsg{Round: dc.round, N: len(vals)}); err != nil {
 		return err
 	}
 	return sendValues(dc.m, vals)

@@ -13,18 +13,18 @@ import (
 // ValueChunkMsg, which carries all of a round's vector bytes. Counter
 // vectors travel as bounded chunk frames after a header, never as one
 // frame; blinding shares never travel at all, only the sealed seeds
-// they expand from.
+// they expand from. No frame names its sender: the tally knows every
+// party by the name its engine hello pinned.
 const (
-	kindRegister  = "privcount/register"
-	kindConfigure = "privcount/configure"
-	kindShares    = "privcount/shares"
-	kindRelay     = "privcount/relay-shares"
-	kindBegin     = "privcount/begin"
-	kindReport    = "privcount/report"
-	kindCollect   = "privcount/collect"
-	kindSums      = "privcount/sums"
-	kindChunk     = "privcount/chunk"
-	kindResults   = "privcount/results"
+	kindRegister  = "privcount/register"     // SK->TS seal key; a DC sends none
+	kindConfigure = "privcount/configure"    // TS->SK, TS->DC
+	kindShares    = "privcount/shares"       // DC->TS sealed seeds, one per SK
+	kindRelay     = "privcount/relay-shares" // TS->SK one DC's seed, under the DC's name
+	kindBegin     = "privcount/begin"        // TS->DC collection starts
+	kindReport    = "privcount/report"       // DC->TS report header, then chunks
+	kindCollect   = "privcount/collect"      // TS->SK the names of the DCs that reported
+	kindSums      = "privcount/sums"         // SK->TS sums header, then chunks
+	kindChunk     = "privcount/chunk"        // one counter-vector chunk
 )
 
 // ChunkSlots is the step, in counter slots, in which a tally folds a
@@ -101,17 +101,10 @@ func recvValuesFunc(m wire.Messenger, n int, fn func(off int, raw []byte) error)
 	return nil
 }
 
-// Party roles.
-const (
-	RoleDC = "dc"
-	RoleSK = "sk"
-)
-
-// RegisterMsg announces a party to the tally server. Share keepers
-// include their sealed-box public key.
+// RegisterMsg is a share keeper's key material for the round: its
+// sealed-box public key. It names no party — the engine's pinned hello
+// is the one place a party says who it is — and a DC sends none.
 type RegisterMsg struct {
-	Role    string
-	Name    string
 	SealPub []byte
 }
 
@@ -141,13 +134,14 @@ type ConfigureMsg struct {
 // to its SK without being able to open it. The frame's size depends on
 // the SK count alone, not on the schema.
 type SharesMsg struct {
-	From string
 	// N is the schema slot count every seed expands to.
 	N     int
 	Boxes map[string][]byte
 }
 
-// RelayMsg delivers one DC's sealed seed to a share keeper.
+// RelayMsg delivers one DC's sealed seed to a share keeper. From is the
+// DC's pinned name, which the tally fills in: the SK keys the seed by
+// it and the collect request names it.
 type RelayMsg struct {
 	From string
 	N    int // slots the seed expands to
@@ -162,7 +156,6 @@ type BeginMsg struct {
 // ReportMsg opens a DC's end-of-round report: blinded, noised counters,
 // chunked as ValueChunkMsg frames.
 type ReportMsg struct {
-	From  string
 	Round uint64
 	N     int
 }
@@ -182,7 +175,6 @@ type CollectMsg struct {
 // SumsMsg opens a share keeper's response — the negated sum of all
 // blinding shares it received — chunked as ValueChunkMsg frames.
 type SumsMsg struct {
-	From  string
 	Round uint64
 	N     int
 }

@@ -166,7 +166,7 @@ func runRoundOver(t *testing.T, stats []StatConfig, numDCs, numSKs int,
 	resultCh := make(chan map[string][]float64, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		res, err := tally.Run(context.Background(), tsConns)
+		res, err := tally.Run(context.Background(), tsConns, roundNames(numSKs, numDCs))
 		if err != nil {
 			errCh <- err
 			return
@@ -203,6 +203,19 @@ func (s seededReader) Read(p []byte) (int, error) {
 
 func dcName(i int) string { return string(rune('a'+i)) + "-dc" }
 func skName(i int) string { return string(rune('a'+i)) + "-sk" }
+
+// roundNames names a round's parties in Run's positional order, SKs
+// first, as the engine's pinned hellos would.
+func roundNames(numSKs, numDCs int) []string {
+	var names []string
+	for i := 0; i < numSKs; i++ {
+		names = append(names, skName(i))
+	}
+	for i := 0; i < numDCs; i++ {
+		names = append(names, dcName(i))
+	}
+	return names
+}
 
 // TestRoundLargeSchemaCrossesChunks runs a schema wider than one chunk
 // so the share distribution, report, and sums paths all exercise
@@ -297,8 +310,6 @@ func TestDCReportIsBlinded(t *testing.T) {
 
 	skKey, _ := NewSealKey()
 	go func() {
-		var reg RegisterMsg
-		tsSide.Expect(kindRegister, &reg)
 		tsSide.Send(kindConfigure, ConfigureMsg{
 			Round: 1, Shapes: shapesOf(stats), NumDCs: 1,
 			SKNames: []string{"sk-0"},
@@ -417,7 +428,7 @@ func TestTallyRejectsWrongConnectionCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tally.Run(context.Background(), nil); err == nil {
+	if _, err := tally.Run(context.Background(), nil, nil); err == nil {
 		t.Fatal("no connections must fail")
 	}
 }
@@ -474,7 +485,7 @@ func BenchmarkFullRound8DCs(b *testing.B) {
 		}
 		resCh := make(chan map[string][]float64, 1)
 		go func() {
-			res, err := tally.Run(context.Background(), tsConns)
+			res, err := tally.Run(context.Background(), tsConns, roundNames(3, 8))
 			if err != nil {
 				b.Error(err)
 			}

@@ -38,7 +38,7 @@ func tallyWith(t *testing.T, cfg TallyConfig, parties func(conns []*wire.Conn)) 
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := tally.Run(context.Background(), tsConns)
+		_, err := tally.Run(context.Background(), tsConns, roundNames(cfg.NumSKs, cfg.NumDCs))
 		done <- err
 	}()
 	parties(partyConns)
@@ -56,12 +56,10 @@ func serveSK(c *wire.Conn) {
 	go sk.Serve()
 }
 
-// shareAs plays a DC's setup by hand: register under name, take the
-// configuration, and send one valid sealed seed per SK. It returns the
-// slot count the round was configured for, or false if the tally hung
-// up first.
-func shareAs(c *wire.Conn, name string) (slots int, ok bool) {
-	c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: name})
+// shareAs plays a DC's setup by hand: take the configuration and send
+// one valid sealed seed per SK. It returns the slot count the round was
+// configured for, or false if the tally hung up first.
+func shareAs(c *wire.Conn) (slots int, ok bool) {
 	var cfg ConfigureMsg
 	if c.Expect(kindConfigure, &cfg) != nil {
 		return 0, false
@@ -72,73 +70,19 @@ func shareAs(c *wire.Conn, name string) (slots int, ok bool) {
 		box, _ := Seal(cfg.SKKeys[skName], newSeed())
 		boxes[skName] = box
 	}
-	c.Send(kindShares, SharesMsg{From: name, N: schema.Size(), Boxes: boxes})
+	c.Send(kindShares, SharesMsg{N: schema.Size(), Boxes: boxes})
 	return schema.Size(), true
 }
 
 var oneStat = []StatConfig{{Name: "s", Bins: []string{""}, Sigma: 0}}
 
-func TestTallyRejectsUnknownRole(t *testing.T) {
-	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 1, NumSKs: 1},
-		func(conns []*wire.Conn) {
-			conns[0].Send(kindRegister, RegisterMsg{Role: "mallory", Name: "m"})
-		})
-	if err == nil || !strings.Contains(err.Error(), `registered as "mallory"`) {
-		t.Fatalf("want unknown-role rejection, got %v", err)
-	}
-}
-
-func TestTallyRejectsDuplicateDCNames(t *testing.T) {
-	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 2, NumSKs: 1},
-		func(conns []*wire.Conn) {
-			serveSK(conns[0])
-			// DCs set up one at a time: the first completes its share
-			// distribution before the second's registration is read.
-			if _, ok := shareAs(conns[1], "same"); !ok {
-				return
-			}
-			conns[2].Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "same"})
-		})
-	if err == nil || !strings.Contains(err.Error(), "duplicate DC") {
-		t.Fatalf("want duplicate-DC error, got %v", err)
-	}
-}
-
 func TestTallyRejectsSKWithoutKey(t *testing.T) {
 	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 1, NumSKs: 1},
 		func(conns []*wire.Conn) {
-			conns[0].Send(kindRegister, RegisterMsg{Role: RoleSK, Name: "sk"})
+			conns[0].Send(kindRegister, RegisterMsg{})
 		})
 	if err == nil || !strings.Contains(err.Error(), "seal key") {
 		t.Fatalf("want missing-seal-key error, got %v", err)
-	}
-}
-
-func TestTallyRejectsWrongRoleCounts(t *testing.T) {
-	// Two SKs registered where one SK + one DC expected: the second
-	// sits in the DC position.
-	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 1, NumSKs: 1},
-		func(conns []*wire.Conn) {
-			serveSK(conns[0])
-			key, _ := NewSealKey()
-			conns[1].Send(kindRegister, RegisterMsg{Role: RoleSK, Name: "sk-2", SealPub: key.Public()})
-		})
-	if err == nil || !strings.Contains(err.Error(), `party 1 registered as "sk", want "dc"`) {
-		t.Fatalf("want wrong-role rejection of party 1, got %v", err)
-	}
-}
-
-// TestTallyRejectsMisorderedParties: Run's slice is positional, so a DC
-// where an SK belongs is rejected at registration instead of being
-// sorted out by role.
-func TestTallyRejectsMisorderedParties(t *testing.T) {
-	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 1, NumSKs: 1},
-		func(conns []*wire.Conn) {
-			serveSK(conns[1])
-			conns[0].Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "dc"})
-		})
-	if err == nil || !strings.Contains(err.Error(), `party 0 registered as "dc", want "sk"`) {
-		t.Fatalf("want wrong-role rejection of party 0, got %v", err)
 	}
 }
 
@@ -148,13 +92,13 @@ func TestTallyRejectsWrongRoundReport(t *testing.T) {
 			serveSK(conns[0])
 			// A DC that reports the wrong round.
 			c := conns[1]
-			slots, ok := shareAs(c, "dc")
+			slots, ok := shareAs(c)
 			if !ok {
 				return
 			}
 			var begin BeginMsg
 			c.Expect(kindBegin, &begin)
-			c.Send(kindReport, ReportMsg{From: "dc", Round: 99, N: slots})
+			c.Send(kindReport, ReportMsg{Round: 99, N: slots})
 		})
 	if err == nil || !strings.Contains(err.Error(), "round") {
 		t.Fatalf("want round-mismatch error, got %v", err)
@@ -166,14 +110,13 @@ func TestTallyRejectsMissingBox(t *testing.T) {
 		func(conns []*wire.Conn) {
 			serveSK(conns[0])
 			c := conns[1]
-			c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "dc"})
 			var cfg ConfigureMsg
 			if c.Expect(kindConfigure, &cfg) != nil {
 				return
 			}
 			// Claim shares but include no boxes.
 			schema, _ := newSchema(cfg.Shapes)
-			c.Send(kindShares, SharesMsg{From: "dc", N: schema.Size(), Boxes: map[string][]byte{}})
+			c.Send(kindShares, SharesMsg{N: schema.Size(), Boxes: map[string][]byte{}})
 		})
 	if err == nil || !strings.Contains(err.Error(), "boxes") {
 		t.Fatalf("want missing-boxes error, got %v", err)
@@ -217,7 +160,7 @@ func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
 		defer wg.Done()
 		c := conns[2]
 		defer c.Close()
-		slots, ok := shareAs(c, "dc-dying")
+		slots, ok := shareAs(c)
 		if !ok {
 			return
 		}
@@ -225,16 +168,16 @@ func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
 		if c.Expect(kindBegin, &begin) != nil {
 			return
 		}
-		c.Send(kindReport, ReportMsg{From: "dc-dying", Round: 3, N: slots})
+		c.Send(kindReport, ReportMsg{Round: 3, N: slots})
 		c.Send(kindChunk, ValueChunkMsg{Off: 0, Raw: make([]byte, 8*ChunkSlots)})
 	}()
 
-	res, err := tally.Run(context.Background(), tsConns)
+	res, err := tally.Run(context.Background(), tsConns, []string{"sk", "dc-good", "dc-dying"})
 	if err == nil || !strings.Contains(err.Error(), "dc-dying") {
 		t.Fatalf("want an error naming the lost DC, got %v", err)
 	}
-	if res != nil || tally.Absent() != nil {
-		t.Fatalf("failed round returned a result: %v (absent %v)", res, tally.Absent())
+	if res != nil {
+		t.Fatalf("failed round returned a result: %v", res)
 	}
 	for _, c := range tsConns {
 		c.Close()
@@ -274,7 +217,7 @@ func TestFailedCollectClosesEveryReport(t *testing.T) {
 		defer wg.Done()
 		c := conns[2]
 		defer c.Close()
-		slots, ok := shareAs(c, "dc-dying")
+		slots, ok := shareAs(c)
 		if !ok {
 			return
 		}
@@ -282,11 +225,11 @@ func TestFailedCollectClosesEveryReport(t *testing.T) {
 		if c.Expect(kindBegin, &begin) != nil {
 			return
 		}
-		c.Send(kindReport, ReportMsg{From: "dc-dying", Round: 4, N: slots})
+		c.Send(kindReport, ReportMsg{Round: 4, N: slots})
 	}()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := tally.Run(context.Background(), tsConns)
+		_, err := tally.Run(context.Background(), tsConns, []string{"sk", "dc-good", "dc-dying"})
 		errCh <- err
 	}()
 
@@ -316,30 +259,44 @@ func TestFailedCollectClosesEveryReport(t *testing.T) {
 // one Recover did not replace, or any failed DC without a Recover — is
 // absent while the absentees leave at least the quorum floor (MinDCs,
 // or every DC at 0), and the loss that breaks the floor fails the round
-// at once, naming that DC. Failing DCs register and hang up; DC setup
-// is sequential, so the order of losses is the slice order.
+// at once, naming that DC. Failing DCs hang up unconfigured; DC setup
+// is sequential, so the order of losses is the slice order. The
+// absentees are read from the Recover callback's nil returns, as the
+// engine records them; a nil Recover records none, so its rows check
+// only the verdict.
 func TestQuorumTable(t *testing.T) {
-	absentRecover := func(int, bool) wire.Messenger { return nil }
 	for _, tc := range []struct {
 		name           string
 		numDCs, minDCs int
-		fail           []int // DC positions that register and hang up
-		recover        func(int, bool) wire.Messenger
+		fail           []int  // DC positions that hang up unconfigured
+		recovers       bool   // a Recover that declares every lost DC absent; false: none
 		wantErr        string // the DC a failed round names; "" for a completed round
 		wantAbsent     []string
 	}{
-		{"all-required-nil-recover", 2, 0, []int{1}, nil, "dc-1", nil},
-		{"all-required-absent", 2, 0, []int{1}, absentRecover, "dc-1", nil},
-		{"floor-equals-fleet-absent", 2, 2, []int{0}, absentRecover, "dc-0", nil},
-		{"1-of-2-nil-recover", 2, 1, []int{1}, nil, "", []string{"dc-1"}},
-		{"1-of-3-absent", 3, 1, []int{0, 2}, absentRecover, "", []string{"dc-0", "dc-2"}},
-		{"2-of-3-second-loss-fails", 3, 2, []int{0, 2}, absentRecover, "dc-2", nil},
-		{"2-of-3-full-strength", 3, 2, nil, nil, "", nil},
+		{"all-required-nil-recover", 2, 0, []int{1}, false, "dc-1", nil},
+		{"all-required-absent", 2, 0, []int{1}, true, "dc-1", nil},
+		{"floor-equals-fleet-absent", 2, 2, []int{0}, true, "dc-0", nil},
+		{"1-of-2-nil-recover", 2, 1, []int{1}, false, "", nil},
+		{"1-of-3-absent", 3, 1, []int{0, 2}, true, "", []string{"dc-0", "dc-2"}},
+		{"2-of-3-second-loss-fails", 3, 2, []int{0, 2}, true, "dc-2", nil},
+		{"2-of-3-full-strength", 3, 2, nil, true, "", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			names := []string{"sk"}
+			for di := 0; di < tc.numDCs; di++ {
+				names = append(names, fmt.Sprintf("dc-%d", di))
+			}
+			var absent []string // Run calls Recover from its own goroutine only
+			recover := func(i int, _ bool) wire.Messenger {
+				absent = append(absent, names[i])
+				return nil
+			}
+			if !tc.recovers {
+				recover = nil
+			}
 			tally, err := NewTally(TallyConfig{
 				Round: 1, Stats: oneStat, NumDCs: tc.numDCs, NumSKs: 1,
-				MinDCs: tc.minDCs, Recover: tc.recover,
+				MinDCs: tc.minDCs, Recover: recover,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -361,16 +318,15 @@ func TestQuorumTable(t *testing.T) {
 				failing[di] = true
 			}
 			for di := 0; di < tc.numDCs; di++ {
-				c, name := conns[1+di], fmt.Sprintf("dc-%d", di)
+				c := conns[1+di]
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					if failing[di] {
-						c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: name})
 						c.Close()
 						return
 					}
-					dc := NewDC(name, c, nil)
+					dc := NewDC(names[1+di], c, nil)
 					if dc.Setup() != nil {
 						return
 					}
@@ -378,7 +334,7 @@ func TestQuorumTable(t *testing.T) {
 					dc.Finish()
 				}()
 			}
-			res, err := tally.Run(context.Background(), tsConns)
+			res, err := tally.Run(context.Background(), tsConns, names)
 			for _, c := range tsConns {
 				c.Close()
 			}
@@ -393,8 +349,8 @@ func TestQuorumTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := tally.Absent(); !slices.Equal(got, tc.wantAbsent) {
-				t.Fatalf("Absent() = %v, want %v", got, tc.wantAbsent)
+			if slices.Sort(absent); !slices.Equal(absent, tc.wantAbsent) {
+				t.Fatalf("absent %v, want %v", absent, tc.wantAbsent)
 			}
 			if want := float64(tc.numDCs - len(tc.fail)); res["s"][0] != want {
 				t.Fatalf("aggregate %v, want one count from each of the %v reporting DCs", res["s"][0], want)
@@ -431,7 +387,7 @@ func TestRunCancelledContextFailsRound(t *testing.T) {
 	go NewDC("dc-0", conns[1], nil).Setup()
 	go func() {
 		c := conns[2]
-		slots, ok := shareAs(c, "dc-1")
+		slots, ok := shareAs(c)
 		if !ok {
 			return
 		}
@@ -439,14 +395,14 @@ func TestRunCancelledContextFailsRound(t *testing.T) {
 		if c.Expect(kindBegin, &begin) != nil {
 			return
 		}
-		c.Send(kindReport, ReportMsg{From: "dc-1", Round: 6, N: slots})
+		c.Send(kindReport, ReportMsg{Round: 6, N: slots})
 		c.Send(kindChunk, ValueChunkMsg{Off: 0, Raw: make([]byte, 8*ChunkSlots)})
 	}()
 
 	ctx, cancel := context.WithCancelCause(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := tally.Run(ctx, tsConns)
+		_, err := tally.Run(ctx, tsConns, []string{"sk", "dc-0", "dc-1"})
 		errCh <- err
 	}()
 	for deadline := time.Now().Add(30 * time.Second); openSpills(t, dir) == 0; time.Sleep(time.Millisecond) {

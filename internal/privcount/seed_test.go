@@ -160,9 +160,6 @@ func TestSharesFrameIsConstantSize(t *testing.T) {
 				got = append(got, seen{f.Kind, len(f.Payload)})
 				return f, true
 			}
-			if _, ok := recv(); !ok { // register
-				return
-			}
 			tsSide.Send(kindConfigure, ConfigureMsg{Round: 1, Shapes: shapesOf(stats), NumDCs: 1, SKNames: skNames, SKKeys: skKeys})
 			if _, ok := recv(); !ok { // shares
 				return
@@ -190,7 +187,7 @@ func TestSharesFrameIsConstantSize(t *testing.T) {
 		}
 		got := <-frames
 
-		wantKinds := []string{kindRegister, kindShares, kindReport}
+		wantKinds := []string{kindShares, kindReport}
 		for n := 0; n < slots; n += FrameSlots {
 			wantKinds = append(wantKinds, kindChunk)
 		}
@@ -201,7 +198,7 @@ func TestSharesFrameIsConstantSize(t *testing.T) {
 		if !slices.Equal(kinds, wantKinds) {
 			t.Fatalf("%d slots: DC sent frames %v, want %v", slots, kinds, wantKinds)
 		}
-		if size := got[1].size; size >= 1024 {
+		if size := got[0].size; size >= 1024 {
 			t.Fatalf("%d slots: shares frame payload is %d bytes, want < 1 KiB", slots, size)
 		}
 	}
@@ -274,7 +271,7 @@ func FuzzSharesRelayCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, good := range []any{
-		SharesMsg{From: "dc", N: slots, Boxes: map[string][]byte{"sk": box}},
+		SharesMsg{N: slots, Boxes: map[string][]byte{"sk": box}},
 		RelayMsg{From: "dc", N: slots, Box: box},
 		ValueChunkMsg{Off: 0, Raw: make([]byte, 8*slots)},
 	} {
@@ -317,7 +314,7 @@ func FuzzSharesRelayCodec(f *testing.F) {
 		// TS: a relayed box is the one the DC addressed to that SK.
 		var shares SharesMsg
 		dcConn, skConn := &scriptConn{in: []wire.Frame{{Kind: kindShares, Payload: payload}}}, &scriptConn{}
-		err := tally.relayShares("dc", dcConn, []string{"sk"}, map[string]wire.Messenger{"sk": skConn})
+		err := tally.relayShares("dc", dcConn, []string{"sk"}, []wire.Messenger{skConn})
 		if err == nil {
 			var relay RelayMsg
 			if wire.DecodePayload(payload, &shares) != nil || len(skConn.sent) != 1 ||

@@ -36,14 +36,12 @@ func NewSK(name string, m wire.Messenger) (*SK, error) {
 func (sk *SK) Serve() error { return sk.ServeRound(sk.m) }
 
 // ServeRound runs the share keeper's side of one round over m:
-// register, receive the configuration and every DC's sealed seed, then
-// answer the collect request with the negated sum of the named DCs'
-// expansions. All round state is local, so one SK serves many rounds
+// register its seal key, receive the configuration and every DC's
+// sealed seed, then answer the collect request with the negated sum of
+// the named DCs' expansions. All round state is local, so one SK serves many rounds
 // concurrently.
 func (sk *SK) ServeRound(m wire.Messenger) error {
-	if err := m.Send(kindRegister, RegisterMsg{
-		Role: RoleSK, Name: sk.Name, SealPub: sk.key.Public(),
-	}); err != nil {
+	if err := m.Send(kindRegister, RegisterMsg{SealPub: sk.key.Public()}); err != nil {
 		return fmt.Errorf("privcount sk %s: register: %w", sk.Name, err)
 	}
 	var cfg ConfigureMsg
@@ -133,7 +131,7 @@ func (sk *SK) ServeRound(m wire.Messenger) error {
 		clear(seed)
 		delete(seeds, name)
 	}
-	if err := m.Send(kindSums, SumsMsg{From: sk.Name, Round: cfg.Round, N: len(sums)}); err != nil {
+	if err := m.Send(kindSums, SumsMsg{Round: cfg.Round, N: len(sums)}); err != nil {
 		return err
 	}
 	return sendValues(m, sums)

@@ -19,17 +19,17 @@ type TallyConfig struct {
 	// The paper deploys 16 DCs and 3 SKs (§3.1).
 	NumDCs, NumSKs int
 	// MinDCs is the quorum floor for data collectors: the round
-	// completes (with reduced coverage, annotated via Absent) as long
-	// as at least MinDCs reports arrive. Zero means every DC is
-	// required. SKs have no quorum knob: each holds blinding state the
-	// aggregate cannot telescope without.
+	// completes (with reduced coverage, which the engine's round
+	// annotates) as long as at least MinDCs reports arrive. Zero means
+	// every DC is required. SKs have no quorum knob: each holds
+	// blinding state the aggregate cannot telescope without.
 	MinDCs int
 	// Recover is consulted whenever the exchange with the DC at index
 	// i of the Run slice (SKs first, then DCs) fails. canRetry reports
 	// that the DC's contribution barrier has not been passed — the
 	// begin signal has not gone out — so a replacement messenger can
-	// restart its register/configure/shares exchange (the SKs replace
-	// that DC's seed with the re-sent one). A non-nil return is that
+	// restart its configure/shares exchange (the SKs replace that DC's
+	// seed with the re-sent one). A non-nil return is that
 	// replacement; nil, or a nil Recover, declares the DC absent, and
 	// Run alone decides whether the absence degrades or fails the
 	// round.
@@ -65,14 +65,6 @@ type Tally struct {
 	cfg    TallyConfig
 	schema *Schema
 	shapes []StatShape // what each DC's configure frame carries
-	absent []string
-}
-
-// Absent lists the DCs declared absent under the quorum policy after
-// Run returns successfully: the aggregate excludes their counts, their
-// blinding shares, and their noise contribution.
-func (t *Tally) Absent() []string {
-	return append([]string(nil), t.absent...)
 }
 
 // NewTally validates the configuration and returns a tally server.
@@ -97,74 +89,68 @@ func (t *Tally) Schema() *Schema { return t.schema }
 // reported and every SK has answered, then returns the aggregated
 // noisy statistics.
 //
-// Precondition: the slice is positional — the NumSKs SKs first, then
-// the NumDCs DCs (the engine orders them); a party registering with
-// the wrong role for its position fails the round.
+// Precondition: both slices are positional — the NumSKs SKs first,
+// then the NumDCs DCs (the engine orders them) — and names[i] is the
+// pinned name of the party behind conns[i]: the SK names DCs seal
+// their seeds to, the DC names the SKs key those seeds by, and the
+// name every error carries.
 //
 // The protocol phases are strictly sequenced, matching the PrivCount
-// deployment: registration, configuration, share distribution (sealed
-// seeds relayed through the TS), collection, and aggregation. SKs are
-// all required — each holds irreplaceable blinding state. A DC failure
-// is put to cfg.Recover, which may restart the DC on a rejoined
-// session; a DC it does not replace is lost (see lose). Absent DCs are
-// excluded from the aggregate on both sides of the telescoping sum —
-// the report sum and, via the collect DC list, every SK's blinding
-// sum; their noise shares are covered by provisioning every DC's
-// weight at the quorum floor (see weightFor), so a degraded round
+// deployment: SK key registration, configuration, share distribution
+// (sealed seeds relayed through the TS), collection, and aggregation.
+// SKs are all required — each holds irreplaceable blinding state. A DC
+// failure is put to cfg.Recover, which may restart the DC on a
+// rejoined session; a DC it does not replace is lost (see lose) and
+// counted, not listed — the engine keeps the round's one list. Absent
+// DCs are excluded from the aggregate on both sides of the telescoping
+// sum — the report sum and, via the collect DC list, every SK's
+// blinding sum; their noise shares are covered by provisioning every
+// DC's weight at the quorum floor (see weightFor), so a degraded round
 // never carries less than the calibrated sigma.
 //
 // ctx is the round: cancelling it stops the report collection, and Run
 // returns the cause. It does not unblock a phase waiting on a
 // messenger; the caller resets or closes them once Run has returned.
-func (t *Tally) Run(ctx context.Context, conns []wire.Messenger) (res map[string][]float64, err error) {
-	if len(conns) != t.cfg.NumDCs+t.cfg.NumSKs {
-		return nil, fmt.Errorf("privcount ts: have %d connections, want %d DCs + %d SKs",
-			len(conns), t.cfg.NumDCs, t.cfg.NumSKs)
+func (t *Tally) Run(ctx context.Context, conns []wire.Messenger, names []string) (res map[string][]float64, err error) {
+	if len(conns) != t.cfg.NumDCs+t.cfg.NumSKs || len(names) != len(conns) {
+		return nil, fmt.Errorf("privcount ts: have %d connections and %d names, want %d DCs + %d SKs",
+			len(conns), len(names), t.cfg.NumDCs, t.cfg.NumSKs)
 	}
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer func() { cancel(err) }()
 
 	// SKs: positional and protocol-critical.
-	skConns := make(map[string]wire.Messenger)
+	skConns, skNames := conns[:t.cfg.NumSKs], names[:t.cfg.NumSKs]
 	skKeys := make(map[string][]byte)
-	var skNames []string
-	for i := 0; i < t.cfg.NumSKs; i++ {
+	for i, name := range skNames {
 		var reg RegisterMsg
-		if err := conns[i].Expect(kindRegister, &reg); err != nil {
-			return nil, fmt.Errorf("privcount ts: registration: %w", err)
-		}
-		if reg.Role != RoleSK {
-			return nil, fmt.Errorf("privcount ts: party %d registered as %q, want %q", i, reg.Role, RoleSK)
-		}
-		if _, dup := skConns[reg.Name]; dup {
-			return nil, fmt.Errorf("privcount ts: duplicate SK %q", reg.Name)
+		if err := skConns[i].Expect(kindRegister, &reg); err != nil {
+			return nil, fmt.Errorf("privcount ts: registration of SK %s: %w", name, err)
 		}
 		if len(reg.SealPub) == 0 {
-			return nil, fmt.Errorf("privcount ts: SK %q registered without a seal key", reg.Name)
+			return nil, fmt.Errorf("privcount ts: SK %q registered without a seal key", name)
 		}
-		skConns[reg.Name] = conns[i]
-		skNames = append(skNames, reg.Name)
-		skKeys[reg.Name] = reg.SealPub
+		skKeys[name] = reg.SealPub
 	}
-	for _, name := range skNames {
+	for i, c := range skConns {
 		cfg := ConfigureMsg{Round: t.cfg.Round, Slots: t.schema.Size(), NumDCs: t.cfg.NumDCs, MinDCs: t.cfg.floor()}
-		if err := skConns[name].Send(kindConfigure, cfg); err != nil {
-			return nil, fmt.Errorf("privcount ts: configure SK %s: %w", name, err)
+		if err := c.Send(kindConfigure, cfg); err != nil {
+			return nil, fmt.Errorf("privcount ts: configure SK %s: %w", skNames[i], err)
 		}
 	}
 
-	// DC setup: register, configure, relay shares — sequentially, so
-	// each SK stream has a single sender. A failed DC may be restarted
-	// once on a replacement messenger while its contribution barrier
-	// (the begin signal) has not been passed; the SKs replace its seed
-	// with the one the restarted exchange delivers.
+	// DC setup: configure, relay shares — sequentially, so each SK
+	// stream has a single sender. A failed DC may be restarted once on
+	// a replacement messenger while its contribution barrier (the begin
+	// signal) has not been passed; the SKs replace its seed with the
+	// one the restarted exchange delivers.
 	type dcSlot struct {
 		idx  int
 		name string
 		conn wire.Messenger
 	}
 	var present []dcSlot
-	var absent []string
+	absent := 0
 	// lose is the verdict on a DC Recover did not replace: a cancelled
 	// round's cause; a failure naming the DC if one more absentee breaks
 	// the quorum floor (so a nil Recover and MinDCs 0 fail the round on
@@ -173,37 +159,27 @@ func (t *Tally) Run(ctx context.Context, conns []wire.Messenger) (res map[string
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
-		if len(absent) == t.cfg.NumDCs-t.cfg.floor() {
+		if absent == t.cfg.NumDCs-t.cfg.floor() {
 			return fmt.Errorf("privcount ts: quorum lost at DC %s (%d of %d DCs absent, floor %d): %w",
-				name, len(absent)+1, t.cfg.NumDCs, t.cfg.floor(), err)
+				name, absent+1, t.cfg.NumDCs, t.cfg.floor(), err)
 		}
-		absent = append(absent, name)
+		absent++
 		return nil
 	}
-	owner := make(map[string]int)
-	for di := 0; di < t.cfg.NumDCs; di++ {
-		idx := t.cfg.NumSKs + di
-		name, err := t.setupDC(idx, conns[idx], skNames, skKeys, skConns, owner)
+	for idx := t.cfg.NumSKs; idx < len(conns); idx++ {
+		d := dcSlot{idx: idx, name: names[idx], conn: conns[idx]}
+		err := t.setupDC(d.name, d.conn, skNames, skKeys, skConns)
+		if err != nil {
+			if repl := t.recoverDC(idx, true); repl != nil {
+				d.conn = repl
+				if err = t.setupDC(d.name, repl, skNames, skKeys, skConns); err != nil {
+					t.recoverDC(idx, false)
+				}
+			}
+		}
 		if err == nil {
-			present = append(present, dcSlot{idx: idx, name: name, conn: conns[idx]})
-			continue
-		}
-		if repl := t.recoverDC(idx, true); repl != nil {
-			retryName, retryErr := t.setupDC(idx, repl, skNames, skKeys, skConns, owner)
-			if retryName != "" {
-				name = retryName
-			}
-			if retryErr == nil {
-				present = append(present, dcSlot{idx: idx, name: name, conn: repl})
-				continue
-			}
-			err = retryErr
-			t.recoverDC(idx, false)
-		}
-		if name == "" {
-			name = fmt.Sprintf("dc#%d", di)
-		}
-		if err := lose(name, err); err != nil {
+			present = append(present, d)
+		} else if err := lose(d.name, err); err != nil {
 			return nil, err
 		}
 	}
@@ -273,8 +249,8 @@ func (t *Tally) Run(ctx context.Context, conns []wire.Messenger) (res map[string
 		}
 		reported = append(reported, o.d.name)
 	}
-	// Completion order is nondeterministic; the collect request and the
-	// absent annotation should not be.
+	// Completion order is nondeterministic; the collect request should
+	// not be.
 	sort.Strings(reported)
 
 	// SK sums over exactly the reported DCs: the telescoping sum must
@@ -284,25 +260,11 @@ func (t *Tally) Run(ctx context.Context, conns []wire.Messenger) (res map[string
 	if err := t.collectSums(skNames, skConns, reported, sum); err != nil {
 		return nil, err
 	}
-	sort.Strings(absent)
-	t.absent = absent
 	return AggregateSum(t.schema, sum)
 }
 
-// setupDC drives one DC through registration, configuration, and share
-// distribution.
-func (t *Tally) setupDC(idx int, c wire.Messenger, skNames []string, skKeys map[string][]byte, skConns map[string]wire.Messenger, owner map[string]int) (string, error) {
-	var reg RegisterMsg
-	if err := c.Expect(kindRegister, &reg); err != nil {
-		return "", fmt.Errorf("privcount ts: registration: %w", err)
-	}
-	if reg.Role != RoleDC {
-		return reg.Name, fmt.Errorf("privcount ts: party %d registered as %q, want %q", idx, reg.Role, RoleDC)
-	}
-	if prev, dup := owner[reg.Name]; dup && prev != idx {
-		return reg.Name, fmt.Errorf("privcount ts: duplicate DC %q", reg.Name)
-	}
-	owner[reg.Name] = idx
+// setupDC drives one DC through configuration and share distribution.
+func (t *Tally) setupDC(name string, c wire.Messenger, skNames []string, skKeys map[string][]byte, skConns []wire.Messenger) error {
 	cfg := ConfigureMsg{
 		Round:       t.cfg.Round,
 		Shapes:      t.shapes,
@@ -312,13 +274,13 @@ func (t *Tally) setupDC(idx int, c wire.Messenger, skNames []string, skKeys map[
 		NoiseWeight: t.weightFor(),
 	}
 	if err := c.Send(kindConfigure, cfg); err != nil {
-		return reg.Name, fmt.Errorf("privcount ts: configure DC %s: %w", reg.Name, err)
+		return fmt.Errorf("privcount ts: configure DC %s: %w", name, err)
 	}
-	return reg.Name, t.relayShares(reg.Name, c, skNames, skConns)
+	return t.relayShares(name, c, skNames, skConns)
 }
 
 // relayShares forwards one DC's sealed seeds, one box to each SK.
-func (t *Tally) relayShares(name string, c wire.Messenger, skNames []string, skConns map[string]wire.Messenger) error {
+func (t *Tally) relayShares(name string, c wire.Messenger, skNames []string, skConns []wire.Messenger) error {
 	var shares SharesMsg
 	if err := c.Expect(kindShares, &shares); err != nil {
 		return fmt.Errorf("privcount ts: shares from DC %s: %w", name, err)
@@ -329,12 +291,12 @@ func (t *Tally) relayShares(name string, c wire.Messenger, skNames []string, skC
 	if len(shares.Boxes) != len(skNames) {
 		return fmt.Errorf("privcount ts: DC %s sent %d boxes, want %d", name, len(shares.Boxes), len(skNames))
 	}
-	for _, sk := range skNames {
+	for i, sk := range skNames {
 		box, ok := shares.Boxes[sk]
 		if !ok {
 			return fmt.Errorf("privcount ts: DC %s missing box for SK %s", name, sk)
 		}
-		if err := skConns[sk].Send(kindRelay, RelayMsg{From: name, N: shares.N, Box: box}); err != nil {
+		if err := skConns[i].Send(kindRelay, RelayMsg{From: name, N: shares.N, Box: box}); err != nil {
 			return fmt.Errorf("privcount ts: relay to SK %s: %w", sk, err)
 		}
 	}
@@ -395,21 +357,22 @@ func addSlots(dst []uint64, raw []byte) {
 // buffer-then-fold staging is needed: every SK is required, so any SK
 // failure aborts the whole round and a partially folded sum is never
 // observed.
-func (t *Tally) collectSums(skNames []string, skConns map[string]wire.Messenger, dcs []string, sum []uint64) error {
-	for _, name := range skNames {
-		if err := skConns[name].Send(kindCollect, CollectMsg{Round: t.cfg.Round, DCs: dcs}); err != nil {
-			return fmt.Errorf("privcount ts: collect SK %s: %w", name, err)
+func (t *Tally) collectSums(skNames []string, skConns []wire.Messenger, dcs []string, sum []uint64) error {
+	for i, c := range skConns {
+		if err := c.Send(kindCollect, CollectMsg{Round: t.cfg.Round, DCs: dcs}); err != nil {
+			return fmt.Errorf("privcount ts: collect SK %s: %w", skNames[i], err)
 		}
 	}
-	for _, name := range skNames {
+	for i, c := range skConns {
+		name := skNames[i]
 		var sums SumsMsg
-		if err := skConns[name].Expect(kindSums, &sums); err != nil {
+		if err := c.Expect(kindSums, &sums); err != nil {
 			return fmt.Errorf("privcount ts: sums from SK %s: %w", name, err)
 		}
 		if sums.N != t.schema.Size() {
 			return fmt.Errorf("privcount ts: SK %s sums have %d slots, want %d", name, sums.N, t.schema.Size())
 		}
-		err := recvValuesFunc(skConns[name], sums.N, func(off int, raw []byte) error {
+		err := recvValuesFunc(c, sums.N, func(off int, raw []byte) error {
 			addSlots(sum[off:off+len(raw)/8], raw)
 			return nil
 		})
@@ -420,10 +383,9 @@ func (t *Tally) collectSums(skNames []string, skConns map[string]wire.Messenger,
 	return nil
 }
 
-// weightFor is every DC's share of the noise responsibility. DC names
-// are learned as they register, so there is no DC set to normalize
-// per-name weights over; all carry the same share, provisioned at
-// the quorum floor, not the DC count: an absent DC's noise share
+// weightFor is every DC's share of the noise responsibility. All DCs
+// carry the same share, provisioned at the quorum floor, not the DC
+// count: an absent DC's noise share
 // travels in its never-sent report, so 1/NumDCs shares would leave a
 // round degraded to k of n DCs with only k/n of the calibrated
 // Gaussian variance — silently eroding (ε,δ). At 1/MinDCs every

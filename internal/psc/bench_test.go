@@ -180,7 +180,7 @@ func runBenchRound(b testing.TB, cfg Config, items int, mk connPair) {
 	done := make(chan error, 1)
 	var res Result
 	go func() {
-		r, err := tally.Run(context.Background(), tsConns)
+		r, err := tally.Run(context.Background(), tsConns, roundNames(cfg.NumCPs, cfg.NumDCs))
 		res = r
 		done <- err
 	}()

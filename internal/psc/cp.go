@@ -39,13 +39,11 @@ func NewCP(name string, m wire.Messenger, noise *dp.NoiseSource) *CP {
 // Serve runs one round on the CP's bound messenger.
 func (cp *CP) Serve() error { return cp.ServeRound(cp.m) }
 
-// ServeRound runs the CP's side of one round over m: register, mix once
-// when asked, then produce decryption shares chunk by chunk. All round
-// state is local, so one CP serves many rounds concurrently.
+// ServeRound runs the CP's side of one round over m: register its key,
+// mix once when asked, then produce decryption shares chunk by chunk.
+// All round state is local, so one CP serves many rounds concurrently.
 func (cp *CP) ServeRound(m wire.Messenger) error {
-	if err := m.Send(kindRegister, RegisterMsg{
-		Role: RoleCP, Name: cp.Name, PubKey: cp.key.PK.Bytes(), KeyProof: cp.keyProof,
-	}); err != nil {
+	if err := m.Send(kindRegister, RegisterMsg{PubKey: cp.key.PK.Bytes(), KeyProof: cp.keyProof}); err != nil {
 		return fmt.Errorf("psc cp %s: register: %w", cp.Name, err)
 	}
 	var cfg ConfigureMsg
@@ -98,7 +96,7 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 	}
 	noise, rands := elgamal.BatchEncryptBits(joint, bits)
 	proofs := elgamal.BatchProveBits(joint, noise, bits, rands)
-	if err := m.Send(kindMixed, VectorHeader{From: cp.Name, Round: cfg.Round, N: total}); err != nil {
+	if err := m.Send(kindMixed, VectorHeader{Round: cfg.Round, N: total}); err != nil {
 		return err
 	}
 	err := forEachChunk(len(noise), func(off, end int) error {
@@ -238,7 +236,7 @@ func (cp *CP) decryptPhase(m wire.Messenger, cfg ConfigureMsg) error {
 	if err := m.Expect(kindDecrypt, &hdr); err != nil {
 		return fmt.Errorf("psc cp %s: decrypt request: %w", cp.Name, err)
 	}
-	if err := m.Send(kindShares, VectorHeader{From: cp.Name, Round: cfg.Round, N: hdr.N}); err != nil {
+	if err := m.Send(kindShares, VectorHeader{Round: cfg.Round, N: hdr.N}); err != nil {
 		return err
 	}
 	return recvVectorFunc(m, hdr.N, func(off int, cts []elgamal.Ciphertext) error {

@@ -39,12 +39,9 @@ func NewDC(name string, m wire.Messenger) *DC {
 	return &DC{Name: name, m: m}
 }
 
-// Setup registers with the tally server and receives the round
-// configuration (hash key, table size, joint encryption key).
+// Setup receives the round configuration (hash key, table size, joint
+// encryption key) from the tally server.
 func (dc *DC) Setup() error {
-	if err := dc.m.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: dc.Name}); err != nil {
-		return fmt.Errorf("psc dc %s: register: %w", dc.Name, err)
-	}
 	if err := dc.m.Expect(kindConfig, &dc.cfg); err != nil {
 		return fmt.Errorf("psc dc %s: configure: %w", dc.Name, err)
 	}
@@ -98,7 +95,7 @@ func (dc *DC) Finish() error {
 		return fmt.Errorf("psc dc %s: finish before setup", dc.Name)
 	}
 	dc.ready = false
-	if err := dc.m.Send(kindTable, VectorHeader{From: dc.Name, Round: dc.cfg.Round, N: dc.cfg.Bins}); err != nil {
+	if err := dc.m.Send(kindTable, VectorHeader{Round: dc.cfg.Round, N: dc.cfg.Bins}); err != nil {
 		return err
 	}
 	err := forEachChunk(len(dc.bins), func(off, end int) error {

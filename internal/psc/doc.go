@@ -57,8 +57,9 @@
 // estimator in internal/stats removes the noise mean and inverts hash
 // collisions to recover the distinct count with an exact CI (§3.3).
 // Privacy holds if at least one CP is honest; correctness is enforced
-// against all CPs by the attached proofs. A CP registers its key with a
-// proof that it knows the secret, and the TS refuses an identity key or
+// against all CPs by the attached proofs. A CP registers its key — and
+// only its key: a party's name is the one its engine hello pinned —
+// with a proof that it knows the secret, and the TS refuses an identity key or
 // joint key: otherwise the last CP to register could pick the key that
 // cancels the others' and read every ciphertext.
 //
@@ -69,15 +70,16 @@
 //   - Tally: the TS role — chunk-pipelined relay and verifier; it
 //     holds no decryption capability and never sees an unencrypted
 //     bin. Run has one flow under the round's context: it takes its
-//     messengers positionally (CPs first, then DCs) and puts every DC
-//     failure to Recover for a replacement. A DC not replaced is
-//     absent, and Run alone decides what that means: the context's
-//     cause if the round is cancelled, a failed round naming the DC if
-//     the absentees would leave fewer than the floor, a degraded round
-//     otherwise.
+//     messengers positionally (CPs first, then DCs), with the parties'
+//     pinned names beside them, and puts every DC failure to Recover
+//     for a replacement. A DC not replaced is absent, and Run alone
+//     decides what that means: the context's cause if the round is
+//     cancelled, a failed round naming the DC if the absentees would
+//     leave fewer than the floor, a degraded round otherwise. It counts
+//     absentees and lists none: the engine's Round.Absent is the one
+//     list.
 //   - DC / CP: the party roles, each speaking over one wire.Messenger.
-//   - Result: the round outcome, with AbsentDCs annotating degraded
-//     coverage.
+//   - Result: the round outcome.
 //
 // # Invariants
 //
@@ -132,6 +134,6 @@
 //   - A DC's upload can be restarted on a rejoined session until its
 //     table completes: the tally buffers each table privately and
 //     merges it into the shared combination only as a whole, so a
-//     DC declared absent contributed nothing — Result.AbsentDCs is an
-//     exact coverage boundary, never "partially included".
+//     DC declared absent contributed nothing — the round's absent list
+//     is an exact coverage boundary, never "partially included".
 package psc

@@ -24,19 +24,13 @@ const (
 	kindShare      = "psc/share-chunk"    // decryption-share chunk with proofs
 )
 
-// Party roles.
-const (
-	RoleDC = "dc"
-	RoleCP = "cp"
-)
-
-// RegisterMsg announces a party. CPs include their ElGamal public key
-// and a proof that they know its secret.
+// RegisterMsg is a CP's key material for the round: its ElGamal public
+// key and a proof that it knows the secret. It names no party — the
+// engine's pinned hello is the one place a party says who it is — and a
+// DC sends none.
 type RegisterMsg struct {
-	Role     string
-	Name     string
-	PubKey   []byte // CP only: encoded group point
-	KeyProof []byte // CP only: fixed-width proof of possession of PubKey
+	PubKey   []byte // encoded group point
+	KeyProof []byte // fixed-width proof of possession of PubKey
 }
 
 // ConfigureMsg distributes the round parameters. The hash key goes to
@@ -54,7 +48,6 @@ type ConfigureMsg struct {
 // VectorHeader opens a chunked vector transfer (table upload, mix
 // input, mixed output, decrypt input, share stream).
 type VectorHeader struct {
-	From  string
 	Round uint64
 	// N is the total element count the chunks must tile.
 	N int
@@ -247,8 +240,4 @@ type Result struct {
 	Reported    int
 	Bins        int
 	NoiseTrials int
-	// AbsentDCs lists data collectors declared absent under the quorum
-	// policy: the round completed without their tables, so Reported
-	// covers a reduced relay set. Empty for a full-strength round.
-	AbsentDCs []string
 }

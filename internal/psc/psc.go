@@ -26,16 +26,15 @@ type Config struct {
 	ShuffleProofRounds int
 	NumDCs, NumCPs     int
 	// MinDCs is the quorum floor for data collectors: the round
-	// completes (with degraded coverage, annotated in
-	// Result.AbsentDCs) as long as at least MinDCs tables arrive in
-	// full. Zero means every DC is required. CPs have no quorum knob:
+	// completes (with degraded coverage, which the engine's round
+	// annotates) as long as at least MinDCs tables arrive in full. Zero means every DC is required. CPs have no quorum knob:
 	// the joint key is an n-of-n threshold, so losing any CP loses the
 	// round.
 	MinDCs int
 	// Recover is consulted whenever the exchange with the DC at index
 	// i of the Run slice (CPs first, then DCs) fails. canRetry reports
 	// that a replacement messenger (a rejoined daemon's fresh round
-	// stream) may restart the DC's exchange from registration; the
+	// stream) may restart the DC's exchange from configuration; the
 	// tally buffers each DC's table and folds it into the round's
 	// combination only once complete, so a failed upload leaves no
 	// partial state and every failure before the table's completion is

@@ -78,7 +78,7 @@ func runRound(t *testing.T, cfg Config, feed func(dcs []*DC)) Result {
 	resCh := make(chan Result, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		res, err := tally.Run(context.Background(), tsConns)
+		res, err := tally.Run(context.Background(), tsConns, roundNames(cfg.NumCPs, cfg.NumDCs))
 		if err != nil {
 			errCh <- err
 			return
@@ -164,10 +164,6 @@ func configuredDC(t testing.TB, name string, key []byte, bins int) *DC {
 	dc := NewDC(name, dcSide)
 	errc := make(chan error, 1)
 	go func() { errc <- dc.Setup() }()
-	var reg RegisterMsg
-	if err := tsSide.Expect(kindRegister, &reg); err != nil {
-		t.Fatal(err)
-	}
 	cfg := ConfigureMsg{Round: 1, Bins: bins, HashKey: key, JointKey: elgamal.GenerateKey().PK.Bytes()}
 	if err := tsSide.Send(kindConfig, cfg); err != nil {
 		t.Fatal(err)
@@ -312,7 +308,7 @@ func TestTallyRejectsWrongConnCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tally.Run(context.Background(), nil); err == nil {
+	if _, err := tally.Run(context.Background(), nil, nil); err == nil {
 		t.Fatal("no connections must fail")
 	}
 }
@@ -533,7 +529,7 @@ func TestMaliciousCPRejected(t *testing.T) {
 				dc.Finish()
 			}()
 
-			_, err = tally.Run(context.Background(), tsConns)
+			_, err = tally.Run(context.Background(), tsConns, []string{"cp-a", "cp-b", "dc-0"})
 			if err == nil {
 				t.Fatal("tally must reject the tampered round")
 			}
@@ -555,13 +551,12 @@ func TestMaliciousCPRejected(t *testing.T) {
 	}
 }
 
-// rogueCP plays a CP that registers under name with the given key
-// material, waits to be configured and hangs up: a round that wrongly
-// accepts the key then fails on the closed pipe instead of waiting for
-// a mix forever.
-func rogueCP(conn wire.Messenger, name string, pub, proof []byte) {
+// rogueCP plays a CP that registers the given key material, waits to
+// be configured and hangs up: a round that wrongly accepts the key then
+// fails on the closed pipe instead of waiting for a mix forever.
+func rogueCP(conn wire.Messenger, pub, proof []byte) {
 	defer conn.Close()
-	conn.Send(kindRegister, RegisterMsg{Role: RoleCP, Name: name, PubKey: pub, KeyProof: proof})
+	conn.Send(kindRegister, RegisterMsg{PubKey: pub, KeyProof: proof})
 	var cc ConfigureMsg
 	conn.Expect(kindConfig, &cc)
 }
@@ -603,14 +598,14 @@ func TestRogueCPKeyRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			var tsConns []wire.Messenger
-			for i, k := range honest {
+			for _, k := range honest {
 				ts, side := wire.Pipe()
 				tsConns = append(tsConns, ts)
-				go rogueCP(side, fmt.Sprintf("cp-%d", i), k.PK.Bytes(), pop(k))
+				go rogueCP(side, k.PK.Bytes(), pop(k))
 			}
 			ts, side := wire.Pipe()
 			tsConns = append(tsConns, ts)
-			go rogueCP(side, "cp-rogue", tc.pub, tc.proof)
+			go rogueCP(side, tc.pub, tc.proof)
 			ts, dcSide := wire.Pipe()
 			tsConns = append(tsConns, ts)
 			go func() {
@@ -618,7 +613,7 @@ func TestRogueCPKeyRejected(t *testing.T) {
 				dcSide.Close()
 			}()
 
-			_, err = tally.Run(context.Background(), tsConns)
+			_, err = tally.Run(context.Background(), tsConns, []string{"cp-0", "cp-1", "cp-rogue", "dc-0"})
 			if err == nil || !strings.Contains(err.Error(), `CP "cp-rogue"`) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Run returned %v, want an error naming CP \"cp-rogue\" and %q", err, tc.want)
 			}
@@ -759,7 +754,7 @@ func BenchmarkRound256Bins(b *testing.B) {
 		}
 		done := make(chan struct{})
 		go func() {
-			if _, err := tally.Run(context.Background(), tsConns); err != nil {
+			if _, err := tally.Run(context.Background(), tsConns, roundNames(cfg.NumCPs, cfg.NumDCs)); err != nil {
 				b.Error(err)
 			}
 			close(done)
@@ -776,12 +771,11 @@ func BenchmarkRound256Bins(b *testing.B) {
 	}
 }
 
-// dyingDC plays a DC that registers under name, announces a full table,
-// uploads one chunk with every bin set, and then drops its connection
-// mid-upload.
-func dyingDC(conn wire.Messenger, name string) {
+// dyingDC plays a DC that takes its configuration, announces a full
+// table, uploads one chunk with every bin set, and then drops its
+// connection mid-upload.
+func dyingDC(conn wire.Messenger) {
 	defer conn.Close()
-	conn.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: name})
 	var cc ConfigureMsg
 	if conn.Expect(kindConfig, &cc) != nil {
 		return
@@ -795,21 +789,22 @@ func dyingDC(conn wire.Messenger, name string) {
 		bits[i] = true
 	}
 	cts, _ := elgamal.BatchEncryptBits(joint, bits)
-	conn.Send(kindTable, VectorHeader{From: name, Round: cc.Round, N: cc.Bins})
+	conn.Send(kindTable, VectorHeader{Round: cc.Round, N: cc.Bins})
 	conn.Send(kindChunk, ChunkMsg{Off: 0, Count: len(cts), Data: encodeVector(cts)})
 }
 
 // TestTolerantAbsentDCContributesNothing: a DC that dies after uploading part
 // of its table must be declared absent with none of its chunks in the
 // aggregate. Each table is buffered and merged only once complete, so
-// Result.AbsentDCs is an exact coverage statement — here the dying DC
-// marks 1024 bins in its aborted upload and the result must still count
-// only the survivor's one item.
+// the round's absent list is an exact coverage statement — here the
+// dying DC marks 1024 bins in its aborted upload and the result must
+// still count only the survivor's one item.
 func TestTolerantAbsentDCContributesNothing(t *testing.T) {
+	names := []string{"cp-0", "dc-good", "dc-dying"}
+	recover, absent := recordAbsent(names)
 	cfg := Config{
 		Round: 7, Bins: 2048, NoisePerCP: 0, ShuffleProofRounds: 1,
-		NumDCs: 2, NumCPs: 1, MinDCs: 1,
-		Recover: func(int, bool) wire.Messenger { return nil },
+		NumDCs: 2, NumCPs: 1, MinDCs: 1, Recover: recover,
 	}
 	tally, err := NewTally(cfg)
 	if err != nil {
@@ -834,13 +829,13 @@ func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 	dying := make(chan struct{})
 	go func() {
 		defer close(dying)
-		dyingDC(dyingSide, "dc-dying")
+		dyingDC(dyingSide)
 	}()
 
 	resCh := make(chan Result, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		res, err := tally.Run(context.Background(), tsConns)
+		res, err := tally.Run(context.Background(), tsConns, names)
 		if err != nil {
 			errCh <- err
 			return
@@ -858,8 +853,8 @@ func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 	<-dying
 	select {
 	case res := <-resCh:
-		if len(res.AbsentDCs) != 1 || res.AbsentDCs[0] != "dc-dying" {
-			t.Fatalf("AbsentDCs = %v, want [dc-dying]", res.AbsentDCs)
+		if got := absent(); !slices.Equal(got, []string{"dc-dying"}) {
+			t.Fatalf("absent %v, want [dc-dying]", got)
 		}
 		if res.Reported != 1 {
 			t.Fatalf("reported %d bins, want 1: the absent DC's partial upload leaked into the aggregate", res.Reported)
@@ -910,17 +905,17 @@ func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		dyingDC(dyingSide, "dc-dying")
+		dyingDC(dyingSide)
 	}()
 
-	res, err := tally.Run(context.Background(), tsConns)
+	res, err := tally.Run(context.Background(), tsConns, []string{"cp-0", "dc-good", "dc-dying"})
 	if err == nil {
 		t.Fatalf("round completed without dc-dying's table: %+v", res)
 	}
 	if !strings.Contains(err.Error(), "dc-dying") {
 		t.Fatalf("error %q does not name the lost DC", err)
 	}
-	if res.Reported != 0 || res.Bins != 0 || res.AbsentDCs != nil {
+	if res != (Result{}) {
 		t.Fatalf("failed round returned a result: %+v", res)
 	}
 	for _, m := range tsConns {
@@ -933,31 +928,37 @@ func TestNilRecoverFailsRoundOnDCLoss(t *testing.T) {
 // one Recover did not replace, or any failed DC without a Recover — is
 // absent while the absentees leave at least the quorum floor (MinDCs,
 // or every DC at 0), and the loss that breaks the floor fails the round
-// at once, naming that DC. Failing DCs register and hang up; the DCs
+// at once, naming that DC. Failing DCs hang up unconfigured; the DCs
 // run concurrently, so a round that fails on its second loss may name
-// either failing DC.
+// either failing DC. The absentees are read from the Recover callback's
+// nil returns, as the engine records them; a nil Recover records none,
+// so its rows check only the verdict.
 func TestQuorumTable(t *testing.T) {
-	absentRecover := func(int, bool) wire.Messenger { return nil }
 	for _, tc := range []struct {
 		name           string
 		numDCs, minDCs int
-		fail           []int // DC positions that register and hang up
-		recover        func(int, bool) wire.Messenger
-		fails          bool // the round must fail at one of the failing DCs
+		fail           []int // DC positions that hang up unconfigured
+		recovers       bool  // a Recover that declares every lost DC absent; false: none
+		fails          bool  // the round must fail at one of the failing DCs
 		wantAbsent     []string
 	}{
-		{"all-required-nil-recover", 2, 0, []int{1}, nil, true, nil},
-		{"all-required-absent", 2, 0, []int{1}, absentRecover, true, nil},
-		{"floor-equals-fleet-absent", 2, 2, []int{0}, absentRecover, true, nil},
-		{"1-of-2-nil-recover", 2, 1, []int{1}, nil, false, []string{"dc-1"}},
-		{"1-of-3-absent", 3, 1, []int{0, 2}, absentRecover, false, []string{"dc-0", "dc-2"}},
-		{"2-of-3-second-loss-fails", 3, 2, []int{0, 2}, absentRecover, true, nil},
-		{"2-of-3-full-strength", 3, 2, nil, nil, false, nil},
+		{"all-required-nil-recover", 2, 0, []int{1}, false, true, nil},
+		{"all-required-absent", 2, 0, []int{1}, true, true, nil},
+		{"floor-equals-fleet-absent", 2, 2, []int{0}, true, true, nil},
+		{"1-of-2-nil-recover", 2, 1, []int{1}, false, false, nil},
+		{"1-of-3-absent", 3, 1, []int{0, 2}, true, false, []string{"dc-0", "dc-2"}},
+		{"2-of-3-second-loss-fails", 3, 2, []int{0, 2}, true, true, nil},
+		{"2-of-3-full-strength", 3, 2, nil, true, false, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			names := roundNames(1, tc.numDCs)
+			recover, absent := recordAbsent(names)
+			if !tc.recovers {
+				recover = nil
+			}
 			tally, err := NewTally(Config{
 				Round: 12, Bins: 64, ShuffleProofRounds: 1, NumCPs: 1,
-				NumDCs: tc.numDCs, MinDCs: tc.minDCs, Recover: tc.recover,
+				NumDCs: tc.numDCs, MinDCs: tc.minDCs, Recover: recover,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -980,16 +981,15 @@ func TestQuorumTable(t *testing.T) {
 				failNames = append(failNames, fmt.Sprintf("dc-%d", di))
 			}
 			for di := 0; di < tc.numDCs; di++ {
-				c, name := conns[1+di], fmt.Sprintf("dc-%d", di)
+				c := conns[1+di]
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					if failing[di] {
-						c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: name})
 						c.Close()
 						return
 					}
-					dc := NewDC(name, c)
+					dc := NewDC(names[1+di], c)
 					if dc.Setup() != nil {
 						return
 					}
@@ -997,7 +997,7 @@ func TestQuorumTable(t *testing.T) {
 					dc.Finish()
 				}()
 			}
-			res, err := tally.Run(context.Background(), tsConns)
+			res, err := tally.Run(context.Background(), tsConns, names)
 			for _, m := range tsConns {
 				m.Close()
 			}
@@ -1017,38 +1017,14 @@ func TestQuorumTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(res.AbsentDCs, tc.wantAbsent) {
-				t.Fatalf("AbsentDCs = %v, want %v", res.AbsentDCs, tc.wantAbsent)
+			if got := absent(); !slices.Equal(got, tc.wantAbsent) {
+				t.Fatalf("absent %v, want %v", got, tc.wantAbsent)
 			}
 			if res.Reported != 1 {
 				t.Fatalf("reported %d bins, want the one item", res.Reported)
 			}
 		})
 	}
-}
-
-// TestTallyRejectsMisorderedParties: Run's slice is positional, so a DC
-// where a CP belongs (and so a CP where a DC belongs) is rejected at
-// registration instead of being sorted out by role.
-func TestTallyRejectsMisorderedParties(t *testing.T) {
-	tally, err := NewTally(Config{Round: 9, Bins: 16, ShuffleProofRounds: 2, NumDCs: 1, NumCPs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsDC, dcSide := wire.Pipe()
-	tsCP, cpSide := wire.Pipe()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); NewDC("dc-0", dcSide).Setup() }()
-	go func() { defer wg.Done(); NewCP("cp-0", cpSide, nil).Serve() }()
-
-	_, err = tally.Run(context.Background(), []wire.Messenger{tsDC, tsCP})
-	if err == nil || !strings.Contains(err.Error(), `registered as "dc", want "cp"`) {
-		t.Fatalf("misordered slice: got %v, want a wrong-role rejection at position 0", err)
-	}
-	tsDC.Close()
-	tsCP.Close()
-	wg.Wait()
 }
 
 // TestRunCancelledContextFailsRound runs a round over bare pipes whose
@@ -1087,7 +1063,7 @@ func TestRunCancelledContextFailsRound(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := tally.Run(ctx, tsConns)
+		_, err := tally.Run(ctx, tsConns, roundNames(cfg.NumCPs, cfg.NumDCs))
 		errCh <- err
 	}()
 	setupWG.Wait() // every DC is configured; Run now waits for tables that never come
@@ -1188,10 +1164,6 @@ func TestDCRejectsHostileConfigure(t *testing.T) {
 			defer tsSide.Close()
 			errCh := make(chan error, 1)
 			go func() { errCh <- NewDC("dc", dcSide).Setup() }()
-			var reg RegisterMsg
-			if err := tsSide.Expect(kindRegister, &reg); err != nil {
-				t.Fatal(err)
-			}
 			if err := tsSide.Send(kindConfig, tc.cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -1200,4 +1172,37 @@ func TestDCRejectsHostileConfigure(t *testing.T) {
 			}
 		})
 	}
+}
+
+// roundNames names a round's parties as the engine's pinned hellos
+// would, in Run's positional order: "cp-0".. then "dc-0"...
+func roundNames(numCPs, numDCs int) []string {
+	var names []string
+	for i := 0; i < numCPs; i++ {
+		names = append(names, fmt.Sprintf("cp-%d", i))
+	}
+	for i := 0; i < numDCs; i++ {
+		names = append(names, fmt.Sprintf("dc-%d", i))
+	}
+	return names
+}
+
+// recordAbsent returns a Recover that declares every lost DC absent and
+// a function listing, sorted, the names of the DCs it was called for:
+// the list the engine's Round.Absent keeps for the same round.
+func recordAbsent(names []string) (recover func(int, bool) wire.Messenger, absent func() []string) {
+	var mu sync.Mutex
+	var lost []string
+	recover = func(i int, _ bool) wire.Messenger {
+		mu.Lock()
+		defer mu.Unlock()
+		lost = append(lost, names[i])
+		return nil
+	}
+	absent = func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Sorted(slices.Values(lost))
+	}
+	return recover, absent
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/elgamal"
@@ -57,28 +56,27 @@ type vchunk struct {
 	cts []elgamal.Ciphertext
 }
 
-// roundParties is the outcome of the registration/configuration/table
-// phase, everything the shared mixing and decryption tail needs.
-type roundParties struct {
-	cpM     map[string]wire.Messenger
-	cpKeys  map[string]elgamal.Point
-	cpNames []string
-	joint   elgamal.Point
-	absent  []string
+// cpParty is one computation party of a round, as the registration
+// phase leaves it for the mixing and decryption tail.
+type cpParty struct {
+	name string
+	m    wire.Messenger
+	key  elgamal.Point
 }
 
 // Run executes one round over established messengers (one per party —
 // dedicated connections or per-round streams of multiplexed sessions).
-// Precondition: the slice is positional — the NumCPs CPs first, then
-// the NumDCs DCs (the engine orders them); a party registering with the
-// wrong role for its position fails the round. Any CP failure fails the
-// round. A DC failure is put to cfg.Recover, which may restart the DC
-// on a replacement messenger; a DC it does not replace is absent, and
-// the round degrades while the absentees leave at least the quorum
-// floor (cfg.MinDCs, or every DC) — the absence that breaks it fails
-// the round at once, naming that DC. With a nil Recover and MinDCs 0
-// the first DC error fails the round. A DC failure in a cancelled round
-// is the cancellation, never an absence.
+// Precondition: both slices are positional — the NumCPs CPs first, then
+// the NumDCs DCs (the engine orders them) — and names[i] is the pinned
+// name of the party behind parties[i], the one its errors carry. The
+// CPs mix in that order. Any CP failure fails the round. A DC failure
+// is put to cfg.Recover, which may restart the DC on a replacement
+// messenger; a DC it does not replace is absent, and the round degrades
+// while the absentees leave at least the quorum floor (cfg.MinDCs, or
+// every DC) — the absence that breaks it fails the round at once,
+// naming that DC. With a nil Recover and MinDCs 0 the first DC error
+// fails the round. A DC failure in a cancelled round is the
+// cancellation, never an absence.
 //
 // ctx is the round: cancelling it stops Run, which then returns the
 // cancellation cause. Run derives its own cancellable context from it
@@ -87,10 +85,10 @@ type roundParties struct {
 // Cancellation does not unblock a stage waiting on a messenger; the
 // caller resets or closes the messengers once Run has returned (the
 // engine resets the round's streams).
-func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, err error) {
-	if len(parties) != t.cfg.NumDCs+t.cfg.NumCPs {
-		return Result{}, fmt.Errorf("psc ts: have %d connections, want %d DCs + %d CPs",
-			len(parties), t.cfg.NumDCs, t.cfg.NumCPs)
+func (t *Tally) Run(ctx context.Context, parties []wire.Messenger, names []string) (res Result, err error) {
+	if len(parties) != t.cfg.NumDCs+t.cfg.NumCPs || len(names) != len(parties) {
+		return Result{}, fmt.Errorf("psc ts: have %d connections and %d names, want %d DCs + %d CPs",
+			len(parties), len(names), t.cfg.NumDCs, t.cfg.NumCPs)
 	}
 	ctx, cancel := context.WithCancelCause(ctx)
 	// Whatever Run returns is the round's outcome: a failure return wakes
@@ -104,7 +102,7 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 	// spill storage, not parsed group elements on the heap. Each DC's
 	// table is buffered (also spilled) by its own goroutine and folded
 	// in by the gather loop once complete (see gather).
-	sum, rp, err := t.gather(ctx, parties)
+	sum, cps, joint, err := t.gather(ctx, parties, names)
 	if err != nil {
 		return Result{}, err
 	}
@@ -121,14 +119,14 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 	go restream(ctx, cancel, sum, "gather spill", feed)
 	in := feed
 	var mixWG sync.WaitGroup
-	for i, n := range rp.cpNames {
+	for i, cp := range cps {
 		out := make(chan vchunk, 2)
 		nIn := t.cfg.Bins + i*t.cfg.NoisePerCP
 		mixWG.Add(1)
-		go func(name string, m wire.Messenger, nIn int, in <-chan vchunk, out chan<- vchunk) {
+		go func(in <-chan vchunk, out chan<- vchunk) {
 			defer mixWG.Done()
-			t.mixCP(ctx, cancel, name, m, rp.joint, nIn, in, out)
-		}(n, rp.cpM[n], nIn, in, out)
+			t.mixCP(ctx, cancel, cp.name, cp.m, joint, nIn, in, out)
+		}(in, out)
 		in = out
 	}
 	// Collect the final blinded vector into a spill, not the heap: the
@@ -174,15 +172,15 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 	// and each chunk's plaintexts are recovered and counted the moment
 	// all CPs have answered it — the TS never holds more than a chunk of
 	// shares per CP.
-	feeds := make([]chan<- vchunk, len(rp.cpNames))
-	shareChans := make([]chan decShareChunk, len(rp.cpNames))
-	for i, n := range rp.cpNames {
+	feeds := make([]chan<- vchunk, len(cps))
+	shareChans := make([]chan decShareChunk, len(cps))
+	for i, cp := range cps {
 		// Two chunks of slack, like every stage here: the reader decodes
 		// chunk k+1 while the CP stream is still sending chunk k.
 		f := make(chan vchunk, 2)
 		feeds[i] = f
 		shareChans[i] = make(chan decShareChunk, 2)
-		go t.decryptCP(ctx, cancel, n, rp.cpM[n], rp.cpKeys[n], f, finalN, shareChans[i])
+		go t.decryptCP(ctx, cancel, cp.name, cp.m, cp.key, f, finalN, shareChans[i])
 	}
 	go restream(ctx, cancel, dec, "decrypt spill", feeds...)
 	// Each chunk's plaintext recovery is independent once every CP's
@@ -205,7 +203,7 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 		// Every CP's chunk carries the one decoded ciphertext slice its
 		// shares were verified against.
 		var cts []elgamal.Ciphertext
-		shares := make([][]elgamal.DecryptionShare, len(rp.cpNames))
+		shares := make([][]elgamal.DecryptionShare, len(cps))
 		for i := range shareChans {
 			select {
 			case sc, ok := <-shareChans[i]:
@@ -213,10 +211,10 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 					if ctx.Err() != nil {
 						return context.Cause(ctx)
 					}
-					return fmt.Errorf("psc ts: CP %s share stream ended early", rp.cpNames[i])
+					return fmt.Errorf("psc ts: CP %s share stream ended early", cps[i].name)
 				}
 				if sc.off != off {
-					return fmt.Errorf("psc ts: CP %s shares for offset %d, want %d", rp.cpNames[i], sc.off, off)
+					return fmt.Errorf("psc ts: CP %s shares for offset %d, want %d", cps[i].name, sc.off, off)
 				}
 				cts, shares[i] = sc.cts, sc.shares
 			case <-ctx.Done():
@@ -248,46 +246,42 @@ func (t *Tally) Run(ctx context.Context, parties []wire.Messenger) (res Result, 
 		Reported:    reported,
 		Bins:        t.cfg.Bins,
 		NoiseTrials: t.cfg.TotalNoiseTrials(),
-		AbsentDCs:   rp.absent,
 	}, nil
 }
 
 // gather is the registration/configuration/table phase: CPs register
-// positionally (all required), then each DC's register/configure/table
-// exchange runs in its own goroutine, where the recovery callback may
-// restart a failed DC on a rejoined session. A DC it does not restart
-// is lost, and this loop alone decides what a loss means: the round's
-// cancellation cause if the round is cancelled, a failed round if the
-// absentees would leave fewer than the quorum floor, an absence
-// otherwise. It returns the round's combined table, which the caller
-// then owns.
+// their keys positionally (all required), then each DC's
+// configure/table exchange runs in its own goroutine, where the
+// recovery callback may restart a failed DC on a rejoined session. A
+// DC it does not restart is lost, and this loop alone decides what a
+// loss means: the round's cancellation cause if the round is
+// cancelled, a failed round if the absentees would leave fewer than the
+// quorum floor, an absence otherwise — counted, not listed: the engine
+// keeps the round's one list of absentees. It returns the round's
+// combined table, which the caller then owns, with the CPs and their
+// joint key.
 //
 // The combination has one writer, this loop: a DC goroutine hands over
 // only its whole buffered table, the first becomes the combination and
 // every later one is folded into it. The hand-off is unbuffered, so a
 // table always has exactly one owner — the loop once it has taken it,
 // otherwise the DC goroutine, which closes it when the round is over.
-func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill, roundParties, error) {
-	rp := roundParties{cpM: make(map[string]wire.Messenger), cpKeys: make(map[string]elgamal.Point)}
-	for i := 0; i < t.cfg.NumCPs; i++ {
-		var reg RegisterMsg
-		if err := parties[i].Expect(kindRegister, &reg); err != nil {
-			return nil, rp, fmt.Errorf("psc ts: registration: %w", err)
+func (t *Tally) gather(ctx context.Context, parties []wire.Messenger, names []string) (*ctSpill, []cpParty, elgamal.Point, error) {
+	cps := make([]cpParty, t.cfg.NumCPs)
+	for i := range cps {
+		cp, err := registerCP(names[i], parties[i])
+		if err != nil {
+			return nil, nil, elgamal.Point{}, err
 		}
-		if reg.Role != RoleCP {
-			return nil, rp, fmt.Errorf("psc ts: party %d registered as %q, want %q", i, reg.Role, RoleCP)
-		}
-		if err := rp.addCP(reg, parties[i]); err != nil {
-			return nil, rp, err
-		}
+		cps[i] = cp
 	}
-	cpCfg, dcCfg, err := t.buildConfigs(&rp)
+	joint, cpCfg, dcCfg, err := t.buildConfigs(cps)
 	if err != nil {
-		return nil, rp, err
+		return nil, nil, joint, err
 	}
-	for _, n := range rp.cpNames {
-		if err := rp.cpM[n].Send(kindConfig, cpCfg); err != nil {
-			return nil, rp, fmt.Errorf("psc ts: configure CP %s: %w", n, err)
+	for _, cp := range cps {
+		if err := cp.m.Send(kindConfig, cpCfg); err != nil {
+			return nil, nil, joint, fmt.Errorf("psc ts: configure CP %s: %w", cp.name, err)
 		}
 	}
 
@@ -297,13 +291,10 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 		err   error    // why the DC was lost
 	}
 	outcomes := make(chan outcome)
-	var mu sync.Mutex
-	owner := make(map[string]int) // DC name -> party index, for duplicate detection across retries
-	for di := 0; di < t.cfg.NumDCs; di++ {
-		idx := t.cfg.NumCPs + di
-		go func(idx int) {
-			var o outcome
-			o.name, o.table, o.err = t.runDC(idx, parties[idx], dcCfg, &mu, owner)
+	for idx := t.cfg.NumCPs; idx < len(parties); idx++ {
+		go func() {
+			o := outcome{name: names[idx]}
+			o.table, o.err = t.runDC(idx, o.name, parties[idx], dcCfg)
 			select {
 			case outcomes <- o:
 			case <-ctx.Done():
@@ -313,15 +304,16 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 					o.table.Close()
 				}
 			}
-		}(idx)
+		}()
 	}
 	var sum *ctSpill
-	fail := func(err error) (*ctSpill, roundParties, error) {
+	fail := func(err error) (*ctSpill, []cpParty, elgamal.Point, error) {
 		if sum != nil {
 			sum.Close()
 		}
-		return nil, rp, err
+		return nil, nil, joint, err
 	}
+	absent := 0
 	for i := 0; i < t.cfg.NumDCs; i++ {
 		var o outcome
 		select {
@@ -332,14 +324,14 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 		switch {
 		case o.err != nil && ctx.Err() != nil:
 			return fail(context.Cause(ctx))
-		case o.err != nil && len(rp.absent) == t.cfg.NumDCs-t.cfg.floor():
+		case o.err != nil && absent == t.cfg.NumDCs-t.cfg.floor():
 			// Fail fast: one more absentee breaks the quorum. The abort
 			// resets every stream, so the remaining DC goroutines unwind
 			// and close their own tables instead of wedging this loop.
 			return fail(fmt.Errorf("psc ts: quorum lost at DC %s (%d of %d DCs absent, floor %d): %w",
-				o.name, len(rp.absent)+1, t.cfg.NumDCs, t.cfg.floor(), o.err))
+				o.name, absent+1, t.cfg.NumDCs, t.cfg.floor(), o.err))
 		case o.err != nil:
-			rp.absent = append(rp.absent, o.name)
+			absent++
 		case sum == nil:
 			sum = o.table
 		default:
@@ -353,125 +345,90 @@ func (t *Tally) gather(ctx context.Context, parties []wire.Messenger) (*ctSpill,
 	// The floor is at least one DC and every folded table is whole, so
 	// the sum covers every bin: a degraded round never decrypts an unset
 	// ciphertext.
-	sort.Strings(rp.absent)
-	return sum, rp, nil
+	return sum, cps, joint, nil
 }
 
-// runDC drives one data collector's registration/configure/table
-// exchange, retrying once on a replacement messenger when the recovery
-// callback provides one. It returns the DC's table only once complete,
-// so a failed upload leaves no partial state: every failure before the
-// table's completion is retryable, and a lost DC — one returned with
-// its last error — contributed nothing.
-func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, mu *sync.Mutex, owner map[string]int) (name string, table *ctSpill, err error) {
-	attempt := func(m wire.Messenger) (string, *ctSpill, error) {
-		var reg RegisterMsg
-		if err := m.Expect(kindRegister, &reg); err != nil {
-			return "", nil, fmt.Errorf("psc ts: registration: %w", err)
-		}
-		if reg.Role != RoleDC {
-			return reg.Name, nil, fmt.Errorf("psc ts: party %d registered as %q, want %q", idx, reg.Role, RoleDC)
-		}
-		mu.Lock()
-		prev, claimed := owner[reg.Name]
-		if !claimed {
-			owner[reg.Name] = idx
-		}
-		mu.Unlock()
-		if claimed && prev != idx {
-			return reg.Name, nil, fmt.Errorf("psc ts: duplicate DC %q", reg.Name)
-		}
+// runDC drives one data collector's configure/table exchange, retrying
+// once on a replacement messenger when the recovery callback provides
+// one. It returns the DC's table only once complete, so a failed upload
+// leaves no partial state: every failure before the table's completion
+// is retryable, and a lost DC — one returned with its last error —
+// contributed nothing.
+func (t *Tally) runDC(idx int, name string, m wire.Messenger, dcCfg ConfigureMsg) (*ctSpill, error) {
+	attempt := func(m wire.Messenger) (*ctSpill, error) {
 		if err := m.Send(kindConfig, dcCfg); err != nil {
-			return reg.Name, nil, fmt.Errorf("psc ts: configure DC %s: %w", reg.Name, err)
+			return nil, fmt.Errorf("psc ts: configure DC %s: %w", name, err)
 		}
-		table, err := t.collectTable(reg.Name, m)
-		return reg.Name, table, err
+		return t.collectTable(name, m)
 	}
-
-	name, table, err = attempt(m)
-	if err == nil {
-		return name, table, nil
-	}
-	if t.cfg.Recover != nil {
+	table, err := attempt(m)
+	if err != nil && t.cfg.Recover != nil {
 		if repl := t.cfg.Recover(idx, true); repl != nil {
-			retryName, retryTable, retryErr := attempt(repl)
-			if retryName != "" {
-				name = retryName
+			if table, err = attempt(repl); err != nil {
+				t.cfg.Recover(idx, false)
 			}
-			if retryErr == nil {
-				return name, retryTable, nil
-			}
-			err = retryErr
-			t.cfg.Recover(idx, false)
 		}
 	}
-	if name == "" {
-		name = fmt.Sprintf("dc#%d", idx-t.cfg.NumCPs)
-	}
-	return name, nil, err
+	return table, err
 }
 
-// addCP checks and records one computation party's registration.
-func (rp *roundParties) addCP(reg RegisterMsg, m wire.Messenger) error {
-	if _, dup := rp.cpM[reg.Name]; dup {
-		return fmt.Errorf("psc ts: duplicate CP %q", reg.Name)
+// registerCP reads and checks one computation party's key
+// registration.
+func registerCP(name string, m wire.Messenger) (cpParty, error) {
+	var reg RegisterMsg
+	if err := m.Expect(kindRegister, &reg); err != nil {
+		return cpParty{}, fmt.Errorf("psc ts: registration of CP %s: %w", name, err)
 	}
 	pk, err := parseKey(reg.PubKey)
 	if err != nil {
-		return fmt.Errorf("psc ts: CP %q public key: %w", reg.Name, err)
+		return cpParty{}, fmt.Errorf("psc ts: CP %q public key: %w", name, err)
 	}
 	// An unproved key could have been built to cancel the other CPs'.
 	if proof, err := elgamal.ParseEqualityProof(reg.KeyProof); err != nil || !elgamal.VerifyPossession(pk, proof) {
 		verifyFailure("key-proof")
-		return fmt.Errorf("psc ts: CP %q proof of possession of its public key unverified", reg.Name)
+		return cpParty{}, fmt.Errorf("psc ts: CP %q proof of possession of its public key unverified", name)
 	}
-	rp.cpM[reg.Name] = m
-	rp.cpKeys[reg.Name] = pk
-	rp.cpNames = append(rp.cpNames, reg.Name)
-	return nil
+	return cpParty{name: name, m: m, key: pk}, nil
 }
 
 // buildConfigs combines the CP keys into the round's joint key and
 // materializes the configure messages (the DC variant carries the hash
-// key, which CPs must not see). cpNames is sorted here: the mixing
-// pipeline order must be deterministic.
-func (t *Tally) buildConfigs(rp *roundParties) (cpCfg, dcCfg ConfigureMsg, err error) {
-	sort.Strings(rp.cpNames)
-	keyList := make([]elgamal.Point, 0, len(rp.cpNames))
-	keyBytes := make([][]byte, 0, len(rp.cpNames))
-	for _, n := range rp.cpNames {
-		keyList = append(keyList, rp.cpKeys[n])
-		keyBytes = append(keyBytes, rp.cpKeys[n].Bytes())
+// key, which CPs must not see).
+func (t *Tally) buildConfigs(cps []cpParty) (joint elgamal.Point, cpCfg, dcCfg ConfigureMsg, err error) {
+	keyList := make([]elgamal.Point, len(cps))
+	keyBytes := make([][]byte, len(cps))
+	for i, cp := range cps {
+		keyList[i], keyBytes[i] = cp.key, cp.key.Bytes()
 	}
-	rp.joint, err = elgamal.CombineKeys(keyList...)
+	joint, err = elgamal.CombineKeys(keyList...)
 	if err != nil {
-		return cpCfg, dcCfg, fmt.Errorf("psc ts: combine keys: %w", err)
+		return joint, cpCfg, dcCfg, fmt.Errorf("psc ts: combine keys: %w", err)
 	}
 	// The verification passes multiply against the joint key for every
 	// element; precompute its fixed-base table once.
-	elgamal.Precompute(rp.joint)
+	elgamal.Precompute(joint)
 	hashKey := make([]byte, 32)
 	if _, err := rand.Read(hashKey); err != nil {
-		return cpCfg, dcCfg, fmt.Errorf("psc ts: hash key: %w", err)
+		return joint, cpCfg, dcCfg, fmt.Errorf("psc ts: hash key: %w", err)
 	}
 	cpCfg = ConfigureMsg{
 		Round:              t.cfg.Round,
 		Bins:               t.cfg.Bins,
 		NoisePerCP:         t.cfg.NoisePerCP,
 		ShuffleProofRounds: t.cfg.ShuffleProofRounds,
-		JointKey:           rp.joint.Bytes(),
+		JointKey:           joint.Bytes(),
 		CPKeys:             keyBytes,
 	}
 	dcCfg = cpCfg
 	dcCfg.HashKey = hashKey
-	return cpCfg, dcCfg, nil
+	return joint, cpCfg, dcCfg, nil
 }
 
 // collectTable streams one DC's table into a private buffer and returns
 // it only once complete; the gather loop folds it into the combination.
 // Ciphertext sums cannot be unpicked, so a DC the quorum policy later
-// declares absent must never have touched the sum: buffering makes
-// Result.AbsentDCs an exact coverage statement ("none of this DC's
+// declares absent must never have touched the sum: buffering makes the
+// round's absent list an exact coverage statement ("none of this DC's
 // table is included"). The buffer is itself spilled, so up to NumDCs
 // in-flight tables cost encoded bytes on scratch storage, not parsed
 // ciphertexts on the heap. On failure the buffer is closed here.

@@ -56,7 +56,7 @@ func TestGatherSpillReadErrorAbortsRound(t *testing.T) {
 		dc.Finish()
 	}()
 
-	_, err = tally.Run(context.Background(), tsConns)
+	_, err = tally.Run(context.Background(), tsConns, roundNames(cfg.NumCPs, cfg.NumDCs))
 	if err == nil {
 		t.Fatal("round must fail when the gather spill dies mid-re-stream")
 	}
@@ -130,11 +130,11 @@ func TestFailedGatherClosesEveryTable(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		dyingDC(dyingSide, "dc-dying")
+		dyingDC(dyingSide)
 	}()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := tally.Run(context.Background(), tsConns)
+		_, err := tally.Run(context.Background(), tsConns, []string{"cp-0", "dc-good", "dc-dying"})
 		errCh <- err
 	}()
 
@@ -205,7 +205,7 @@ func TestFailedMixClosesIntermediate(t *testing.T) {
 		dc.Finish()
 	}()
 
-	_, err = tally.Run(context.Background(), tsConns)
+	_, err = tally.Run(context.Background(), tsConns, []string{"cp-a", "cp-b", "dc-0"})
 	if err == nil || !strings.Contains(err.Error(), "CP cp-b") {
 		t.Fatalf("want the round to fail on cp-b, got %v", err)
 	}
