@@ -26,7 +26,13 @@
 #                      prints µs/elem and B/op for one 1024-element
 #                      shuffle block on one core; BenchmarkObserve
 #                      prints allocs/op for one DC item, which must
-#                      read 0; BenchmarkFieldOps prints ns/op for field
+#                      read 0; BenchmarkFullRound/dcs-16 prints B/op
+#                      for one whole PrivCount round of the paper's
+#                      deployment (16 DCs, 3 SKs, 100 000 counters over
+#                      pipes), so a schema-sized vector that is
+#                      allocated per round again shows (about 4.8 MB
+#                      with the vectors pooled, 21 MB without);
+#                      BenchmarkFieldOps prints ns/op for field
 #                      multiplication, squaring, inversion and square
 #                      root on one core, the amd64 kernel beside the
 #                      pure-Go bodies)
@@ -98,6 +104,7 @@ bench-smoke:
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkFieldOps' -cpu 1
 	$(GO) test ./internal/wire/ -run '^$$' -bench 'BenchmarkConnChunkRoundTrip' -benchtime=2000x
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkObserve' -benchtime=10000x
+	$(GO) test ./internal/privcount/ -run '^$$' -bench 'BenchmarkFullRound/dcs-16' -benchtime=5x -benchmem
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/(verified|tcp)/bins-512' -benchtime=1x
 	# The 2^16-bin streaming-shuffle round (previously infeasible with
 	# the whole-vector shuffle). The bench itself is -short-aware: run

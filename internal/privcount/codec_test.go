@@ -301,6 +301,9 @@ func TestDCRejectsHostileShape(t *testing.T) {
 		"unnamed":               {{Name: "", Bins: 1}},
 		"duplicate":             {{Name: "a", Bins: 1}, {Name: "a", Bins: 1}},
 		"negative sigma":        {{Name: "a", Bins: 1, Sigma: -1}},
+		"NaN sigma":             {{Name: "a", Bins: 1, Sigma: math.NaN()}},
+		"infinite sigma":        {{Name: "a", Bins: 1, Sigma: math.Inf(1)}},
+		"negative infinity":     {{Name: "a", Bins: 1, Sigma: math.Inf(-1)}},
 	}
 	for name, shapes := range cases {
 		conn := &scriptConn{}

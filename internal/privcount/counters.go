@@ -3,15 +3,20 @@ package privcount
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // FractionBits is the binary fixed-point precision: counter unit 1.0 is
 // represented as 1<<FractionBits. 16 bits of fraction leave 47 bits of
 // signed integer range, comfortably above any single relay's daily
-// event or byte counts.
+// event or byte counts; Counters.Increment refuses a delta outside it.
 const FractionBits = 16
 
 const fpScale = float64(uint64(1) << FractionBits)
+
+// maxDelta bounds the magnitude of one increment: 2⁴⁷, the signed
+// integer range FractionBits leaves in 64 bits.
+const maxDelta = float64(uint64(1) << (63 - FractionBits))
 
 // toFixed converts a real value to fixed point in ℤ₂⁶⁴ (two's
 // complement for negatives, which modular addition handles for free).
@@ -91,8 +96,8 @@ func newSchema(shapes []StatShape) (*Schema, error) {
 		if st.Bins > maxSlots-s.total {
 			return nil, fmt.Errorf("privcount: schema exceeds %d counter slots at statistic %q", maxSlots, st.Name)
 		}
-		if st.Sigma < 0 {
-			return nil, fmt.Errorf("privcount: statistic %q has negative sigma", st.Name)
+		if st.Sigma < 0 || math.IsNaN(st.Sigma) || math.IsInf(st.Sigma, 0) {
+			return nil, fmt.Errorf("privcount: statistic %q has sigma %v, want a finite non-negative value", st.Name, st.Sigma)
 		}
 		if _, dup := s.index[st.Name]; dup {
 			return nil, fmt.Errorf("privcount: duplicate statistic %q", st.Name)
@@ -135,9 +140,36 @@ func NewCounters(schema *Schema) *Counters {
 	return &Counters{schema: schema, vals: make([]uint64, schema.Size())}
 }
 
+// vectorPool recycles a round's schema-sized vectors: a DC's counters,
+// an SK's sums and the tally's sum. putVector zeroes a vector over its
+// whole capacity before pooling it, so none carries blinded counts or
+// blinding totals into the round that takes it next.
+var vectorPool sync.Pool
+
+// getVector returns a zeroed n-slot vector: a pooled one when the
+// pool's is large enough, else a fresh one.
+func getVector(n int) []uint64 {
+	if v, ok := vectorPool.Get().(*[]uint64); ok && cap(*v) >= n {
+		return (*v)[:n]
+	}
+	return make([]uint64, n)
+}
+
+// putVector zeroes v over its whole capacity and pools it. The caller
+// must not touch v again.
+func putVector(v []uint64) {
+	v = v[:cap(v)]
+	clear(v)
+	vectorPool.Put(&v)
+}
+
 // Increment adds delta (in natural units, e.g. events or bytes) to the
-// given statistic bin.
+// given statistic bin. A delta that fixed point cannot hold — NaN, an
+// infinity, or a magnitude of 2⁴⁷ or more — is refused, not wrapped.
 func (c *Counters) Increment(stat string, bin int, delta float64) error {
+	if !(math.Abs(delta) < maxDelta) {
+		return fmt.Errorf("privcount: increment %v of %q outside the fixed-point range ±2^%d", delta, stat, 63-FractionBits)
+	}
 	off, err := c.schema.Offset(stat, bin)
 	if err != nil {
 		return err

@@ -48,7 +48,7 @@ func (dc *DC) Setup() error {
 		return err
 	}
 	dc.schema = schema
-	dc.counters = NewCounters(schema)
+	dc.counters = &Counters{schema: schema, vals: getVector(schema.Size())}
 	dc.round = cfg.Round
 	dc.weight = cfg.NoiseWeight
 
@@ -117,18 +117,21 @@ func (dc *DC) Increment(stat string, bin int, delta float64) error {
 func (dc *DC) Schema() *Schema { return dc.schema }
 
 // Finish adds this DC's share of the Gaussian noise and streams the
-// blinded report to the tally server in bounded chunks.
+// blinded report to the tally server in bounded chunks. The counters
+// go back to the package's vector pool once the last chunk is sent or
+// the send fails; Increment and Finish refuse from then on.
 func (dc *DC) Finish() error {
 	if !dc.ready {
 		return fmt.Errorf("privcount dc %s: finish before setup", dc.Name)
 	}
-	dc.ready = false
-	dc.counters.AddNoise(dc.noise.Gaussian, dc.weight)
-	// The counters stream straight from where they were counted: the DC
-	// serves one round, so nothing writes them again.
-	vals := dc.counters.vals
-	if err := dc.m.Send(kindReport, ReportMsg{Round: dc.round, N: len(vals)}); err != nil {
+	c := dc.counters
+	dc.ready, dc.counters = false, nil
+	defer putVector(c.vals)
+	c.AddNoise(dc.noise.Gaussian, dc.weight)
+	// The counters stream straight from where they were counted:
+	// sendValues encodes every chunk before it returns.
+	if err := dc.m.Send(kindReport, ReportMsg{Round: dc.round, N: len(c.vals)}); err != nil {
 		return err
 	}
-	return sendValues(dc.m, vals)
+	return sendValues(dc.m, c.vals)
 }

@@ -80,6 +80,17 @@
 //     a DC addressed exactly one box to every SK and relays them.
 //   - A round may complete without a DC (its counts, blinds, and noise
 //     share are all excluded) but never without an SK.
+//   - A round's schema-sized vectors — a DC's counters, an SK's sums,
+//     the TS's sum — are recycled through one package pool, so a
+//     schema run round after round allocates none of them anew. Each
+//     goes back when its round is done with it (the DC's once its last
+//     chunk is sent or the send fails, the SK's once its sums are
+//     sent, the TS's once AggregateSum has copied the totals out) and
+//     is zeroed over its whole capacity first: it held blinded counts
+//     or blinding totals, and the next vector handed out must be all
+//     zeros whatever round or schema size used it before. A finished
+//     DC refuses Increment and Finish, so nothing writes a released
+//     vector; no caller releases anything.
 //   - The TS's residency is one schema-sized modular sum plus
 //     O(chunk) per in-flight stream: DC reports are collected
 //     concurrently, each buffered whole on spill storage

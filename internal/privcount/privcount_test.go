@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -59,6 +60,9 @@ func TestSchemaValidation(t *testing.T) {
 		{{Name: "", Bins: []string{""}}},
 		{{Name: "x", Bins: nil}},
 		{{Name: "x", Bins: []string{""}, Sigma: -1}},
+		{{Name: "x", Bins: []string{""}, Sigma: math.NaN()}},
+		{{Name: "x", Bins: []string{""}, Sigma: math.Inf(1)}},
+		{{Name: "x", Bins: []string{""}, Sigma: math.Inf(-1)}},
 		{{Name: "x", Bins: []string{""}}, {Name: "x", Bins: []string{""}}},
 	}
 	for i, stats := range bad {
@@ -112,7 +116,7 @@ func TestSealRejectsTamperingAndWrongKey(t *testing.T) {
 // runRound wires up a full deployment over in-memory pipes: one TS,
 // numDCs DCs, numSKs SKs. The feed callback makes increments on the
 // DCs after setup. It returns the aggregated noisy values.
-func runRound(t *testing.T, stats []StatConfig, numDCs, numSKs int,
+func runRound(t testing.TB, stats []StatConfig, numDCs, numSKs int,
 	feed func(dcs []*DC)) map[string][]float64 {
 	t.Helper()
 	return runRoundOver(t, stats, numDCs, numSKs, func(m wire.Messenger) wire.Messenger { return m }, feed)
@@ -120,7 +124,7 @@ func runRound(t *testing.T, stats []StatConfig, numDCs, numSKs int,
 
 // runRoundOver is runRound with the TS's end of every DC connection
 // passed through wrap first, for tests that watch what a DC is sent.
-func runRoundOver(t *testing.T, stats []StatConfig, numDCs, numSKs int,
+func runRoundOver(t testing.TB, stats []StatConfig, numDCs, numSKs int,
 	wrap func(wire.Messenger) wire.Messenger, feed func(dcs []*DC)) map[string][]float64 {
 	t.Helper()
 
@@ -451,52 +455,184 @@ func TestAggregateLengthMismatch(t *testing.T) {
 	}
 }
 
+// TestIncrementRejectsOutOfRange: a delta fixed point cannot hold —
+// NaN, an infinity, a magnitude of 2⁴⁷ or more — is refused and leaves
+// the counter untouched; anything inside the range counts exactly.
+func TestIncrementRejectsOutOfRange(t *testing.T) {
+	schema, err := NewSchema([]StatConfig{{Name: "b", Bins: []string{""}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		delta float64
+		ok    bool
+	}{
+		{0, true},
+		{2.5, true},
+		{-2.5, true},
+		{maxDelta - 1, true},
+		{-(maxDelta - 1), true},
+		{maxDelta, false},
+		{-maxDelta, false},
+		{1e300, false},
+		{-1e300, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	}
+	for _, tc := range cases {
+		c := NewCounters(schema)
+		err := c.Increment("b", 0, tc.delta)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("increment %v refused: %v", tc.delta, err)
+		case tc.ok && fromFixed(c.vals[0]) != tc.delta:
+			t.Errorf("increment %v counted as %v", tc.delta, fromFixed(c.vals[0]))
+		case !tc.ok && err == nil:
+			t.Errorf("increment %v accepted, counted as %v", tc.delta, fromFixed(c.vals[0]))
+		case !tc.ok && c.vals[0] != 0:
+			t.Errorf("refused increment %v wrote %#x", tc.delta, c.vals[0])
+		}
+	}
+}
+
+// TestPooledVectorsStartZeroed: every vector a round takes from the
+// pool is zero over its whole capacity, whatever an earlier round of
+// another size wrote into it — a 100 000-slot round, then a 7-slot
+// round that counts into its slots, then a 100 000-slot round. Rounds
+// without noise must come out exact, which they would not if a DC's
+// counters, an SK's sums or the tally's sum started dirty.
+func TestPooledVectorsStartZeroed(t *testing.T) {
+	wide := []StatConfig{{Name: "wide", Bins: make([]string, 100_000), Sigma: 0}}
+	narrow := []StatConfig{{Name: "narrow", Bins: make([]string, 7), Sigma: 0}}
+	for i, stats := range [][]StatConfig{wide, narrow, wide} {
+		st := stats[0]
+		res := runRound(t, stats, 2, 2, func(dcs []*DC) {
+			for _, dc := range dcs {
+				for b := range st.Bins {
+					if err := dc.Increment(st.Name, b, float64(b%5)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+		if len(res[st.Name]) != len(st.Bins) {
+			t.Fatalf("round %d (%s): %d bins tallied, want %d", i, st.Name, len(res[st.Name]), len(st.Bins))
+		}
+		for b, got := range res[st.Name] {
+			if want := float64(2 * (b % 5)); got != want {
+				t.Fatalf("round %d (%s): bin %d tallied %v, want %v", i, st.Name, b, got, want)
+			}
+		}
+	}
+
+	// The same sequence on the pool itself.
+	zeroed := func(what string, v []uint64) {
+		t.Helper()
+		for i, x := range v[:cap(v)] {
+			if x != 0 {
+				t.Fatalf("%s: slot %d of %d reads %#x", what, i, cap(v), x)
+			}
+		}
+	}
+	fill := func(v []uint64) {
+		for i := range v {
+			v[i] = ^uint64(i)
+		}
+	}
+	v := getVector(100_000)
+	zeroed("first wide vector", v)
+	fill(v)
+	putVector(v)
+	v = getVector(7)
+	if len(v) != 7 {
+		t.Fatalf("asked for 7 slots, got %d", len(v))
+	}
+	// sync.Pool drops a random share of Puts under -race.
+	if !raceEnabled && cap(v) < 100_000 {
+		t.Fatalf("the 7-slot vector has capacity %d: the pooled wide one was not reused", cap(v))
+	}
+	zeroed("narrow vector", v)
+	fill(v)
+	putVector(v)
+	v = getVector(100_000)
+	if len(v) != 100_000 {
+		t.Fatalf("asked for 100 000 slots, got %d", len(v))
+	}
+	zeroed("second wide vector", v)
+	putVector(v)
+}
+
+// TestFinishedDCReleasesItsCounters: Finish hands the DC's counters
+// back to the pool, zeroed, and from then on Increment and Finish
+// refuse as before setup without writing the released vector.
+func TestFinishedDCReleasesItsCounters(t *testing.T) {
+	stats := []StatConfig{{Name: "s", Bins: make([]string, 2*FrameSlots+5), Sigma: 1}}
+	var dcs []*DC
+	var released [][]uint64
+	runRound(t, stats, 2, 2, func(round []*DC) {
+		dcs = round
+		for _, dc := range dcs {
+			if err := dc.Increment("s", 3, 1); err != nil {
+				t.Fatal(err)
+			}
+			released = append(released, dc.counters.vals)
+		}
+	})
+	// runRound returns once every party is done, so no round of this
+	// test takes a vector from the pool from here on.
+	for i, dc := range dcs {
+		if dc.counters != nil {
+			t.Fatalf("DC %d kept its counters after Finish", i)
+		}
+		if err := dc.Increment("s", 3, 1); err == nil || !strings.Contains(err.Error(), "increment before setup") {
+			t.Fatalf("DC %d: increment after finish returned %v", i, err)
+		}
+		if err := dc.Finish(); err == nil || !strings.Contains(err.Error(), "finish before setup") {
+			t.Fatalf("DC %d: second finish returned %v", i, err)
+		}
+		for j, x := range released[i][:cap(released[i])] {
+			if x != 0 {
+				t.Fatalf("DC %d: released slot %d reads %#x", i, j, x)
+			}
+		}
+	}
+}
+
 func BenchmarkIncrement(b *testing.B) {
 	schema, _ := NewSchema([]StatConfig{{Name: "s", Bins: make([]string, 16), Sigma: 1}})
 	c := NewCounters(schema)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.vals[i%16] += toFixed(1)
+		if err := c.Increment("s", i%16, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkFullRound8DCs(b *testing.B) {
-	stats := []StatConfig{{Name: "s", Bins: []string{"a", "b", "c", "d"}, Sigma: 100}}
+// BenchmarkFullRound runs one whole round per op over in-memory pipes:
+// a 4-slot schema on 8 DCs, and the paper's deployment — 16 DCs and 3
+// SKs — on the 100 000 counters of the benchmark's privcount-wide
+// workload, where B/op is what one round allocates in every party.
+func BenchmarkFullRound(b *testing.B) {
+	small := []StatConfig{{Name: "s", Bins: []string{"a", "b", "c", "d"}, Sigma: 100}}
+	wide := make([]StatConfig, 100)
+	for i := range wide {
+		wide[i] = StatConfig{Name: fmt.Sprintf("stat-%03d", i), Bins: make([]string, 1000), Sigma: 10}
+	}
+	b.Run("dcs-8/slots-4", func(b *testing.B) { benchRounds(b, small, 8, 3) })
+	b.Run("dcs-16/slots-100000", func(b *testing.B) { benchRounds(b, wide, 16, 3) })
+}
+
+func benchRounds(b *testing.B, stats []StatConfig, numDCs, numSKs int) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tally, _ := NewTally(TallyConfig{Round: 1, Stats: stats, NumDCs: 8, NumSKs: 3})
-		var tsConns []wire.Messenger
-		var dcs []*DC
-		var wg sync.WaitGroup
-		for j := 0; j < 3; j++ {
-			tsSide, skSide := wire.Pipe()
-			tsConns = append(tsConns, tsSide)
-			sk, _ := NewSK(skName(j), skSide)
-			wg.Add(1)
-			go func() { defer wg.Done(); sk.Serve() }()
-		}
-		var setup sync.WaitGroup
-		for j := 0; j < 8; j++ {
-			tsSide, dcSide := wire.Pipe()
-			tsConns = append(tsConns, tsSide)
-			dc := NewDC(dcName(j), dcSide, nil)
-			dcs = append(dcs, dc)
-			setup.Add(1)
-			go func() { defer setup.Done(); dc.Setup() }()
-		}
-		resCh := make(chan map[string][]float64, 1)
-		go func() {
-			res, err := tally.Run(context.Background(), tsConns, roundNames(3, 8))
-			if err != nil {
-				b.Error(err)
+		runRound(b, stats, numDCs, numSKs, func(dcs []*DC) {
+			for _, dc := range dcs {
+				if err := dc.Increment(stats[0].Name, 0, 1); err != nil {
+					b.Fatal(err)
+				}
 			}
-			resCh <- res
-		}()
-		setup.Wait()
-		for _, dc := range dcs {
-			dc.Increment("s", 0, 1)
-			dc.Finish()
-		}
-		<-resCh
-		wg.Wait()
+		})
 	}
 }

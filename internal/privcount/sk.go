@@ -111,7 +111,8 @@ func (sk *SK) ServeRound(m wire.Messenger) error {
 		return fmt.Errorf("privcount sk %s: collect names %d DCs, below the declared quorum floor %d",
 			sk.Name, len(collect.DCs), floor)
 	}
-	sums := make([]uint64, size)
+	sums := getVector(size)
+	defer putVector(sums)
 	for _, name := range collect.DCs {
 		seed, ok := seeds[name]
 		if !ok {

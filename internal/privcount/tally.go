@@ -206,7 +206,8 @@ func (t *Tally) Run(ctx context.Context, conns []wire.Messenger, names []string)
 	// goroutine too. A buffer changes hands only when this loop takes it
 	// (the channel is unbuffered); one nobody takes, because Run
 	// returned early and cancelled ctx, is closed by its own goroutine.
-	sum := make([]uint64, t.schema.Size())
+	sum := getVector(t.schema.Size())
+	defer putVector(sum) // AggregateSum has copied it out by then
 	type reportOutcome struct {
 		d   dcSlot
 		buf *spill.Store // the whole report; nil on error
