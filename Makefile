@@ -15,7 +15,14 @@
 #                      a Point that allocates again shows;
 #                      BenchmarkPSCRound also prints wire-B/elem, the
 #                      round's wire bytes per mixed element, so a
-#                      proof-byte regression shows even when time holds;
+#                      proof-byte regression shows even when time holds,
+#                      and B/op for the whole round;
+#                      BenchmarkShuffleBlock prints B/op and allocs/op
+#                      for proving and verifying one 1024-element block
+#                      at 8 rounds, so a shuffle shadow or MSM scratch
+#                      that is allocated per round again shows (about
+#                      0.33 MB and 0.04 MB with them pooled, 2.8 and
+#                      2.5 MB without);
 #                      BenchmarkConnChunkRoundTrip prints MB/s and B/op
 #                      for one full PrivCount chunk frame, on the frame
 #                      path alone (frame), received through ExpectFunc's
@@ -105,7 +112,8 @@ bench-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -bench 'BenchmarkConnChunkRoundTrip' -benchtime=2000x
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkObserve' -benchtime=10000x
 	$(GO) test ./internal/privcount/ -run '^$$' -bench 'BenchmarkFullRound/dcs-16' -benchtime=5x -benchmem
-	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/(verified|tcp)/bins-512' -benchtime=1x
+	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkShuffleBlock' -benchtime=5x -benchmem
+	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/(verified|tcp)/bins-512' -benchtime=1x -benchmem
 	# The 2^16-bin streaming-shuffle round (previously infeasible with
 	# the whole-vector shuffle). The bench itself is -short-aware: run
 	# `go test -short -bench ...` to skip it in quick local loops.

@@ -34,6 +34,34 @@ type Accountant struct {
 	budget    Params
 	hasBudget bool
 	ledger    string // persistence path; empty disables
+	syncs     ledgerSyncs
+}
+
+// ledgerSyncs are the two flushes that make a ledger rewrite survive a
+// power loss: the temp file's contents before the rename, and the
+// directory entry the rename changed after it. Without the first a
+// crash can leave the renamed ledger empty; without the second, the
+// old ledger back in place — either way a spend the engine already
+// acted on is forgotten. Tests substitute failing ones.
+type ledgerSyncs struct {
+	file func(*os.File) error
+	dir  func(path string) error
+}
+
+// osSyncs flushes through the operating system.
+var osSyncs = ledgerSyncs{file: (*os.File).Sync, dir: syncDir}
+
+// syncDir flushes a directory's entries to stable storage.
+func syncDir(path string) error {
+	d, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 type roundRecord struct {
@@ -66,7 +94,7 @@ func NewAccountant(perRound Params, minGap time.Duration) (*Accountant, error) {
 	if minGap < 0 {
 		return nil, fmt.Errorf("dp: negative gap %v", minGap)
 	}
-	return &Accountant{perRound: perRound, minGap: minGap}, nil
+	return &Accountant{perRound: perRound, minGap: minGap, syncs: osSyncs}, nil
 }
 
 // StudyAccountant returns the accountant configured as in the paper:
@@ -129,8 +157,12 @@ func (a *Accountant) SetLedger(path string) error {
 }
 
 // persistLocked rewrites the ledger (holding a.mu). Writes go to a
-// temp file in the ledger's directory and rename into place, so a
-// crash mid-write can never leave a truncated ledger.
+// temp file in the ledger's directory, which is synced and renamed into
+// place, and then the directory is synced, so neither a crash mid-write
+// nor a power loss after it can leave a truncated or stale ledger. A
+// failed directory sync still fails the write, though the new ledger
+// may already be in place: on disk it then overstates the spend, the
+// safe direction.
 func (a *Accountant) persistLocked() error {
 	if a.ledger == "" {
 		return nil
@@ -148,18 +180,22 @@ func (a *Accountant) persistLocked() error {
 	if err != nil {
 		return fmt.Errorf("dp: write ledger: %w", err)
 	}
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(append(raw, '\n'))
+	if err == nil {
+		err = a.syncs.file(tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), a.ledger)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("dp: write ledger: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dp: write ledger: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), a.ledger); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dp: write ledger: %w", err)
+	if err := a.syncs.dir(dir); err != nil {
+		return fmt.Errorf("dp: sync ledger directory: %w", err)
 	}
 	return nil
 }

@@ -616,3 +616,86 @@ func TestLedgerSurvivesRestart(t *testing.T) {
 		t.Fatal("corrupt ledger loaded without error")
 	}
 }
+
+// TestLedgerSyncFailureRefusesSpend: a ledger rewrite is durable only
+// once the temp file and then the directory are synced, so a spend
+// whose sync fails is refused. A failed file sync leaves the old ledger
+// byte for byte, with no temp file behind; a failed directory sync
+// comes after the rename, so the refused round may stay on disk — an
+// overstated spend, never an understated one.
+func TestLedgerSyncFailureRefusesSpend(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "budget.json")
+	a, err := NewAccountant(StudyParams(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fileSyncs, dirSyncs int
+	a.syncs = ledgerSyncs{
+		file: func(f *os.File) error { fileSyncs++; return osSyncs.file(f) },
+		dir: func(d string) error {
+			if d != dir {
+				t.Errorf("synced directory %s, want %s", d, dir)
+			}
+			dirSyncs++
+			return osSyncs.dir(d)
+		},
+	}
+	if err := a.SetLedger(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Spend("r1"); err != nil {
+		t.Fatal(err)
+	}
+	if fileSyncs != 2 || dirSyncs != 2 {
+		t.Fatalf("two ledger writes made %d file and %d directory syncs, want 2 and 2", fileSyncs, dirSyncs)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	errSync := errors.New("injected sync failure")
+	healthy := a.syncs
+	a.syncs.file = func(*os.File) error { return errSync }
+	if _, err := a.Spend("r2"); !errors.Is(err, errSync) {
+		t.Fatalf("spend with a failing file sync: got %v, want the sync error", err)
+	}
+	if got := a.Rounds(); got != 1 {
+		t.Fatalf("failed spend left %d rounds in memory, want 1", got)
+	}
+	if now, err := os.ReadFile(path); err != nil || string(now) != string(old) {
+		t.Fatalf("failed file sync changed the ledger (err %v):\n%s\nwant\n%s", err, now, old)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".ledger-*")); len(left) != 0 {
+		t.Fatalf("failed file sync left temp files %v", left)
+	}
+
+	a.syncs = healthy
+	a.syncs.dir = func(string) error { return errSync }
+	if _, err := a.Spend("r3"); !errors.Is(err, errSync) {
+		t.Fatalf("spend with a failing directory sync: got %v, want the sync error", err)
+	}
+	if got := a.Rounds(); got != 1 {
+		t.Fatalf("failed spend left %d rounds in memory, want 1", got)
+	}
+	reloaded, _ := NewAccountant(StudyParams(), 0)
+	if err := reloaded.SetLedger(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := reloaded.Rounds(); got < 1 {
+		t.Fatalf("ledger after a failed directory sync holds %d rounds, want at least the 1 spent", got)
+	}
+
+	a.syncs = healthy
+	if _, err := a.Spend("r4"); err != nil {
+		t.Fatalf("spend after the syncs recovered: %v", err)
+	}
+	reloaded, _ = NewAccountant(StudyParams(), 0)
+	if err := reloaded.SetLedger(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := reloaded.Rounds(); got != 2 {
+		t.Fatalf("recovered ledger holds %d rounds, want 2", got)
+	}
+}

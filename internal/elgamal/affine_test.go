@@ -298,28 +298,31 @@ func TestVerifyShuffleBlockHostileOpening(t *testing.T) {
 		h := seededScalar("hostile high bits", r*n+i)
 		return h.Lsh(h.Rsh(h, 16), 12) // multiple of 2¹², below the order
 	}
+	// The scalars are built as big.Ints and carried in the openings'
+	// wire form, 32 bytes big-endian each.
 	openings := make([]BlockOpening, rounds)
+	drawn := make([][]*big.Int, rounds)
 	commits := make([][32]byte, rounds)
 	for r := range openings {
-		o := BlockOpening{Perm: make([]int, n), Rand: make([]*big.Int, n)}
+		perm, rand := make([]int, n), make([]*big.Int, n)
 		shadow := make([]Ciphertext, n)
-		for i := range o.Perm {
+		for i := range perm {
 			src := (i*3 + r/2) % n
-			o.Perm[i] = src
+			perm[i] = src
 			wi := w.Rand[outOf[src]].Int64()
 			switch (i + r) % 4 {
 			case 0:
-				o.Rand[i] = new(big.Int).Add(high(r, i), big.NewInt(a(src)))
+				rand[i] = new(big.Int).Add(high(r, i), big.NewInt(a(src)))
 			case 1:
-				o.Rand[i] = new(big.Int).Mod(big.NewInt(-m(src)), order)
+				rand[i] = new(big.Int).Mod(big.NewInt(-m(src)), order)
 			case 2:
-				o.Rand[i] = new(big.Int).Add(high(r, i), big.NewInt(m(src)+2*wi))
+				rand[i] = new(big.Int).Add(high(r, i), big.NewInt(m(src)+2*wi))
 			default:
-				o.Rand[i] = seededScalar("hostile ordinary", r*n+i)
+				rand[i] = seededScalar("hostile ordinary", r*n+i)
 			}
-			shadow[i] = in[src].RerandomizeWith(key.PK, o.Rand[i])
+			shadow[i] = in[src].RerandomizeWith(key.PK, rand[i])
 		}
-		openings[r], commits[r] = o, HashBlock(shadow)
+		openings[r], drawn[r], commits[r] = BlockOpening{Perm: perm, Rand: wireScalars(rand)}, rand, HashBlock(shadow)
 	}
 	transcript := func() *ShuffleTranscript { return NewShuffleTranscript(key.PK, n, n, 1, rounds) }
 	bits, err := transcript().BlockChallenges(1, 0, HashBlock(in), HashBlock(out), commits, rounds)
@@ -333,13 +336,13 @@ func TestVerifyShuffleBlockHostileOpening(t *testing.T) {
 			continue
 		}
 		// Open shadow -> output, as ProveShuffleBlock does.
-		o, invShadow := openings[r], invertPerm(openings[r].Perm)
-		open := BlockOpening{Perm: make([]int, n), Rand: make([]*big.Int, n)}
+		invShadow := invertPerm(openings[r].Perm)
+		open := BlockOpening{Perm: make([]int, n), Rand: make([]byte, scalarLen*n)}
 		for i := range open.Perm {
 			idx := invShadow[w.Perm[i]]
 			open.Perm[i] = idx
-			d := new(big.Int).Sub(w.Rand[i], o.Rand[idx])
-			open.Rand[i] = d.Mod(d, order)
+			d := new(big.Int).Sub(w.Rand[i], drawn[r][idx])
+			setScalarAt(open.Rand, i, d.Mod(d, order))
 		}
 		openings[r] = open
 	}
@@ -355,9 +358,9 @@ func TestVerifyShuffleBlockHostileOpening(t *testing.T) {
 	// of each side: the recomputed shadow misses its commitment.
 	for side, r := range roundOf {
 		bad := cloneBlockProof(proof)
-		for i, s := range bad.Openings[r].Rand {
-			if s.BitLen() > 250 && s.Cmp(new(big.Int).Sub(order, big.NewInt(64))) < 0 { // an ordinary or doubling scalar
-				bad.Openings[r].Rand[i] = new(big.Int).Sub(order, big.NewInt(a(i)))
+		for i := range bad.Openings[r].Perm {
+			if s := scalarAt(bad.Openings[r].Rand, i); s.BitLen() > 250 && s.Cmp(new(big.Int).Sub(order, big.NewInt(64))) < 0 { // an ordinary or doubling scalar
+				setScalarAt(bad.Openings[r].Rand, i, new(big.Int).Sub(order, big.NewInt(a(i))))
 				break
 			}
 		}

@@ -162,11 +162,7 @@ func source(perm []int, i int) int {
 }
 
 // rerandomizePermuted returns out[i] = in[perm[i]] re-randomized with
-// rs[i], or in[i] for a nil perm. A chunk seeds its affine accumulators
-// with the input halves, read through perm so no permuted copy is
-// gathered first, and walks the generator table over the first and
-// pk's table over the second in the same steps, from one set of scalar
-// limbs and one scratch.
+// rs[i], or in[i] for a nil perm.
 func rerandomizePermuted(pk Point, in []Ciphertext, perm []int, rs []*big.Int) []Ciphertext {
 	n := len(in)
 	if perm != nil {
@@ -175,16 +171,61 @@ func rerandomizePermuted(pk Point, in []Ciphertext, perm []int, rs []*big.Int) [
 	if n != len(rs) {
 		panic("elgamal: BatchRerandomizeWith length mismatch")
 	}
-	rs = reduceScalars(rs)
 	out := make([]Ciphertext, n)
+	rerandomizeInto(out, pk, in, perm, &scalarSource{big: rs})
+	return out
+}
+
+// scalarSource yields the randomizer of each output of a batch
+// re-randomization as the limbs of a reduced scalar: from big.Ints,
+// reduced as they are read, or from wire scalars (scalar.go) the caller
+// has already checked below the order — output i's from scalar from[i]
+// (i for a nil from), negated when neg is set.
+type scalarSource struct {
+	big  []*big.Int
+	wire []byte
+	from []int
+	neg  bool
+}
+
+func (s *scalarSource) limbs(i int) [4]uint64 {
+	if s.big != nil {
+		return reducedLimbs(s.big[i])
+	}
+	l, _ := scalarFromWire(s.wire[scalarLen*source(s.from, i):])
+	if s.neg {
+		l = scalarNeg(l)
+	}
+	return l
+}
+
+// reducedLimbs returns the limbs of k mod the group order.
+func reducedLimbs(k *big.Int) [4]uint64 {
+	if k.Sign() < 0 || k.Cmp(order) >= 0 {
+		k = new(big.Int).Mod(k, order)
+	}
+	return scalarLimbs(k)
+}
+
+// rerandomizeInto sets out[i] = in[perm[i]] (in[i] for a nil perm)
+// re-randomized with rs's scalar i. A chunk seeds its affine
+// accumulators with the input halves, read through perm so no permuted
+// copy is gathered first, and walks the generator table over the first
+// and pk's table over the second in the same steps, from one set of
+// scalar limbs and one scratch.
+func rerandomizeInto(out []Ciphertext, pk Point, in []Ciphertext, perm []int, rs *scalarSource) {
+	n := len(out)
 	pt := sharedBaseTable(pk, n)
 	if pt == nil {
 		parallel.For(n, 1, func(lo, hi int) {
+			var k [scalarLen]byte
 			for i := lo; i < hi; i++ {
-				out[i] = in[source(perm, i)].RerandomizeWith(pk, rs[i])
+				l := rs.limbs(i)
+				putScalar(k[:], &l)
+				out[i] = in[source(perm, i)].RerandomizeWith(pk, new(big.Int).SetBytes(k[:]))
 			}
 		})
-		return out
+		return
 	}
 	gt := baseTable()
 	parallel.For(n, batchMinChunk, func(lo, hi int) {
@@ -195,14 +236,13 @@ func rerandomizePermuted(pk Point, in []Ciphertext, perm []int, rs []*big.Int) [
 		for i := range c1 {
 			ct := &in[source(perm, lo+i)]
 			c1[i], c2[i] = ct.C1, ct.C2
-			c.limbs[i] = scalarLimbs(rs[lo+i])
+			c.limbs[i] = rs.limbs(lo + i)
 		}
 		accumulate([]*fixedTable{gt, pt}, c.acc, c.limbs, &c.s)
 		for i := range c1 {
 			out[lo+i] = Ciphertext{C1: c1[i], C2: c2[i]}
 		}
 	})
-	return out
 }
 
 // BatchRerandomize refreshes every ciphertext with fresh randomizers,

@@ -266,3 +266,35 @@ func BenchmarkRerandomizeBlock(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*block), "µs/elem")
 }
+
+// BenchmarkShuffleBlock proves and verifies one 1024-element block's
+// cut-and-choose argument at 8 rounds, the deployment default, against
+// a cached joint-key table, and reports B/op and allocs/op: a shadow or
+// MSM scratch that is allocated per round again shows in B/op long
+// before it shows in time.
+func BenchmarkShuffleBlock(b *testing.B) {
+	const block, rounds = 1024, 8
+	key := GenerateKey()
+	Precompute(key.PK)
+	in := encryptBlock(key.PK, block)
+	out, w := Shuffle(key.PK, in)
+	transcript := func() *ShuffleTranscript { return NewShuffleTranscript(key.PK, block, block, 1, rounds) }
+	proof, err := ProveShuffleBlock(transcript(), 1, 0, key.PK, in, out, w, rounds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runAllocs(b, "prove", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ProveShuffleBlock(transcript(), 1, 0, key.PK, in, out, w, rounds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	runAllocs(b, "verify", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := VerifyShuffleBlock(transcript(), 1, 0, key.PK, in, out, proof); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -1,11 +1,12 @@
 package elgamal
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
+	"sync"
 )
 
 // Block-wise verifiable shuffle support. The streaming PSC shuffle
@@ -45,6 +46,15 @@ import (
 // sides — the prover hashes each shadow as it is made and drops it,
 // keeping only the openings, and the verifier rebuilds one shadow at a
 // time.
+//
+// Neither side allocates a shadow: each block argument takes one
+// block-sized buffer from a pool (shadowScratch), re-randomizes every
+// round's shadow into it and hashes it there. An opening's scalars stay
+// in the 32-byte big-endian form its frame carries (BlockOpening.Rand):
+// the prover draws them straight into it and rewrites a shadow→output
+// opening's residual w − r in place, and the verifier checks each
+// against the order and negates it on four limbs (scalar.go), so no
+// opening scalar becomes a big.Int on either side.
 
 // HashBlock commits to a ciphertext block: SHA-256 over the element
 // count and each ciphertext's encoding. It is the commitment scheme of
@@ -129,10 +139,13 @@ func (t *ShuffleTranscript) BlockChallenges(pass, block int, inHash, outHash [32
 // BlockOpening opens one cut-and-choose round: the permutation and
 // randomizers mapping input→shadow (challenge 0) or shadow→output
 // (challenge 1). The verifier recomputes the challenge bit, and the
-// shadow itself, from what it already holds.
+// shadow itself, from what it already holds. Rand holds one scalar per
+// element in the form an opening frame carries it, 32 bytes big-endian
+// back to back, so a verifier can check a received opening where it
+// lies.
 type BlockOpening struct {
 	Perm []int
-	Rand []*big.Int
+	Rand []byte
 }
 
 // BlockShuffleProof is the cut-and-choose argument for one block: the
@@ -144,18 +157,72 @@ type BlockShuffleProof struct {
 	Openings []BlockOpening
 }
 
+// shadowScratch is the working memory of one block argument: the
+// shadow being rebuilt, which is hashed where it lies and never kept,
+// an inverse permutation, and on the prover a round's drawn
+// randomizers while its opening is rewritten. ProveShuffleBlock and
+// VerifyShuffleBlock take it from shadowPool, so a stage's thousands of
+// shadows reuse a few buffers.
+type shadowScratch struct {
+	cts  []Ciphertext
+	inv  []int
+	rand []byte
+}
+
+var shadowPool = sync.Pool{New: func() any { return new(shadowScratch) }}
+
+// getShadowScratch returns a pooled scratch for an n-element block.
+// Return it with put.
+func getShadowScratch(n int) *shadowScratch {
+	s := shadowPool.Get().(*shadowScratch)
+	s.cts = resize(s.cts, n)
+	s.inv = resize(s.inv, n)
+	s.rand = resize(s.rand, scalarLen*n)
+	return s
+}
+
+// put returns s to the pool. Nothing in it points anywhere, but the
+// randomizers a challenge-1 round drew are a secret of the shuffle —
+// with the residual the opening reveals they give the witness — so
+// they are zeroed first.
+func (s *shadowScratch) put() {
+	clear(s.rand)
+	shadowPool.Put(s)
+}
+
+// invertInto sets inv to the inverse of p and reports whether p is a
+// permutation of [0, len(p)). inv must be as long as p.
+func invertInto(inv, p []int) bool {
+	for i := range inv {
+		inv[i] = -1
+	}
+	for i, v := range p {
+		if v < 0 || v >= len(p) || inv[v] >= 0 {
+			return false
+		}
+		inv[v] = i
+	}
+	return true
+}
+
 // ProveShuffleBlock builds the block's argument: out must be a shuffle
 // of in under the witness w (from Shuffle). The transcript advances by
 // one block record; the caller must prove blocks in block order.
 func ProveShuffleBlock(t *ShuffleTranscript, pass, block int, pk Point, in, out []Ciphertext, w ShuffleWitness, rounds int) (BlockShuffleProof, error) {
 	n := len(in)
 	proof := BlockShuffleProof{Commits: make([][32]byte, rounds), Openings: make([]BlockOpening, rounds)}
+	s := getShadowScratch(n)
+	defer s.put()
+	rng := randReaders.Get().(*bufio.Reader)
 	for r := range proof.Openings {
 		// Each shadow lives only long enough to be hashed.
-		o := BlockOpening{Perm: randomPerm(n), Rand: RandomScalars(n)}
-		proof.Commits[r] = HashBlock(rerandomizePermuted(pk, in, o.Perm, o.Rand))
+		o := BlockOpening{Perm: randomPerm(n), Rand: make([]byte, scalarLen*n)}
+		drawScalars(rng, o.Rand)
+		rerandomizeInto(s.cts, pk, in, o.Perm, &scalarSource{wire: o.Rand})
+		proof.Commits[r] = HashBlock(s.cts)
 		proof.Openings[r] = o
 	}
+	randReaders.Put(rng)
 	bits, err := t.BlockChallenges(pass, block, HashBlock(in), HashBlock(out), proof.Commits, rounds)
 	if err != nil {
 		return BlockShuffleProof{}, err
@@ -164,19 +231,18 @@ func ProveShuffleBlock(t *ShuffleTranscript, pass, block int, pk Point, in, out 
 		if bits[r] == 0 {
 			continue // input -> shadow opens as drawn
 		}
-		// Open shadow -> output: output i came from input w.Perm[i]
-		// with randomizer w.Rand[i], which feeds shadow index
-		// invShadow[w.Perm[i]]; the residual randomizer is the
-		// difference.
-		invShadow := invertPerm(o.Perm)
-		open := BlockOpening{Perm: make([]int, n), Rand: make([]*big.Int, n)}
+		// Open shadow -> output, in place: output i came from input
+		// w.Perm[i] with randomizer w.Rand[i], which feeds shadow index
+		// inv[w.Perm[i]]; the residual randomizer is the difference.
+		invertInto(s.inv, o.Perm)
+		copy(s.rand, o.Rand)
 		for i := 0; i < n; i++ {
-			idx := invShadow[w.Perm[i]]
-			open.Perm[i] = idx
-			d := new(big.Int).Sub(w.Rand[i], o.Rand[idx])
-			open.Rand[i] = d.Mod(d, order)
+			idx := s.inv[w.Perm[i]]
+			o.Perm[i] = idx
+			drawn, _ := scalarFromWire(s.rand[scalarLen*idx:])
+			d := scalarSub(reducedLimbs(w.Rand[i]), drawn)
+			putScalar(o.Rand[scalarLen*i:], &d)
 		}
-		proof.Openings[r] = open
 	}
 	return proof, nil
 }
@@ -190,14 +256,15 @@ var ErrBadBlockShuffle = errors.New("elgamal: block shuffle proof verification f
 // every round's shadow, recomputed from its opening on the side the
 // challenge selects, must hash to the commitment that fed the challenge
 // derivation. The transcript advances by one block record; the caller
-// must verify blocks in block order.
+// must verify blocks in block order. The proof is only read: its
+// openings may alias a received frame.
 func VerifyShuffleBlock(t *ShuffleTranscript, pass, block int, pk Point, in, out []Ciphertext, proof BlockShuffleProof) error {
 	n := len(in)
 	if len(out) != n || len(proof.Openings) == 0 || len(proof.Commits) != len(proof.Openings) {
 		return ErrBadBlockShuffle
 	}
 	for _, o := range proof.Openings {
-		if len(o.Perm) != n || len(o.Rand) != n {
+		if len(o.Perm) != n || len(o.Rand) != scalarLen*n {
 			return ErrBadBlockShuffle
 		}
 	}
@@ -205,31 +272,27 @@ func VerifyShuffleBlock(t *ShuffleTranscript, pass, block int, pk Point, in, out
 	if err != nil {
 		return err
 	}
+	s := getShadowScratch(n)
+	defer s.put()
 	for r, o := range proof.Openings {
-		if !isPerm(o.Perm) {
+		if !invertInto(s.inv, o.Perm) {
 			return ErrBadBlockShuffle
 		}
-		for _, rr := range o.Rand {
-			if rr == nil || rr.Sign() < 0 || rr.Cmp(order) >= 0 {
+		for off := 0; off < len(o.Rand); off += scalarLen {
+			if _, ok := scalarFromWire(o.Rand[off:]); !ok {
 				return ErrBadBlockShuffle
 			}
 		}
 		// Rebuild the shadow in one batch (shared tables, one inversion
-		// per window step) from the side the challenge opened.
-		var shadow []Ciphertext
+		// per window step) from the side the challenge opened. Shadow
+		// index j of a shadow→output opening is output inv[j] with its
+		// randomizer taken off.
 		if bits[r] == 0 {
-			shadow = rerandomizePermuted(pk, in, o.Perm, o.Rand)
+			rerandomizeInto(s.cts, pk, in, o.Perm, &scalarSource{wire: o.Rand})
 		} else {
-			neg := make([]*big.Int, n)
-			for i, rr := range o.Rand {
-				neg[i] = new(big.Int).Sub(order, rr) // reduced by the batch call when rr is 0
-			}
-			shadow = make([]Ciphertext, n)
-			for i, c := range BatchRerandomizeWith(pk, out, neg) {
-				shadow[o.Perm[i]] = c
-			}
+			rerandomizeInto(s.cts, pk, out, s.inv, &scalarSource{wire: o.Rand, from: s.inv, neg: true})
 		}
-		if HashBlock(shadow) != proof.Commits[r] {
+		if HashBlock(s.cts) != proof.Commits[r] {
 			return fmt.Errorf("%w: round %d opening does not reproduce its committed shadow", ErrBadBlockShuffle, r)
 		}
 	}

@@ -65,12 +65,37 @@ func cloneBlockProof(p BlockShuffleProof) BlockShuffleProof {
 	c := BlockShuffleProof{Commits: append([][32]byte(nil), p.Commits...), Openings: make([]BlockOpening, len(p.Openings))}
 	for r, o := range p.Openings {
 		c.Openings[r].Perm = append([]int(nil), o.Perm...)
-		c.Openings[r].Rand = make([]*big.Int, len(o.Rand))
-		for i, s := range o.Rand {
-			c.Openings[r].Rand[i] = new(big.Int).Set(s)
-		}
+		c.Openings[r].Rand = append([]byte(nil), o.Rand...)
 	}
 	return c
+}
+
+// wireScalars packs scalars below the order in an opening's wire form.
+func wireScalars(ks []*big.Int) []byte {
+	out := make([]byte, scalarLen*len(ks))
+	for i, k := range ks {
+		setScalarAt(out, i, k)
+	}
+	return out
+}
+
+// scalarAt decodes the i-th scalar of an opening's wire form.
+func scalarAt(rand []byte, i int) *big.Int {
+	return new(big.Int).SetBytes(rand[scalarLen*i : scalarLen*(i+1)])
+}
+
+// setScalarAt writes k, below 2²⁵⁶, as the i-th scalar of rand.
+func setScalarAt(rand []byte, i int, k *big.Int) {
+	k.FillBytes(rand[scalarLen*i : scalarLen*(i+1)])
+}
+
+// invertPerm returns the inverse of a permutation.
+func invertPerm(p []int) []int {
+	inv := make([]int, len(p))
+	for i, v := range p {
+		inv[v] = i
+	}
+	return inv
 }
 
 // TestBlockShuffleCommitmentBinding checks the binding between a
@@ -117,8 +142,8 @@ func TestBlockShuffleCommitmentBinding(t *testing.T) {
 	}{
 		{"commitment byte", func(p *BlockShuffleProof, r int) { p.Commits[r][5] ^= 1 }},
 		{"opening scalar", func(p *BlockShuffleProof, r int) {
-			s := p.Openings[r].Rand[3]
-			s.Add(s, big.NewInt(1)).Mod(s, order)
+			s := scalarAt(p.Openings[r].Rand, 3)
+			setScalarAt(p.Openings[r].Rand, 3, s.Add(s, big.NewInt(1)).Mod(s, order))
 		}},
 		{"permutation entries", func(p *BlockShuffleProof, r int) {
 			perm := p.Openings[r].Perm
@@ -193,10 +218,11 @@ func TestShuffleProofCatchesTampering(t *testing.T) {
 
 // TestShuffleProofRejectsNonPermutation feeds the verifier openings
 // that are not well formed — a repeated or out-of-range index, a
-// scalar outside [0, order), a missing scalar, wrong lengths, a
-// commitment count that disagrees with the openings. Each must come
-// back as ErrBadBlockShuffle, on either challenge value, without a
-// panic.
+// scalar outside [0, order) (the order itself, and the largest value
+// 32 bytes hold), scalar bytes a byte or a scalar short or long, wrong
+// lengths, a commitment count that disagrees with the openings. Each
+// must come back as ErrBadBlockShuffle, on either challenge value,
+// without a panic.
 func TestShuffleProofRejectsNonPermutation(t *testing.T) {
 	k := GenerateKey()
 	const n, rounds = 4, 4
@@ -213,12 +239,19 @@ func TestShuffleProofRejectsNonPermutation(t *testing.T) {
 		{"duplicate index", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm = []int{0, 0, 1, 2} }},
 		{"index past the block", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm[0] = n }},
 		{"negative index", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm[0] = -1 }},
-		{"scalar equal to the order", func(p *BlockShuffleProof, r int) { p.Openings[r].Rand[1] = new(big.Int).Set(order) }},
-		{"negative scalar", func(p *BlockShuffleProof, r int) { p.Openings[r].Rand[1] = big.NewInt(-1) }},
-		{"nil scalar", func(p *BlockShuffleProof, r int) { p.Openings[r].Rand[1] = nil }},
+		{"scalar equal to the order", func(p *BlockShuffleProof, r int) { setScalarAt(p.Openings[r].Rand, 1, order) }},
+		{"scalar 2^256-1", func(p *BlockShuffleProof, r int) {
+			setScalarAt(p.Openings[r].Rand, 1, new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1)))
+		}},
+		{"randomizers one byte short", func(p *BlockShuffleProof, r int) {
+			p.Openings[r].Rand = p.Openings[r].Rand[:scalarLen*n-1]
+		}},
+		{"randomizers one byte long", func(p *BlockShuffleProof, r int) {
+			p.Openings[r].Rand = append(p.Openings[r].Rand, 0)
+		}},
 		{"short permutation", func(p *BlockShuffleProof, r int) { p.Openings[r].Perm = p.Openings[r].Perm[:n-1] }},
 		{"long randomizers", func(p *BlockShuffleProof, r int) {
-			p.Openings[r].Rand = append(p.Openings[r].Rand, big.NewInt(1))
+			p.Openings[r].Rand = append(p.Openings[r].Rand, wireScalars([]*big.Int{big.NewInt(1)})...)
 		}},
 		{"missing commitment", func(p *BlockShuffleProof, _ int) { p.Commits = p.Commits[:rounds-1] }},
 		{"missing opening", func(p *BlockShuffleProof, _ int) { p.Openings = p.Openings[:rounds-1] }},
@@ -290,5 +323,76 @@ func TestBlockShuffleCheatDetectionProbability(t *testing.T) {
 	rate := float64(detected) / trials
 	if rate < 0.55 || rate > 0.95 {
 		t.Fatalf("detection rate %.3f outside [0.55, 0.95] (expected %.2f)", rate, 0.75)
+	}
+}
+
+// TestShuffleOpeningRejectsUnreducedScalar: a scalar s + n acts on the
+// group exactly as s does, so an opening carrying it rebuilds the very
+// shadow that was committed — only the range check can refuse it. The
+// proof is built by hand with small scalars throughout (witness,
+// shadow randomizers and so residuals), so that s + n fits the 32-byte
+// field for every scalar of every opening. Key and input are seeded,
+// so the challenge, which opens both sides, is the same every run.
+func TestShuffleOpeningRejectsUnreducedScalar(t *testing.T) {
+	pk := stdlibBaseMul(seededScalar("unreduced key", 0))
+	const n, rounds = 4, 8
+	in := make([]Ciphertext, n)
+	for i := range in {
+		in[i] = EncryptWith(pk, Generator(), seededScalar("unreduced input", i))
+	}
+	w := ShuffleWitness{Perm: []int{2, 0, 3, 1}, Rand: make([]*big.Int, n)}
+	out := make([]Ciphertext, n)
+	for i, j := range w.Perm {
+		w.Rand[i] = big.NewInt(int64(100 + i))
+		out[i] = in[j].RerandomizeWith(pk, w.Rand[i])
+	}
+	proof := BlockShuffleProof{Commits: make([][32]byte, rounds), Openings: make([]BlockOpening, rounds)}
+	drawn := make([][]*big.Int, rounds)
+	for r := range proof.Openings {
+		perm := []int{(r + 1) % n, (r + 3) % n, r % n, (r + 2) % n}
+		drawn[r] = make([]*big.Int, n)
+		shadow := make([]Ciphertext, n)
+		for i, src := range perm {
+			drawn[r][i] = big.NewInt(int64(1 + i + r))
+			shadow[i] = in[src].RerandomizeWith(pk, drawn[r][i])
+		}
+		proof.Openings[r] = BlockOpening{Perm: perm, Rand: wireScalars(drawn[r])}
+		proof.Commits[r] = HashBlock(shadow)
+	}
+	transcript := func() *ShuffleTranscript { return NewShuffleTranscript(pk, n, n, 1, rounds) }
+	bits, err := transcript().BlockChallenges(1, 0, HashBlock(in), HashBlock(out), proof.Commits, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sides := [2]bool{}
+	for r, b := range bits {
+		sides[b] = true
+		if b == 0 {
+			continue
+		}
+		inv := invertPerm(proof.Openings[r].Perm)
+		open := BlockOpening{Perm: make([]int, n), Rand: make([]byte, scalarLen*n)}
+		for i := range open.Perm {
+			idx := inv[w.Perm[i]]
+			open.Perm[i] = idx
+			setScalarAt(open.Rand, i, new(big.Int).Sub(w.Rand[i], drawn[r][idx]))
+		}
+		proof.Openings[r] = open
+	}
+	if !sides[0] || !sides[1] {
+		t.Fatal("test premise broken: the challenge opened only one side")
+	}
+	if err := VerifyShuffleBlock(transcript(), 1, 0, pk, in, out, proof); err != nil {
+		t.Fatalf("hand-built proof rejected: %v", err)
+	}
+	for r := range proof.Openings {
+		for i := 0; i < n; i++ {
+			bad := cloneBlockProof(proof)
+			s := scalarAt(bad.Openings[r].Rand, i)
+			setScalarAt(bad.Openings[r].Rand, i, s.Add(s, order))
+			if err := VerifyShuffleBlock(transcript(), 1, 0, pk, in, out, bad); !errors.Is(err, ErrBadBlockShuffle) {
+				t.Fatalf("round %d (challenge %d), scalar %d plus the order: got %v, want ErrBadBlockShuffle", r, bits[r], i, err)
+			}
+		}
 	}
 }

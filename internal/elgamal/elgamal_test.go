@@ -455,7 +455,7 @@ func TestRandomScalarInRange(t *testing.T) {
 
 func TestRandomPermIsPermutation(t *testing.T) {
 	for n := 1; n <= 16; n++ {
-		if !isPerm(randomPerm(n)) {
+		if !invertInto(make([]int, n), randomPerm(n)) {
 			t.Fatalf("randomPerm(%d) not a permutation", n)
 		}
 	}

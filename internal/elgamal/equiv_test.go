@@ -417,6 +417,8 @@ func TestBatchPartialDecryptAndRecover(t *testing.T) {
 }
 
 func TestMultiScalarMul(t *testing.T) {
+	s := getMSMScratch()
+	defer s.put()
 	for n := 1; n <= 20; n += 3 {
 		terms := make([]msmTerm, n)
 		want := Identity()
@@ -433,7 +435,7 @@ func TestMultiScalarMul(t *testing.T) {
 			want = stdlibAdd(want, stdlibMul(p, k))
 		}
 		var sum jacPoint
-		if !multiScalarMul(&sum, terms) {
+		if !s.mul(&sum, terms) {
 			t.Fatalf("msm rejected valid terms")
 		}
 		if got := sum.toAffine(); !got.Equal(want) {
@@ -443,7 +445,7 @@ func TestMultiScalarMul(t *testing.T) {
 	// Off-curve input must be rejected, not computed with.
 	bad := []msmTerm{{scalar: big.NewInt(2), point: pointXY(big.NewInt(1), big.NewInt(1))}}
 	var sum jacPoint
-	if multiScalarMul(&sum, bad) {
+	if s.mul(&sum, bad) {
 		t.Fatal("msm accepted an off-curve point")
 	}
 }
@@ -689,8 +691,10 @@ func TestPippengerMSM(t *testing.T) {
 		terms[i] = msmTerm{scalar: k, point: p}
 		want = stdlibAdd(want, stdlibMul(p, k))
 	}
+	s := getMSMScratch()
+	defer s.put()
 	var sum jacPoint
-	if !pippengerMSM(&sum, terms) {
+	if !s.pippenger(&sum, terms) {
 		t.Fatal("pippenger rejected valid terms")
 	}
 	if got := sum.toAffine(); !got.Equal(want) {
@@ -698,7 +702,7 @@ func TestPippengerMSM(t *testing.T) {
 	}
 	// Strauss on the same terms must agree.
 	var sum2 jacPoint
-	if !straussMSM(&sum2, terms) {
+	if !s.strauss(&sum2, terms) {
 		t.Fatal("strauss rejected valid terms")
 	}
 	if got := sum2.toAffine(); !got.Equal(want) {
@@ -706,7 +710,7 @@ func TestPippengerMSM(t *testing.T) {
 	}
 	// Off-curve rejection on the bucket path too.
 	terms[11].point = pointXY(big.NewInt(2), big.NewInt(9))
-	if pippengerMSM(&sum, terms) {
+	if s.pippenger(&sum, terms) {
 		t.Fatal("pippenger accepted an off-curve point")
 	}
 }

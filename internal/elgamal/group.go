@@ -202,7 +202,7 @@ func (p Point) Bytes() []byte {
 
 // AppendBytes appends the compressed encoding of p to dst and returns
 // the extended slice, letting vector encoders reuse one allocation (see
-// psc's encodeVector). No group element has y = 0 — P-256 has prime
+// psc's send-side encoders). No group element has y = 0 — P-256 has prime
 // order, so no point of order two — but the zero Point does, and its
 // compressed form would otherwise be a valid encoding of (0, √b); it
 // gets a tag no decoder accepts instead, so an unset Point never

@@ -8,7 +8,10 @@ package elgamal
 // and a vector of them shares one (batchToAffine, Montgomery's
 // simultaneous-inversion trick).
 
-import "math/big"
+import (
+	"math/big"
+	"slices"
+)
 
 // jacPoint is a point in Jacobian coordinates, field elements in
 // Montgomery form.
@@ -185,24 +188,33 @@ func (p *jacPoint) add(q, r *jacPoint) {
 }
 
 // batchToAffine normalizes a vector of Jacobian points to affine with a
-// single field inversion (Montgomery's simultaneous-inversion trick):
-// accumulate prefix products of the Zs, invert the total once, then
-// peel per-point inverses off backwards.
+// single field inversion (see batchToAffineInto).
 func batchToAffine(ps []jacPoint) []Point {
 	out := make([]Point, len(ps))
+	batchToAffineInto(out, ps, nil)
+	return out
+}
+
+// batchToAffineInto normalizes ps into out, which must be as long, with
+// a single field inversion (Montgomery's simultaneous-inversion trick):
+// accumulate prefix products of the Zs, invert the total once, then
+// peel per-point inverses off backwards. prods is scratch for the
+// products, grown once when short and returned so a caller can keep it.
+func batchToAffineInto(out []Point, ps []jacPoint, prods []fe) []fe {
 	// Prefix products over the non-infinity Zs.
-	prods := make([]fe, 0, len(ps))
+	prods = slices.Grow(prods[:0], len(ps))
 	acc := feOneVal
 	for i := range ps {
 		if ps[i].isInfinity() {
-			out[i].infinity = true
+			out[i] = Identity()
 			continue
 		}
+		out[i].infinity = false
 		feMul(&acc, &acc, &ps[i].z)
 		prods = append(prods, acc)
 	}
 	if len(prods) == 0 {
-		return out
+		return prods
 	}
 	var inv fe
 	feInv(&inv, &prods[len(prods)-1])
@@ -225,7 +237,7 @@ func batchToAffine(ps []jacPoint) []Point {
 		feMul(&out[i].x, &ps[i].x, &zInv2)
 		feMul(&out[i].y, &ps[i].y, &zInv3)
 	}
-	return out
+	return prods
 }
 
 // scalarLimbs loads a scalar already reduced mod the group order into

@@ -9,7 +9,11 @@ package elgamal
 // cheaper than verifying each Chaum–Pedersen equation with two full
 // scalar multiplications.
 
-import "math/big"
+import (
+	"math/big"
+	"slices"
+	"sync"
+)
 
 const (
 	wnafWidth = 5
@@ -88,29 +92,67 @@ type msmTerm struct {
 // precomputation wins.
 const pippengerThreshold = 128
 
-// multiScalarMul computes Σ kᵢ·Pᵢ in Jacobian coordinates, dispatching
-// between Strauss interleaving (small batches) and the Pippenger bucket
-// method (large batches). Returns false if any point fails curve
-// validation (callers treat that as a verification failure, never a
-// panic).
-func multiScalarMul(dst *jacPoint, terms []msmTerm) bool {
-	if len(terms) >= pippengerThreshold {
-		return pippengerMSM(dst, terms)
-	}
-	return straussMSM(dst, terms)
+// msmScratch is the working memory of a multi-scalar multiplication —
+// the live points, their digits, the buckets or odd multiples and the
+// normalization's products — plus the term list batch verification
+// builds for it (eqAccum, foldPoints). It comes from msmPool, so a
+// round's thousands of verifications reuse a few per worker, and must
+// not be shared between goroutines.
+type msmScratch struct {
+	terms   []msmTerm
+	points  []Point
+	digits  []int32 // Pippenger's, len(points)·windows
+	wnaf    []int8  // Strauss's, every live term's digits back to back
+	lens    []int
+	jac     []jacPoint // Pippenger's buckets, Strauss's odd multiples
+	odd     []Point
+	prods   []fe
+	entries []int32
 }
 
-// straussMSM is Strauss interleaving with width-5 wNAF digits.
+var msmPool = sync.Pool{New: func() any { return new(msmScratch) }}
+
+// getMSMScratch returns a pooled scratch with an empty term list.
+// Return it with put.
+func getMSMScratch() *msmScratch {
+	s := msmPool.Get().(*msmScratch)
+	s.terms = s.terms[:0]
+	return s
+}
+
+// put returns s to the pool. The terms point at their callers'
+// scalars, so they are cleared first: a pooled scratch pins no memory.
+// Terms past len were cleared by an earlier put.
+func (s *msmScratch) put() {
+	clear(s.terms)
+	msmPool.Put(s)
+}
+
+// mul computes Σ kᵢ·Pᵢ in Jacobian coordinates on s's buffers,
+// dispatching between Strauss interleaving (small batches) and the
+// Pippenger bucket method (large batches). terms may be s.terms.
+// Returns false if any point fails curve validation (callers treat
+// that as a verification failure, never a panic).
+func (s *msmScratch) mul(dst *jacPoint, terms []msmTerm) bool {
+	if len(terms) >= pippengerThreshold {
+		return s.pippenger(dst, terms)
+	}
+	return s.strauss(dst, terms)
+}
+
+// strauss is Strauss interleaving with width-5 wNAF digits.
 //
 // The per-term wNAF digits are transposed into per-bit-position buckets
 // (a counting sort) before the shared doubling chain runs, so the main
 // loop touches exactly the additions it performs in one sequential
 // sweep — scanning every term at every bit position would cost more in
 // cache misses than the field arithmetic itself.
-func straussMSM(dst *jacPoint, terms []msmTerm) bool {
-	digits := make([]int8, 0, 257*len(terms))
-	lens := make([]int, 0, len(terms))
-	live := make([]Point, 0, len(terms))
+func (s *msmScratch) strauss(dst *jacPoint, terms []msmTerm) bool {
+	// Grown once up front: a scratch fresh from the pool would
+	// otherwise double its way up to the term count.
+	s.wnaf = slices.Grow(s.wnaf[:0], 257*len(terms))
+	s.lens = slices.Grow(s.lens[:0], len(terms))
+	s.points = slices.Grow(s.points[:0], len(terms))
 	var counts [257]int32
 	maxLen := 0
 	var scratch [257]int8
@@ -130,36 +172,35 @@ func straussMSM(dst *jacPoint, terms []msmTerm) bool {
 				counts[i]++
 			}
 		}
-		digits = append(digits, scratch[:n]...)
-		lens = append(lens, n)
-		live = append(live, t.point)
+		s.wnaf = append(s.wnaf, scratch[:n]...)
+		s.lens = append(s.lens, n)
+		s.points = append(s.points, t.point)
 		if n > maxLen {
 			maxLen = n
 		}
 	}
 	dst.setInfinity()
-	if len(live) == 0 {
+	if len(s.points) == 0 {
 		return true
 	}
 
 	// Odd multiples 1P, 3P, ..., 15P per live term, accumulated in
 	// Jacobian form and normalized together: one inversion for the
 	// whole precomputation.
-	jacOdd := make([]jacPoint, 0, len(live)*wnafTableSize)
-	for _, p := range live {
-		single := p.jacobian()
+	jacOdd := resize(s.jac, len(s.points)*wnafTableSize)
+	s.jac = jacOdd
+	for j := range s.points {
+		win := jacOdd[j*wnafTableSize : (j+1)*wnafTableSize]
+		win[0] = s.points[j].jacobian()
 		var twice jacPoint
-		twice.double(&single)
-		jacOdd = append(jacOdd, single)
-		prev := single
+		twice.double(&win[0])
 		for m := 1; m < wnafTableSize; m++ {
-			var next jacPoint
-			next.add(&prev, &twice)
-			jacOdd = append(jacOdd, next)
-			prev = next
+			win[m].add(&win[m-1], &twice)
 		}
 	}
-	odd := batchToAffine(jacOdd)
+	s.odd = resize(s.odd, len(jacOdd))
+	s.prods = batchToAffineInto(s.odd, jacOdd, s.prods)
+	odd := s.odd
 
 	// Transpose digits into contiguous per-position buckets: bucket i
 	// holds an index into odd (with the digit's sign folded in as ±1
@@ -168,14 +209,15 @@ func straussMSM(dst *jacPoint, terms []msmTerm) bool {
 	for i := 0; i < 257; i++ {
 		offsets[i+1] = offsets[i] + counts[i]
 	}
-	entries := make([]int32, offsets[257])
+	entries := resize(s.entries, int(offsets[257]))
+	s.entries = entries
 	var next [257]int32
 	copy(next[:], offsets[:257])
 	pos := 0
-	for j, n := range lens {
+	for j, n := range s.lens {
 		base := int32(j * wnafTableSize)
 		for i := 0; i < n; i++ {
-			d := digits[pos+i]
+			d := s.wnaf[pos+i]
 			if d == 0 {
 				continue
 			}
@@ -219,18 +261,18 @@ func pippengerWindow(n int) uint {
 	return best
 }
 
-// pippengerMSM is the bucket method with signed base-2^c digits: for
+// pippenger is the bucket method with signed base-2^c digits: for
 // each of the 257/c windows it sorts every term's digit into a bucket,
 // then folds the buckets with a running sum. No per-term
 // precomputation, so the marginal term costs one bucket addition per
 // window regardless of scalar width.
-func pippengerMSM(dst *jacPoint, terms []msmTerm) bool {
+func (s *msmScratch) pippenger(dst *jacPoint, terms []msmTerm) bool {
 	c := pippengerWindow(len(terms))
 	windows := (257 + int(c) - 1) / int(c)
 	half := int32(1) << (c - 1)
 
-	points := make([]Point, 0, len(terms))
-	digits := make([]int32, 0, len(terms)*windows)
+	s.points = slices.Grow(s.points[:0], len(terms))
+	s.digits = resize(s.digits, len(terms)*windows)
 	for _, t := range terms {
 		if t.scalar.Sign() == 0 || t.point.IsIdentity() {
 			continue
@@ -241,9 +283,8 @@ func pippengerMSM(dst *jacPoint, terms []msmTerm) bool {
 		// Signed base-2^c decomposition: digit ∈ (−2^(c−1), 2^(c−1)].
 		limbs := scalarLimbs(t.scalar)
 		carry := int32(0)
-		start := len(digits)
-		digits = append(digits, make([]int32, windows)...)
-		for w := 0; w < windows; w++ {
+		digits := s.digits[len(s.points)*windows:][:windows]
+		for w := range digits {
 			bit := w * int(c)
 			limb := bit >> 6
 			off := uint(bit & 63)
@@ -261,19 +302,21 @@ func pippengerMSM(dst *jacPoint, terms []msmTerm) bool {
 			} else {
 				carry = 0
 			}
-			digits[start+w] = d
+			digits[w] = d
 		}
 		// carry can only remain set if the scalar's top window
 		// overflowed, impossible for reduced scalars (< 2^256 with two
 		// spare top bits in the final window).
-		points = append(points, t.point)
+		s.points = append(s.points, t.point)
 	}
 	dst.setInfinity()
+	points, digits := s.points, s.digits
 	if len(points) == 0 {
 		return true
 	}
 
-	buckets := make([]jacPoint, half)
+	buckets := resize(s.jac, int(half))
+	s.jac = buckets
 	var windowSum, running jacPoint
 	for w := windows - 1; w >= 0; w-- {
 		if !dst.isInfinity() {

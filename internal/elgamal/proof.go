@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math/big"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -144,12 +145,14 @@ func shareCoefficients(pk Point, cs []Ciphertext, shares []DecryptionShare) []*b
 // whose scalars are half width, so half its windows are empty and
 // skipped.
 func foldPoints(lambdas []*big.Int, point func(i int) Point) (Point, bool) {
-	terms := make([]msmTerm, len(lambdas))
+	s := getMSMScratch()
+	defer s.put()
+	s.terms = slices.Grow(s.terms, len(lambdas))
 	for i, l := range lambdas {
-		terms[i] = msmTerm{scalar: l, point: point(i)}
+		s.terms = append(s.terms, msmTerm{scalar: l, point: point(i)})
 	}
 	var sum jacPoint
-	if !multiScalarMul(&sum, terms) {
+	if !s.mul(&sum, s.terms) {
 		return Point{}, false
 	}
 	return sum.toAffine(), true
@@ -371,25 +374,6 @@ func randomPerm(n int) []int {
 		}
 	}
 	return p
-}
-
-func invertPerm(p []int) []int {
-	inv := make([]int, len(p))
-	for i, v := range p {
-		inv[v] = i
-	}
-	return inv
-}
-
-func isPerm(p []int) bool {
-	seen := make([]bool, len(p))
-	for _, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
 }
 
 // BatchProveBlinds produces the exponent-blinding proofs for a whole

@@ -25,6 +25,7 @@ package elgamal
 import (
 	"bufio"
 	"math/big"
+	"slices"
 	"sync"
 
 	"repro/internal/parallel"
@@ -38,23 +39,34 @@ const batchVerifyMin = 4
 // false-accept probability 2^-128.
 const batchLambdaBits = 128
 
-// eqAccum accumulates the terms of one random linear combination.
+// eqAccum accumulates the terms of one random linear combination. Its
+// term list and the multiplication's working memory are one pooled
+// msmScratch, its term list grown once to the capacity the caller
+// expects; release returns it.
 type eqAccum struct {
 	rand    *bufio.Reader
 	gCoeff  *big.Int
 	pk      Point
 	pkCoeff *big.Int
-	terms   []msmTerm
+	msm     *msmScratch
 }
 
 func newEqAccum(pk Point, capacity int) *eqAccum {
-	return &eqAccum{
+	a := &eqAccum{
 		rand:    randReaders.Get().(*bufio.Reader),
 		gCoeff:  new(big.Int),
 		pk:      pk,
 		pkCoeff: new(big.Int),
-		terms:   make([]msmTerm, 0, capacity),
+		msm:     getMSMScratch(),
 	}
+	a.msm.terms = slices.Grow(a.msm.terms, capacity)
+	return a
+}
+
+// release returns the accumulator's reader and scratch to their pools.
+func (a *eqAccum) release() {
+	randReaders.Put(a.rand)
+	a.msm.put()
 }
 
 func (a *eqAccum) lambda() *big.Int {
@@ -76,7 +88,7 @@ func (a *eqAccum) add(c *big.Int, p Point) {
 	if p.IsIdentity() {
 		return
 	}
-	a.terms = append(a.terms, msmTerm{scalar: c.Mod(c, order), point: p})
+	a.msm.terms = append(a.msm.terms, msmTerm{scalar: c.Mod(c, order), point: p})
 }
 
 // sub adds −c·p to the combination.
@@ -87,15 +99,14 @@ func (a *eqAccum) sub(c *big.Int, p Point) {
 // check evaluates the combination; true means all folded equations hold
 // (up to the 2^-128 soundness error).
 func (a *eqAccum) check() bool {
-	defer randReaders.Put(a.rand)
 	if c := a.gCoeff.Mod(a.gCoeff, order); c.Sign() != 0 {
-		a.terms = append(a.terms, msmTerm{scalar: c, point: Generator()})
+		a.msm.terms = append(a.msm.terms, msmTerm{scalar: c, point: Generator()})
 	}
 	if c := a.pkCoeff.Mod(a.pkCoeff, order); c.Sign() != 0 {
-		a.terms = append(a.terms, msmTerm{scalar: c, point: a.pk})
+		a.msm.terms = append(a.msm.terms, msmTerm{scalar: c, point: a.pk})
 	}
 	var sum jacPoint
-	if !multiScalarMul(&sum, a.terms) {
+	if !a.msm.mul(&sum, a.msm.terms) {
 		return false // an input point was off-curve
 	}
 	return sum.isInfinity()
@@ -147,6 +158,7 @@ func VerifyBlindsBatch(ins, outs []Ciphertext, proofs []EqualityProof) (int, boo
 		return scan()
 	}
 	acc := newEqAccum(Identity(), 6*len(ins))
+	defer acc.release()
 	ok := true
 	for i := range ins {
 		if outs[i].C1.IsIdentity() || !dleqFold(acc, blindDomain, ins[i].C1, outs[i].C1, ins[i].C2, outs[i].C2, proofs[i]) {
@@ -178,6 +190,7 @@ func VerifyBitsBatch(pk Point, cs []Ciphertext, proofs []BitProof) (int, bool) {
 		return scan()
 	}
 	acc := newEqAccum(pk, 6*len(cs))
+	defer acc.release()
 	ok := true
 	for i := range cs {
 		pr := proofs[i]

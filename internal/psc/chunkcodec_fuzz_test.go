@@ -35,9 +35,9 @@ func newProofChunkFixture() proofChunkFixture {
 	}
 	return proofChunkFixture{
 		noise: NoiseChunkMsg{Off: 0, Count: 3, Data: encodeVector(cts),
-			Proofs: packProofs(elgamal.BatchProveBits(key.PK, cts, bits, rs), elgamal.BitProofLen)},
+			Proofs: packProofs(elgamal.BatchProveBits(key.PK, cts, bits, rs))},
 		blind: BlindChunkMsg{Off: 8, Count: 3, Data: encodeVector(blinded),
-			Proofs: packProofs(elgamal.BatchProveBlinds(cts, blinded, ss), elgamal.EqualityProofLen)},
+			Proofs: packProofs(elgamal.BatchProveBlinds(cts, blinded, ss))},
 		share: ShareChunkMsg{Off: 8, Count: 3, Shares: packed,
 			Proof: key.BatchProveShares(blinded, shares).AppendTo(nil)},
 	}
@@ -81,7 +81,7 @@ func FuzzNoiseChunkCodec(f *testing.F) {
 		if len(cts) != msg.Count || len(proofs) != msg.Count {
 			t.Fatalf("noise chunk decoded to %d ciphertexts and %d proofs for Count %d", len(cts), len(proofs), msg.Count)
 		}
-		if !bytes.Equal(packProofs(proofs, elgamal.BitProofLen), msg.Proofs) {
+		if !bytes.Equal(packProofs(proofs), msg.Proofs) {
 			t.Fatal("accepted bit proofs re-encode differently")
 		}
 	})
@@ -112,7 +112,7 @@ func FuzzBlindChunkCodec(f *testing.F) {
 				t.Fatal("blind chunk decoded to an invalid ciphertext")
 			}
 		}
-		if !bytes.Equal(packProofs(proofs, elgamal.EqualityProofLen), msg.Proofs) {
+		if !bytes.Equal(packProofs(proofs), msg.Proofs) {
 			t.Fatal("accepted equality proofs re-encode differently")
 		}
 	})

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
+	"slices"
 
 	"repro/internal/elgamal"
 	"repro/internal/wire"
@@ -49,13 +49,101 @@ func parseKey(b []byte) (elgamal.Point, error) {
 	return pk, nil
 }
 
-// encodeVector packs ciphertexts back to back into one allocation.
-func encodeVector(v []elgamal.Ciphertext) []byte {
-	out := make([]byte, 0, len(v)*66) // two compressed points each
-	for _, c := range v {
-		out = c.AppendTo(out)
+// Send-side encoders. Every frame that carries ciphertexts or proofs
+// is sent as one of the values below, whose AppendWire writes the
+// bytes of the message it stands for — ChunkMsg, NoiseChunkMsg,
+// BlindChunkMsg, BlockOutMsg, BlockShadowMsg — straight into the
+// sender's own buffer (wire.Stream.Send), so no packed vector is built
+// per chunk first. The received side parses into the messages.
+
+// ciphertextMaxLen bounds one ciphertext's encoding: two compressed
+// points, fewer bytes when a half is the identity.
+const ciphertextMaxLen = 66
+
+// appendPacked appends items back to back behind their total length:
+// what wire.AppendBytes appends for the items packed into one slice.
+func appendPacked[T interface{ AppendTo([]byte) []byte }](b []byte, items []T) []byte {
+	at := len(b)
+	b = wire.AppendLen(b, 0)
+	for _, it := range items {
+		b = it.AppendTo(b)
 	}
-	return out
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-wire.LenSize))
+	return b
+}
+
+// chunkOut sends as the ChunkMsg of cts at element offset off.
+type chunkOut struct {
+	off int
+	cts []elgamal.Ciphertext
+}
+
+// AppendWire implements wire.WireAppender.
+func (c chunkOut) AppendWire(b []byte) []byte {
+	b = wire.Grow(b, 2*wire.IntSize+wire.BytesSize(ciphertextMaxLen*len(c.cts)))
+	b = wire.AppendInt(b, c.off)
+	b = wire.AppendInt(b, len(c.cts))
+	return appendPacked(b, c.cts)
+}
+
+// provedOut sends as the NoiseChunkMsg or BlindChunkMsg of cts and
+// their proofs, each width bytes, at offset off.
+type provedOut[P interface{ AppendTo([]byte) []byte }] struct {
+	off    int
+	cts    []elgamal.Ciphertext
+	proofs []P
+	width  int
+}
+
+// AppendWire implements wire.WireAppender.
+func (m provedOut[P]) AppendWire(b []byte) []byte {
+	b = wire.Grow(b, 2*wire.IntSize+wire.BytesSize(ciphertextMaxLen*len(m.cts))+wire.BytesSize(m.width*len(m.proofs)))
+	b = wire.AppendInt(b, m.off)
+	b = wire.AppendInt(b, len(m.cts))
+	return appendPacked(appendPacked(b, m.cts), m.proofs)
+}
+
+// blockOut sends as the BlockOutMsg of one shuffled block and its
+// shadow commitments.
+type blockOut struct {
+	pass, block int
+	cts         []elgamal.Ciphertext
+	commits     [][32]byte
+}
+
+// AppendWire implements wire.WireAppender.
+func (m blockOut) AppendWire(b []byte) []byte {
+	b = wire.Grow(b, 3*wire.IntSize+wire.BytesSize(ciphertextMaxLen*len(m.cts))+wire.LenSize+len(m.commits)*wire.BytesSize(32))
+	b = wire.AppendInt(b, m.pass)
+	b = wire.AppendInt(b, m.block)
+	b = wire.AppendInt(b, len(m.cts))
+	b = appendPacked(b, m.cts)
+	b = wire.AppendLen(b, len(m.commits))
+	for i := range m.commits {
+		b = wire.AppendBytes(b, m.commits[i][:])
+	}
+	return b
+}
+
+// openingOut sends as the BlockShadowMsg of one round's opening: the
+// indices as fixed-width integers, the scalars as they already are.
+type openingOut struct {
+	pass, block, round int
+	o                  elgamal.BlockOpening
+}
+
+// AppendWire implements wire.WireAppender.
+func (m openingOut) AppendWire(b []byte) []byte {
+	b = wire.Grow(b, 4*wire.IntSize+wire.BytesSize(openIndexLen*len(m.o.Perm))+wire.BytesSize(len(m.o.Rand)))
+	b = wire.AppendInt(b, m.pass)
+	b = wire.AppendInt(b, m.block)
+	b = wire.AppendInt(b, m.round)
+	b = wire.AppendInt(b, len(m.o.Perm))
+	b = wire.AppendLen(b, openIndexLen*len(m.o.Perm))
+	for _, v := range m.o.Perm {
+		b = binary.LittleEndian.AppendUint16(b, uint16(v))
+	}
+	return wire.AppendBytes(b, m.o.Rand)
 }
 
 // recvVectorFunc consumes kindChunk frames until n elements have
@@ -103,15 +191,6 @@ func decodeVector(b []byte, n int) ([]elgamal.Ciphertext, error) {
 		return nil, fmt.Errorf("psc: %d trailing bytes after vector", len(b))
 	}
 	return out, nil
-}
-
-// packProofs encodes proofs back to back at their fixed width.
-func packProofs[P interface{ AppendTo([]byte) []byte }](proofs []P, width int) []byte {
-	out := make([]byte, 0, len(proofs)*width)
-	for _, p := range proofs {
-		out = p.AppendTo(out)
-	}
-	return out
 }
 
 // decodeProved parses exactly n ciphertexts and their n fixed-width
@@ -170,37 +249,16 @@ const (
 // permutation index fits the uint16 the opening frame gives it.
 const _ = uint16(maxBlockElems - 1)
 
-// packOpening encodes one opening's permutation and randomizers as the
-// two fixed-width byte fields of a BlockShadowMsg.
-func packOpening(o elgamal.BlockOpening) (perm, rand []byte) {
-	perm = make([]byte, openIndexLen*len(o.Perm))
-	for i, v := range o.Perm {
-		binary.LittleEndian.PutUint16(perm[openIndexLen*i:], uint16(v))
-	}
-	rand = make([]byte, openScalarLen*len(o.Rand))
-	for i, s := range o.Rand {
-		s.FillBytes(rand[openScalarLen*i : openScalarLen*(i+1)])
-	}
-	return perm, rand
-}
-
 // sendBlockProof streams one block's cut-and-choose argument: the
 // shuffled block with its shadow commitments, then one opening per
 // challenge. The shadows themselves never travel — the TS recomputes
 // each from its opening — so the largest frame is the block itself.
 func sendBlockProof(m wire.Messenger, pass, block int, out []elgamal.Ciphertext, proof elgamal.BlockShuffleProof) error {
-	msg := BlockOutMsg{Pass: pass, Block: block, Count: len(out), Data: encodeVector(out)}
-	msg.Commits = make([][]byte, len(proof.Commits))
-	for i := range proof.Commits {
-		msg.Commits[i] = proof.Commits[i][:] // encoding copies it
-	}
-	if err := m.Send(kindShufBlock, msg); err != nil {
+	if err := m.Send(kindShufBlock, blockOut{pass: pass, block: block, cts: out, commits: proof.Commits}); err != nil {
 		return err
 	}
 	for r, o := range proof.Openings {
-		sh := BlockShadowMsg{Pass: pass, Block: block, Round: r, Count: len(o.Perm)}
-		sh.OpenPerm, sh.OpenRand = packOpening(o)
-		if err := m.Send(kindShufShadow, sh); err != nil {
+		if err := m.Send(kindShufShadow, openingOut{pass: pass, block: block, round: r, o: o}); err != nil {
 			return err
 		}
 	}
@@ -237,11 +295,13 @@ func parseBlockOut(msg BlockOutMsg, pass, block, count, rounds int) ([]elgamal.C
 
 // parseBlockShadow validates one round's opening against the expected
 // position and count — exact byte lengths first, before anything is
-// allocated — and decodes it into an elgamal.BlockOpening. Whether the
-// indices form a permutation and the scalars are below the group order
-// is for VerifyShuffleBlock to decide. Malformed frames error; they
-// never panic.
-func parseBlockShadow(msg BlockShadowMsg, pass, block, round, count int) (elgamal.BlockOpening, error) {
+// sized — and decodes it into an elgamal.BlockOpening whose indices
+// fill perm (grown when short) and whose scalars alias msg.OpenRand,
+// which PSC owns because it receives with Expect. Whether the indices
+// form a permutation and the scalars are below the group order is for
+// VerifyShuffleBlock to decide. Malformed frames error; they never
+// panic.
+func parseBlockShadow(msg BlockShadowMsg, pass, block, round, count int, perm []int) (elgamal.BlockOpening, error) {
 	if msg.Pass != pass || msg.Block != block || msg.Round != round {
 		return elgamal.BlockOpening{}, fmt.Errorf("psc: opening %d/%d/%d out of order (want %d/%d/%d)",
 			msg.Pass, msg.Block, msg.Round, pass, block, round)
@@ -250,10 +310,9 @@ func parseBlockShadow(msg BlockShadowMsg, pass, block, round, count int) (elgama
 		return elgamal.BlockOpening{}, fmt.Errorf("psc: opening %d/%d/%d announces %d elements in %d index and %d scalar bytes, want %d",
 			pass, block, round, msg.Count, len(msg.OpenPerm), len(msg.OpenRand), count)
 	}
-	o := elgamal.BlockOpening{Perm: make([]int, count), Rand: make([]*big.Int, count)}
-	for i := range o.Perm {
-		o.Perm[i] = int(binary.LittleEndian.Uint16(msg.OpenPerm[openIndexLen*i:]))
-		o.Rand[i] = new(big.Int).SetBytes(msg.OpenRand[openScalarLen*i : openScalarLen*(i+1)])
+	perm = slices.Grow(perm[:0], count)[:count]
+	for i := range perm {
+		perm[i] = int(binary.LittleEndian.Uint16(msg.OpenPerm[openIndexLen*i:]))
 	}
-	return o, nil
+	return elgamal.BlockOpening{Perm: perm, Rand: msg.OpenRand}, nil
 }

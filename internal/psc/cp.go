@@ -100,8 +100,7 @@ func (cp *CP) mixPhase(m wire.Messenger, cfg ConfigureMsg, joint elgamal.Point) 
 		return err
 	}
 	err := forEachChunk(len(noise), func(off, end int) error {
-		return m.Send(kindNoise, NoiseChunkMsg{Off: off, Count: end - off,
-			Data: encodeVector(noise[off:end]), Proofs: packProofs(proofs[off:end], elgamal.BitProofLen)})
+		return m.Send(kindNoise, provedOut[elgamal.BitProof]{off: off, cts: noise[off:end], proofs: proofs[off:end], width: elgamal.BitProofLen})
 	})
 	if err != nil {
 		return err
@@ -224,8 +223,7 @@ func (st *cpShuffleState) emitBlock(p, b int, in []elgamal.Ciphertext) error {
 func (st *cpShuffleState) blindBlock(p, b int, out []elgamal.Ciphertext) error {
 	blinded, blindScalars := elgamal.BatchExpBlind(out)
 	proofs := elgamal.BatchProveBlinds(out, blinded, blindScalars)
-	return st.m.Send(kindBlind, BlindChunkMsg{Off: st.g.outStart(p, b), Count: len(blinded),
-		Data: encodeVector(blinded), Proofs: packProofs(proofs, elgamal.EqualityProofLen)})
+	return st.m.Send(kindBlind, provedOut[elgamal.EqualityProof]{off: st.g.outStart(p, b), cts: blinded, proofs: proofs, width: elgamal.EqualityProofLen})
 }
 
 // decryptPhase answers the final batch chunk by chunk, each chunk's

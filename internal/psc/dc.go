@@ -100,7 +100,7 @@ func (dc *DC) Finish() error {
 	}
 	err := forEachChunk(len(dc.bins), func(off, end int) error {
 		cts, _ := elgamal.BatchEncryptBits(dc.jointKey, dc.bins[off:end])
-		return dc.m.Send(kindChunk, ChunkMsg{Off: off, Count: end - off, Data: encodeVector(cts)})
+		return dc.m.Send(kindChunk, chunkOut{off: off, cts: cts})
 	})
 	if err != nil {
 		return err

@@ -169,6 +169,9 @@ func (m *BlockOutMsg) ParseWire(b []byte) error {
 // the permutation and randomizers of the challenged side, fixed width.
 // The shadow itself is not in the frame — the TS recomputes it from the
 // opening and checks it against the commitment BlockOutMsg delivered.
+// OpenRand is already an elgamal.BlockOpening's Rand: parseBlockShadow
+// aliases it rather than copying, and VerifyShuffleBlock reads the
+// scalars where the frame holds them.
 type BlockShadowMsg struct {
 	Pass, Block, Round, Count int
 	OpenPerm                  []byte // Count little-endian uint16 indices

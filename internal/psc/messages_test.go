@@ -163,3 +163,70 @@ func TestChunkReaderRejectsCountMismatch(t *testing.T) {
 		ts.Close()
 	}
 }
+
+// encodeVector packs ciphertexts back to back: the Data field of a
+// ChunkMsg, NoiseChunkMsg, BlindChunkMsg or BlockOutMsg.
+func encodeVector(v []elgamal.Ciphertext) []byte {
+	var out []byte
+	for _, c := range v {
+		out = c.AppendTo(out)
+	}
+	return out
+}
+
+// packProofs packs proofs back to back at their fixed width: the
+// Proofs field of a NoiseChunkMsg or BlindChunkMsg.
+func packProofs[P interface{ AppendTo([]byte) []byte }](proofs []P) []byte {
+	var out []byte
+	for _, p := range proofs {
+		out = p.AppendTo(out)
+	}
+	return out
+}
+
+// TestSendEncodersMatchMessages: every send-side encoder writes, behind
+// whatever its buffer already holds, exactly the bytes of the message
+// it stands for, built the packed way, on a vector whose ciphertexts
+// have identity halves (one-byte points, so the packed length is not
+// a multiple of the element count).
+func TestSendEncodersMatchMessages(t *testing.T) {
+	key := elgamal.GenerateKey()
+	bits := []bool{true, false, true, true, false}
+	cts, rs := elgamal.BatchEncryptBits(key.PK, bits)
+	bitProofs := elgamal.BatchProveBits(key.PK, cts, bits, rs)
+	blinded, ss := elgamal.BatchExpBlind(cts)
+	blindProofs := elgamal.BatchProveBlinds(cts, blinded, ss)
+	g := elgamal.Generator()
+	id := elgamal.Identity()
+	mixed := append([]elgamal.Ciphertext{{C1: id, C2: g}, {C1: g, C2: id}, {C1: id, C2: id}}, cts...)
+	opening := elgamal.BlockOpening{Perm: []int{2, 0, 4, 1, 3}, Rand: bytes.Repeat([]byte{0xA5, 0x5A}, 5*openScalarLen/2)}
+	openPerm := []byte{2, 0, 0, 0, 4, 0, 1, 0, 3, 0}
+	commits := [][32]byte{{1}, {2, 3}}
+
+	prefix := []byte("already in the buffer")
+	for _, tc := range []struct {
+		name      string
+		enc, want wire.WireAppender
+	}{
+		{"chunk", chunkOut{off: 1024, cts: mixed},
+			ChunkMsg{Off: 1024, Count: len(mixed), Data: encodeVector(mixed)}},
+		{"empty chunk", chunkOut{off: 0},
+			ChunkMsg{}},
+		{"noise chunk", provedOut[elgamal.BitProof]{off: 16, cts: cts, proofs: bitProofs, width: elgamal.BitProofLen},
+			NoiseChunkMsg{Off: 16, Count: len(cts), Data: encodeVector(cts), Proofs: packProofs(bitProofs)}},
+		{"blind chunk", provedOut[elgamal.EqualityProof]{off: 2048, cts: blinded, proofs: blindProofs, width: elgamal.EqualityProofLen},
+			BlindChunkMsg{Off: 2048, Count: len(blinded), Data: encodeVector(blinded), Proofs: packProofs(blindProofs)}},
+		{"shuffled block", blockOut{pass: 2, block: 7, cts: mixed, commits: commits},
+			BlockOutMsg{Pass: 2, Block: 7, Count: len(mixed), Data: encodeVector(mixed), Commits: [][]byte{commits[0][:], commits[1][:]}}},
+		{"opening", openingOut{pass: 2, block: 7, round: 5, o: opening},
+			BlockShadowMsg{Pass: 2, Block: 7, Round: 5, Count: 5, OpenPerm: openPerm, OpenRand: opening.Rand}},
+	} {
+		want := tc.want.AppendWire(bytes.Clone(prefix))
+		if got := tc.enc.AppendWire(bytes.Clone(prefix)); !bytes.Equal(got, want) {
+			t.Errorf("%s: encoder wrote\n%x\nwant\n%x", tc.name, got, want)
+		}
+		if got := tc.enc.AppendWire(nil); !bytes.Equal(got, want[len(prefix):]) {
+			t.Errorf("%s: encoder into an empty buffer disagrees", tc.name)
+		}
+	}
+}

@@ -424,7 +424,7 @@ func zeroBlind(tc *tamperConn, payload []byte) (any, error) {
 	at := len(cts) / 2
 	cts[at] = elgamal.Ciphertext{C1: elgamal.Identity(), C2: elgamal.Identity()}
 	proofs[at] = elgamal.ProveBlind(tc.lastBlock[at], cts[at], new(big.Int))
-	bc.Data, bc.Proofs = encodeVector(cts), packProofs(proofs, elgamal.EqualityProofLen)
+	bc.Data, bc.Proofs = encodeVector(cts), packProofs(proofs)
 	return bc, nil
 }
 

@@ -551,7 +551,7 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 		go func() {
 			defer close(feedCopy)
 			for c := range in {
-				if err := m.Send(kindChunk, ChunkMsg{Off: c.off, Count: len(c.cts), Data: encodeVector(c.cts)}); err != nil {
+				if err := m.Send(kindChunk, chunkOut{off: c.off, cts: c.cts}); err != nil {
 					cancel(fmt.Errorf("psc ts: mix chunk to CP %s: %w", name, err))
 					return
 				}
@@ -617,6 +617,7 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 		}
 
 		tr := elgamal.NewShuffleTranscript(joint, total, g.block, passes, t.cfg.ShuffleProofRounds)
+		proof := &elgamal.BlockShuffleProof{Openings: make([]elgamal.BlockOpening, t.cfg.ShuffleProofRounds)}
 
 		// Row pass: assemble the CP's input blocks from the fed copies plus
 		// the verified noise tail, checking each block's argument as its
@@ -637,7 +638,7 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 			if err != nil {
 				return err
 			}
-			outB, err := t.recvBlock(name, m, tr, joint, 1, b, inB)
+			outB, err := t.recvBlock(name, m, tr, joint, 1, b, inB, proof)
 			if err != nil {
 				return err
 			}
@@ -662,7 +663,7 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 			if err != nil {
 				return fmt.Errorf("psc ts: CP %s shuffle spill: %w", name, err)
 			}
-			outB, err := t.recvBlock(name, m, tr, joint, 2, b, inB)
+			outB, err := t.recvBlock(name, m, tr, joint, 2, b, inB, proof)
 			if err != nil {
 				return err
 			}
@@ -712,27 +713,28 @@ func (s *blockSource) next(ctx context.Context, n int) ([]elgamal.Ciphertext, er
 
 // recvBlock receives and verifies one shuffled block (announcement plus
 // one opening per shadow round) against the verifier's own input block.
-func (t *Tally) recvBlock(name string, m wire.Messenger, tr *elgamal.ShuffleTranscript, joint elgamal.Point, p, b int, inB []elgamal.Ciphertext) ([]elgamal.Ciphertext, error) {
+// proof is the stage's: block after block its openings' index slices
+// are refilled and their scalars alias the new opening frames.
+func (t *Tally) recvBlock(name string, m wire.Messenger, tr *elgamal.ShuffleTranscript, joint elgamal.Point, p, b int, inB []elgamal.Ciphertext, proof *elgamal.BlockShuffleProof) ([]elgamal.Ciphertext, error) {
 	var bo BlockOutMsg
 	if err := m.Expect(kindShufBlock, &bo); err != nil {
 		return nil, fmt.Errorf("psc ts: block from CP %s: %w", name, err)
 	}
-	rounds := t.cfg.ShuffleProofRounds
-	outB, commits, err := parseBlockOut(bo, p, b, len(inB), rounds)
+	outB, commits, err := parseBlockOut(bo, p, b, len(inB), len(proof.Openings))
 	if err != nil {
 		return nil, fmt.Errorf("psc ts: CP %s: %w", name, err)
 	}
-	proof := elgamal.BlockShuffleProof{Commits: commits, Openings: make([]elgamal.BlockOpening, rounds)}
-	for r := 0; r < rounds; r++ {
+	proof.Commits = commits
+	for r, o := range proof.Openings {
 		var sm BlockShadowMsg
 		if err := m.Expect(kindShufShadow, &sm); err != nil {
 			return nil, fmt.Errorf("psc ts: opening from CP %s: %w", name, err)
 		}
-		if proof.Openings[r], err = parseBlockShadow(sm, p, b, r, len(inB)); err != nil {
+		if proof.Openings[r], err = parseBlockShadow(sm, p, b, r, len(inB), o.Perm); err != nil {
 			return nil, fmt.Errorf("psc ts: CP %s: %w", name, err)
 		}
 	}
-	if err := elgamal.VerifyShuffleBlock(tr, p, b, joint, inB, outB, proof); err != nil {
+	if err := elgamal.VerifyShuffleBlock(tr, p, b, joint, inB, outB, *proof); err != nil {
 		verifyFailure("shuffle")
 		return nil, fmt.Errorf("psc ts: CP %s block %d/%d: %w", name, p, b, err)
 	}
@@ -820,7 +822,7 @@ func (t *Tally) decryptCP(ctx context.Context, cancel context.CancelCauseFunc, n
 				return
 			}
 			for c := range in {
-				if err := m.Send(kindChunk, ChunkMsg{Off: c.off, Count: len(c.cts), Data: encodeVector(c.cts)}); err != nil {
+				if err := m.Send(kindChunk, chunkOut{off: c.off, cts: c.cts}); err != nil {
 					cancel(fmt.Errorf("psc ts: decrypt chunk to CP %s: %w", name, err))
 					return
 				}
