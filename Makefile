@@ -12,7 +12,13 @@
 #   make bench-smoke - one iteration of the crypto and protocol
 #                      benchmarks; catches gross perf regressions fast
 #                      (the group and ciphertext ops print allocs/op, so
-#                      a Point that allocates again shows;
+#                      a Point that allocates again shows, and ns/op:
+#                      Mul/single, an uncached variable-base Mul, and
+#                      Mul/chunk, BatchExpBlind's chunked form per
+#                      multiplication, print beside Mul/stdlib; the
+#                      first should read 0 allocs/op and the second
+#                      about 1, the half of a returned blind's
+#                      big.Int that falls to each multiplication;
 #                      BenchmarkPSCRound also prints wire-B/elem, the
 #                      round's wire bytes per mixed element, so a
 #                      proof-byte regression shows even when time holds,

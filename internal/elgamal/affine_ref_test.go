@@ -8,7 +8,31 @@ package elgamal
 // against, and the "old per-element affine path" baseline arm of
 // BenchmarkGroupOps. Never call it from protocol code.
 
-import "math/big"
+import (
+	"crypto/elliptic"
+	"math/big"
+)
+
+// curve is the stdlib P-256, the tests' oracle for the curve's
+// parameters and its group law.
+var curve = elliptic.P256()
+
+// feFromSaturated loads a reduced big.Int into limbs without Montgomery
+// conversion (the caller has already accounted for the R factor).
+func feFromSaturated(v *big.Int) fe {
+	var out fe
+	limbsFromBig(out[:], v)
+	return out
+}
+
+// feFromBig converts a big.Int in [0, p) into Montgomery form.
+func feFromBig(v *big.Int) fe { return feMont(feFromSaturated(v)) }
+
+// toBig converts out of Montgomery form into a fresh big.Int.
+func (x *fe) toBig() *big.Int {
+	var buf [32]byte
+	return new(big.Int).SetBytes(x.appendBytes(buf[:0]))
+}
 
 // pointXY builds the Point with affine coordinates (x, y), both in
 // [0, p), without checking curve membership — the test suite's way to

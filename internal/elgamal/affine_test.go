@@ -56,7 +56,8 @@ func TestAccumulateMatchesMul(t *testing.T) {
 			got := accumulateFrom(tb, nil, ks)
 			jac := make([]jacPoint, n)
 			for i, k := range ks {
-				tb.mul(&jac[i], k)
+				l := scalarLimbs(k)
+				tb.mul(&jac[i], &l)
 			}
 			want := batchToAffine(jac)
 			for i := range want {

@@ -10,8 +10,10 @@ package elgamal
 // A chunk's accumulators, scalar limbs and inversion scratch come from
 // a pool (chunkScratch), so a call allocates its output and nothing per
 // chunk.
-// Per-element variable-base work (blinding, decryption shares) goes to
-// the stdlib assembly, spread over the same worker pool.
+// Per-element variable-base work (blinding, its proofs, decryption
+// shares) runs in chunks of wNAF chains (varMul) whose odd multiples
+// and results share one inversion each, on scratch from the same
+// pools, spread over the same worker pool.
 
 import (
 	"math/big"
@@ -199,14 +201,6 @@ func (s *scalarSource) limbs(i int) [4]uint64 {
 	return l
 }
 
-// reducedLimbs returns the limbs of k mod the group order.
-func reducedLimbs(k *big.Int) [4]uint64 {
-	if k.Sign() < 0 || k.Cmp(order) >= 0 {
-		k = new(big.Int).Mod(k, order)
-	}
-	return scalarLimbs(k)
-}
-
 // rerandomizeInto sets out[i] = in[perm[i]] (in[i] for a nil perm)
 // re-randomized with rs's scalar i. A chunk seeds its affine
 // accumulators with the input halves, read through perm so no permuted
@@ -218,11 +212,9 @@ func rerandomizeInto(out []Ciphertext, pk Point, in []Ciphertext, perm []int, rs
 	pt := sharedBaseTable(pk, n)
 	if pt == nil {
 		parallel.For(n, 1, func(lo, hi int) {
-			var k [scalarLen]byte
 			for i := lo; i < hi; i++ {
 				l := rs.limbs(i)
-				putScalar(k[:], &l)
-				out[i] = in[source(perm, i)].RerandomizeWith(pk, new(big.Int).SetBytes(k[:]))
+				out[i] = in[source(perm, i)].RerandomizeWith(pk, scalarBig(&l))
 			}
 		})
 		return
@@ -280,28 +272,62 @@ func BatchAddCiphertexts(as, bs []Ciphertext) []Ciphertext {
 // BatchExpBlind exponent-blinds every ciphertext with a fresh non-zero
 // scalar, returning the blinds for proof generation. The bases here are
 // the per-element ciphertext halves — no sharing to exploit — so each
-// element is two stdlib multiplications, spread across the worker pool.
+// element is two variable-base multiplications by its blind, run in
+// varMul chunks across the worker pool.
 func BatchExpBlind(cs []Ciphertext) ([]Ciphertext, []*big.Int) {
 	ss := RandomScalars(len(cs))
 	out := make([]Ciphertext, len(cs))
-	parallel.For(len(cs), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = cs[i].ExpBlindWith(ss[i])
+	forVarMulChunks(len(cs), 2, func(c *chunkScratch, s *msmScratch, lo, hi int) {
+		m := hi - lo
+		in, res, ks := c.acc[:2*m], c.acc[2*m:4*m], c.limbs[:m]
+		for i := range ks {
+			in[2*i], in[2*i+1] = cs[lo+i].C1, cs[lo+i].C2
+			ks[i] = reducedLimbs(ss[lo+i])
+		}
+		s.varMul(res, in, ks)
+		for i := range ks {
+			out[lo+i] = Ciphertext{C1: res[2*i], C2: res[2*i+1]}
 		}
 	})
 	return out, ss
 }
 
 // BatchPartialDecrypt computes this party's decryption share for every
-// ciphertext in the batch.
+// ciphertext in the batch: the key times each C1, in varMul chunks
+// that share the key's wNAF digits.
 func (k *PrivateKey) BatchPartialDecrypt(cs []Ciphertext) []DecryptionShare {
+	x := reducedLimbs(k.X)
 	out := make([]DecryptionShare, len(cs))
-	parallel.For(len(cs), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = k.PartialDecrypt(cs[i])
+	forVarMulChunks(len(cs), 1, func(c *chunkScratch, s *msmScratch, lo, hi int) {
+		m := hi - lo
+		in, res := c.acc[:m], c.acc[m:2*m]
+		for i := range in {
+			in[i] = cs[lo+i].C1
+		}
+		s.varMul(res, in, [][4]uint64{x})
+		for i := range res {
+			out[lo+i] = DecryptionShare{Share: res[i]}
 		}
 	})
 	return out
+}
+
+// forVarMulChunks runs fn over [0, n) in runs of elements whose
+// perElem multiplications each fill one varMul call, spread across the
+// worker pool. fn gets a chunk scratch with room for two points per
+// multiplication (inputs and results) and a scalar per element, and a
+// multiplication scratch, both pooled.
+func forVarMulChunks(n, perElem int, fn func(c *chunkScratch, s *msmScratch, lo, hi int)) {
+	run := varMulChunk / perElem
+	parallel.For(n, 1, func(lo, hi int) {
+		c := getChunkScratch(2*varMulChunk, run, 0)
+		s := getMSMScratch()
+		defer c.put()
+		defer s.put()
+		for ; lo < hi; lo += run {
+			fn(c, s, lo, min(lo+run, hi))
+		}
+	})
 }
 
 // RecoverBatch recovers every plaintext point from a batch and its

@@ -10,6 +10,11 @@ package elgamal
 //     code actually called (assembly-backed on amd64);
 //   - batch:      the new Jacobian/table/batch pipeline.
 //
+// Mul/single is an uncached variable-base Point.Mul, the wNAF chain
+// with its own two inversions; Mul/chunk is the same chain in
+// BatchExpBlind's chunks (distinct bases and scalars, inversions
+// shared), counted per multiplication.
+//
 // All arms report ns and allocations per element so the sub-benchmarks
 // compare directly. Parse/compressed and Parse/stdlib decode one
 // compressed point, ParsePoint against elliptic.UnmarshalCompressed. See PERF.md for recorded numbers.
@@ -75,6 +80,20 @@ func BenchmarkGroupOps(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stdlibMul(base, ks[i%benchBatch])
 		}
+	})
+	runAllocs(b, "Mul/single", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			base.Mul(ks[i%benchBatch])
+		}
+	})
+	// Mul/chunk blinds ciphertexts whose halves are all distinct bases,
+	// two multiplications each, and reports per multiplication.
+	blindIn := make([]Ciphertext, benchBatch/2)
+	for i := range blindIn {
+		blindIn[i] = Ciphertext{C1: points[2*i], C2: points[2*i+1]}
+	}
+	runAllocs(b, "Mul/chunk", func(b *testing.B) {
+		perBatch(b, func(n int) { BatchExpBlind(blindIn[:(n+1)/2]) })
 	})
 	runAllocs(b, "Mul/batch", func(b *testing.B) {
 		perBatch(b, func(n int) { BatchMul(base, ks[:n]) })

@@ -455,7 +455,8 @@ func TestWNAFDigits(t *testing.T) {
 	for _, k := range scalars {
 		kk := new(big.Int).Mod(k, order)
 		var digits [257]int8
-		n := wnafDigits(kk, &digits)
+		l := scalarLimbs(kk)
+		n := wnafDigits(&l, &digits)
 		// Reconstruct: Σ digits[i]·2^i must equal the scalar.
 		got := new(big.Int)
 		for i := n - 1; i >= 0; i-- {

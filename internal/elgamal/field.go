@@ -3,8 +3,9 @@ package elgamal
 // P-256 base-field arithmetic on 4×64-bit limbs in Montgomery form: the
 // layer every Point coordinate lives in (group.go) and the Jacobian and
 // affine batch formulas compute on (jacobian.go, affine.go). No
-// operation allocates. math/big appears here only to derive the
-// constants below and to hand coordinates to crypto/elliptic (toBig).
+// operation allocates, and nothing here touches math/big: the curve's
+// constants below are literal limbs, which the tests hold to
+// crypto/elliptic's parameters.
 //
 // feMul, feSqr and feSqrN have two implementations with bit-identical
 // outputs. On amd64 they are Go's own P-256 Montgomery assembly
@@ -22,7 +23,6 @@ package elgamal
 
 import (
 	"encoding/binary"
-	"math/big"
 	"math/bits"
 )
 
@@ -33,51 +33,18 @@ type fe [4]uint64
 // p256P is the field prime p = 2^256 − 2^224 + 2^192 + 2^96 − 1.
 var p256P = fe{0xffffffffffffffff, 0x00000000ffffffff, 0x0000000000000000, 0xffffffff00000001}
 
-// Montgomery constants, derived once from big.Int so they cannot drift
-// from the curve parameters.
+// Montgomery constants, and the curve coefficient b in Montgomery form.
 var (
-	feOneVal = twoPowModP(256) // R mod p, the Montgomery form of 1
-	feR2     = twoPowModP(512) // R² mod p, used to convert into Montgomery form
-	feBVal   = feFromBig(curve.Params().B)
+	feOneVal = fe{0x0000000000000001, 0xffffffff00000000, 0xffffffffffffffff, 0x00000000fffffffe} // R mod p, the Montgomery form of 1
+	feR2     = fe{0x0000000000000003, 0xfffffffbffffffff, 0xfffffffffffffffe, 0x00000004fffffffd} // R² mod p, used to convert into Montgomery form
+	feBVal   = feMont(fe{0x3bce3c3e27d2604b, 0x651d06b0cc53b0f6, 0xb3ebbd55769886bc, 0x5ac635d8aa3a93e7})
 )
 
-// twoPowModP returns 2^k mod p as raw limbs.
-func twoPowModP(k uint) fe {
-	r := new(big.Int).Lsh(big.NewInt(1), k)
-	return feFromSaturated(r.Mod(r, curve.Params().P))
-}
-
-// limbsFromBig loads a non-negative big.Int of at most 64·len(out)
-// bits into little-endian 64-bit limbs, independent of the platform's
-// big.Word size.
-func limbsFromBig(out []uint64, v *big.Int) {
-	for i := range out {
-		out[i] = 0
-	}
-	if bits.UintSize == 64 {
-		for i, w := range v.Bits() {
-			out[i] = uint64(w)
-		}
-		return
-	}
-	for i, w := range v.Bits() {
-		out[i/2] |= uint64(w) << (32 * uint(i%2))
-	}
-}
-
-// feFromSaturated loads a reduced big.Int into limbs without Montgomery
-// conversion (the caller has already accounted for the R factor).
-func feFromSaturated(v *big.Int) fe {
+// feMont converts a value below p, given as plain little-endian limbs,
+// into Montgomery form.
+func feMont(v fe) fe {
 	var out fe
-	limbsFromBig(out[:], v)
-	return out
-}
-
-// feFromBig converts a big.Int in [0, p) into Montgomery form.
-func feFromBig(v *big.Int) fe {
-	raw := feFromSaturated(v)
-	var out fe
-	feMul(&out, &raw, &feR2)
+	feMul(&out, &v, &feR2)
 	return out
 }
 
@@ -109,12 +76,6 @@ func (x *fe) appendBytes(dst []byte) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, raw[i])
 	}
 	return dst
-}
-
-// toBig converts out of Montgomery form into a fresh big.Int.
-func (x *fe) toBig() *big.Int {
-	var buf [32]byte
-	return new(big.Int).SetBytes(x.appendBytes(buf[:0]))
 }
 
 // isZero reports whether x is zero (works in Montgomery form: the
@@ -179,6 +140,22 @@ func feNeg(z, x *fe) {
 	feSub(z, &zero, x)
 }
 
+// feHalf computes z = x/2 mod p: x, plus p when x is odd, shifted
+// right by one bit.
+func feHalf(z, x *fe) {
+	mask := -(x[0] & 1)
+	var c uint64
+	var t0, t1, t2, t3 uint64
+	t0, c = bits.Add64(x[0], p256P[0]&mask, 0)
+	t1, c = bits.Add64(x[1], p256P[1]&mask, c)
+	t2, c = bits.Add64(x[2], p256P[2]&mask, c)
+	t3, c = bits.Add64(x[3], p256P[3]&mask, c)
+	z[0] = t0>>1 | t1<<63
+	z[1] = t1>>1 | t2<<63
+	z[2] = t2>>1 | t3<<63
+	z[3] = t3>>1 | c<<63
+}
+
 // feMulBy2 computes z = 2x mod p.
 func feMulBy2(z, x *fe) { feAdd(z, x, x) }
 
@@ -187,21 +164,6 @@ func feMulBy3(z, x *fe) {
 	var t fe
 	feAdd(&t, x, x)
 	feAdd(z, &t, x)
-}
-
-// feMulBy4 computes z = 4x mod p.
-func feMulBy4(z, x *fe) {
-	var t fe
-	feAdd(&t, x, x)
-	feAdd(z, &t, &t)
-}
-
-// feMulBy8 computes z = 8x mod p.
-func feMulBy8(z, x *fe) {
-	var t fe
-	feAdd(&t, x, x)
-	feAdd(&t, &t, &t)
-	feAdd(z, &t, &t)
 }
 
 // feMulGeneric computes z = x·y·R⁻¹ mod p (Montgomery CIOS). Because

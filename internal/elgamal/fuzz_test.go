@@ -93,27 +93,39 @@ func FuzzParseCiphertext(f *testing.F) {
 	})
 }
 
-// FuzzScalarMulEquivalence drives the table/Jacobian multiplication
-// paths against the stdlib affine results with arbitrary 32-byte
-// scalars: every path must agree on every input, including values at
-// or above the group order.
+// FuzzScalarMulEquivalence drives the table, wNAF and Jacobian
+// multiplication paths against the stdlib affine results with arbitrary
+// 32-byte scalars, including values at or above the group order, on a
+// base that is G times another arbitrary scalar: so the uncached
+// variable-base path (varMul) sees arbitrary group elements, and every
+// path must agree on every input.
 func FuzzScalarMulEquivalence(f *testing.F) {
-	f.Add(make([]byte, 32))
-	f.Add(big.NewInt(1).FillBytes(make([]byte, 32)))
-	f.Add(order.Bytes())
-	f.Add(new(big.Int).Sub(order, big.NewInt(1)).FillBytes(make([]byte, 32)))
-	f.Add(new(big.Int).Add(order, big.NewInt(1)).FillBytes(make([]byte, 32)))
-	f.Fuzz(func(t *testing.T, kb []byte) {
+	base777 := big.NewInt(777).FillBytes(make([]byte, 32))
+	f.Add(make([]byte, 32), base777)
+	f.Add(big.NewInt(1).FillBytes(make([]byte, 32)), base777)
+	f.Add(order.Bytes(), base777)
+	f.Add(new(big.Int).Sub(order, big.NewInt(1)).FillBytes(make([]byte, 32)), base777)
+	f.Add(new(big.Int).Add(order, big.NewInt(1)).FillBytes(make([]byte, 32)), base777)
+	f.Add(big.NewInt(5).FillBytes(make([]byte, 32)), new(big.Int).Sub(order, big.NewInt(1)).FillBytes(make([]byte, 32)))
+	f.Add(big.NewInt(5).FillBytes(make([]byte, 32)), make([]byte, 32))
+	f.Fuzz(func(t *testing.T, kb, bb []byte) {
 		if len(kb) > 32 {
 			kb = kb[:32]
+		}
+		if len(bb) > 32 {
+			bb = bb[:32]
 		}
 		k := new(big.Int).SetBytes(kb)
 		if got, want := BaseMul(k), stdlibBaseMul(k); !got.Equal(want) {
 			t.Fatalf("BaseMul(%v) mismatch", k)
 		}
-		p := stdlibBaseMul(big.NewInt(777))
-		if got, want := p.Mul(k), stdlibMul(p, k); !got.Equal(want) {
-			t.Fatalf("Mul(%v) mismatch", k)
+		p := stdlibBaseMul(new(big.Int).SetBytes(bb))
+		want := stdlibMul(p, k)
+		if got := p.Mul(k); !got.Equal(want) {
+			t.Fatalf("Mul(%v) on base %x mismatch", k, bb)
+		}
+		if got := (&PrivateKey{X: k}).BatchPartialDecrypt([]Ciphertext{{C1: p}, {C1: p}}); got[0].Share != want || got[1].Share != want {
+			t.Fatalf("BatchPartialDecrypt(%v) on base %x mismatch", k, bb)
 		}
 		if got := BatchBaseMul([]*big.Int{k, k}); !got[0].Equal(got[1]) || !got[0].Equal(stdlibBaseMul(k)) {
 			t.Fatalf("BatchBaseMul(%v) mismatch", k)

@@ -30,9 +30,17 @@
 //     squaring are Go's own P-256 Montgomery assembly (field_amd64.s:
 //     same limbs, same R), about 0.7× the pure-Go bodies, which stay as
 //     the non-amd64 build and as the tests' oracle;
-//   - single operations — Add, BaseMul, Mul on a cached base, table
-//     building, the multi-scalar multiplications — run in Jacobian
-//     coordinates (jacobian.go) and normalize once at the end;
+//   - single operations — Add, BaseMul, Mul, table building, the
+//     multi-scalar multiplications — run in Jacobian coordinates
+//     (jacobian.go) and normalize once at the end;
+//   - variable-base multiplication (Mul on a base with no table, and
+//     the per-element bases of blinding, blind proofs and decryption
+//     shares) is a width-5 wNAF chain of Jacobian doublings and mixed
+//     additions of the base's odd multiples (varMul in multiexp.go).
+//     The batch entry points run it in chunks of up to 64 points whose
+//     odd multiples share one field inversion and whose results share
+//     another, on pooled scratch, so a call allocates its output and
+//     nothing per element;
 //   - fixed-base multiplication uses precomputed windowed tables
 //     (table.go) for the generator and for hot shared bases such as a
 //     round's joint public key (see Precompute);
@@ -58,11 +66,11 @@
 //   - proof batches are verified with random-linear-combination checks
 //     over a shared-doubling multi-scalar multiplication (verify.go).
 //
-// math/big survives at the edges only: scalars are *big.Int, the field
-// constants are derived from the curve parameters through it, and a
-// single-element variable-base multiplication hands its coordinates to
-// the assembly-backed crypto/elliptic P-256, still the fastest primitive
-// available for that one shape.
+// math/big survives at the edges only: the exported API takes and
+// returns scalars as *big.Int, which the core reads as limbs
+// (scalar.go). The curve's constants are literal limbs, and
+// crypto/elliptic appears only in the tests, as the oracle every path
+// is held to.
 //
 // The core is *variable time*: table indices and NAF digits depend
 // on scalar bits. The reproduction simulates all parties in one trusted
@@ -72,7 +80,6 @@ package elgamal
 
 import (
 	"bufio"
-	"crypto/elliptic"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -82,11 +89,13 @@ import (
 )
 
 var (
-	curve = elliptic.P256()
 	// order is the order of the P-256 base point group.
-	order = curve.Params().N
+	order = scalarBig(&orderLimbs)
 
-	generator = Point{x: feFromBig(curve.Params().Gx), y: feFromBig(curve.Params().Gy)}
+	generator = Point{
+		x: feMont(fe{0xf4a13945d898c296, 0x77037d812deb33a0, 0xf8bce6e563a440f2, 0x6b17d1f2e12c4247}),
+		y: feMont(fe{0xcbb6406837bf51f5, 0x2bce33576b315ece, 0x8ee7eb4a7c0f9e16, 0x4fe342e2fe1a7f9b}),
+	}
 )
 
 // Point is an element of the P-256 group: an affine point with
@@ -149,38 +158,35 @@ func (p Point) Sub(q Point) Point { return p.Add(q.Neg()) }
 
 // Mul returns k·p for a scalar k. Multiplications by the generator or
 // by a base with a precomputed table (see Precompute) use the windowed
-// fixed-base path; other bases delegate to the stdlib assembly
-// implementation, which is the fastest single-shot variable-base
-// multiplication available.
+// fixed-base path; any other base runs a width-5 wNAF chain of
+// Jacobian doublings and mixed additions (varMul) on pooled scratch,
+// allocating nothing. The zero Point, which is no group element, comes
+// back as itself; any other point off the curve panics.
 func (p Point) Mul(k *big.Int) Point {
-	if p.infinity || k.Sign() == 0 {
+	if p.infinity {
 		return Identity()
 	}
-	kk := new(big.Int).Mod(k, order)
-	if kk.Sign() == 0 {
+	l := reducedLimbs(k)
+	if l == ([4]uint64{}) {
 		return Identity()
 	}
 	if p == generator {
-		return BaseMul(kk)
+		return baseTable().mulAffine(&l)
 	}
 	if t := cachedTable(p); t != nil {
-		var jp jacPoint
-		t.mul(&jp, kk)
-		return jp.toAffine()
+		return t.mulAffine(&l)
 	}
-	x, y := curve.ScalarMult(p.x.toBig(), p.y.toBig(), kk.Bytes())
-	return Point{x: feFromBig(x), y: feFromBig(y)}
+	s := getMSMScratch()
+	defer s.put()
+	var out [1]Point
+	s.varMul(out[:], []Point{p}, [][4]uint64{l})
+	return out[0]
 }
 
 // BaseMul returns k·G via the static precomputed generator table.
 func BaseMul(k *big.Int) Point {
-	kk := new(big.Int).Mod(k, order)
-	if kk.Sign() == 0 {
-		return Identity()
-	}
-	var jp jacPoint
-	baseTable().mul(&jp, kk)
-	return jp.toAffine()
+	l := reducedLimbs(k)
+	return baseTable().mulAffine(&l)
 }
 
 // Point encodings. What crosses the wire is the SEC1 compressed form,

@@ -22,21 +22,23 @@ import (
 // witness). The argument that an output block is a permuted
 // re-randomization of an input block lives in blockshuffle.go.
 
-// hashToScalar derives a challenge scalar from a domain tag and a
-// transcript of encoded group elements.
-func hashToScalar(domain string, parts ...[]byte) *big.Int {
-	h := sha256.New()
-	h.Write([]byte(domain))
-	for _, p := range parts {
-		var lenb [8]byte
-		n := len(p)
-		for i := 0; i < 8; i++ {
-			lenb[i] = byte(n >> (8 * i))
+// challenge derives a Fiat–Shamir challenge, as the limbs of a scalar,
+// from a domain tag and a transcript of points: SHA-256 over the tag,
+// then each point's uncompressed encoding behind its length as 8
+// little-endian bytes, reduced mod the group order. The transcript is
+// encoded into one stack buffer, not a slice per point.
+func challenge(domain string, pts ...Point) [4]uint64 {
+	var buf [64 + 7*(8+uncompressedLen)]byte
+	b := append(buf[:0], domain...)
+	for i := range pts {
+		n := uncompressedLen
+		if pts[i].infinity {
+			n = 1
 		}
-		h.Write(lenb[:])
-		h.Write(p)
+		b = pts[i].appendUncompressed(binary.LittleEndian.AppendUint64(b, uint64(n)))
 	}
-	return new(big.Int).Mod(new(big.Int).SetBytes(h.Sum(nil)), order)
+	d := sha256.Sum256(b)
+	return scalarFromDigest(d[:])
 }
 
 // EqualityProof is a Chaum–Pedersen NIZK that two points share a
@@ -54,14 +56,16 @@ type EqualityProof struct {
 // domain string separates proof contexts.
 func ProveDLEQ(domain string, b1, p1, b2, p2 Point, x *big.Int) EqualityProof {
 	t := RandomScalar()
-	t1 := b1.Mul(t)
-	t2 := b2.Mul(t)
-	ch := hashToScalar(domain,
-		b1.uncompressed(), p1.uncompressed(), b2.uncompressed(), p2.uncompressed(),
-		t1.uncompressed(), t2.uncompressed())
-	resp := new(big.Int).Mul(ch, x)
-	resp.Add(resp, t).Mod(resp, order)
-	return EqualityProof{Commit1: t1, Commit2: t2, Response: resp}
+	return dleqProof(domain, &[6]Point{b1, p1, b2, p2, b1.Mul(t), b2.Mul(t)}, reducedLimbs(x), scalarLimbs(t))
+}
+
+// dleqProof completes a Chaum–Pedersen proof of the secret x from its
+// transcript — B1, P1, B2, P2, then the commitments t·B1 and t·B2 —
+// and the nonce t: the response is t + c·x mod n for the transcript's
+// challenge c.
+func dleqProof(domain string, tr *[6]Point, x, t [4]uint64) EqualityProof {
+	resp := scalarMulAdd(challenge(domain, tr[:]...), x, t)
+	return EqualityProof{Commit1: tr[4], Commit2: tr[5], Response: scalarBig(&resp)}
 }
 
 // VerifyDLEQ checks a DLEQ proof.
@@ -74,9 +78,8 @@ func VerifyDLEQ(domain string, b1, p1, b2, p2 Point, pr EqualityProof) bool {
 	if pr.Response == nil {
 		return false
 	}
-	ch := hashToScalar(domain,
-		b1.uncompressed(), p1.uncompressed(), b2.uncompressed(), p2.uncompressed(),
-		pr.Commit1.uncompressed(), pr.Commit2.uncompressed())
+	c := challenge(domain, b1, p1, b2, p2, pr.Commit1, pr.Commit2)
+	ch := scalarBig(&c)
 	if !b1.Mul(pr.Response).Equal(pr.Commit1.Add(p1.Mul(ch))) {
 		return false
 	}
@@ -324,10 +327,8 @@ func VerifyBit(pk Point, c Ciphertext, pr BitProof) bool {
 
 // bitChallenge hashes the full OR-proof transcript.
 func bitChallenge(pk Point, c Ciphertext, pr BitProof) *big.Int {
-	return hashToScalar(bitDomain,
-		pk.uncompressed(), c.C1.uncompressed(), c.C2.uncompressed(),
-		pr.Commit0G.uncompressed(), pr.Commit0P.uncompressed(),
-		pr.Commit1G.uncompressed(), pr.Commit1P.uncompressed())
+	ch := challenge(bitDomain, pk, c.C1, c.C2, pr.Commit0G, pr.Commit0P, pr.Commit1G, pr.Commit1P)
+	return scalarBig(&ch)
 }
 
 // Shuffle permutes and re-randomizes a batch of ciphertexts, returning
@@ -377,15 +378,30 @@ func randomPerm(n int) []int {
 }
 
 // BatchProveBlinds produces the exponent-blinding proofs for a whole
-// batch across the worker pool.
+// batch across the worker pool. Each proof's two commitments are
+// variable-base multiplications of the input halves by a fresh nonce,
+// run in varMul chunks like the blinding itself.
 func BatchProveBlinds(ins, outs []Ciphertext, ss []*big.Int) []EqualityProof {
 	if len(ins) != len(outs) || len(ins) != len(ss) {
 		panic("elgamal: BatchProveBlinds length mismatch")
 	}
 	out := make([]EqualityProof, len(ins))
-	parallel.For(len(ins), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = ProveBlind(ins[i], outs[i], ss[i])
+	forVarMulChunks(len(ins), 2, func(c *chunkScratch, s *msmScratch, lo, hi int) {
+		m := hi - lo
+		in, commits, ts := c.acc[:2*m], c.acc[2*m:4*m], c.limbs[:m]
+		r := randReaders.Get().(*bufio.Reader)
+		var t [scalarLen]byte
+		for i := range ts {
+			in[2*i], in[2*i+1] = ins[lo+i].C1, ins[lo+i].C2
+			drawScalars(r, t[:])
+			ts[i], _ = scalarFromWire(t[:])
+		}
+		randReaders.Put(r)
+		s.varMul(commits, in, ts)
+		for i := range ts {
+			a, b := &ins[lo+i], &outs[lo+i]
+			tr := [6]Point{a.C1, b.C1, a.C2, b.C2, commits[2*i], commits[2*i+1]}
+			out[lo+i] = dleqProof(blindDomain, &tr, reducedLimbs(ss[lo+i]), ts[i])
 		}
 	})
 	return out

@@ -17,8 +17,8 @@ import (
 	"testing"
 )
 
-// TestScalarLimbHelpers checks scalarFromWire, putScalar, scalarSub and
-// scalarNeg against math/big on the edges of the scalar range and on
+// TestScalarLimbHelpers checks scalarFromWire, scalarFromDigest,
+// putScalar, scalarSub, scalarNeg and scalarMulAdd against math/big on the edges of the scalar range and on
 // random values.
 func TestScalarLimbHelpers(t *testing.T) {
 	two256 := new(big.Int).Lsh(big.NewInt(1), 256)
@@ -46,6 +46,9 @@ func TestScalarLimbHelpers(t *testing.T) {
 		if got := limbsBig(l); got.Cmp(v) != 0 {
 			t.Fatalf("scalarFromWire(%x) = %x", v, got)
 		}
+		if got, want := limbsBig(scalarFromDigest(buf[:])), new(big.Int).Mod(v, order); got.Cmp(want) != 0 {
+			t.Fatalf("scalarFromDigest(%x) = %x, want %x", v, got, want)
+		}
 		var back [scalarLen]byte
 		putScalar(back[:], &l)
 		if back != buf {
@@ -61,21 +64,23 @@ func TestScalarLimbHelpers(t *testing.T) {
 		if got := limbsBig(scalarNeg(la)); got.Cmp(want.Mod(want, order)) != 0 {
 			t.Fatalf("scalarNeg(%x) = %x, want %x", a, got, want)
 		}
-		for _, b := range inRange {
+		for j, b := range inRange {
 			want := new(big.Int).Sub(a, b)
 			if got := limbsBig(scalarSub(la, scalarLimbs(b))); got.Cmp(want.Mod(want, order)) != 0 {
 				t.Fatalf("scalarSub(%x, %x) = %x, want %x", a, b, got, want)
+			}
+			c := inRange[(j+1)%len(inRange)]
+			want = new(big.Int).Mul(a, b)
+			want.Add(want, c).Mod(want, order)
+			if got := limbsBig(scalarMulAdd(la, scalarLimbs(b), scalarLimbs(c))); got.Cmp(want) != 0 {
+				t.Fatalf("scalarMulAdd(%x, %x, %x) = %x, want %x", a, b, c, got, want)
 			}
 		}
 	}
 }
 
 // limbsBig converts scalar limbs back to a big.Int.
-func limbsBig(l [4]uint64) *big.Int {
-	var b [scalarLen]byte
-	putScalar(b[:], &l)
-	return new(big.Int).SetBytes(b[:])
-}
+func limbsBig(l [4]uint64) *big.Int { return scalarBig(&l) }
 
 // TestDrawScalarsInRange: every drawn wire scalar lies in [1, n−1].
 func TestDrawScalarsInRange(t *testing.T) {

@@ -23,10 +23,7 @@ package elgamal
 //     are built explicitly via Precompute, or by the batch APIs when a
 //     batch is large enough to repay an on-the-spot build.
 
-import (
-	"math/big"
-	"sync"
-)
+import "sync"
 
 type fixedTable struct {
 	w       uint
@@ -77,16 +74,23 @@ func (t *fixedTable) digit(limbs *[4]uint64, j int) uint64 {
 	return d & (uint64(1)<<t.w - 1)
 }
 
-// mul computes k·B into dst. k must be reduced mod the group order.
-// This is the single-element primitive; vectors go through accumulate.
-func (t *fixedTable) mul(dst *jacPoint, k *big.Int) {
-	limbs := scalarLimbs(k)
+// mul computes k·B into dst for the limbs of a scalar reduced mod the
+// group order. This is the single-element primitive; vectors go
+// through accumulate.
+func (t *fixedTable) mul(dst *jacPoint, limbs *[4]uint64) {
 	dst.setInfinity()
 	for j, win := range t.windows {
-		if d := t.digit(&limbs, j); d != 0 {
+		if d := t.digit(limbs, j); d != 0 {
 			dst.addMixed(dst, &win[d-1])
 		}
 	}
+}
+
+// mulAffine returns k·B as a Point.
+func (t *fixedTable) mulAffine(limbs *[4]uint64) Point {
+	var jp jacPoint
+	t.mul(&jp, limbs)
+	return jp.toAffine()
 }
 
 // accumulate adds kᵢ·Bₜ to acc[t·n + i] for a whole chunk of n scalars

@@ -117,9 +117,8 @@ func dleqFold(a *eqAccum, domain string, b1, p1, b2, p2 Point, pr EqualityProof)
 	if pr.Response == nil || !pr.Commit1.IsValid() || !pr.Commit2.IsValid() {
 		return false
 	}
-	ch := hashToScalar(domain,
-		b1.uncompressed(), p1.uncompressed(), b2.uncompressed(), p2.uncompressed(),
-		pr.Commit1.uncompressed(), pr.Commit2.uncompressed())
+	c := challenge(domain, b1, p1, b2, p2, pr.Commit1, pr.Commit2)
+	ch := scalarBig(&c)
 	resp := new(big.Int).Mod(pr.Response, order)
 
 	// Equation 1: resp·B1 − ch·P1 − T1 = O

@@ -52,13 +52,18 @@ func parseKey(b []byte) (elgamal.Point, error) {
 // Send-side encoders. Every frame that carries ciphertexts or proofs
 // is sent as one of the values below, whose AppendWire writes the
 // bytes of the message it stands for — ChunkMsg, NoiseChunkMsg,
-// BlindChunkMsg, BlockOutMsg, BlockShadowMsg — straight into the
-// sender's own buffer (wire.Stream.Send), so no packed vector is built
-// per chunk first. The received side parses into the messages.
+// BlindChunkMsg, ShareChunkMsg, BlockOutMsg, BlockShadowMsg — straight
+// into the sender's own buffer (wire.Stream.Send), so no packed vector
+// is built per chunk first. The received side parses into the
+// messages.
 
 // ciphertextMaxLen bounds one ciphertext's encoding: two compressed
-// points, fewer bytes when a half is the identity.
-const ciphertextMaxLen = 66
+// points, fewer bytes when a half is the identity. sharePointLen is one
+// compressed point, a decryption share's.
+const (
+	ciphertextMaxLen = 2 * sharePointLen
+	sharePointLen    = 33
+)
 
 // appendPacked appends items back to back behind their total length:
 // what wire.AppendBytes appends for the items packed into one slice.
@@ -68,6 +73,12 @@ func appendPacked[T interface{ AppendTo([]byte) []byte }](b []byte, items []T) [
 	for _, it := range items {
 		b = it.AppendTo(b)
 	}
+	return endPacked(b, at)
+}
+
+// endPacked fills in the length prefix at b[at:] — appended as
+// wire.AppendLen(b, 0) — with the length of everything after it.
+func endPacked(b []byte, at int) []byte {
 	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-wire.LenSize))
 	return b
 }
@@ -101,6 +112,29 @@ func (m provedOut[P]) AppendWire(b []byte) []byte {
 	b = wire.AppendInt(b, m.off)
 	b = wire.AppendInt(b, len(m.cts))
 	return appendPacked(appendPacked(b, m.cts), m.proofs)
+}
+
+// shareOut sends as the ShareChunkMsg of one chunk's decryption shares
+// at element offset off and the one proof that covers them.
+type shareOut struct {
+	off    int
+	shares []elgamal.DecryptionShare
+	proof  elgamal.EqualityProof
+}
+
+// AppendWire implements wire.WireAppender.
+func (m shareOut) AppendWire(b []byte) []byte {
+	b = wire.Grow(b, 2*wire.IntSize+wire.BytesSize(sharePointLen*len(m.shares))+wire.BytesSize(elgamal.EqualityProofLen))
+	b = wire.AppendInt(b, m.off)
+	b = wire.AppendInt(b, len(m.shares))
+	at := len(b)
+	b = wire.AppendLen(b, 0)
+	for _, sh := range m.shares {
+		b = sh.Share.AppendBytes(b)
+	}
+	b = endPacked(b, at)
+	at = len(b)
+	return endPacked(m.proof.AppendTo(wire.AppendLen(b, 0)), at)
 }
 
 // blockOut sends as the BlockOutMsg of one shuffled block and its

@@ -238,12 +238,7 @@ func (cp *CP) decryptPhase(m wire.Messenger, cfg ConfigureMsg) error {
 		return err
 	}
 	return recvVectorFunc(m, hdr.N, func(off int, cts []elgamal.Ciphertext) error {
-		decShares := cp.key.BatchPartialDecrypt(cts)
-		shares := make([]byte, 0, len(cts)*33) // compressed points
-		for _, sh := range decShares {
-			shares = sh.Share.AppendBytes(shares)
-		}
-		proof := cp.key.BatchProveShares(cts, decShares).AppendTo(nil)
-		return m.Send(kindShare, ShareChunkMsg{Off: off, Count: len(cts), Shares: shares, Proof: proof})
+		shares := cp.key.BatchPartialDecrypt(cts)
+		return m.Send(kindShare, shareOut{off: off, shares: shares, proof: cp.key.BatchProveShares(cts, shares)})
 	})
 }

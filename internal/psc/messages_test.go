@@ -202,6 +202,12 @@ func TestSendEncodersMatchMessages(t *testing.T) {
 	opening := elgamal.BlockOpening{Perm: []int{2, 0, 4, 1, 3}, Rand: bytes.Repeat([]byte{0xA5, 0x5A}, 5*openScalarLen/2)}
 	openPerm := []byte{2, 0, 0, 0, 4, 0, 1, 0, 3, 0}
 	commits := [][32]byte{{1}, {2, 3}}
+	shares := key.BatchPartialDecrypt(mixed)
+	shareProof := key.BatchProveShares(mixed, shares)
+	var packedShares []byte
+	for _, sh := range shares {
+		packedShares = sh.Share.AppendBytes(packedShares)
+	}
 
 	prefix := []byte("already in the buffer")
 	for _, tc := range []struct {
@@ -216,6 +222,10 @@ func TestSendEncodersMatchMessages(t *testing.T) {
 			NoiseChunkMsg{Off: 16, Count: len(cts), Data: encodeVector(cts), Proofs: packProofs(bitProofs)}},
 		{"blind chunk", provedOut[elgamal.EqualityProof]{off: 2048, cts: blinded, proofs: blindProofs, width: elgamal.EqualityProofLen},
 			BlindChunkMsg{Off: 2048, Count: len(blinded), Data: encodeVector(blinded), Proofs: packProofs(blindProofs)}},
+		{"share chunk", shareOut{off: 3072, shares: shares, proof: shareProof},
+			ShareChunkMsg{Off: 3072, Count: len(shares), Shares: packedShares, Proof: shareProof.AppendTo(nil)}},
+		{"empty share chunk", shareOut{off: 0, proof: shareProof},
+			ShareChunkMsg{Proof: shareProof.AppendTo(nil)}},
 		{"shuffled block", blockOut{pass: 2, block: 7, cts: mixed, commits: commits},
 			BlockOutMsg{Pass: 2, Block: 7, Count: len(mixed), Data: encodeVector(mixed), Commits: [][]byte{commits[0][:], commits[1][:]}}},
 		{"opening", openingOut{pass: 2, block: 7, round: 5, o: opening},

@@ -677,38 +677,59 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 
 // blockSource assembles pass-1 input blocks for the verifier: elements
 // come from the upstream feed copies, then from the CP's verified noise
-// tail.
+// tail. One window (pending) holds them: a block is sliced off its
+// front, and the unconsumed rest moves to the front before more
+// arrives, so the window's capacity stays near one block plus one feed
+// chunk instead of growing with every append.
 type blockSource struct {
 	feed    <-chan []elgamal.Ciphertext
 	tail    []elgamal.Ciphertext
 	pending []elgamal.Ciphertext
+	taken   int // the front of pending the last block returned
 	drained bool
 }
 
-// next returns the next n input elements. It fails with the round's
-// cancellation cause, or — when the upstream pipeline ended early, whose
-// own failure then already cancelled the round — with the shortfall.
+// next returns the next n input elements. The block is valid until the
+// next call, which reuses its memory: the caller must be done with it
+// (mixCP is — recvBlock has verified it) before asking for another. It
+// fails with the round's cancellation cause, or — when the upstream
+// pipeline ended early, whose own failure then already cancelled the
+// round — with the shortfall.
 func (s *blockSource) next(ctx context.Context, n int) ([]elgamal.Ciphertext, error) {
+	s.pending = s.pending[:copy(s.pending, s.pending[s.taken:])]
+	s.taken = 0
 	for len(s.pending) < n {
 		if s.drained {
-			return nil, fmt.Errorf("psc ts: mix input ended %d elements short of a block", n-len(s.pending))
+			if len(s.tail) == 0 {
+				return nil, fmt.Errorf("psc ts: mix input ended %d elements short of a block", n-len(s.pending))
+			}
+			k := min(n-len(s.pending), len(s.tail))
+			s.push(s.tail[:k])
+			s.tail = s.tail[k:]
+			continue
 		}
 		select {
 		case cts, ok := <-s.feed:
 			if !ok {
-				s.pending = append(s.pending, s.tail...)
-				s.tail = nil
 				s.drained = true
 				continue
 			}
-			s.pending = append(s.pending, cts...)
+			s.push(cts)
 		case <-ctx.Done():
 			return nil, context.Cause(ctx)
 		}
 	}
-	blk := s.pending[:n:n]
-	s.pending = s.pending[n:]
-	return blk, nil
+	s.taken = n
+	return s.pending[:n:n], nil
+}
+
+// push appends cts to the window, growing it to exactly what it needs:
+// append's doubling would overshoot the block-plus-chunk bound.
+func (s *blockSource) push(cts []elgamal.Ciphertext) {
+	if need := len(s.pending) + len(cts); need > cap(s.pending) {
+		s.pending = append(make([]elgamal.Ciphertext, 0, need), s.pending...)
+	}
+	s.pending = append(s.pending, cts...)
 }
 
 // recvBlock receives and verifies one shuffled block (announcement plus
