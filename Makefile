@@ -7,8 +7,9 @@
 #                      here instead of staying tier-1 green
 #   make loc      - non-test Go line counts, the way ROADMAP's "fewer
 #                   lines" targets are measured: internal/engine,
-#                   internal/psc, internal/wire, internal/privcount,
-#                   cmd, and internal + cmd + tools together
+#                   internal/core, internal/psc, internal/wire,
+#                   internal/privcount, cmd, and internal + cmd + tools
+#                   together
 #   make bench-smoke - one iteration of the crypto and protocol
 #                      benchmarks; catches gross perf regressions fast
 #                      (the group and ciphertext ops print allocs/op, so
@@ -82,6 +83,7 @@ vet:
 
 loc:
 	@printf '%s: ' 'internal/engine'; find internal/engine -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf '%s: ' 'internal/core'; find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf '%s: ' 'internal/psc'; find internal/psc -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf '%s: ' 'internal/wire'; find internal/wire -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf '%s: ' 'internal/privcount'; find internal/privcount -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/alexa"
 	"repro/internal/asn"
+	"repro/internal/engine"
 	"repro/internal/geo"
 	"repro/internal/stats"
 	"repro/internal/tornet"
@@ -50,11 +51,9 @@ type Env struct {
 	geoDB     *geo.DB
 	asnDB     *asn.DB
 
-	// rt is the Env's persistent protocol fleet (harness.go): parties
-	// register once and serve every experiment's rounds over
-	// multiplexed sessions.
-	rtMu sync.Mutex
-	rt   *partyRuntime
+	// parties is the Env's persistent protocol fleet (harness.go).
+	fleetMu sync.Mutex
+	parties *engine.Fleet
 }
 
 // Alexa returns the environment's site list, built once.

@@ -192,6 +192,7 @@ func TestFig4Shape(t *testing.T) {
 	// sampling variance scale badly with the divisor (the paper makes
 	// the same point about most of the world's countries, §5.2).
 	env := &Env{Scale: 500, Seed: 11, AlexaN: sharedTestEnv.AlexaN, ProofRounds: 1}
+	t.Cleanup(env.Close)
 	rep, err := Run("fig4", env)
 	if err != nil {
 		t.Fatal(err)

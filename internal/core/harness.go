@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync"
 
 	"repro/internal/dp"
 	"repro/internal/engine"
@@ -20,8 +19,8 @@ import (
 
 // This file is the deployment harness. The protocol parties — 3
 // computation parties, 3 share keepers, one data-collector host per
-// measuring relay — are built once per Env and register persistent
-// multiplexed sessions with a round engine; every experiment then
+// measuring relay — are built once per Env as an engine.Fleet, each
+// registering a persistent multiplexed session; every experiment then
 // schedules its rounds over those sessions, attaches the per-round DCs
 // to the simulator's event bus, runs the virtual measurement period,
 // and gathers results. Concurrent experiments share the same party
@@ -54,171 +53,87 @@ const (
 	harnessSKs = 3
 )
 
-// dcDelivery hands one round's DC role from its host session to the
-// experiment driving the round. The experiment closes release once
-// collection is over, and the host then finishes the DC itself.
-type dcDelivery struct {
-	engine.DCRound
-	host    int
-	release chan struct{}
-}
-
-// partyRuntime is an Env's persistent protocol fleet.
-type partyRuntime struct {
-	eng *engine.Engine
-	// connOpts configures every party pipe: WAN emulation from the
-	// Env's Netem profile.
-	connOpts []wire.Option
-	// noiseSeed is the Env's NoiseSeed; zero leaves DC noise to
-	// crypto/rand.
-	noiseSeed uint64
-
-	mu         sync.Mutex
-	numDCs     int
-	deliveries map[uint64]chan dcDelivery
-}
-
-// runtime builds the Env's fleet on first use: CPs and SKs register
-// immediately, DC hosts are added as experiments need them.
-func (e *Env) runtime() (*partyRuntime, error) {
-	e.rtMu.Lock()
-	defer e.rtMu.Unlock()
-	if e.rt != nil {
-		return e.rt, nil
-	}
-	rt := &partyRuntime{eng: engine.New(), noiseSeed: e.NoiseSeed, deliveries: make(map[uint64]chan dcDelivery)}
-	if p, err := netem.ParseProfile(e.Netem); err != nil {
-		return nil, err
-	} else if p != nil {
-		rt.connOpts = append(rt.connOpts, netem.WireOption(*p))
-	}
-	for i := 0; i < harnessCPs; i++ {
-		h := engine.Hello{Name: fmt.Sprintf("cp-%d", i)}
-		if err := rt.attach(func(sess *wire.Session) error { return engine.ServeCP(sess, h, nil) }); err != nil {
+// fleet returns the Env's party fleet, built on first use, with its CPs
+// and SKs and at least numDCs data collectors.
+func (e *Env) fleet(numDCs int) (*engine.Fleet, error) {
+	e.fleetMu.Lock()
+	defer e.fleetMu.Unlock()
+	if e.parties == nil {
+		var opts []wire.Option
+		if p, err := netem.ParseProfile(e.Netem); err != nil {
 			return nil, err
+		} else if p != nil {
+			opts = append(opts, netem.WireOption(*p))
+		}
+		e.parties = engine.NewFleet(e.dcNoise, opts...)
+	}
+	f := e.parties
+	cps, sks, dcs := f.Counts()
+	var err error
+	for _, g := range []struct {
+		role, prefix string
+		have, want   int
+	}{{engine.RoleCP, "cp", cps, harnessCPs}, {engine.RoleSK, "sk", sks, harnessSKs}, {engine.RoleDC, "dc", dcs, numDCs}} {
+		// The identities carry no token, so a duplicate name is refused.
+		for i := g.have; i < g.want && err == nil; i++ {
+			_, err = f.Join(engine.Hello{Role: g.role, Name: fmt.Sprintf("%s-%d", g.prefix, i)})
 		}
 	}
-	for i := 0; i < harnessSKs; i++ {
-		h := engine.Hello{Name: fmt.Sprintf("sk-%d", i)}
-		if err := rt.attach(func(sess *wire.Session) error { return engine.ServeSK(sess, h, nil) }); err != nil {
-			return nil, err
-		}
-	}
-	e.rt = rt
-	return rt, nil
-}
-
-// attach wires one party to the engine over an in-memory pipe: serve
-// runs the party side (hello, then its round loop) in the background
-// while the engine side completes the same handshake the daemons use.
-// The identities carry no token, so a duplicate name is refused.
-func (rt *partyRuntime) attach(serve func(*wire.Session) error) error {
-	tsConn, partyConn := wire.Pipe(rt.connOpts...)
-	tsSess := wire.NewSession(tsConn, false)
-	go serve(wire.NewSession(partyConn, true))
-	if _, err := rt.eng.AcceptSession(tsSess); err != nil {
-		tsSess.Close()
-		return err
-	}
-	return nil
-}
-
-// ensureDCs grows the DC host pool to at least n sessions.
-func (rt *partyRuntime) ensureDCs(n int) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for rt.numDCs < n {
-		host := rt.numDCs
-		h := engine.Hello{Name: fmt.Sprintf("dc-%d", host)}
-		err := rt.attach(func(sess *wire.Session) error {
-			return engine.ServeDC(sess, h, engine.DCHost{
-				Noise: func(round uint64) *dp.NoiseSource { return rt.dcNoise(h.Name, round) },
-				// Hand the DC to the experiment, then collect until it
-				// releases the round or the round dies (abort, sibling
-				// failure), whether or not it ever took the delivery.
-				Collect: func(r engine.DCRound, failed <-chan struct{}) error {
-					d := dcDelivery{DCRound: r, host: host, release: make(chan struct{})}
-					select {
-					case rt.delivery(r.Round) <- d:
-						select {
-						case <-d.release:
-						case <-failed:
-						}
-					case <-failed:
-					}
-					return nil
-				},
-			})
-		})
-		if err != nil {
-			return err
-		}
-		rt.numDCs++
-	}
-	return nil
+	return f, err
 }
 
 // dcNoise returns the noise source for one DC's round: nil (crypto/rand)
 // unless the Env pins NoiseSeed, then a ChaCha8 stream keyed by the
 // seed, the DC and the round.
-func (rt *partyRuntime) dcNoise(name string, round uint64) *dp.NoiseSource {
-	if rt.noiseSeed == 0 {
+func (e *Env) dcNoise(name string, round uint64) *dp.NoiseSource {
+	if e.NoiseSeed == 0 {
 		return nil
 	}
-	key := sha256.Sum256(fmt.Appendf(nil, "noise/%d/%s/%d", rt.noiseSeed, name, round))
+	key := sha256.Sum256(fmt.Appendf(nil, "noise/%d/%s/%d", e.NoiseSeed, name, round))
 	return dp.NewNoiseSource(rand.NewChaCha8(key))
 }
 
-// delivery returns (creating if needed) the round's DC hand-off
-// channel. Host handlers and the scheduling experiment race to touch a
-// round first, so creation is first-come.
-func (rt *partyRuntime) delivery(round uint64) chan dcDelivery {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	ch, ok := rt.deliveries[round]
-	if !ok {
-		ch = make(chan dcDelivery, 64)
-		rt.deliveries[round] = ch
+// measure runs one round over relays: start schedules it on the Env's
+// fleet, each of its DCs — dc-i for relays[i] — gets its relay's events
+// through observe for the measurement days, and then every DC is
+// released. Each finishes its own round, so uploads run concurrently:
+// one at a time could stall against the tally's collection order.
+func (e *Env) measure(sim *Sim, relays []event.RelayID, days int, start func(*engine.Fleet) (*engine.Round, error), observe func(engine.DCDelivery) func(event.Event)) (*engine.Round, error) {
+	f, err := e.fleet(len(relays))
+	if err != nil {
+		return nil, err
 	}
-	return ch
-}
-
-// releaseRound forgets a completed round's hand-off channel.
-func (rt *partyRuntime) releaseRound(round uint64) {
-	rt.mu.Lock()
-	delete(rt.deliveries, round)
-	rt.mu.Unlock()
-}
-
-// collectDCs waits for n DC roles of a round, watching for early round
-// failure (e.g. a setup error aborting the round). A failed round has
-// reset its streams, so every host it delivered to unwinds on its own.
-func (rt *partyRuntime) collectDCs(r *engine.Round, n int) ([]dcDelivery, error) {
-	ch := rt.delivery(r.ID)
-	out := make([]dcDelivery, 0, n)
-	for len(out) < n {
-		select {
-		case d := <-ch:
-			out = append(out, d)
-		case <-r.Done():
-			err := r.Err()
-			if err == nil {
-				err = fmt.Errorf("core: round %d ended before all DCs attached", r.ID)
-			}
-			return nil, err
-		}
+	round, err := start(f)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	dcs, err := f.DCs(round, len(relays))
+	if err != nil {
+		return nil, err
+	}
+	relayOf := make(map[string]event.RelayID, len(relays))
+	for i, r := range relays {
+		relayOf[fmt.Sprintf("dc-%d", i)] = r
+	}
+	for _, d := range dcs {
+		sim.Net.Bus.SubscribeFiltered([]event.RelayID{relayOf[d.Name]}, nil, observe(d))
+	}
+	sim.Driver.Run(days)
+	for _, d := range dcs {
+		d.Release()
+	}
+	return round, nil
 }
 
-// Close releases the Env's party fleet. Safe to call multiple times;
-// experiments started afterwards rebuild it.
+// Close stops the Env's party fleet and returns once every party has
+// stopped. Safe to call multiple times; experiments started afterwards
+// rebuild it.
 func (e *Env) Close() {
-	e.rtMu.Lock()
-	defer e.rtMu.Unlock()
-	if e.rt != nil {
-		e.rt.eng.Close()
-		e.rt = nil
+	e.fleetMu.Lock()
+	defer e.fleetMu.Unlock()
+	if e.parties != nil {
+		e.parties.Close()
+		e.parties = nil
 	}
 }
 
@@ -291,46 +206,20 @@ func (e *Env) RunPrivCountWithSim(run PrivCountRun, onSim func(*Sim)) (*PrivCoun
 	}
 
 	relays := sim.Net.Consensus.MeasuringRelays()
-	rt, err := e.runtime()
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.ensureDCs(len(relays)); err != nil {
-		return nil, err
-	}
-	round, err := rt.eng.StartPrivCount(privcount.TallyConfig{
-		Stats: cfgStats, NumDCs: len(relays), NumSKs: harnessSKs,
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer rt.releaseRound(round.ID)
-	dcs, err := rt.collectDCs(round, len(relays))
-	if err != nil {
-		return nil, err
-	}
-
-	// Attach each round DC to its relay's event feed.
-	for _, d := range dcs {
-		dc := d.PrivCount
+	round, err := e.measure(sim, relays, run.Days, func(f *engine.Fleet) (*engine.Round, error) {
+		return f.StartPrivCount(privcount.TallyConfig{Stats: cfgStats, NumDCs: len(relays), NumSKs: harnessSKs}, nil)
+	}, func(d engine.DCDelivery) func(event.Event) {
 		inc := func(stat string, bin int, delta float64) {
 			// Unknown statistics are a programming error in the
 			// experiment; surface loudly.
-			if err := dc.Increment(stat, bin, delta); err != nil {
+			if err := d.PrivCount.Increment(stat, bin, delta); err != nil {
 				panic(err)
 			}
 		}
-		sim.Net.Bus.SubscribeFiltered([]event.RelayID{relays[d.host]}, nil, func(ev event.Event) {
-			run.Handle(ev, inc)
-		})
-	}
-
-	sim.Driver.Run(run.Days)
-
-	// Each released host finishes its own DC, so uploads run concurrently:
-	// one at a time could stall against the tally's collection order.
-	for _, d := range dcs {
-		close(d.release)
+		return func(ev event.Event) { run.Handle(ev, inc) }
+	})
+	if err != nil {
+		return nil, err
 	}
 	res, err := round.WaitPrivCount()
 	if err != nil {
@@ -408,45 +297,25 @@ func (e *Env) RunPSCWithSim(run PSCRun, onSim func(*Sim)) (*PSCResult, error) {
 		bins = 1 << 16
 	}
 
-	rt, err := e.runtime()
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.ensureDCs(len(relays)); err != nil {
-		return nil, err
-	}
-	round, err := rt.eng.StartPSC(psc.Config{
-		Bins:               bins,
-		NoisePerCP:         perCP,
-		ShuffleProofRounds: e.ProofRounds,
-		NumDCs:             len(relays),
-		NumCPs:             harnessCPs,
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer rt.releaseRound(round.ID)
-	dcs, err := rt.collectDCs(round, len(relays))
-	if err != nil {
-		return nil, err
-	}
-
-	for _, d := range dcs {
-		dc := d.PSC
-		sim.Net.Bus.SubscribeFiltered([]event.RelayID{relays[d.host]}, nil, func(ev event.Event) {
+	round, err := e.measure(sim, relays, run.Days, func(f *engine.Fleet) (*engine.Round, error) {
+		return f.StartPSC(psc.Config{
+			Bins:               bins,
+			NoisePerCP:         perCP,
+			ShuffleProofRounds: e.ProofRounds,
+			NumDCs:             len(relays),
+			NumCPs:             harnessCPs,
+		}, nil)
+	}, func(d engine.DCDelivery) func(event.Event) {
+		return func(ev event.Event) {
 			if item, ok := run.Item(ev); ok {
-				if err := dc.Observe(item); err != nil {
+				if err := d.PSC.Observe(item); err != nil {
 					panic(err)
 				}
 			}
-		})
-	}
-
-	sim.Driver.Run(run.Days)
-
-	// Released hosts upload concurrently; see RunPrivCountWithSim.
-	for _, d := range dcs {
-		close(d.release)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	res, err := round.WaitPSC()
 	if err != nil {

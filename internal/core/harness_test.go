@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -95,6 +96,7 @@ func TestRunPSCErrors(t *testing.T) {
 func TestDeterministicReports(t *testing.T) {
 	run := func() float64 {
 		env := &Env{Scale: 4000, Seed: 99, AlexaN: 20000, ProofRounds: 1}
+		t.Cleanup(env.Close)
 		res, err := env.RunPrivCount(PrivCountRun{
 			Fractions: tornet.StudyFractions(),
 			Counters:  []CounterSpec{{Name: "streams", Bins: []string{""}, Sensitivity: 0}},
@@ -126,6 +128,7 @@ func TestEnvNetemFleet(t *testing.T) {
 		Scale: 4000, Seed: 99, AlexaN: 20000, ProofRounds: 1,
 		Netem: "lan,seed=5",
 	}
+	t.Cleanup(env.Close)
 	res, err := env.RunPrivCount(PrivCountRun{
 		Fractions: tornet.StudyFractions(),
 		Counters:  []CounterSpec{{Name: "streams", Bins: []string{""}, Sensitivity: 0}},
@@ -150,6 +153,44 @@ func TestEnvNetemFleet(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown netem profile must fail the run")
+	}
+}
+
+// TestEnvCloseStopsParties: once Env.Close returns after a PSC and a
+// PrivCount round, none of the Env's parties is still serving its
+// session.
+func TestEnvCloseStopsParties(t *testing.T) {
+	// The buffer is allocated once, so the count right after Close is
+	// taken right after Close.
+	buf := make([]byte, 1<<22)
+	serving := func() int {
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "engine.ServeRounds(")
+	}
+	before := serving()
+	env := &Env{Scale: 8000, Seed: 3, AlexaN: 5000, ProofRounds: 1}
+	t.Cleanup(env.Close)
+	_, err := env.RunPSC(PSCRun{
+		Fractions:   tornet.StudyFractions(),
+		Item:        func(event.Event) (string, bool) { return "x", true },
+		Sensitivity: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = env.RunPrivCount(PrivCountRun{
+		Fractions: tornet.StudyFractions(),
+		Counters:  []CounterSpec{{Name: "x", Bins: []string{""}, Sensitivity: 1}},
+		Handle:    func(event.Event, Incrementer) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serving() <= before {
+		t.Fatal("the Env's parties are not serving during its rounds")
+	}
+	env.Close()
+	if n := serving(); n > before {
+		t.Fatalf("%d party serve loops still running after Close, %d before the Env", n, before)
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,73 +12,6 @@ import (
 	"repro/internal/psc"
 	"repro/internal/wire"
 )
-
-// churnDC is one restartable in-process data-collector daemon: each
-// "process incarnation" gets a fresh session registered through the
-// real hello handshake, serving round streams through ServeDC until its
-// session dies. Killing it closes the party-side session, which is what
-// a killed daemon process looks like from the tally's side.
-type churnDC struct {
-	t     *testing.T
-	e     *Engine
-	host  int
-	name  string
-	token string
-
-	sess   *wire.Session // party side of the current incarnation
-	rounds chan dcRound
-}
-
-func newChurnDC(t *testing.T, e *Engine, host int, token string, rounds chan dcRound) *churnDC {
-	d := &churnDC{t: t, e: e, host: host, name: fmt.Sprintf("dc-%d", host), token: token, rounds: rounds}
-	d.start()
-	return d
-}
-
-// start brings up a fresh incarnation: dial (pipe), pinned hello,
-// round-serving loop.
-func (d *churnDC) start() {
-	d.t.Helper()
-	tsConn, partyConn := wire.Pipe()
-	tsSess := wire.NewSession(tsConn, false)
-	partySess := wire.NewSession(partyConn, true)
-	go ServeDC(partySess, Hello{Name: d.name, Token: d.token}, testDCHost(d.host, d.rounds))
-	if _, err := d.e.AcceptSession(tsSess); err != nil {
-		d.t.Fatalf("churn dc %s register: %v", d.name, err)
-	}
-	d.sess = partySess
-}
-
-// kill closes the current incarnation's session, as a SIGKILL would.
-func (d *churnDC) kill() { d.sess.Close() }
-
-// churnFleet builds an engine with CPs and SKs over piped sessions plus
-// n restartable DCs.
-func churnFleet(t *testing.T, numCPs, numSKs, numDCs int) (*Engine, []*churnDC, chan dcRound) {
-	t.Helper()
-	e := New()
-	rounds := make(chan dcRound, 64)
-	attach := func(serve func(*wire.Session)) {
-		tsConn, partyConn := wire.Pipe()
-		ts := wire.NewSession(tsConn, false)
-		go serve(wire.NewSession(partyConn, true))
-		if _, err := e.AcceptSession(ts); err != nil {
-			t.Fatalf("accept party: %v", err)
-		}
-	}
-	for i := 0; i < numCPs; i++ {
-		attach(func(s *wire.Session) { ServeCP(s, Hello{Name: fmt.Sprintf("cp-%d", i)}, nil) })
-	}
-	for i := 0; i < numSKs; i++ {
-		attach(func(s *wire.Session) { ServeSK(s, Hello{Name: fmt.Sprintf("sk-%d", i)}, nil) })
-	}
-	dcs := make([]*churnDC, numDCs)
-	for i := range dcs {
-		dcs[i] = newChurnDC(t, e, i, fmt.Sprintf("secret-%d", i), rounds)
-	}
-	t.Cleanup(e.Close)
-	return e, dcs, rounds
-}
 
 var smallPSC = psc.Config{Bins: 64, NoisePerCP: 2, ShuffleProofRounds: 1, NumCPs: 2, NumDCs: 2}
 
@@ -93,7 +25,7 @@ func withMinDCs(cfg psc.Config, k int) psc.Config {
 // identity with the wrong token must be rejected with an explicit ack,
 // and the pinned member must keep its original session.
 func TestRejoinWrongTokenRejected(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 0, 2)
+	e, _ := startFleet(t, nil, 2, 0, 2)
 
 	tsConn, partyConn := wire.Pipe()
 	ts := wire.NewSession(tsConn, false)
@@ -112,10 +44,10 @@ func TestRejoinWrongTokenRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roles := collect(t, rounds, 2, r)
+	roles := collect(t, e, r, 2)
 	for _, d := range roles {
 		d.PSC.Observe("item")
-		close(d.release)
+		d.Release()
 	}
 	if _, err := r.WaitPSC(); err != nil {
 		t.Fatalf("round after rejected hijack: %v", err)
@@ -125,17 +57,16 @@ func TestRejoinWrongTokenRejected(t *testing.T) {
 			t.Fatalf("finish: %v", err)
 		}
 	}
-	_ = dcs
 }
 
 // TestRejoinLatestWins: two live sessions claiming the same pinned
 // identity resolve latest-wins — the newer session serves, the older
 // one is closed by the engine.
 func TestRejoinLatestWins(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 0, 2)
+	e, dcs := startFleet(t, nil, 2, 0, 2)
 
-	old := dcs[1].sess
-	dcs[1].start() // second incarnation registers while the first is still live
+	old := dcs[1]
+	join(t, e, dcHello(1)) // second incarnation registers while the first is still live
 	select {
 	case <-old.Done():
 	case <-time.After(30 * time.Second):
@@ -150,9 +81,9 @@ func TestRejoinLatestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roles := collect(t, rounds, 2, r)
+	roles := collect(t, e, r, 2)
 	for _, d := range roles {
-		close(d.release)
+		d.Release()
 	}
 	if _, err := r.WaitPSC(); err != nil {
 		t.Fatalf("round after takeover: %v", err)
@@ -170,7 +101,7 @@ func TestRejoinLatestWins(t *testing.T) {
 // the absence annotated, and — once the DC re-registers under its
 // pinned identity — the next round runs at full strength.
 func TestMidRoundKillDegradesThenFullStrength(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 0, 2)
+	e, dcs := startFleet(t, nil, 2, 0, 2)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
 
@@ -178,8 +109,8 @@ func TestMidRoundKillDegradesThenFullStrength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roles := collect(t, rounds, 2, r)
-	var survivor dcRound
+	roles := collect(t, e, r, 2)
+	var survivor DCDelivery
 	for _, d := range roles {
 		if d.PSC.Name == "dc-1" {
 			// Feed the doomed DC and begin its upload so its contribution
@@ -189,10 +120,10 @@ func TestMidRoundKillDegradesThenFullStrength(t *testing.T) {
 			survivor = d
 		}
 	}
-	dcs[1].kill()
+	dcs[1].Close()
 	survivor.PSC.Observe("item-a")
 	survivor.PSC.Observe("item-b")
-	close(survivor.release)
+	survivor.Release()
 	if _, err := r.WaitPSC(); err != nil {
 		t.Fatalf("degraded round failed: %v", err)
 	}
@@ -213,15 +144,15 @@ func TestMidRoundKillDegradesThenFullStrength(t *testing.T) {
 	}
 
 	// The DC restarts and re-registers under its pinned identity.
-	dcs[1].start()
+	dcs[1] = join(t, e, dcHello(1))
 	full, err := e.StartPSC(withMinDCs(smallPSC, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullRoles := collect(t, rounds, 2, full)
+	fullRoles := collect(t, e, full, 2)
 	for _, d := range fullRoles {
 		d.PSC.Observe("fresh-item")
-		close(d.release)
+		d.Release()
 	}
 	if _, err := full.WaitPSC(); err != nil {
 		t.Fatalf("full-strength round failed: %v", err)
@@ -247,7 +178,7 @@ func TestMidRoundKillDegradesThenFullStrength(t *testing.T) {
 // the in-flight round's stream on the new session — the round completes
 // at full strength, no degradation.
 func TestRejoinResumesRoundBeforeBarrier(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 0, 2)
+	e, dcs := startFleet(t, nil, 2, 0, 2)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
 	e.SetRejoinGrace(time.Minute)
@@ -256,27 +187,18 @@ func TestRejoinResumesRoundBeforeBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roles := collect(t, rounds, 2, r)
-	dcs[1].kill() // before any Finish: no table chunk combined yet
-	dcs[1].start()
+	roles := collect(t, e, r, 2)
+	dcs[1].Close() // before any Finish: no table chunk combined yet
+	join(t, e, dcHello(1))
 
 	// The reopened stream delivers a fresh DC role for the same round.
-	var fresh dcRound
-	deadline := time.After(2 * time.Minute)
-	for fresh.PSC == nil {
-		select {
-		case d := <-rounds:
-			if d.Round != r.ID {
-				t.Fatalf("unexpected round %d delivery", d.Round)
-			}
-			fresh = d
-		case <-deadline:
-			t.Fatal("rejoined DC never received a reopened round stream")
-		}
+	fresh := collect(t, e, r, 1)[0]
+	if fresh.Round != r.ID {
+		t.Fatalf("unexpected round %d delivery", fresh.Round)
 	}
 	// The first incarnation's dc-1 role died with its session; the
 	// others upload.
-	live := []dcRound{fresh}
+	live := []DCDelivery{fresh}
 	for _, d := range roles {
 		if d.PSC.Name != "dc-1" {
 			live = append(live, d)
@@ -284,7 +206,7 @@ func TestRejoinResumesRoundBeforeBarrier(t *testing.T) {
 	}
 	for _, d := range live {
 		d.PSC.Observe("item-" + d.PSC.Name)
-		close(d.release)
+		d.Release()
 	}
 	if _, err := r.WaitPSC(); err != nil {
 		t.Fatalf("resumed round failed: %v", err)
@@ -308,7 +230,7 @@ func TestRejoinResumesRoundBeforeBarrier(t *testing.T) {
 // deadline failure when the deadline wins — never both.
 func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 	// Grace far shorter than the deadline: degradation wins.
-	e, dcs, rounds := churnFleet(t, 2, 0, 2)
+	e, dcs := startFleet(t, nil, 2, 0, 2)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
 	e.SetRejoinGrace(100 * time.Millisecond)
@@ -318,12 +240,12 @@ func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roles := collect(t, rounds, 2, r)
-	dcs[1].kill() // never restarted: the grace window expires
+	roles := collect(t, e, r, 2)
+	dcs[1].Close() // never restarted: the grace window expires
 	for _, d := range roles {
 		if d.PSC.Name != "dc-1" {
 			d.PSC.Observe("item")
-			close(d.release)
+			d.Release()
 		}
 	}
 	if _, err := r.WaitPSC(); err != nil {
@@ -343,7 +265,7 @@ func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 
 	// Deadline far shorter than the grace window: the deadline wins and
 	// the round fails exactly once, with no degradation recorded.
-	e2, dcs2, rounds2 := churnFleet(t, 2, 0, 2)
+	e2, dcs2 := startFleet(t, nil, 2, 0, 2)
 	reg2 := metrics.NewRegistry()
 	e2.SetMetrics(reg2)
 	e2.SetRejoinGrace(2 * time.Minute)
@@ -353,8 +275,8 @@ func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect(t, rounds2, 2, r2)
-	dcs2[1].kill()
+	collect(t, e2, r2, 2)
+	dcs2[1].Close()
 	_, err = r2.WaitPSC()
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("deadline-vs-grace round error = %v, want deadline abort", err)
@@ -374,15 +296,15 @@ func TestGraceExpiryDegradesExactlyOnce(t *testing.T) {
 // tolerates, the round must fail with a quorum error rather than
 // report a result over too little coverage.
 func TestQuorumLostAborts(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 0, 2)
+	e, dcs := startFleet(t, nil, 2, 0, 2)
 
 	r, err := e.StartPSC(withMinDCs(smallPSC, 2), nil) // both DCs required
 	if err != nil {
 		t.Fatal(err)
 	}
-	roles := collect(t, rounds, 2, r)
-	dcs[0].kill()
-	dcs[1].kill()
+	roles := collect(t, e, r, 2)
+	dcs[0].Close()
+	dcs[1].Close()
 	_, err = r.WaitPSC()
 	if err == nil || !strings.Contains(err.Error(), "quorum lost") {
 		t.Fatalf("round with zero DCs: got %v, want a quorum-lost failure", err)
@@ -401,7 +323,7 @@ func TestQuorumLostAborts(t *testing.T) {
 func TestCallerMinDCsHonoured(t *testing.T) {
 	for _, proto := range []string{"psc", "privcount"} {
 		t.Run(proto, func(t *testing.T) {
-			e, dcs, rounds := churnFleet(t, 1, 1, 2)
+			e, dcs := startFleet(t, nil, 1, 1, 2)
 			var r *Round
 			var err error
 			if proto == "psc" {
@@ -419,11 +341,11 @@ func TestCallerMinDCsHonoured(t *testing.T) {
 			}
 			// Collect runs once a DC's setup is over: a PrivCount DC has
 			// had its begin, so its shares are in the SKs' hands.
-			roles := collect(t, rounds, 2, r)
-			dcs[1].kill()
-			var survivor dcRound
+			roles := collect(t, e, r, 2)
+			dcs[1].Close()
+			var survivor DCDelivery
 			for _, d := range roles {
-				if d.host == 0 {
+				if d.Name == "dc-0" {
 					survivor = d
 				}
 			}
@@ -432,7 +354,7 @@ func TestCallerMinDCsHonoured(t *testing.T) {
 			} else {
 				survivor.PrivCount.Increment("streams", 0, 5)
 			}
-			close(survivor.release)
+			survivor.Release()
 			if proto == "psc" {
 				_, err = r.WaitPSC()
 			} else {
@@ -493,8 +415,7 @@ func TestRejoinWithoutTokenRejected(t *testing.T) {
 // constant-time comparison rejects on length, and the registry counts
 // the attempt as a rejection.
 func TestRejoinEmptyPresentedTokenRejected(t *testing.T) {
-	e, dcs, _ := churnFleet(t, 1, 0, 1)
-	_ = dcs
+	e, _ := startFleet(t, nil, 1, 0, 1)
 	tsConn, partyConn := wire.Pipe()
 	ts := wire.NewSession(tsConn, false)
 	party := wire.NewSession(partyConn, true)
@@ -514,7 +435,7 @@ func TestRejoinEmptyPresentedTokenRejected(t *testing.T) {
 // read under the engine lock (or the round's own snapshot), which the
 // race detector checks here.
 func TestSetMetricsDuringRejoin(t *testing.T) {
-	e, dcs, rounds := churnFleet(t, 2, 0, 2)
+	e, dcs := startFleet(t, nil, 2, 0, 2)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
 	e.SetRejoinGrace(time.Minute)
@@ -523,7 +444,7 @@ func TestSetMetricsDuringRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roles := collect(t, rounds, 2, r)
+	roles := collect(t, e, r, 2)
 
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -538,18 +459,13 @@ func TestSetMetricsDuringRejoin(t *testing.T) {
 			}
 		}
 	}()
-	dcs[1].kill()
-	dcs[1].start()
+	dcs[1].Close()
+	join(t, e, dcHello(1))
 	// The reopened stream's DC role arrives only after the registry
 	// rebound the identity and the recovery callback reattached the
 	// round — both counters are in by then. (The watcher counts the drop
 	// only if it runs before the rejoin, so that one is not asserted.)
-	select {
-	case d := <-rounds:
-		roles = append(roles, d)
-	case <-time.After(2 * time.Minute):
-		t.Fatal("rejoined DC never received a reopened round stream")
-	}
+	roles = append(roles, collect(t, e, r, 1)...)
 	close(stop)
 	<-stopped
 

@@ -9,9 +9,8 @@
 // # Key types
 //
 //   - Engine: the tally-side scheduler. Sessions attach via
-//     AcceptSession (the acked hello handshake; the in-process harness
-//     runs the same one over pipes); StartPSC and StartPrivCount
-//     schedule rounds over the registered fleet.
+//     AcceptSession (the acked hello handshake); StartPSC and
+//     StartPrivCount schedule rounds over the registered fleet.
 //   - Hello / HelloAck: the session-registration exchange. A Hello
 //     carries the party's role and name — its pinned identity, and the
 //     one place it says who it is — and its registration token.
@@ -24,6 +23,9 @@
 //     stream labels). ServeDC owns a data collector's round from Setup
 //     to Finish; its host supplies only the collection (DCHost).
 //   - ReconnectLoop: the party-daemon dial/serve/backoff loop.
+//   - Fleet: an Engine and its parties in one process, over pipes.
+//     Join runs a role's Serve* and the same handshake; DCs hands a
+//     round's DCs to its driver; Close waits for every party to stop.
 //
 // # Party churn
 //

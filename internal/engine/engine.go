@@ -234,14 +234,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// reserveRound allocates a fresh round ID.
-func (e *Engine) reserveRound() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.nextRound++
-	return e.nextRound
-}
-
 // newRound builds a round over parties with the engine's observability
 // and deadline wired: the round's context exists from here on, and its
 // cancellation — by Abort, the deadline, or finish reporting a failed
@@ -249,9 +241,11 @@ func (e *Engine) reserveRound() uint64 {
 func (e *Engine) newRound(label string, parties []*member) *Round {
 	e.mu.Lock()
 	reg, d := e.reg, e.deadline
+	e.nextRound++
+	id := e.nextRound
 	e.mu.Unlock()
 	r := &Round{
-		ID: e.reserveRound(), Label: label, done: make(chan struct{}),
+		ID: id, Label: label, done: make(chan struct{}),
 		parties: parties, started: time.Now(), reg: reg,
 	}
 	r.ctx, r.cancel = context.WithCancelCause(context.Background())

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,133 +22,63 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 	e.reg = reg
 }
 
-// dcRound is one data-collector role delivered to the test "harness":
-// the round ServeDC configured, the channel the test closes to end its
-// collection, and where ServeDC's report of the round's outcome lands.
-type dcRound struct {
-	DCRound
-	host int
-	// noiseAsked counts the noise sources ServeDC asked the host for
-	// before handing the round over.
-	noiseAsked int
-	release    chan struct{}
-	served     chan error
+// dcHello is test DC i's pinned identity, with a token so it can rejoin.
+func dcHello(i int) Hello {
+	return Hello{Role: RoleDC, Name: fmt.Sprintf("dc-%d", i), Token: fmt.Sprintf("secret-%d", i)}
+}
+
+// join joins h to f, failing the test if it is refused, and returns the
+// party's session.
+func join(t *testing.T, f *Fleet, h Hello) *wire.Session {
+	t.Helper()
+	sess, err := f.Join(h)
+	if err != nil {
+		t.Fatalf("join %s %s: %v", h.Role, h.Name, err)
+	}
+	return sess
+}
+
+// startFleet joins cp-i, sk-i and dcHello(i) parties to a fleet drawing
+// DC noise from noise, and closes it with the test. It returns the DCs'
+// sessions: closing one kills that DC, as a SIGKILL would.
+func startFleet(t *testing.T, noise func(string, uint64) *dp.NoiseSource, numCPs, numSKs, numDCs int) (*Fleet, []*wire.Session) {
+	t.Helper()
+	f := NewFleet(noise)
+	t.Cleanup(f.Close)
+	for i := 0; i < numCPs; i++ {
+		join(t, f, Hello{Role: RoleCP, Name: fmt.Sprintf("cp-%d", i)})
+	}
+	for i := 0; i < numSKs; i++ {
+		join(t, f, Hello{Role: RoleSK, Name: fmt.Sprintf("sk-%d", i)})
+	}
+	dcs := make([]*wire.Session, numDCs)
+	for i := range dcs {
+		dcs[i] = join(t, f, dcHello(i))
+	}
+	return f, dcs
+}
+
+// collect waits for n of r's DC roles, failing the test if r ends
+// first.
+func collect(t *testing.T, f *Fleet, r *Round, n int) []DCDelivery {
+	t.Helper()
+	dcs, err := f.DCs(r, n)
+	if err != nil {
+		t.Fatalf("round %d failed during setup: %v", r.ID, err)
+	}
+	return dcs
 }
 
 // outcome waits for ServeDC's report of the round's outcome.
-func (d dcRound) outcome(t *testing.T) error {
+func (d DCDelivery) outcome(t *testing.T) error {
 	t.Helper()
 	select {
 	case err := <-d.served:
 		return err
 	case <-time.After(2 * time.Minute):
-		t.Fatalf("round %d on dc host %d never reported", d.Round, d.host)
+		t.Fatalf("round %d on %s never reported", d.Round, d.Name)
 		return nil
 	}
-}
-
-// testDCHost is the DCHost of every test data collector: it counts the
-// noise sources ServeDC asks for, hands each configured round to the
-// test on rounds, holds collection open until the test releases the
-// round or the round fails, and passes Served's report to the round's
-// served channel.
-func testDCHost(host int, rounds chan<- dcRound) DCHost {
-	var mu sync.Mutex
-	noise := map[uint64]int{}
-	served := map[uint64]chan error{}
-	outcome := func(round uint64) chan error {
-		mu.Lock()
-		defer mu.Unlock()
-		if served[round] == nil {
-			served[round] = make(chan error, 1)
-		}
-		return served[round]
-	}
-	return DCHost{
-		Noise: func(round uint64) *dp.NoiseSource {
-			mu.Lock()
-			noise[round]++
-			mu.Unlock()
-			return nil
-		},
-		Collect: func(r DCRound, failed <-chan struct{}) error {
-			mu.Lock()
-			asked := noise[r.Round]
-			mu.Unlock()
-			d := dcRound{DCRound: r, host: host, noiseAsked: asked, release: make(chan struct{}), served: outcome(r.Round)}
-			rounds <- d
-			select {
-			case <-d.release:
-			case <-failed:
-			}
-			return nil
-		},
-		Served: func(round uint64, err error) { outcome(round) <- err },
-	}
-}
-
-// testFleet wires an engine to in-process parties over piped sessions:
-// every party registers once and serves all subsequent rounds over its
-// single multiplexed connection.
-func testFleet(t *testing.T, numCPs, numSKs, numDCs int) (*Engine, chan dcRound) {
-	t.Helper()
-	e := New()
-	rounds := make(chan dcRound, 64)
-
-	attach := func() (*wire.Session, *wire.Session) {
-		tsConn, partyConn := wire.Pipe()
-		return wire.NewSession(tsConn, false), wire.NewSession(partyConn, true)
-	}
-	accept := func(ts *wire.Session) {
-		t.Helper()
-		if _, err := e.AcceptSession(ts); err != nil {
-			t.Fatalf("accept session: %v", err)
-		}
-	}
-
-	for i := 0; i < numCPs; i++ {
-		ts, party := attach()
-		go ServeCP(party, Hello{Name: fmt.Sprintf("cp-%d", i)}, nil)
-		accept(ts)
-	}
-	for i := 0; i < numSKs; i++ {
-		ts, party := attach()
-		go ServeSK(party, Hello{Name: fmt.Sprintf("sk-%d", i)}, nil)
-		accept(ts)
-	}
-	for i := 0; i < numDCs; i++ {
-		ts, party := attach()
-		go ServeDC(party, Hello{Name: fmt.Sprintf("dc-%d", i)}, testDCHost(i, rounds))
-		accept(ts)
-	}
-	t.Cleanup(e.Close)
-	return e, rounds
-}
-
-// collect waits for n DC deliveries, failing the test on timeout or if
-// a round in the set errors out first.
-func collect(t *testing.T, rounds chan dcRound, n int, watch ...*Round) []dcRound {
-	t.Helper()
-	out := make([]dcRound, 0, n)
-	timeout := time.After(2 * time.Minute)
-	for len(out) < n {
-		select {
-		case r := <-rounds:
-			out = append(out, r)
-		case <-timeout:
-			t.Fatalf("collected %d of %d DC roles", len(out), n)
-		}
-		for _, w := range watch {
-			select {
-			case <-w.Done():
-				if w.Err() != nil {
-					t.Fatalf("round %d failed during setup: %v", w.ID, w.Err())
-				}
-			default:
-			}
-		}
-	}
-	return out
 }
 
 // TestConcurrentPSCAndPrivCountRounds runs the acceptance scenario: a
@@ -160,7 +89,7 @@ func TestConcurrentPSCAndPrivCountRounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full concurrent rounds skipped in -short mode")
 	}
-	e, rounds := testFleet(t, 2, 2, 2)
+	e, _ := startFleet(t, nil, 2, 2, 2)
 
 	pscRound, err := e.StartPSC(psc.Config{
 		Bins: 2048, NoisePerCP: 0, ShuffleProofRounds: 1, NumDCs: 2, NumCPs: 2,
@@ -182,7 +111,7 @@ func TestConcurrentPSCAndPrivCountRounds(t *testing.T) {
 	// Both rounds' DC roles arrive interleaved over the same sessions.
 	var pscDCs []*psc.DC
 	var privDCs []*privcount.DC
-	all := collect(t, rounds, 4, pscRound, privRound)
+	all := append(collect(t, e, pscRound, 2), collect(t, e, privRound, 2)...)
 	for _, r := range all {
 		if r.PSC != nil {
 			pscDCs = append(pscDCs, r.PSC)
@@ -205,7 +134,7 @@ func TestConcurrentPSCAndPrivCountRounds(t *testing.T) {
 		dc.Increment("streams", 1, 2)
 	}
 	for _, r := range all {
-		close(r.release)
+		r.Release()
 	}
 
 	pscRes, err := pscRound.WaitPSC()
@@ -239,7 +168,7 @@ func TestConcurrentPSCAndPrivCountRounds(t *testing.T) {
 // that would exceed (ε,δ) is refused with a clear error, and no
 // streams are opened for it.
 func TestAccountantRefusesOverBudgetRounds(t *testing.T) {
-	e, rounds := testFleet(t, 2, 1, 2)
+	e, _ := startFleet(t, nil, 2, 1, 2)
 	acct := dp.StudyAccountant()
 	per := dp.StudyParams()
 	if err := acct.SetBudget(dp.Params{Epsilon: 2 * per.Epsilon, Delta: 2 * per.Delta}); err != nil {
@@ -274,10 +203,10 @@ func TestAccountantRefusesOverBudgetRounds(t *testing.T) {
 		t.Fatalf("accountant recorded %d rounds, want 2", got)
 	}
 	// The admitted rounds still run to completion.
-	dcs := collect(t, rounds, 4, done...)
+	dcs := append(collect(t, e, done[0], 2), collect(t, e, done[1], 2)...)
 	for _, r := range dcs {
 		r.PSC.Observe("item")
-		close(r.release)
+		r.Release()
 	}
 	for _, r := range done {
 		if _, err := r.WaitPSC(); err != nil {
@@ -295,7 +224,7 @@ func TestAccountantRefusesOverBudgetRounds(t *testing.T) {
 // finish; the round deadline must cancel it automatically,
 // leaving the sessions healthy for the next round.
 func TestRoundDeadlineAbortsStalledRound(t *testing.T) {
-	e, rounds := testFleet(t, 2, 1, 2)
+	e, _ := startFleet(t, nil, 2, 1, 2)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
 	// Long enough for the DCs to attach even on a loaded 1-vCPU CI
@@ -308,7 +237,7 @@ func TestRoundDeadlineAbortsStalledRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The DCs attach but never Observe/Finish: the round stalls.
-	stalledDCs := collect(t, rounds, 2, stalled)
+	stalledDCs := collect(t, e, stalled, 2)
 	_, err = stalled.WaitPSC()
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("stalled round error = %v, want a deadline abort", err)
@@ -332,10 +261,10 @@ func TestRoundDeadlineAbortsStalledRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quickDCs := collect(t, rounds, 2, quick)
+	quickDCs := collect(t, e, quick, 2)
 	for _, r := range quickDCs {
 		r.PSC.Observe("item")
-		close(r.release)
+		r.Release()
 	}
 	if _, err := quick.WaitPSC(); err != nil {
 		t.Fatalf("post-deadline round failed: %v", err)
@@ -361,7 +290,7 @@ func TestRoundDeadlineAbortsStalledRound(t *testing.T) {
 // round shares the same party sessions, then schedules another round:
 // the abort must neither kill the sessions nor the sibling.
 func TestRoundFailureIsolation(t *testing.T) {
-	e, rounds := testFleet(t, 2, 1, 2)
+	e, _ := startFleet(t, nil, 2, 1, 2)
 
 	small := psc.Config{Bins: 64, NoisePerCP: 2, ShuffleProofRounds: 1, NumDCs: 2, NumCPs: 2}
 	doomed, err := e.StartPSC(small, nil)
@@ -373,8 +302,8 @@ func TestRoundFailureIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var doomedDCs, survivorDCs []dcRound
-	for _, r := range collect(t, rounds, 4, doomed, survivor) {
+	var doomedDCs, survivorDCs []DCDelivery
+	for _, r := range append(collect(t, e, doomed, 2), collect(t, e, survivor, 2)...) {
 		if r.Round == doomed.ID {
 			doomedDCs = append(doomedDCs, r)
 		} else {
@@ -400,7 +329,7 @@ func TestRoundFailureIsolation(t *testing.T) {
 	// The sibling completes on the same sessions.
 	for i, r := range survivorDCs {
 		r.PSC.Observe(fmt.Sprintf("item-%d", i))
-		close(r.release)
+		r.Release()
 	}
 	if _, err := survivor.WaitPSC(); err != nil {
 		t.Fatalf("survivor round: %v", err)
@@ -416,9 +345,9 @@ func TestRoundFailureIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	againDCs := collect(t, rounds, 2, again)
+	againDCs := collect(t, e, again, 2)
 	for _, r := range againDCs {
-		close(r.release)
+		r.Release()
 	}
 	if _, err := again.WaitPSC(); err != nil {
 		t.Fatalf("post-abort round: %v", err)

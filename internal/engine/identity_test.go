@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/privcount"
 	"repro/internal/psc"
@@ -16,33 +15,31 @@ import (
 // these tests hold the gate that admits a name, and show that nothing a
 // party says later in a round can claim another party's name.
 
-// impostorDC registers a data collector pinned as pinned, then serves
-// every round with a protocol-level DC built under claimed — the name
-// a per-round register frame used to announce to the tallies.
-func impostorDC(t *testing.T, e *Engine, pinned, claimed string, host int, rounds chan dcRound) {
+// impostorDC joins a data collector to f pinned as pinned, which
+// serves every round with a protocol-level DC built under claimed — the
+// name a per-round register frame used to announce to the tallies.
+func impostorDC(t *testing.T, f *Fleet, pinned, claimed string) {
 	t.Helper()
-	tsConn, partyConn := wire.Pipe()
-	ts, party := wire.NewSession(tsConn, false), wire.NewSession(partyConn, true)
-	dcHost := testDCHost(host, rounds)
-	go func() {
+	host := f.dcHost(pinned)
+	_, err := f.attach(func(party *wire.Session) error {
 		if _, err := SendHelloPinned(party, Hello{Role: RoleDC, Name: pinned}); err != nil {
-			return
+			return err
 		}
-		ServeRounds(party, func(st *wire.Stream) error {
+		return ServeRounds(party, func(st *wire.Stream) error {
 			r := DCRound{Round: st.Round()}
 			var err error
 			if st.Label() == LabelPSC {
 				r.PSC = psc.NewDC(claimed, st)
-				err = dcHost.serveRound(st, r, r.PSC.Setup, r.PSC.Finish)
+				err = host.serveRound(st, r, r.PSC.Setup, r.PSC.Finish)
 			} else {
 				r.PrivCount = privcount.NewDC(claimed, st, nil)
-				err = dcHost.serveRound(st, r, r.PrivCount.Setup, r.PrivCount.Finish)
+				err = host.serveRound(st, r, r.PrivCount.Setup, r.PrivCount.Finish)
 			}
-			dcHost.Served(st.Round(), err)
+			host.Served(st.Round(), err)
 			return err
 		})
-	}()
-	if _, err := e.AcceptSession(ts); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("accept %s: %v", pinned, err)
 	}
 }
@@ -57,7 +54,7 @@ func TestProtocolNameCannotImpersonate(t *testing.T) {
 		proto string
 		start func(e *Engine, minDCs int) (*Round, error)
 		// feed makes one observation on a delivered DC.
-		feed func(d dcRound)
+		feed func(d DCDelivery)
 		// check verifies a completed round's result covers both DCs.
 		check func(t *testing.T, r *Round)
 	}{
@@ -66,7 +63,7 @@ func TestProtocolNameCannotImpersonate(t *testing.T) {
 			start: func(e *Engine, minDCs int) (*Round, error) {
 				return e.StartPSC(psc.Config{Bins: 64, ShuffleProofRounds: 1, NumCPs: 1, NumDCs: 2, MinDCs: minDCs}, nil)
 			},
-			feed: func(d dcRound) { d.PSC.Observe("item") },
+			feed: func(d DCDelivery) { d.PSC.Observe("item") },
 			check: func(t *testing.T, r *Round) {
 				// Without noise the one item both DCs saw is one bin.
 				if res, err := r.WaitPSC(); err != nil || res.Reported != 1 {
@@ -79,7 +76,9 @@ func TestProtocolNameCannotImpersonate(t *testing.T) {
 			start: func(e *Engine, minDCs int) (*Round, error) {
 				return e.StartPrivCount(privcount.TallyConfig{Stats: stats, NumDCs: 2, NumSKs: 1, MinDCs: minDCs}, nil)
 			},
-			feed: func(d dcRound) { d.PrivCount.Increment("streams", 0, float64(1+d.host)) },
+			feed: func(d DCDelivery) {
+				d.PrivCount.Increment("streams", 0, map[string]float64{"dc-0": 1, "dc-1": 2}[d.Name])
+			},
 			check: func(t *testing.T, r *Round) {
 				if res, err := r.WaitPrivCount(); err != nil || res["streams"][0] != 3 {
 					t.Fatalf("streams/a = %v, err %v; want both DCs' 1 + 2, nil", res["streams"], err)
@@ -88,34 +87,27 @@ func TestProtocolNameCannotImpersonate(t *testing.T) {
 		},
 	} {
 		t.Run(tc.proto, func(t *testing.T) {
-			e, rounds := testFleet(t, 1, 1, 0)
-			impostorDC(t, e, "dc-0", "dc-1", 0, rounds)
-			ts, party := wire.Pipe()
-			go ServeDC(wire.NewSession(party, true), Hello{Name: "dc-1"}, testDCHost(1, rounds))
-			if _, err := e.AcceptSession(wire.NewSession(ts, false)); err != nil {
-				t.Fatal(err)
-			}
+			e, _ := startFleet(t, nil, 1, 1, 0)
+			impostorDC(t, e, "dc-0", "dc-1")
+			join(t, e, Hello{Role: RoleDC, Name: "dc-1"})
 
 			for _, minDCs := range []int{0, 1} {
 				t.Run(fmt.Sprintf("MinDCs=%d", minDCs), func(t *testing.T) {
-					r, err := tc.start(e, minDCs)
+					r, err := tc.start(e.Engine, minDCs)
 					if err != nil {
 						t.Fatal(err)
 					}
 					// Each DC is fed and released as it arrives, so a round
 					// that loses one ends here instead of waiting for it.
-					var roles []dcRound
-					for ended := false; !ended && len(roles) < 2; {
-						select {
-						case d := <-rounds:
-							tc.feed(d)
-							close(d.release)
-							roles = append(roles, d)
-						case <-r.Done():
-							ended = true
-						case <-time.After(2 * time.Minute):
-							t.Fatalf("collected %d of 2 DC roles", len(roles))
+					var roles []DCDelivery
+					for len(roles) < 2 {
+						dcs, err := e.DCs(r, 1)
+						if err != nil {
+							break
 						}
+						tc.feed(dcs[0])
+						dcs[0].Release()
+						roles = append(roles, dcs[0])
 					}
 					tc.check(t, r)
 					if r.Degraded() || len(r.Absent()) != 0 {
@@ -123,7 +115,7 @@ func TestProtocolNameCannotImpersonate(t *testing.T) {
 					}
 					for _, d := range roles {
 						if err := d.outcome(t); err != nil {
-							t.Fatalf("dc host %d: %v", d.host, err)
+							t.Fatalf("%s: %v", d.Name, err)
 						}
 					}
 				})

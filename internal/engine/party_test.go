@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dp"
 	"repro/internal/parallel"
 	"repro/internal/privcount"
 	"repro/internal/psc"
@@ -38,7 +41,16 @@ func waitGoroutines(t *testing.T, baseline int) {
 // is not reported served while its round is still in flight, and every
 // DC is reported served once the tally has closed its stream.
 func TestServeDCServesBothProtocols(t *testing.T) {
-	e, rounds := testFleet(t, 2, 2, 2)
+	// noiseAsked counts the noise sources ServeDC asked each host for
+	// before handing a round over.
+	var mu sync.Mutex
+	noiseAsked := map[string]int{}
+	e, _ := startFleet(t, func(dc string, round uint64) *dp.NoiseSource {
+		mu.Lock()
+		noiseAsked[fmt.Sprint(dc, round)]++
+		mu.Unlock()
+		return nil
+	}, 2, 2, 2)
 	pscRound, err := e.StartPSC(psc.Config{Bins: 64, NoisePerCP: 2, ShuffleProofRounds: 1, NumDCs: 2, NumCPs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -50,16 +62,19 @@ func TestServeDCServesBothProtocols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcs := collect(t, rounds, 4, pscRound, privRound)
-	first := map[string]dcRound{}
+	dcs := append(collect(t, e, pscRound, 2), collect(t, e, privRound, 2)...)
+	first := map[string]DCDelivery{}
 	for _, d := range dcs {
 		want := 0
 		if d.PrivCount != nil {
 			want = 1
 			d.PrivCount.Increment("streams", 0, 3)
 		}
-		if d.noiseAsked != want {
-			t.Errorf("%s DC on host %d asked for %d noise sources, want %d", d.Label(), d.host, d.noiseAsked, want)
+		mu.Lock()
+		asked := noiseAsked[fmt.Sprint(d.Name, d.Round)]
+		mu.Unlock()
+		if asked != want {
+			t.Errorf("%s DC on %s asked for %d noise sources, want %d", d.Label(), d.Name, asked, want)
 		}
 		if _, ok := first[d.Label()]; !ok {
 			first[d.Label()] = d
@@ -72,7 +87,7 @@ func TestServeDCServesBothProtocols(t *testing.T) {
 	// One DC of each round uploads; neither round can end without the
 	// other DC, so neither stream is closed yet.
 	for _, d := range first {
-		close(d.release)
+		d.Release()
 	}
 	for _, d := range first {
 		select {
@@ -83,7 +98,7 @@ func TestServeDCServesBothProtocols(t *testing.T) {
 	}
 	for _, d := range dcs {
 		if first[d.Label()].release != d.release {
-			close(d.release)
+			d.Release()
 		}
 	}
 	if _, err := pscRound.WaitPSC(); err != nil {
@@ -98,7 +113,7 @@ func TestServeDCServesBothProtocols(t *testing.T) {
 	}
 	for _, d := range dcs {
 		if err := d.outcome(t); err != nil {
-			t.Fatalf("%s DC on host %d: %v", d.Label(), d.host, err)
+			t.Fatalf("%s DC on %s: %v", d.Label(), d.Name, err)
 		}
 	}
 }
@@ -108,22 +123,22 @@ func TestServeDCServesBothProtocols(t *testing.T) {
 // stream's failure, the DCs must never be finished, Served must see the
 // abort, and every goroutine the round started must exit.
 func TestServeDCReleasesFailedRound(t *testing.T) {
-	e, rounds := testFleet(t, 2, 0, 2)
+	e, _ := startFleet(t, nil, 2, 0, 2)
 	baseline := goroutineBaseline()
 	r, err := e.StartPSC(psc.Config{Bins: 64, NoisePerCP: 2, ShuffleProofRounds: 1, NumDCs: 2, NumCPs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcs := collect(t, rounds, 2, r)
+	dcs := collect(t, e, r, 2)
 	r.Abort("operator cancelled")
 	for _, d := range dcs {
 		if err := d.outcome(t); err == nil || !strings.Contains(err.Error(), "operator cancelled") {
-			t.Fatalf("host %d outcome = %v, want the abort reason", d.host, err)
+			t.Fatalf("%s outcome = %v, want the abort reason", d.Name, err)
 		}
 		// Finish ends a DC's observation window: one that still observes
 		// was never finished.
 		if err := d.PSC.Observe("late"); err != nil {
-			t.Fatalf("host %d finished a failed round: %v", d.host, err)
+			t.Fatalf("%s finished a failed round: %v", d.Name, err)
 		}
 	}
 	if _, err := r.WaitPSC(); err == nil {

@@ -8,17 +8,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Party registry: the engine's identity-pinned membership table. The
-// original engine accepted a fixed party set at startup — a daemon that
-// dropped its TCP session could never rejoin, so one flapping data
-// collector wedged a months-long collection. The registry replaces that:
-// every party is keyed by a pinned identity (role + name, bound to a
-// registration token on first contact), a party whose session dies
-// enters the disconnected state, and a reconnecting daemon
-// re-registers under its pinned identity — resuming participation in
-// rounds that have not passed its contribution barrier, while rounds
-// past the barrier degrade down to their MinDCs floor instead of
-// wedging.
+// Party registry: the engine's identity-pinned membership table, as the
+// package documentation's "Party churn" describes it.
 
 // PartyState describes one registered party's liveness.
 type PartyState int
@@ -30,14 +21,6 @@ const (
 	// pinned identity reconnects it.
 	StateDisconnected
 )
-
-// String renders the state for logs and registry dumps.
-func (s PartyState) String() string {
-	if s == StateConnected {
-		return "connected"
-	}
-	return "disconnected"
-}
 
 // member is one registry entry. The identity (role, name, token) is
 // pinned at first registration; the session and generation change on
@@ -184,8 +167,9 @@ func (e *Engine) SetRejoinGrace(d time.Duration) {
 // failed: if the member has a live session (it already rejoined, or only
 // the stream — not the session — died), a fresh round stream is opened
 // on it; otherwise it waits up to the rejoin grace window for the party
-// to re-register. It returns nil when the window closes or the round is
-// cancelled first — the caller then declares the party absent.
+// to re-register. It returns nil once the window closes or the round
+// is cancelled, and opens nothing on a cancelled round; the caller then
+// declares the party absent.
 func (e *Engine) reopenFor(r *Round, m *member) *wire.Stream {
 	e.mu.Lock()
 	grace := e.grace
@@ -199,7 +183,7 @@ func (e *Engine) reopenFor(r *Round, m *member) *wire.Stream {
 		e.mu.Lock()
 		state, sess, gen, ch := m.state, m.sess, m.gen, m.rejoinCh
 		e.mu.Unlock()
-		if state == StateConnected && !tried[gen] {
+		if state == StateConnected && !tried[gen] && r.ctx.Err() == nil {
 			tried[gen] = true
 			if st, err := sess.Open(r.ID, r.Label); err == nil {
 				if r.addStream(st) {
