@@ -49,7 +49,12 @@
 #                      BenchmarkFieldOps prints ns/op for field
 #                      multiplication, squaring, inversion and square
 #                      root on one core, the amd64 kernel beside the
-#                      pure-Go bodies)
+#                      pure-Go bodies; BenchmarkParseLine prints
+#                      allocs/op for one control-port event line on a
+#                      warm parser, which should read 1, the event;
+#                      BenchmarkSourceDrain prints events/s and B/op
+#                      for 20 000 events from a mock relay through
+#                      DialSource, handshake included)
 #   make fuzz-smoke  - every codec fuzz target (frame envelope, mux
 #                      control frames, the engine's hello gate, PSC
 #                      block messages, PSC
@@ -122,6 +127,8 @@ bench-smoke:
 	$(GO) test ./internal/privcount/ -run '^$$' -bench 'BenchmarkFullRound/dcs-16' -benchtime=5x -benchmem
 	$(GO) test ./internal/elgamal/ -run '^$$' -bench 'BenchmarkShuffleBlock' -benchtime=5x -benchmem
 	$(GO) test ./internal/psc/ -run '^$$' -bench 'BenchmarkPSCRound/(verified|tcp)/bins-512' -benchtime=1x -benchmem
+	$(GO) test ./internal/torctl/ -run '^$$' -bench 'BenchmarkParseLine' -benchtime=100000x -benchmem
+	$(GO) test ./internal/torctl/ -run '^$$' -bench 'BenchmarkSourceDrain' -benchtime=5x -benchmem
 	# The 2^16-bin streaming-shuffle round (previously infeasible with
 	# the whole-vector shuffle). The bench itself is -short-aware: run
 	# `go test -short -bench ...` to skip it in quick local loops.

@@ -625,6 +625,7 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 		// blinding; on a two-pass vector the TS spills its own copy of
 		// each verified output block, the column pass's only input.
 		src := &blockSource{feed: feedCopy, tail: noiseCts}
+		defer src.release()
 		var inter *ctSpill
 		if passes > 1 {
 			var err error
@@ -680,7 +681,9 @@ func (t *Tally) mixCP(ctx context.Context, cancel context.CancelCauseFunc, name 
 // tail. One window (pending) holds them: a block is sliced off its
 // front, and the unconsumed rest moves to the front before more
 // arrives, so the window's capacity stays near one block plus one feed
-// chunk instead of growing with every append.
+// chunk instead of growing with every append. The window comes from
+// windowPool and goes back to it on release, so the next round's source
+// starts at the size this one grew to.
 type blockSource struct {
 	feed    <-chan []elgamal.Ciphertext
 	tail    []elgamal.Ciphertext
@@ -723,13 +726,42 @@ func (s *blockSource) next(ctx context.Context, n int) ([]elgamal.Ciphertext, er
 	return s.pending[:n:n], nil
 }
 
+// windowPool recycles blockSource windows across CPs and rounds: a
+// free list of at most eight, about 2.4 MB at full size, enough for
+// the CPs of two rounds at once. Unlike a sync.Pool it is not emptied
+// by a collection or split per P, so a round reliably starts from the
+// window a finished one grew. The ciphertexts a window holds are
+// public (they crossed the wire).
+var windowPool = make(chan []elgamal.Ciphertext, 8)
+
 // push appends cts to the window, growing it to exactly what it needs:
-// append's doubling would overshoot the block-plus-chunk bound.
+// append's doubling would overshoot the block-plus-chunk bound. A
+// pooled window is taken when it is large enough.
 func (s *blockSource) push(cts []elgamal.Ciphertext) {
 	if need := len(s.pending) + len(cts); need > cap(s.pending) {
-		s.pending = append(make([]elgamal.Ciphertext, 0, need), s.pending...)
+		var w []elgamal.Ciphertext
+		select {
+		case w = <-windowPool:
+		default:
+		}
+		if cap(w) < need {
+			w = make([]elgamal.Ciphertext, 0, need)
+		}
+		s.pending = append(w[:0], s.pending...)
 	}
 	s.pending = append(s.pending, cts...)
+}
+
+// release returns the window to windowPool, unless the pool is full.
+// The last block next returned is invalid from here on.
+func (s *blockSource) release() {
+	if cap(s.pending) > 0 {
+		select {
+		case windowPool <- s.pending[:0]:
+		default:
+		}
+	}
+	s.pending, s.taken = nil, 0
 }
 
 // recvBlock receives and verifies one shuffled block (announcement plus

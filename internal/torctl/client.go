@@ -6,10 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -47,126 +48,71 @@ func (cfg *Config) logf(format string, args ...any) {
 	}
 }
 
-// Client is a control-port connection that survives relay and network
-// churn: any read or connect error short of an authentication failure
-// triggers reconnection with exponential backoff, and the SETEVENTS
-// subscription is re-established on every new connection.
-type Client struct {
-	cfg   Config
-	lines chan string
-	stop  chan struct{}
-
-	mu         sync.Mutex
-	err        error
-	conn       net.Conn
-	reconnects int
-	closeOnce  sync.Once
-}
-
-// Dial connects, authenticates, and subscribes; it returns only after
-// the first session is fully established, so configuration errors (bad
-// address, bad credentials) surface immediately. The returned client
-// then delivers event lines on Lines until Close or a terminal error.
-func Dial(cfg Config) (*Client, error) {
-	if cfg.Events == nil {
-		cfg.Events = AllEvents
-	}
-	if cfg.ReconnectMin <= 0 {
-		cfg.ReconnectMin = 250 * time.Millisecond
-	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = 15 * time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	c := &Client{
-		cfg:   cfg,
-		lines: make(chan string, 256),
-		stop:  make(chan struct{}),
-	}
-	conn, br, err := c.connect()
-	if err != nil {
-		return nil, err
-	}
-	go c.run(conn, br)
-	return c, nil
-}
-
-// Lines delivers the payload of each asynchronous 650 event line (the
-// text after "650 "). The channel closes when the client ends; Err
-// tells why (nil after a clean Close or trace end).
-func (c *Client) Lines() <-chan string { return c.lines }
-
-// Err reports the terminal error, nil while running or after Close.
-func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Reconnects reports how many times the client re-established its
+// Reconnects reports how many times the source re-established its
 // session after losing one.
-func (c *Client) Reconnects() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reconnects
+func (s *Source) Reconnects() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.reconnects
 }
 
-// Close ends the client: the current connection drops and Lines closes.
-func (c *Client) Close() {
-	c.closeOnce.Do(func() {
-		close(c.stop)
-		c.mu.Lock()
-		conn := c.conn
-		c.mu.Unlock()
+// Close tears the source down: the current connection drops, and
+// Events closes shortly after, with a nil Err.
+func (s *Source) Close() {
+	s.closeOnce.Do(func() {
+		close(s.stop)
+		s.mu.Lock()
+		conn := s.conn
+		s.mu.Unlock()
 		if conn != nil {
 			conn.Close()
 		}
 	})
 }
 
-func (c *Client) closed() bool {
+func (s *Source) closed() bool {
 	select {
-	case <-c.stop:
+	case <-s.stop:
 		return true
 	default:
 		return false
 	}
 }
 
-// finish latches the terminal error and closes Lines.
-func (c *Client) finish(err error) {
-	c.mu.Lock()
-	if c.err == nil && !c.closed() {
-		c.err = err
+// finish records why the source ended (nil once Close was called) and
+// closes Events.
+func (s *Source) finish(err error) {
+	if s.closed() {
+		err = nil
 	}
-	c.mu.Unlock()
-	close(c.lines)
+	s.mu.Lock()
+	s.err = err
+	s.mu.Unlock()
+	close(s.out)
 }
 
 // run pumps event lines, reconnecting across connection failures.
-func (c *Client) run(conn net.Conn, br *bufio.Reader) {
+func (s *Source) run(conn net.Conn, br *bufio.Reader) {
 	for {
-		err := c.pump(br)
+		err := s.pump(br)
 		conn.Close()
-		if c.closed() {
-			c.finish(nil)
+		if s.closed() {
+			s.finish(nil)
 			return
 		}
-		c.cfg.logf("torctl: connection to %s lost: %v; reconnecting", c.cfg.Addr, err)
-		conn, br, err = c.reconnect()
+		s.cfg.logf("torctl: connection to %s lost: %v; reconnecting", s.cfg.Addr, err)
+		conn, br, err = s.reconnect()
 		if err != nil {
-			c.finish(err)
+			s.finish(err)
 			return
 		}
 	}
 }
 
 // pump reads lines from one established session until it fails,
-// forwarding 650 event payloads. Non-650 lines between events are
-// tolerated and dropped (a relay may volunteer status lines).
-func (c *Client) pump(br *bufio.Reader) error {
+// parsing and sending each 650 event payload (handle). Non-650 lines between
+// events are tolerated and dropped (a relay may volunteer status lines).
+func (s *Source) pump(br *bufio.Reader) error {
 	for {
 		line, err := readLine(br)
 		if err != nil {
@@ -177,10 +123,8 @@ func (c *Client) pump(br *bufio.Reader) error {
 		}
 		switch line[3] {
 		case ' ':
-			select {
-			case c.lines <- line[4:]:
-			case <-c.stop:
-				return ErrClosed
+			if err := s.handle(line[4:]); err != nil {
+				return err
 			}
 		case '+':
 			// An async data-block reply: drain the block so framing
@@ -195,34 +139,34 @@ func (c *Client) pump(br *bufio.Reader) error {
 
 // reconnect retries connect with exponential backoff until it
 // succeeds, the client closes, or the failure budget is spent.
-func (c *Client) reconnect() (net.Conn, *bufio.Reader, error) {
-	delay := c.cfg.ReconnectMin
+func (s *Source) reconnect() (net.Conn, *bufio.Reader, error) {
+	delay := s.cfg.ReconnectMin
 	failures := 0
 	for {
 		select {
 		case <-time.After(delay):
-		case <-c.stop:
+		case <-s.stop:
 			return nil, nil, ErrClosed
 		}
-		conn, br, err := c.connect()
+		conn, br, err := s.connect()
 		if err == nil {
-			c.mu.Lock()
-			c.reconnects++
-			n := c.reconnects
-			c.mu.Unlock()
-			c.cfg.logf("torctl: reconnected to %s (reconnect %d)", c.cfg.Addr, n)
+			s.mu.Lock()
+			s.reconnects++
+			n := s.reconnects
+			s.mu.Unlock()
+			s.cfg.logf("torctl: reconnected to %s (reconnect %d)", s.cfg.Addr, n)
 			return conn, br, nil
 		}
 		if errors.Is(err, ErrAuthFailed) {
 			return nil, nil, err // credentials will not improve with retries
 		}
 		failures++
-		if c.cfg.MaxDialFailures > 0 && failures >= c.cfg.MaxDialFailures {
+		if s.cfg.MaxDialFailures > 0 && failures >= s.cfg.MaxDialFailures {
 			return nil, nil, fmt.Errorf("torctl: giving up after %d failed reconnect attempts: %w", failures, err)
 		}
-		c.cfg.logf("torctl: reconnect to %s failed (%v); next attempt in %v", c.cfg.Addr, err, delay*2)
-		if delay *= 2; delay > c.cfg.ReconnectMax {
-			delay = c.cfg.ReconnectMax
+		s.cfg.logf("torctl: reconnect to %s failed (%v); next attempt in %v", s.cfg.Addr, err, delay*2)
+		if delay *= 2; delay > s.cfg.ReconnectMax {
+			delay = s.cfg.ReconnectMax
 		}
 	}
 }
@@ -230,26 +174,26 @@ func (c *Client) reconnect() (net.Conn, *bufio.Reader, error) {
 // connect dials and runs the synchronous session setup: PROTOCOLINFO,
 // AUTHENTICATE, SETEVENTS. No 650 can arrive before SETEVENTS is
 // acknowledged, so replies are read inline.
-func (c *Client) connect() (net.Conn, *bufio.Reader, error) {
+func (s *Source) connect() (net.Conn, *bufio.Reader, error) {
 	var conn net.Conn
 	var err error
-	if c.cfg.Dialer != nil {
-		conn, err = c.cfg.Dialer()
+	if s.cfg.Dialer != nil {
+		conn, err = s.cfg.Dialer()
 	} else {
-		conn, err = net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+		conn, err = net.DialTimeout("tcp", s.cfg.Addr, s.cfg.DialTimeout)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	c.mu.Lock()
-	c.conn = conn
-	c.mu.Unlock()
-	if c.closed() {
+	s.mu.Lock()
+	s.conn = conn
+	s.mu.Unlock()
+	if s.closed() {
 		conn.Close()
 		return nil, nil, ErrClosed
 	}
 	br := bufio.NewReaderSize(conn, 1<<16)
-	if err := c.handshake(conn, br); err != nil {
+	if err := s.handshake(conn, br); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}
@@ -264,7 +208,7 @@ func request(conn net.Conn, br *bufio.Reader, cmd string) (Reply, error) {
 	return ReadReply(br)
 }
 
-func (c *Client) handshake(conn net.Conn, br *bufio.Reader) error {
+func (s *Source) handshake(conn net.Conn, br *bufio.Reader) error {
 	rep, err := request(conn, br, "PROTOCOLINFO 1")
 	if err != nil {
 		return fmt.Errorf("torctl: PROTOCOLINFO: %w", err)
@@ -274,7 +218,7 @@ func (c *Client) handshake(conn net.Conn, br *bufio.Reader) error {
 	}
 	methods, cookieFile := parseProtocolInfo(rep)
 
-	authCmd, err := c.chooseAuth(conn, br, methods, cookieFile)
+	authCmd, err := s.chooseAuth(conn, br, methods, cookieFile)
 	if err != nil {
 		return err
 	}
@@ -286,7 +230,7 @@ func (c *Client) handshake(conn net.Conn, br *bufio.Reader) error {
 		return fmt.Errorf("%w: %d %s", ErrAuthFailed, rep.Status, rep.Text())
 	}
 
-	rep, err = request(conn, br, "SETEVENTS "+strings.Join(c.cfg.Events, " "))
+	rep, err = request(conn, br, "SETEVENTS "+strings.Join(s.cfg.Events, " "))
 	if err != nil {
 		return fmt.Errorf("torctl: SETEVENTS: %w", err)
 	}
@@ -305,14 +249,15 @@ func parseProtocolInfo(rep Reply) (methods map[string]bool, cookieFile string) {
 		if !ok {
 			continue
 		}
-		kv, _, err := splitFields(rest)
+		kv, err := scanPairs(rest, nil)
 		if err != nil {
 			continue
 		}
-		for _, m := range strings.Split(kv["METHODS"], ",") {
+		list, _ := kv.get("METHODS")
+		for _, m := range strings.Split(list, ",") {
 			methods[m] = true
 		}
-		if f := kv["COOKIEFILE"]; f != "" {
+		if f, _ := kv.get("COOKIEFILE"); f != "" {
 			cookieFile = f
 		}
 	}
@@ -322,11 +267,11 @@ func parseProtocolInfo(rep Reply) (methods map[string]bool, cookieFile string) {
 // chooseAuth picks the strongest workable method and returns the
 // AUTHENTICATE command, running the AUTHCHALLENGE exchange for
 // SAFECOOKIE.
-func (c *Client) chooseAuth(conn net.Conn, br *bufio.Reader, methods map[string]bool, advertisedCookie string) (string, error) {
-	if c.cfg.Password != "" && methods["HASHEDPASSWORD"] {
-		return "AUTHENTICATE " + quoteString(c.cfg.Password), nil
+func (s *Source) chooseAuth(conn net.Conn, br *bufio.Reader, methods map[string]bool, advertisedCookie string) (string, error) {
+	if s.cfg.Password != "" && methods["HASHEDPASSWORD"] {
+		return "AUTHENTICATE " + quoteString(s.cfg.Password), nil
 	}
-	cookiePath := c.cfg.CookiePath
+	cookiePath := s.cfg.CookiePath
 	if cookiePath == "" {
 		cookiePath = advertisedCookie
 	}
@@ -339,20 +284,20 @@ func (c *Client) chooseAuth(conn net.Conn, br *bufio.Reader, methods map[string]
 			return "", fmt.Errorf("torctl: cookie file %s holds %d bytes, want %d", cookiePath, len(cookie), CookieLen)
 		}
 		if methods["SAFECOOKIE"] {
-			return c.safeCookieAuth(conn, br, cookie)
+			return s.safeCookieAuth(conn, br, cookie)
 		}
 		return "AUTHENTICATE " + hex.EncodeToString(cookie), nil
 	}
 	if methods["NULL"] {
 		return "AUTHENTICATE", nil
 	}
-	return "", fmt.Errorf("torctl: no usable auth method (relay offers %v)", keys(methods))
+	return "", fmt.Errorf("torctl: no usable auth method (relay offers %v)", slices.Sorted(maps.Keys(methods)))
 }
 
 // safeCookieAuth runs the AUTHCHALLENGE exchange and returns the final
 // AUTHENTICATE command. It verifies the server hash, so a fake relay
 // that does not know the cookie is rejected before we prove anything.
-func (c *Client) safeCookieAuth(conn net.Conn, br *bufio.Reader, cookie []byte) (string, error) {
+func (s *Source) safeCookieAuth(conn net.Conn, br *bufio.Reader, cookie []byte) (string, error) {
 	clientNonce := make([]byte, 32)
 	if _, err := rand.Read(clientNonce); err != nil {
 		return "", err
@@ -368,12 +313,14 @@ func (c *Client) safeCookieAuth(conn net.Conn, br *bufio.Reader, cookie []byte) 
 	if !ok {
 		return "", fmt.Errorf("torctl: malformed AUTHCHALLENGE reply %q", rep.Text())
 	}
-	kv, _, err := splitFields(rest)
+	kv, err := scanPairs(rest, nil)
 	if err != nil {
 		return "", fmt.Errorf("torctl: malformed AUTHCHALLENGE reply: %v", err)
 	}
-	serverHash, err1 := hex.DecodeString(kv["SERVERHASH"])
-	serverNonce, err2 := hex.DecodeString(kv["SERVERNONCE"])
+	hashHex, _ := kv.get("SERVERHASH")
+	nonceHex, _ := kv.get("SERVERNONCE")
+	serverHash, err1 := hex.DecodeString(hashHex)
+	serverNonce, err2 := hex.DecodeString(nonceHex)
 	if err1 != nil || err2 != nil || len(serverNonce) == 0 {
 		return "", fmt.Errorf("torctl: malformed AUTHCHALLENGE reply %q", rep.Text())
 	}
@@ -382,12 +329,4 @@ func (c *Client) safeCookieAuth(conn net.Conn, br *bufio.Reader, cookie []byte) 
 	}
 	clientHash := SafeCookieClientHash(cookie, clientNonce, serverNonce)
 	return "AUTHENTICATE " + hex.EncodeToString(clientHash), nil
-}
-
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

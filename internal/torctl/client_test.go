@@ -9,6 +9,8 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,7 +129,7 @@ func TestSourcePasswordAndLiveFeed(t *testing.T) {
 	expectSame(t, want, got)
 }
 
-// TestAuthFailures: bad credentials must fail Dial immediately with
+// TestAuthFailures: bad credentials must fail DialSource immediately with
 // ErrAuthFailed — not retry forever.
 func TestAuthFailures(t *testing.T) {
 	cookie, _ := GenerateCookie()
@@ -139,12 +141,12 @@ func TestAuthFailures(t *testing.T) {
 	if err := os.WriteFile(badPath, badCookie, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Dial(Config{Addr: addr, CookiePath: badPath}); !errors.Is(err, ErrAuthFailed) {
+	if _, err := DialSource(Config{Addr: addr, CookiePath: badPath}, LineParser{}); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("bad cookie: err = %v, want ErrAuthFailed", err)
 	}
 
 	_, addrPW := startMock(t, MockConfig{Password: "right"})
-	if _, err := Dial(Config{Addr: addrPW, Password: "wrong"}); !errors.Is(err, ErrAuthFailed) {
+	if _, err := DialSource(Config{Addr: addrPW, Password: "wrong"}, LineParser{}); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("bad password: err = %v, want ErrAuthFailed", err)
 	}
 }
@@ -168,6 +170,112 @@ func TestReconnectSurvivesDrop(t *testing.T) {
 	expectSame(t, want, got)
 	if src.Reconnects() < 1 {
 		t.Errorf("reconnects = %d, want >= 1", src.Reconnects())
+	}
+}
+
+// shortWriteListener hands out connections whose first large Write
+// (an event batch, not a handshake reply) writes only part of its
+// buffer, ending mid-line, and fails.
+type shortWriteListener struct {
+	net.Listener
+	fired atomic.Bool
+}
+
+func (l *shortWriteListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &shortWriteConn{Conn: c, l: l}, nil
+}
+
+type shortWriteConn struct {
+	net.Conn
+	l *shortWriteListener
+}
+
+func (c *shortWriteConn) Write(b []byte) (int, error) {
+	if len(b) < 1000 || !c.l.fired.CompareAndSwap(false, true) {
+		return c.Conn.Write(b)
+	}
+	n, err := c.Conn.Write(b[:len(b)/2+7])
+	if err == nil {
+		err = errors.New("injected short write")
+	}
+	return n, err
+}
+
+// TestShortWriteResumesAtCutLine: the relay's Write of an event batch
+// fails part-way through a line; the relay drops the connection and
+// the client reconnects. Every fed event arrives exactly once, in
+// order, and the relay counts each line once.
+func TestShortWriteResumesAtCutLine(t *testing.T) {
+	m, err := NewMockRelay(MockConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := feedTrace(m, 700)
+	m.End()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := &shortWriteListener{Listener: ln}
+	go m.Serve(sl)
+	t.Cleanup(func() { ln.Close(); m.Close() })
+
+	src, err := DialSource(Config{Addr: ln.Addr().String(), ReconnectMin: 20 * time.Millisecond, Logf: t.Logf},
+		LineParser{Time: *newEpochTimeMap(time.Unix(defaultEpochUnixNano/1e9, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	got := drain(t, src)
+	if !sl.fired.Load() {
+		t.Fatal("no batch write was cut short")
+	}
+	expectSame(t, want, got)
+	if src.Reconnects() < 1 {
+		t.Errorf("reconnects = %d, want >= 1", src.Reconnects())
+	}
+	if _, skipped := src.Stats(); skipped != 0 {
+		t.Errorf("%d lines skipped: the cut line reached the parser", skipped)
+	}
+	if n := m.Delivered(); n != len(want) {
+		t.Errorf("relay counted %d delivered lines, want %d", n, len(want))
+	}
+}
+
+// TestDropAfterCutsTheBatch: the churn drill drops the connection
+// after exactly DropAfter event lines, though the whole trace was
+// available for the first batch.
+func TestDropAfterCutsTheBatch(t *testing.T) {
+	m, addr := startMock(t, MockConfig{DropAfter: 30})
+	feedTrace(m, 100)
+	m.End()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for _, cmd := range []string{"AUTHENTICATE", "SETEVENTS " + EventConnectionEnded} {
+		if rep, err := request(conn, br, cmd); err != nil || !rep.IsOK() {
+			t.Fatalf("%s: %v %+v", cmd, err, rep)
+		}
+	}
+	lines := 0
+	for {
+		line, err := readLine(br)
+		if err != nil {
+			break
+		}
+		if strings.HasPrefix(line, "650 "+EventConnectionEnded) {
+			lines++
+		}
+	}
+	if lines != 30 {
+		t.Fatalf("the drill dropped the connection after %d event lines, want 30", lines)
 	}
 }
 

@@ -6,20 +6,25 @@
 //
 // The package has three layers:
 //
-//   - A control-protocol client (Client): PROTOCOLINFO, COOKIE /
-//     SAFECOOKIE / password AUTHENTICATE, SETEVENTS, 650 async-reply
-//     parsing, and automatic reconnect with exponential backoff, so a
-//     months-long collection survives relay restarts and network churn.
+//   - A control-protocol client (Client, driven by DialSource):
+//     PROTOCOLINFO, COOKIE / SAFECOOKIE / password AUTHENTICATE,
+//     SETEVENTS, 650 async-reply parsing, and automatic reconnect with
+//     exponential backoff, so a months-long collection survives relay
+//     restarts and network churn. One goroutine per connection reads
+//     the socket, parses each event line, and sends the event on
+//     Source.Events, the only hand-off to the consumer.
 //   - Line parsers (LineParser, FormatEvent) mapping PRIVCOUNT_* event
 //     lines onto the internal/event vocabulary: wall-clock timestamps
 //     map onto simtime via a TimeMap, enum fields are normalized, and
 //     unknown keys are tolerated so a newer Tor patch does not break an
-//     older collector.
+//     older collector. A LineParser reuses its field scratch, so it
+//     serves one goroutine at a time.
 //   - A mock instrumented relay (MockRelay): a control-port server that
 //     authenticates controllers and replays torsim-generated traces as
-//     PRIVCOUNT_* lines. It doubles as the test double for the client
-//     and, via cmd/mockrelay, as a standalone stand-in relay for
-//     deployment rehearsals.
+//     PRIVCOUNT_* lines, in batches of up to 256 events or 64 KiB per
+//     Write. It doubles as the test double for the client and, via
+//     cmd/mockrelay, as a standalone stand-in relay for deployment
+//     rehearsals.
 //
 // The event-line dialect is keyword=value, mirroring Tor's own async
 // events (e.g. "650 CIRC ... BUILD_FLAGS=..."):
@@ -40,7 +45,9 @@
 //     crash-freedom on arbitrary lines and replies.
 //   - MockRelay replays from a global trace cursor: a reconnecting
 //     collector resumes where the feed left off rather than replaying
-//     from the start, matching a real relay's live event stream.
+//     from the start, matching a real relay's live event stream. The
+//     cursor passes a line only once it is written whole, and a batch
+//     never waits to fill. The parser keeps no line text past Parse.
 //   - Client reconnection re-authenticates and re-issues SETEVENTS;
 //     ErrAuthFailed is terminal (bad credentials cannot be retried
 //     into working).

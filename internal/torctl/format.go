@@ -2,6 +2,7 @@ package torctl
 
 import (
 	"fmt"
+	"net/netip"
 	"strconv"
 
 	"repro/internal/event"
@@ -14,77 +15,112 @@ import (
 // instrumented Tor would. FormatEvent and LineParser.Parse (with the
 // matching epoch) are exact inverses; the golden tests pin this.
 func FormatEvent(ev event.Event, epochUnixNano int64) (string, error) {
-	b := make([]byte, 0, 192)
+	var buf [256]byte
+	b, err := appendEvent(buf[:0], ev, epochUnixNano)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// appendEvent appends FormatEvent's payload for ev to dst. On error dst
+// comes back unchanged.
+func appendEvent(dst []byte, ev event.Event, epochUnixNano int64) ([]byte, error) {
+	keyword := eventKeyword(ev)
+	if keyword == "" {
+		return dst, fmt.Errorf("torctl: no line format for event type %v", ev.EventType())
+	}
 	wall := epochUnixNano + int64(ev.Time())
 	if wall < 0 {
-		return "", fmt.Errorf("torctl: event time %v predates the Unix epoch", ev.Time())
+		return dst, fmt.Errorf("torctl: event time %v predates the Unix epoch", ev.Time())
 	}
-	header := func(keyword string) {
-		b = append(b, keyword...)
-		b = appendKV(b, "Time", formatWall(wall))
-		b = appendKV(b, "Relay", strconv.FormatUint(uint64(ev.Observer()), 10))
-	}
-	u := func(key string, v uint64) { b = appendKV(b, key, strconv.FormatUint(v, 10)) }
+	b := append(dst, keyword...)
+	b = appendWall(append(b, " Time="...), wall)
+	b = appendUint(b, "Relay", uint64(ev.Observer()))
 
 	switch e := ev.(type) {
 	case *event.StreamEnd:
-		header(EventStreamEnded)
-		u("CircID", e.CircuitID)
+		b = appendUint(b, "CircID", e.CircuitID)
 		flag := "0"
 		if e.IsInitial {
 			flag = "1"
 		}
 		b = appendKV(b, "IsInitial", flag)
 		b = appendKV(b, "Target", e.Target.String())
-		u("Port", uint64(e.Port))
+		b = appendUint(b, "Port", uint64(e.Port))
 		b = appendKV(b, "Host", e.Hostname)
-		u("SentBytes", e.BytesSent)
-		u("RecvBytes", e.BytesRecv)
+		b = appendUint(b, "SentBytes", e.BytesSent)
+		b = appendUint(b, "RecvBytes", e.BytesRecv)
 	case *event.CircuitEnd:
-		header(EventCircuitEnded)
-		u("CircID", e.CircuitID)
+		b = appendUint(b, "CircID", e.CircuitID)
 		kind := kindDataStr
 		if e.Kind == event.CircuitDirectory {
 			kind = kindDirectoryStr
 		}
 		b = appendKV(b, "Kind", kind)
-		if e.ClientIP.IsValid() {
-			b = appendKV(b, "ClientIP", e.ClientIP.String())
-		}
+		b = appendAddr(b, "ClientIP", e.ClientIP)
 		b = appendKV(b, "Country", e.Country)
-		u("ASN", uint64(e.ASN))
-		u("NumStreams", uint64(e.NumStreams))
-		u("SentBytes", e.BytesSent)
-		u("RecvBytes", e.BytesRecv)
+		b = appendUint(b, "ASN", uint64(e.ASN))
+		b = appendUint(b, "NumStreams", uint64(e.NumStreams))
+		b = appendUint(b, "SentBytes", e.BytesSent)
+		b = appendUint(b, "RecvBytes", e.BytesRecv)
 	case *event.ConnectionEnd:
-		header(EventConnectionEnded)
-		if e.ClientIP.IsValid() {
-			b = appendKV(b, "ClientIP", e.ClientIP.String())
-		}
+		b = appendAddr(b, "ClientIP", e.ClientIP)
 		b = appendKV(b, "Country", e.Country)
-		u("ASN", uint64(e.ASN))
-		u("NumCircuits", uint64(e.NumCircuits))
-		u("SentBytes", e.BytesSent)
-		u("RecvBytes", e.BytesRecv)
+		b = appendUint(b, "ASN", uint64(e.ASN))
+		b = appendUint(b, "NumCircuits", uint64(e.NumCircuits))
+		b = appendUint(b, "SentBytes", e.BytesSent)
+		b = appendUint(b, "RecvBytes", e.BytesRecv)
 	case *event.DescPublished:
-		header(EventHSDirStored)
 		b = appendKV(b, "Address", e.Address)
-		u("Version", uint64(e.Version))
-		u("Replica", uint64(e.Replica))
+		b = appendUint(b, "Version", uint64(e.Version))
+		b = appendUint(b, "Replica", uint64(e.Replica))
 	case *event.DescFetched:
-		header(EventHSDirFetched)
 		b = appendKV(b, "Address", e.Address)
-		u("Version", uint64(e.Version))
+		b = appendUint(b, "Version", uint64(e.Version))
 		b = appendKV(b, "Outcome", e.Outcome.String())
 	case *event.RendezvousEnd:
-		header(EventRendEnded)
-		u("CircID", e.CircuitID)
-		u("Version", uint64(e.Version))
+		b = appendUint(b, "CircID", e.CircuitID)
+		b = appendUint(b, "Version", uint64(e.Version))
 		b = appendKV(b, "Outcome", e.Outcome.String())
-		u("PayloadCells", e.PayloadCells)
-		u("PayloadBytes", e.PayloadBytes)
-	default:
-		return "", fmt.Errorf("torctl: no line format for event type %v", ev.EventType())
+		b = appendUint(b, "PayloadCells", e.PayloadCells)
+		b = appendUint(b, "PayloadBytes", e.PayloadBytes)
 	}
-	return string(b), nil
+	return b, nil
+}
+
+// eventKeyword maps an event to its SETEVENTS keyword.
+func eventKeyword(ev event.Event) string {
+	switch ev.(type) {
+	case *event.StreamEnd:
+		return EventStreamEnded
+	case *event.CircuitEnd:
+		return EventCircuitEnded
+	case *event.ConnectionEnd:
+		return EventConnectionEnded
+	case *event.DescPublished:
+		return EventHSDirStored
+	case *event.DescFetched:
+		return EventHSDirFetched
+	case *event.RendezvousEnd:
+		return EventRendEnded
+	}
+	return ""
+}
+
+// appendUint appends ` Key=decimal`.
+func appendUint(b []byte, key string, v uint64) []byte {
+	b = append(append(append(b, ' '), key...), '=')
+	return strconv.AppendUint(b, v, 10)
+}
+
+// appendAddr appends ` Key=address`, nothing for the zero Addr. Only a
+// zone can hold characters that need quoting.
+func appendAddr(b []byte, key string, a netip.Addr) []byte {
+	if a.Zone() != "" {
+		return appendKV(b, key, a.String())
+	} else if a.IsValid() {
+		b = a.AppendTo(append(append(append(b, ' '), key...), '='))
+	}
+	return b
 }

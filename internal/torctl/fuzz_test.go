@@ -10,10 +10,23 @@ import (
 	"repro/internal/event"
 )
 
+// readKeys lists, per keyword, the keys Parse reads besides the
+// header's Time and Relay.
+var readKeys = map[string][]string{
+	EventStreamEnded:     {"CircID", "IsInitial", "Target", "Port", "Host", "SentBytes", "RecvBytes"},
+	EventCircuitEnded:    {"CircID", "Kind", "ClientIP", "Country", "ASN", "NumStreams", "SentBytes", "RecvBytes"},
+	EventConnectionEnded: {"ClientIP", "Country", "ASN", "NumCircuits", "SentBytes", "RecvBytes"},
+	EventHSDirStored:     {"Address", "Version", "Replica"},
+	EventHSDirFetched:    {"Address", "Version", "Outcome"},
+	EventRendEnded:       {"CircID", "Version", "Outcome", "PayloadCells", "PayloadBytes"},
+}
+
 // FuzzParseEventLine throws malformed lines, truncated fields, stray
 // quotes, and binary garbage at the parser. Properties: never panic;
-// and when a line parses, Format∘Parse must be idempotent — the
-// canonical form round-trips to the same event.
+// when a line parses, every key its event reads has the value the
+// map-based reference tokenizer (splitFields) gives it; and
+// Format∘Parse must be idempotent — the canonical form round-trips to
+// the same event.
 func FuzzParseEventLine(f *testing.F) {
 	for _, ev := range sampleEvents() {
 		line, err := FormatEvent(ev, defaultEpochUnixNano)
@@ -41,6 +54,25 @@ func FuzzParseEventLine(f *testing.F) {
 		}
 		if ev == nil {
 			t.Fatalf("Parse(%q) returned nil event and nil error", line)
+		}
+		body := line
+		if len(body) >= 4 && body[:3] == "650" && strings.IndexByte(" -+", body[3]) >= 0 {
+			body = body[4:]
+		}
+		keyword, rest, _ := strings.Cut(body, " ")
+		kv, _, err := splitFields(rest)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted fields the reference tokenizer refuses: %v", line, err)
+		}
+		ps, err := scanPairs(rest, nil)
+		if err != nil {
+			t.Fatalf("Parse(%q) succeeded but scanPairs fails: %v", line, err)
+		}
+		for _, k := range append([]string{"Time", "Relay"}, readKeys[keyword]...) {
+			want, wok := kv[k]
+			if got, ok := ps.get(k); got != want || ok != wok {
+				t.Fatalf("line %q key %s: scanner gives %q (present %v), reference %q (present %v)", line, k, got, ok, want, wok)
+			}
 		}
 		canon, err := FormatEvent(ev, defaultEpochUnixNano)
 		if err != nil {

@@ -21,9 +21,13 @@ import (
 //
 // The trace is held in memory with a single replay cursor: a
 // controller that reconnects resumes where the previous connection
-// stopped, so a mid-feed disconnect loses at most the line in flight.
-// That mirrors the single-controller relationship of a real DC to its
-// relay; concurrent controllers would share the cursor.
+// stopped. Lines go out in batches of whatever the trace holds, up to
+// 256 events or 64 KiB, one Write each, and the cursor passes a line
+// only once it is written whole: a batch cut short by a failed Write
+// resumes at its first partial line, so a disconnect loses at most
+// what the socket accepted and the controller never read. That mirrors
+// the single-controller relationship of a real DC to its relay;
+// concurrent controllers would share the cursor.
 type MockRelay struct {
 	cfg MockConfig
 
@@ -388,37 +392,22 @@ func (c *mockConn) authenticate(rest string) bool {
 	return c.reply("250 OK")
 }
 
-// wants reports whether the controller subscribed to the keyword.
-func (c *mockConn) wants(keyword string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.subscribed[keyword]
-}
-
-// eventKeyword maps an event to its SETEVENTS keyword.
-func eventKeyword(ev event.Event) string {
-	switch ev.(type) {
-	case *event.StreamEnd:
-		return EventStreamEnded
-	case *event.CircuitEnd:
-		return EventCircuitEnded
-	case *event.ConnectionEnd:
-		return EventConnectionEnded
-	case *event.DescPublished:
-		return EventHSDirStored
-	case *event.DescFetched:
-		return EventHSDirFetched
-	case *event.RendezvousEnd:
-		return EventRendEnded
-	}
-	return ""
-}
+// A stream batch holds at most this many events or, past the event
+// that crosses it, this many bytes.
+const (
+	batchEvents = 256
+	batchBytes  = 64 << 10
+)
 
 // stream replays the trace from the shared cursor to this controller.
 // It exits when the connection dies, the relay closes, or the trace
 // completes (leaving the connection open for the controller to QUIT).
+// Each pass takes every event available, up to one batch, and writes
+// their lines with one Write: an event fed alone goes out at once.
 func (c *mockConn) stream() {
 	m := c.m
+	var buf []byte
+	var ends []int // ends[i]: len(buf) once the batch's event i is in
 	for {
 		m.mu.Lock()
 		for {
@@ -447,37 +436,63 @@ func (c *mockConn) stream() {
 			}
 			m.cond.Wait()
 		}
-		ev := m.trace[m.pos]
+		// Feed only appends, so the events taken here stay put after
+		// the lock is released.
+		batch := m.trace[m.pos:min(len(m.trace), m.pos+batchEvents)]
+		budget := len(batch) // lines before the churn drill's drop
+		if m.cfg.DropAfter > 0 && !m.dropped {
+			budget = m.cfg.DropAfter - m.written
+		}
 		m.mu.Unlock()
+		c.mu.Lock()
+		subs := c.subscribed // SETEVENTS replaces the map, never edits it
+		c.mu.Unlock()
 
-		keyword := eventKeyword(ev)
-		delivered := false
-		if keyword != "" && c.wants(keyword) {
-			payload, err := FormatEvent(ev, m.cfg.EpochUnixNano)
-			if err == nil {
-				c.wmu.Lock()
-				_, werr := c.conn.Write([]byte("650 " + payload + "\r\n"))
-				c.wmu.Unlock()
-				if werr != nil {
-					return // cursor not advanced; a reconnect resumes here
-				}
-				delivered = true
+		buf, ends = buf[:0], ends[:0]
+		lines := 0
+		for _, ev := range batch {
+			if lines == budget || len(buf) >= batchBytes {
+				break
 			}
+			if subs[eventKeyword(ev)] {
+				if b, err := appendEvent(append(buf, "650 "...), ev, m.cfg.EpochUnixNano); err == nil {
+					buf = append(b, '\r', '\n')
+					lines++
+				}
+			}
+			ends = append(ends, len(buf))
+		}
+		n, werr := len(buf), error(nil)
+		if n > 0 {
+			c.wmu.Lock()
+			n, werr = c.conn.Write(buf)
+			c.wmu.Unlock()
 		}
 
-		m.mu.Lock()
-		m.pos++
-		drop := false
-		if delivered {
-			m.written++
-			if m.cfg.DropAfter > 0 && !m.dropped && m.written >= m.cfg.DropAfter {
-				m.dropped = true
-				drop = true
+		// The cursor passes only the events whose lines were written
+		// whole; a reconnect resumes at the first line cut short.
+		taken, delivered, prev := 0, 0, 0
+		for _, end := range ends {
+			if end > n {
+				break
 			}
+			if end > prev {
+				delivered++
+			}
+			taken, prev = taken+1, end
+		}
+		m.mu.Lock()
+		m.pos += taken
+		m.written += delivered
+		drop := m.cfg.DropAfter > 0 && !m.dropped && m.written >= m.cfg.DropAfter
+		if drop {
+			m.dropped = true
 		}
 		m.mu.Unlock()
 		if drop {
 			m.logf("mockrelay: dropping controller connection after %d event lines (churn drill)", m.cfg.DropAfter)
+		}
+		if drop || werr != nil {
 			c.conn.Close()
 			return
 		}

@@ -35,12 +35,18 @@ func (m *TimeMap) Map(wallUnixNano int64) simtime.Time {
 	return simtime.Time(wallUnixNano - m.epoch)
 }
 
-// formatWall renders a Unix-nanosecond wall timestamp as the
+// appendWall appends a Unix-nanosecond wall timestamp as the
 // "seconds.nanoseconds" decimal the event lines carry. Integer
 // arithmetic keeps the round trip exact; float64 cannot represent
 // nanoseconds at 2018-scale epochs.
-func formatWall(unixNano int64) string {
-	return fmt.Sprintf("%d.%09d", unixNano/1e9, unixNano%1e9)
+func appendWall(dst []byte, unixNano int64) []byte {
+	dst = strconv.AppendInt(dst, unixNano/1e9, 10)
+	dst = append(dst, '.')
+	frac := unixNano % 1e9
+	for div := int64(1e8); div > frac && div > 1; div /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, frac, 10)
 }
 
 // parseWall parses "seconds[.fraction]" into Unix nanoseconds. The
@@ -82,7 +88,9 @@ const (
 // LineParser maps PRIVCOUNT_* event lines onto internal/event values.
 // It normalizes fields (enum spellings, quoted strings, wall-clock
 // times) and tolerates unknown keys, so an instrumented relay that
-// grows new fields keeps feeding an older collector.
+// grows new fields keeps feeding an older collector. A LineParser
+// reuses its field scratch from line to line, so it serves one
+// goroutine at a time, as its TimeMap already does.
 type LineParser struct {
 	// Time maps wall-clock stamps to simtime; the zero value anchors at
 	// the first event.
@@ -91,13 +99,15 @@ type LineParser struct {
 	// Relay= field — a real control port serves exactly one relay, so
 	// the collector knows who it is talking to.
 	DefaultRelay event.RelayID
+
+	pairs pairs // the current line's fields; cleared when Parse returns
 }
 
-// fields wraps the key=value map with typed, error-latching accessors:
+// fields wraps a line's pairs with typed, error-latching accessors:
 // missing keys yield zero values (field normalization), malformed
 // values latch the first error.
 type fields struct {
-	kv  map[string]string
+	kv  pairs
 	err error
 }
 
@@ -107,10 +117,13 @@ func (f *fields) fail(key, val string, why error) {
 	}
 }
 
-func (f *fields) str(key string) string { return f.kv[key] }
+func (f *fields) str(key string) string {
+	v, _ := f.kv.get(key)
+	return v
+}
 
 func (f *fields) uint(key string, bits int) uint64 {
-	v, ok := f.kv[key]
+	v, ok := f.kv.get(key)
 	if !ok {
 		return 0
 	}
@@ -122,7 +135,7 @@ func (f *fields) uint(key string, bits int) uint64 {
 }
 
 func (f *fields) flag(key string) bool {
-	v, ok := f.kv[key]
+	v, ok := f.kv.get(key)
 	if !ok {
 		return false
 	}
@@ -137,7 +150,7 @@ func (f *fields) flag(key string) bool {
 }
 
 func (f *fields) addr(key string) netip.Addr {
-	v, ok := f.kv[key]
+	v, ok := f.kv.get(key)
 	if !ok || v == "" {
 		return netip.Addr{}
 	}
@@ -150,7 +163,7 @@ func (f *fields) addr(key string) netip.Addr {
 }
 
 func (f *fields) enum(key string, vals map[string]uint8) uint8 {
-	v, ok := f.kv[key]
+	v, ok := f.kv.get(key)
 	if !ok {
 		return 0
 	}
@@ -188,7 +201,16 @@ var (
 // events return ErrNotPrivCount; the mock relay's trace-end marker
 // returns ErrTraceDone; unknown PRIVCOUNT_* keywords and malformed
 // known fields return descriptive errors. Unknown keys are ignored.
+// String fields of the event may share the line's memory; the parser
+// itself keeps nothing of the line once Parse returns.
 func (p *LineParser) Parse(line string) (event.Event, error) {
+	ev, err := p.parse(line)
+	clear(p.pairs)
+	p.pairs = p.pairs[:0]
+	return ev, err
+}
+
+func (p *LineParser) parse(line string) (event.Event, error) {
 	if len(line) >= 4 && line[:3] == "650" && (line[3] == ' ' || line[3] == '-' || line[3] == '+') {
 		line = line[4:]
 	}
@@ -199,23 +221,24 @@ func (p *LineParser) Parse(line string) (event.Event, error) {
 	if keyword == EventDone {
 		return nil, ErrTraceDone
 	}
-	kv, _, err := splitFields(rest)
+	kv, err := scanPairs(rest, p.pairs[:0])
+	p.pairs = kv
 	if err != nil {
 		return nil, err
 	}
-	f := &fields{kv: kv}
+	f := fields{kv: kv}
 
 	// Header: wall-clock time and observing relay, with defaults.
 	var hdr event.Header
 	hdr.Relay = p.DefaultRelay
-	if v, ok := kv["Relay"]; ok {
+	if v, ok := kv.get("Relay"); ok {
 		n, err := strconv.ParseUint(v, 10, 16)
 		if err != nil {
 			return nil, fmt.Errorf("torctl: field Relay=%q: not a relay id", v)
 		}
 		hdr.Relay = event.RelayID(n)
 	}
-	if v, ok := kv["Time"]; ok {
+	if v, ok := kv.get("Time"); ok {
 		wall, err := parseWall(v)
 		if err != nil {
 			return nil, err

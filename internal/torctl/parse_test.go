@@ -3,6 +3,7 @@ package torctl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -170,31 +171,102 @@ func TestParseWall(t *testing.T) {
 			t.Errorf("parseWall(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
-	// formatWall∘parseWall is the identity on nanosecond timestamps.
-	for _, ns := range []int64{0, 1, 999999999, 1514764800 * int64(1e9), 1514764800*int64(1e9) + 123456789} {
-		rt, err := parseWall(formatWall(ns))
+	// parseWall∘appendWall is the identity on nanosecond timestamps,
+	// and the fraction always carries nine digits.
+	for _, ns := range []int64{0, 1, 10, 99, 100000000, 999999999, 1514764800 * int64(1e9), 1514764800*int64(1e9) + 123456789} {
+		s := string(appendWall(nil, ns))
+		if want := fmt.Sprintf("%d.%09d", ns/1e9, ns%1e9); s != want {
+			t.Errorf("appendWall(%d) = %q, want %q", ns, s, want)
+		}
+		rt, err := parseWall(s)
 		if err != nil || rt != ns {
-			t.Errorf("round trip %d -> %q -> %d (%v)", ns, formatWall(ns), rt, err)
+			t.Errorf("round trip %d -> %q -> %d (%v)", ns, s, rt, err)
 		}
 	}
 }
 
+// splitFields is the map-based tokenizer scanPairs replaced, kept as
+// the reference the tests and FuzzParseEventLine hold scanPairs to.
+// Later duplicates of a key win; tokens without '=' are returned in
+// bare.
+func splitFields(s string) (kv map[string]string, bare []string, err error) {
+	kv = make(map[string]string, 8)
+	i := 0
+	for i < len(s) {
+		for i < len(s) && s[i] == ' ' {
+			i++
+		}
+		if i >= len(s) {
+			break
+		}
+		start := i
+		for i < len(s) && s[i] != '=' && s[i] != ' ' {
+			i++
+		}
+		if i >= len(s) || s[i] != '=' {
+			bare = append(bare, s[start:i])
+			continue
+		}
+		key := s[start:i]
+		i++ // '='
+		if key == "" {
+			return nil, nil, fmt.Errorf("torctl: empty key in fields %q", s)
+		}
+		if i < len(s) && s[i] == '"' {
+			val, rest, err := unquote(s[i:])
+			if err != nil {
+				return nil, nil, err
+			}
+			kv[key] = val
+			i = len(s) - len(rest)
+			if len(rest) > 0 && rest[0] != ' ' {
+				return nil, nil, fmt.Errorf("torctl: garbage after quoted value of %s", key)
+			}
+		} else {
+			vstart := i
+			for i < len(s) && s[i] != ' ' {
+				i++
+			}
+			kv[key] = s[vstart:i]
+		}
+	}
+	return kv, bare, nil
+}
+
+// TestSplitFields holds scanPairs and the reference tokenizer to the
+// same cases: quoted and escaped values, empty values, a bare word
+// (reported by the reference, skipped by scanPairs), a repeated key
+// (the last wins) and an unterminated quote (refused by both).
 func TestSplitFields(t *testing.T) {
-	kv, bare, err := splitFields(`A=1  B="two words" C= D=x\y BARE E="q\"uo\\te"`)
+	line := `A=1  B="two words" C= D=x\y BARE E="q\"uo\\te" F=first F=last`
+	kv, bare, err := splitFields(line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{"A": "1", "B": "two words", "C": "", "D": `x\y`, "E": `q"uo\te`}
+	ps, err := scanPairs(line, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"A": "1", "B": "two words", "C": "", "D": `x\y`, "E": `q"uo\te`, "F": "last"}
 	for k, v := range want {
 		if kv[k] != v {
 			t.Errorf("kv[%s] = %q, want %q", k, kv[k], v)
+		}
+		if got, ok := ps.get(k); !ok || got != v {
+			t.Errorf("scanPairs %s = %q (present %v), want %q", k, got, ok, v)
 		}
 	}
 	if len(bare) != 1 || bare[0] != "BARE" {
 		t.Errorf("bare = %v", bare)
 	}
+	if _, ok := ps.get("BARE"); ok || len(ps) != 7 {
+		t.Errorf("scanPairs kept the bare word or lost a pair: %q", ps)
+	}
 	if _, _, err := splitFields(`A="unterminated`); err == nil {
 		t.Error("unterminated quote accepted")
+	}
+	if _, err := scanPairs(`A="unterminated`, nil); err == nil {
+		t.Error("scanPairs accepted an unterminated quote")
 	}
 }
 
@@ -207,6 +279,64 @@ func TestQuoteString(t *testing.T) {
 		val, rest, err := unquote(q)
 		if err != nil || rest != "" || val != s {
 			t.Errorf("unquote(quote(%q)) = %q, %q, %v", s, val, rest, err)
+		}
+	}
+}
+
+// TestParseLineAllocs: a warm parser turns a CONNECTION_ENDED or a
+// STREAM_ENDED line into its event with at most one allocation for
+// the event and one per string field (Country, Host), whatever the
+// line's field count: no map, no per-field copies.
+func TestParseLineAllocs(t *testing.T) {
+	evs := []event.Event{
+		&event.ConnectionEnd{
+			Header: event.Header{At: simtime.Second, Relay: 7}, ClientIP: netip.MustParseAddr("10.0.1.2"),
+			Country: "de", ASN: 3320, NumCircuits: 2, BytesSent: 100, BytesRecv: 200,
+		},
+		&event.StreamEnd{
+			Header: event.Header{At: simtime.Second, Relay: 7}, CircuitID: 9, IsInitial: true,
+			Target: event.TargetHostname, Port: 443, Hostname: "www.example.com", BytesSent: 1, BytesRecv: 2,
+		},
+	}
+	for _, ev := range evs {
+		line, err := FormatEvent(ev, defaultEpochUnixNano)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &LineParser{}
+		if _, err := p.Parse(line); err != nil { // warm the pair slice
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := p.Parse(line); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%T: %.1f allocations per parsed line, want at most 2 (the event and its string field)", ev, allocs)
+		}
+	}
+}
+
+// TestParserKeepsNoLineText: once Parse returns, the parser's pair
+// scratch holds no text of the line — no client address outlives the
+// call in the parser — whether the line parsed or failed part-way.
+func TestParserKeepsNoLineText(t *testing.T) {
+	p := &LineParser{}
+	lines := []string{
+		"650 " + EventConnectionEnded + " Time=1.5 ClientIP=10.9.8.7 Country=de ASN=1 NumCircuits=2",
+		EventCircuitEnded + " ClientIP=10.9.8.7 Country=de Kind=bogus",
+		EventConnectionEnded + ` ClientIP=10.9.8.7 Country="unterminated`,
+	}
+	for _, line := range lines {
+		p.Parse(line)
+		if cap(p.pairs) == 0 {
+			t.Fatalf("%q: the parser kept no pair scratch", line)
+		}
+		for i, kv := range p.pairs[:cap(p.pairs)] {
+			if kv != (pair{}) {
+				t.Fatalf("after %q pair %d still holds %q=%q", line, i, kv.key, kv.val)
+			}
 		}
 	}
 }

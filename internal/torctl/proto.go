@@ -43,28 +43,32 @@ func (r Reply) IsOK() bool { return r.Status >= 200 && r.Status < 300 }
 // readLine reads one CRLF- (or, tolerantly, LF-) terminated line. The
 // length cap is enforced while reading — a peer streaming an endless
 // unterminated line errors out at ~maxLineLen instead of growing an
-// unbounded buffer. The terminator is stripped.
+// unbounded buffer. The terminator is stripped. A line that fits the
+// reader's buffer is copied once, into the returned string.
 func readLine(br *bufio.Reader) (string, error) {
-	var buf []byte
-	for {
-		chunk, err := br.ReadSlice('\n')
-		buf = append(buf, chunk...)
-		if err == nil {
-			break
-		}
-		if err == bufio.ErrBufferFull {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		buf := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull {
 			if len(buf) > maxLineLen {
 				return "", fmt.Errorf("torctl: control line exceeds %d bytes", maxLineLen)
 			}
-			continue
+			line, err = br.ReadSlice('\n')
+			buf = append(buf, line...)
 		}
+		line = buf
+	}
+	if err != nil {
 		return "", err
 	}
-	if len(buf) > maxLineLen {
+	if len(line) > maxLineLen {
 		return "", fmt.Errorf("torctl: control line exceeds %d bytes", maxLineLen)
 	}
-	line := strings.TrimSuffix(string(buf), "\n")
-	return strings.TrimSuffix(line, "\r"), nil
+	line = line[:len(line)-1]
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return string(line), nil
 }
 
 // ReadReply reads one complete (possibly multi-line) reply. Truncated
@@ -180,11 +184,29 @@ func quoteString(s string) string {
 	return string(b[3:])
 }
 
-// splitFields tokenizes the tail of an event line into Key=Value pairs,
-// honoring QuotedString values. Later duplicates of a key win, matching
-// control-spec practice. Tokens without '=' are returned in bare.
-func splitFields(s string) (kv map[string]string, bare []string, err error) {
-	kv = make(map[string]string, 8)
+// pair is one Key=Value field of a line.
+type pair struct{ key, val string }
+
+// pairs is a tokenized field list, in line order.
+type pairs []pair
+
+// get returns the value of key. The last occurrence wins, matching
+// control-spec practice for duplicated keys.
+func (ps pairs) get(key string) (string, bool) {
+	for i := len(ps) - 1; i >= 0; i-- {
+		if ps[i].key == key {
+			return ps[i].val, true
+		}
+	}
+	return "", false
+}
+
+// scanPairs tokenizes the tail of an event or reply line into
+// Key=Value pairs appended to dst, honoring QuotedString values.
+// Tokens without '=' are skipped. Keys and unquoted values are
+// substrings of s. On error the pairs scanned so far are returned too,
+// so a caller that reuses dst can clear them.
+func scanPairs(s string, dst pairs) (pairs, error) {
 	i := 0
 	for i < len(s) {
 		for i < len(s) && s[i] == ' ' {
@@ -193,40 +215,37 @@ func splitFields(s string) (kv map[string]string, bare []string, err error) {
 		if i >= len(s) {
 			break
 		}
-		// key
 		start := i
 		for i < len(s) && s[i] != '=' && s[i] != ' ' {
 			i++
 		}
 		if i >= len(s) || s[i] != '=' {
-			bare = append(bare, s[start:i])
-			continue
+			continue // a bare word
 		}
 		key := s[start:i]
 		i++ // '='
 		if key == "" {
-			return nil, nil, fmt.Errorf("torctl: empty key in fields %q", s)
+			return dst, fmt.Errorf("torctl: empty key in fields %q", s)
 		}
-		// value
 		if i < len(s) && s[i] == '"' {
 			val, rest, err := unquote(s[i:])
 			if err != nil {
-				return nil, nil, err
+				return dst, err
 			}
-			kv[key] = val
+			dst = append(dst, pair{key, val})
 			i = len(s) - len(rest)
 			if len(rest) > 0 && rest[0] != ' ' {
-				return nil, nil, fmt.Errorf("torctl: garbage after quoted value of %s", key)
+				return dst, fmt.Errorf("torctl: garbage after quoted value of %s", key)
 			}
-		} else {
-			vstart := i
-			for i < len(s) && s[i] != ' ' {
-				i++
-			}
-			kv[key] = s[vstart:i]
+			continue
 		}
+		vstart := i
+		for i < len(s) && s[i] != ' ' {
+			i++
+		}
+		dst = append(dst, pair{key, s[vstart:i]})
 	}
-	return kv, bare, nil
+	return dst, nil
 }
 
 // unquote parses a leading QuotedString and returns the value and the
