@@ -24,8 +24,12 @@
 // tally aborts or resets leaves the fan-out at once and is reported
 // failed, whether or not the source has ended.
 //
+// The daemon serves as many rounds as the tally schedules: like psc-cp
+// and sharekeeper it runs on daemon.Party.Main, redials a dropped
+// session, and exits 0 when the tally hangs up.
+//
 //	datacollector -tally 127.0.0.1:7001 -torsim 127.0.0.1:7000 \
-//	              -relay 3 -name dc-3 -rounds 4 [-pin <hex-spki>]
+//	              -relay 3 -name dc-3 [-pin <hex-spki>]
 //	datacollector -tally 127.0.0.1:7001 -tor-control 127.0.0.1:9051 \
 //	              -tor-cookie /var/lib/tor/control_auth_cookie -relay 3
 //
@@ -44,10 +48,10 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/engine"
 	"repro/internal/event"
-	"repro/internal/privcount"
 	"repro/internal/torctl"
 	"repro/internal/wire"
 )
@@ -64,7 +68,6 @@ func main() {
 	torCookie := flag.String("tor-cookie", "", "control-auth cookie file (empty: path advertised by the relay)")
 	torPassword := flag.String("tor-password", "", "control-port password")
 	relay := flag.Int("relay", 0, "relay id to subscribe to (-1 = all; also the observer id for control-port events)")
-	rounds := flag.Int("rounds", 1, "number of rounds to serve before exiting")
 	flag.Parse()
 	name, timeout := p.Name(), p.Timeout()
 
@@ -93,15 +96,10 @@ func main() {
 		defer feed.Close()
 	}
 
-	dial, err := p.Start()
-	if err != nil {
-		log.Fatalf("datacollector %s: %v", name, err)
-	}
-
 	c := &collector{
 		name:     name,
 		feedDone: make(chan struct{}),
-		active:   make(map[engine.DCRound]bool),
+		active:   make(map[engine.DCRound]core.Incrementer),
 	}
 
 	// Feed pump: every event reaches every active round.
@@ -125,107 +123,21 @@ func main() {
 		}
 	}()
 
-	// Round server: the tally opens one stream per round. The session
-	// loop survives tally churn — a dropped session is redialed with
-	// backoff and the daemon re-registers under its pinned identity, so
-	// rounds scheduled after the rejoin reach it again.
-	type outcome struct {
-		round uint64
-		err   error
-	}
-	completed := make(chan outcome, *rounds)
+	// Round server: the tally opens one stream per round over one
+	// session, redialed on churn, until it hangs up.
 	host := engine.DCHost{
 		Collect: c.collect,
-		Served:  func(round uint64, err error) { completed <- outcome{round, err} },
-	}
-	go func() {
-		err := p.Loop(dial, func(sess *wire.Session) error { return engine.ServeDC(sess, p.Hello(), host) })
-		if err != nil {
-			log.Fatalf("datacollector %s: tally: %v", name, err)
-		}
-	}()
-
-	// Count distinct rounds, not outcomes — and let a failure linger
-	// before it consumes quota: a session blip delivers a failed outcome
-	// from the dead stream while the reconnect loop may already be
-	// resuming the same round on a fresh session, and that resumed
-	// outcome is the one that should count. A success finalizes its
-	// round immediately (superseding any lingering — or even already
-	// finalized — failure); a failure finalizes, and is reported as a
-	// failure, only when its linger window expires unsuperseded. Each
-	// round arms at most one timer, and the timer finalizes under the
-	// mutex with a non-blocking wakeup, so repeated failures across many
-	// rounds can neither leak blocked goroutines nor miscount.
-	const failLinger = 5 * time.Second
-	const (
-		pendingFail = iota + 1
-		doneOK
-		doneFailed
-	)
-	var (
-		mu    sync.Mutex
-		state = make(map[uint64]int)
-		wake  = make(chan struct{}, 1)
-	)
-	poke := func() {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
-	}
-	tally := func() (finalized, failed int) {
-		for _, s := range state {
-			switch s {
-			case doneOK:
-				finalized++
-			case doneFailed:
-				finalized++
-				failed++
+		Served: func(round uint64, err error) {
+			if err != nil {
+				fmt.Printf("datacollector %s: round %d failed: %v\n", name, round, err)
+				return
 			}
-		}
-		return
+			fmt.Printf("datacollector %s: round %d complete\n", name, round)
+		},
 	}
-	for {
-		mu.Lock()
-		finalized, _ := tally()
-		mu.Unlock()
-		if finalized >= *rounds {
-			break
-		}
-		select {
-		case out := <-completed:
-			mu.Lock()
-			if out.err != nil {
-				fmt.Printf("datacollector %s: round %d failed: %v\n", name, out.round, out.err)
-				if state[out.round] == 0 {
-					state[out.round] = pendingFail
-					r := out.round
-					time.AfterFunc(failLinger, func() {
-						mu.Lock()
-						if state[r] == pendingFail {
-							state[r] = doneFailed
-						}
-						mu.Unlock()
-						poke()
-					})
-				}
-			} else {
-				fmt.Printf("datacollector %s: round %d complete\n", name, out.round)
-				state[out.round] = doneOK
-			}
-			mu.Unlock()
-		case <-wake:
-		}
-	}
-	mu.Lock()
-	finalized, failed := tally()
-	mu.Unlock()
-	if failed > 0 {
-		fmt.Printf("datacollector %s: %d rounds served (%d completed, %d failed)\n",
-			name, finalized, finalized-failed, failed)
-	} else {
-		fmt.Printf("datacollector %s: %d rounds served\n", name, finalized)
-	}
+	p.Main(func(sess *wire.Session, hello engine.Hello) error {
+		return engine.ServeDC(sess, hello, host)
+	})
 }
 
 // collector fans feed events into every active round's DC.
@@ -233,16 +145,22 @@ type collector struct {
 	name     string
 	feedDone chan struct{}
 
+	// active maps each collecting round to the Incrementer its
+	// PrivCount DC counts through (nil for a PSC round).
 	mu     sync.Mutex
-	active map[engine.DCRound]bool
+	active map[engine.DCRound]core.Incrementer
 }
 
 // collect holds one round in the fan-out until the feed ends or the
 // round fails.
 func (c *collector) collect(r engine.DCRound, failed <-chan struct{}) error {
 	fmt.Printf("datacollector %s: round %d started (%s)\n", c.name, r.Round, r.Label())
+	var inc core.Incrementer
+	if dc := r.PrivCount; dc != nil {
+		inc = func(stat string, bin int, delta float64) { _ = dc.Increment(stat, bin, delta) }
+	}
 	c.mu.Lock()
-	c.active[r] = true
+	c.active[r] = inc
 	c.mu.Unlock()
 	select {
 	case <-c.feedDone:
@@ -258,16 +176,11 @@ func (c *collector) collect(r engine.DCRound, failed <-chan struct{}) error {
 func (c *collector) dispatch(ev event.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for r := range c.active {
-		switch e := ev.(type) {
-		case *event.ConnectionEnd:
-			if r.PSC != nil {
-				_ = r.PSC.Observe(e.ClientIP.String())
-			}
-		case *event.StreamEnd:
-			if r.PrivCount != nil {
-				incrementFig1(r.PrivCount, e)
-			}
+	for r, inc := range c.active {
+		if r.PrivCount != nil {
+			core.Fig1Handle(ev, inc)
+		} else if e, ok := ev.(*event.ConnectionEnd); ok {
+			_ = r.PSC.Observe(e.ClientIP.String())
 		}
 	}
 }
@@ -293,28 +206,6 @@ func (c *collector) pumpSource(src *torctl.Source) (int, error) {
 		c.dispatch(ev)
 	}
 	return n, src.Err()
-}
-
-// incrementFig1 applies the Figure 1 stream-statistic mapping.
-func incrementFig1(dc *privcount.DC, s *event.StreamEnd) {
-	if !s.IsInitial {
-		_ = dc.Increment("exit-streams", 1, 1)
-		return
-	}
-	_ = dc.Increment("exit-streams", 0, 1)
-	switch s.Target {
-	case event.TargetHostname:
-		_ = dc.Increment("initial-target", 0, 1)
-		bin := 1
-		if s.IsWebPort() {
-			bin = 0
-		}
-		_ = dc.Increment("hostname-port", bin, 1)
-	case event.TargetIPv4:
-		_ = dc.Increment("initial-target", 1, 1)
-	case event.TargetIPv6:
-		_ = dc.Increment("initial-target", 2, 1)
-	}
 }
 
 // dialFeed attaches to the torsim event stream for one relay.

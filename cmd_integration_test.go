@@ -52,22 +52,22 @@ func TestCmdDeployment(t *testing.T) {
 	tallyAddr := tally.waitForAddr(t, "listening on ")
 	pin := tally.waitForAddr(t, "tally: fingerprint ")
 
-	var procs []*proc
+	var procs, dcs []*proc
 	for i := 0; i < 2; i++ {
 		procs = append(procs, newProc(ctx, t, filepath.Join(bindir, "sharekeeper"),
 			"-tally", tallyAddr, "-pin", pin, "-name", fmt.Sprintf("sk-%d", i)))
 	}
 	for i := 0; i < 3; i++ {
-		procs = append(procs, newProc(ctx, t, filepath.Join(bindir, "datacollector"),
+		dcs = append(dcs, newProc(ctx, t, filepath.Join(bindir, "datacollector"),
 			"-tally", tallyAddr, "-pin", pin, "-torsim", torsimAddr,
-			"-rounds", fmt.Sprintf("%d", rounds),
 			"-relay", fmt.Sprintf("%d", i), "-name", fmt.Sprintf("dc-%d", i)))
 	}
 
-	for _, p := range append(procs, torsim) {
+	for _, p := range append(append(procs, dcs...), torsim) {
 		p.mustSucceed(t)
 	}
 	tally.mustSucceed(t)
+	closedByTally(t, dcs)
 
 	out := tally.output()
 	// Three successful rounds, each with the full statistic set.
@@ -128,26 +128,25 @@ func TestCmdDeploymentChurn(t *testing.T) {
 	tallyAddr := tally.waitForAddr(t, "listening on ")
 	pin := tally.waitForAddr(t, "tally: fingerprint ")
 
-	var procs []*proc
+	var procs, dcs []*proc
 	for i := 0; i < 2; i++ {
 		procs = append(procs, newProc(ctx, t, filepath.Join(bindir, "sharekeeper"),
 			"-tally", tallyAddr, "-pin", pin, "-name", fmt.Sprintf("sk-%d", i)))
 	}
-	dcArgs := func(i, rounds int) []string {
+	dcArgs := func(i int) []string {
 		return []string{
 			"-tally", tallyAddr, "-pin", pin, "-torsim", torsimAddr,
-			"-rounds", fmt.Sprintf("%d", rounds),
 			"-relay", fmt.Sprintf("%d", i), "-name", fmt.Sprintf("dc-%d", i),
 			"-token", fmt.Sprintf("secret-%d", i),
 		}
 	}
 	for i := 0; i < 2; i++ {
-		procs = append(procs, newProc(ctx, t, filepath.Join(bindir, "datacollector"), dcArgs(i, 2)...))
+		dcs = append(dcs, newProc(ctx, t, filepath.Join(bindir, "datacollector"), dcArgs(i)...))
 	}
-	doomed := newProc(ctx, t, filepath.Join(bindir, "datacollector"), dcArgs(2, 2)...)
+	doomed := newProc(ctx, t, filepath.Join(bindir, "datacollector"), dcArgs(2)...)
 	t.Cleanup(func() {
 		if t.Failed() {
-			for _, p := range append(procs, doomed, torsim) {
+			for _, p := range append(append(procs, dcs...), doomed, torsim) {
 				t.Logf("%s output:\n%s", p.name, p.output())
 			}
 		}
@@ -161,12 +160,13 @@ func TestCmdDeploymentChurn(t *testing.T) {
 
 	// Restart under the same pinned identity; the engine rebinds it and
 	// round 2 runs at full strength.
-	procs = append(procs, newProc(ctx, t, filepath.Join(bindir, "datacollector"), dcArgs(2, 1)...))
+	dcs = append(dcs, newProc(ctx, t, filepath.Join(bindir, "datacollector"), dcArgs(2)...))
 
-	for _, p := range append(procs, torsim) {
+	for _, p := range append(append(procs, dcs...), torsim) {
 		p.mustSucceed(t)
 	}
 	tally.mustSucceed(t)
+	closedByTally(t, dcs)
 
 	out := tally.output()
 	if got := strings.Count(out, "results:"); got != 2 {
@@ -228,15 +228,17 @@ func TestCmdDeploymentPSC(t *testing.T) {
 			"-tally", tallyAddr, "-netem", "lan", "-name", fmt.Sprintf("cp-%d", i)))
 	}
 	// Guards are relays 6 and 7 in the default consensus.
+	var dcs []*proc
 	for i := 0; i < 2; i++ {
-		procs = append(procs, newProc(ctx, t, filepath.Join(bindir, "datacollector"),
-			"-tally", tallyAddr, "-torsim", torsimAddr, "-rounds", "2", "-netem", "lan",
+		dcs = append(dcs, newProc(ctx, t, filepath.Join(bindir, "datacollector"),
+			"-tally", tallyAddr, "-torsim", torsimAddr, "-netem", "lan",
 			"-relay", fmt.Sprintf("%d", 6+i), "-name", fmt.Sprintf("dc-%d", i)))
 	}
-	for _, p := range append(procs, torsim) {
+	for _, p := range append(append(procs, dcs...), torsim) {
 		p.mustSucceed(t)
 	}
 	tally.mustSucceed(t)
+	closedByTally(t, dcs)
 	out := tally.output()
 	if got := strings.Count(out, "distinct count ="); got != 2 {
 		t.Fatalf("want 2 psc round results, got %d:\n%s", got, out)
@@ -370,6 +372,19 @@ func (p *proc) mustSucceed(t *testing.T) {
 		}
 	case <-time.After(150 * time.Second):
 		t.Fatalf("%s did not finish in time:\n%s", p.name, p.output())
+	}
+}
+
+// closedByTally checks that each datacollector dcs[i], named dc-i and
+// already reaped by mustSucceed, served until its tally hung up: a
+// collector exits when its session ends, not after a count of rounds.
+func closedByTally(t *testing.T, dcs []*proc) {
+	t.Helper()
+	for i, p := range dcs {
+		want := fmt.Sprintf("datacollector dc-%d: session closed by tally", i)
+		if !strings.Contains(p.output(), want) {
+			t.Errorf("dc-%d output lacks %q:\n%s", i, want, p.output())
+		}
 	}
 }
 

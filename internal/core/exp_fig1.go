@@ -32,7 +32,11 @@ func fig1Counters() []CounterSpec {
 	}
 }
 
-func fig1Handle(ev event.Event, inc Incrementer) {
+// Fig1Handle is the Figure 1 stream-statistic mapping: it counts one
+// exit stream-end event into the fig1Counters statistics through inc,
+// and ignores every other event. The experiment's rounds and the
+// datacollector daemon's PrivCount rounds both count through it.
+func Fig1Handle(ev event.Event, inc Incrementer) {
 	s, ok := ev.(*event.StreamEnd)
 	if !ok {
 		return
@@ -67,7 +71,7 @@ func runFig1(e *Env) (*Report, error) {
 		Fractions: fr,
 		Days:      1,
 		Counters:  fig1Counters(),
-		Handle:    fig1Handle,
+		Handle:    Fig1Handle,
 		Salt:      0x0F16_0001,
 	})
 	if err != nil {

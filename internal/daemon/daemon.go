@@ -1,9 +1,13 @@
 // Package daemon is the part of a command's main that every daemon
 // repeats: the -netem transport flag and its wire.Option, the metrics
-// endpoint and spill directory, and — for the party daemons — the
-// pinned dial to the tally wrapped in engine.ReconnectLoop. A
-// command keeps only what is its own: its role, its default name, its
-// extra flags and the function that serves a session.
+// endpoint and spill directory, and — for the party daemons — one
+// skeleton, Party.Main: the pinned dial to the tally wrapped in
+// engine.ReconnectLoop, serving until the tally hangs up. All three
+// parties (psc-cp, sharekeeper, datacollector) run on it, so each lives
+// exactly as long as its tally session. A command keeps only what is
+// its own: its role, its default name, its extra flags, whatever it
+// sets up before serving (an SK's keypair, a DC's event source) and the
+// function that serves a session.
 package daemon
 
 import (
@@ -119,53 +123,36 @@ func (p *Party) Timeout() time.Duration { return *p.timeout }
 // Prefix is "<prog> <name>", the start of every line the daemon prints.
 func (p *Party) Prefix() string { return p.prog + " " + *p.name }
 
-// Hello is the registration the party presents to the tally.
-func (p *Party) Hello() engine.Hello {
-	return engine.Hello{Role: p.role, Name: *p.name, Token: *p.token}
-}
-
-// Start applies the parsed flags (see Flags.Start) and the TLS pin,
-// and returns the function that dials one fresh session to the tally,
-// announcing each connection it makes.
-func (p *Party) Start() (dial func() (*wire.Session, error), err error) {
-	connOpts, err := p.common.Start(p.Prefix())
+// Main is the whole main of a party daemon once its own flags are
+// parsed: it applies the common flags (see Flags.Start) and the TLS
+// pin, then dials the tally and serves the session, redialing under
+// engine.ReconnectLoop with the -reconnect bound, until the tally hangs
+// up. It announces every connection and the final hang-up, and exits
+// non-zero on any error. The process lives as long as its tally
+// session, whatever the number of rounds served over it.
+func (p *Party) Main(serve func(sess *wire.Session, hello engine.Hello) error) {
+	prefix := p.Prefix()
+	connOpts, err := p.common.Start(prefix)
 	if err != nil {
-		return nil, err
+		log.Fatalf("%s: %v", prefix, err)
 	}
 	tlsCfg, err := wire.ClientTLSPin(*p.pin)
 	if err != nil {
-		return nil, err
+		log.Fatalf("%s: %v", prefix, err)
 	}
-	return func() (*wire.Session, error) {
+	dial := func() (*wire.Session, error) {
 		conn, err := wire.Dial(*p.tally, tlsCfg, *p.timeout, connOpts...)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("%s: connected to %s\n", p.Prefix(), *p.tally)
+		fmt.Printf("%s: connected to %s\n", prefix, *p.tally)
 		return wire.NewSession(conn, true), nil
-	}, nil
-}
-
-// Loop serves sessions from dial until the tally hangs up, redialing
-// under engine.ReconnectLoop with the -reconnect bound and the
-// daemon's log prefix.
-func (p *Party) Loop(dial func() (*wire.Session, error), serve func(*wire.Session) error) error {
-	return engine.ReconnectLoop(dial, serve, *p.reconnect, func(format string, args ...any) {
-		log.Printf(p.Prefix()+": "+format, args...)
-	})
-}
-
-// Main is the whole main of a party daemon whose only job is serving
-// rounds: Start, then Loop over serve, announcing the final hang-up
-// and exiting non-zero on any error.
-func (p *Party) Main(serve func(sess *wire.Session, hello engine.Hello) error) {
-	dial, err := p.Start()
-	if err != nil {
-		log.Fatalf("%s: %v", p.Prefix(), err)
 	}
-	err = p.Loop(dial, func(sess *wire.Session) error { return serve(sess, p.Hello()) })
+	hello := engine.Hello{Role: p.role, Name: *p.name, Token: *p.token}
+	err = engine.ReconnectLoop(dial, func(sess *wire.Session) error { return serve(sess, hello) },
+		*p.reconnect, func(format string, args ...any) { log.Printf(prefix+": "+format, args...) })
 	if err != nil {
-		log.Fatalf("%s: %v", p.Prefix(), err)
+		log.Fatalf("%s: %v", prefix, err)
 	}
-	fmt.Printf("%s: session closed by tally\n", p.Prefix())
+	fmt.Printf("%s: session closed by tally\n", prefix)
 }

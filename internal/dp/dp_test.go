@@ -41,20 +41,6 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestSplitAndCompose(t *testing.T) {
-	p := Params{Epsilon: 0.3, Delta: 3e-11}
-	half, err := p.Split(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(half.Epsilon-0.1) > 1e-12 || half.Delta != 1e-11 {
-		t.Fatalf("split: %+v", half)
-	}
-	if _, err := p.Split(0); err == nil {
-		t.Fatal("split 0 must fail")
-	}
-}
-
 func TestGaussianSigmaFormula(t *testing.T) {
 	p := Params{Epsilon: 0.3, Delta: 1e-11}
 	s := 20.0

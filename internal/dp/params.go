@@ -1,7 +1,6 @@
 package dp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -27,15 +26,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("dp: delta must be in (0,1), got %v", p.Delta)
 	}
 	return nil
-}
-
-// Split divides the budget evenly across n concurrently collected
-// statistics (basic composition).
-func (p Params) Split(n int) (Params, error) {
-	if n <= 0 {
-		return Params{}, errors.New("dp: split over non-positive count")
-	}
-	return Params{Epsilon: p.Epsilon / float64(n), Delta: p.Delta / float64(n)}, nil
 }
 
 // GaussianSigma returns the standard deviation required by the Gaussian

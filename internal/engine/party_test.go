@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -186,5 +187,46 @@ func TestServeDCRejectsUnexpectedStream(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Served never told of the unexpected stream")
+	}
+}
+
+// TestReconnectLoop pins the daemon churn loop's three exits: the
+// tally's deliberate hang-up ends it cleanly after one dial, a refused
+// identity ends it with the refusal and no redial, and a tally that
+// cannot be reached is given up on after the attempt bound.
+func TestReconnectLoop(t *testing.T) {
+	errDial := errors.New("connection refused")
+	errRefused := fmt.Errorf("hello: %w", ErrRejected)
+	for _, tc := range []struct {
+		name      string
+		dialErr   error // nil dials a pipe session
+		serveErr  error
+		want      error
+		wantDials int
+	}{
+		{"hang-up", nil, wire.ErrClosed, nil, 1},
+		{"rejected", nil, errRefused, errRefused, 1},
+		{"unreachable", errDial, nil, errDial, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dials := 0
+			dial := func() (*wire.Session, error) {
+				dials++
+				if tc.dialErr != nil {
+					return nil, tc.dialErr
+				}
+				a, b := wire.Pipe()
+				t.Cleanup(func() { a.Close() })
+				return wire.NewSession(b, true), nil
+			}
+			serve := func(*wire.Session) error { return tc.serveErr }
+			err := ReconnectLoop(dial, serve, 2, t.Logf)
+			if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("ReconnectLoop = %v, want %v", err, tc.want)
+			}
+			if dials != tc.wantDials {
+				t.Fatalf("%d dials, want %d", dials, tc.wantDials)
+			}
+		})
 	}
 }

@@ -122,15 +122,3 @@ func (o *Ordered[T]) Drain() error {
 	}
 	return first
 }
-
-// Discard closes the pool and drains it in the background — the
-// failure-path teardown: a stream that aborts mid-round must not leak
-// a parked forwarder or undelivered results, but has nothing left to
-// learn from them either. Submit must not be called afterwards.
-func (o *Ordered[T]) Discard() {
-	o.Close()
-	go func() {
-		for range o.out {
-		}
-	}()
-}

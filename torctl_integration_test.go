@@ -79,10 +79,10 @@ func TestCmdDeploymentTorControl(t *testing.T) {
 			"-tally", tallyAddr, "-pin", pin, "-name", fmt.Sprintf("cp-%d", i)))
 	}
 	dcA := newProc(ctx, t, filepath.Join(bindir, "datacollector"),
-		"-tally", tallyAddr, "-pin", pin, "-rounds", "2", "-name", "dc-0",
+		"-tally", tallyAddr, "-pin", pin, "-name", "dc-0",
 		"-tor-control", relayAAddr, "-tor-cookie", cookiePath, "-relay", "0")
 	dcB := newProc(ctx, t, filepath.Join(bindir, "datacollector"),
-		"-tally", tallyAddr, "-pin", pin, "-rounds", "2", "-name", "dc-1",
+		"-tally", tallyAddr, "-pin", pin, "-name", "dc-1",
 		"-tor-control", relayBAddr, "-tor-password", password, "-relay", "1")
 	procs = append(procs, dcA, dcB, relayA, relayB, torsim)
 
@@ -90,6 +90,7 @@ func TestCmdDeploymentTorControl(t *testing.T) {
 		p.mustSucceed(t)
 	}
 	tally.mustSucceed(t)
+	closedByTally(t, []*proc{dcA, dcB})
 
 	out := tally.output()
 	// Both rounds of the pair completed: one PSC distinct count, one
