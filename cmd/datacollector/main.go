@@ -4,16 +4,16 @@
 // serves every measurement round the tally schedules over it —
 // PrivCount and PSC rounds alike, concurrently when they overlap —
 // mirroring the paper's one-DC-per-relay deployment (§3.1) run as a
-// months-long daemon.
+// months-long daemon. Like psc-cp and sharekeeper it runs on
+// daemon.Party.Main: it redials a dropped session and exits 0 when the
+// tally hangs up.
 //
-// Two event sources are supported:
-//
-//   - -torsim: the simulator's binary socket feed (the default), and
-//   - -tor-control: a live Tor control port speaking PRIVCOUNT_*
-//     events — a PrivCount-patched Tor or the cmd/mockrelay stand-in.
-//     The connection authenticates via -tor-cookie (COOKIE/SAFECOOKIE)
-//     or -tor-password, and survives relay churn by reconnecting with
-//     backoff; the round fan-out never notices a dropped connection.
+// Its one event source is a Tor control port speaking PRIVCOUNT_*
+// events (-tor-control): a PrivCount-patched Tor, or one of the ports
+// cmd/torsim serves per simulated relay. The connection authenticates
+// via -tor-cookie (COOKIE/SAFECOOKIE) or -tor-password, and survives
+// relay churn by reconnecting with backoff; the round fan-out never
+// notices a dropped connection.
 //
 // Every event from the source fans out to all currently active rounds:
 // PrivCount rounds count the Figure 1 stream statistics (the tally
@@ -24,14 +24,9 @@
 // tally aborts or resets leaves the fan-out at once and is reported
 // failed, whether or not the source has ended.
 //
-// The daemon serves as many rounds as the tally schedules: like psc-cp
-// and sharekeeper it runs on daemon.Party.Main, redials a dropped
-// session, and exits 0 when the tally hangs up.
-//
-//	datacollector -tally 127.0.0.1:7001 -torsim 127.0.0.1:7000 \
-//	              -relay 3 -name dc-3 [-pin <hex-spki>]
 //	datacollector -tally 127.0.0.1:7001 -tor-control 127.0.0.1:9051 \
-//	              -tor-cookie /var/lib/tor/control_auth_cookie -relay 3
+//	              -tor-cookie /var/lib/tor/control_auth_cookie -relay 3 \
+//	              -name dc-3 [-pin <hex-spki>]
 //
 // The matching tally spec for privcount rounds is:
 //
@@ -39,14 +34,11 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
+	"math"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/daemon"
@@ -63,38 +55,28 @@ func main() {
 		ReconnectHelp: "max consecutive tally reconnect attempts before giving up",
 		SpillHelp:     "directory for bounded-residency scratch files (empty: system temp)",
 	})
-	torsim := flag.String("torsim", "127.0.0.1:7000", "torsim event feed address")
-	torControl := flag.String("tor-control", "", "Tor control-port address; replaces -torsim as the event source")
+	torControl := flag.String("tor-control", "127.0.0.1:9051", "Tor control-port address of the measuring relay")
 	torCookie := flag.String("tor-cookie", "", "control-auth cookie file (empty: path advertised by the relay)")
 	torPassword := flag.String("tor-password", "", "control-port password")
-	relay := flag.Int("relay", 0, "relay id to subscribe to (-1 = all; also the observer id for control-port events)")
+	relay := flag.Int("relay", 0, "observer relay id (0-65535) for event lines that carry no Relay=")
 	flag.Parse()
 	name, timeout := p.Name(), p.Timeout()
-
-	// Event source: live control port, or the simulator socket feed.
-	var feed net.Conn
-	var src *torctl.Source
-	var err error
-	if *torControl != "" {
-		src, err = torctl.DialSource(torctl.Config{
-			Addr:        *torControl,
-			CookiePath:  *torCookie,
-			Password:    *torPassword,
-			DialTimeout: timeout,
-			Logf:        log.Printf,
-		}, torctl.LineParser{DefaultRelay: event.RelayID(*relay)})
-		if err != nil {
-			log.Fatalf("datacollector %s: tor control: %v", name, err)
-		}
-		defer src.Close()
-		fmt.Printf("datacollector %s: control connection to %s established\n", name, *torControl)
-	} else {
-		feed, err = dialFeed(*torsim, *relay, timeout)
-		if err != nil {
-			log.Fatalf("datacollector %s: torsim: %v", name, err)
-		}
-		defer feed.Close()
+	if *relay < 0 || *relay > math.MaxUint16 {
+		log.Fatalf("datacollector %s: -relay %d outside [0, 65535]", name, *relay)
 	}
+
+	src, err := torctl.DialSource(torctl.Config{
+		Addr:        *torControl,
+		CookiePath:  *torCookie,
+		Password:    *torPassword,
+		DialTimeout: timeout,
+		Logf:        log.Printf,
+	}, torctl.LineParser{DefaultRelay: event.RelayID(*relay)})
+	if err != nil {
+		log.Fatalf("datacollector %s: tor control: %v", name, err)
+	}
+	defer src.Close()
+	fmt.Printf("datacollector %s: control connection to %s established\n", name, *torControl)
 
 	c := &collector{
 		name:     name,
@@ -105,22 +87,14 @@ func main() {
 	// Feed pump: every event reaches every active round.
 	go func() {
 		defer close(c.feedDone)
-		var n int
-		var err error
-		if src != nil {
-			n, err = c.pumpSource(src)
-		} else {
-			n, err = c.pump(feed)
-		}
+		n, err := c.pumpSource(src)
 		if err != nil {
 			log.Printf("datacollector %s: feed: %v", name, err)
 		}
 		fmt.Printf("datacollector %s: %d events consumed\n", name, n)
-		if src != nil {
-			parsed, skipped := src.Stats()
-			fmt.Printf("datacollector %s: torctl reconnects=%d parsed=%d skipped=%d\n",
-				name, src.Reconnects(), parsed, skipped)
-		}
+		parsed, skipped := src.Stats()
+		fmt.Printf("datacollector %s: torctl reconnects=%d parsed=%d skipped=%d\n",
+			name, src.Reconnects(), parsed, skipped)
 	}()
 
 	// Round server: the tally opens one stream per round over one
@@ -185,18 +159,6 @@ func (c *collector) dispatch(ev event.Event) {
 	}
 }
 
-// pump decodes the torsim feed until EOF, dispatching each event to
-// all active rounds, and returns the event count.
-func (c *collector) pump(feed net.Conn) (int, error) {
-	n := 0
-	err := event.ReadFrames(bufio.NewReaderSize(feed, 1<<16), func(ev event.Event) error {
-		n++
-		c.dispatch(ev)
-		return nil
-	})
-	return n, err
-}
-
 // pumpSource consumes the control-port source until the trace ends or
 // the client dies.
 func (c *collector) pumpSource(src *torctl.Source) (int, error) {
@@ -206,21 +168,4 @@ func (c *collector) pumpSource(src *torctl.Source) (int, error) {
 		c.dispatch(ev)
 	}
 	return n, src.Err()
-}
-
-// dialFeed attaches to the torsim event stream for one relay.
-func dialFeed(addr string, relay int, timeout time.Duration) (net.Conn, error) {
-	c, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	sel := fmt.Sprintf("relay %d\n", relay)
-	if relay < 0 {
-		sel = "relay all\n"
-	}
-	if _, err := io.WriteString(c, sel); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +17,8 @@ import (
 
 // TestCmdDeployment builds the real binaries and runs the full daemon
 // deployment as separate processes over TLS-pinned TCP loopback: torsim
-// feeding three datacollector daemons which, with two sharekeepers,
+// serving three datacollector daemons, each on its relay's control
+// port, which, with two sharekeepers,
 // serve four PrivCount rounds over their single sessions — two
 // concurrent, then two sequential — with round 2 aborted mid-stream by
 // the tally. The abort must cost exactly that round: the sessions
@@ -36,10 +39,11 @@ func TestCmdDeployment(t *testing.T) {
 	}
 
 	// torsim: small population, three collector slots (relays 0-2 are
-	// measuring exits).
+	// measuring exits) and a fourth connection, openGate's, so the day
+	// streams into round 1.
 	torsim := newProc(ctx, t, filepath.Join(bindir, "torsim"),
-		"-listen", "127.0.0.1:0", "-wait", "3", "-scale", "20000", "-days", "1", "-alexa", "2000")
-	torsimAddr := torsim.waitForAddr(t, "torsim: listening on ")
+		"-listen", "127.0.0.1:0", "-wait", "4", "-scale", "20000", "-days", "1", "-alexa", "2000")
+	ports := controlPorts(t, torsim, 0, 1, 2)
 
 	// tally: the Figure 1 statistic schema with small sigmas; four
 	// rounds, two in flight at a time, the second cancelled mid-stream.
@@ -59,9 +63,10 @@ func TestCmdDeployment(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		dcs = append(dcs, newProc(ctx, t, filepath.Join(bindir, "datacollector"),
-			"-tally", tallyAddr, "-pin", pin, "-torsim", torsimAddr,
+			"-tally", tallyAddr, "-pin", pin, "-tor-control", ports[i],
 			"-relay", fmt.Sprintf("%d", i), "-name", fmt.Sprintf("dc-%d", i)))
 	}
+	openGate(t, dcs, 1, ports[0]) // round 2 is aborted before it collects
 
 	for _, p := range append(append(procs, dcs...), torsim) {
 		p.mustSucceed(t)
@@ -70,6 +75,9 @@ func TestCmdDeployment(t *testing.T) {
 	closedByTally(t, dcs)
 
 	out := tally.output()
+	// Round 1 ran while the day streamed, so it counted its ~900
+	// subsequent streams (sigma 10).
+	countedDay(t, out, 1, "exit-streams/subsequent", 200)
 	// Three successful rounds, each with the full statistic set.
 	if got := strings.Count(out, "results:"); got != rounds-1 {
 		t.Fatalf("want %d successful rounds, got %d:\n%s", rounds-1, got, out)
@@ -111,13 +119,14 @@ func TestCmdDeploymentChurn(t *testing.T) {
 		}
 	}
 
-	// The feed waits for FOUR collectors while only three DCs start:
-	// the event stream — and with it the end of round 1 — is gated on
-	// the restarted dc-2 subscribing, so the kill below is guaranteed
-	// to land mid-round however fast the machine runs the simulation.
+	// torsim waits for FOUR controller connections while only three DCs
+	// start: the event stream — and with it the end of round 1 — is
+	// gated on the restarted dc-2 connecting, so the kill below is
+	// guaranteed to land mid-round however fast the machine runs the
+	// simulation.
 	torsim := newProc(ctx, t, filepath.Join(bindir, "torsim"),
 		"-listen", "127.0.0.1:0", "-wait", "4", "-scale", "20000", "-days", "1", "-alexa", "2000")
-	torsimAddr := torsim.waitForAddr(t, "torsim: listening on ")
+	ports := controlPorts(t, torsim, 0, 1, 2)
 
 	spec := "exit-streams:initial,subsequent:10;initial-target:hostname,ipv4,ipv6:10;hostname-port:web,other:10"
 	tally := newProc(ctx, t, filepath.Join(bindir, "tally"),
@@ -135,7 +144,7 @@ func TestCmdDeploymentChurn(t *testing.T) {
 	}
 	dcArgs := func(i int) []string {
 		return []string{
-			"-tally", tallyAddr, "-pin", pin, "-torsim", torsimAddr,
+			"-tally", tallyAddr, "-pin", pin, "-tor-control", ports[i],
 			"-relay", fmt.Sprintf("%d", i), "-name", fmt.Sprintf("dc-%d", i),
 			"-token", fmt.Sprintf("secret-%d", i),
 		}
@@ -154,8 +163,11 @@ func TestCmdDeploymentChurn(t *testing.T) {
 
 	// Kill dc-2 once round 1 has begun collection on it: its blinding
 	// shares are distributed, so the barrier is passed and the round
-	// must degrade rather than resume it.
-	doomed.waitForAddr(t, "dc-2: round 1 started")
+	// must degrade rather than resume it. dc-0 and dc-1 collect too, so
+	// the day that the restart releases streams into round 1.
+	for _, p := range append(dcs, doomed) {
+		p.waitForAddr(t, "round 1 started")
+	}
 	doomed.cmd.Process.Kill()
 
 	// Restart under the same pinned identity; the engine rebinds it and
@@ -175,6 +187,9 @@ func TestCmdDeploymentChurn(t *testing.T) {
 	if got := strings.Count(out, "failed:"); got != 0 {
 		t.Fatalf("want no failed rounds, got %d:\n%s", got, out)
 	}
+	// Round 1 counted dc-0's and dc-1's share of the day, ~500
+	// subsequent streams (sigma 10).
+	countedDay(t, out, 1, "exit-streams/subsequent", 200)
 	if !strings.Contains(out, "round 1 degraded: absent parties: dc-2") {
 		t.Fatalf("round 1 not annotated degraded without dc-2:\n%s", out)
 	}
@@ -191,8 +206,8 @@ func TestCmdDeploymentChurn(t *testing.T) {
 	t.Logf("churn tally output:\n%s", out)
 }
 
-// TestCmdDeploymentPSC runs the PSC daemons: torsim feeding two
-// datacollectors at guard relays, a tally, and two computation
+// TestCmdDeploymentPSC runs the PSC daemons: torsim serving two
+// datacollectors on the control ports of two guard relays, a tally, and two computation
 // parties, counting unique client IPs across two concurrent rounds
 // over single sessions. Every daemon runs with -netem lan, so the
 // whole round trip flows through shaped connections — the flag, the
@@ -212,9 +227,12 @@ func TestCmdDeploymentPSC(t *testing.T) {
 		}
 	}
 
+	// Guards are relays 6 and 7 in the default consensus; the third
+	// connection is openGate's. At -scale 2000 the day holds enough
+	// distinct clients to stand clear of the PSC noise.
 	torsim := newProc(ctx, t, filepath.Join(bindir, "torsim"),
-		"-listen", "127.0.0.1:0", "-wait", "2", "-scale", "20000", "-days", "1", "-alexa", "2000")
-	torsimAddr := torsim.waitForAddr(t, "torsim: listening on ")
+		"-listen", "127.0.0.1:0", "-wait", "3", "-scale", "2000", "-days", "1", "-alexa", "2000")
+	ports := controlPorts(t, torsim, 6, 7)
 
 	tally := newProc(ctx, t, filepath.Join(bindir, "tally"),
 		"-protocol", "psc", "-listen", "127.0.0.1:0", "-netem", "lan",
@@ -227,13 +245,13 @@ func TestCmdDeploymentPSC(t *testing.T) {
 		procs = append(procs, newProc(ctx, t, filepath.Join(bindir, "psc-cp"),
 			"-tally", tallyAddr, "-netem", "lan", "-name", fmt.Sprintf("cp-%d", i)))
 	}
-	// Guards are relays 6 and 7 in the default consensus.
 	var dcs []*proc
 	for i := 0; i < 2; i++ {
 		dcs = append(dcs, newProc(ctx, t, filepath.Join(bindir, "datacollector"),
-			"-tally", tallyAddr, "-torsim", torsimAddr, "-netem", "lan",
+			"-tally", tallyAddr, "-tor-control", ports[i], "-netem", "lan",
 			"-relay", fmt.Sprintf("%d", 6+i), "-name", fmt.Sprintf("dc-%d", i)))
 	}
+	openGate(t, dcs, 2, ports[0])
 	for _, p := range append(append(procs, dcs...), torsim) {
 		p.mustSucceed(t)
 	}
@@ -242,6 +260,11 @@ func TestCmdDeploymentPSC(t *testing.T) {
 	out := tally.output()
 	if got := strings.Count(out, "distinct count ="); got != 2 {
 		t.Fatalf("want 2 psc round results, got %d:\n%s", got, out)
+	}
+	// Both rounds counted the day's ~30 distinct clients; an empty
+	// round estimates 0 with a standard deviation near 3.
+	for round := 1; round <= 2; round++ {
+		countedDay(t, out, round, "distinct count", 12)
 	}
 	t.Logf("psc tally output:\n%s", out)
 }
@@ -283,6 +306,93 @@ func TestCmdTallyRejectsBadFlags(t *testing.T) {
 			t.Errorf("tally %v listened before refusing its flags:\n%s", tc.args, out)
 		case !strings.Contains(string(out), tc.want):
 			t.Errorf("tally %v output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// controlPorts reads the control-port addresses torsim prints for the
+// given relays, which must be in ascending order: torsim prints its
+// all port first, then every measuring relay's in id order.
+func controlPorts(t *testing.T, torsim *proc, relays ...int) []string {
+	t.Helper()
+	ports := make([]string, len(relays))
+	for i, r := range relays {
+		ports[i] = torsim.waitForAddr(t, fmt.Sprintf("torsim: relay %d control port ", r))
+	}
+	return ports
+}
+
+// openGate makes the last -wait connection of each torsim, a probe
+// that connects to its control port at addrs[i] and leaves, once every
+// dc has started rounds rounds: the simulated day then streams into
+// running rounds instead of passing before the tally starts them,
+// which would leave every count at its noise.
+func openGate(t *testing.T, dcs []*proc, rounds int, addrs ...string) {
+	t.Helper()
+	for _, p := range dcs {
+		for range rounds {
+			p.waitForAddr(t, " started (")
+		}
+	}
+	for _, addr := range addrs {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("open torsim's gate: %v", err)
+		}
+		c.Close()
+	}
+}
+
+// countedDay requires the value the tally printed for stat in round
+// ("  round R stat = V (CI: ...)") to be at least least, set well above
+// the noise: a round that saw none of the day's events prints about 0.
+func countedDay(t *testing.T, out string, round int, stat string, least float64) {
+	t.Helper()
+	prefix := fmt.Sprintf("  round %d %s = ", round, stat)
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			v, err := strconv.ParseFloat(strings.Fields(rest)[0], 64)
+			if err != nil || v < least {
+				t.Errorf("round %d %s = %s, want at least %g: the round did not count the day:\n%s", round, stat, rest, least, out)
+			}
+			return
+		}
+	}
+	t.Errorf("tally output has no %q line:\n%s", strings.TrimSpace(prefix), out)
+}
+
+// TestCmdDatacollectorRejectsBadFlags: a datacollector whose -relay
+// cannot name a relay exits non-zero before it touches the control
+// port or the tally, instead of wrapping the value into another relay.
+func TestCmdDatacollectorRejectsBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process deployment test skipped in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "datacollector")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/datacollector").CombinedOutput(); err != nil {
+		t.Fatalf("build datacollector: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-relay", "-1"}, "-relay -1 outside [0, 65535]"},
+		{[]string{"-relay", "65536"}, "-relay 65536 outside [0, 65535]"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		args := append([]string{"-tally", "127.0.0.1:1", "-tor-control", "127.0.0.1:1"}, tc.args...)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		switch {
+		case timedOut:
+			t.Errorf("datacollector %v still running after 20 s:\n%s", tc.args, out)
+		case err == nil:
+			t.Errorf("datacollector %v exited 0:\n%s", tc.args, out)
+		case strings.Contains(string(out), "tor control"):
+			t.Errorf("datacollector %v dialed its control port before refusing its flags:\n%s", tc.args, out)
+		case !strings.Contains(string(out), tc.want):
+			t.Errorf("datacollector %v output lacks %q:\n%s", tc.args, tc.want, out)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/tls"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/privcount"
 	"repro/internal/psc"
 	"repro/internal/stats"
+	"repro/internal/torctl"
 	"repro/internal/tornet"
 	"repro/internal/wire"
 )
@@ -266,9 +268,10 @@ func TestPSCOverTCP(t *testing.T) {
 	}
 }
 
-// TestEventFeedRoundTrip exercises the torsim wire format end to end:
-// a simulated relay event stream marshaled over TCP and consumed by a
-// DC-side decoder, as cmd/torsim and cmd/datacollector do.
+// TestEventFeedRoundTrip carries one simulated day over the event
+// plane cmd/torsim serves and cmd/datacollector reads: every event,
+// formatted as a control-port line (torctl.FormatEvent) and parsed back
+// (torctl.LineParser), must come back field for field.
 func TestEventFeedRoundTrip(t *testing.T) {
 	env := &Env{Scale: 8000, Seed: 3, AlexaN: 5000, ProofRounds: 1}
 	sim, err := env.BuildSim(tornet.StudyFractions(), 0)
@@ -276,24 +279,26 @@ func TestEventFeedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var p torctl.LineParser
+	p.Time.Map(0) // simtime 0 is Unix time 0, the epoch lines are formatted at
 	sent := 0
-	var payloads [][]byte
-	var buf []byte
 	sim.Net.Bus.Subscribe(func(e event.Event) {
-		buf = event.Marshal(buf[:0], e)
-		cp := make([]byte, len(buf))
-		copy(cp, buf)
-		payloads = append(payloads, cp)
 		sent++
+		line, err := torctl.FormatEvent(e, 0)
+		if err != nil {
+			t.Fatalf("format %+v: %v", e, err)
+		}
+		got, err := p.Parse("650 " + line)
+		if err != nil {
+			t.Fatalf("parse %q: %v", line, err)
+		}
+		if !reflect.DeepEqual(e, got) {
+			t.Fatalf("line %q:\n want %+v\n got  %+v", line, e, got)
+		}
 	})
 	sim.Driver.Run(1)
 	if sent == 0 {
 		t.Fatal("no events simulated")
-	}
-	for _, p := range payloads {
-		if _, err := event.Unmarshal(p); err != nil {
-			t.Fatalf("feed event failed to decode: %v", err)
-		}
 	}
 }
 

@@ -4,9 +4,9 @@
 // the new onion-service-directory and rendezvous events the authors added.
 //
 // Events are produced by the simulator (internal/tornet, internal/onion),
-// carried either in-process over a Bus or across a socket using the
-// compact binary codec in codec.go, and consumed by PrivCount and PSC
-// data collectors which turn them into counter increments or set items.
+// carried in-process over a Bus or as Tor control-port lines
+// (internal/torctl), and consumed by PrivCount and PSC data collectors
+// which turn them into counter increments or set items.
 //
 // # Key types
 //
@@ -15,15 +15,12 @@
 //     carrying its observing relay and simtime timestamp.
 //   - Bus: the in-process fan-out with per-relay filtered
 //     subscriptions.
-//   - AppendFrame / ReadFrames: the 4-byte-length-framed binary codec
-//     shared by the torsim socket feed, trace recording, and mockrelay
-//     replay.
 //
 // # Invariants
 //
-//   - The Type numbering and field layout are wire format: do not
-//     reorder or renumber — recorded traces and the torsim feed depend
-//     on them, and the codec fuzz tests pin decode crash-freedom.
+//   - The Type numbering and field layout are the codec's format: do
+//     not reorder or renumber; the codec fuzz tests pin decode
+//     crash-freedom.
 //   - Events are immutable after publication: a Bus delivers the same
 //     value to every subscriber, concurrently.
 package event

@@ -2,7 +2,6 @@ package torctl
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -69,18 +68,14 @@ func drain(t *testing.T, src *Source) []event.Event {
 	}
 }
 
-// expectSame compares two event slices through the binary codec.
+// expectSame compares two event slices field by field.
 func expectSame(t *testing.T, want, got []event.Event) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("got %d events, want %d", len(got), len(want))
 	}
 	for i := range want {
-		w := event.Marshal(nil, want[i])
-		g := event.Marshal(nil, got[i])
-		if !bytes.Equal(w, g) {
-			t.Fatalf("event %d differs:\n want %x\n got  %x", i, w, g)
-		}
+		sameEvent(t, fmt.Sprintf("event %d", i), want[i], got[i])
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package torctl speaks the Tor control protocol to an instrumented
-// relay, replacing the torsim socket feed with the ingestion path the
-// paper's deployment used (§3.1): a PrivCount-patched Tor emits
-// asynchronous PRIVCOUNT_* control-port events, and the data collector
-// consumes them over a long-lived, authenticated control connection.
+// relay, the ingestion path the paper's deployment used (§3.1): a
+// PrivCount-patched Tor emits asynchronous PRIVCOUNT_* control-port
+// events, and the data collector consumes them over a long-lived,
+// authenticated control connection.
 //
 // The package has three layers:
 //
-//   - A control-protocol client (Client, driven by DialSource):
+//   - A control-protocol client (Source, opened by DialSource):
 //     PROTOCOLINFO, COOKIE / SAFECOOKIE / password AUTHENTICATE,
 //     SETEVENTS, 650 async-reply parsing, and automatic reconnect with
 //     exponential backoff, so a months-long collection survives relay
@@ -22,9 +22,8 @@
 //   - A mock instrumented relay (MockRelay): a control-port server that
 //     authenticates controllers and replays torsim-generated traces as
 //     PRIVCOUNT_* lines, in batches of up to 256 events or 64 KiB per
-//     Write. It doubles as the test double for the client and, via
-//     cmd/mockrelay, as a standalone stand-in relay for deployment
-//     rehearsals.
+//     Write. It doubles as the test double for Source and, in
+//     cmd/torsim, as the control port of every simulated relay.
 //
 // The event-line dialect is keyword=value, mirroring Tor's own async
 // events (e.g. "650 CIRC ... BUILD_FLAGS=..."):
@@ -48,7 +47,7 @@
 //     from the start, matching a real relay's live event stream. The
 //     cursor passes a line only once it is written whole, and a batch
 //     never waits to fill. The parser keeps no line text past Parse.
-//   - Client reconnection re-authenticates and re-issues SETEVENTS;
+//   - Source reconnection re-authenticates and re-issues SETEVENTS;
 //     ErrAuthFailed is terminal (bad credentials cannot be retried
 //     into working).
 package torctl

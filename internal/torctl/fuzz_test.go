@@ -3,11 +3,10 @@ package torctl
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/event"
 )
 
 // readKeys lists, per keyword, the keys Parse reads besides the
@@ -84,11 +83,7 @@ func FuzzParseEventLine(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical line %q (from %q) does not re-parse: %v", canon, line, err)
 		}
-		w := event.Marshal(nil, ev)
-		g := event.Marshal(nil, again)
-		if !bytes.Equal(w, g) {
-			t.Fatalf("canonical round trip diverged:\n line  %q\n canon %q\n want  %x\n got   %x", line, canon, w, g)
-		}
+		sameEvent(t, fmt.Sprintf("canonical round trip of %q (from %q)", canon, line), ev, again)
 	})
 }
 

@@ -16,8 +16,8 @@ import (
 // authenticates controllers exactly as a PrivCount-patched Tor would
 // (PROTOCOLINFO, COOKIE / SAFECOOKIE / HASHEDPASSWORD) and replays a
 // trace of simulator events as 650 PRIVCOUNT_* lines. It serves two
-// jobs: the test double for the torctl client, and — via cmd/mockrelay
-// — a standalone stand-in relay for deployment rehearsals.
+// jobs: the test double for Source, and — in cmd/torsim — the control
+// port of each simulated relay for deployment rehearsals.
 //
 // The trace is held in memory with a single replay cursor: a
 // controller that reconnects resumes where the previous connection

@@ -12,8 +12,7 @@ import (
 
 // Source is a control-port connection to one instrumented relay that
 // turns its PRIVCOUNT_* lines into a stream of internal/event values,
-// the same shape the torsim socket feed produces, so the data
-// collector's round fan-out runs unchanged over a live relay.
+// the data collector's one event source.
 type Source struct {
 	cfg    Config
 	parser LineParser

@@ -11,10 +11,10 @@ import (
 )
 
 // TestCmdDeploymentTorControl runs the live-ingestion deployment as
-// separate processes: torsim feeds two mock instrumented relays
-// (cmd/mockrelay), each serving a Tor control port; two datacollector
-// daemons ingest PRIVCOUNT_* events over authenticated control
-// connections (-tor-control) instead of the torsim socket; and a tally
+// separate processes: two torsims, each serving the whole simulated day
+// on its all control port; two datacollector daemons ingest PRIVCOUNT_*
+// events over authenticated control connections (-tor-control), one
+// per torsim; and a tally
 // in -protocol both mode runs a PSC round and a PrivCount round
 // concurrently over the same DC sessions. One relay authenticates by
 // SAFECOOKIE cookie file, the other by password. The cookie relay
@@ -30,33 +30,27 @@ func TestCmdDeploymentTorControl(t *testing.T) {
 	defer cancel()
 
 	bindir := t.TempDir()
-	for _, name := range []string{"torsim", "mockrelay", "tally", "psc-cp", "sharekeeper", "datacollector"} {
+	for _, name := range []string{"torsim", "tally", "psc-cp", "sharekeeper", "datacollector"} {
 		cmd := exec.CommandContext(ctx, "go", "build", "-o", filepath.Join(bindir, name), "./cmd/"+name)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", name, err, out)
 		}
 	}
 
-	// torsim feeds the two mock relays (each takes the full event feed,
-	// so both protocols see observations on every DC).
-	torsim := newProc(ctx, t, filepath.Join(bindir, "torsim"),
-		"-listen", "127.0.0.1:0", "-wait", "2", "-scale", "20000", "-days", "1", "-alexa", "2000")
-	torsimAddr := torsim.waitForAddr(t, "torsim: listening on ")
-
-	// Mock relay A: cookie auth, and the churn drill — drop the
+	// Each torsim serves its all port, so both protocols see
+	// observations on every DC; its second -wait connection is
+	// openGate's. Relay A: cookie auth, and the churn drill — drop the
 	// controller after 400 event lines, once.
+	sim := []string{"-listen", "127.0.0.1:0", "-wait", "2", "-scale", "2000", "-days", "1", "-alexa", "2000"}
 	cookiePath := filepath.Join(t.TempDir(), "control_auth_cookie")
-	relayA := newProc(ctx, t, filepath.Join(bindir, "mockrelay"),
-		"-listen", "127.0.0.1:0", "-torsim", torsimAddr, "-relay", "all",
-		"-cookie-file", cookiePath, "-drop-after", "400")
-	relayAAddr := relayA.waitForAddr(t, "mockrelay: listening on ")
+	relayA := newProc(ctx, t, filepath.Join(bindir, "torsim"),
+		append(sim, "-cookie-file", cookiePath, "-drop-after", "400")...)
+	relayAAddr := relayA.waitForAddr(t, "torsim: relay all control port ")
 
-	// Mock relay B: password auth, no drop.
+	// Relay B: password auth, no drop.
 	const password = "s3kr1t pass"
-	relayB := newProc(ctx, t, filepath.Join(bindir, "mockrelay"),
-		"-listen", "127.0.0.1:0", "-torsim", torsimAddr, "-relay", "all",
-		"-password", password)
-	relayBAddr := relayB.waitForAddr(t, "mockrelay: listening on ")
+	relayB := newProc(ctx, t, filepath.Join(bindir, "torsim"), append(sim, "-password", password)...)
+	relayBAddr := relayB.waitForAddr(t, "torsim: relay all control port ")
 
 	// Tally in mixed mode: one PSC + one PrivCount round concurrently,
 	// with a round deadline and a privacy budget that exactly covers
@@ -84,7 +78,8 @@ func TestCmdDeploymentTorControl(t *testing.T) {
 	dcB := newProc(ctx, t, filepath.Join(bindir, "datacollector"),
 		"-tally", tallyAddr, "-pin", pin, "-name", "dc-1",
 		"-tor-control", relayBAddr, "-tor-password", password, "-relay", "1")
-	procs = append(procs, dcA, dcB, relayA, relayB, torsim)
+	procs = append(procs, dcA, dcB, relayA, relayB)
+	openGate(t, []*proc{dcA, dcB}, 2, relayAAddr, relayBAddr)
 
 	for _, p := range procs {
 		p.mustSucceed(t)
@@ -116,6 +111,11 @@ func TestCmdDeploymentTorControl(t *testing.T) {
 	if strings.Contains(out, "failed:") {
 		t.Errorf("tally reported a failed round:\n%s", out)
 	}
+	// Both rounds ran while the days streamed: round 1 (PSC) counted
+	// ~130 distinct clients, round 2 (PrivCount) ~30 000 subsequent
+	// streams (sigma 10).
+	countedDay(t, out, 1, "distinct count", 50)
+	countedDay(t, out, 2, "exit-streams/subsequent", 200)
 	if got := strings.Count(out, "metrics: wall="); got != 2 {
 		t.Errorf("want 2 per-round metric lines, got %d:\n%s", got, out)
 	}
@@ -123,7 +123,7 @@ func TestCmdDeploymentTorControl(t *testing.T) {
 	// The churn drill happened and was survived: relay A dropped the
 	// connection, the collector reconnected and resumed.
 	if !strings.Contains(relayA.output(), "churn drill") {
-		t.Errorf("mock relay A never dropped the connection:\n%s", relayA.output())
+		t.Errorf("relay A never dropped the connection:\n%s", relayA.output())
 	}
 	outA := dcA.output()
 	if !strings.Contains(outA, "reconnected to") {
